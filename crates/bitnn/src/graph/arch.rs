@@ -142,14 +142,68 @@ pub fn build_model(arch: Arch, scale: f64, image: usize, seed: u64) -> Result<Mo
 /// Attach deterministic synthetic weights to a weight-free spec,
 /// producing an executable [`ModelGraph`]. Binary 3×3 kernels are sampled
 /// from the calibrated per-block bit-sequence distributions (paper
-/// Table II, cycled every 13 convolutions); 1×1 kernels are uniform; the
-/// 8-bit stem/classifier get uniform float weights; batch-norms carry the
-/// same mild fan-in-scaled variation as the ReActNet generator.
+/// Table II, cycled every 13 convolutions, see [`Conv3Slot::sample`]);
+/// 1×1 kernels are uniform; the 8-bit stem/classifier get uniform float
+/// weights; batch-norms carry the same mild fan-in-scaled variation as
+/// the ReActNet generator.
 ///
 /// # Errors
 ///
 /// Returns [`BitnnError::InvalidConfig`] if the spec does not validate.
 pub fn attach_weights(spec: &GraphSpec, seed: u64) -> Result<ModelGraph> {
+    attach_weights_with(spec, seed, |slot| Ok(slot.sample()))
+}
+
+/// One compressible 3×3 convolution of a spec, as handed to the kernel
+/// provider of [`attach_weights_with`].
+#[derive(Debug, Clone, Copy)]
+pub struct Conv3Slot {
+    /// Position among the spec's compressible convolutions — the index
+    /// of its record in a model container.
+    pub index: usize,
+    /// Output filters.
+    pub filters: usize,
+    /// Input channels.
+    pub channels: usize,
+    /// Stride and padding.
+    pub params: Conv2dParams,
+    /// Per-node seed salt of the synthetic sampler.
+    salt: u64,
+}
+
+impl Conv3Slot {
+    /// The synthetic layer [`attach_weights`] puts in this slot: a kernel
+    /// sampled from block `index % 13 + 1`'s calibrated distribution.
+    pub fn sample(&self) -> BinConv2d {
+        let mut rng = StdRng::seed_from_u64(self.salt);
+        let kernel = SeqDistribution::for_block(self.index % 13 + 1, 0).sample_kernel(
+            self.filters,
+            self.channels,
+            &mut rng,
+        );
+        BinConv2d::new(kernel, self.params)
+    }
+}
+
+/// [`attach_weights`] with the compressible 3×3 convolutions supplied by
+/// `conv3` instead of the sampler: every other layer gets the same
+/// synthetic weights, and each 3×3 slot gets whatever layer the provider
+/// builds for it — e.g. one decoded straight from a container record.
+///
+/// # Errors
+///
+/// Returns [`BitnnError::InvalidConfig`] if the spec does not validate or
+/// a provided layer does not fit its slot, and passes on the provider's
+/// own errors.
+pub fn attach_weights_with<E, F>(
+    spec: &GraphSpec,
+    seed: u64,
+    mut conv3: F,
+) -> std::result::Result<ModelGraph, E>
+where
+    E: From<BitnnError>,
+    F: FnMut(&Conv3Slot) -> std::result::Result<BinConv2d, E>,
+{
     use super::spec::ShapeInfo;
     let shapes = spec.shapes()?;
     let mut nodes = Vec::with_capacity(spec.nodes.len());
@@ -175,21 +229,40 @@ pub fn attach_weights(spec: &GraphSpec, seed: u64) -> Result<ModelGraph> {
             OpSpec::Sign => NodeOp::Sign(RSign::new(small_params(in_ch, salt, 0.05))),
             OpSpec::BinConv {
                 out_ch,
+                kh: 3,
+                kw: 3,
+                stride,
+                pad,
+            } => {
+                let slot = Conv3Slot {
+                    index: conv3_seen,
+                    filters: out_ch,
+                    channels: in_ch,
+                    params: Conv2dParams { stride, pad },
+                    salt,
+                };
+                conv3_seen += 1;
+                let conv = conv3(&slot)?;
+                let got = (conv.filters(), conv.in_channels(), conv.kernel_size());
+                if got != (out_ch, in_ch, (3, 3)) || conv.params() != slot.params {
+                    return Err(BitnnError::InvalidConfig(format!(
+                        "conv {}: provided {got:?} layer does not fit the {out_ch}x{in_ch} 3x3 slot",
+                        slot.index
+                    ))
+                    .into());
+                }
+                NodeOp::BinConv(conv)
+            }
+            OpSpec::BinConv {
+                out_ch,
                 kh,
                 kw,
                 stride,
                 pad,
-            } => {
-                let kernel = if (kh, kw) == (3, 3) {
-                    let block = conv3_seen % 13 + 1;
-                    conv3_seen += 1;
-                    let mut rng = StdRng::seed_from_u64(salt);
-                    SeqDistribution::for_block(block, 0).sample_kernel(out_ch, in_ch, &mut rng)
-                } else {
-                    random_kernel(&[out_ch, in_ch, kh, kw], salt)
-                };
-                NodeOp::BinConv(BinConv2d::new(kernel, Conv2dParams { stride, pad }))
-            }
+            } => NodeOp::BinConv(BinConv2d::new(
+                random_kernel(&[out_ch, in_ch, kh, kw], salt),
+                Conv2dParams { stride, pad },
+            )),
             OpSpec::BatchNorm => NodeOp::BatchNorm(varied_bn(in_ch, salt)),
             OpSpec::Act => NodeOp::Act(RPReLU::new(
                 small_params(in_ch, salt ^ 1, 0.05),
@@ -212,7 +285,7 @@ pub fn attach_weights(spec: &GraphSpec, seed: u64) -> Result<ModelGraph> {
             inputs: node.inputs.clone(),
         });
     }
-    ModelGraph::new(spec.arch.clone(), nodes)
+    Ok(ModelGraph::new(spec.arch.clone(), nodes)?)
 }
 
 /// Sample the calibrated kernel of every compressible 3×3 convolution of

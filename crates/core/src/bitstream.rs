@@ -113,28 +113,34 @@ impl<'a> BitReader<'a> {
         Ok(bit as u32)
     }
 
-    /// Read `len` bits MSB-first.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KcError::CorruptStream`] if fewer than `len` bits remain.
+    /// The next 32 bits MSB-first without consuming them. Bits past the
+    /// limit read as zero, and no byte past the slice is touched.
+    pub fn peek32(&self) -> u32 {
+        let byte = self.pos / 8;
+        let word = match self.bytes.get(byte..byte + 8) {
+            Some(b) => u64::from_be_bytes(b.try_into().expect("8-byte slice")),
+            None => self.bytes[byte.min(self.bytes.len())..]
+                .iter()
+                .enumerate()
+                .fold(0u64, |w, (i, &b)| w | ((b as u64) << (56 - 8 * i))),
+        };
+        // At most 7 bits are skipped, so the top 32 of the shifted word
+        // are all loaded bits.
+        let window = ((word << (self.pos % 8)) >> 32) as u32;
+        match self.remaining() {
+            r if r >= 32 => window,
+            r => window & !(u32::MAX >> r),
+        }
+    }
+
+    /// Consume `len` bits already inspected through [`Self::peek32`].
     ///
     /// # Panics
     ///
-    /// Panics if `len > 32`.
-    pub fn read_bits(&mut self, len: u8) -> Result<u32> {
-        assert!(len <= 32);
-        if self.remaining() < len as usize {
-            return Err(KcError::CorruptStream(format!(
-                "wanted {len} bits, {} remaining",
-                self.remaining()
-            )));
-        }
-        let mut v = 0u32;
-        for _ in 0..len {
-            v = (v << 1) | self.read_bit()?;
-        }
-        Ok(v)
+    /// Panics if fewer than `len` bits remain.
+    pub fn skip(&mut self, len: usize) {
+        assert!(len <= self.remaining(), "skip past the end of stream");
+        self.pos += len;
     }
 }
 
@@ -142,6 +148,13 @@ impl<'a> BitReader<'a> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Read `len` (1..=32) bits MSB-first through the decoder's window.
+    fn take(r: &mut BitReader<'_>, len: usize) -> u32 {
+        let v = (u64::from(r.peek32()) >> (32 - len)) as u32;
+        r.skip(len);
+        v
+    }
 
     #[test]
     fn roundtrip_single_bits() {
@@ -173,8 +186,8 @@ mod tests {
         w.write_bits(0b000001111, 9); // spans bytes
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
-        assert_eq!(r.read_bits(5).unwrap(), 0b11111);
-        assert_eq!(r.read_bits(9).unwrap(), 0b000001111);
+        assert_eq!(take(&mut r, 5), 0b11111);
+        assert_eq!(take(&mut r, 9), 0b000001111);
     }
 
     #[test]
@@ -185,16 +198,29 @@ mod tests {
         let bytes = w.into_bytes();
         assert_eq!(bytes.len(), 1); // padded to a byte
         let mut r = BitReader::with_limit(&bytes, n);
-        assert_eq!(r.read_bits(3).unwrap(), 0b101);
+        assert_eq!(take(&mut r, 3), 0b101);
         assert_eq!(r.remaining(), 0);
     }
 
     #[test]
-    fn read_bits_checks_remaining() {
-        let bytes = [0xFFu8];
-        let mut r = BitReader::with_limit(&bytes, 6);
-        assert!(r.read_bits(7).is_err());
-        assert_eq!(r.read_bits(6).unwrap(), 0b111111);
+    fn peek32_matches_bitwise_reads_and_zero_fills_past_the_limit() {
+        let bytes: Vec<u8> = (0..12u8).map(|i| i.wrapping_mul(0x9D) ^ 0x5A).collect();
+        for len in 0..=bytes.len() {
+            let slice = &bytes[..len];
+            for limit in 0..=len * 8 {
+                for pos in 0..=limit {
+                    let mut r = BitReader::with_limit(slice, limit);
+                    r.skip(pos);
+                    let mut want = 0u32;
+                    let mut bitwise = r.clone();
+                    for i in 0..32 {
+                        let bit = bitwise.read_bit().unwrap_or(0);
+                        want |= bit << (31 - i);
+                    }
+                    assert_eq!(r.peek32(), want, "len {len} limit {limit} pos {pos}");
+                }
+            }
+        }
     }
 
     proptest! {
@@ -210,7 +236,7 @@ mod tests {
             let mut r = BitReader::with_limit(&bytes, total);
             for &(c, l) in &codes {
                 let c = if l == 32 { c } else { c & ((1 << l) - 1) };
-                prop_assert_eq!(r.read_bits(l).unwrap(), c);
+                prop_assert_eq!(take(&mut r, l as usize), c);
             }
             prop_assert_eq!(r.remaining(), 0);
         }

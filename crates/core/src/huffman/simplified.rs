@@ -220,32 +220,39 @@ impl SimplifiedTree {
 
     /// Decode one sequence from a bit stream.
     ///
-    /// This mirrors the hardware stream parser: scan prefix bits to find
-    /// the node, read the node's code length from the length table, then
-    /// use the remaining bits to address the uncompressed table.
+    /// This is the hardware stream parser's length-table lookup (Fig. 6)
+    /// done one codeword at a time: peek a 32-bit window, count its
+    /// leading ones to find the node, take the node's index bits from the
+    /// same window to address the uncompressed table, then advance by
+    /// the node's code length. A code is at most 8 prefix bits plus a
+    /// 16-bit index, so one window always holds it.
     ///
     /// # Errors
     ///
     /// Returns [`KcError::CorruptStream`] on a truncated stream, an
     /// invalid prefix, or an index beyond the node's table.
     pub fn decode(&self, reader: &mut BitReader<'_>) -> Result<BitSeq> {
-        let n = self.config.nodes();
-        let mut node = n; // sentinel
-        for i in 0..n {
-            if reader.read_bit()? == 0 {
-                node = i;
-                break;
-            }
-            if i == n - 1 {
-                return Err(KcError::CorruptStream(
-                    "prefix of all ones matches no node".into(),
-                ));
-            }
+        // Bits past the end peek as zero, so the ones counted are real.
+        let window = reader.peek32();
+        let node = window.leading_ones() as usize;
+        let Some(&ibits) = self.index_bits.get(node) else {
+            return Err(KcError::CorruptStream(
+                "prefix of all ones matches no node".into(),
+            ));
+        };
+        let (prefix, ibits) = (node + 1, ibits as usize);
+        let remaining = reader.remaining();
+        if remaining < prefix + ibits {
+            return Err(KcError::CorruptStream(if remaining < prefix {
+                "unexpected end of stream".into()
+            } else {
+                format!("wanted {ibits} bits, {} remaining", remaining - prefix)
+            }));
         }
-        debug_assert!(node < n);
-        let idx = reader.read_bits(self.index_bits[node])? as usize;
+        let idx = ((u64::from(window) << prefix) & u64::from(u32::MAX)) >> (32 - ibits);
+        reader.skip(prefix + ibits);
         self.tables[node]
-            .get(idx)
+            .get(idx as usize)
             .copied()
             .ok_or_else(|| KcError::CorruptStream(format!("index {idx} beyond node {node} table")))
     }
@@ -293,6 +300,8 @@ impl SimplifiedTree {
 mod tests {
     use super::*;
     use bitnn::weightgen::SeqDistribution;
+    use bytes::Bytes;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -437,6 +446,157 @@ mod tests {
             tree.decode(&mut r),
             Err(KcError::CorruptStream(_))
         ));
+    }
+
+    /// A tree over all 512 sequences, ranked by value (so the last node
+    /// is auto-widened whenever the capacities hold fewer than 512).
+    fn full_tree(capacities: Vec<usize>) -> SimplifiedTree {
+        let ranked: Vec<BitSeq> = BitSeq::all().collect();
+        SimplifiedTree::from_ranked(&ranked, TreeConfig::with_capacities(capacities).unwrap())
+    }
+
+    /// Encode `seqs`, returning the bytes, the exact bit count, and the
+    /// end offset of every codeword.
+    fn encode_all(tree: &SimplifiedTree, seqs: &[BitSeq]) -> (Bytes, usize, Vec<usize>) {
+        let mut w = BitWriter::new();
+        let mut ends = Vec::with_capacity(seqs.len());
+        for &s in seqs {
+            tree.encode(s, &mut w).unwrap();
+            ends.push(w.bits_written());
+        }
+        let bits = w.bits_written();
+        (w.into_bytes(), bits, ends)
+    }
+
+    fn is_corrupt(r: Result<BitSeq>, needle: &str) -> bool {
+        matches!(r, Err(KcError::CorruptStream(m)) if m.contains(needle))
+    }
+
+    /// Every sequence in a scrambled order, so codes of every node
+    /// length interleave and straddle byte and window boundaries.
+    fn scrambled() -> Vec<BitSeq> {
+        (0..512u32)
+            .map(|i| BitSeq::new_unchecked(((i * 167 + 31) % 512) as u16))
+            .collect()
+    }
+
+    #[test]
+    fn truncation_at_every_bit_offset_is_a_typed_error() {
+        let tree = full_tree(vec![32, 64, 64, 256]);
+        let seqs: Vec<BitSeq> = scrambled().into_iter().take(24).collect();
+        let (bytes, bits, ends) = encode_all(&tree, &seqs);
+        for cut in 0..bits {
+            let mut r = BitReader::with_limit(&bytes, cut);
+            let whole = ends.iter().take_while(|&&e| e <= cut).count();
+            for &s in &seqs[..whole] {
+                assert_eq!(tree.decode(&mut r).unwrap(), s, "cut {cut}");
+            }
+            assert!(
+                matches!(tree.decode(&mut r), Err(KcError::CorruptStream(_))),
+                "cut at bit {cut} must be a corrupt stream"
+            );
+        }
+    }
+
+    #[test]
+    fn all_ones_prefix_near_the_end_is_corrupt() {
+        let tree = full_tree(vec![32, 64, 64, 256]);
+        let head: Vec<BitSeq> = scrambled().into_iter().take(5).collect();
+        // Valid codes, then four ones (no node), then a few more bits so
+        // the bad prefix sits inside the last 32-bit window.
+        let mut w = BitWriter::new();
+        for &s in &head {
+            tree.encode(s, &mut w).unwrap();
+        }
+        w.write_bits(0b1111, 4);
+        w.write_bits(0b010, 3);
+        let bits = w.bits_written();
+        let bytes = w.into_bytes();
+        let mut r = BitReader::with_limit(&bytes, bits);
+        for &s in &head {
+            assert_eq!(tree.decode(&mut r).unwrap(), s);
+        }
+        assert!(is_corrupt(tree.decode(&mut r), "all ones"));
+        // Ending on the bad prefix itself is still a bad prefix; ending
+        // one bit short of it is a truncation instead.
+        let mut r = BitReader::with_limit(&bytes, bits - 3);
+        for _ in &head {
+            tree.decode(&mut r).unwrap();
+        }
+        assert!(is_corrupt(tree.decode(&mut r), "all ones"));
+        let mut r = BitReader::with_limit(&bytes, bits - 4);
+        for _ in &head {
+            tree.decode(&mut r).unwrap();
+        }
+        assert!(is_corrupt(tree.decode(&mut r), "end of stream"));
+    }
+
+    #[test]
+    fn widened_last_node_decodes_and_rejects_unused_indices() {
+        let tree = full_tree(vec![32, 64, 64, 256]);
+        assert_eq!(tree.code_len(3), 13);
+        let last = *tree.table(3).last().unwrap();
+        let (bytes, bits, _) = encode_all(&tree, &[last]);
+        assert_eq!(bits, 13);
+        let mut r = BitReader::with_limit(&bytes, bits);
+        assert_eq!(tree.decode(&mut r).unwrap(), last);
+        assert_eq!(r.remaining(), 0);
+        for cut in 4..13 {
+            let mut r = BitReader::with_limit(&bytes, cut);
+            assert!(
+                is_corrupt(tree.decode(&mut r), "wanted 9 bits"),
+                "cut {cut}"
+            );
+        }
+        // 352 entries behind a 9-bit index: 352..512 address nothing.
+        let mut w = BitWriter::new();
+        w.write_bits((0b1110 << 9) | 511, 13);
+        let bytes = w.into_bytes();
+        let mut r = BitReader::with_limit(&bytes, 13);
+        assert!(is_corrupt(tree.decode(&mut r), "index 511 beyond node 3"));
+    }
+
+    #[test]
+    fn two_and_eight_node_trees_roundtrip_and_reject_bad_prefixes() {
+        for caps in [vec![256, 256], vec![1, 1, 2, 4, 8, 16, 32, 64]] {
+            let tree = full_tree(caps.clone());
+            let n = caps.len();
+            let seqs = scrambled();
+            let (bytes, bits, _) = encode_all(&tree, &seqs);
+            let mut r = BitReader::with_limit(&bytes, bits);
+            for &s in &seqs {
+                assert_eq!(tree.decode(&mut r).unwrap(), s, "{caps:?}");
+            }
+            assert_eq!(r.remaining(), 0);
+            let ones = [0xFFu8, 0xFF];
+            let mut r = BitReader::with_limit(&ones, n);
+            assert!(is_corrupt(tree.decode(&mut r), "all ones"), "{caps:?}");
+            let mut r = BitReader::with_limit(&ones, n - 1);
+            assert!(is_corrupt(tree.decode(&mut r), "end of stream"), "{caps:?}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn ragged_stream_lengths_roundtrip(
+            picks in proptest::collection::vec(0u16..512, 1..80),
+            caps in 0usize..3,
+        ) {
+            let caps = match caps {
+                0 => vec![32, 64, 64, 256],
+                1 => vec![256, 256],
+                _ => vec![1, 1, 2, 4, 8, 16, 32, 64],
+            };
+            let tree = full_tree(caps);
+            let seqs: Vec<BitSeq> = picks.into_iter().map(BitSeq::new_unchecked).collect();
+            let (bytes, bits, _) = encode_all(&tree, &seqs);
+            let mut r = BitReader::with_limit(&bytes, bits);
+            for &s in &seqs {
+                prop_assert_eq!(tree.decode(&mut r).unwrap(), s);
+            }
+            prop_assert_eq!(r.remaining(), 0);
+            prop_assert!(tree.decode(&mut r).is_err());
+        }
     }
 
     #[test]

@@ -2,18 +2,20 @@
 //!
 //! A registry entry is a [`ModelEntry`]: a weighted [`ModelGraph`] built
 //! from an integrity-verified `.bkcm` container (v1–v3), tagged with a
-//! monotonic version that every hot-swap bumps. Deployment follows the
-//! same path as `bnnkc run`: the graph topology comes from the
-//! container's embedded spec (reconstructed from kernel dimensions for
-//! v1), the non-compressed layers' weights are regenerated from the
-//! serve-wide seed, and each compressed 3×3 kernel is stream-decoded
+//! monotonic version that every hot-swap bumps. The graph topology comes
+//! from the container's embedded spec (reconstructed from kernel
+//! dimensions for v1) and the non-compressed layers' weights are
+//! regenerated from the serve-wide seed. Each compressible 3×3 slot is
+//! built in one pass from its record: the Huffman stream is decoded
 //! straight into the weight form the engine's dedup heuristic selects —
 //! channel-packed lane words, or the dedup bank for compressed-domain
-//! execution.
+//! execution. No 3×3 kernel is ever sampled, and the record geometry is
+//! checked against the topology before any stream is decoded.
 
 use crate::error::{Result, ServeError};
-use bitnn::graph::arch::attach_weights;
+use bitnn::graph::arch::attach_weights_with;
 use bitnn::graph::ShapeInfo;
+use bitnn::layers::BinConv2d;
 use bitnn::{Engine, ModelGraph};
 use kc_core::container::{read_model_container, ModelContainer};
 use kc_core::KcError;
@@ -75,8 +77,12 @@ pub(crate) fn shape_of(graph: &ModelGraph) -> Result<ModelShape> {
 }
 
 /// Deploy a parsed container: rebuild the weighted graph from its spec
-/// (fallback `image` is only used for spec-less v1 containers) and
-/// stream-decode every kernel into the engine's preferred weight form.
+/// (fallback `image` is only used for spec-less v1 containers), with each
+/// compressible 3×3 slot built straight from its decoded record.
+///
+/// The record geometry is checked against the spec before anything is
+/// decoded, so a mismatched container costs no decode work and returns
+/// [`KcError::IncompatibleModel`].
 pub fn deploy(
     container: &ModelContainer,
     engine: &Engine,
@@ -85,22 +91,36 @@ pub fn deploy(
     version: u32,
 ) -> Result<ModelEntry> {
     let spec = container.spec_or_reactnet(image)?;
-    let mut graph = attach_weights(&spec, seed)?;
-    if graph.num_conv3() != container.kernels.len() {
-        return Err(ServeError::Container(KcError::IncompatibleModel(format!(
+    spec.validate()?;
+    let slots = spec.conv3_geometries();
+    if slots.len() != container.kernels.len() {
+        return Err(incompatible(format!(
             "container has {} kernels, the topology needs {}",
             container.kernels.len(),
-            graph.num_conv3()
-        ))));
+            slots.len()
+        )));
     }
-    for (i, c) in container.kernels.iter().enumerate() {
-        if engine.uses_bank(3, 3, c.channels) {
-            graph.set_conv3_bank(i, c.decode_bank()?)?;
-        } else {
-            graph.set_conv3_packed(i, c.decode_packed()?)?;
+    for (i, (g, c)) in slots.iter().zip(&container.kernels).enumerate() {
+        if (g.filters, g.channels) != (c.filters, c.channels) {
+            return Err(incompatible(format!(
+                "kernel {i} is {}x{}, the topology needs {}x{}",
+                c.filters, c.channels, g.filters, g.channels
+            )));
         }
     }
+    let graph = attach_weights_with(&spec, seed, |slot| {
+        let c = &container.kernels[slot.index];
+        Ok::<_, ServeError>(if engine.uses_bank(3, 3, c.channels) {
+            BinConv2d::from_bank(c.decode_bank()?, slot.params)
+        } else {
+            BinConv2d::from_packed(c.decode_packed()?, slot.params)
+        })
+    })?;
     Ok(ModelEntry { graph, version })
+}
+
+fn incompatible(msg: String) -> ServeError {
+    ServeError::Container(KcError::IncompatibleModel(msg))
 }
 
 /// Parse + deploy container bytes (integrity-verified for v3).

@@ -55,7 +55,8 @@ pub mod prelude {
     pub use bitnn::engine::Engine;
     pub use bitnn::exec::ExecPolicy;
     pub use bitnn::graph::arch::{
-        attach_weights, build_model, build_spec, reactnet_spec, sample_conv3_kernels, Arch,
+        attach_weights, attach_weights_with, build_model, build_spec, reactnet_spec,
+        sample_conv3_kernels, Arch, Conv3Slot,
     };
     pub use bitnn::graph::{
         ConvGeometry, GraphBuilder, GraphNode, GraphSpec, ModelGraph, NodeOp, NodeSpec, OpSpec,
