@@ -16,14 +16,13 @@
 //! 4. **Compressed e2e** — deploy a wide graph-IR ReActNet container
 //!    (at scale 1.0 the late blocks are 512-channel 3×3 convs, so the
 //!    records dominate the container and decode cost is real) and run
-//!    the batch forward three ways, all asserted bit-exact first:
-//!    offline decompress→pack→forward, the streaming decode path
-//!    (stream → packed lane words → engine, no intermediate
-//!    `[K, C, 3, 3]` tensor), and the compressed-domain path (stream →
-//!    dedup sequence bank → memoized bank kernel, no dense weight form
-//!    at all). The section records the deployed records' cross-filter
+//!    the batch forward two ways, asserted bit-exact first: offline
+//!    decompress→pack→forward and the streaming decode path (stream →
+//!    packed lane words → engine, no intermediate `[K, C, 3, 3]`
+//!    tensor). The section records the deployed records' cross-filter
 //!    dedup ratio and the decode-table hit rate `1 - unique/total` the
-//!    skew buys a hardware decode unit.
+//!    skew buys a hardware decode unit, both from one histogram pass
+//!    over each record's stream.
 //! 5. **Arch e2e** — every built-in graph-IR architecture
 //!    (`reactnet`/`vggsmall`/`resnetlite`) through the graph executor,
 //!    each asserted bit-exact against its scalar walk before timing.
@@ -84,8 +83,8 @@
 //! `p99_ns`), and the two enforced serving criteria.
 //!
 //! `bnnkc-perfsuite/v4` added the `dedup` object on `compressed_e2e`
-//! (`ratio`, `table_hit_rate`), the bank deploy/exec entries, and raised
-//! the enforced `compressed_stream_1t_speedup` floor to 1.15.
+//! (`ratio`, `table_hit_rate`) and raised the enforced
+//! `compressed_stream_1t_speedup` floor to 1.15.
 //!
 //! Since `bnnkc-perfsuite/v3` every measurement records *which* backend
 //! and kernel variant produced it: each entry carries a `backend` field
@@ -105,7 +104,7 @@
 
 use bench::{arg_flag, arg_u64, perfjson, TablePrinter};
 use bitnn::engine::Engine;
-use bitnn::exec::{ConvMode, DedupMode, ExecPolicy, Lowering, IM2COL_MAX_CHANNELS};
+use bitnn::exec::{ConvMode, ExecPolicy, Lowering, IM2COL_MAX_CHANNELS};
 use bitnn::graph::arch::{attach_weights, build_model, Arch};
 use bitnn::graph::arch::{build_spec, sample_conv3_kernels};
 use bitnn::infer::synthetic_batch;
@@ -579,33 +578,29 @@ fn bench_compressed(smoke: bool, seed: u64, ladder: &[usize]) -> Section {
     // Sequence-skew statistics of the deployed records: a hardware
     // decode unit serves `1 - unique/total` of all sequences from its
     // uncompressed table instead of re-decoding them.
-    let banks: Vec<_> = containers
+    let hists: Vec<_> = containers
         .iter()
-        .map(|c| c.decode_bank().expect("bank decode"))
+        .map(|c| c.decode_histogram().expect("histogram decode"))
         .collect();
-    let total: u64 = banks.iter().map(|b| b.total_count() as u64).sum();
-    let unique: u64 = banks.iter().map(|b| b.unique_count() as u64).sum();
+    let total: u64 = hists.iter().map(|h| h.freq().total()).sum();
+    let unique: u64 = hists.iter().map(|h| h.freq().distinct() as u64).sum();
     let dedup = DedupStats {
         ratio: total as f64 / unique as f64,
         table_hit_rate: 1.0 - unique as f64 / total as f64,
     };
 
-    // The dedup mode is pinned per entry (never read from the ambient
-    // `BITNN_DEDUP`) so the tracked numbers name the path they ran.
-    let eng = |threads: usize, dedup: DedupMode| {
+    let eng = |threads: usize| {
         Engine::new(ExecPolicy {
             threads,
             lowering: Lowering::Auto,
             conv: ConvMode::Auto,
-            dedup,
             ..Default::default()
         })
     };
 
     // Deploy closures: the baseline decompresses each kernel to a flat
     // tensor and re-packs it; the streaming path goes stream → packed
-    // lane words → engine with no intermediate tensor; the bank path
-    // goes stream → dedup sequence bank and never builds a dense form.
+    // lane words → engine with no intermediate tensor.
     let deploy_offline = |containers: &[Container]| {
         let mut m = template.clone();
         for (i, c) in containers.iter().enumerate() {
@@ -622,41 +617,23 @@ fn bench_compressed(smoke: bool, seed: u64, ladder: &[usize]) -> Section {
         }
         m
     };
-    let deploy_banked = |containers: &[Container]| {
-        let mut m = template.clone();
-        for (i, c) in containers.iter().enumerate() {
-            m.set_conv3_bank(i, c.decode_bank().expect("bank decode"))
-                .expect("container matches spec");
-        }
-        m
-    };
 
-    let eng1 = eng(1, DedupMode::Auto);
-    let eng_bank1 = eng(1, DedupMode::On);
+    let eng1 = eng(1);
     let expect = deploy_offline(&containers)
         .forward_batch(&inputs, &eng1)
         .expect("offline forward");
-    let checks = [
-        (
-            "streamed",
-            deploy_streamed(&containers).forward_batch(&inputs, &eng1),
-        ),
-        (
-            "bank",
-            deploy_banked(&containers).forward_batch(&inputs, &eng_bank1),
-        ),
-    ];
-    for (what, got) in checks {
-        for (g, e) in got.expect("deploy forward").iter().zip(&expect) {
-            assert_eq!(g.data(), e.data(), "{what} deployment logits mismatch");
-        }
+    let got = deploy_streamed(&containers)
+        .forward_batch(&inputs, &eng1)
+        .expect("streamed forward");
+    for (g, e) in got.iter().zip(&expect) {
+        assert_eq!(g.data(), e.data(), "streamed deployment logits mismatch");
     }
 
     let baseline_ns = time_ns(iters, || {
         let m = deploy_offline(&containers);
         black_box(m.forward_batch(black_box(&inputs), &eng1).unwrap());
     });
-    // Deploy-only triple: these entries are each other's like-for-like
+    // Deploy-only pair: these entries are each other's like-for-like
     // comparison (their speedup_vs_baseline fields are against the
     // deploy+forward baseline, so compare them to each other instead).
     let mut entries = vec![
@@ -678,30 +655,9 @@ fn bench_compressed(smoke: bool, seed: u64, ladder: &[usize]) -> Section {
             backend: "cpu",
             kernel: "container-stream-decode".into(),
         },
-        Entry {
-            name: "bank_deploy",
-            threads: 1,
-            ns: time_ns(iters, || {
-                black_box(deploy_banked(black_box(&containers)));
-            }),
-            backend: "cpu",
-            kernel: "container-bank-decode".into(),
-        },
-        // Compressed-domain end-to-end: weights stay a dedup sequence
-        // bank from decode through the memoized kernel.
-        Entry {
-            name: "bank_deploy_forward",
-            threads: 1,
-            ns: time_ns(iters, || {
-                let m = deploy_banked(black_box(&containers));
-                black_box(m.forward_batch(black_box(&inputs), &eng_bank1).unwrap());
-            }),
-            backend: "cpu",
-            kernel: format!("{}/fused-graph+bank-memo", simd::level()),
-        },
     ];
     for &t in ladder {
-        let eng_t = eng(t, DedupMode::Auto);
+        let eng_t = eng(t);
         let entry = entry_reusing(
             &entries,
             "stream_deploy_forward",
@@ -1230,14 +1186,6 @@ fn criteria(sections: &[Section], smoke: bool) -> Vec<Criterion> {
             measured: comp.baseline_ns / comp.entry_ns("stream_deploy_forward", 1),
             enforced: !smoke,
         },
-        // Compressed-domain execution (bank deploy + memoized kernel,
-        // no dense weight form ever built) must at least match the
-        // offline deployment end-to-end.
-        c(
-            "compressed_bank_exec_vs_offline",
-            1.0,
-            comp.baseline_ns / comp.entry_ns("bank_deploy_forward", 1),
-        ),
         // Like-for-like deployment: stream decode vs offline
         // decompress+pack.
         c(
@@ -1564,8 +1512,8 @@ fn validate(doc: &perfjson::Value) -> Result<(), String> {
         .get("criteria")
         .and_then(|v| v.as_arr())
         .ok_or("criteria must be an array")?;
-    if criteria.len() != 15 {
-        return Err(format!("expected 15 criteria, found {}", criteria.len()));
+    if criteria.len() != 14 {
+        return Err(format!("expected 14 criteria, found {}", criteria.len()));
     }
     Ok(())
 }

@@ -15,7 +15,7 @@ use crate::model::block::{
     add_into, fuse_channel_stage, fuse_spatial_stage, shortcut_channels_into,
 };
 use crate::pack::PackedActivations;
-use crate::tensor::{BitTensor, Tensor};
+use crate::tensor::Tensor;
 
 /// The engine-accelerated backend. Compiles the *fused* step list —
 /// sign folded into conv, every single-use `conv → bn → (+shortcut) →
@@ -71,16 +71,7 @@ impl Backend for CpuBackend {
             Step::Conv { node, sign, .. } => {
                 let sg = layer!(nodes, sign, NodeOp::Sign);
                 let cv = layer!(nodes, node, NodeOp::BinConv);
-                self.sign_conv_stage(
-                    sg,
-                    cv,
-                    ctx.binary_edge,
-                    ctx.a,
-                    &mut s.bits,
-                    &mut s.packed,
-                    &mut s.conv,
-                    dst,
-                );
+                self.sign_conv_stage(sg, cv, ctx.a, &mut s.packed, &mut s.conv, dst);
             }
             Step::Bn { node, .. } => {
                 layer!(nodes, node, NodeOp::BatchNorm).forward_into(ctx.a, dst);
@@ -111,7 +102,7 @@ impl Backend for CpuBackend {
                 bn,
                 ..
             } => {
-                self.conv_chain_into(nodes, sign, conv, ctx.binary_edge, ctx.a, s);
+                self.conv_chain_into(nodes, sign, conv, ctx.a, s);
                 return fuse_spatial_stage(
                     &s.conv_out,
                     ctx.a,
@@ -128,7 +119,7 @@ impl Backend for CpuBackend {
                 bn,
                 ..
             } => {
-                self.conv_chain_into(nodes, sign, conv, ctx.binary_edge, ctx.a, s);
+                self.conv_chain_into(nodes, sign, conv, ctx.a, s);
                 fuse_channel_stage(
                     &s.conv_out,
                     ctx.a,
@@ -150,32 +141,21 @@ impl CpuBackend {
     /// The staged `sign → binary conv` prefix shared by every
     /// conv-bearing step.
     ///
-    /// On a binary-domain edge feeding a dense-path conv, the sign
-    /// writes channel-packed lane words straight into `packed` and the
-    /// conv consumes them — the flat bit tensor is never materialized
-    /// and the per-conv re-pack (64 strided single-bit gathers per lane
-    /// word) disappears. The sequence-bank kernel is the one consumer
-    /// that wants raw bits, so bank-path layers keep the
-    /// binarize-then-repack staging.
-    #[allow(clippy::too_many_arguments)]
+    /// The sign writes channel-packed lane words straight into `packed`
+    /// and the conv consumes them — the flat bit tensor is never
+    /// materialized and the per-conv re-pack (64 strided single-bit
+    /// gathers per lane word) disappears.
     fn sign_conv_stage(
         &self,
         sg: &RSign,
         cv: &BinConv2d,
-        binary_edge: bool,
         x: &Tensor,
-        bits: &mut BitTensor,
         packed: &mut PackedActivations,
         conv: &mut ConvScratch,
         dst: &mut Tensor,
     ) {
-        if binary_edge && !cv.wants_bank_path(&self.engine) {
-            sg.binarize_packed_into(x, packed);
-            cv.forward_packed_with(packed, &self.engine, conv, dst);
-        } else {
-            sg.binarize_into(x, bits);
-            cv.forward_binarized_with(bits, packed, &self.engine, conv, dst);
-        }
+        sg.binarize_packed_into(x, packed);
+        cv.forward_packed_with(packed, &self.engine, conv, dst);
     }
 
     /// The staged `sign → binary conv` prefix of a fused step, landing
@@ -185,19 +165,17 @@ impl CpuBackend {
         nodes: &[GraphNode],
         sign: usize,
         conv: usize,
-        binary_edge: bool,
         x: &Tensor,
         s: &mut CpuScratch,
     ) {
         let sg = layer!(nodes, sign, NodeOp::Sign);
         let cv = layer!(nodes, conv, NodeOp::BinConv);
         let CpuScratch {
-            bits,
             packed,
             conv: conv_scratch,
             conv_out,
             ..
         } = s;
-        self.sign_conv_stage(sg, cv, binary_edge, x, bits, packed, conv_scratch, conv_out);
+        self.sign_conv_stage(sg, cv, x, packed, conv_scratch, conv_out);
     }
 }

@@ -57,12 +57,6 @@ pub struct StepCtx<'a> {
     pub a: &'a Tensor,
     /// Second operand value (present only for [`Step::Add`]).
     pub b: Option<&'a Tensor>,
-    /// Whether this step carries a binary-domain edge — a folded sign
-    /// whose only consumer is the step's own binary conv. Backends may
-    /// then keep the sign output channel-packed (the CPU backend writes
-    /// packed lane words directly, skipping the flat bit tensor and the
-    /// per-conv re-pack); ignoring the hint is always correct.
-    pub binary_edge: bool,
 }
 
 /// A pluggable execution strategy for compiled model graphs.

@@ -34,9 +34,7 @@
 //! assert exactly that across random shapes, strides, pads, and thread
 //! counts.
 
-use crate::bank::SequenceBank;
 use crate::error::{BitnnError, Result};
-use crate::ops::bankconv::{conv2d_bank_items, BankScratch};
 use crate::ops::conv::{conv2d_direct_rows, kernel_position_ones, Conv2dParams};
 use crate::ops::gemm::{gemm_rows_into, PackedMatrix};
 use crate::ops::im2col::{im2col_kernel_packed, im2col_rows};
@@ -108,8 +106,6 @@ pub struct ConvScratch {
     pub(crate) im2col: PackedMatrix,
     /// Flat `[pixels × filters]` GEMM output before the NCHW scatter.
     pub(crate) flat: Vec<i32>,
-    /// Window/memo/accumulator buffers for the sequence-bank path.
-    pub(crate) bank: BankScratch,
 }
 
 /// The concrete execution path [`Engine::conv2d_into`] picks for a dense
@@ -558,64 +554,6 @@ impl Engine {
                 })
             }
         }
-    }
-
-    /// Whether this engine's policy sends a `kh × kw` convolution with
-    /// `channels` input channels to the sequence-bank path instead of the
-    /// dense lowerings.
-    pub fn uses_bank(&self, kh: usize, kw: usize, channels: usize) -> bool {
-        self.policy.dedup.selects(kh, kw, channels)
-    }
-
-    /// Weight-stationary convolution over a deduplicated sequence bank,
-    /// bit-identical to [`Engine::conv2d_into`] on the dense forms of the
-    /// same kernel (see [`crate::ops::bankconv`]).
-    ///
-    /// Takes the *binarized* activations directly — the bank path never
-    /// channel-packs, so callers skip the repack step entirely. Batch
-    /// items are chunked across the worker pool; the inline path reuses
-    /// the scratch's buffers and performs no steady-state allocation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BitnnError::DimMismatch`] when `bits` is not a 4-D
-    /// activation tensor with the bank's channel count.
-    pub fn conv2d_bank_into(
-        &self,
-        bits: &BitTensor,
-        bank: &SequenceBank,
-        params: Conv2dParams,
-        scratch: &mut ConvScratch,
-        out: &mut Tensor,
-    ) -> Result<()> {
-        let shape = bits.shape();
-        if shape.len() != 4 || shape[1] != bank.channels() {
-            return Err(BitnnError::DimMismatch {
-                op: "conv2d_bank",
-                lhs: shape.to_vec(),
-                rhs: vec![bank.channels()],
-            });
-        }
-        let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
-        let kf = bank.filters();
-        let oh = params.out_dim(h, 3);
-        let ow = params.out_dim(w, 3);
-        out.reset_for_overwrite(&[n, kf, oh, ow]);
-        let pixels = oh * ow;
-        // Work estimate in lane-word-op equivalents: K accumulator adds
-        // per channel per pixel, 8-wide when vectorized.
-        let work = ((n * c * kf * pixels) / 8) as u64;
-        if self.policy.effective_threads(work) <= 1 || n == 1 {
-            scratch.bank.ensure(kf, pixels);
-            conv2d_bank_items(bits, bank, params, 0, n, &mut scratch.bank, out.data_mut());
-        } else {
-            self.parallel_chunks(out.data_mut(), kf * pixels, 1, work, |first, band| {
-                let mut local = BankScratch::default();
-                let items = band.len() / (kf * pixels);
-                conv2d_bank_items(bits, bank, params, first, items, &mut local, band);
-            });
-        }
-        Ok(())
     }
 }
 

@@ -32,57 +32,6 @@ pub enum Lowering {
 /// and the 9× activation duplication stops paying for itself.
 pub const IM2COL_MAX_CHANNELS: usize = 256;
 
-/// Whether 3×3 convolutions may run on the deduplicated sequence-bank
-/// path (the weight-stationary memoized kernel, paper §III-B skew
-/// exploited at run time) instead of materialized lane words.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DedupMode {
-    /// Follow the deployed representation: a layer deployed as a bank
-    /// (and nothing else) stays in the compressed domain — its dense
-    /// lane words are never materialized — while layers holding dense
-    /// forms keep the SIMD lane-word kernels, which on packed-SIMD
-    /// hosts out-run the memoized gather at every measured geometry.
-    /// Auto never *forces* a representation swap in either direction.
-    #[default]
-    Auto,
-    /// Run every 3×3 convolution on the bank path (non-3×3 layers have
-    /// no sequence representation and always use the dense forms).
-    On,
-    /// Never use the bank path; always materialize dense lane words.
-    Off,
-}
-
-impl DedupMode {
-    /// Resolve the `BITNN_DEDUP` environment knob (`on` / `off` /
-    /// `auto`, case-insensitive); unset or unrecognized values mean
-    /// [`DedupMode::Auto`].
-    pub fn from_env() -> Self {
-        match std::env::var("BITNN_DEDUP") {
-            Ok(v) => match v.to_ascii_lowercase().as_str() {
-                "on" | "1" | "true" => DedupMode::On,
-                "off" | "0" | "false" => DedupMode::Off,
-                _ => DedupMode::Auto,
-            },
-            Err(_) => DedupMode::Auto,
-        }
-    }
-
-    /// Whether a `kh × kw` convolution must be *forced* onto the bank
-    /// path regardless of which weight forms are resident. Only
-    /// [`DedupMode::On`] forces; `Auto` defers to the deployed
-    /// representation (see [`BinConv2d::forward_binarized_with`]), so a
-    /// deploy loop keying on this sends layers to the bank only when
-    /// the operator explicitly opted in via `BITNN_DEDUP=on`.
-    ///
-    /// [`BinConv2d::forward_binarized_with`]: crate::layers::BinConv2d::forward_binarized_with
-    pub fn selects(&self, kh: usize, kw: usize, _channels: usize) -> bool {
-        if kh != 3 || kw != 3 {
-            return false;
-        }
-        matches!(self, DedupMode::On)
-    }
-}
-
 /// Which 3×3 lowering [`Lowering::Auto`] prefers: the im2col+GEMM path or
 /// the im2col-free streaming direct path
 /// (see [`crate::ops::streamconv`]).
@@ -144,22 +93,18 @@ pub struct ExecPolicy {
     pub min_work: u64,
     /// Convolution lowering selection.
     pub lowering: Lowering,
-    /// Sequence-bank (dedup) path selection for 3×3 convolutions.
-    pub dedup: DedupMode,
     /// Streaming-vs-im2col steering for [`Lowering::Auto`] 3×3 layers.
     pub conv: ConvMode,
 }
 
 impl Default for ExecPolicy {
     /// All available hardware parallelism, default inline threshold,
-    /// automatic lowering, `BITNN_DEDUP`-resolved dedup mode,
-    /// `BITNN_CONV`-resolved conv mode.
+    /// automatic lowering, `BITNN_CONV`-resolved conv mode.
     fn default() -> Self {
         ExecPolicy {
             threads: thread::available_parallelism().map_or(1, usize::from),
             min_work: DEFAULT_MIN_WORK,
             lowering: Lowering::Auto,
-            dedup: DedupMode::from_env(),
             conv: ConvMode::from_env(),
         }
     }
@@ -259,18 +204,6 @@ mod tests {
         let eff = policy.effective_threads(policy.min_work);
         assert!((1..=8).contains(&eff));
         assert_eq!(ExecPolicy::single_threaded().effective_threads(u64::MAX), 1);
-    }
-
-    #[test]
-    fn dedup_mode_selection() {
-        // Only an explicit On forces the bank path; Auto defers to the
-        // layer's deployed representation at forward time.
-        assert!(!DedupMode::Auto.selects(3, 3, IM2COL_MAX_CHANNELS + 1));
-        assert!(!DedupMode::Auto.selects(3, 3, IM2COL_MAX_CHANNELS));
-        assert!(DedupMode::On.selects(3, 3, 8));
-        assert!(DedupMode::On.selects(3, 3, 4096));
-        assert!(!DedupMode::On.selects(1, 1, 8));
-        assert!(!DedupMode::Off.selects(3, 3, 4096));
     }
 
     #[test]

@@ -203,14 +203,6 @@ pub struct CompiledPlan {
     pub(crate) slot: Vec<usize>,
     /// Number of arena slots the plan needs.
     pub(crate) slots: usize,
-    /// `binary_edge[si]` — whether step `si` carries a binary-domain
-    /// edge: a folded sign whose output feeds a binary convolution
-    /// inside the same step. On such edges a backend may keep the sign
-    /// output bit-packed (channel-packed lane words) instead of
-    /// materializing a flat bit tensor, because the only consumer is
-    /// the conv kernel. Derived purely from the step vocabulary, so it
-    /// holds for any backend's step list.
-    pub(crate) binary_edge: Vec<bool>,
 }
 
 /// Build the fused step list: sign nodes folded into their consuming
@@ -438,19 +430,6 @@ impl CompiledPlan {
             }
         }
 
-        // Mark binary-domain edges: steps that fold a sign directly into
-        // a binary conv. Their sign output's sole consumer is the conv
-        // kernel, so it can stay channel-packed end to end.
-        let binary_edge = steps
-            .iter()
-            .map(|s| {
-                matches!(
-                    s,
-                    Step::Conv { .. } | Step::FusedSpatial { .. } | Step::FusedChannel { .. }
-                )
-            })
-            .collect();
-
         let plan = CompiledPlan {
             steps,
             last_read,
@@ -458,7 +437,6 @@ impl CompiledPlan {
             input_node,
             slot,
             slots,
-            binary_edge,
         };
         debug_assert!(
             plan.check_no_aliasing().is_ok(),
@@ -476,13 +454,6 @@ impl CompiledPlan {
     /// Number of arena slots this plan needs.
     pub fn slots(&self) -> usize {
         self.slots
-    }
-
-    /// Per-step binary-domain-edge marking (parallel to [`Self::steps`]):
-    /// `true` where the step folds a sign into a binary conv, letting a
-    /// backend keep that sign output bit-packed.
-    pub fn binary_edges(&self) -> &[bool] {
-        &self.binary_edge
     }
 
     /// Verify the arena slot assignment: values sharing a slot must have
@@ -552,7 +523,7 @@ pub(crate) fn run_plan(
     if arena.len() < plan.slots {
         arena.resize_with(plan.slots, Tensor::default);
     }
-    for (si, step) in plan.steps.iter().enumerate() {
+    for step in &plan.steps {
         let (first, second) = step.read_pair();
         let Some(first) = first else {
             continue; // the input's value is the caller's borrowed tensor
@@ -578,7 +549,6 @@ pub(crate) fn run_plan(
                 step,
                 a: resolve(first),
                 b: second.map(resolve),
-                binary_edge: plan.binary_edge[si],
             },
             scratch,
             &mut dst,

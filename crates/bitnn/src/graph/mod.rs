@@ -48,8 +48,8 @@ use crate::pack::PackedKernel;
 use crate::tensor::{BitTensor, Tensor};
 
 /// A weighted graph operator: the layer object behind one [`OpSpec`].
-// `BinConv2d` carries three lazily-derived weight forms (flat / packed /
-// bank), which dwarfs the other variants; graphs hold tens of nodes, so
+// `BinConv2d` carries its lazily-derived weight forms (flat / packed /
+// im2col-lowered), which dwarfs the other variants; graphs hold tens of nodes, so
 // the per-node slack is irrelevant and boxing would only add indirection
 // on the hot dispatch path.
 #[allow(clippy::large_enum_variant)]
@@ -485,33 +485,6 @@ impl ModelGraph {
         Ok(())
     }
 
-    /// Replace compressible conv `i`'s kernel with a deduplicated
-    /// sequence bank (the skew-aware decode path — neither a flat tensor
-    /// nor dense lane words are materialized unless a dense lowering
-    /// later asks for them).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BitnnError::InvalidConfig`] if `i` is out of range or
-    /// the bank geometry changes.
-    pub fn set_conv3_bank(&mut self, i: usize, bank: crate::bank::SequenceBank) -> Result<()> {
-        let conv = self.conv3_mut(i)?;
-        let want = (
-            conv.filters(),
-            conv.in_channels(),
-            conv.kernel_size().0,
-            conv.kernel_size().1,
-        );
-        let got = (bank.filters(), bank.channels(), 3, 3);
-        if got != want {
-            return Err(BitnnError::InvalidConfig(format!(
-                "conv {i}: replacement sequence bank is {got:?}, the graph needs {want:?}"
-            )));
-        }
-        conv.set_bank(bank);
-        Ok(())
-    }
-
     /// Per-layer workload descriptors for the timing simulator.
     pub fn workloads(&self) -> Vec<LayerWorkload> {
         self.spec.workloads()
@@ -771,11 +744,9 @@ impl ModelGraph {
     /// tensors. Every op in the graph is batch-independent (convolutions
     /// and pools act per image, elementwise stages per element, the
     /// classifier per row), so this is bit-exact with per-item forwards
-    /// while amortizing each layer's row packing, im2col/bank window
-    /// state, and kernel dispatch overhead across the batch — composing
-    /// with the weight-stationary bank kernel, which already iterates
-    /// weights-outer over the stacked images. On warmed scratch the whole
-    /// path performs zero heap allocation.
+    /// while amortizing each layer's row packing, im2col window state,
+    /// and kernel dispatch overhead across the batch. On warmed scratch
+    /// the whole path performs zero heap allocation.
     fn forward_batch_stacked(
         &self,
         inputs: &[Tensor],

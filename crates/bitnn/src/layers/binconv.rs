@@ -2,10 +2,9 @@
 //! Conv" stages).
 //!
 //! The layer owns the kernel in whichever representation it was deployed
-//! with — flat bits, channel-packed lane words, or a deduplicated
-//! [`SequenceBank`] — and derives every other form lazily on first use.
+//! with — flat bits or channel-packed lane words — and derives every other
+//! form lazily on first use.
 
-use crate::bank::SequenceBank;
 use crate::engine::{ConvPath, ConvScratch, Engine, KernelForms};
 use crate::layers::sign::RSign;
 use crate::layers::Layer;
@@ -19,13 +18,11 @@ use std::sync::OnceLock;
 /// A 1-bit convolution: binarize input (plain sign), run xnor-popcount conv.
 ///
 /// Exactly one representation is populated at construction (flat weights
-/// via [`Self::new`], lane words via [`Self::from_packed`], a sequence
-/// bank via [`Self::from_bank`]); the rest — including the engine's
-/// cached lowering forms — are derived lazily through [`OnceLock`]s, so a
-/// forward pass materializes only what its execution path actually reads.
-/// A bank-deployed layer running the memoized path never builds dense
-/// lane words; a packed-deployed layer running the direct path never
-/// builds the flat tensor or the im2col weight matrix.
+/// via [`Self::new`], lane words via [`Self::from_packed`]); the rest —
+/// including the engine's cached lowering forms — are derived lazily
+/// through [`OnceLock`]s, so a forward pass materializes only what its
+/// execution path actually reads. A packed-deployed layer running the
+/// direct path never builds the flat tensor or the im2col weight matrix.
 #[derive(Debug, Clone)]
 pub struct BinConv2d {
     filters: usize,
@@ -37,8 +34,6 @@ pub struct BinConv2d {
     weights: OnceLock<BitTensor>,
     /// Channel-packed lane words (dense lowerings).
     packed: OnceLock<PackedKernel>,
-    /// Deduplicated sequence table (3×3 only; weight-stationary path).
-    bank: OnceLock<SequenceBank>,
     /// im2col-lowered weight matrix (GEMM lowerings).
     lowered: OnceLock<PackedMatrix>,
     /// Per-filter, per-position ones counts (direct lowering's padding
@@ -74,7 +69,6 @@ impl BinConv2d {
             params,
             weights: OnceLock::from(weights),
             packed: OnceLock::new(),
-            bank: OnceLock::new(),
             lowered: OnceLock::new(),
             pad_ones: OnceLock::new(),
         }
@@ -98,26 +92,6 @@ impl BinConv2d {
             params,
             weights: OnceLock::new(),
             packed: OnceLock::from(packed),
-            bank: OnceLock::new(),
-            lowered: OnceLock::new(),
-            pad_ones: OnceLock::new(),
-        }
-    }
-
-    /// Build from a deduplicated sequence bank — the skew-aware
-    /// deployment path (3×3 kernels by construction). Dense lane words
-    /// are derived lazily only if a dense lowering is ever selected.
-    pub fn from_bank(bank: SequenceBank, params: Conv2dParams) -> Self {
-        let (filters, channels) = (bank.filters(), bank.channels());
-        BinConv2d {
-            filters,
-            channels,
-            kh: 3,
-            kw: 3,
-            params,
-            weights: OnceLock::new(),
-            packed: OnceLock::new(),
-            bank: OnceLock::from(bank),
             lowered: OnceLock::new(),
             pad_ones: OnceLock::new(),
         }
@@ -129,35 +103,17 @@ impl BinConv2d {
         self.weights.get_or_init(|| self.packed().unpack())
     }
 
-    /// The channel-packed kernel, deriving it from the bank or flat
-    /// weights on first use.
+    /// The channel-packed kernel, deriving it from the flat weights on
+    /// first use.
     pub fn packed(&self) -> &PackedKernel {
         self.packed.get_or_init(|| {
-            if let Some(bank) = self.bank.get() {
-                bank.to_packed()
-            } else {
-                PackedKernel::pack(
-                    self.weights
-                        .get()
-                        .expect("some representation is populated"),
-                )
-                .expect("weights validated 4-D at construction")
-            }
+            PackedKernel::pack(
+                self.weights
+                    .get()
+                    .expect("some representation is populated"),
+            )
+            .expect("weights validated 4-D at construction")
         })
-    }
-
-    /// The deduplicated sequence bank, built from the packed form on
-    /// first use. `None` for non-3×3 kernels, which have no 9-bit
-    /// sequence representation.
-    pub fn bank(&self) -> Option<&SequenceBank> {
-        if self.kh != 3 || self.kw != 3 {
-            return None;
-        }
-        Some(
-            self.bank.get_or_init(|| {
-                SequenceBank::from_packed(self.packed()).expect("3x3 checked above")
-            }),
-        )
     }
 
     /// The cached im2col-lowered weight matrix (one row per filter,
@@ -210,14 +166,9 @@ impl BinConv2d {
     }
 
     /// Whether the flat `[K, C, KH, KW]` tensor has been materialized.
-    /// Deployment tests assert it stays cold on the packed/bank paths.
+    /// Deployment tests assert it stays cold on the packed path.
     pub fn has_dense_weights(&self) -> bool {
         self.weights.get().is_some()
-    }
-
-    /// Whether the channel-packed lane words have been materialized.
-    pub fn has_packed(&self) -> bool {
-        self.packed.get().is_some()
     }
 
     /// Convolution hyper-parameters.
@@ -281,18 +232,6 @@ impl BinConv2d {
         *self = Self::from_packed(packed, self.params);
     }
 
-    /// Replace the weights with a deduplicated sequence bank (the
-    /// skew-aware deployment path) — neither the flat tensor nor dense
-    /// lane words are built unless a dense lowering later asks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bank's geometry differs from the old (3×3 only).
-    pub fn set_bank(&mut self, bank: SequenceBank) {
-        self.assert_geometry(bank.filters(), bank.channels(), 3, 3, "sequence bank");
-        *self = Self::from_bank(bank, self.params);
-    }
-
     /// Forward over an already-binarized, already-packed input (the seed's
     /// scalar path, kept as the perf-tracking baseline).
     pub fn forward_packed(&self, acts: &PackedActivations) -> Tensor {
@@ -313,19 +252,8 @@ impl BinConv2d {
             .expect("channel counts validated at build");
     }
 
-    /// Forward over binarized (but not yet packed) input, letting the
-    /// engine's policy pick between the sequence-bank path — which
-    /// consumes the bits directly and skips channel packing — and the
-    /// dense lowerings, for which the bits are repacked into
-    /// `packed_acts`. Bit-exact with [`Self::forward_packed`].
-    ///
-    /// Path selection: `DedupMode::On` forces the bank path for every
-    /// 3×3 layer; `Off` forces the dense lowerings (a bank-only layer
-    /// derives its lane words once); `Auto` follows the deployed
-    /// representation — a layer holding *only* a bank stays in the
-    /// compressed domain (its dense forms are never materialized),
-    /// while a layer with dense forms resident keeps the SIMD kernels,
-    /// which out-run the memoized gather on packed-SIMD hosts.
+    /// Forward over binarized (but not yet packed) input: repack the bits
+    /// into `packed_acts`, then run [`Self::forward_packed_with`].
     pub fn forward_binarized_with(
         &self,
         bits: &BitTensor,
@@ -334,33 +262,10 @@ impl BinConv2d {
         scratch: &mut ConvScratch,
         out: &mut Tensor,
     ) {
-        if self.wants_bank_path(engine) {
-            if let Some(bank) = self.bank() {
-                engine
-                    .conv2d_bank_into(bits, bank, self.params, scratch, out)
-                    .expect("channel counts validated at build");
-                return;
-            }
-        }
         packed_acts
             .repack(bits)
             .expect("4-D input validated by binarize");
         self.forward_packed_with(packed_acts, engine, scratch, out);
-    }
-
-    /// Whether a forward under `engine` runs on the sequence-bank path
-    /// (consuming raw bits) rather than the dense channel-packed
-    /// lowerings. Exposed to the CPU backend so its sign stages can write
-    /// packed lane words directly for dense-path layers — the binary-
-    /// domain edge of the compiled plan — and raw bits only where the
-    /// bank kernel wants them.
-    pub(crate) fn wants_bank_path(&self, engine: &Engine) -> bool {
-        let bank_resident = self.kh == 3
-            && self.kw == 3
-            && self.bank.get().is_some()
-            && self.packed.get().is_none();
-        engine.uses_bank(self.kh, self.kw, self.channels)
-            || (engine.policy().dedup == crate::exec::DedupMode::Auto && bank_resident)
     }
 }
 
@@ -451,24 +356,7 @@ mod tests {
     }
 
     #[test]
-    fn from_bank_matches_tensor_construction() {
-        let w = random_bits(&[6, 20, 3, 3], 17);
-        let params = Conv2dParams { stride: 1, pad: 1 };
-        let via_tensor = BinConv2d::new(w.clone(), params);
-        let packed = PackedKernel::pack(&w).unwrap();
-        let bank = SequenceBank::from_packed(&packed).unwrap();
-        let via_bank = BinConv2d::from_bank(bank, params);
-        assert_eq!(via_tensor, via_bank);
-        let input = Tensor::full(&[1, 20, 8, 8], 1.0);
-        assert_eq!(
-            via_tensor.forward(&input).data(),
-            via_bank.forward(&input).data()
-        );
-        assert_eq!(via_bank.weights(), &w);
-    }
-
-    #[test]
-    fn bank_path_forward_matches_dense() {
+    fn forward_binarized_matches_forward() {
         let w = random_bits(&[7, 12, 3, 3], 23);
         let params = Conv2dParams { stride: 1, pad: 1 };
         let conv = BinConv2d::new(w, params);
@@ -482,10 +370,7 @@ mod tests {
         let mut packed_acts = PackedActivations::default();
         let mut scratch = ConvScratch::default();
         let mut out = Tensor::default();
-        let engine = Engine::new(crate::ExecPolicy {
-            dedup: crate::DedupMode::On,
-            ..crate::ExecPolicy::single_threaded()
-        });
+        let engine = Engine::new(crate::ExecPolicy::single_threaded());
         conv.forward_binarized_with(&bits, &mut packed_acts, &engine, &mut scratch, &mut out);
         assert_eq!(want.data(), out.data());
     }
@@ -496,17 +381,6 @@ mod tests {
         let w1 = random_bits(&[2, 8, 3, 3], 5);
         let mut conv = BinConv2d::new(w0, Conv2dParams::default());
         conv.set_packed(PackedKernel::pack(&w1).unwrap());
-        assert_eq!(conv, BinConv2d::new(w1.clone(), Conv2dParams::default()));
-        assert_eq!(conv.weights(), &w1);
-    }
-
-    #[test]
-    fn set_bank_swaps_weights() {
-        let w0 = random_bits(&[2, 8, 3, 3], 4);
-        let w1 = random_bits(&[2, 8, 3, 3], 6);
-        let mut conv = BinConv2d::new(w0, Conv2dParams::default());
-        let bank = SequenceBank::from_packed(&PackedKernel::pack(&w1).unwrap()).unwrap();
-        conv.set_bank(bank);
         assert_eq!(conv, BinConv2d::new(w1.clone(), Conv2dParams::default()));
         assert_eq!(conv.weights(), &w1);
     }

@@ -35,7 +35,6 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod bank;
 pub mod bitword;
 pub mod engine;
 pub mod error;
@@ -53,10 +52,9 @@ pub mod tensor;
 pub mod weightgen;
 
 pub use backend::{Backend, BackendKind};
-pub use bank::{BankPlan, SequenceBank};
 pub use engine::{Engine, KernelForms, Scratch};
 pub use error::{BitnnError, Result};
-pub use exec::{ConvMode, DedupMode, ExecPolicy, Lowering};
+pub use exec::{ConvMode, ExecPolicy, Lowering};
 pub use graph::arch::Arch;
 pub use graph::{BatchScratch, GraphBuilder, GraphSpec, ModelGraph};
 pub use pack::{PackedActivations, PackedKernel};

@@ -385,21 +385,6 @@ impl ReActNet {
             .expect("graph mirrors the block schedule");
     }
 
-    /// Replace block `i`'s 3×3 kernel with a deduplicated sequence bank —
-    /// the skew-aware deployment path: the decoder's unique-sequence
-    /// table and index lists feed the weight-stationary kernel directly,
-    /// and dense lane words are derived only if a dense lowering asks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range or the bank geometry changes.
-    pub fn set_conv3_bank(&mut self, i: usize, bank: crate::bank::SequenceBank) {
-        self.blocks[i].conv3.set_bank(bank.clone());
-        self.graph
-            .set_conv3_bank(i, bank)
-            .expect("graph mirrors the block schedule");
-    }
-
     /// Full forward pass: `[N, 3, S, S]` image → `[N, num_classes]` logits.
     ///
     /// Runs through the graph executor's fast path (tiled kernels,

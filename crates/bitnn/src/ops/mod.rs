@@ -9,7 +9,6 @@
 //! bit already decodes to `-1`, and both the packed and reference paths
 //! implement it identically (see `DESIGN.md`).
 
-pub mod bankconv;
 pub mod conv;
 pub mod dot;
 pub mod gemm;
@@ -17,7 +16,6 @@ pub mod im2col;
 pub mod reference;
 pub mod streamconv;
 
-pub use bankconv::{conv2d_bank, BankScratch};
 pub use conv::{conv2d_binary, Conv2dParams};
 pub use dot::{dot_channels, DotAcc};
 pub use gemm::{gemm_binary, gemm_binary_into, gemm_binary_naive, PackedMatrix};

@@ -135,18 +135,16 @@ impl Container {
         crate::stream_decode::GroupDecoder::new(self).collect_packed()
     }
 
-    /// Stream-decode the contained kernel into a deduplicated
-    /// [`bitnn::bank::SequenceBank`]: the table of unique 9-bit sequences
-    /// (with Hamming-1 cluster references) plus per-filter index lists
-    /// that the weight-stationary execution path consumes. Neither lane
-    /// words nor a flat tensor are materialized.
+    /// Stream the contained kernel into its sequence-skew statistics
+    /// ([`crate::freq::SeqHistogram`]) without materializing any kernel
+    /// form.
     ///
     /// # Errors
     ///
     /// Returns [`KcError::CorruptStream`] if the stream does not decode
     /// to exactly `filters * channels` sequences.
-    pub fn decode_bank(&self) -> Result<bitnn::bank::SequenceBank> {
-        crate::stream_decode::GroupDecoder::new(self).collect_bank()
+    pub fn decode_histogram(&self) -> Result<crate::freq::SeqHistogram> {
+        crate::stream_decode::GroupDecoder::new(self).collect_histogram()
     }
 
     /// Re-serialize this parsed record to its canonical byte form —

@@ -160,6 +160,51 @@ impl FreqTable {
     }
 }
 
+/// One kernel record's sequence-skew statistics (paper §III): the
+/// 512-bin histogram plus the number of Hamming-1 cluster roots, both
+/// built online as sequences arrive in stream order — the numbers behind
+/// `bnnkc inspect --stats` and the decode-table model's unique counts.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SeqHistogram {
+    freq: FreqTable,
+    h1_roots: usize,
+}
+
+impl SeqHistogram {
+    /// Record the next sequence in stream order. A sequence starts a new
+    /// Hamming-1 cluster (is a root) iff it is new and none of its 9
+    /// Hamming-1 neighbours appeared earlier.
+    pub fn record(&mut self, seq: BitSeq) {
+        if self.freq.count(seq) == 0 && seq.neighbors().all(|n| self.freq.count(n) == 0) {
+            self.h1_roots += 1;
+        }
+        self.freq.record(seq);
+    }
+
+    /// The underlying occurrence counts.
+    pub fn freq(&self) -> &FreqTable {
+        &self.freq
+    }
+
+    /// Cross-filter dedup ratio: total / distinct sequences (≥ 1).
+    pub fn dedup_ratio(&self) -> f64 {
+        self.freq.total() as f64 / self.freq.distinct().max(1) as f64
+    }
+
+    /// Number of Hamming-1 cluster roots.
+    pub fn h1_roots(&self) -> usize {
+        self.h1_roots
+    }
+
+    /// The `k` most frequent sequences that occur, count descending, ties
+    /// toward the smaller value.
+    pub fn top_k(&self, k: usize) -> Vec<(BitSeq, u64)> {
+        let mut top = self.freq.top_k(k);
+        top.retain(|&(_, c)| c > 0);
+        top
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

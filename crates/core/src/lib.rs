@@ -60,5 +60,5 @@ pub mod wire;
 
 pub use bitseq::BitSeq;
 pub use error::{KcError, Result};
-pub use freq::FreqTable;
+pub use freq::{FreqTable, SeqHistogram};
 pub use huffman::{SimplifiedTree, TreeConfig};

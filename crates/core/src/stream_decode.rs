@@ -20,8 +20,8 @@
 use crate::bitstream::BitReader;
 use crate::container::Container;
 use crate::error::{KcError, Result};
+use crate::freq::SeqHistogram;
 use crate::huffman::SimplifiedTree;
-use bitnn::bank::{BankBuilder, SequenceBank};
 use bitnn::pack::PackedKernel;
 use bitnn::{lanes_for, LANE_BITS};
 
@@ -117,12 +117,7 @@ impl<'a> GroupDecoder<'a> {
     /// after the final group.
     pub fn decode_next(&mut self) -> Result<Option<PackedGroup>> {
         if self.next == self.num_groups() {
-            if self.reader.remaining() != 0 {
-                return Err(KcError::CorruptStream(format!(
-                    "{} bits left over after the final group",
-                    self.reader.remaining()
-                )));
-            }
+            self.check_consumed()?;
             return Ok(None);
         }
         let (filter, lane) = (self.next / self.lanes, self.next % self.lanes);
@@ -170,48 +165,39 @@ impl<'a> GroupDecoder<'a> {
             .map_err(|e| KcError::CorruptStream(format!("packing decoded groups: {e}")))
     }
 
-    /// Drain the stream into a deduplicated [`SequenceBank`]: unique
-    /// 9-bit sequences (with Hamming-1 cluster references) plus
-    /// per-filter index lists, instead of fully materialized per-kernel
-    /// lane words.
-    ///
-    /// Stream order is filter-major with lanes ascending, i.e. exactly
-    /// `(filter, channel)` row-major — the order [`BankBuilder`] expects —
-    /// so deduplication happens on the fly during the single forward pass
-    /// and no dense representation exists at any point.
+    /// Drain the stream into its sequence histogram and Hamming-1 root
+    /// count ([`SeqHistogram`]) in one forward pass, materializing no
+    /// kernel form at all. Stream order is filter-major with lanes
+    /// ascending, i.e. exactly `(filter, channel)` row-major, so the
+    /// online root test sees sequences in first-appearance order.
     ///
     /// # Errors
     ///
     /// Returns [`KcError::CorruptStream`] if the stream is damaged or
     /// decoding was already past the first group.
-    pub fn collect_bank(mut self) -> Result<SequenceBank> {
+    pub fn collect_histogram(mut self) -> Result<SeqHistogram> {
         if self.next != 0 {
             return Err(KcError::CorruptStream(
-                "collect_bank needs a fresh decoder".into(),
+                "collect_histogram needs a fresh decoder".into(),
             ));
         }
-        let mut builder = BankBuilder::new(self.filters, self.channels);
-        let groups = self.num_groups();
-        while self.next < groups {
-            let lane = self.next % self.lanes;
-            let seqs = (self.channels - lane * LANE_BITS).min(SEQS_PER_GROUP);
-            for _ in 0..seqs {
-                let seq = self.tree.decode(&mut self.reader)?.value();
-                builder
-                    .push(seq)
-                    .map_err(|e| KcError::CorruptStream(format!("building bank: {e}")))?;
-            }
-            self.next += 1;
+        let mut hist = SeqHistogram::default();
+        for _ in 0..self.filters * self.channels {
+            hist.record(self.tree.decode(&mut self.reader)?);
         }
-        if self.reader.remaining() != 0 {
-            return Err(KcError::CorruptStream(format!(
-                "{} bits left over after the final group",
-                self.reader.remaining()
-            )));
+        self.next = self.num_groups();
+        self.check_consumed()?;
+        Ok(hist)
+    }
+
+    /// Fail unless every payload bit was consumed.
+    fn check_consumed(&self) -> Result<()> {
+        match self.reader.remaining() {
+            0 => Ok(()),
+            left => Err(KcError::CorruptStream(format!(
+                "{left} bits left over after the final group"
+            ))),
         }
-        builder
-            .finish()
-            .map_err(|e| KcError::CorruptStream(format!("building bank: {e}")))
     }
 }
 
@@ -300,6 +286,11 @@ mod tests {
                 r = dec.decode_next();
             }
             assert!(r.is_err(), "cut at {cut_bits} bits must error");
+            let dec = GroupDecoder::from_parts(&tree, ck.stream(), cut_bits, 4, 16);
+            assert!(
+                dec.collect_histogram().is_err(),
+                "histogram cut at {cut_bits}"
+            );
         }
     }
 
@@ -314,6 +305,8 @@ mod tests {
             last = dec.decode_next();
         }
         assert!(last.is_err(), "surplus bits must be rejected");
+        let dec = GroupDecoder::from_parts(ck.tree(), ck.stream(), ck.stream_bits(), 3, 16);
+        assert!(dec.collect_histogram().is_err(), "histogram surplus bits");
     }
 
     #[test]
@@ -325,32 +318,42 @@ mod tests {
     }
 
     #[test]
-    fn collect_bank_matches_offline_sequences() {
+    fn histogram_stats_are_exact() {
+        use crate::freq::FreqTable;
         use bitnn::weightgen::read_sequence;
         for (f, c) in [(4usize, 16usize), (2, 70), (5, 130)] {
             let ck = compressed(f, c);
-            let bank = decoder_for(&ck).collect_bank().unwrap();
+            let hist = decoder_for(&ck).collect_histogram().unwrap();
             let offline = ck.decompress().unwrap();
-            assert_eq!((bank.filters(), bank.channels()), (f, c));
+            let want = FreqTable::from_kernel(&offline).unwrap();
+            assert_eq!(hist.freq(), &want);
+            assert_eq!(want.total(), (f * c) as u64);
+            assert_eq!(hist.top_k(5), want.top_k(5), "({f},{c}) top-5");
+            // Brute force: a root is a first appearance with no Hamming-1
+            // neighbour among the sequences seen before it.
+            let mut seen: Vec<u16> = Vec::new();
+            let mut roots = 0;
             for fi in 0..f {
                 for ch in 0..c {
-                    assert_eq!(bank.sequence(fi, ch), read_sequence(&offline, fi, ch));
+                    let s = read_sequence(&offline, fi, ch);
+                    if !seen.contains(&s) {
+                        if seen.iter().all(|&p| (p ^ s).count_ones() != 1) {
+                            roots += 1;
+                        }
+                        seen.push(s);
+                    }
                 }
             }
-            // The bank's dense materialization equals the offline pack.
-            assert_eq!(
-                bank.to_packed(),
-                bitnn::pack::PackedKernel::pack(&offline).unwrap()
-            );
-            assert!(bank.dedup_ratio() >= 1.0);
+            assert_eq!(hist.h1_roots(), roots, "({f},{c}) H1 roots");
+            assert!(hist.dedup_ratio() >= 1.0);
         }
     }
 
     #[test]
-    fn collect_bank_rejects_partially_drained_decoder() {
+    fn collect_histogram_rejects_partially_drained_decoder() {
         let ck = compressed(4, 16);
         let mut dec = decoder_for(&ck);
         dec.decode_next().unwrap();
-        assert!(dec.collect_bank().is_err());
+        assert!(dec.collect_histogram().is_err());
     }
 }

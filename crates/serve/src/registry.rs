@@ -7,10 +7,9 @@
 //! dimensions for v1) and the non-compressed layers' weights are
 //! regenerated from the serve-wide seed. Each compressible 3×3 slot is
 //! built in one pass from its record: the Huffman stream is decoded
-//! straight into the weight form the engine's dedup heuristic selects —
-//! channel-packed lane words, or the dedup bank for compressed-domain
-//! execution. No 3×3 kernel is ever sampled, and the record geometry is
-//! checked against the topology before any stream is decoded.
+//! straight into channel-packed lane words. No 3×3 kernel is ever
+//! sampled, and the record geometry is checked against the topology
+//! before any stream is decoded.
 
 use crate::error::{Result, ServeError};
 use bitnn::graph::arch::attach_weights_with;
@@ -85,7 +84,6 @@ pub(crate) fn shape_of(graph: &ModelGraph) -> Result<ModelShape> {
 /// [`KcError::IncompatibleModel`].
 pub fn deploy(
     container: &ModelContainer,
-    engine: &Engine,
     seed: u64,
     image: usize,
     version: u32,
@@ -109,12 +107,8 @@ pub fn deploy(
         }
     }
     let graph = attach_weights_with(&spec, seed, |slot| {
-        let c = &container.kernels[slot.index];
-        Ok::<_, ServeError>(if engine.uses_bank(3, 3, c.channels) {
-            BinConv2d::from_bank(c.decode_bank()?, slot.params)
-        } else {
-            BinConv2d::from_packed(c.decode_packed()?, slot.params)
-        })
+        let packed = container.kernels[slot.index].decode_packed()?;
+        Ok::<_, ServeError>(BinConv2d::from_packed(packed, slot.params))
     })?;
     Ok(ModelEntry { graph, version })
 }
@@ -123,16 +117,18 @@ fn incompatible(msg: String) -> ServeError {
     ServeError::Container(KcError::IncompatibleModel(msg))
 }
 
-/// Parse + deploy container bytes (integrity-verified for v3).
+/// Parse + deploy container bytes (integrity-verified for v3). The
+/// deployed weight form does not depend on the engine's policy; the
+/// `_engine` argument only keeps existing call sites compiling.
 pub fn deploy_bytes(
     bytes: &[u8],
-    engine: &Engine,
+    _engine: &Engine,
     seed: u64,
     image: usize,
     version: u32,
 ) -> Result<ModelEntry> {
     let container = read_model_container(bytes)?;
-    deploy(&container, engine, seed, image, version)
+    deploy(&container, seed, image, version)
 }
 
 /// Validate that `candidate` can hot-swap `current`: identical topology

@@ -46,7 +46,7 @@ pub const MAX_BATCH: usize = 64;
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Execution policy for the shared engine (threads, `min_work`,
-    /// lowering, dedup).
+    /// lowering, conv mode).
     pub policy: ExecPolicy,
     /// Backpressure threshold: submits beyond this many *queued*
     /// requests are rejected with [`ServeError::QueueFull`].

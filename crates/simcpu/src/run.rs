@@ -505,7 +505,7 @@ mod tests {
 
     #[test]
     fn dedup_stream_runs_no_slower_in_hardware_mode() {
-        // A stream carrying a real dedup bank (unique < total) drains the
+        // A stream with real sequence reuse (unique < total) drains the
         // decode unit faster; end-to-end cycles must not regress, and on a
         // weight-bound layer they must strictly improve.
         let cfg = CpuConfig::default();

@@ -113,7 +113,7 @@ pub struct KernelStream {
     pub num_seqs: u64,
     /// Distinct sequence values among the codewords. Synthetic streams
     /// assume the worst case (`unique_seqs == num_seqs`); streams measured
-    /// from a real container carry the record's dedup bank size.
+    /// from a real container carry the record's distinct-sequence count.
     pub unique_seqs: u64,
 }
 

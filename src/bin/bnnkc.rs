@@ -395,38 +395,34 @@ fn cmd_inspect(args: &[String]) -> CliResult {
                 .collect::<Vec<_>>(),
             Digest::of(&record),
         );
-        if let Err(e) = c.decode_kernel() {
-            warnings.push(format!("kernel {}: stream does not decode: {e}", i + 1));
-        }
-        // --stats: sequence-skew statistics from the record's dedup bank
-        // (paper Fig. 2: a handful of 9-bit values dominate each kernel).
-        if stats {
-            match c.decode_bank() {
-                Ok(bank) => {
-                    let top: Vec<String> = bank
-                        .top_k(5)
-                        .into_iter()
-                        .map(|(seq, count)| {
-                            format!(
-                                "{seq:#05x}x{count} ({:.1}%)",
-                                100.0 * count as f64 / bank.total_count() as f64
-                            )
-                        })
-                        .collect();
-                    println!(
-                        "           {} unique of {} seqs (dedup {:.2}x), \
-                         {} H1-cluster roots, top-5 [{}]",
-                        bank.unique_count(),
-                        bank.total_count(),
-                        bank.dedup_ratio(),
-                        bank.h1_root_count(),
-                        top.join(", "),
-                    );
-                }
-                Err(e) => {
-                    warnings.push(format!("kernel {}: bank does not decode: {e}", i + 1));
-                }
+        // One streaming pass both checks the record decodes and, for
+        // --stats, yields its sequence-skew statistics (paper Fig. 2: a
+        // handful of 9-bit values dominate each kernel).
+        match c.decode_histogram() {
+            Ok(hist) if stats => {
+                let top: Vec<String> = hist
+                    .top_k(5)
+                    .into_iter()
+                    .map(|(seq, count)| {
+                        format!(
+                            "{:#05x}x{count} ({:.1}%)",
+                            seq.value(),
+                            100.0 * count as f64 / hist.freq().total() as f64
+                        )
+                    })
+                    .collect();
+                println!(
+                    "           {} unique of {} seqs (dedup {:.2}x), \
+                     {} H1-cluster roots, top-5 [{}]",
+                    hist.freq().distinct(),
+                    hist.freq().total(),
+                    hist.dedup_ratio(),
+                    hist.h1_roots(),
+                    top.join(", "),
+                );
             }
+            Ok(_) => {}
+            Err(e) => warnings.push(format!("kernel {}: stream does not decode: {e}", i + 1)),
         }
     }
     if container.spec.is_none() {
@@ -636,20 +632,13 @@ fn cmd_run(args: &[String]) -> CliResult {
 
     // Deploy the compressed kernels. Streamed path: Huffman stream →
     // channel-packed lane words → engine weight forms, no intermediate
-    // [K, C, 3, 3] tensor; layers the engine's dedup heuristic selects
-    // for compressed-domain execution instead keep the stream's dedup
-    // bank and never materialize dense lane words at all. Offline path:
-    // decompress to a flat tensor, then re-pack — the bit-exact
-    // reference.
+    // [K, C, 3, 3] tensor. Offline path: decompress to a flat tensor,
+    // then re-pack — the bit-exact reference.
     let engine = Engine::with_threads(threads);
     let t0 = Instant::now();
-    let mut bank_deploys = 0usize;
     for (i, c) in container.kernels.iter().enumerate() {
         if offline {
             model.set_conv3_weights(i, c.decode_kernel()?)?;
-        } else if engine.uses_bank(3, 3, c.channels) {
-            model.set_conv3_bank(i, c.decode_bank()?)?;
-            bank_deploys += 1;
         } else {
             model.set_conv3_packed(i, c.decode_packed()?)?;
         }
@@ -685,14 +674,9 @@ fn cmd_run(args: &[String]) -> CliResult {
         "{input}: arch {arch}, {} kernels deployed via {} in {decode_ms:.1} ms",
         container.kernels.len(),
         if offline {
-            "offline decompress+pack".to_string()
-        } else if bank_deploys > 0 {
-            format!(
-                "streaming decode ({bank_deploys} as dedup banks for \
-                 compressed-domain execution, rest as lane words)"
-            )
+            "offline decompress+pack"
         } else {
-            "streaming decode (stream -> lane words -> engine)".to_string()
+            "streaming decode (stream -> lane words -> engine)"
         }
     );
     println!(
@@ -785,13 +769,13 @@ fn simulate_container(args: &[String], input: &str, image: usize) -> CliResult {
     let spec = spec_with_image(container.spec_or_reactnet(image)?, image);
     let wls = spec.workloads();
 
-    // Each record's dedup bank gives the unique-sequence count the
+    // Each record's histogram gives the unique-sequence count the
     // decode unit's uncompressed table exploits: `streams` models a unit
     // with no dedup information, `dedup_streams` the skew-aware unit.
-    let banks = container
+    let hists = container
         .kernels
         .iter()
-        .map(|c| c.decode_bank())
+        .map(|c| c.decode_histogram())
         .collect::<Result<Vec<_>, _>>()?;
     let streams: Vec<KernelStream> = container
         .kernels
@@ -807,9 +791,9 @@ fn simulate_container(args: &[String], input: &str, image: usize) -> CliResult {
         .collect();
     let dedup_streams: Vec<KernelStream> = streams
         .iter()
-        .zip(&banks)
-        .map(|(s, bank)| KernelStream {
-            unique_seqs: bank.unique_count() as u64,
+        .zip(&hists)
+        .map(|(s, hist)| KernelStream {
+            unique_seqs: hist.freq().distinct() as u64,
             ..*s
         })
         .collect();
@@ -827,8 +811,8 @@ fn simulate_container(args: &[String], input: &str, image: usize) -> CliResult {
             c.filters,
             c.channels,
             dc.num_sequences,
-            banks[i].unique_count(),
-            banks[i].dedup_ratio(),
+            hists[i].freq().distinct(),
+            hists[i].dedup_ratio(),
             dc.stream_len_bytes,
             streams[i].ratio(),
             dc.node_code_lengths,

@@ -95,14 +95,11 @@ fn steady_state_forward_batch_performs_zero_allocations() {
     );
     assert_eq!(out.data(), expect[0].data());
 
-    // Deployment-path representation gates (same allocator, same test —
+    // Deployment-path representation gate (same allocator, same test —
     // a sibling test would pollute the count): a packed-only layer must
-    // never derive the flat [K, C, 3, 3] tensor, a bank-deployed layer
-    // must derive neither the flat tensor nor dense lane words, and both
-    // warmed forwards stay allocation-free.
-    use bitnn::bank::SequenceBank;
+    // never derive the flat [K, C, 3, 3] tensor, and its warmed forward
+    // stays allocation-free.
     use bitnn::engine::ConvScratch;
-    use bitnn::exec::DedupMode;
     use bitnn::layers::BinConv2d;
     use bitnn::ops::conv::Conv2dParams;
     use bitnn::pack::PackedActivations;
@@ -110,30 +107,14 @@ fn steady_state_forward_batch_performs_zero_allocations() {
 
     let params = Conv2dParams { stride: 1, pad: 1 };
     let kernel = random_kernel(&[9, 70, 3, 3], 0xA110C);
-    let packed_kernel = PackedKernel::pack(&kernel).unwrap();
     let bits = random_kernel(&[2, 70, 8, 8], 0xB17);
     let oracle = {
         let acts = PackedActivations::pack(&bits).unwrap();
         BinConv2d::new(kernel.clone(), params).forward_packed(&acts)
     };
-
-    let deployments = [
-        (
-            BinConv2d::from_packed(packed_kernel.clone(), params),
-            DedupMode::Off,
-            "packed-only",
-        ),
-        (
-            BinConv2d::from_bank(SequenceBank::from_packed(&packed_kernel).unwrap(), params),
-            DedupMode::On,
-            "bank",
-        ),
-    ];
-    for (conv, dedup, what) in deployments {
-        let engine = Engine::new(ExecPolicy {
-            dedup,
-            ..ExecPolicy::single_threaded()
-        });
+    {
+        let conv = BinConv2d::from_packed(PackedKernel::pack(&kernel).unwrap(), params);
+        let engine = Engine::single_threaded();
         let mut packed_acts = PackedActivations::default();
         let mut conv_scratch = ConvScratch::default();
         let mut y = Tensor::default();
@@ -159,19 +140,13 @@ fn steady_state_forward_batch_performs_zero_allocations() {
         let allocated = ALLOCS.load(Ordering::SeqCst) - before;
         assert_eq!(
             allocated, 0,
-            "warmed {what} forward allocated {allocated} times"
+            "warmed packed-only forward allocated {allocated} times"
         );
-        assert_eq!(y.data(), oracle.data(), "{what} forward diverged");
+        assert_eq!(y.data(), oracle.data(), "packed-only forward diverged");
         assert!(
             !conv.has_dense_weights(),
-            "{what} deployment must never derive the flat weight tensor"
+            "packed-only deployment must never derive the flat weight tensor"
         );
-        if what == "bank" {
-            assert!(
-                !conv.has_packed(),
-                "bank deployment on the memoized path must never build dense lane words"
-            );
-        }
     }
 
     // Streaming-lowering gate (same allocator, same test): with

@@ -15,7 +15,7 @@ use bnnkc::prelude::*;
 use proptest::prelude::*;
 
 use bitnn::backend::all_backends;
-use bitnn::exec::{ConvMode, DedupMode, Lowering};
+use bitnn::exec::{ConvMode, Lowering};
 use bitnn::layers::{BatchNorm, BinConv2d, QuantConv2d, QuantLinear, RPReLU, RSign};
 use bitnn::ops::conv::Conv2dParams;
 use bitnn::pack::PackedActivations;
@@ -184,48 +184,6 @@ proptest! {
         }
     }
 
-    /// The compressed-domain (sequence-bank memoized) conv path is
-    /// bit-exact with the scalar oracle across architecture families,
-    /// image sizes, batches, and thread counts. `DedupMode::On` forces
-    /// the bank path onto every 3×3 layer regardless of width;
-    /// `DedupMode::Off` pins the dense path — both must agree with the
-    /// oracle, and hence with each other, on every architecture's mix of
-    /// strides and shortcut forms.
-    #[test]
-    fn dedup_paths_match_scalar_across_architectures(
-        arch_idx in 0usize..3,
-        image in 12usize..20,
-        batch in 1usize..3,
-        threads in 1usize..5,
-        dedup_on in any::<bool>(),
-        seed in any::<u64>()
-    ) {
-        let arch = Arch::ALL[arch_idx];
-        let model = build_model(arch, 0.0625, image, seed).unwrap();
-        let inputs = synthetic_batch(batch, 3, image, seed ^ 0xD3D0);
-        let engine = Engine::new(ExecPolicy {
-            threads,
-            dedup: if dedup_on { DedupMode::On } else { DedupMode::Off },
-            ..ExecPolicy::default()
-        });
-        let backend = CpuBackend::new(engine.clone());
-        let mut state = model.state_for(&backend);
-        for x in &inputs {
-            let mut y = Tensor::default();
-            model.forward_on(&backend, &mut state, x, &mut y).unwrap();
-            let e = model.forward_scalar(x).unwrap();
-            prop_assert_eq!(y.data(), e.data(),
-                "{} dedup={} diverged from scalar oracle", arch, dedup_on);
-        }
-        // The batch-parallel entry point must take the same path.
-        let batched = model.forward_batch(&inputs, &engine).unwrap();
-        for (x, via_batch) in inputs.iter().zip(&batched) {
-            let scalar = model.forward_scalar(x).unwrap();
-            prop_assert_eq!(scalar.data(), via_batch.data(),
-                "{} dedup={} batch path diverged", arch, dedup_on);
-        }
-    }
-
     /// The streaming direct-conv lowering, pinned via
     /// `ConvMode::Stream`, is bit-exact with the float reference across
     /// random 3×3 geometries: strides 1–2, pads 0–1, degenerate one-row
@@ -379,6 +337,45 @@ proptest! {
         let reference = matmul_reference(&af, &bf, m, kn, k);
         for (g, e) in got.iter().zip(&reference) {
             prop_assert_eq!(*g as f32, *e);
+        }
+    }
+}
+
+/// Whole-model multi-core sweep: every conv mode at every thread count
+/// from 1 to 4, with `min_work: 0` so even these tiny models take the
+/// parallel split, on every built-in architecture. Both the backend entry
+/// point and the batch entry point must be bit-exact with the oracle.
+#[test]
+fn conv_modes_match_scalar_across_threads_and_architectures() {
+    let image = 16;
+    for arch in Arch::ALL {
+        let model = build_model(arch, 0.0625, image, 0x5EED).unwrap();
+        let inputs = synthetic_batch(2, 3, image, 0xD3D0);
+        let expect: Vec<Tensor> = inputs
+            .iter()
+            .map(|x| model.forward_scalar(x).unwrap())
+            .collect();
+        for conv in [ConvMode::Auto, ConvMode::Stream, ConvMode::Im2col] {
+            for threads in 1..5 {
+                let engine = Engine::new(ExecPolicy {
+                    threads,
+                    conv,
+                    min_work: 0,
+                    ..ExecPolicy::default()
+                });
+                let what = format!("{arch} {conv:?} threads {threads}");
+                let backend = CpuBackend::new(engine.clone());
+                let mut state = model.state_for(&backend);
+                for (x, e) in inputs.iter().zip(&expect) {
+                    let mut y = Tensor::default();
+                    model.forward_on(&backend, &mut state, x, &mut y).unwrap();
+                    assert_eq!(y.data(), e.data(), "{what}: forward_on diverged");
+                }
+                let batched = model.forward_batch(&inputs, &engine).unwrap();
+                for (y, e) in batched.iter().zip(&expect) {
+                    assert_eq!(y.data(), e.data(), "{what}: forward_batch diverged");
+                }
+            }
         }
     }
 }

@@ -488,6 +488,48 @@ fn inspect_exits_nonzero_on_parse_warnings() {
         !i.status.success(),
         "inspect --stats must exit nonzero on warnings too"
     );
+
+    // A v2 container whose last record's stream no longer decodes: one
+    // pass checks the record and gathers its statistics, so the damage
+    // is reported exactly once, with or without --stats.
+    let kernels: Vec<CompressedKernel> = sample_conv3_kernels(&spec, 5)
+        .unwrap()
+        .iter()
+        .map(|k| codec.compress(k).unwrap())
+        .collect();
+    let good = write_model_container_v2(&spec, &kernels).unwrap().to_vec();
+    // v2 ends with the last record, whose stream is its tail: flip the
+    // first stream byte (from the middle on) that breaks decoding.
+    let stream_len = kernels.last().unwrap().stream().len();
+    let bad = (good.len() - stream_len / 2..good.len() - 1)
+        .map(|at| {
+            let mut b = good.clone();
+            b[at] ^= 0xFF;
+            b
+        })
+        .find(|b| {
+            read_model_container(b)
+                .is_ok_and(|c| c.kernels.last().unwrap().decode_kernel().is_err())
+        })
+        .expect("some flipped stream byte breaks decoding");
+    let file = TempFile(tmp_file("corrupt-stream.bkcm"));
+    std::fs::write(&file.0, bad).unwrap();
+    for extra in [None, Some("--stats")] {
+        let mut args = vec!["inspect", "--in", file.0.to_str().unwrap()];
+        args.extend(extra);
+        let i = bnnkc(&args);
+        assert!(!i.status.success(), "{args:?} must exit nonzero");
+        let stderr = String::from_utf8_lossy(&i.stderr);
+        let warnings: Vec<&str> = stderr
+            .lines()
+            .filter(|l| l.starts_with("warning"))
+            .collect();
+        assert_eq!(warnings.len(), 1, "{args:?}: {stderr}");
+        assert!(
+            warnings[0].contains("kernel 13: stream does not decode"),
+            "{args:?}: {stderr}"
+        );
+    }
 }
 
 /// `inspect --stats` reports per-record sequence-skew statistics: unique

@@ -8,7 +8,6 @@ mod common;
 
 use bnnkc::prelude::*;
 use common::{bnnkc, tmp_file, TempFile};
-use proptest::prelude::*;
 use std::process::Output;
 
 /// Mirror of the CLI's logits digest (FNV-1a over the f32 bit patterns).
@@ -429,63 +428,6 @@ fn custom_arch_containers_simulate_but_refuse_to_run() {
     let r = bnnkc(&["run", "--in", path, "--image", "16"]);
     assert!(!r.status.success());
     assert!(String::from_utf8_lossy(&r.stderr).contains("unknown arch"));
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Sequence-bank round trip under the codec: compress a random
-    /// skewed kernel, stream-decode its dedup bank, and the bank must
-    /// reconstruct the exact packed kernel the stream decodes to — with
-    /// every per-(filter, channel) index resolving to the sequence the
-    /// offline path reads, for both codec variants and partial tail
-    /// lanes.
-    #[test]
-    fn sequence_bank_roundtrips_through_the_codec(
-        filters in 1usize..12,
-        channels in 1usize..80,
-        clustered in any::<bool>(),
-        seed in any::<u64>()
-    ) {
-        use bitnn::bank::SequenceBank;
-        use bitnn::weightgen::{read_sequence, SeqDistribution};
-        use rand::SeedableRng;
-
-        let codec = if clustered {
-            KernelCodec::paper_clustered()
-        } else {
-            KernelCodec::paper()
-        };
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let dist = SeqDistribution::calibrated(70.0, 93.0, seed ^ 0xBA);
-        let kernel = dist.sample_kernel(filters, channels, &mut rng);
-        let ck = codec.compress(&kernel).expect("compress");
-        let container = read_container(&write_container(&ck)).expect("parse");
-
-        let bank = container.decode_bank().expect("bank decode");
-        let packed = container.decode_packed().expect("stream decode");
-        let decoded = container.decode_kernel().expect("offline decode");
-
-        // Encode → decode round trip: the bank IS the kernel.
-        prop_assert_eq!(&bank.to_packed(), &packed);
-        prop_assert_eq!(&PackedKernel::pack(&decoded).unwrap(), &packed);
-        // And again after a dense → bank re-encode.
-        prop_assert_eq!(&SequenceBank::from_packed(&packed).unwrap().to_packed(), &packed);
-
-        // Per-slot agreement with the offline reader, plus conserved
-        // counts: every occurrence is attributed to exactly one entry.
-        let mut total = 0u64;
-        for (f, ch) in (0..filters).flat_map(|f| (0..channels).map(move |ch| (f, ch))) {
-            prop_assert_eq!(bank.sequence(f, ch), read_sequence(&decoded, f, ch));
-        }
-        for &count in bank.counts() {
-            prop_assert!(count > 0, "bank entries must be referenced");
-            total += count as u64;
-        }
-        prop_assert_eq!(total, (filters * channels) as u64);
-        prop_assert!(bank.unique_count() <= bank.total_count());
-        prop_assert!(bank.dedup_ratio() >= 1.0);
-    }
 }
 
 /// The group decoder agrees with the offline path on every block of a

@@ -7,7 +7,6 @@
 //! exactly one test: a sibling test running concurrently would pollute
 //! the count.
 
-use bitnn::exec::DedupMode;
 use bnnkc::prelude::*;
 use bnnkc::serve::registry::deploy_bytes;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -64,10 +63,7 @@ fn deploy_allocates_each_conv3_kernel_once() {
         .map(|k| codec.compress(k).unwrap())
         .collect();
     let bytes = write_model_container_v3(&spec, &kernels).unwrap().to_vec();
-    let engine = Engine::new(ExecPolicy {
-        dedup: DedupMode::Off,
-        ..ExecPolicy::single_threaded()
-    });
+    let engine = Engine::single_threaded();
 
     let before = BYTES.load(Ordering::SeqCst);
     let entry = deploy_bytes(&bytes, &engine, 5, 32, 1).unwrap();

@@ -2,11 +2,9 @@
 //! builds every compressible 3×3 slot straight from its decoded container
 //! record, must produce logits bit-exact with the offline deployment
 //! (`attach_weights`, then `decode_kernel`, then `set_conv3_weights`) for
-//! every built-in family and container version, on both the packed and
-//! the sequence-bank weight forms — and must never materialize a flat
-//! 3×3 weight tensor doing it.
+//! every built-in family and container version — and must never
+//! materialize a flat 3×3 weight tensor doing it.
 
-use bitnn::exec::DedupMode;
 use bitnn::graph::NodeOp;
 use bitnn::layers::BinConv2d;
 use bnnkc::prelude::*;
@@ -80,25 +78,17 @@ fn registry_deploy_is_bit_exact_with_offline_deploy() {
     ] {
         for (version, bytes) in containers(arch, scale) {
             let expected = offline_logits(&bytes, &inputs);
-            for dedup in [DedupMode::Off, DedupMode::On] {
-                let what = format!("{arch} v{version} dedup {dedup:?}");
-                let engine = Engine::new(ExecPolicy {
-                    dedup,
-                    ..ExecPolicy::with_threads(2)
-                });
-                let entry = deploy_bytes(&bytes, &engine, WEIGHT_SEED, IMAGE, 1).unwrap();
-                let graph = &entry.graph;
-                for i in 0..graph.num_conv3() {
-                    let conv = conv3(graph, i);
-                    assert!(!conv.has_dense_weights(), "{what}: conv {i} was sampled");
-                    assert_eq!(
-                        conv.has_packed(),
-                        dedup == DedupMode::Off,
-                        "{what}: conv {i} holds the wrong weight form"
-                    );
-                }
-                assert_eq!(logits(graph, &engine, &inputs), expected, "{what}");
+            let what = format!("{arch} v{version}");
+            let engine = Engine::with_threads(2);
+            let entry = deploy_bytes(&bytes, &engine, WEIGHT_SEED, IMAGE, 1).unwrap();
+            let graph = &entry.graph;
+            for i in 0..graph.num_conv3() {
+                assert!(
+                    !conv3(graph, i).has_dense_weights(),
+                    "{what}: conv {i} was sampled"
+                );
             }
+            assert_eq!(logits(graph, &engine, &inputs), expected, "{what}");
         }
     }
 }
@@ -107,10 +97,9 @@ fn registry_deploy_is_bit_exact_with_offline_deploy() {
 fn mismatched_records_are_rejected_before_decoding() {
     let (_, bytes) = containers(Arch::VggSmall, 0.0625).remove(0);
     let parsed = read_model_container(&bytes).unwrap();
-    let engine = Engine::single_threaded();
     let incompatible = |c: &ModelContainer| {
         matches!(
-            deploy(c, &engine, WEIGHT_SEED, IMAGE, 1),
+            deploy(c, WEIGHT_SEED, IMAGE, 1),
             Err(ServeError::Container(KcError::IncompatibleModel(_)))
         )
     };
