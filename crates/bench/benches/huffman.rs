@@ -1,10 +1,12 @@
 //! Criterion bench: encode/decode throughput of the simplified tree vs
 //! full canonical Huffman — the software cost the paper's hardware unit
-//! eliminates (Sec. III-B / IV-B).
+//! eliminates (Sec. III-B / IV-B) — and the whole offline compression of
+//! one kernel (count, cluster, encode).
 
 use bench::block_kernel;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use kc_core::bitstream::{BitReader, BitWriter};
+use kc_core::codec::KernelCodec;
 use kc_core::huffman::{FullHuffman, SimplifiedTree, TreeConfig};
 use kc_core::{BitSeq, FreqTable};
 use std::hint::black_box;
@@ -99,5 +101,19 @@ fn bench_huffman(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_huffman);
+fn bench_compress(c: &mut Criterion) {
+    // Block 7 is ReActNet's first 512 x 512 3x3 kernel.
+    let kernel = block_kernel(7, 1, 1.0);
+    let codec = KernelCodec::paper_clustered();
+    let seqs = kernel.shape()[0] * kernel.shape()[1];
+
+    let mut g = c.benchmark_group("compress");
+    g.throughput(Throughput::Elements(seqs as u64));
+    g.bench_function("paper_clustered", |b| {
+        b.iter(|| codec.compress(black_box(&kernel)).unwrap().stream_bits())
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_huffman, bench_compress);
 criterion_main!(benches);

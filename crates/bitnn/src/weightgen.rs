@@ -86,16 +86,58 @@ pub fn read_sequence(kernel: &BitTensor, f: usize, ch: usize) -> u16 {
     seq
 }
 
-/// Count sequence occurrences across all channels of a `[K, C, 3, 3]`
-/// kernel. Index = sequence value, entry = count.
-pub fn count_sequences(kernel: &BitTensor) -> Vec<u64> {
+/// `REVERSE9[v]` is the 9-bit value `v` with its bits reversed.
+static REVERSE9: [u16; NUM_SEQUENCES] = {
+    let mut table = [0u16; NUM_SEQUENCES];
+    let mut v = 0;
+    while v < NUM_SEQUENCES {
+        table[v] = (v as u16).reverse_bits() >> (16 - SEQ_BITS);
+        v += 1;
+    }
+    table
+};
+
+/// Every channel's 9-bit sequence of a `[K, C, 3, 3]` kernel, in
+/// `(filter, channel)` row-major order (natural mapping), read straight
+/// from the packed words: entry `f * C + ch` equals
+/// `read_sequence(kernel, f, ch)`.
+///
+/// Channel `i` is the 9-bit field at flat bit `9 * i`, with position
+/// `p = 3h + w` at field bit `p`. The natural mapping puts `p` at bit
+/// `8 - p`, so each sequence is its field with the 9 bits reversed.
+///
+/// # Panics
+///
+/// Panics if the kernel is not `[K, C, 3, 3]`.
+pub fn read_sequences(kernel: &BitTensor) -> Vec<u16> {
     let shape = kernel.shape();
     assert_eq!(shape.len(), 4);
+    assert_eq!((shape[2], shape[3]), (3, 3), "3x3 kernels only");
+    let words = kernel.words();
+    (0..shape[0] * shape[1])
+        .map(|i| {
+            let bit = i * SEQ_BITS;
+            let (w, shift) = (bit / 64, bit % 64);
+            let mut field = words[w] >> shift;
+            // The field straddles into the next word.
+            if shift > 64 - SEQ_BITS {
+                field |= words[w + 1] << (64 - shift);
+            }
+            REVERSE9[field as usize & (NUM_SEQUENCES - 1)]
+        })
+        .collect()
+}
+
+/// Count sequence occurrences across all channels of a `[K, C, 3, 3]`
+/// kernel. Index = sequence value, entry = count.
+///
+/// # Panics
+///
+/// Panics if the kernel is not `[K, C, 3, 3]`.
+pub fn count_sequences(kernel: &BitTensor) -> Vec<u64> {
     let mut counts = vec![0u64; NUM_SEQUENCES];
-    for f in 0..shape[0] {
-        for ch in 0..shape[1] {
-            counts[read_sequence(kernel, f, ch) as usize] += 1;
-        }
+    for s in read_sequences(kernel) {
+        counts[s as usize] += 1;
     }
     counts
 }
@@ -606,6 +648,12 @@ mod tests {
         let k = d.sample_kernel(3, 7, &mut rng);
         let counts = count_sequences(&k);
         assert_eq!(counts.iter().sum::<u64>(), 21);
+    }
+
+    #[test]
+    #[should_panic(expected = "3x3 kernels only")]
+    fn read_sequences_rejects_non_3x3() {
+        read_sequences(&BitTensor::zeros(&[2, 2, 1, 1]));
     }
 
     #[test]

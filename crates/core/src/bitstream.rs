@@ -9,11 +9,18 @@ use crate::error::{KcError, Result};
 use bytes::Bytes;
 
 /// Write bits MSB-first into a growable byte buffer.
+///
+/// Codes collect in a 64-bit accumulator that is flushed four whole
+/// bytes at a time, so a codeword costs a shift and an OR, not one
+/// read-modify-write per bit.
 #[derive(Debug, Clone, Default)]
 pub struct BitWriter {
     bytes: Vec<u8>,
-    /// Bits already used in the trailing partial byte (0..8).
-    used: u8,
+    /// Pending bits, right-aligned: the low `pending` bits are the next
+    /// ones to reach `bytes`.
+    acc: u64,
+    /// Bits held in `acc` (always below 32 between calls).
+    pending: u32,
     bits_written: usize,
 }
 
@@ -23,22 +30,25 @@ impl BitWriter {
         Self::default()
     }
 
-    /// Append the low `len` bits of `code`, most significant first.
+    /// Append the low `len` bits of `code`, most significant first. Bits
+    /// of `code` above `len` are ignored; `len == 0` writes nothing.
     ///
     /// # Panics
     ///
     /// Panics if `len > 32`.
+    #[inline]
     pub fn write_bits(&mut self, code: u32, len: u8) {
         assert!(len <= 32, "codes longer than 32 bits are unsupported");
-        for i in (0..len).rev() {
-            let bit = (code >> i) & 1;
-            if self.used == 0 {
-                self.bytes.push(0);
-            }
-            let last = self.bytes.len() - 1;
-            self.bytes[last] |= (bit as u8) << (7 - self.used);
-            self.used = (self.used + 1) % 8;
-            self.bits_written += 1;
+        let len = u32::from(len);
+        let code = u64::from(code) & ((1u64 << len) - 1);
+        // pending < 32 and len <= 32, so nothing pending shifts out.
+        self.acc = (self.acc << len) | code;
+        self.pending += len;
+        self.bits_written += len as usize;
+        if self.pending >= 32 {
+            self.pending -= 32;
+            let word = (self.acc >> self.pending) as u32;
+            self.bytes.extend_from_slice(&word.to_be_bytes());
         }
     }
 
@@ -48,7 +58,12 @@ impl BitWriter {
     }
 
     /// Finish and return the backing bytes (final byte zero-padded).
-    pub fn into_bytes(self) -> Bytes {
+    pub fn into_bytes(mut self) -> Bytes {
+        // Left-align the pending bits in a 32-bit word and keep the bytes
+        // they touch.
+        let word = ((self.acc << (32 - self.pending)) as u32).to_be_bytes();
+        self.bytes
+            .extend_from_slice(&word[..self.pending.div_ceil(8) as usize]);
         Bytes::from(self.bytes)
     }
 }
@@ -200,6 +215,62 @@ mod tests {
         let mut r = BitReader::with_limit(&bytes, n);
         assert_eq!(take(&mut r, 3), 0b101);
         assert_eq!(r.remaining(), 0);
+    }
+
+    /// Write `lead` zero bits, then `code`/`len`, then a one-bit marker.
+    fn framed(lead: u8, code: u32, len: u8) -> (Vec<u8>, usize) {
+        let mut w = BitWriter::new();
+        w.write_bits(0, lead);
+        w.write_bits(code, len);
+        w.write_bits(1, 1);
+        let n = w.bits_written();
+        (w.into_bytes().to_vec(), n)
+    }
+
+    #[test]
+    fn bits_above_len_are_ignored() {
+        for lead in 0..8u8 {
+            for len in 1..32u8 {
+                let garbage = u32::MAX << len;
+                let clean = 0x5555_5555 & !garbage;
+                assert_eq!(
+                    framed(lead, garbage | clean, len),
+                    framed(lead, clean, len),
+                    "lead {lead} len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn zero_length_writes_nothing_at_every_offset() {
+        for lead in 0..8u8 {
+            let (bytes, n) = framed(lead, u32::MAX, 0);
+            assert_eq!(n, lead as usize + 1);
+            // Only the marker bit is set; the rest of the byte is padding.
+            assert_eq!(bytes, [0x80 >> lead], "lead {lead}");
+        }
+    }
+
+    #[test]
+    fn full_32_bit_codes_at_every_offset() {
+        for lead in 0..8u8 {
+            for code in [0u32, u32::MAX, 0x8000_0001, 0xDEAD_BEEF] {
+                let (bytes, n) = framed(lead, code, 32);
+                assert_eq!(n, lead as usize + 33);
+                assert_eq!(bytes.len(), n.div_ceil(8));
+                let mut r = BitReader::with_limit(&bytes, n);
+                assert_eq!(take(&mut r, lead as usize), 0);
+                assert_eq!(take(&mut r, 32), code, "lead {lead}");
+                assert_eq!(take(&mut r, 1), 1);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "longer than 32 bits")]
+    fn codes_over_32_bits_panic() {
+        BitWriter::new().write_bits(0, 33);
     }
 
     #[test]

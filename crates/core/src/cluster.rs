@@ -115,6 +115,13 @@ impl ClusterPlan {
         BitSeq::new_unchecked(self.map[seq.value() as usize])
     }
 
+    /// Rewrite a list of sequence values (each below 512) in place.
+    pub(crate) fn apply_to_sequences(&self, seqs: &mut [u16]) {
+        for s in seqs {
+            *s = self.map[*s as usize];
+        }
+    }
+
     /// Rewrite a `[K, C, 3, 3]` kernel under the plan.
     ///
     /// # Errors

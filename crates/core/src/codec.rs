@@ -10,7 +10,7 @@
 //! [`model_compression_ratio`] applies the codec to every 3×3 kernel of a
 //! [`ReActNet`] and accounts the whole-model ratio (the paper's 1.2x).
 
-use crate::bitseq::BitSeq;
+use crate::bitseq::{BitSeq, NUM_SEQUENCES};
 use crate::bitstream::{BitReader, BitWriter};
 use crate::cluster::{ClusterConfig, ClusterPlan, Substitution};
 use crate::config::DecoderConfig;
@@ -19,7 +19,7 @@ use crate::freq::FreqTable;
 use crate::huffman::{SimplifiedTree, TreeConfig};
 use bitnn::model::{OpCategory, ReActNet};
 use bitnn::tensor::BitTensor;
-use bitnn::weightgen::{read_sequence, write_sequence};
+use bitnn::weightgen::{read_sequences, write_sequence};
 use bytes::Bytes;
 
 /// A compression pipeline: simplified tree + optional clustering.
@@ -73,6 +73,10 @@ impl KernelCodec {
 
     /// Compress a `[K, C, 3, 3]` binary kernel.
     ///
+    /// One pass reads every channel's sequence from the packed words;
+    /// counting, clustering and encoding all work on that list, so the
+    /// kernel itself is never copied or rewritten.
+    ///
     /// # Errors
     ///
     /// Returns [`KcError::BadKernelShape`] for other shapes.
@@ -81,37 +85,47 @@ impl KernelCodec {
         if shape.len() != 4 || shape[2] != 3 || shape[3] != 3 {
             return Err(KcError::BadKernelShape(shape.to_vec()));
         }
-        let freq = FreqTable::from_kernel(kernel)?;
+        let mut seqs = read_sequences(kernel);
+        let freq = FreqTable::from_sequences(&seqs);
 
-        let (encoded_kernel, substitutions, freq) = match &self.cluster {
+        let (substitutions, freq) = match &self.cluster {
             Some(cfg) => {
                 let plan = ClusterPlan::build(&freq, cfg);
-                let rewritten = plan.apply_to_kernel(kernel)?;
-                let freq = plan.apply_to_freq(&freq);
-                (rewritten, plan.substitutions().to_vec(), freq)
+                plan.apply_to_sequences(&mut seqs);
+                (plan.substitutions().to_vec(), plan.apply_to_freq(&freq))
             }
-            None => (kernel.clone(), Vec::new(), freq),
+            None => (Vec::new(), freq),
         };
 
         let tree = SimplifiedTree::build(&freq, self.tree_config.clone());
-        let (filters, channels) = (shape[0], shape[1]);
+        let codes = code_table(&tree);
         let mut writer = BitWriter::new();
-        for f in 0..filters {
-            for ch in 0..channels {
-                let seq = BitSeq::new_unchecked(read_sequence(&encoded_kernel, f, ch));
-                tree.encode(seq, &mut writer)?;
+        for &s in &seqs {
+            let (code, len) = codes[s as usize];
+            if len == 0 {
+                return Err(KcError::Unencodable(s));
             }
+            writer.write_bits(code, len);
         }
         let stream_bits = writer.bits_written();
         Ok(CompressedKernel {
-            filters,
-            channels,
+            filters: shape[0],
+            channels: shape[1],
             tree,
             stream: writer.into_bytes(),
             stream_bits,
             substitutions,
         })
     }
+}
+
+/// [`SimplifiedTree::code_for`] evaluated once per sequence value, as
+/// `(bits, length)`; length 0 marks a sequence with no code.
+fn code_table(tree: &SimplifiedTree) -> [(u32, u8); NUM_SEQUENCES] {
+    std::array::from_fn(|s| {
+        tree.code_for(BitSeq::new_unchecked(s as u16))
+            .unwrap_or((0, 0))
+    })
 }
 
 impl Default for KernelCodec {
@@ -331,12 +345,11 @@ mod tests {
         let restored = ck.decompress().unwrap();
         assert_ne!(restored, k, "clustering must change some channels");
         // Every channel moved by at most one bit.
-        for f in 0..64 {
-            for ch in 0..64 {
-                let a = read_sequence(&k, f, ch);
-                let b = read_sequence(&restored, f, ch);
-                assert!((a ^ b).count_ones() <= 1);
-            }
+        for (a, b) in read_sequences(&k)
+            .into_iter()
+            .zip(read_sequences(&restored))
+        {
+            assert!((a ^ b).count_ones() <= 1);
         }
     }
 

@@ -46,7 +46,7 @@ use crate::container::{
 use crate::digest::{Digest, DIGEST_LEN};
 use crate::error::{KcError, Result};
 use crate::huffman::TreeConfig;
-use bitnn::weightgen::{read_sequence, write_sequence};
+use bitnn::weightgen::{read_sequence, read_sequences, write_sequence};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Patch file magic bytes.
@@ -86,26 +86,17 @@ struct Edit {
 
 /// Compute the sparse edit list between two decoded kernels of equal
 /// geometry.
-fn channel_edits(
-    base: &bitnn::tensor::BitTensor,
-    new: &bitnn::tensor::BitTensor,
-    filters: usize,
-    channels: usize,
-) -> Vec<Edit> {
-    let mut edits = Vec::new();
-    for f in 0..filters {
-        for ch in 0..channels {
-            let old = read_sequence(base, f, ch);
-            let new_seq = read_sequence(new, f, ch);
-            if old != new_seq {
-                edits.push(Edit {
-                    flat: (f * channels + ch) as u32,
-                    new_seq,
-                });
-            }
-        }
-    }
-    edits
+fn channel_edits(base: &bitnn::tensor::BitTensor, new: &bitnn::tensor::BitTensor) -> Vec<Edit> {
+    read_sequences(base)
+        .into_iter()
+        .zip(read_sequences(new))
+        .enumerate()
+        .filter(|(_, (old, new_seq))| old != new_seq)
+        .map(|(flat, (_, new_seq))| Edit {
+            flat: flat as u32,
+            new_seq,
+        })
+        .collect()
 }
 
 /// Serialize one edit: Hamming-1 changes compress to a single bit index.
@@ -212,7 +203,7 @@ fn try_edits_entry(
     }
     let base_kernel = base_rec.decode_kernel()?;
     let new_kernel = rec.decode_kernel()?;
-    let edits = channel_edits(&base_kernel, &new_kernel, rec.filters, rec.channels);
+    let edits = channel_edits(&base_kernel, &new_kernel);
     // A sparse entry only pays off while the edit list is small; past
     // that the full record is both smaller and cheaper to apply.
     if edits.len() * 7 + 32 >= record_bytes.len() {

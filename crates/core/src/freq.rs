@@ -47,6 +47,19 @@ impl FreqTable {
         Ok(FreqTable { counts, total })
     }
 
+    /// Count a list of sequence values (each below 512), such as
+    /// [`bitnn::weightgen::read_sequences`] returns.
+    pub(crate) fn from_sequences(seqs: &[u16]) -> Self {
+        let mut counts = vec![0u64; NUM_SEQUENCES];
+        for &s in seqs {
+            counts[s as usize] += 1;
+        }
+        FreqTable {
+            counts,
+            total: seqs.len() as u64,
+        }
+    }
+
     /// Build from raw counts (index = sequence value).
     ///
     /// # Errors

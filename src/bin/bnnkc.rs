@@ -493,20 +493,18 @@ fn cmd_verify(args: &[String]) -> CliResult {
             return Err(format!("kernel {}: stream decode diverges", i + 1).into());
         }
         if clustered {
-            let shape = original.shape();
-            for f in 0..shape[0] {
-                for ch in 0..shape[1] {
-                    let a = bitnn::weightgen::read_sequence(original, f, ch);
-                    let b = bitnn::weightgen::read_sequence(&decoded, f, ch);
-                    if (a ^ b).count_ones() > 1 {
-                        return Err(format!(
-                            "kernel {} channel ({f},{ch}) moved {} bits",
-                            i + 1,
-                            (a ^ b).count_ones()
-                        )
-                        .into());
-                    }
-                }
+            let channels = original.shape()[1];
+            let moved = bitnn::weightgen::read_sequences(original)
+                .into_iter()
+                .zip(bitnn::weightgen::read_sequences(&decoded))
+                .map(|(a, b)| (a ^ b).count_ones())
+                .enumerate()
+                .find(|&(_, bits)| bits > 1);
+            if let Some((flat, bits)) = moved {
+                let (f, ch) = (flat / channels, flat % channels);
+                return Err(
+                    format!("kernel {} channel ({f},{ch}) moved {bits} bits", i + 1).into(),
+                );
             }
         } else if &decoded != original {
             return Err(format!("kernel {} did not round-trip bit-exactly", i + 1).into());
