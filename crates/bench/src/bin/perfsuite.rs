@@ -6,12 +6,12 @@
 //! 1. **GEMM** — `gemm_binary_naive` (seed scalar) vs the register-blocked
 //!    tiled kernel vs the parallel [`Engine`] across the thread ladder.
 //! 2. **Conv 3×3** — `conv2d_binary` (seed direct scalar) vs the engine's
-//!    lowerings (direct / im2col / streaming / auto) and thread counts.
+//!    conv modes (im2col / streaming / auto) and thread counts.
 //!    The `engine` ladder rows are labeled with the lowering the conv
 //!    autotuner actually chose for the geometry, and the pinned
 //!    `engine_stream` row feeds the enforced `conv_stream_1t_speedup`
 //!    criterion.
-//! 3. **End-to-end** — `ReActNet::tiny` forward over a batch:
+//! 3. **End-to-end** — `ReActNet::tiny` forward over a batch: the graph's
 //!    `forward_scalar` per image vs `forward_batch` across the ladder.
 //! 4. **Compressed e2e** — deploy a wide graph-IR ReActNet container
 //!    (at scale 1.0 the late blocks are 512-channel 3×3 convs, so the
@@ -91,7 +91,7 @@
 //! (`cpu` for the engine paths; the baselines are the frozen `scalar`
 //! reference) and a `kernel` field naming the dispatched code path —
 //! SIMD level plus the autotuned GEMM register blocking
-//! (`avx512/gemm-4x4`), the direct conv (`avx2/conv-direct`), or the
+//! (`avx512/gemm-4x4`), the streaming conv (`avx2/conv-stream`), or the
 //! fused graph walk (`avx512/fused-graph`). The document also records
 //! the effective SIMD level and the autotuner's per-shape-class GEMM
 //! selections, so a perf delta between two committed runs can be
@@ -104,7 +104,7 @@
 
 use bench::{arg_flag, arg_u64, perfjson, TablePrinter};
 use bitnn::engine::Engine;
-use bitnn::exec::{ConvMode, ExecPolicy, Lowering, IM2COL_MAX_CHANNELS};
+use bitnn::exec::{ConvMode, ExecPolicy};
 use bitnn::graph::arch::{attach_weights, build_model, Arch};
 use bitnn::graph::arch::{build_spec, sample_conv3_kernels};
 use bitnn::infer::synthetic_batch;
@@ -188,18 +188,6 @@ fn gemm_kernel(k_bits: usize) -> String {
     )
 }
 
-/// Kernel label for a 3×3 conv over `c` channels under `lowering`,
-/// mirroring the engine's `Lowering::Auto` rule so the label names the
-/// path that actually ran.
-fn conv_kernel(c: usize, lowering: Lowering) -> String {
-    match lowering {
-        Lowering::Direct => format!("{}/conv-direct", simd::level()),
-        Lowering::Im2col => gemm_kernel(c * 9),
-        Lowering::Auto if c <= IM2COL_MAX_CHANNELS => conv_kernel(c, Lowering::Im2col),
-        Lowering::Auto => conv_kernel(c, Lowering::Direct),
-    }
-}
-
 /// Kernel label for whole-model forwards through the graph executor's
 /// fused plan (mixed conv/GEMM/fusion kernels under one SIMD level).
 fn fused_graph_kernel() -> String {
@@ -213,8 +201,8 @@ fn stream_conv_kernel() -> String {
 
 /// Kernel label for the lowering the conv autotuner *actually chose* for
 /// a benched stride-1 pad-1 3×3 geometry (v6: the `engine` rows name the
-/// path that ran, not the static heuristic). Falls back to the legacy
-/// heuristic label when no decision has been recorded yet.
+/// path that ran, not a static guess). Falls back to the im2col label
+/// when no decision has been recorded yet.
 fn chosen_conv_kernel(c: usize, hw: usize, kf: usize) -> String {
     let choice = simd::conv_choices().into_iter().find(|ch| {
         ch.source == simd::ChoiceSource::Autotuned
@@ -227,8 +215,7 @@ fn chosen_conv_kernel(c: usize, hw: usize, kf: usize) -> String {
     });
     match choice.map(|ch| ch.lowering) {
         Some(simd::ConvLowering::Stream) => stream_conv_kernel(),
-        Some(simd::ConvLowering::Im2col) => gemm_kernel(c * 9),
-        None => conv_kernel(c, Lowering::Auto),
+        Some(simd::ConvLowering::Im2col) | None => gemm_kernel(c * 9),
     }
 }
 
@@ -364,15 +351,19 @@ fn random_bools(n: usize, seed: u64) -> Vec<bool> {
         .collect()
 }
 
-fn engine(threads: usize, lowering: Lowering) -> Engine {
+/// An engine with `threads` workers under a pinned conv mode.
+fn engine_with(threads: usize, conv: ConvMode) -> Engine {
     Engine::new(ExecPolicy {
         threads,
-        lowering,
-        // Pinned so the tracked entries name the path they ran under,
-        // regardless of any ambient BITNN_CONV override.
-        conv: ConvMode::Auto,
+        conv,
         ..Default::default()
     })
+}
+
+/// An autotuning engine, pinned so the tracked entries name the path
+/// they ran under regardless of any ambient BITNN_CONV override.
+fn engine(threads: usize) -> Engine {
+    engine_with(threads, ConvMode::Auto)
 }
 
 fn bench_gemm(smoke: bool, seed: u64, ladder: &[usize]) -> Section {
@@ -400,7 +391,7 @@ fn bench_gemm(smoke: bool, seed: u64, ladder: &[usize]) -> Section {
         kernel: gemm_kernel(k),
     }];
     for &t in ladder {
-        let eng = engine(t, Lowering::Auto);
+        let eng = engine(t);
         assert_eq!(eng.gemm(&a, &b).unwrap(), expect, "engine GEMM mismatch");
         let mut out = Vec::new();
         let entry = entry_reusing(&entries, "engine", t, gemm_kernel(k), || {
@@ -457,38 +448,27 @@ fn bench_conv(smoke: bool, seed: u64, ladder: &[usize]) -> Section {
             );
         })
     };
-    for (name, lowering) in [
-        ("engine_direct", Lowering::Direct),
-        ("engine_im2col", Lowering::Im2col),
-    ] {
-        entries.push(Entry {
-            name,
-            threads: 1,
-            ns: measure(name, &engine(1, lowering)),
-            backend: "cpu",
-            kernel: conv_kernel(c, lowering),
-        });
-    }
+    entries.push(Entry {
+        name: "engine_im2col",
+        threads: 1,
+        ns: measure("engine_im2col", &engine_with(1, ConvMode::Im2col)),
+        backend: "cpu",
+        kernel: gemm_kernel(c * 9),
+    });
     // v6: the streaming shifted-window lowering, pinned via
     // `ConvMode::Stream` — the enforced `conv_stream_1t_speedup`
     // criterion compares this row against `engine_im2col`.
-    let stream_engine = Engine::new(ExecPolicy {
-        threads: 1,
-        lowering: Lowering::Auto,
-        conv: ConvMode::Stream,
-        ..Default::default()
-    });
     entries.push(Entry {
         name: "engine_stream",
         threads: 1,
-        ns: measure("engine_stream", &stream_engine),
+        ns: measure("engine_stream", &engine_with(1, ConvMode::Stream)),
         backend: "cpu",
         kernel: stream_conv_kernel(),
     });
     // Tune the auto decision before the ladder is timed so every
     // `engine` row is labeled with the lowering that actually ran.
     {
-        let eng = engine(1, Lowering::Auto);
+        let eng = engine(1);
         let mut scratch = bitnn::engine::ConvScratch::default();
         let _ = eng
             .conv2d(&acts, (&kernel).into(), params, &mut scratch)
@@ -497,7 +477,7 @@ fn bench_conv(smoke: bool, seed: u64, ladder: &[usize]) -> Section {
     let auto_kernel = chosen_conv_kernel(c, hw, kf);
     for &t in ladder {
         let entry = entry_reusing(&entries, "engine", t, auto_kernel.clone(), || {
-            measure("engine", &engine(t, Lowering::Auto))
+            measure("engine", &engine(t))
         });
         entries.push(entry);
     }
@@ -519,16 +499,20 @@ fn bench_e2e(smoke: bool, seed: u64, ladder: &[usize]) -> Section {
     let model = ReActNet::tiny(seed);
     let inputs = synthetic_batch(batch, 3, 32, seed ^ 0xACE);
 
-    let expect: Vec<_> = inputs.iter().map(|x| model.forward_scalar(x)).collect();
+    let oracle = model.graph();
+    let expect: Vec<_> = inputs
+        .iter()
+        .map(|x| oracle.forward_scalar(x).expect("scalar walk"))
+        .collect();
     let baseline_ns = time_ns(iters, || {
         for x in &inputs {
-            black_box(model.forward_scalar(black_box(x)));
+            black_box(oracle.forward_scalar(black_box(x)).unwrap());
         }
     });
 
     let mut entries: Vec<Entry> = Vec::new();
     for &t in ladder {
-        let eng = engine(t, Lowering::Auto);
+        let eng = engine(t);
         let got = model.forward_batch(&inputs, &eng);
         for (g, e) in got.iter().zip(&expect) {
             assert_eq!(g.data(), e.data(), "engine forward mismatch at {t} threads");
@@ -589,15 +573,6 @@ fn bench_compressed(smoke: bool, seed: u64, ladder: &[usize]) -> Section {
         table_hit_rate: 1.0 - unique as f64 / total as f64,
     };
 
-    let eng = |threads: usize| {
-        Engine::new(ExecPolicy {
-            threads,
-            lowering: Lowering::Auto,
-            conv: ConvMode::Auto,
-            ..Default::default()
-        })
-    };
-
     // Deploy closures: the baseline decompresses each kernel to a flat
     // tensor and re-packs it; the streaming path goes stream → packed
     // lane words → engine with no intermediate tensor.
@@ -618,7 +593,7 @@ fn bench_compressed(smoke: bool, seed: u64, ladder: &[usize]) -> Section {
         m
     };
 
-    let eng1 = eng(1);
+    let eng1 = engine(1);
     let expect = deploy_offline(&containers)
         .forward_batch(&inputs, &eng1)
         .expect("offline forward");
@@ -657,7 +632,7 @@ fn bench_compressed(smoke: bool, seed: u64, ladder: &[usize]) -> Section {
         },
     ];
     for &t in ladder {
-        let eng_t = eng(t);
+        let eng_t = engine(t);
         let entry = entry_reusing(
             &entries,
             "stream_deploy_forward",
@@ -711,7 +686,7 @@ fn bench_arch_e2e(smoke: bool, seed: u64) -> Section {
             }
         });
         for t in [1usize, 4] {
-            let eng = engine(t, Lowering::Auto);
+            let eng = engine(t);
             let got = model.forward_batch(&inputs, &eng).expect("batch forward");
             for (g, e) in got.iter().zip(&expect) {
                 assert_eq!(
@@ -836,11 +811,14 @@ fn bench_parallel_scaling(smoke: bool, seed: u64, ladder: &[usize]) -> Section {
 
     let model = ReActNet::tiny(seed ^ 0x5CA5);
     let inputs = synthetic_batch(batch, 3, 32, seed ^ 0x5CA6);
-    let e2e_expect: Vec<_> = inputs.iter().map(|x| model.forward_scalar(x)).collect();
+    let e2e_expect: Vec<_> = inputs
+        .iter()
+        .map(|x| model.graph().forward_scalar(x).expect("scalar walk"))
+        .collect();
 
     let mut entries: Vec<Entry> = Vec::new();
     for &t in ladder {
-        let eng = engine(t, Lowering::Auto);
+        let eng = engine(t);
 
         assert_eq!(eng.gemm(&a, &b).unwrap(), gemm_expect, "gemm @ {t}t");
         let mut out = Vec::new();

@@ -5,15 +5,13 @@
 
 use std::any::Any;
 
+use super::stages::{add_into, fuse_channel_stage, fuse_spatial_stage, shortcut_channels_into};
 use super::{layer, Backend, StepCtx};
 use crate::engine::{ConvScratch, CpuScratch, Engine};
 use crate::error::Result;
 use crate::exec::ExecPolicy;
 use crate::graph::{fused_steps, CompiledPlan, GraphNode, NodeOp, Step};
 use crate::layers::{avg_pool_2x2_into, global_avg_pool_into, BinConv2d, RSign};
-use crate::model::block::{
-    add_into, fuse_channel_stage, fuse_spatial_stage, shortcut_channels_into,
-};
 use crate::pack::PackedActivations;
 use crate::tensor::Tensor;
 

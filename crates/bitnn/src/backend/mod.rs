@@ -31,6 +31,7 @@
 
 mod cpu;
 pub(crate) mod scalar;
+mod stages;
 
 pub use cpu::CpuBackend;
 pub use scalar::ScalarBackend;

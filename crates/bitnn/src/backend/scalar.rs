@@ -4,12 +4,12 @@
 
 use std::any::Any;
 
+use super::stages::{add, fuse_channel_stage, fuse_spatial_stage, shortcut_channels};
 use super::{layer, Backend, StepCtx};
 use crate::error::{BitnnError, Result};
 use crate::exec::ExecPolicy;
 use crate::graph::{unfused_steps, CompiledPlan, GraphNode, Step};
 use crate::layers::{avg_pool_2x2, global_avg_pool, Layer};
-use crate::model::block::{add, fuse_channel_stage, fuse_spatial_stage, shortcut_channels};
 use crate::pack::PackedActivations;
 use crate::tensor::{BitTensor, Tensor};
 
@@ -129,8 +129,8 @@ fn conv_chain(nodes: &[GraphNode], sign: usize, conv: usize, x: &Tensor) -> Tens
 }
 
 /// The scalar reference walk: per-node naive forwards, fresh allocations,
-/// no fusion, no engine — the graph-level twin of the frozen
-/// `ReActNet::forward_scalar` oracle. When `traces` is `Some`, the
+/// no fusion, no engine — the oracle behind
+/// [`crate::graph::ModelGraph::forward_scalar`]. When `traces` is `Some`, the
 /// binarized input of every 3×3 binary convolution is appended in
 /// topological order (the bit sequences of the paper's Sec. I
 /// observation).

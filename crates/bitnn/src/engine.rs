@@ -18,13 +18,14 @@
 //!   count is additionally clamped to the hardware parallelism, so asking
 //!   for 8 threads on a 1-core host degrades to the inline path instead of
 //!   oversubscribing.
-//! * **Shape-dependent lowering** — per layer, [`ExecPolicy::lowering`]
-//!   picks between the direct channel-packed convolution and the
-//!   im2col-lowered GEMM (daBNN makes the same choice per shape). 1×1
-//!   stride-1 convolutions skip lowering entirely: the channel-packed
-//!   activations already *are* the GEMM operand.
+//! * **Shape-dependent lowering** — a 3×3 layer runs either the
+//!   im2col-free streaming convolution or the im2col-lowered GEMM, picked
+//!   per geometry by [`ExecPolicy::conv`] (autotuned on first dispatch
+//!   unless `BITNN_CONV` pins one). 1×1 stride-1 pad-0 convolutions skip
+//!   lowering entirely: the channel-packed activations already *are* the
+//!   GEMM operand. Every other kernel shape is im2col-lowered.
 //! * **Scratch-buffer reuse** — the im2col matrix, the flat GEMM output,
-//!   the binarized activation bits, and the packed activations live in a
+//!   and the packed activations live in a
 //!   [`Scratch`] that the model's forward pass threads through every
 //!   layer, so steady-state inference stops allocating per layer.
 //!
@@ -35,7 +36,7 @@
 //! counts.
 
 use crate::error::{BitnnError, Result};
-use crate::ops::conv::{conv2d_direct_rows, kernel_position_ones, Conv2dParams};
+use crate::ops::conv::{kernel_position_ones, Conv2dParams};
 use crate::ops::gemm::{gemm_rows_into, PackedMatrix};
 use crate::ops::im2col::{im2col_kernel_packed, im2col_rows};
 use crate::ops::streamconv::conv2d_stream_items;
@@ -43,14 +44,12 @@ use crate::pack::{PackedActivations, PackedKernel};
 use crate::pool::WorkerPool;
 use crate::simd::{conv_choice_cached, record_conv_choice, record_forced_conv};
 use crate::simd::{ConvChoice, ConvGeom, ConvLowering};
-use crate::tensor::{BitTensor, Tensor};
+use crate::tensor::Tensor;
 
 // The policy/lowering knobs used to live here; they moved to the neutral
 // [`crate::exec`] module so the CLI and bench crates stop importing engine
 // internals. Re-exported for path compatibility.
-pub use crate::exec::{
-    parse_thread_count, ConvMode, ExecPolicy, Lowering, DEFAULT_MIN_WORK, IM2COL_MAX_CHANNELS,
-};
+pub use crate::exec::{parse_thread_count, ConvMode, ExecPolicy, DEFAULT_MIN_WORK};
 
 /// Set a buffer's length without zero-filling retained elements — for
 /// outputs whose every element is written before being read.
@@ -80,7 +79,7 @@ pub struct KernelForms<'a> {
     /// Cached im2col weight matrix (one row per filter, position-major
     /// columns), used by the GEMM lowerings.
     pub lowered: Option<&'a PackedMatrix>,
-    /// Cached per-filter, per-position ones counts, used by the direct
+    /// Cached per-filter, per-position ones counts, used by the streaming
     /// lowering's `-1`-padding closed form.
     pub pad_ones: Option<&'a [u32]>,
 }
@@ -117,8 +116,6 @@ pub enum ConvPath {
     /// 1×1 stride-1 pad-0 GEMM directly over the packed activations;
     /// needs only the packed kernel.
     PointwiseGemm,
-    /// Direct channel-packed convolution; wants `pad_ones`.
-    Direct,
     /// im2col lowering + GEMM; wants the `lowered` weight matrix.
     Im2col,
     /// Im2col-free streaming shifted-window convolution
@@ -136,14 +133,10 @@ pub enum ConvPath {
 pub struct CpuScratch {
     /// Engine-internal lowering buffers.
     pub(crate) conv: ConvScratch,
-    /// Binarized activations (output of the sign stages).
-    pub(crate) bits: BitTensor,
     /// Channel-packed binarized activations.
     pub(crate) packed: PackedActivations,
     /// Raw convolution output of the current stage.
     pub(crate) conv_out: Tensor,
-    /// Fused bn + shortcut + activation output of the 3×3 stage.
-    pub(crate) mid: Tensor,
     /// Quantized-layer staging buffers (stem conv + classifier).
     pub(crate) quant: crate::layers::QuantScratch,
 }
@@ -328,14 +321,13 @@ impl Engine {
                 rhs: vec![packed.channels()],
             });
         }
-        let c = acts.channels();
         let (kh, kw) = (packed.kh(), packed.kw());
-        let path = match self.conv_path(kh, kw, params, c) {
+        let path = match self.conv_path(kh, kw, params) {
             Some(p) => {
-                // A pinned `ConvMode` deciding a live auto-lowered 3×3
-                // dispatch is recorded (reporting only) so `bnnkc
-                // features` and the perfsuite can label what actually ran.
-                if self.policy.lowering == Lowering::Auto && kh == 3 && kw == 3 {
+                // A pinned `ConvMode` deciding a live 3×3 dispatch is
+                // recorded (reporting only) so `bnnkc features` and the
+                // perfsuite can label what actually ran.
+                if kh == 3 && kw == 3 {
                     let forced = match (self.policy.conv, p) {
                         (ConvMode::Stream, ConvPath::Stream) => Some(ConvLowering::Stream),
                         (ConvMode::Im2col, ConvPath::Im2col) => Some(ConvLowering::Im2col),
@@ -439,7 +431,7 @@ impl Engine {
         // Every lowering writes every output element, so skip the zero-fill.
         out.reset_for_overwrite(&[n, kf, oh, ow]);
 
-        if path == ConvPath::Direct || path == ConvPath::Stream {
+        if path == ConvPath::Stream {
             let built;
             let pad_ones = match kernel.pad_ones {
                 Some(p) => p,
@@ -449,18 +441,12 @@ impl Engine {
                 }
             };
             let work = (n * kf * oh * ow * kh * kw * acts.lanes()) as u64;
-            if path == ConvPath::Stream {
-                // One item = one (img, filter) output plane; the kernel
-                // blocks up to FILTER_BLOCK filters of one image so each
-                // resident activation word is loaded once per block.
-                self.parallel_chunks(out.data_mut(), oh * ow, 1, work, |first, band| {
-                    conv2d_stream_items(acts, packed, params, pad_ones, first, band);
-                });
-            } else {
-                self.parallel_chunks(out.data_mut(), ow, 4, work, |first, band| {
-                    conv2d_direct_rows(acts, packed, params, pad_ones, first, band);
-                });
-            }
+            // One item = one (img, filter) output plane; the kernel blocks
+            // up to FILTER_BLOCK filters of one image so each resident
+            // activation word is loaded once per block.
+            self.parallel_chunks(out.data_mut(), oh * ow, 1, work, |first, band| {
+                conv2d_stream_items(acts, packed, params, pad_ones, first, band);
+            });
             return;
         }
 
@@ -523,37 +509,20 @@ impl Engine {
 
     /// The dense lowering [`Engine::conv2d_into`] will run for this
     /// geometry under the current policy, or `None` when the choice is
-    /// autotuned at first dispatch ([`ConvMode::Auto`] on an auto-lowered
-    /// 3×3 layer — the streaming-vs-im2col decision needs live operands).
-    pub fn conv_path(
-        &self,
-        kh: usize,
-        kw: usize,
-        params: Conv2dParams,
-        channels: usize,
-    ) -> Option<ConvPath> {
-        let pointwise = kh == 1 && kw == 1 && params.stride == 1 && params.pad == 0;
-        match self.policy.lowering {
-            Lowering::Direct => Some(ConvPath::Direct),
-            Lowering::Im2col => Some(ConvPath::Im2col),
-            Lowering::Auto => {
-                if pointwise {
-                    return Some(ConvPath::PointwiseGemm);
-                }
-                if kh == 3 && kw == 3 {
-                    match self.policy.conv {
-                        ConvMode::Stream => return Some(ConvPath::Stream),
-                        ConvMode::Auto => return None,
-                        ConvMode::Im2col => {}
-                    }
-                }
-                Some(if channels <= IM2COL_MAX_CHANNELS {
-                    ConvPath::Im2col
-                } else {
-                    ConvPath::Direct
-                })
-            }
+    /// autotuned at first dispatch ([`ConvMode::Auto`] on a 3×3 layer —
+    /// the streaming-vs-im2col decision needs live operands).
+    pub fn conv_path(&self, kh: usize, kw: usize, params: Conv2dParams) -> Option<ConvPath> {
+        if kh == 1 && kw == 1 && params.stride == 1 && params.pad == 0 {
+            return Some(ConvPath::PointwiseGemm);
         }
+        if kh == 3 && kw == 3 {
+            return match self.policy.conv {
+                ConvMode::Auto => None,
+                ConvMode::Stream => Some(ConvPath::Stream),
+                ConvMode::Im2col => Some(ConvPath::Im2col),
+            };
+        }
+        Some(ConvPath::Im2col)
     }
 }
 
@@ -642,6 +611,7 @@ fn dispatch_chunks<T, F>(
 mod tests {
     use super::*;
     use crate::ops::conv::conv2d_binary;
+    use crate::tensor::BitTensor;
     use proptest::prelude::*;
 
     fn random_bits(shape: &[usize], seed: u64) -> BitTensor {

@@ -2,7 +2,7 @@
 //!
 //! Everything here is shared by *every* execution backend and by the
 //! binaries (`bnnkc`, `perfsuite`): how many workers a dispatch may use,
-//! when an op is too small to parallelize, and how a convolution is
+//! when an op is too small to parallelize, and how a 3×3 convolution is
 //! lowered onto the compute substrate. None of it depends on the CPU
 //! engine's internals, so the CLI and bench crates import this module
 //! instead of [`crate::engine`].
@@ -10,48 +10,21 @@
 use crate::pool::WorkerPool;
 use std::thread;
 
-/// How a convolution is lowered onto the binary compute substrate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Lowering {
-    /// Choose per shape: 1×1 stride-1 pad-0 layers run as a GEMM over the
-    /// packed activations, narrow layers (≤ [`IM2COL_MAX_CHANNELS`]
-    /// channels) are im2col-lowered so the tiled GEMM amortizes their
-    /// short channel vectors, and wide layers run the direct conv whose
-    /// long channel dots already saturate the popcount units.
-    #[default]
-    Auto,
-    /// Always use the direct channel-packed convolution.
-    Direct,
-    /// Always lower to im2col + GEMM.
-    Im2col,
-}
-
-/// Channel-count threshold for [`Lowering::Auto`]: at or below this the
-/// im2col lowering wins (short channel vectors, per-position call overhead
-/// dominates the direct path); above it the direct path's long dots win
-/// and the 9× activation duplication stops paying for itself.
-pub const IM2COL_MAX_CHANNELS: usize = 256;
-
-/// Which 3×3 lowering [`Lowering::Auto`] prefers: the im2col+GEMM path or
-/// the im2col-free streaming direct path
-/// (see [`crate::ops::streamconv`]).
-///
-/// Orthogonal to [`Lowering`]: an explicit `Lowering::Direct`/`Im2col`
-/// still pins that lowering; this knob only steers the automatic choice
-/// (and, for [`ConvMode::Auto`], hands the decision to the first-dispatch
-/// autotuner, which measures both paths on the live operands per conv
-/// geometry).
+/// How a 3×3 convolution is lowered onto the binary compute substrate —
+/// the one conv knob (`BITNN_CONV`). The rest of the choice is fixed by
+/// shape: a 1×1 stride-1 pad-0 layer runs as a GEMM over the packed
+/// activations, and any other non-3×3 kernel is im2col-lowered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ConvMode {
     /// Autotune per conv geometry: on the first dispatch of each 3×3
-    /// shape, time the streaming path against im2col on the real operands
-    /// and cache the winner (see [`crate::simd::conv_choices`]).
+    /// shape, time the streaming path (see [`crate::ops::streamconv`])
+    /// against im2col on the real operands and cache the winner (see
+    /// [`crate::simd::conv_choices`]).
     #[default]
     Auto,
     /// Always use the streaming shifted-window path for 3×3 layers.
     Stream,
-    /// Keep the legacy channel-count heuristic: im2col at or below
-    /// [`IM2COL_MAX_CHANNELS`] channels, direct above.
+    /// Always lower 3×3 layers to im2col + GEMM.
     Im2col,
 }
 
@@ -77,7 +50,7 @@ impl ConvMode {
 pub const DEFAULT_MIN_WORK: u64 = 32 * 1024;
 
 /// Execution policy: worker count, per-dispatch inline threshold, and
-/// lowering choice.
+/// 3×3 conv lowering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecPolicy {
     /// Number of threads parallel sections may use (≥ 1), counting the
@@ -91,27 +64,24 @@ pub struct ExecPolicy {
     /// tiny ops (short GEMMs, 1×1 convs on small maps) from losing to
     /// their own parallel overhead.
     pub min_work: u64,
-    /// Convolution lowering selection.
-    pub lowering: Lowering,
-    /// Streaming-vs-im2col steering for [`Lowering::Auto`] 3×3 layers.
+    /// 3×3 conv lowering: autotuned, streaming, or im2col.
     pub conv: ConvMode,
 }
 
 impl Default for ExecPolicy {
     /// All available hardware parallelism, default inline threshold,
-    /// automatic lowering, `BITNN_CONV`-resolved conv mode.
+    /// `BITNN_CONV`-resolved conv mode.
     fn default() -> Self {
         ExecPolicy {
             threads: thread::available_parallelism().map_or(1, usize::from),
             min_work: DEFAULT_MIN_WORK,
-            lowering: Lowering::Auto,
             conv: ConvMode::from_env(),
         }
     }
 }
 
 impl ExecPolicy {
-    /// Everything inline on the calling thread, automatic lowering.
+    /// Everything inline on the calling thread.
     pub fn single_threaded() -> Self {
         ExecPolicy {
             threads: 1,
@@ -119,7 +89,7 @@ impl ExecPolicy {
         }
     }
 
-    /// `threads` workers, automatic lowering.
+    /// `threads` workers.
     ///
     /// # Panics
     ///

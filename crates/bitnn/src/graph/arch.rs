@@ -4,8 +4,7 @@
 //! IR, executor, compression pipeline, and simulator:
 //!
 //! * **`reactnet`** — the paper's 13-block MobileNet-backbone ReActNet
-//!   (built by [`crate::model::ReActNet`], which carries the calibrated
-//!   paper weights and the frozen scalar oracle);
+//!   ([`reactnet_spec`], also behind [`crate::model::ReActNet`]);
 //! * **`vggsmall`** — a VGG-Small-style plain stack: five binary 3×3
 //!   convolutions with batch-norm + RPReLU between average-pool
 //!   downsamples, no shortcuts;
@@ -20,9 +19,8 @@
 use super::spec::{ConvGeometry, GraphSpec, NodeSpec, OpSpec};
 use super::{GraphNode, ModelGraph, NodeOp};
 use crate::error::{BitnnError, Result};
-use crate::layers::{BinConv2d, QuantConv2d, QuantLinear, RPReLU, RSign};
-use crate::model::reactnet::{small_params, varied_bn};
-use crate::model::{ReActNet, ReActNetConfig};
+use crate::layers::{BatchNorm, BinConv2d, QuantConv2d, QuantLinear, RPReLU, RSign};
+use crate::model::ReActNetConfig;
 use crate::ops::conv::Conv2dParams;
 use crate::tensor::{BitTensor, Tensor};
 use crate::weightgen::{random_floats, random_kernel, SeqDistribution};
@@ -116,27 +114,15 @@ pub fn build_spec(arch: Arch, scale: f64, image: usize) -> Result<GraphSpec> {
 }
 
 /// Build a weighted, executable model of a built-in family with
-/// deterministic synthetic weights. For `reactnet` this is
-/// [`ReActNet::new`] converted to its graph (the calibrated paper
-/// weights); the other families go through [`attach_weights`].
+/// deterministic synthetic weights: [`attach_weights`] over
+/// [`build_spec`].
 ///
 /// # Errors
 ///
 /// Returns [`BitnnError::InvalidConfig`] under the same conditions as
 /// [`build_spec`].
 pub fn build_model(arch: Arch, scale: f64, image: usize, seed: u64) -> Result<ModelGraph> {
-    match arch {
-        Arch::ReActNet => {
-            check_scale(scale)?;
-            if image == 0 {
-                return Err(BitnnError::InvalidConfig("image size must be >= 1".into()));
-            }
-            let mut cfg = ReActNetConfig::scaled(scale).map_err(BitnnError::InvalidConfig)?;
-            cfg.image_size = image;
-            Ok(ReActNet::new(cfg, seed)?.into_graph())
-        }
-        Arch::VggSmall | Arch::ResNetLite => attach_weights(&build_spec(arch, scale, image)?, seed),
-    }
+    attach_weights(&build_spec(arch, scale, image)?, seed)
 }
 
 /// Attach deterministic synthetic weights to a weight-free spec,
@@ -144,8 +130,8 @@ pub fn build_model(arch: Arch, scale: f64, image: usize, seed: u64) -> Result<Mo
 /// from the calibrated per-block bit-sequence distributions (paper
 /// Table II, cycled every 13 convolutions, see [`Conv3Slot::sample`]);
 /// 1×1 kernels are uniform; the 8-bit stem/classifier get uniform float
-/// weights; batch-norms carry the same mild fan-in-scaled variation as
-/// the ReActNet generator.
+/// weights; batch-norms carry a mild fan-in-scaled variation around
+/// identity.
 ///
 /// # Errors
 ///
@@ -288,6 +274,26 @@ where
     Ok(ModelGraph::new(spec.arch.clone(), nodes)?)
 }
 
+/// Small deterministic per-channel parameters in `[-bound, bound]`.
+fn small_params(channels: usize, seed: u64, bound: f32) -> Vec<f32> {
+    random_floats(channels, bound, seed)
+}
+
+/// A batch-norm with mild per-channel variation around identity, so the
+/// synthetic network's activations neither explode nor collapse.
+fn varied_bn(channels: usize, seed: u64) -> BatchNorm {
+    let g = random_floats(channels, 0.2, seed ^ 1);
+    let b = random_floats(channels, 0.2, seed ^ 2);
+    let gamma: Vec<f32> = g.iter().map(|v| 0.1 + v.abs()).collect();
+    let beta = b;
+    // Normalize roughly by fan-in scale: binary conv outputs are O(C * 9);
+    // use mean 0, var (C*9/4)^2-ish folded into gamma instead. Keep BN
+    // statistics simple: mean 0, var 1, and let gamma carry the scale-down.
+    let scale = 1.0 / (channels as f32 * 3.0);
+    let gamma = gamma.iter().map(|v| v * scale).collect();
+    BatchNorm::new(gamma, beta, vec![0.0; channels], vec![1.0; channels], 1e-5)
+}
+
 /// Sample the calibrated kernel of every compressible 3×3 convolution of
 /// a spec — the kernels `bnnkc compress` encodes and `bnnkc verify`
 /// regenerates. Seeding is stable per conv index (and matches the
@@ -320,9 +326,11 @@ fn push_spec(nodes: &mut Vec<NodeSpec>, op: OpSpec, inputs: &[usize]) -> usize {
     nodes.len() - 1
 }
 
-/// The ReActNet graph topology for a configuration. Mirrors
-/// [`ReActNet::into_graph`] node for node (a unit test pins the two
-/// together), so a spec can be built — and a container validated —
+/// The ReActNet graph topology for a configuration: the stem, each
+/// block's 3×3 stage (pooled identity shortcut at stride 2) and 1×1 stage
+/// (duplicated shortcut when the channels double), then the pool and
+/// classifier. [`crate::model::ReActNet`] is this spec under
+/// [`attach_weights`]; on its own it lets a container be validated
 /// without constructing any weights.
 ///
 /// # Errors
@@ -609,7 +617,7 @@ mod tests {
     fn reactnet_spec_matches_the_model_graph() {
         let cfg = ReActNetConfig::tiny();
         let spec = reactnet_spec(&cfg).unwrap();
-        let model = ReActNet::new(cfg, 3).unwrap();
+        let model = crate::model::ReActNet::new(cfg, 3).unwrap();
         assert_eq!(model.graph().spec(), &spec);
     }
 

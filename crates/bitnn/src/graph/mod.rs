@@ -8,8 +8,8 @@
 //! sign, binary conv, batch-norm, RPReLU, pools, shortcut add, channel
 //! duplication, classifier) that the executor lowers onto the
 //! [`crate::engine`] machinery, fusing every
-//! `conv → bn → (+shortcut) → act` chain onto the same fused element-wise
-//! kernels the ReActNet block path uses. New BNN topologies become data,
+//! `conv → bn → (+shortcut) → act` chain onto one fused element-wise
+//! kernel. New BNN topologies become data,
 //! not code: see [`arch`] for the built-in families
 //! (`reactnet`/`vggsmall`/`resnetlite`) and [`GraphBuilder`] for
 //! assembling custom ones.

@@ -22,7 +22,7 @@ use std::sync::OnceLock;
 /// including the engine's cached lowering forms — are derived lazily
 /// through [`OnceLock`]s, so a forward pass materializes only what its
 /// execution path actually reads. A packed-deployed layer running the
-/// direct path never builds the flat tensor or the im2col weight matrix.
+/// streaming path never builds the flat tensor or the im2col weight matrix.
 #[derive(Debug, Clone)]
 pub struct BinConv2d {
     filters: usize,
@@ -36,7 +36,7 @@ pub struct BinConv2d {
     packed: OnceLock<PackedKernel>,
     /// im2col-lowered weight matrix (GEMM lowerings).
     lowered: OnceLock<PackedMatrix>,
-    /// Per-filter, per-position ones counts (direct lowering's padding
+    /// Per-filter, per-position ones counts (streaming lowering's padding
     /// closed form).
     pad_ones: OnceLock<Vec<u32>>,
 }
@@ -140,13 +140,13 @@ impl BinConv2d {
     }
 
     /// The kernel forms the engine's chosen lowering will actually read,
-    /// materializing only those — a direct-path forward never builds the
+    /// materializing only those — a streaming forward never builds the
     /// im2col matrix and vice versa. When the path is autotuned at first
     /// dispatch (`None`), every form the candidate paths could read is
     /// provided, so the warmed forward never builds one mid-dispatch.
     pub fn forms_for(&self, engine: &Engine) -> KernelForms<'_> {
-        match engine.conv_path(self.kh, self.kw, self.params, self.channels) {
-            Some(ConvPath::Direct) | Some(ConvPath::Stream) => KernelForms {
+        match engine.conv_path(self.kh, self.kw, self.params) {
+            Some(ConvPath::Stream) => KernelForms {
                 packed: self.packed(),
                 lowered: None,
                 pad_ones: Some(self.pad_ones()),

@@ -54,7 +54,7 @@ pub mod weightgen;
 pub use backend::{Backend, BackendKind};
 pub use engine::{Engine, KernelForms, Scratch};
 pub use error::{BitnnError, Result};
-pub use exec::{ConvMode, ExecPolicy, Lowering};
+pub use exec::{ConvMode, ExecPolicy};
 pub use graph::arch::Arch;
 pub use graph::{BatchScratch, GraphBuilder, GraphSpec, ModelGraph};
 pub use pack::{PackedActivations, PackedKernel};

@@ -1,11 +1,9 @@
 //! The ReActNet model (paper Fig. 1 and Table I).
 
-pub mod block;
 pub mod reactnet;
 pub mod storage;
 pub mod workload;
 
-pub use block::BasicBlock;
 pub use reactnet::{BlockSpec, ReActNet, ReActNetConfig};
 pub use storage::{OpCategory, StorageBreakdown};
 pub use workload::{ConvMode, LayerWorkload};

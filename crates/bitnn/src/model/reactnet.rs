@@ -1,26 +1,27 @@
 //! The full ReActNet model (paper Sec. II-B).
 //!
-//! 15 layers: one 8-bit input convolution, 13 basic blocks
-//! ([`crate::model::block::BasicBlock`]), and one 8-bit fully-connected
-//! output layer, with a global average pool before the classifier. The
+//! 15 layers: one 8-bit input convolution, 13 basic blocks (paper Fig. 1:
+//! `RSign → 1-bit 3×3 conv → BatchNorm → (+ shortcut) → RPReLU`, then the
+//! same around a 1-bit 1×1 conv), and one 8-bit fully-connected output
+//! layer, with a global average pool before the classifier. The
 //! channel/stride schedule follows the MobileNet backbone that ReActNet is
 //! derived from; with it, the storage breakdown reproduces paper Table I
 //! (3×3 convolutions ≈ 68% of all bits).
+//!
+//! A [`ReActNet`] is its configuration plus the layer graph
+//! [`crate::graph::arch::reactnet_spec`] describes, weighted by the same
+//! generator every built-in family uses
+//! ([`crate::graph::arch::attach_weights`]).
 
 use crate::engine::{Engine, Scratch};
-use crate::error::{BitnnError, Result};
-use crate::graph::{GraphNode, ModelGraph, NodeOp};
-use crate::layers::{
-    global_avg_pool, BatchNorm, BinConv2d, Layer, QuantConv2d, QuantLinear, RPReLU, RSign,
-};
-use crate::model::block::BasicBlock;
+use crate::error::Result;
+use crate::graph::arch::{attach_weights, reactnet_spec};
+use crate::graph::{ModelGraph, NodeOp};
+use crate::layers::Layer;
 use crate::model::storage::{OpCategory, StorageBreakdown};
 use crate::model::workload::LayerWorkload;
 use crate::ops::conv::Conv2dParams;
 use crate::tensor::{BitTensor, Tensor};
-use crate::weightgen::{random_floats, random_kernel, SeqDistribution};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Channel/stride specification of one basic block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -221,96 +222,28 @@ impl ReActNetConfig {
     }
 }
 
-/// The assembled network.
-///
-/// The blocks are the primary storage and the frozen scalar oracle
-/// ([`Self::forward_scalar`]); construction also assembles the layer-graph
-/// IR twin ([`crate::graph::ModelGraph`], holding clones of the layers),
-/// and every engine-path forward runs through the graph executor. Kernel
-/// mutations keep both views in sync.
+/// The assembled network: its configuration and the weighted layer graph.
 #[derive(Debug, Clone)]
 pub struct ReActNet {
     config: ReActNetConfig,
-    input_conv: QuantConv2d,
-    blocks: Vec<BasicBlock>,
-    classifier: QuantLinear,
     graph: ModelGraph,
 }
 
 impl ReActNet {
-    /// Build a network with calibrated synthetic weights.
-    ///
-    /// Each block's 3×3 kernel is sampled from
-    /// [`SeqDistribution::for_block`] so that the bit-sequence statistics
-    /// reproduce paper Table II; 1×1 kernels are uniform random (the paper
-    /// does not compress them); the 8-bit layers get uniform float weights.
+    /// Build a network with calibrated synthetic weights: the graph of
+    /// [`reactnet_spec`] under [`attach_weights`]. Each 3×3 kernel is
+    /// sampled from its block's calibrated distribution so that the
+    /// bit-sequence statistics reproduce paper Table II; 1×1 kernels are
+    /// uniform random (the paper does not compress them); the 8-bit
+    /// layers get uniform float weights.
     ///
     /// # Errors
     ///
-    /// Returns [`BitnnError::InvalidConfig`] if the configuration fails
-    /// [`ReActNetConfig::validate`].
+    /// Returns [`crate::error::BitnnError::InvalidConfig`] if the
+    /// configuration fails [`ReActNetConfig::validate`].
     pub fn new(config: ReActNetConfig, seed: u64) -> Result<Self> {
-        config
-            .validate()
-            .map_err(|e| BitnnError::InvalidConfig(format!("invalid ReActNet config: {e}")))?;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let stem = config.stem_channels;
-
-        let input_weights = Tensor::from_vec(
-            &[stem, config.input_channels, 3, 3],
-            random_floats(stem * config.input_channels * 9, 1.0, seed ^ 0xA11CE),
-        )
-        .expect("consistent stem shape");
-        let input_conv =
-            QuantConv2d::from_float(&input_weights, Conv2dParams { stride: 2, pad: 1 });
-
-        let mut blocks = Vec::with_capacity(config.blocks.len());
-        for (i, spec) in config.blocks.iter().enumerate() {
-            let paper_block = i % 13 + 1;
-            let dist = SeqDistribution::for_block(paper_block, seed);
-            let w3 = dist.sample_kernel(spec.in_ch, spec.in_ch, &mut rng);
-            let w1 = random_kernel(&[spec.out_ch, spec.in_ch, 1, 1], seed ^ (i as u64) << 8);
-            blocks.push(BasicBlock {
-                sign1: RSign::new(small_params(spec.in_ch, seed ^ (i as u64), 0.05)),
-                conv3: BinConv2d::new(
-                    w3,
-                    Conv2dParams {
-                        stride: spec.stride,
-                        pad: 1,
-                    },
-                ),
-                bn1: varied_bn(spec.in_ch, seed ^ (i as u64) << 1),
-                act1: RPReLU::new(
-                    small_params(spec.in_ch, seed ^ (i as u64) << 2, 0.05),
-                    vec![0.25; spec.in_ch],
-                    small_params(spec.in_ch, seed ^ (i as u64) << 3, 0.05),
-                ),
-                sign2: RSign::new(small_params(spec.in_ch, seed ^ (i as u64) << 4, 0.05)),
-                conv1: BinConv2d::new(w1, Conv2dParams::default()),
-                bn2: varied_bn(spec.out_ch, seed ^ (i as u64) << 5),
-                act2: RPReLU::new(
-                    small_params(spec.out_ch, seed ^ (i as u64) << 6, 0.05),
-                    vec![0.25; spec.out_ch],
-                    small_params(spec.out_ch, seed ^ (i as u64) << 7, 0.05),
-                ),
-            });
-        }
-
-        let final_ch = config.blocks.last().unwrap().out_ch;
-        let classifier = QuantLinear::from_float(
-            &random_floats(config.num_classes * final_ch, 0.5, seed ^ 0xC1A55),
-            config.num_classes,
-            final_ch,
-        );
-
-        let graph = build_graph(&config, &input_conv, &blocks, &classifier);
-        Ok(ReActNet {
-            config,
-            input_conv,
-            blocks,
-            classifier,
-            graph,
-        })
+        let graph = attach_weights(&reactnet_spec(&config)?, seed)?;
+        Ok(ReActNet { config, graph })
     }
 
     /// The paper's full model.
@@ -323,15 +256,9 @@ impl ReActNet {
         ReActNet::new(ReActNetConfig::tiny(), seed).expect("built-in config is valid")
     }
 
-    /// The layer-graph IR view of this network (same weights; the graph
-    /// holds its own clones, kept in sync by the kernel setters).
+    /// The layer graph holding the weights.
     pub fn graph(&self) -> &ModelGraph {
         &self.graph
-    }
-
-    /// Convert into the graph representation, dropping the block view.
-    pub fn into_graph(self) -> ModelGraph {
-        self.graph
     }
 
     /// The configuration.
@@ -339,14 +266,9 @@ impl ReActNet {
         &self.config
     }
 
-    /// The basic blocks.
-    pub fn blocks(&self) -> &[BasicBlock] {
-        &self.blocks
-    }
-
     /// Number of basic blocks.
     pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
+        self.config.blocks.len()
     }
 
     /// The binary 3×3 kernel of block `i` (the object of compression).
@@ -355,7 +277,7 @@ impl ReActNet {
     ///
     /// Panics if `i` is out of range.
     pub fn conv3_weights(&self, i: usize) -> &BitTensor {
-        self.blocks[i].conv3.weights()
+        self.graph.conv3_weights(i)
     }
 
     /// Replace block `i`'s 3×3 kernel (used after clustering).
@@ -364,10 +286,9 @@ impl ReActNet {
     ///
     /// Panics if `i` is out of range or the shape changes.
     pub fn set_conv3_weights(&mut self, i: usize, weights: BitTensor) {
-        self.blocks[i].conv3.set_weights(weights.clone());
         self.graph
             .set_conv3_weights(i, weights)
-            .expect("graph mirrors the block schedule");
+            .expect("block index in range");
     }
 
     /// Replace block `i`'s 3×3 kernel with an already channel-packed
@@ -379,17 +300,17 @@ impl ReActNet {
     ///
     /// Panics if `i` is out of range or the packed geometry changes.
     pub fn set_conv3_packed(&mut self, i: usize, packed: crate::pack::PackedKernel) {
-        self.blocks[i].conv3.set_packed(packed.clone());
         self.graph
             .set_conv3_packed(i, packed)
-            .expect("graph mirrors the block schedule");
+            .expect("block index in range");
     }
 
     /// Full forward pass: `[N, 3, S, S]` image → `[N, num_classes]` logits.
     ///
     /// Runs through the graph executor's fast path (tiled kernels,
     /// fused block stages, scratch-buffer reuse) on the calling thread;
-    /// bit-exact with the scalar seed path ([`Self::forward_scalar`]).
+    /// bit-exact with the scalar oracle
+    /// ([`crate::graph::ModelGraph::forward_scalar`]).
     /// Use [`Self::forward_with`] to supply a policy and a long-lived
     /// scratch, or [`Self::forward_batch`] for multi-image parallelism.
     ///
@@ -464,29 +385,6 @@ impl ReActNet {
             .expect("strides validated at construction")
     }
 
-    /// The seed's scalar forward pass: per-position dot products, no
-    /// tiling, no fusion, fresh allocations per layer. Kept bit-identical
-    /// as the perf-tracking baseline that `perfsuite` measures the engine
-    /// against, and as an oracle for the equivalence tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input shape does not match the configuration.
-    pub fn forward_scalar(&self, input: &Tensor) -> Tensor {
-        let shape = input.shape();
-        assert_eq!(shape.len(), 4, "input must be [N, C, H, W]");
-        assert_eq!(
-            shape[1], self.config.input_channels,
-            "input channel mismatch"
-        );
-        let mut x = self.input_conv.forward(input);
-        for b in &self.blocks {
-            x = b.forward(&x).expect("strides validated at construction");
-        }
-        let pooled = global_avg_pool(&x);
-        self.classifier.forward_2d(&pooled)
-    }
-
     /// Forward pass that also returns each block's binarized 3×3-stage
     /// input — the activation bit tensors whose 3×3 windows form the
     /// "input" bit sequences of the paper's Sec. I observation.
@@ -500,23 +398,24 @@ impl ReActNet {
             .expect("strides validated at construction")
     }
 
-    /// Storage breakdown by Table I category.
+    /// Storage breakdown by Table I category, summed over the graph's
+    /// weighted nodes.
     pub fn storage_breakdown(&self) -> StorageBreakdown {
         let mut b = StorageBreakdown::new();
-        b.add(OpCategory::InputLayer, self.input_conv.param_bits());
-        b.add(OpCategory::OutputLayer, self.classifier.param_bits());
-        for blk in &self.blocks {
-            b.add(OpCategory::Conv3x3, blk.conv3.param_bits());
-            b.add(OpCategory::Conv1x1, blk.conv1.param_bits());
-            b.add(
-                OpCategory::Others,
-                blk.sign1.param_bits()
-                    + blk.bn1.param_bits()
-                    + blk.act1.param_bits()
-                    + blk.sign2.param_bits()
-                    + blk.bn2.param_bits()
-                    + blk.act2.param_bits(),
-            );
+        for node in self.graph.nodes() {
+            let (category, bits) = match &node.op {
+                NodeOp::StemConv(q) => (OpCategory::InputLayer, q.param_bits()),
+                NodeOp::Classifier(l) => (OpCategory::OutputLayer, l.param_bits()),
+                NodeOp::BinConv(c) if c.kernel_size() == (3, 3) => {
+                    (OpCategory::Conv3x3, c.param_bits())
+                }
+                NodeOp::BinConv(c) => (OpCategory::Conv1x1, c.param_bits()),
+                NodeOp::Sign(l) => (OpCategory::Others, l.param_bits()),
+                NodeOp::BatchNorm(l) => (OpCategory::Others, l.param_bits()),
+                NodeOp::Act(l) => (OpCategory::Others, l.param_bits()),
+                _ => continue,
+            };
+            b.add(category, bits);
         }
         b
     }
@@ -528,135 +427,101 @@ impl ReActNet {
     }
 }
 
-/// Assemble the layer-graph IR for a validated configuration, cloning the
-/// layers into typed nodes. Node order mirrors
-/// [`crate::graph::arch::reactnet_spec`] exactly (a unit test pins them
-/// together), so a weight-free spec built from the same configuration is
-/// structurally identical to `graph().spec()`.
-fn build_graph(
-    config: &ReActNetConfig,
-    input_conv: &QuantConv2d,
-    blocks: &[BasicBlock],
-    classifier: &QuantLinear,
-) -> ModelGraph {
-    let mut nodes = vec![GraphNode {
-        name: "input".into(),
-        op: NodeOp::Input {
-            channels: config.input_channels,
-            image: config.image_size,
-        },
-        inputs: vec![],
-    }];
-    let push = |nodes: &mut Vec<GraphNode>, name: String, op: NodeOp, inputs: &[usize]| {
-        nodes.push(GraphNode {
-            name,
-            op,
-            inputs: inputs.to_vec(),
-        });
-        nodes.len() - 1
-    };
-    let mut x = push(
-        &mut nodes,
-        "input.conv".into(),
-        NodeOp::StemConv(input_conv.clone()),
-        &[0],
-    );
-    for (i, (spec, b)) in config.blocks.iter().zip(blocks).enumerate() {
-        let p = format!("block{}", i + 1);
-        let sign = push(
-            &mut nodes,
-            format!("{p}.sign1"),
-            NodeOp::Sign(b.sign1.clone()),
-            &[x],
-        );
-        let conv = push(
-            &mut nodes,
-            format!("{p}.conv3x3"),
-            NodeOp::BinConv(b.conv3.clone()),
-            &[sign],
-        );
-        let bn = push(
-            &mut nodes,
-            format!("{p}.bn1"),
-            NodeOp::BatchNorm(b.bn1.clone()),
-            &[conv],
-        );
-        let sc = if spec.stride == 2 {
-            push(&mut nodes, format!("{p}.pool"), NodeOp::AvgPool2x2, &[x])
-        } else {
-            x
-        };
-        let addn = push(&mut nodes, format!("{p}.add1"), NodeOp::Add, &[bn, sc]);
-        let mid = push(
-            &mut nodes,
-            format!("{p}.act1"),
-            NodeOp::Act(b.act1.clone()),
-            &[addn],
-        );
-        let sign = push(
-            &mut nodes,
-            format!("{p}.sign2"),
-            NodeOp::Sign(b.sign2.clone()),
-            &[mid],
-        );
-        let conv = push(
-            &mut nodes,
-            format!("{p}.conv1x1"),
-            NodeOp::BinConv(b.conv1.clone()),
-            &[sign],
-        );
-        let bn = push(
-            &mut nodes,
-            format!("{p}.bn2"),
-            NodeOp::BatchNorm(b.bn2.clone()),
-            &[conv],
-        );
-        let sc = if spec.out_ch == 2 * spec.in_ch {
-            push(&mut nodes, format!("{p}.dup"), NodeOp::ChannelDup, &[mid])
-        } else {
-            mid
-        };
-        let addn = push(&mut nodes, format!("{p}.add2"), NodeOp::Add, &[bn, sc]);
-        x = push(
-            &mut nodes,
-            format!("{p}.act2"),
-            NodeOp::Act(b.act2.clone()),
-            &[addn],
-        );
-    }
-    let gap = push(&mut nodes, "gap".into(), NodeOp::GlobalAvgPool, &[x]);
-    push(
-        &mut nodes,
-        "output.fc".into(),
-        NodeOp::Classifier(classifier.clone()),
-        &[gap],
-    );
-    ModelGraph::new("reactnet", nodes).expect("a validated config builds a valid graph")
-}
-
-/// Small deterministic per-channel parameters in `[-bound, bound]`.
-pub(crate) fn small_params(channels: usize, seed: u64, bound: f32) -> Vec<f32> {
-    random_floats(channels, bound, seed)
-}
-
-/// A batch-norm with mild per-channel variation around identity, so the
-/// synthetic network's activations neither explode nor collapse.
-pub(crate) fn varied_bn(channels: usize, seed: u64) -> BatchNorm {
-    let g = random_floats(channels, 0.2, seed ^ 1);
-    let b = random_floats(channels, 0.2, seed ^ 2);
-    let gamma: Vec<f32> = g.iter().map(|v| 0.1 + v.abs()).collect();
-    let beta = b;
-    // Normalize roughly by fan-in scale: binary conv outputs are O(C * 9);
-    // use mean 0, var (C*9/4)^2-ish folded into gamma instead. Keep BN
-    // statistics simple: mean 0, var 1, and let gamma carry the scale-down.
-    let scale = 1.0 / (channels as f32 * 3.0);
-    let gamma = gamma.iter().map(|v| v * scale).collect();
-    BatchNorm::new(gamma, beta, vec![0.0; channels], vec![1.0; channels], 1e-5)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::BitnnError;
+    use crate::graph::ShapeInfo;
+    use crate::weightgen::random_floats;
+
+    /// A one-block network whose block sees `hw × hw` maps (the stem
+    /// halves its `2hw` input).
+    fn one_block(in_ch: usize, out_ch: usize, stride: usize, hw: usize) -> ReActNet {
+        let cfg = ReActNetConfig {
+            image_size: 2 * hw,
+            input_channels: 3,
+            stem_channels: in_ch,
+            blocks: vec![BlockSpec {
+                in_ch,
+                out_ch,
+                stride,
+            }],
+            num_classes: 10,
+        };
+        ReActNet::new(cfg, 40 + (out_ch + stride) as u64).unwrap()
+    }
+
+    fn input(batch: usize, image: usize, seed: u64) -> Tensor {
+        let len = batch * 3 * image * image;
+        Tensor::from_vec(&[batch, 3, image, image], random_floats(len, 1.0, seed)).unwrap()
+    }
+
+    /// The inferred shape of the block's output map, after checking that
+    /// the network forwards to finite logits.
+    fn block_output(in_ch: usize, out_ch: usize, stride: usize, hw: usize) -> ShapeInfo {
+        let m = one_block(in_ch, out_ch, stride, hw);
+        let y = m.forward(&input(1, 2 * hw, 5));
+        assert_eq!(y.shape(), &[1, 10]);
+        assert!(y.data().iter().all(|v| v.is_finite()));
+        let shapes = m.graph().spec().shapes().unwrap();
+        // ... → block act2 → global pool → classifier.
+        shapes[shapes.len() - 3]
+    }
+
+    #[test]
+    fn stride1_same_channels_preserves_shape() {
+        let got = block_output(8, 8, 1, 6);
+        assert_eq!(got, ShapeInfo::Map { ch: 8, h: 6, w: 6 });
+    }
+
+    #[test]
+    fn stride2_halves_spatial() {
+        let got = block_output(8, 8, 2, 8);
+        assert_eq!(got, ShapeInfo::Map { ch: 8, h: 4, w: 4 });
+    }
+
+    #[test]
+    fn channel_doubling_block() {
+        let got = block_output(8, 16, 1, 4);
+        assert_eq!(got, ShapeInfo::Map { ch: 16, h: 4, w: 4 });
+    }
+
+    #[test]
+    fn stride2_and_doubling_together() {
+        // Odd input; pad 1, k 3, stride 2: out = (7 + 2 - 3)/2 + 1 = 4.
+        let got = block_output(8, 16, 2, 7);
+        assert_eq!(got, ShapeInfo::Map { ch: 16, h: 4, w: 4 });
+    }
+
+    #[test]
+    fn engine_forward_is_bit_exact_with_scalar() {
+        // Every block shape class: identity, stride-2, channel-doubling,
+        // and both combined — the fused engine path must match the scalar
+        // oracle bit-for-bit.
+        for (c_in, c_out, stride, hw) in [(8, 8, 1, 6), (8, 8, 2, 8), (8, 16, 1, 4), (8, 16, 2, 7)]
+        {
+            let m = one_block(c_in, c_out, stride, hw);
+            let x = input(2, 2 * hw, 99);
+            let scalar = m.graph().forward_scalar(&x).unwrap();
+            for threads in [1, 4] {
+                let engine = Engine::with_threads(threads);
+                let fused = m.forward_with(&x, &engine, &mut Scratch::default());
+                assert_eq!(
+                    scalar.data(),
+                    fused.data(),
+                    "c_in={c_in} c_out={c_out} stride={stride} threads={threads}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn param_bits_dominated_by_conv3() {
+        let b = one_block(64, 64, 1, 4).storage_breakdown();
+        // conv3 = 64*64*9 bits, conv1 = 64*64 bits; 3x3 should dominate.
+        assert!(b.bits(OpCategory::Conv3x3) > b.bits(OpCategory::Conv1x1) * 8);
+        assert!(b.bits(OpCategory::Others) > 0);
+    }
 
     #[test]
     fn tiny_forward_shape() {
@@ -684,7 +549,7 @@ mod tests {
         assert_eq!(batched.len(), 3);
         let mut scratch = Scratch::default();
         for (x, via_batch) in inputs.iter().zip(&batched) {
-            let scalar = m.forward_scalar(x);
+            let scalar = m.graph().forward_scalar(x).unwrap();
             let fast = m.forward(x);
             let with = m.forward_with(x, &engine, &mut scratch);
             assert_eq!(scalar.data(), fast.data());

@@ -9,7 +9,7 @@
 //! the padding.
 
 use crate::error::{BitnnError, Result};
-use crate::ops::dot::{dot_channels, dot_channels_seed};
+use crate::ops::dot::dot_channels_seed;
 use crate::pack::{PackedActivations, PackedKernel};
 use crate::tensor::Tensor;
 
@@ -129,110 +129,6 @@ pub fn conv2d_binary(
         }
     }
     Ok(out)
-}
-
-/// Direct convolution of a contiguous band of output rows.
-///
-/// One "item" is an `(img, filter, oy)` triple — `ow` output pixels — and
-/// the band covers items `row_start ..` for `out.len() / ow` items. This is
-/// the worker body the [`crate::engine::Engine`] hands to each thread with
-/// a disjoint slice of the output tensor; computing the whole tensor with
-/// `row_start = 0` reproduces [`conv2d_binary`] exactly. Dispatches to an
-/// AVX2+popcnt instantiation when the CPU has one (see [`crate::simd`]).
-#[inline]
-pub(crate) fn conv2d_direct_rows(
-    acts: &PackedActivations,
-    kernel: &PackedKernel,
-    params: Conv2dParams,
-    pad_ones: &[u32],
-    row_start: usize,
-    out: &mut [f32],
-) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        /// AVX-512 instantiation of [`conv2d_direct_rows_portable`]: the
-        /// channel-dot `count_ones` loops compile to hardware `vpopcntq`.
-        #[target_feature(enable = "avx512f,avx512bw,avx512vpopcntdq,popcnt")]
-        unsafe fn conv2d_direct_rows_avx512(
-            acts: &PackedActivations,
-            kernel: &PackedKernel,
-            params: Conv2dParams,
-            pad_ones: &[u32],
-            row_start: usize,
-            out: &mut [f32],
-        ) {
-            conv2d_direct_rows_portable(acts, kernel, params, pad_ones, row_start, out);
-        }
-        /// AVX2+popcnt instantiation of [`conv2d_direct_rows_portable`].
-        #[target_feature(enable = "avx2,popcnt")]
-        unsafe fn conv2d_direct_rows_avx2(
-            acts: &PackedActivations,
-            kernel: &PackedKernel,
-            params: Conv2dParams,
-            pad_ones: &[u32],
-            row_start: usize,
-            out: &mut [f32],
-        ) {
-            conv2d_direct_rows_portable(acts, kernel, params, pad_ones, row_start, out);
-        }
-        if crate::simd::avx512() {
-            // SAFETY: avx512f/bw/vpopcntdq + popcnt were detected at runtime.
-            return unsafe {
-                conv2d_direct_rows_avx512(acts, kernel, params, pad_ones, row_start, out)
-            };
-        }
-        if crate::simd::avx2() {
-            // SAFETY: avx2 + popcnt were detected at runtime.
-            return unsafe {
-                conv2d_direct_rows_avx2(acts, kernel, params, pad_ones, row_start, out)
-            };
-        }
-    }
-    conv2d_direct_rows_portable(acts, kernel, params, pad_ones, row_start, out);
-}
-
-/// Portable body of [`conv2d_direct_rows`].
-#[inline(always)]
-fn conv2d_direct_rows_portable(
-    acts: &PackedActivations,
-    kernel: &PackedKernel,
-    params: Conv2dParams,
-    pad_ones: &[u32],
-    row_start: usize,
-    out: &mut [f32],
-) {
-    let (c, h, w) = (acts.channels(), acts.height(), acts.width());
-    let (kf, kh, kw) = (kernel.filters(), kernel.kh(), kernel.kw());
-    let oh = params.out_dim(h, kh);
-    let ow = params.out_dim(w, kw);
-    let positions = kh * kw;
-    let total_bits = (positions * c) as i32;
-    for (r, orow) in out.chunks_mut(ow).enumerate() {
-        let global = row_start + r;
-        let oy = global % oh;
-        let k = (global / oh) % kf;
-        let img = global / (oh * kf);
-        for (ox, o) in orow.iter_mut().enumerate() {
-            let mut agree = 0u32;
-            for ky in 0..kh {
-                let iy = (oy * params.stride + ky) as isize - params.pad as isize;
-                for kx in 0..kw {
-                    let ix = (ox * params.stride + kx) as isize - params.pad as isize;
-                    let p = ky * kw + kx;
-                    if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
-                        agree += dot_channels(
-                            acts.pixel_lanes(img, iy as usize, ix as usize),
-                            kernel.position_lanes(k, p),
-                            c,
-                        );
-                    } else {
-                        agree += c as u32 - pad_ones[k * positions + p];
-                    }
-                }
-            }
-            *o = (2 * agree as i32 - total_bits) as f32;
-        }
-    }
 }
 
 #[cfg(test)]

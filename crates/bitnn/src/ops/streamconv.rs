@@ -24,8 +24,8 @@
 //!   words per filter into locals and runs the interior columns branch-free
 //!   with full-word popcounts plus a closed-form tail correction.
 //!
-//! AVX2/AVX-512 instantiations sit next to the existing direct-conv
-//! dispatch (see [`crate::simd`]); the portable body is the oracle.
+//! AVX2/AVX-512 instantiations are dispatched at runtime (see
+//! [`crate::simd`]); the portable body is the oracle.
 
 use crate::ops::conv::Conv2dParams;
 use crate::ops::dot::dot_channels;

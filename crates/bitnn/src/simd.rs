@@ -377,9 +377,8 @@ pub struct ConvChoice {
 }
 
 /// Decision caches stop growing past this many distinct geometries — a
-/// graph with more unique conv shapes than this falls back to the static
-/// heuristic for the excess, which costs speed but never correctness or
-/// steady-state allocations.
+/// graph with more unique conv shapes than this has the excess tuned
+/// again on every dispatch, which costs speed but never correctness.
 const CONV_CACHE_CAP: usize = 256;
 
 /// Per-geometry decision cache. Holds *autotuned* entries only: a pinned

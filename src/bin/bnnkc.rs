@@ -70,6 +70,7 @@
 //! Unrecognized flags are rejected: a typo like `--seeed 7` is an error,
 //! not a silently applied default.
 
+use bitnn::layers::BinConv2d;
 use bnnkc::prelude::*;
 use simcpu::energy::EnergyModel;
 use simcpu::exec::ExecStats;
@@ -622,25 +623,27 @@ fn cmd_run(args: &[String]) -> CliResult {
     let arch = resolve_arch(args, &container)?;
     let container_spec = container.spec_or_reactnet(image)?;
 
-    // Build the weighted model graph and validate the container against
-    // it *before* decoding anything: a wrong --scale/--arch is reported
-    // as a geometry mismatch here, not as a shape panic mid-forward.
-    let mut model = build_model(arch, scale, image, seed)?;
-    check_container_geometry(&container_spec, model.spec(), arch, scale)?;
+    // Validate the container against the model the flags describe
+    // *before* decoding anything: a wrong --scale/--arch is reported as a
+    // geometry mismatch here, not as a shape panic mid-forward.
+    let spec = build_spec(arch, scale, image)?;
+    check_container_geometry(&container_spec, &spec, arch, scale)?;
 
-    // Deploy the compressed kernels. Streamed path: Huffman stream →
-    // channel-packed lane words → engine weight forms, no intermediate
-    // [K, C, 3, 3] tensor. Offline path: decompress to a flat tensor,
-    // then re-pack — the bit-exact reference.
+    // Deploy the way `serve` does: every layer gets the seed's synthetic
+    // weights except the 3×3 slots, each built straight from its record.
+    // Streamed path: Huffman stream → channel-packed lane words → engine
+    // weight forms, no intermediate [K, C, 3, 3] tensor. Offline path:
+    // decompress to a flat tensor, then pack — the bit-exact reference.
     let engine = Engine::with_threads(threads);
     let t0 = Instant::now();
-    for (i, c) in container.kernels.iter().enumerate() {
-        if offline {
-            model.set_conv3_weights(i, c.decode_kernel()?)?;
+    let model = attach_weights_with(&spec, seed, |slot| {
+        let c = &container.kernels[slot.index];
+        Ok::<_, Box<dyn std::error::Error>>(if offline {
+            BinConv2d::new(c.decode_kernel()?, slot.params)
         } else {
-            model.set_conv3_packed(i, c.decode_packed()?)?;
-        }
-    }
+            BinConv2d::from_packed(c.decode_packed()?, slot.params)
+        })
+    })?;
     let decode_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let input_channels = match container_spec.nodes.first().map(|n| n.op) {

@@ -45,7 +45,10 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 fn steady_state_forward_batch_performs_zero_allocations() {
     let model = ReActNet::tiny(7);
     let inputs = synthetic_batch(4, 3, 32, 11);
-    let expect: Vec<Tensor> = inputs.iter().map(|x| model.forward_scalar(x)).collect();
+    let expect: Vec<Tensor> = inputs
+        .iter()
+        .map(|x| model.graph().forward_scalar(x).unwrap())
+        .collect();
     let engine = Engine::single_threaded();
     let mut scratch = BatchScratch::default();
     let mut outs = Vec::new();

@@ -15,7 +15,7 @@ use bnnkc::prelude::*;
 use proptest::prelude::*;
 
 use bitnn::backend::all_backends;
-use bitnn::exec::{ConvMode, Lowering};
+use bitnn::exec::ConvMode;
 use bitnn::layers::{BatchNorm, BinConv2d, QuantConv2d, QuantLinear, RPReLU, RSign};
 use bitnn::ops::conv::Conv2dParams;
 use bitnn::pack::PackedActivations;
@@ -216,7 +216,6 @@ proptest! {
             conv: ConvMode::Stream,
             // Exercise the parallel band split even on tiny shapes.
             min_work: 0,
-            ..ExecPolicy::default()
         });
         let mut scratch = ConvScratch::default();
         let got = engine.conv2d(&pa, (&pk).into(), params, &mut scratch).unwrap();
@@ -268,7 +267,7 @@ proptest! {
 
     /// Op-level floor under the graph sweep: the engine conv is bit-exact
     /// vs `ops::reference` across random shapes, strides, pads, thread
-    /// counts, and every lowering — through whatever SIMD path the host
+    /// counts, and every conv mode — through whatever SIMD path the host
     /// dispatches (portable, AVX2, AVX-512).
     #[test]
     fn engine_conv_matches_reference(
@@ -281,13 +280,13 @@ proptest! {
         stride in 1usize..3,
         pad in 0usize..2,
         threads in 1usize..5,
-        lowering_pick in 0usize..3,
+        conv_pick in 0usize..3,
         seed in any::<u64>()
     ) {
         use bitnn::engine::ConvScratch;
         use bitnn::ops::reference::conv2d_reference;
 
-        let lowering = [Lowering::Auto, Lowering::Direct, Lowering::Im2col][lowering_pick];
+        let conv = [ConvMode::Auto, ConvMode::Stream, ConvMode::Im2col][conv_pick];
         let a = random_kernel(&[n, c, h, w], seed);
         let wk = random_kernel(&[kf, c, ks, ks], !seed);
         let pa = PackedActivations::pack(&a).unwrap();
@@ -295,10 +294,9 @@ proptest! {
         let params = Conv2dParams { stride, pad };
         let engine = Engine::new(ExecPolicy {
             threads,
-            lowering,
+            conv,
             // Exercise the parallel path even on tiny shapes.
             min_work: 0,
-            ..ExecPolicy::default()
         });
         let mut scratch = ConvScratch::default();
         let got = engine.conv2d(&pa, (&pk).into(), params, &mut scratch).unwrap();
@@ -361,7 +359,6 @@ fn conv_modes_match_scalar_across_threads_and_architectures() {
                     threads,
                     conv,
                     min_work: 0,
-                    ..ExecPolicy::default()
                 });
                 let what = format!("{arch} {conv:?} threads {threads}");
                 let backend = CpuBackend::new(engine.clone());

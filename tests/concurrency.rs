@@ -6,7 +6,7 @@
 //! caller-owned — so concurrent `forward_batch` calls must neither corrupt
 //! each other nor deadlock the pool, whichever thread's job drains first.
 
-use bitnn::engine::{ExecPolicy, Lowering};
+use bitnn::engine::ExecPolicy;
 use bitnn::graph::BatchScratch;
 use bnnkc::prelude::*;
 use std::thread;
@@ -17,7 +17,6 @@ fn engine(threads: usize) -> Engine {
         // Force the parallel path even on the tiny test workloads so the
         // pool sees concurrent jobs wherever the hardware allows.
         min_work: 0,
-        lowering: Lowering::Auto,
         ..ExecPolicy::default()
     })
 }
@@ -30,7 +29,10 @@ fn concurrent_forward_batch_on_one_engine_is_bit_exact() {
     let cases: Vec<(Vec<Tensor>, Vec<Tensor>)> = (0..4u64)
         .map(|t| {
             let inputs = synthetic_batch(3, 3, 32, 100 + t);
-            let expect = inputs.iter().map(|x| model.forward_scalar(x)).collect();
+            let expect = inputs
+                .iter()
+                .map(|x| model.graph().forward_scalar(x).unwrap())
+                .collect();
             (inputs, expect)
         })
         .collect();

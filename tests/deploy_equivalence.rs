@@ -1,9 +1,10 @@
 //! Registry deployment equivalence: `registry::deploy_bytes`, which
 //! builds every compressible 3×3 slot straight from its decoded container
 //! record, must produce logits bit-exact with the offline deployment
-//! (`attach_weights`, then `decode_kernel`, then `set_conv3_weights`) for
-//! every built-in family and container version — and must never
-//! materialize a flat 3×3 weight tensor doing it.
+//! (`attach_weights`, then `decode_kernel`, then `set_conv3_weights`) and
+//! with the model `bnnkc run` builds from its flags (`build_model`, then
+//! the decoded kernels) for every built-in family and container version —
+//! and must never materialize a flat 3×3 weight tensor doing it.
 
 use bitnn::graph::NodeOp;
 use bitnn::layers::BinConv2d;
@@ -52,6 +53,19 @@ fn offline_logits(bytes: &[u8], inputs: &[Tensor]) -> Vec<Vec<u32>> {
     logits(&graph, &Engine::single_threaded(), inputs)
 }
 
+/// The model `bnnkc run --arch A --scale S` deploys: the flag-described
+/// family with the container's kernels in its 3×3 slots.
+fn flag_model_logits(arch: Arch, scale: f64, bytes: &[u8], inputs: &[Tensor]) -> Vec<Vec<u32>> {
+    let parsed = read_model_container(bytes).unwrap();
+    let mut graph = build_model(arch, scale, IMAGE, WEIGHT_SEED).unwrap();
+    for (i, c) in parsed.kernels.iter().enumerate() {
+        graph
+            .set_conv3_packed(i, c.decode_packed().unwrap())
+            .unwrap();
+    }
+    logits(&graph, &Engine::single_threaded(), inputs)
+}
+
 fn logits(graph: &ModelGraph, engine: &Engine, inputs: &[Tensor]) -> Vec<Vec<u32>> {
     graph
         .forward_batch(inputs, engine)
@@ -79,6 +93,11 @@ fn registry_deploy_is_bit_exact_with_offline_deploy() {
         for (version, bytes) in containers(arch, scale) {
             let expected = offline_logits(&bytes, &inputs);
             let what = format!("{arch} v{version}");
+            assert_eq!(
+                flag_model_logits(arch, scale, &bytes, &inputs),
+                expected,
+                "{what}: flag-built model"
+            );
             let engine = Engine::with_threads(2);
             let entry = deploy_bytes(&bytes, &engine, WEIGHT_SEED, IMAGE, 1).unwrap();
             let graph = &entry.graph;
