@@ -13,7 +13,7 @@
 
 use bench::{arg_u64, TablePrinter};
 use bitnn::infer::{compare_models, synthetic_batch};
-use bitnn::model::ReActNet;
+use bitnn::model::ReActNetConfig;
 use kc_core::cluster::{ClusterConfig, ClusterPlan};
 use kc_core::FreqTable;
 
@@ -23,10 +23,11 @@ fn main() {
     let inputs = arg_u64(&args, "--inputs", 32) as usize;
     let radius = arg_u64(&args, "--radius", 1) as u32;
 
-    let original = ReActNet::tiny(seed);
+    let cfg = ReActNetConfig::tiny();
+    let original = cfg.model(seed).expect("valid config");
     let mut clustered = original.clone();
     let mut total_subs = 0usize;
-    for i in 0..clustered.num_blocks() {
+    for i in 0..clustered.num_conv3() {
         let kernel = clustered.conv3_weights(i).clone();
         let freq = FreqTable::from_kernel(&kernel).expect("3x3 kernel");
         let plan = ClusterPlan::build(
@@ -38,10 +39,11 @@ fn main() {
         );
         total_subs += plan.replaced();
         let rewritten = plan.apply_to_kernel(&kernel).expect("same shape");
-        clustered.set_conv3_weights(i, rewritten);
+        clustered
+            .set_conv3_weights(i, rewritten)
+            .expect("same shape");
     }
 
-    let cfg = original.config().clone();
     let batch = synthetic_batch(inputs, cfg.input_channels, cfg.image_size, seed ^ 0xF00D);
     let agg = compare_models(&original, &clustered, &batch);
 

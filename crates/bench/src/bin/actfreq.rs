@@ -13,7 +13,7 @@
 
 use bench::{arg_u64, TablePrinter};
 use bitnn::infer::synthetic_batch;
-use bitnn::model::ReActNet;
+use bitnn::model::ReActNetConfig;
 use kc_core::actseq::activation_freq;
 use kc_core::{FreqTable, TreeConfig};
 
@@ -22,14 +22,14 @@ fn main() {
     let seed = arg_u64(&args, "--seed", 1);
     let inputs = arg_u64(&args, "--inputs", 4) as usize;
 
-    let model = ReActNet::tiny(seed);
-    let cfg = model.config().clone();
+    let cfg = ReActNetConfig::tiny();
+    let model = cfg.model(seed).expect("valid config");
     let batch = synthetic_batch(inputs, cfg.input_channels, cfg.image_size, seed ^ 0xACED);
 
     // Merge activation frequencies across the batch per block.
-    let mut per_block: Vec<FreqTable> = (0..model.num_blocks()).map(|_| FreqTable::new()).collect();
+    let mut per_block: Vec<FreqTable> = (0..model.num_conv3()).map(|_| FreqTable::new()).collect();
     for input in &batch {
-        let (_, traces) = model.forward_traced(input);
+        let (_, traces) = model.forward_traced(input).expect("forward");
         for (i, bits) in traces.iter().enumerate() {
             per_block[i].merge(&activation_freq(bits).expect("3x3-capable activations"));
         }

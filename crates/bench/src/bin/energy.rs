@@ -3,11 +3,12 @@
 //! performance/storage; DRAM traffic dominates edge energy).
 //!
 //! ```text
-//! cargo run -p bench --release --bin energy [-- --seed 1 --image 224]
+//! cargo run -p bench --release --bin energy [-- --image 224]
 //! ```
 
 use bench::{arg_u64, TablePrinter};
-use bitnn::model::{OpCategory, ReActNet, ReActNetConfig};
+use bitnn::graph::arch::reactnet_spec;
+use bitnn::model::{OpCategory, ReActNetConfig};
 use simcpu::config::CpuConfig;
 use simcpu::energy::EnergyModel;
 use simcpu::exec::ExecStats;
@@ -16,13 +17,11 @@ use simcpu::run::{run_model, Mode};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let seed = arg_u64(&args, "--seed", 1);
     let image = arg_u64(&args, "--image", 224) as usize;
 
     let mut model_cfg = ReActNetConfig::full();
     model_cfg.image_size = image;
-    let model = ReActNet::new(model_cfg, seed).expect("valid config");
-    let wls = model.workloads();
+    let wls = reactnet_spec(&model_cfg).expect("valid config").workloads();
     let cpu = CpuConfig::default();
     let em = EnergyModel::default();
     let line = cpu.l1.line_bytes as u64;

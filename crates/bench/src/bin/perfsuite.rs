@@ -11,7 +11,7 @@
 //!    autotuner actually chose for the geometry, and the pinned
 //!    `engine_stream` row feeds the enforced `conv_stream_1t_speedup`
 //!    criterion.
-//! 3. **End-to-end** — `ReActNet::tiny` forward over a batch: the graph's
+//! 3. **End-to-end** — the tiny ReActNet forward over a batch: the graph's
 //!    `forward_scalar` per image vs `forward_batch` across the ladder.
 //! 4. **Compressed e2e** — deploy a wide graph-IR ReActNet container
 //!    (at scale 1.0 the late blocks are 512-channel 3×3 convs, so the
@@ -108,7 +108,7 @@ use bitnn::exec::{ConvMode, ExecPolicy};
 use bitnn::graph::arch::{attach_weights, build_model, Arch};
 use bitnn::graph::arch::{build_spec, sample_conv3_kernels};
 use bitnn::infer::synthetic_batch;
-use bitnn::model::ReActNet;
+use bitnn::model::ReActNetConfig;
 use bitnn::ops::conv::{conv2d_binary, Conv2dParams};
 use bitnn::ops::gemm::{
     gemm_binary, gemm_binary_naive, gemm_kernel_name, warm_gemm_tables, PackedMatrix,
@@ -496,30 +496,29 @@ fn bench_e2e(smoke: bool, seed: u64, ladder: &[usize]) -> Section {
     // Batch 32 is the serving shape: large enough that batch-level
     // parallelism amortizes the way it would under sustained traffic.
     let (batch, iters) = if smoke { (2usize, 1usize) } else { (32, 4) };
-    let model = ReActNet::tiny(seed);
+    let model = ReActNetConfig::tiny().model(seed).expect("valid config");
     let inputs = synthetic_batch(batch, 3, 32, seed ^ 0xACE);
 
-    let oracle = model.graph();
     let expect: Vec<_> = inputs
         .iter()
-        .map(|x| oracle.forward_scalar(x).expect("scalar walk"))
+        .map(|x| model.forward_scalar(x).expect("scalar walk"))
         .collect();
     let baseline_ns = time_ns(iters, || {
         for x in &inputs {
-            black_box(oracle.forward_scalar(black_box(x)).unwrap());
+            black_box(model.forward_scalar(black_box(x)).unwrap());
         }
     });
 
     let mut entries: Vec<Entry> = Vec::new();
     for &t in ladder {
         let eng = engine(t);
-        let got = model.forward_batch(&inputs, &eng);
+        let got = model.forward_batch(&inputs, &eng).expect("batch forward");
         for (g, e) in got.iter().zip(&expect) {
             assert_eq!(g.data(), e.data(), "engine forward mismatch at {t} threads");
         }
         let entry = entry_reusing(&entries, "engine_batch", t, fused_graph_kernel(), || {
             time_ns(iters, || {
-                black_box(model.forward_batch(black_box(&inputs), &eng));
+                black_box(model.forward_batch(black_box(&inputs), &eng).unwrap());
             })
         });
         entries.push(entry);
@@ -809,11 +808,13 @@ fn bench_parallel_scaling(smoke: bool, seed: u64, ladder: &[usize]) -> Section {
     let kernel = PackedKernel::pack(&random_bits(&[ckf, cc, 3, 3], seed ^ 0x5CA4)).unwrap();
     let conv_expect = conv2d_binary(&acts, &kernel, params).unwrap();
 
-    let model = ReActNet::tiny(seed ^ 0x5CA5);
+    let model = ReActNetConfig::tiny()
+        .model(seed ^ 0x5CA5)
+        .expect("valid config");
     let inputs = synthetic_batch(batch, 3, 32, seed ^ 0x5CA6);
     let e2e_expect: Vec<_> = inputs
         .iter()
-        .map(|x| model.graph().forward_scalar(x).expect("scalar walk"))
+        .map(|x| model.forward_scalar(x).expect("scalar walk"))
         .collect();
 
     let mut entries: Vec<Entry> = Vec::new();
@@ -859,13 +860,13 @@ fn bench_parallel_scaling(smoke: bool, seed: u64, ladder: &[usize]) -> Section {
         );
         entries.push(entry);
 
-        let got = model.forward_batch(&inputs, &eng);
+        let got = model.forward_batch(&inputs, &eng).expect("batch forward");
         for (g, e) in got.iter().zip(&e2e_expect) {
             assert_eq!(g.data(), e.data(), "e2e @ {t}t");
         }
         let entry = entry_reusing(&entries, "e2e", t, fused_graph_kernel(), || {
             time_ns(eiters, || {
-                black_box(model.forward_batch(black_box(&inputs), &eng));
+                black_box(model.forward_batch(black_box(&inputs), &eng).unwrap());
             })
         });
         entries.push(entry);

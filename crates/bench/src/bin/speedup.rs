@@ -15,7 +15,8 @@
 //! (not the simulated geometry).
 
 use bench::{arg_f64, arg_u64, block_kernel, headline, vs, TablePrinter};
-use bitnn::model::{OpCategory, ReActNet, ReActNetConfig};
+use bitnn::graph::arch::reactnet_spec;
+use bitnn::model::{OpCategory, ReActNetConfig};
 use kc_core::codec::KernelCodec;
 use simcpu::config::CpuConfig;
 use simcpu::run::{run_model, Mode};
@@ -46,8 +47,7 @@ fn main() {
 
     let mut model_cfg = ReActNetConfig::full();
     model_cfg.image_size = image;
-    let model = ReActNet::new(model_cfg, seed).expect("valid config");
-    let wls = model.workloads();
+    let wls = reactnet_spec(&model_cfg).expect("valid config").workloads();
     let cpu = CpuConfig::default();
     println!("\n{}", cpu.to_table());
 

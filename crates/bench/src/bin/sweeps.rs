@@ -9,16 +9,15 @@
 //! ```
 
 use bench::{arg_u64, TablePrinter};
-use bitnn::model::{ReActNet, ReActNetConfig};
+use bitnn::graph::arch::reactnet_spec;
+use bitnn::model::ReActNetConfig;
 use simcpu::config::CpuConfig;
 use simcpu::run::{run_model, Mode};
 
 fn model_workloads(image: usize) -> Vec<bitnn::model::LayerWorkload> {
     let mut cfg = ReActNetConfig::full();
     cfg.image_size = image;
-    ReActNet::new(cfg, 1)
-        .expect("valid sweep config")
-        .workloads()
+    reactnet_spec(&cfg).expect("valid sweep config").workloads()
 }
 
 fn speedup(cpu: &CpuConfig, wls: &[bitnn::model::LayerWorkload], ratio: f64) -> f64 {

@@ -9,7 +9,7 @@
 //! ```
 
 use bench::{arg_u64, TablePrinter, PAPER_TABLE1};
-use bitnn::model::{OpCategory, ReActNet, ReActNetConfig};
+use bitnn::model::{OpCategory, ReActNetConfig};
 use simcpu::config::CpuConfig;
 use simcpu::run::{run_model, Mode};
 
@@ -20,7 +20,7 @@ fn main() {
 
     let mut model_cfg = ReActNetConfig::full();
     model_cfg.image_size = image;
-    let model = ReActNet::new(model_cfg, seed).expect("valid config");
+    let model = model_cfg.model(seed).expect("valid config");
 
     let storage = model.storage_breakdown();
     let cpu = CpuConfig::default();

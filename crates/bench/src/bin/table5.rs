@@ -7,7 +7,7 @@
 //! ```
 
 use bench::{arg_f64, arg_flag, arg_u64, block_kernel, headline, vs, TablePrinter, PAPER_TABLE5};
-use bitnn::model::ReActNet;
+use bitnn::model::ReActNetConfig;
 use kc_core::codec::{model_compression_ratio, KernelCodec};
 
 fn main() {
@@ -74,7 +74,7 @@ fn main() {
 
     if arg_flag(&args, "--model") {
         println!("\nWhole-model compression (all layers; only 3x3 kernels compressed):");
-        let model = ReActNet::full(seed);
+        let model = ReActNetConfig::full().model(seed).expect("valid config");
         let mr = model_compression_ratio(&model, &clustering).expect("model compresses");
         println!(
             "  original {:.2} Mbit -> compressed {:.2} Mbit: ratio {}",

@@ -4,16 +4,11 @@
 //! and prints the published values next to the measured ones. The
 //! constants here transcribe the paper so the comparison is explicit.
 
+use bitnn::model::ReActNetConfig;
 use bitnn::tensor::BitTensor;
 use bitnn::weightgen::SeqDistribution;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Input channel count of each basic block's 3×3 kernel in the full
-/// ReActNet (MobileNet schedule).
-pub const BLOCK_CHANNELS: [usize; 13] = [
-    32, 64, 128, 128, 256, 256, 512, 512, 512, 512, 512, 512, 1024,
-];
 
 /// Paper Table II: (top-64 %, top-256 %) per block.
 pub const PAPER_TABLE2: [(f64, f64); 13] = bitnn::weightgen::TABLE2_TARGETS;
@@ -62,9 +57,10 @@ pub mod headline {
     pub const MODEL_RATIO: f64 = 1.2;
 }
 
-/// Build block `block`'s full-size 3×3 kernel with the calibrated
-/// distribution. `scale` (0 < scale <= 1) shrinks the channel count for
-/// quick runs; the statistics are scale-invariant.
+/// Build block `block`'s 3×3 kernel at its channel count in the full
+/// ReActNet ([`ReActNetConfig::full`]) with the calibrated distribution.
+/// `scale` (0 < scale <= 1) shrinks the channel count for quick runs;
+/// the statistics are scale-invariant.
 ///
 /// # Panics
 ///
@@ -72,7 +68,8 @@ pub mod headline {
 pub fn block_kernel(block: usize, seed: u64, scale: f64) -> BitTensor {
     assert!((1..=13).contains(&block), "block must be 1..=13");
     assert!(scale > 0.0 && scale <= 1.0, "scale must be in (0, 1]");
-    let c = ((BLOCK_CHANNELS[block - 1] as f64 * scale).round() as usize).max(8);
+    let full = ReActNetConfig::full().blocks[block - 1].in_ch;
+    let c = ((full as f64 * scale).round() as usize).max(8);
     let mut rng = StdRng::seed_from_u64(seed ^ block as u64);
     SeqDistribution::for_block(block, 0).sample_kernel(c, c, &mut rng)
 }

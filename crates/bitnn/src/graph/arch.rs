@@ -4,7 +4,7 @@
 //! IR, executor, compression pipeline, and simulator:
 //!
 //! * **`reactnet`** — the paper's 13-block MobileNet-backbone ReActNet
-//!   ([`reactnet_spec`], also behind [`crate::model::ReActNet`]);
+//!   ([`reactnet_spec`], also behind [`ReActNetConfig::model`]);
 //! * **`vggsmall`** — a VGG-Small-style plain stack: five binary 3×3
 //!   convolutions with batch-norm + RPReLU between average-pool
 //!   downsamples, no shortcuts;
@@ -329,7 +329,7 @@ fn push_spec(nodes: &mut Vec<NodeSpec>, op: OpSpec, inputs: &[usize]) -> usize {
 /// The ReActNet graph topology for a configuration: the stem, each
 /// block's 3×3 stage (pooled identity shortcut at stride 2) and 1×1 stage
 /// (duplicated shortcut when the channels double), then the pool and
-/// classifier. [`crate::model::ReActNet`] is this spec under
+/// classifier. [`ReActNetConfig::model`] is this spec under
 /// [`attach_weights`]; on its own it lets a container be validated
 /// without constructing any weights.
 ///
@@ -617,8 +617,8 @@ mod tests {
     fn reactnet_spec_matches_the_model_graph() {
         let cfg = ReActNetConfig::tiny();
         let spec = reactnet_spec(&cfg).unwrap();
-        let model = crate::model::ReActNet::new(cfg, 3).unwrap();
-        assert_eq!(model.graph().spec(), &spec);
+        let model = cfg.model(3).unwrap();
+        assert_eq!(model.spec(), &spec);
     }
 
     #[test]

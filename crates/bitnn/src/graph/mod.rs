@@ -42,7 +42,8 @@ use crate::backend::{Backend, CpuBackend};
 use crate::engine::{Engine, Scratch};
 use crate::error::{BitnnError, Result};
 use crate::exec::ExecPolicy;
-use crate::layers::{BatchNorm, BinConv2d, QuantConv2d, QuantLinear, RPReLU, RSign};
+use crate::layers::{BatchNorm, BinConv2d, Layer, QuantConv2d, QuantLinear, RPReLU, RSign};
+use crate::model::storage::{OpCategory, StorageBreakdown};
 use crate::model::workload::LayerWorkload;
 use crate::pack::PackedKernel;
 use crate::tensor::{BitTensor, Tensor};
@@ -163,7 +164,7 @@ impl NodeOp {
 /// One node of a weighted model graph.
 #[derive(Debug, Clone)]
 pub struct GraphNode {
-    /// Display name (e.g. `"block3.conv3x3"`).
+    /// Display name (e.g. `"n5.bin_conv"`).
     pub name: String,
     /// The weighted operator.
     pub op: NodeOp,
@@ -488,6 +489,28 @@ impl ModelGraph {
     /// Per-layer workload descriptors for the timing simulator.
     pub fn workloads(&self) -> Vec<LayerWorkload> {
         self.spec.workloads()
+    }
+
+    /// Storage breakdown by Table I category, summed over the weighted
+    /// nodes.
+    pub fn storage_breakdown(&self) -> StorageBreakdown {
+        let mut b = StorageBreakdown::new();
+        for node in &self.nodes {
+            let (category, bits) = match &node.op {
+                NodeOp::StemConv(q) => (OpCategory::InputLayer, q.param_bits()),
+                NodeOp::Classifier(l) => (OpCategory::OutputLayer, l.param_bits()),
+                NodeOp::BinConv(c) if c.kernel_size() == (3, 3) => {
+                    (OpCategory::Conv3x3, c.param_bits())
+                }
+                NodeOp::BinConv(c) => (OpCategory::Conv1x1, c.param_bits()),
+                NodeOp::Sign(l) => (OpCategory::Others, l.param_bits()),
+                NodeOp::BatchNorm(l) => (OpCategory::Others, l.param_bits()),
+                NodeOp::Act(l) => (OpCategory::Others, l.param_bits()),
+                _ => continue,
+            };
+            b.add(category, bits);
+        }
+        b
     }
 
     /// Forward pass on the calling thread through the engine's fast path.

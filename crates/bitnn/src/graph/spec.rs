@@ -555,6 +555,44 @@ mod tests {
         assert_eq!(wls[2].category, OpCategory::OutputLayer);
     }
 
+    /// The simulator geometry of the paper's full ReActNet (224×224,
+    /// MobileNet schedule), pinned entry by entry: the 224→112 stem, each
+    /// block's 3×3 then 1×1 stage, and the 1024→1000 classifier.
+    #[test]
+    fn full_reactnet_workloads_are_pinned() {
+        use crate::graph::arch::reactnet_spec;
+        use crate::model::ReActNetConfig;
+        use OpCategory::{Conv1x1 as C1, Conv3x3 as C3, InputLayer, OutputLayer};
+        #[rustfmt::skip]
+        let want: [(OpCategory, usize, usize, usize, usize, usize); 28] = [
+            (InputLayer, 3, 32, 3, 112, 8),
+            (C3, 32, 32, 3, 112, 1), (C1, 32, 64, 1, 112, 1),
+            (C3, 64, 64, 3, 56, 1), (C1, 64, 128, 1, 56, 1),
+            (C3, 128, 128, 3, 56, 1), (C1, 128, 128, 1, 56, 1),
+            (C3, 128, 128, 3, 28, 1), (C1, 128, 256, 1, 28, 1),
+            (C3, 256, 256, 3, 28, 1), (C1, 256, 256, 1, 28, 1),
+            (C3, 256, 256, 3, 14, 1), (C1, 256, 512, 1, 14, 1),
+            (C3, 512, 512, 3, 14, 1), (C1, 512, 512, 1, 14, 1),
+            (C3, 512, 512, 3, 14, 1), (C1, 512, 512, 1, 14, 1),
+            (C3, 512, 512, 3, 14, 1), (C1, 512, 512, 1, 14, 1),
+            (C3, 512, 512, 3, 14, 1), (C1, 512, 512, 1, 14, 1),
+            (C3, 512, 512, 3, 14, 1), (C1, 512, 512, 1, 14, 1),
+            (C3, 512, 512, 3, 7, 1), (C1, 512, 1024, 1, 7, 1),
+            (C3, 1024, 1024, 3, 7, 1), (C1, 1024, 1024, 1, 7, 1),
+            (OutputLayer, 1024, 1000, 1, 1, 8),
+        ];
+        let got: Vec<_> = reactnet_spec(&ReActNetConfig::full())
+            .unwrap()
+            .workloads()
+            .iter()
+            .map(|w| {
+                assert_eq!((w.kw, w.ow), (w.kh, w.oh), "{} is square", w.name);
+                (w.category, w.in_ch, w.out_ch, w.kh, w.oh, w.precision_bits)
+            })
+            .collect();
+        assert_eq!(got, want);
+    }
+
     #[test]
     fn sign_must_feed_a_conv() {
         let mut s = plain_spec();

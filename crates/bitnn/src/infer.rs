@@ -6,7 +6,7 @@
 //! means clustering provably cannot change any downstream accuracy number.
 
 use crate::engine::Engine;
-use crate::model::ReActNet;
+use crate::graph::ModelGraph;
 use crate::tensor::Tensor;
 use crate::weightgen::random_floats;
 
@@ -62,9 +62,9 @@ pub fn synthetic_batch(n: usize, channels: usize, size: usize, seed: u64) -> Vec
 ///
 /// # Panics
 ///
-/// Panics if `inputs` is empty or the models produce different logit
-/// shapes.
-pub fn compare_models(a: &ReActNet, b: &ReActNet, inputs: &[Tensor]) -> Agreement {
+/// Panics if `inputs` is empty, a model cannot run the inputs, or the
+/// models produce different logit shapes.
+pub fn compare_models(a: &ModelGraph, b: &ModelGraph, inputs: &[Tensor]) -> Agreement {
     compare_models_with(a, b, inputs, &Engine::single_threaded())
 }
 
@@ -74,17 +74,21 @@ pub fn compare_models(a: &ReActNet, b: &ReActNet, inputs: &[Tensor]) -> Agreemen
 ///
 /// # Panics
 ///
-/// Panics if `inputs` is empty or the models produce different logit
-/// shapes.
+/// Panics if `inputs` is empty, a model cannot run the inputs, or the
+/// models produce different logit shapes.
 pub fn compare_models_with(
-    a: &ReActNet,
-    b: &ReActNet,
+    a: &ModelGraph,
+    b: &ModelGraph,
     inputs: &[Tensor],
     engine: &Engine,
 ) -> Agreement {
     assert!(!inputs.is_empty(), "need at least one input");
-    let outs_a = a.forward_batch(inputs, engine);
-    let outs_b = b.forward_batch(inputs, engine);
+    let outs_a = a
+        .forward_batch(inputs, engine)
+        .expect("model a runs the inputs");
+    let outs_b = b
+        .forward_batch(inputs, engine)
+        .expect("model b runs the inputs");
     let mut matches = 0usize;
     let mut dev_sum = 0.0f64;
     let mut dev_max = 0.0f64;
@@ -112,10 +116,15 @@ pub fn compare_models_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::ReActNetConfig;
+
+    fn tiny(seed: u64) -> ModelGraph {
+        ReActNetConfig::tiny().model(seed).unwrap()
+    }
 
     #[test]
     fn model_agrees_with_itself() {
-        let m = ReActNet::tiny(1);
+        let m = tiny(1);
         let inputs = synthetic_batch(3, 3, 32, 42);
         let agg = compare_models(&m, &m, &inputs);
         assert_eq!(agg.top1, 1.0);
@@ -126,8 +135,8 @@ mod tests {
 
     #[test]
     fn parallel_comparison_matches_single_threaded() {
-        let a = ReActNet::tiny(1);
-        let b = ReActNet::tiny(2);
+        let a = tiny(1);
+        let b = tiny(2);
         let inputs = synthetic_batch(4, 3, 32, 17);
         let serial = compare_models(&a, &b, &inputs);
         let parallel = compare_models_with(&a, &b, &inputs, &Engine::with_threads(4));
@@ -136,8 +145,8 @@ mod tests {
 
     #[test]
     fn different_models_disagree_somewhere() {
-        let a = ReActNet::tiny(1);
-        let b = ReActNet::tiny(2);
+        let a = tiny(1);
+        let b = tiny(2);
         let inputs = synthetic_batch(3, 3, 32, 42);
         let agg = compare_models(&a, &b, &inputs);
         assert!(agg.mean_abs_dev > 0.0);
@@ -155,7 +164,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one input")]
     fn empty_batch_panics() {
-        let m = ReActNet::tiny(1);
+        let m = tiny(1);
         compare_models(&m, &m, &[]);
     }
 }

@@ -15,7 +15,6 @@ use crate::tensor::Tensor;
 
 pub mod batchnorm;
 pub mod binconv;
-pub mod binlinear;
 pub mod pool;
 pub mod prelu;
 pub mod quant;
@@ -23,7 +22,6 @@ pub mod sign;
 
 pub use batchnorm::BatchNorm;
 pub use binconv::BinConv2d;
-pub use binlinear::BinLinear;
 pub use pool::{avg_pool_2x2, avg_pool_2x2_into, global_avg_pool, global_avg_pool_into};
 pub use prelu::RPReLU;
 pub use quant::{QuantConv2d, QuantLinear, QuantScratch};

@@ -10,9 +10,12 @@
 //!   many channels is packed into machine words so a single register load
 //!   brings in one position of up to 64 channels,
 //! * **xnor + popcount** convolution and GEMM kernels (paper Eq. 2),
-//! * the **ReActNet** layer set and model (paper Fig. 1 / Table I):
-//!   `RSign`, binary 3×3 / 1×1 convolutions, batch-norm, `RPReLU`, 8-bit
-//!   quantized input and output layers, and
+//! * the **ReActNet** layer set (paper Fig. 1 / Table I): `RSign`,
+//!   binary 3×3 / 1×1 convolutions, batch-norm, `RPReLU`, 8-bit
+//!   quantized input and output layers,
+//! * one model type, the layer graph [`ModelGraph`]: ReActNet and the
+//!   other built-in families are graph specs weighted by one generator
+//!   ([`graph::arch`]), and
 //! * a **calibrated synthetic weight generator** reproducing the published
 //!   bit-sequence frequency statistics (paper Fig. 3 / Table II), used in
 //!   place of the trained ImageNet checkpoint.
@@ -20,14 +23,15 @@
 //! # Quick example
 //!
 //! ```
-//! use bitnn::model::ReActNet;
+//! use bitnn::model::ReActNetConfig;
 //! use bitnn::tensor::Tensor;
 //!
 //! // A small ReActNet-shaped model (scaled-down channel schedule).
-//! let model = ReActNet::tiny(0xBEEF);
+//! let model = ReActNetConfig::tiny().model(0xBEEF)?;
 //! let input = Tensor::zeros(&[1, 3, 32, 32]);
-//! let logits = model.forward(&input);
+//! let logits = model.forward(&input)?;
 //! assert_eq!(logits.shape(), &[1, 10]);
+//! # Ok::<(), bitnn::BitnnError>(())
 //! ```
 //!
 //! [daBNN]: https://arxiv.org/abs/1908.05858
@@ -41,7 +45,6 @@ pub mod error;
 pub mod exec;
 pub mod graph;
 pub mod infer;
-pub mod io;
 pub mod layers;
 pub mod model;
 pub mod ops;

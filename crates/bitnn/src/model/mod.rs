@@ -4,6 +4,6 @@ pub mod reactnet;
 pub mod storage;
 pub mod workload;
 
-pub use reactnet::{BlockSpec, ReActNet, ReActNetConfig};
+pub use reactnet::{BlockSpec, ReActNetConfig};
 pub use storage::{OpCategory, StorageBreakdown};
 pub use workload::{ConvMode, LayerWorkload};

@@ -22,7 +22,7 @@ pub enum ConvMode {
 /// Geometry of one layer's compute.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerWorkload {
-    /// Display name, e.g. `"block3.conv3x3"`.
+    /// Display name, e.g. `"node5.conv3x3"`.
     pub name: String,
     /// Table I category.
     pub category: OpCategory,

@@ -8,7 +8,7 @@
 //! in memory as a sequence of encoded words").
 //!
 //! [`model_compression_ratio`] applies the codec to every 3×3 kernel of a
-//! [`ReActNet`] and accounts the whole-model ratio (the paper's 1.2x).
+//! [`ModelGraph`] and accounts the whole-model ratio (the paper's 1.2x).
 
 use crate::bitseq::{BitSeq, NUM_SEQUENCES};
 use crate::bitstream::{BitReader, BitWriter};
@@ -17,7 +17,8 @@ use crate::config::DecoderConfig;
 use crate::error::{KcError, Result};
 use crate::freq::FreqTable;
 use crate::huffman::{SimplifiedTree, TreeConfig};
-use bitnn::model::{OpCategory, ReActNet};
+use bitnn::graph::ModelGraph;
+use bitnn::model::OpCategory;
 use bitnn::tensor::BitTensor;
 use bitnn::weightgen::{read_sequences, write_sequence};
 use bytes::Bytes;
@@ -265,12 +266,12 @@ impl ModelRatio {
 /// # Errors
 ///
 /// Propagates compression errors (cannot occur for well-formed models).
-pub fn model_compression_ratio(model: &ReActNet, codec: &KernelCodec) -> Result<ModelRatio> {
+pub fn model_compression_ratio(model: &ModelGraph, codec: &KernelCodec) -> Result<ModelRatio> {
     let breakdown = model.storage_breakdown();
     let original_bits = breakdown.total_bits() as u64;
     let mut compressed_bits = original_bits;
     let mut ratios = Vec::new();
-    for i in 0..model.num_blocks() {
+    for i in 0..model.num_conv3() {
         let kernel = model.conv3_weights(i);
         let ck = codec.compress(kernel)?;
         // Replace this kernel's 9-bit-per-sequence storage by the stream.
@@ -281,7 +282,7 @@ pub fn model_compression_ratio(model: &ReActNet, codec: &KernelCodec) -> Result<
     // Sanity: the conv3x3 category is exactly what we swapped out.
     debug_assert_eq!(
         breakdown.bits(OpCategory::Conv3x3) as u64,
-        (0..model.num_blocks())
+        (0..model.num_conv3())
             .map(|i| model.conv3_weights(i).len() as u64)
             .sum::<u64>()
     );
@@ -399,7 +400,7 @@ mod tests {
     fn model_ratio_near_paper_value() {
         // The paper reports 1.2x for the whole model; our synthetic tiny
         // model has different layer proportions, so use the full model.
-        let model = ReActNet::full(1);
+        let model = bitnn::model::ReActNetConfig::full().model(1).unwrap();
         let mr = model_compression_ratio(&model, &KernelCodec::paper_clustered()).unwrap();
         assert!(
             (1.10..1.35).contains(&mr.ratio()),

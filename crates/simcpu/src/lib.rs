@@ -29,13 +29,15 @@
 //! ```
 //! use simcpu::config::CpuConfig;
 //! use simcpu::run::{run_workload, Mode};
-//! use bitnn::model::ReActNet;
+//! use bitnn::graph::arch::reactnet_spec;
+//! use bitnn::model::ReActNetConfig;
 //!
-//! let model = ReActNet::tiny(7);
-//! let workloads = model.workloads();
+//! // Geometry only: the simulator needs the graph spec, not weights.
+//! let workloads = reactnet_spec(&ReActNetConfig::tiny())?.workloads();
 //! let cfg = CpuConfig::default();
 //! let base = run_workload(&cfg, &workloads[1], Mode::Baseline, 1.0);
 //! assert!(base.cycles > 0);
+//! # Ok::<(), bitnn::BitnnError>(())
 //! ```
 
 #![warn(missing_docs)]

@@ -311,7 +311,13 @@ pub fn compare_modes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bitnn::model::ReActNet;
+    use bitnn::graph::arch::reactnet_spec;
+    use bitnn::model::ReActNetConfig;
+
+    /// The tiny ReActNet's simulator geometry.
+    fn tiny_workloads() -> Vec<LayerWorkload> {
+        reactnet_spec(&ReActNetConfig::tiny()).unwrap().workloads()
+    }
 
     fn small_conv3() -> LayerWorkload {
         LayerWorkload {
@@ -405,8 +411,7 @@ mod tests {
     #[test]
     fn model_run_covers_all_categories() {
         let cfg = CpuConfig::default();
-        let model = ReActNet::tiny(3);
-        let run = run_model(&cfg, &model.workloads(), Mode::Baseline, &[1.0]);
+        let run = run_model(&cfg, &tiny_workloads(), Mode::Baseline, &[1.0]);
         for c in OpCategory::ALL {
             assert!(run.category_cycles(c) > 0, "category {c} has no cycles");
         }
@@ -419,8 +424,7 @@ mod tests {
         // Table I: 3x3 convolutions are ~2/3 of the time. The tiny model
         // is not the paper's geometry, so just require dominance.
         let cfg = CpuConfig::default();
-        let model = ReActNet::tiny(3);
-        let run = run_model(&cfg, &model.workloads(), Mode::Baseline, &[1.0]);
+        let run = run_model(&cfg, &tiny_workloads(), Mode::Baseline, &[1.0]);
         let conv3 = run.category_pct(OpCategory::Conv3x3);
         for c in [OpCategory::Conv1x1, OpCategory::Others] {
             assert!(conv3 > run.category_pct(c), "conv3x3 must dominate {c}");
@@ -430,8 +434,7 @@ mod tests {
     #[test]
     fn table_renders_every_row() {
         let cfg = CpuConfig::default();
-        let model = ReActNet::tiny(3);
-        let run = run_model(&cfg, &model.workloads(), Mode::Baseline, &[1.0]);
+        let run = run_model(&cfg, &tiny_workloads(), Mode::Baseline, &[1.0]);
         let t = run.to_table();
         for c in OpCategory::ALL {
             assert!(t.contains(c.label()));
@@ -441,8 +444,7 @@ mod tests {
     #[test]
     fn compare_modes_reports_speedup() {
         let cfg = CpuConfig::default();
-        let model = ReActNet::tiny(3);
-        let wls = model.workloads();
+        let wls = tiny_workloads();
         let s = compare_modes(&cfg, &wls, Mode::HardwareDecode, &[1.33]);
         assert!(s.baseline_cycles > 0 && s.scheme_cycles > 0);
         assert!(
@@ -456,8 +458,7 @@ mod tests {
     #[should_panic(expected = "at least one compression ratio")]
     fn empty_ratios_panics() {
         let cfg = CpuConfig::default();
-        let model = ReActNet::tiny(3);
-        run_model(&cfg, &model.workloads(), Mode::Baseline, &[]);
+        run_model(&cfg, &tiny_workloads(), Mode::Baseline, &[]);
     }
 
     #[test]
@@ -465,7 +466,7 @@ mod tests {
         // run_model is now a thin wrapper over run_model_streams; feeding
         // the analytic streams back in must reproduce it exactly.
         let cfg = CpuConfig::default();
-        let wls = ReActNet::tiny(3).workloads();
+        let wls = tiny_workloads();
         let streams: Vec<KernelStream> = wls
             .iter()
             .filter(|w| w.category == OpCategory::Conv3x3)
@@ -552,7 +553,7 @@ mod tests {
     #[should_panic(expected = "one stream per 3x3 layer")]
     fn stream_count_mismatch_panics() {
         let cfg = CpuConfig::default();
-        let wls = ReActNet::tiny(3).workloads();
+        let wls = tiny_workloads();
         run_model_streams(&cfg, &wls, Mode::HardwareDecode, &[]);
     }
 

@@ -12,13 +12,14 @@
 use bnnkc::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let original = ReActNet::tiny(1);
+    let cfg = ReActNetConfig::tiny();
+    let original = cfg.model(1)?;
     let codec = KernelCodec::paper_clustered();
 
     // --- Offline: compress each block's 3x3 kernel ---
     println!("Per-block compression (simplified tree 32/64/64/256 + clustering):");
     let mut deployed = original.clone();
-    for i in 0..original.num_blocks() {
+    for i in 0..original.num_conv3() {
         let kernel = original.conv3_weights(i);
         let compressed = codec.compress(kernel)?;
         println!(
@@ -32,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         // Deploy: the network now runs with the clustered weights, which
         // is what the decoding unit would feed the CPU at runtime.
-        deployed.set_conv3_weights(i, compressed.decompress()?);
+        deployed.set_conv3_weights(i, compressed.decompress()?)?;
     }
 
     // --- Whole-model accounting (the paper's 1.2x) ---
@@ -46,7 +47,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- Accuracy proxy: does clustering change predictions? ---
-    let cfg = original.config().clone();
     let batch = synthetic_batch(16, cfg.input_channels, cfg.image_size, 99);
     let agreement = compare_models(&original, &deployed, &batch);
     println!(

@@ -6,7 +6,6 @@
 //! cargo run --release --example hw_sim
 //! ```
 
-use bitnn::model::{LayerWorkload, OpCategory};
 use bnnkc::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -38,17 +37,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- One weight-bound layer in all three modes ---
     let cpu = CpuConfig::default();
     println!("\n{}", cpu.to_table());
-    let layer = LayerWorkload {
-        name: "block7.conv3x3".into(),
-        category: OpCategory::Conv3x3,
-        in_ch: 512,
-        out_ch: 512,
-        kh: 3,
-        kw: 3,
-        oh: 14,
-        ow: 14,
-        precision_bits: 1,
-    };
+    // Block 7 of the full model: the first 512-channel 3×3 conv, 14×14.
+    let layer = reactnet_spec(&ReActNetConfig::full())?
+        .workloads()
+        .into_iter()
+        .filter(|w| w.category == OpCategory::Conv3x3)
+        .nth(6)
+        .expect("13 blocks");
     println!("Layer {} ({} binary MACs):", layer.name, layer.macs());
     let base = run_workload(&cpu, &layer, Mode::Baseline, 1.0);
     let sw = run_workload(&cpu, &layer, Mode::SoftwareDecode, compressed.ratio());
@@ -64,8 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // --- Whole tiny model ---
-    let model = ReActNet::tiny(5);
-    let wls = model.workloads();
+    let wls = reactnet_spec(&ReActNetConfig::tiny())?.workloads();
     let speedup = compare_modes(&cpu, &wls, Mode::HardwareDecode, &[compressed.ratio()]);
     println!(
         "\nWhole tiny model: baseline {} cycles vs hardware {} cycles -> {:.2}x",

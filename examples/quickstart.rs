@@ -11,16 +11,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A ReActNet-shaped binary network. Weights are synthetic but
     //    calibrated to the bit-sequence statistics the paper published
     //    for the trained ImageNet model (Table II / Fig. 3).
-    let model = ReActNet::tiny(42);
+    let cfg = ReActNetConfig::tiny();
+    let model = cfg.model(42)?;
     println!(
         "Model: {} basic blocks, {} classes",
-        model.num_blocks(),
-        model.config().num_classes
+        model.num_conv3(),
+        cfg.num_classes
     );
 
     // 2. Run an inference to see the substrate working end to end.
     let input = synthetic_batch(1, 3, 32, 7).remove(0);
-    let logits = model.forward(&input);
+    let logits = model.forward(&input)?;
     println!(
         "Forward pass: input {:?} -> logits {:?}, predicted class {}",
         input.shape(),

@@ -6,7 +6,7 @@
 //! bnnkc inspect    --in model.bkcm|patch.bkcp
 //! bnnkc verify     --in model.bkcm [--integrity] [--arch A] [--seed 1]
 //!                  [--scale 0.25] [--no-cluster] [--backend auto|cpu|scalar]
-//! bnnkc run        --in model.bkcm [--arch A] [--seed 1] [--scale 0.25]
+//! bnnkc run        --in model.bkcm [--arch A] [--seed 1] [--scale S]
 //!                  [--image 224] [--batch 1] [--threads N|auto] [--offline]
 //!                  [--backend auto|cpu|scalar]
 //! bnnkc diff       base.bkcm new.bkcm -o patch.bkcp
@@ -33,8 +33,9 @@
 //! streams decode to them (bit-exactly without clustering; within
 //! Hamming distance 1 per channel with it). `run` executes the full
 //! forward pass *from the compressed container* through the graph
-//! executor: the container geometry is validated against the model
-//! up front, then each kernel is stream-decoded straight into
+//! executor: the model is the container's stored topology (an explicit
+//! `--scale` is cross-checked against it up front), then each kernel is
+//! stream-decoded straight into
 //! channel-packed lane words (`--offline` switches to the
 //! decompress-then-pack reference path, which produces bit-identical
 //! logits). `simulate` runs the timing model — with `--in` the per-layer
@@ -605,7 +606,11 @@ fn cmd_run(args: &[String]) -> CliResult {
     )?;
     let input = flag_value(args, "--in").ok_or("--in <file> is required")?;
     let seed: u64 = parse_flag(args, "--seed", 1)?;
-    let scale = parse_scale(args, 0.25)?;
+    // Optional: without it the container's stored topology is the model.
+    let scale = match flag_value(args, "--scale") {
+        Some(_) => Some(parse_scale(args, 0.25)?),
+        None => None,
+    };
     let image: usize = parse_flag(args, "--image", 224)?;
     let batch: usize = parse_flag(args, "--batch", 1)?;
     let threads = parse_threads(args)?;
@@ -621,13 +626,14 @@ fn cmd_run(args: &[String]) -> CliResult {
     let bytes = std::fs::read(input)?;
     let container = read_model_container(&bytes)?;
     let arch = resolve_arch(args, &container)?;
-    let container_spec = container.spec_or_reactnet(image)?;
-
-    // Validate the container against the model the flags describe
-    // *before* decoding anything: a wrong --scale/--arch is reported as a
-    // geometry mismatch here, not as a shape panic mid-forward.
-    let spec = build_spec(arch, scale, image)?;
-    check_container_geometry(&container_spec, &spec, arch, scale)?;
+    // The model is the container's own topology at `--image`. An explicit
+    // --scale is cross-checked against it *before* decoding anything, so
+    // a wrong --scale/--arch is reported as a geometry mismatch here, not
+    // as a shape panic mid-forward.
+    let spec = spec_with_image(container.spec_or_reactnet(image)?, image);
+    if let Some(scale) = scale {
+        check_container_geometry(&spec, &build_spec(arch, scale, image)?, arch, scale)?;
+    }
 
     // Deploy the way `serve` does: every layer gets the seed's synthetic
     // weights except the 3×3 slots, each built straight from its record.
@@ -646,7 +652,7 @@ fn cmd_run(args: &[String]) -> CliResult {
     })?;
     let decode_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    let input_channels = match container_spec.nodes.first().map(|n| n.op) {
+    let input_channels = match spec.nodes.first().map(|n| n.op) {
         Some(OpSpec::Input { channels, .. }) => channels,
         _ => 3,
     };

@@ -14,7 +14,8 @@
 //! This crate re-exports the building blocks:
 //!
 //! * [`bitnn`] — the BNN inference substrate (bit-packed tensors, channel
-//!   packing, xnor-popcount kernels, the ReActNet model, calibrated
+//!   packing, xnor-popcount kernels, the layer-graph model type that
+//!   ReActNet and the other built-in families are built as, calibrated
 //!   synthetic weights);
 //! * [`kc_core`] — the compression scheme itself (frequency analysis,
 //!   simplified + full Huffman coding, clustering, codecs);
@@ -30,13 +31,13 @@
 //!
 //! // A ReActNet-shaped model with weights calibrated to the paper's
 //! // published bit-sequence statistics.
-//! let model = ReActNet::tiny(42);
+//! let model = ReActNetConfig::tiny().model(42)?;
 //!
 //! // Compress every 3x3 kernel: encoding + Hamming-1 clustering.
 //! let codec = KernelCodec::paper_clustered();
 //! let ratio = model_compression_ratio(&model, &codec)?;
 //! assert!(ratio.ratio() > 1.0);
-//! # Ok::<(), kc_core::KcError>(())
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
 //! See `examples/` for end-to-end scenarios and `crates/bench` for the
@@ -64,7 +65,7 @@ pub mod prelude {
     pub use bitnn::infer::{
         compare_models, logits_digest, synthetic_batch, Agreement, RUN_INPUT_SALT,
     };
-    pub use bitnn::model::{BlockSpec, OpCategory, ReActNet, ReActNetConfig};
+    pub use bitnn::model::{BlockSpec, OpCategory, ReActNetConfig};
     pub use bitnn::pack::PackedKernel;
     pub use bitnn::tensor::{BitTensor, Tensor};
     pub use bitnn::weightgen::SeqDistribution;

@@ -43,11 +43,11 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 #[test]
 fn steady_state_forward_batch_performs_zero_allocations() {
-    let model = ReActNet::tiny(7);
+    let model = ReActNetConfig::tiny().model(7).unwrap();
     let inputs = synthetic_batch(4, 3, 32, 11);
     let expect: Vec<Tensor> = inputs
         .iter()
-        .map(|x| model.graph().forward_scalar(x).unwrap())
+        .map(|x| model.forward_scalar(x).unwrap())
         .collect();
     let engine = Engine::single_threaded();
     let mut scratch = BatchScratch::default();
@@ -57,12 +57,16 @@ fn steady_state_forward_batch_performs_zero_allocations() {
     // the output tensors (two rounds so the output/arena buffer swap
     // settles too).
     for _ in 0..2 {
-        model.forward_batch_into(&inputs, &engine, &mut scratch, &mut outs);
+        model
+            .forward_batch_into(&inputs, &engine, &mut scratch, &mut outs)
+            .unwrap();
     }
 
     let before = ALLOCS.load(Ordering::SeqCst);
     for _ in 0..3 {
-        model.forward_batch_into(&inputs, &engine, &mut scratch, &mut outs);
+        model
+            .forward_batch_into(&inputs, &engine, &mut scratch, &mut outs)
+            .unwrap();
     }
     let allocated = ALLOCS.load(Ordering::SeqCst) - before;
     assert_eq!(
@@ -75,19 +79,18 @@ fn steady_state_forward_batch_performs_zero_allocations() {
         assert_eq!(o.data(), e.data());
     }
 
-    // The graph-level path shares the property: repeat single forwards
+    // The single-input path shares the property: repeat forwards
     // through one Scratch allocate nothing either.
-    let graph = model.graph();
     let mut s = bitnn::Scratch::default();
     let mut out = Tensor::default();
     for _ in 0..2 {
-        graph
+        model
             .forward_into(&inputs[0], &engine, &mut s, &mut out)
             .unwrap();
     }
     let before = ALLOCS.load(Ordering::SeqCst);
     for _ in 0..3 {
-        graph
+        model
             .forward_into(&inputs[0], &engine, &mut s, &mut out)
             .unwrap();
     }

@@ -142,6 +142,40 @@ fn run_and_container_simulate_work_end_to_end() {
         .success());
 }
 
+/// `run` takes its model from the container: with `--scale` omitted it
+/// deploys the stored topology (no silent 0.25 default), and an explicit
+/// `--scale` is only a cross-check that still fails on a mismatch.
+#[test]
+fn run_without_scale_uses_the_container_topology() {
+    let out = TempFile(tmp_file("run-noscale.bkcm"));
+    let path = out.0.to_str().unwrap();
+    let c = bnnkc(&["compress", "--out", path, "--scale", "0.125"]);
+    assert!(c.status.success(), "compress failed: {c:?}");
+
+    let items = |extra: &[&str]| -> Vec<String> {
+        let mut args = vec!["run", "--in", path, "--image", "32", "--batch", "2"];
+        args.extend_from_slice(extra);
+        let r = bnnkc(&args);
+        assert!(r.status.success(), "run {extra:?} failed: {r:?}");
+        String::from_utf8_lossy(&r.stdout)
+            .lines()
+            .filter(|l| l.starts_with("item "))
+            .map(str::to_string)
+            .collect()
+    };
+    let implicit = items(&[]);
+    assert_eq!(implicit.len(), 2);
+    assert_eq!(implicit, items(&["--scale", "0.125"]));
+
+    let r = bnnkc(&["run", "--in", path, "--image", "32", "--scale", "0.25"]);
+    assert!(!r.status.success());
+    let err = String::from_utf8_lossy(&r.stderr);
+    assert!(
+        err.contains("geometry does not match --arch reactnet --scale 0.25"),
+        "unexpected error: {err}"
+    );
+}
+
 #[test]
 fn every_arch_compresses_and_inspects() {
     for arch in ["vggsmall", "resnetlite"] {

@@ -39,8 +39,8 @@ fn item_lines(o: &Output) -> Vec<String> {
 #[test]
 fn streamed_and_offline_deployment_are_bit_exact() {
     let codec = KernelCodec::paper_clustered();
-    let base = ReActNet::tiny(31);
-    let compressed: Vec<CompressedKernel> = (0..base.num_blocks())
+    let base = ReActNetConfig::tiny().model(31).expect("valid config");
+    let compressed: Vec<CompressedKernel> = (0..base.num_conv3())
         .map(|i| codec.compress(base.conv3_weights(i)).expect("compress"))
         .collect();
     let container = read_model_container(&write_model_container(&compressed)).expect("parse");
@@ -48,23 +48,27 @@ fn streamed_and_offline_deployment_are_bit_exact() {
     let mut streamed = base.clone();
     let mut offline = base.clone();
     for (i, c) in container.kernels.iter().enumerate() {
-        streamed.set_conv3_packed(i, c.decode_packed().expect("stream decode"));
-        offline.set_conv3_weights(i, c.decode_kernel().expect("offline decode"));
+        streamed
+            .set_conv3_packed(i, c.decode_packed().expect("stream decode"))
+            .expect("same geometry");
+        offline
+            .set_conv3_weights(i, c.decode_kernel().expect("offline decode"))
+            .expect("same shape");
     }
 
     let inputs = synthetic_batch(3, 3, 32, 77);
     for threads in [1usize, 2, 4] {
         let engine = Engine::with_threads(threads);
-        let a = streamed.forward_batch(&inputs, &engine);
-        let b = offline.forward_batch(&inputs, &engine);
+        let a = streamed.forward_batch(&inputs, &engine).unwrap();
+        let b = offline.forward_batch(&inputs, &engine).unwrap();
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.data(), y.data(), "threads = {threads}");
         }
     }
     // And against the scalar oracle.
     for x in &inputs {
-        let oracle = offline.graph().forward_scalar(x).unwrap();
-        assert_eq!(streamed.forward(x).data(), oracle.data());
+        let oracle = offline.forward_scalar(x).unwrap();
+        assert_eq!(streamed.forward(x).unwrap().data(), oracle.data());
     }
 }
 
@@ -110,7 +114,7 @@ fn graph_deployment_is_bit_exact_across_architectures() {
 
 /// CLI round trip: `bnnkc run` logits (streamed) must match both the
 /// `--offline` reference path and logits computed in-process with
-/// `ReActNet` inference on the offline-decompressed weights.
+/// graph inference on the offline-decompressed weights.
 #[test]
 fn cli_run_logits_pin_against_offline_inference() {
     let out = TempFile(tmp_file("run-roundtrip.bkcm"));
@@ -159,12 +163,16 @@ fn cli_run_logits_pin_against_offline_inference() {
     let container = read_model_container(&std::fs::read(path).unwrap()).expect("parse");
     let mut cfg = ReActNetConfig::scaled(scale).expect("scaled config");
     cfg.image_size = image;
-    let mut model = ReActNet::new(cfg.clone(), seed).expect("valid config");
+    let mut model = cfg.model(seed).expect("valid config");
     for (i, c) in container.kernels.iter().enumerate() {
-        model.set_conv3_weights(i, c.decode_kernel().expect("decode"));
+        model
+            .set_conv3_weights(i, c.decode_kernel().expect("decode"))
+            .expect("same shape");
     }
     let inputs = synthetic_batch(batch, cfg.input_channels, image, seed ^ RUN_INPUT_SALT);
-    let outputs = model.forward_batch(&inputs, &Engine::with_threads(2));
+    let outputs = model
+        .forward_batch(&inputs, &Engine::with_threads(2))
+        .unwrap();
     for (i, out) in outputs.iter().enumerate() {
         let digest = format!("digest {:016x}", logits_digest(out.data()));
         assert!(
@@ -436,8 +444,8 @@ fn custom_arch_containers_simulate_but_refuse_to_run() {
 #[test]
 fn group_decoder_covers_all_model_blocks() {
     let codec = KernelCodec::paper();
-    let model = ReActNet::tiny(41);
-    for i in 0..model.num_blocks() {
+    let model = ReActNetConfig::tiny().model(41).expect("valid config");
+    for i in 0..model.num_conv3() {
         let ck = codec.compress(model.conv3_weights(i)).expect("compress");
         let container = read_container(&write_container(&ck)).expect("parse");
         let streamed = container.decode_packed().expect("stream decode");

@@ -23,7 +23,7 @@ fn engine(threads: usize) -> Engine {
 
 #[test]
 fn concurrent_forward_batch_on_one_engine_is_bit_exact() {
-    let model = ReActNet::tiny(21);
+    let model = ReActNetConfig::tiny().model(21).unwrap();
     let engine = engine(4);
     // Per-thread input sets with precomputed scalar-oracle logits.
     let cases: Vec<(Vec<Tensor>, Vec<Tensor>)> = (0..4u64)
@@ -31,7 +31,7 @@ fn concurrent_forward_batch_on_one_engine_is_bit_exact() {
             let inputs = synthetic_batch(3, 3, 32, 100 + t);
             let expect = inputs
                 .iter()
-                .map(|x| model.graph().forward_scalar(x).unwrap())
+                .map(|x| model.forward_scalar(x).unwrap())
                 .collect();
             (inputs, expect)
         })
@@ -45,7 +45,9 @@ fn concurrent_forward_batch_on_one_engine_is_bit_exact() {
                 let mut scratch = BatchScratch::default();
                 let mut outs = Vec::new();
                 for round in 0..8 {
-                    model.forward_batch_into(inputs, engine, &mut scratch, &mut outs);
+                    model
+                        .forward_batch_into(inputs, engine, &mut scratch, &mut outs)
+                        .unwrap();
                     assert_eq!(outs.len(), expect.len());
                     for (o, e) in outs.iter().zip(expect) {
                         assert_eq!(o.data(), e.data(), "round {round}");

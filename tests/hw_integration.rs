@@ -97,10 +97,10 @@ fn simulated_speedup_uses_measured_ratio() {
 fn table_budget_holds_for_every_full_size_block() {
     // The hardware's 1 KB uncompressed table (512 entries) must fit every
     // block's codebook even at full channel counts.
-    for block in 1..=13 {
+    for (i, spec) in ReActNetConfig::full().blocks.iter().enumerate() {
         use rand::SeedableRng;
-        let c = bench::BLOCK_CHANNELS[block - 1];
-        let c = c.min(256); // statistics saturate well below full width
+        let block = i + 1;
+        let c = spec.in_ch.min(256); // statistics saturate well below full width
         let mut rng = rand::rngs::StdRng::seed_from_u64(block as u64);
         let kernel = SeqDistribution::for_block(block, 0).sample_kernel(c, c, &mut rng);
         let ck = KernelCodec::paper_clustered()

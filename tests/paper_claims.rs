@@ -121,13 +121,15 @@ fn hardware_traffic_tracks_compression_ratio() {
 /// The paper's accuracy claim, as an agreement bound.
 #[test]
 fn clustering_preserves_predictions_mostly() {
-    let original = ReActNet::tiny(31);
+    let original = ReActNetConfig::tiny().model(31).expect("valid config");
     let mut clustered = original.clone();
-    for i in 0..clustered.num_blocks() {
+    for i in 0..clustered.num_conv3() {
         let kernel = clustered.conv3_weights(i).clone();
         let freq = FreqTable::from_kernel(&kernel).expect("kernel");
         let plan = ClusterPlan::build(&freq, &ClusterConfig::default());
-        clustered.set_conv3_weights(i, plan.apply_to_kernel(&kernel).expect("rewrite"));
+        clustered
+            .set_conv3_weights(i, plan.apply_to_kernel(&kernel).expect("rewrite"))
+            .expect("same shape");
     }
     let batch = synthetic_batch(8, 3, 32, 32);
     let agg = compare_models(&original, &clustered, &batch);

@@ -3,11 +3,15 @@
 
 use bnnkc::prelude::*;
 
+fn tiny(seed: u64) -> ModelGraph {
+    ReActNetConfig::tiny().model(seed).expect("valid config")
+}
+
 #[test]
 fn full_pipeline_encoding_is_lossless() {
-    let model = ReActNet::tiny(21);
+    let model = tiny(21);
     let codec = KernelCodec::paper();
-    for i in 0..model.num_blocks() {
+    for i in 0..model.num_conv3() {
         let kernel = model.conv3_weights(i);
         let compressed = codec.compress(kernel).expect("compress");
         let restored = compressed.decompress().expect("decompress");
@@ -17,12 +21,14 @@ fn full_pipeline_encoding_is_lossless() {
 
 #[test]
 fn deployed_clustered_model_still_infers() {
-    let original = ReActNet::tiny(22);
+    let original = tiny(22);
     let codec = KernelCodec::paper_clustered();
     let mut deployed = original.clone();
-    for i in 0..original.num_blocks() {
+    for i in 0..original.num_conv3() {
         let compressed = codec.compress(original.conv3_weights(i)).expect("compress");
-        deployed.set_conv3_weights(i, compressed.decompress().expect("decompress"));
+        deployed
+            .set_conv3_weights(i, compressed.decompress().expect("decompress"))
+            .expect("same shape");
     }
     let batch = synthetic_batch(4, 3, 32, 23);
     let agreement = compare_models(&original, &deployed, &batch);
@@ -34,9 +40,9 @@ fn deployed_clustered_model_still_infers() {
 
 #[test]
 fn clustering_only_moves_channels_by_one_bit() {
-    let model = ReActNet::tiny(24);
+    let model = tiny(24);
     let codec = KernelCodec::paper_clustered();
-    for i in 0..model.num_blocks() {
+    for i in 0..model.num_conv3() {
         let kernel = model.conv3_weights(i);
         let compressed = codec.compress(kernel).expect("compress");
         let restored = compressed.decompress().expect("decompress");
@@ -56,7 +62,7 @@ fn clustering_only_moves_channels_by_one_bit() {
 
 #[test]
 fn model_ratio_uses_real_streams() {
-    let model = ReActNet::tiny(25);
+    let model = tiny(25);
     let codec = KernelCodec::paper_clustered();
     let mr = model_compression_ratio(&model, &codec).expect("model ratio");
     assert!(mr.ratio() > 1.0, "model must shrink: {}", mr.ratio());
@@ -70,10 +76,10 @@ fn model_ratio_uses_real_streams() {
 
 #[test]
 fn freq_tables_merge_across_blocks() {
-    let model = ReActNet::tiny(26);
+    let model = tiny(26);
     let mut merged = FreqTable::new();
     let mut total = 0u64;
-    for i in 0..model.num_blocks() {
+    for i in 0..model.num_conv3() {
         let f = FreqTable::from_kernel(model.conv3_weights(i)).expect("kernel");
         total += f.total();
         merged.merge(&f);
@@ -86,7 +92,7 @@ fn freq_tables_merge_across_blocks() {
 
 #[test]
 fn decoder_config_round_trips_through_tree() {
-    let model = ReActNet::tiny(27);
+    let model = tiny(27);
     let codec = KernelCodec::paper();
     let compressed = codec.compress(model.conv3_weights(1)).expect("compress");
     let cfg = compressed.decoder_config(0x1234_5678);

@@ -92,7 +92,7 @@ proptest! {
     /// The whole-model ratio is always consistent with its parts.
     #[test]
     fn model_ratio_consistency(seed in any::<u64>()) {
-        let model = ReActNet::tiny(seed);
+        let model = ReActNetConfig::tiny().model(seed).unwrap();
         let mr = model_compression_ratio(&model, &KernelCodec::paper()).unwrap();
         prop_assert!(mr.compressed_bits <= mr.original_bits);
         prop_assert!(mr.ratio() >= 1.0);
@@ -120,12 +120,12 @@ proptest! {
         // channel-doubling transitions).
         cfg.blocks.truncate(5);
         cfg.num_classes = 10;
-        let model = ReActNet::new(cfg, seed).unwrap();
+        let model = cfg.model(seed).unwrap();
         let inputs = synthetic_batch(2, 3, 16, seed ^ 0x0DD);
         let engine = Engine::with_threads(threads);
-        let batched = model.forward_batch(&inputs, &engine);
+        let batched = model.forward_batch(&inputs, &engine).unwrap();
         for (x, via_batch) in inputs.iter().zip(&batched) {
-            let oracle = model.graph().forward_scalar(x).unwrap();
+            let oracle = model.forward_scalar(x).unwrap();
             prop_assert_eq!(oracle.data(), via_batch.data());
         }
     }

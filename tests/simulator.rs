@@ -1,7 +1,8 @@
 //! Simulator sanity invariants: the timing model must respond to its
 //! parameters in physically sensible directions, and deterministically.
 
-use bitnn::model::{LayerWorkload, OpCategory, ReActNet};
+use bitnn::graph::arch::reactnet_spec;
+use bitnn::model::{LayerWorkload, OpCategory, ReActNetConfig};
 use simcpu::config::CpuConfig;
 use simcpu::run::{run_model, run_workload, Mode};
 
@@ -110,8 +111,8 @@ fn higher_sw_decode_cost_is_monotone() {
 #[test]
 fn category_cycles_partition_total() {
     let cfg = CpuConfig::default();
-    let model = ReActNet::tiny(9);
-    let run = run_model(&cfg, &model.workloads(), Mode::Baseline, &[1.0]);
+    let wls = reactnet_spec(&ReActNetConfig::tiny()).unwrap().workloads();
+    let run = run_model(&cfg, &wls, Mode::Baseline, &[1.0]);
     let sum: u64 = OpCategory::ALL
         .iter()
         .map(|&c| run.category_cycles(c))
