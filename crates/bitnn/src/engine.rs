@@ -18,12 +18,15 @@
 //!   count is additionally clamped to the hardware parallelism, so asking
 //!   for 8 threads on a 1-core host degrades to the inline path instead of
 //!   oversubscribing.
-//! * **Shape-dependent lowering** — a 3×3 layer runs either the
-//!   im2col-free streaming convolution or the im2col-lowered GEMM, picked
-//!   per geometry by [`ExecPolicy::conv`] (autotuned on first dispatch
-//!   unless `BITNN_CONV` pins one). 1×1 stride-1 pad-0 convolutions skip
-//!   lowering entirely: the channel-packed activations already *are* the
-//!   GEMM operand. Every other kernel shape is im2col-lowered.
+//! * **Shape-dependent lowering** — a 3×3 layer over at most 64 channels
+//!   (one lane word per pixel) runs either the im2col-free streaming
+//!   convolution or the im2col-lowered GEMM, picked per geometry by
+//!   [`ExecPolicy::conv`] (autotuned on first dispatch unless
+//!   `BITNN_CONV` pins one). Wider 3×3 layers always run im2col: the
+//!   streaming kernel only exists for one lane word. 1×1 stride-1 pad-0
+//!   convolutions skip lowering entirely: the channel-packed activations
+//!   already *are* the GEMM operand. Every other kernel shape is
+//!   im2col-lowered.
 //! * **Scratch-buffer reuse** — the im2col matrix, the flat GEMM output,
 //!   and the packed activations live in a
 //!   [`Scratch`] that the model's forward pass threads through every
@@ -322,24 +325,22 @@ impl Engine {
             });
         }
         let (kh, kw) = (packed.kh(), packed.kw());
-        let path = match self.conv_path(kh, kw, params) {
+        let path = match self.conv_path(kh, kw, acts.channels(), params) {
             Some(p) => {
-                // A pinned `ConvMode` deciding a live 3×3 dispatch is
-                // recorded (reporting only) so `bnnkc features` and the
-                // perfsuite can label what actually ran.
-                if kh == 3 && kw == 3 {
-                    let forced = match (self.policy.conv, p) {
-                        (ConvMode::Stream, ConvPath::Stream) => Some(ConvLowering::Stream),
-                        (ConvMode::Im2col, ConvPath::Im2col) => Some(ConvLowering::Im2col),
-                        _ => None,
+                // A streamable geometry only gets a fixed path from a
+                // pinned `ConvMode`; that decision is recorded (reporting
+                // only) so `bnnkc features` and the perfsuite can label
+                // what actually ran.
+                if streamable(kh, kw, acts.channels()) {
+                    let lowering = match p {
+                        ConvPath::Stream => ConvLowering::Stream,
+                        _ => ConvLowering::Im2col,
                     };
-                    if let Some(lowering) = forced {
-                        record_forced_conv(conv_geom(acts, packed, params), lowering);
-                    }
+                    record_forced_conv(conv_geom(acts, packed, params), lowering);
                 }
                 p
             }
-            // `None` means "autotune this 3×3 geometry": consult the
+            // `None` means "autotune this streamable geometry": consult the
             // process-wide decision cache, measuring stream-vs-im2col on
             // the live operands the first time the geometry is seen.
             None => {
@@ -507,15 +508,24 @@ impl Engine {
         }
     }
 
-    /// The dense lowering [`Engine::conv2d_into`] will run for this
-    /// geometry under the current policy, or `None` when the choice is
-    /// autotuned at first dispatch ([`ConvMode::Auto`] on a 3×3 layer —
-    /// the streaming-vs-im2col decision needs live operands).
-    pub fn conv_path(&self, kh: usize, kw: usize, params: Conv2dParams) -> Option<ConvPath> {
+    /// The dense lowering [`Engine::conv2d_into`] will run for a
+    /// `kh×kw` kernel over `channels` input channels under the current
+    /// policy, or `None` when the choice is autotuned at first dispatch
+    /// ([`ConvMode::Auto`] on a streamable layer — the streaming-vs-im2col
+    /// decision needs live operands). Only a 3×3 kernel over at most 64
+    /// channels is streamable; every other 3×3 conv runs im2col under
+    /// every mode.
+    pub fn conv_path(
+        &self,
+        kh: usize,
+        kw: usize,
+        channels: usize,
+        params: Conv2dParams,
+    ) -> Option<ConvPath> {
         if kh == 1 && kw == 1 && params.stride == 1 && params.pad == 0 {
             return Some(ConvPath::PointwiseGemm);
         }
-        if kh == 3 && kw == 3 {
+        if streamable(kh, kw, channels) {
             return match self.policy.conv {
                 ConvMode::Auto => None,
                 ConvMode::Stream => Some(ConvPath::Stream),
@@ -524,6 +534,12 @@ impl Engine {
         }
         Some(ConvPath::Im2col)
     }
+}
+
+/// Whether the streaming kernel covers this geometry: a 3×3 kernel over
+/// exactly one lane word of channels (1 to 64).
+fn streamable(kh: usize, kw: usize, channels: usize) -> bool {
+    kh == 3 && kw == 3 && (1..=crate::LANE_BITS).contains(&channels)
 }
 
 /// The streaming autotuner's cache key for a live dispatch.
@@ -698,6 +714,32 @@ mod tests {
         let direct = conv2d_binary(&pa, &pk, Conv2dParams::default()).unwrap();
         assert_eq!(fast.shape(), direct.shape());
         assert_eq!(fast.data(), direct.data());
+    }
+
+    #[test]
+    fn wide_3x3_runs_im2col_without_racing() {
+        // Two lane words of channels: no streaming kernel exists, so every
+        // mode lowers to im2col and the autotuner never records the shape.
+        let a = random_bits(&[1, 128, 6, 7], 17);
+        let wk = random_bits(&[5, 128, 3, 3], 19);
+        let pa = PackedActivations::pack(&a).unwrap();
+        let pk = PackedKernel::pack(&wk).unwrap();
+        let params = Conv2dParams { stride: 1, pad: 1 };
+        let direct = conv2d_binary(&pa, &pk, params).unwrap();
+        for conv in [ConvMode::Auto, ConvMode::Stream, ConvMode::Im2col] {
+            let engine = Engine::new(ExecPolicy {
+                threads: 2,
+                conv,
+                ..ExecPolicy::default()
+            });
+            assert_eq!(engine.conv_path(3, 3, 128, params), Some(ConvPath::Im2col));
+            let mut s = ConvScratch::default();
+            let got = engine.conv2d(&pa, (&pk).into(), params, &mut s).unwrap();
+            assert_eq!(got.data(), direct.data(), "{conv:?}");
+        }
+        assert!(crate::simd::conv_choices()
+            .iter()
+            .all(|c| c.geom.channels <= crate::LANE_BITS));
     }
 
     // The engine-vs-reference conv and GEMM oracle proptests that lived

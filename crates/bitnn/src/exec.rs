@@ -10,19 +10,21 @@
 use crate::pool::WorkerPool;
 use std::thread;
 
-/// How a 3×3 convolution is lowered onto the binary compute substrate —
-/// the one conv knob (`BITNN_CONV`). The rest of the choice is fixed by
-/// shape: a 1×1 stride-1 pad-0 layer runs as a GEMM over the packed
-/// activations, and any other non-3×3 kernel is im2col-lowered.
+/// How a 3×3 convolution over at most 64 channels (one lane word) is
+/// lowered onto the binary compute substrate — the one conv knob
+/// (`BITNN_CONV`). The rest of the choice is fixed by shape: a 1×1
+/// stride-1 pad-0 layer runs as a GEMM over the packed activations, and
+/// a wider 3×3 layer or any other kernel is im2col-lowered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ConvMode {
-    /// Autotune per conv geometry: on the first dispatch of each 3×3
-    /// shape, time the streaming path (see [`crate::ops::streamconv`])
-    /// against im2col on the real operands and cache the winner (see
-    /// [`crate::simd::conv_choices`]).
+    /// Autotune per conv geometry: on the first dispatch of each
+    /// single-lane 3×3 shape, time the streaming path (see
+    /// [`crate::ops::streamconv`]) against im2col on the real operands
+    /// and cache the winner (see [`crate::simd::conv_choices`]).
     #[default]
     Auto,
-    /// Always use the streaming shifted-window path for 3×3 layers.
+    /// Use the streaming shifted-window path for every 3×3 layer of at
+    /// most 64 channels; wider 3×3 layers still run im2col.
     Stream,
     /// Always lower 3×3 layers to im2col + GEMM.
     Im2col,
@@ -64,7 +66,7 @@ pub struct ExecPolicy {
     /// tiny ops (short GEMMs, 1×1 convs on small maps) from losing to
     /// their own parallel overhead.
     pub min_work: u64,
-    /// 3×3 conv lowering: autotuned, streaming, or im2col.
+    /// Single-lane 3×3 conv lowering: autotuned, streaming, or im2col.
     pub conv: ConvMode,
 }
 

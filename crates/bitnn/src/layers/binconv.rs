@@ -141,11 +141,13 @@ impl BinConv2d {
 
     /// The kernel forms the engine's chosen lowering will actually read,
     /// materializing only those — a streaming forward never builds the
-    /// im2col matrix and vice versa. When the path is autotuned at first
-    /// dispatch (`None`), every form the candidate paths could read is
-    /// provided, so the warmed forward never builds one mid-dispatch.
+    /// im2col matrix and vice versa. A layer wider than one lane word
+    /// always gets the im2col matrix, under a streaming pin too. When the
+    /// path is autotuned at first dispatch (`None`), every form the
+    /// candidate paths could read is provided, so the warmed forward never
+    /// builds one mid-dispatch.
     pub fn forms_for(&self, engine: &Engine) -> KernelForms<'_> {
-        match engine.conv_path(self.kh, self.kw, self.params) {
+        match engine.conv_path(self.kh, self.kw, self.channels, self.params) {
             Some(ConvPath::Stream) => KernelForms {
                 packed: self.packed(),
                 lowered: None,
@@ -397,6 +399,23 @@ mod tests {
     fn set_weights_rejects_shape_change() {
         let mut conv = BinConv2d::new(BitTensor::zeros(&[1, 4, 3, 3]), Conv2dParams::default());
         conv.set_weights(BitTensor::zeros(&[2, 4, 3, 3]));
+    }
+
+    #[test]
+    fn stream_pin_caches_the_lowered_matrix_for_wide_layers() {
+        let engine = Engine::new(crate::ExecPolicy {
+            conv: crate::exec::ConvMode::Stream,
+            ..crate::ExecPolicy::single_threaded()
+        });
+        let params = Conv2dParams { stride: 1, pad: 1 };
+        // Wider than one lane word: im2col under every mode.
+        let wide = BinConv2d::new(BitTensor::zeros(&[4, 128, 3, 3]), params);
+        let forms = wide.forms_for(&engine);
+        assert!(forms.lowered.is_some() && forms.pad_ones.is_none());
+        // One lane word: the pin selects the streaming kernel.
+        let narrow = BinConv2d::new(BitTensor::zeros(&[4, 64, 3, 3]), params);
+        let forms = narrow.forms_for(&engine);
+        assert!(forms.lowered.is_none() && forms.pad_ones.is_some());
     }
 
     #[test]

@@ -1,46 +1,19 @@
 //! Channel-wise binary dot products with tail-lane masking.
 
-use crate::bitword::{mask, xnor, xnor_popcount_slice};
+use crate::bitword::{mask, xnor};
 use crate::LANE_BITS;
-
-/// Accumulator for multi-position binary dot products.
-///
-/// Tracks both the number of agreeing bits and the number of bits compared,
-/// so the ±1-domain value can be recovered at the end (`2p - n`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DotAcc {
-    /// Agreeing bit count (popcount of xnor).
-    pub agree: u32,
-    /// Total bits compared.
-    pub total: u32,
-}
-
-impl DotAcc {
-    /// Fresh accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The ±1-domain dot product accumulated so far.
-    #[inline]
-    pub fn value(self) -> i32 {
-        2 * self.agree as i32 - self.total as i32
-    }
-
-    /// Add a pre-computed (agree, total) contribution.
-    #[inline]
-    pub fn add_raw(&mut self, agree: u32, total: u32) {
-        self.agree += agree;
-        self.total += total;
-    }
-}
 
 /// The seed's original channel dot: one accumulator, one lane at a time.
 ///
 /// Frozen bit-for-bit as the scalar baseline that `perfsuite` tracks the
 /// engine against — [`crate::ops::conv::conv2d_binary`] and
 /// [`crate::ops::gemm::gemm_binary_naive`] call this so their timings keep
-/// meaning the seed code path even as [`dot_channels`] evolves.
+/// meaning the seed code path. Their proptests against the float
+/// reference (tail lanes included) are its tests.
+///
+/// The final lane is masked when `c` is not a multiple of 64 so that the
+/// undefined tail bits (which are zero in both operands and would otherwise
+/// xnor to *agreements*) do not contribute.
 #[inline]
 pub(crate) fn dot_channels_seed(a: &[u64], w: &[u64], c: usize) -> u32 {
     let full = c / LANE_BITS;
@@ -55,93 +28,4 @@ pub(crate) fn dot_channels_seed(a: &[u64], w: &[u64], c: usize) -> u32 {
         acc += (xnor(a[full], w[full]) & mask(rem)).count_ones();
     }
     acc
-}
-
-/// Xnor-popcount over `c` channel bits spread across lanes.
-///
-/// The final lane is masked when `c` is not a multiple of 64 so that the
-/// undefined tail bits (which are zero in both operands and would otherwise
-/// xnor to *agreements*) do not contribute.
-///
-/// # Panics
-///
-/// Panics in debug builds if the slices are shorter than `c` requires.
-#[inline(always)]
-pub fn dot_channels(a: &[u64], w: &[u64], c: usize) -> u32 {
-    let full = c / LANE_BITS;
-    let rem = c % LANE_BITS;
-    debug_assert!(a.len() >= full + usize::from(rem > 0));
-    debug_assert!(w.len() >= full + usize::from(rem > 0));
-    // The full lanes go through the unrolled multi-accumulator path.
-    let mut acc = xnor_popcount_slice(&a[..full], &w[..full]);
-    if rem > 0 {
-        acc += (xnor(a[full], w[full]) & mask(rem)).count_ones();
-    }
-    acc
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use proptest::prelude::*;
-
-    fn reference_dot(a_bits: &[bool], w_bits: &[bool]) -> (u32, i32) {
-        let agree = a_bits.iter().zip(w_bits).filter(|(x, y)| x == y).count() as u32;
-        let dot: i32 = a_bits
-            .iter()
-            .zip(w_bits)
-            .map(|(&x, &y)| {
-                let sx = if x { 1 } else { -1 };
-                let sy = if y { 1 } else { -1 };
-                sx * sy
-            })
-            .sum();
-        (agree, dot)
-    }
-
-    fn pack_bits(bits: &[bool]) -> Vec<u64> {
-        let mut v = vec![0u64; bits.len().div_ceil(64).max(1)];
-        for (i, &b) in bits.iter().enumerate() {
-            if b {
-                v[i / 64] |= 1 << (i % 64);
-            }
-        }
-        v
-    }
-
-    #[test]
-    fn dot_acc_value() {
-        let mut acc = DotAcc::new();
-        acc.add_raw(9, 9);
-        assert_eq!(acc.value(), 9);
-        acc.add_raw(0, 9);
-        assert_eq!(acc.value(), 0);
-    }
-
-    #[test]
-    fn masked_tail_does_not_count_agreements() {
-        // 65 channels, all bits zero: the 63 unused tail bits of lane 1
-        // must not be counted even though they xnor to 1.
-        let a = vec![0u64; 2];
-        let w = vec![0u64; 2];
-        assert_eq!(dot_channels(&a, &w, 65), 65);
-    }
-
-    proptest! {
-        #[test]
-        fn dot_matches_reference(
-            bits in proptest::collection::vec((any::<bool>(), any::<bool>()), 1..300)
-        ) {
-            let a_bits: Vec<bool> = bits.iter().map(|p| p.0).collect();
-            let w_bits: Vec<bool> = bits.iter().map(|p| p.1).collect();
-            let (agree, dot) = reference_dot(&a_bits, &w_bits);
-            let a = pack_bits(&a_bits);
-            let w = pack_bits(&w_bits);
-            let got = dot_channels(&a, &w, bits.len());
-            prop_assert_eq!(got, agree);
-            let mut acc = DotAcc::new();
-            acc.add_raw(got, bits.len() as u32);
-            prop_assert_eq!(acc.value(), dot);
-        }
-    }
 }

@@ -10,13 +10,12 @@
 //! implement it identically (see `DESIGN.md`).
 
 pub mod conv;
-pub mod dot;
+mod dot;
 pub mod gemm;
 pub mod im2col;
 pub mod reference;
 pub mod streamconv;
 
 pub use conv::{conv2d_binary, Conv2dParams};
-pub use dot::{dot_channels, DotAcc};
 pub use gemm::{gemm_binary, gemm_binary_into, gemm_binary_naive, PackedMatrix};
 pub use im2col::{conv2d_im2col, im2col_kernel, im2col_kernel_packed, im2col_pack};

@@ -5,7 +5,7 @@
 //!                  [--scale 0.25] [--image 224] [--no-cluster] [--v3]
 //! bnnkc inspect    --in model.bkcm|patch.bkcp
 //! bnnkc verify     --in model.bkcm [--integrity] [--arch A] [--seed 1]
-//!                  [--scale 0.25] [--no-cluster] [--backend auto|cpu|scalar]
+//!                  [--scale S] [--no-cluster]
 //! bnnkc run        --in model.bkcm [--arch A] [--seed 1] [--scale S]
 //!                  [--image 224] [--batch 1] [--threads N|auto] [--offline]
 //!                  [--backend auto|cpu|scalar]
@@ -28,12 +28,12 @@
 //! binary 3×3 kernels, compresses each, and writes one **v2** model
 //! container carrying the graph topology next to the kernel streams.
 //! `inspect` prints the topology and per-kernel statistics from the
-//! container alone. `verify` checks the container's topology against the
-//! requested family/scale, regenerates the kernels, and confirms the
-//! streams decode to them (bit-exactly without clustering; within
-//! Hamming distance 1 per channel with it). `run` executes the full
-//! forward pass *from the compressed container* through the graph
-//! executor: the model is the container's stored topology (an explicit
+//! container alone. `verify` takes the container's stored topology (an
+//! explicit `--scale` is cross-checked against it), regenerates the
+//! kernels, and confirms the streams decode to them (bit-exactly without
+//! clustering; within Hamming distance 1 per channel with it). `run`
+//! executes the full forward pass *from the compressed container* through
+//! the graph executor: the model is the container's stored topology (an explicit
 //! `--scale` is cross-checked against it up front), then each kernel is
 //! stream-decoded straight into
 //! channel-packed lane words (`--offline` switches to the
@@ -52,8 +52,7 @@
 //! `run` executes through the selected execution backend (`--backend`):
 //! `cpu` is the fused engine path, `scalar` the naive reference oracle,
 //! and `auto` (the default) honors `BITNN_BACKEND` then falls back to
-//! `cpu`. All backends produce bit-identical logits; `verify` accepts the
-//! flag for symmetry and reports which backend the choice resolves to.
+//! `cpu`. All backends produce bit-identical logits.
 //!
 //! `diff` emits a `.bkcp` delta patch between two containers (unchanged
 //! kernels by digest reference, near-identical ones as sparse channel
@@ -465,25 +464,29 @@ fn cmd_verify(args: &[String]) -> CliResult {
     check_flags(
         "verify",
         args,
-        &["--in", "--seed", "--scale", "--arch", "--backend"],
+        &["--in", "--seed", "--scale", "--arch"],
         &["--no-cluster", "--integrity"],
     )?;
-    let backend = parse_backend(args)?.resolve();
     let input = flag_value(args, "--in").ok_or("--in <file> is required")?;
     let clustered = !args.iter().any(|a| a == "--no-cluster");
     let seed: u64 = parse_flag(args, "--seed", 1)?;
-    let scale = parse_scale(args, 0.25)?;
+    // Optional: without it the container's stored topology is the model.
+    let scale = match flag_value(args, "--scale") {
+        Some(_) => Some(parse_scale(args, 0.25)?),
+        None => None,
+    };
     let bytes = std::fs::read(input)?;
     if args.iter().any(|a| a == "--integrity") {
         return verify_integrity(input, &bytes);
     }
     let container = read_model_container(&bytes)?;
     let arch = resolve_arch(args, &container)?;
-    // Geometry first: the container must describe the family/scale the
-    // flags claim, reported clearly before any decoding happens.
+    // Geometry first: an explicit --scale must describe the container's
+    // topology, reported clearly before any decoding happens.
     let container_spec = container.spec_or_reactnet(224)?;
-    let expected_spec = build_spec(arch, scale, 224)?;
-    check_container_geometry(&container_spec, &expected_spec, arch, scale)?;
+    if let Some(scale) = scale {
+        check_container_geometry(&container_spec, &build_spec(arch, scale, 224)?, arch, scale)?;
+    }
     let kernels = sample_conv3_kernels(&container_spec, seed)?;
     for (i, (c, original)) in container.kernels.iter().zip(&kernels).enumerate() {
         let decoded = c.decode_kernel()?;
@@ -513,7 +516,7 @@ fn cmd_verify(args: &[String]) -> CliResult {
         }
         println!("kernel {:>2}: OK", i + 1);
     }
-    println!("\nall kernels verified ({arch}; execution backend: {backend})");
+    println!("\nall kernels verified ({arch})");
     Ok(())
 }
 

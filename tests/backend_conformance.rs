@@ -184,12 +184,12 @@ proptest! {
         }
     }
 
-    /// The streaming direct-conv lowering, pinned via
-    /// `ConvMode::Stream`, is bit-exact with the float reference across
-    /// random 3×3 geometries: strides 1–2, pads 0–1, degenerate one-row
-    /// and one-column planes, batches, channel counts spanning one and
-    /// two lane words, and filter counts spanning the filter-block
-    /// remainders.
+    /// A `ConvMode::Stream` pin is bit-exact with the float reference
+    /// across random 3×3 geometries: strides 1–2, pads 0–1, degenerate
+    /// one-row and one-column planes, batches, and filter counts spanning
+    /// the filter-block remainders. Channel counts span one and two lane
+    /// words, so the pin covers both the streaming kernel (C ≤ 64) and
+    /// the im2col fallback every wider 3×3 conv takes.
     #[test]
     fn streaming_conv_matches_scalar_oracle(
         c in 1usize..70,

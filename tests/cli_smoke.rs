@@ -177,6 +177,31 @@ fn run_without_scale_uses_the_container_topology() {
 }
 
 #[test]
+fn verify_without_scale_uses_the_container_topology() {
+    let out = TempFile(tmp_file("verify-noscale.bkcm"));
+    let path = out.0.to_str().unwrap();
+    let c = bnnkc(&["compress", "--out", path, "--scale", "0.125", "--v3"]);
+    assert!(c.status.success(), "compress failed: {c:?}");
+
+    let v = bnnkc(&["verify", "--in", path]);
+    assert!(v.status.success(), "verify without --scale failed: {v:?}");
+    assert!(String::from_utf8_lossy(&v.stdout).contains("all kernels verified"));
+
+    // An explicit --scale is still cross-checked against the container.
+    let v = bnnkc(&["verify", "--in", path, "--scale", "0.25"]);
+    assert!(!v.status.success(), "wrong --scale must fail verify");
+    let err = String::from_utf8_lossy(&v.stderr);
+    assert!(
+        err.contains("geometry does not match --arch reactnet --scale 0.25"),
+        "unexpected error: {err}"
+    );
+    // The execution-backend flag is gone from verify (it ran no forward).
+    assert!(!bnnkc(&["verify", "--in", path, "--backend", "cpu"])
+        .status
+        .success());
+}
+
+#[test]
 fn every_arch_compresses_and_inspects() {
     for arch in ["vggsmall", "resnetlite"] {
         let out = TempFile(tmp_file(&format!("smoke-{arch}.bkcm")));
@@ -341,19 +366,6 @@ fn run_backend_selection_is_bit_exact_and_validated() {
     );
     assert!(String::from_utf8_lossy(&scalar.stdout).contains("backend scalar"));
     assert_eq!(digest_of(&cpu), digest_of(&scalar));
-
-    // verify accepts the flag and reports the resolved backend.
-    let v = bnnkc(&[
-        "verify",
-        "--in",
-        path,
-        "--scale",
-        "0.125",
-        "--backend",
-        "scalar",
-    ]);
-    assert!(v.status.success(), "verify --backend failed: {v:?}");
-    assert!(String::from_utf8_lossy(&v.stdout).contains("execution backend: scalar"));
 
     // Unknown backends are rejected with the valid set named.
     let bad = bnnkc(&[&base[..], &["--backend", "gpu"]].concat());
