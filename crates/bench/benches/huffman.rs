@@ -1,12 +1,14 @@
 //! Criterion bench: encode/decode throughput of the simplified tree vs
 //! full canonical Huffman — the software cost the paper's hardware unit
-//! eliminates (Sec. III-B / IV-B) — and the whole offline compression of
+//! eliminates (Sec. III-B / IV-B) — the whole container decode of one
+//! kernel into packed lane words, and the whole offline compression of
 //! one kernel (count, cluster, encode).
 
 use bench::block_kernel;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use kc_core::bitstream::{BitReader, BitWriter};
 use kc_core::codec::KernelCodec;
+use kc_core::container::{read_container, write_container};
 use kc_core::huffman::{FullHuffman, SimplifiedTree, TreeConfig};
 use kc_core::{BitSeq, FreqTable};
 use std::hint::black_box;
@@ -97,6 +99,20 @@ fn bench_huffman(c: &mut Criterion) {
             }
             acc
         })
+    });
+    // Block 7 is ReActNet's first 512 x 512 3x3 kernel: the table-driven
+    // sequence loop plus the 9x64 packing transpose, per sequence.
+    let record = read_container(&write_container(
+        &KernelCodec::paper_clustered()
+            .compress(&block_kernel(7, 1, 1.0))
+            .unwrap(),
+    ))
+    .unwrap();
+    g.throughput(Throughput::Elements(
+        (record.filters * record.channels) as u64,
+    ));
+    g.bench_function("packed", |b| {
+        b.iter(|| black_box(&record).decode_packed().unwrap().words().len())
     });
     g.finish();
 }

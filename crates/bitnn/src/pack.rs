@@ -15,10 +15,108 @@
 //!
 //! Both store channels along the lane dimension so that a kernel position
 //! word and an activation pixel word line up channel-for-channel.
+//! [`pack_group`] is the streaming decoder's packing step: 64 decoded 3×3
+//! sequences in, one lane word per kernel position out.
 
 use crate::error::{BitnnError, Result};
+use crate::simd::SimdLevel;
 use crate::tensor::BitTensor;
 use crate::{lanes_for, LANE_BITS};
+
+/// Channel-pack one group of 64 decoded 3×3 sequences into its nine lane
+/// words — the paper's packing unit (Fig. 6) as a 9×64 bit transpose.
+///
+/// Bit `j` of word `p` is bit `8 - p` of `seqs[j]` (the natural mapping:
+/// bit 8 of a sequence is position (0,0)); bits above bit 8 are ignored.
+/// A tail group leaves its unused sequences zero, so their bits stay
+/// clear in every word. Dispatches on [`crate::simd::level`], so
+/// `BITNN_SIMD` caps it like every other kernel.
+#[inline]
+pub fn pack_group(seqs: &[u16; LANE_BITS]) -> [u64; 9] {
+    pack_group_at(crate::simd::level(), seqs)
+}
+
+/// [`pack_group`] at an explicit dispatch level, clamped to what the CPU
+/// has: the AVX-512 body is nine pairs of `vptestmw` (one 32-bit mask per
+/// half-group and position), every lower level runs the portable 8×8
+/// block transpose.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+pub(crate) fn pack_group_at(level: SimdLevel, seqs: &[u16; LANE_BITS]) -> [u64; 9] {
+    #[cfg(target_arch = "x86_64")]
+    {
+        /// AVX-512BW body of [`pack_group`].
+        ///
+        /// # Safety
+        ///
+        /// The CPU must support `avx512f` and `avx512bw`.
+        #[target_feature(enable = "avx512f,avx512bw")]
+        unsafe fn pack_group_avx512(seqs: &[u16; LANE_BITS]) -> [u64; 9] {
+            use std::arch::x86_64::*;
+            // SAFETY: both loads read 32 of the 64 `u16`s in bounds.
+            let (lo, hi) = unsafe {
+                (
+                    _mm512_loadu_si512(seqs.as_ptr().cast()),
+                    _mm512_loadu_si512(seqs.as_ptr().add(32).cast()),
+                )
+            };
+            let mut words = [0u64; 9];
+            for (p, word) in words.iter_mut().enumerate() {
+                let bit = _mm512_set1_epi16(1 << (8 - p));
+                let (l, h) = (
+                    _mm512_test_epi16_mask(lo, bit),
+                    _mm512_test_epi16_mask(hi, bit),
+                );
+                *word = u64::from(l) | u64::from(h) << 32;
+            }
+            words
+        }
+        if level >= SimdLevel::Avx512 && crate::simd::detect().avx512 {
+            // SAFETY: avx512f/bw were detected at runtime.
+            return unsafe { pack_group_avx512(seqs) };
+        }
+    }
+    pack_group_portable(seqs)
+}
+
+/// Portable body of [`pack_group`]: for each block of eight sequences,
+/// transpose the 8×8 bit matrix of their low bytes (one byte per
+/// position) and gather their ninth bits with a multiply.
+#[inline(always)]
+fn pack_group_portable(seqs: &[u16; LANE_BITS]) -> [u64; 9] {
+    let mut words = [0u64; 9];
+    for (block, eight) in seqs.chunks_exact(8).enumerate() {
+        // Row k of each matrix is byte k: sequence k's low byte, and its
+        // bit 8 as a 0/1 byte.
+        let (mut lo, mut hi) = (0u64, 0u64);
+        for (k, &s) in eight.iter().enumerate() {
+            lo |= u64::from(s & 0xFF) << (8 * k);
+            hi |= u64::from((s >> 8) & 1) << (8 * k);
+        }
+        let t = transpose8x8(lo);
+        let shift = 8 * block;
+        // Byte i of the transpose is bit i of all eight sequences, which
+        // is position 8 - i.
+        for (i, word) in words[1..].iter_mut().rev().enumerate() {
+            *word |= ((t >> (8 * i)) & 0xFF) << shift;
+        }
+        // Every product term lands on its own bit, so the top byte is
+        // exactly the eight 0/1 bytes' bits, byte k at bit k.
+        words[0] |= (hi.wrapping_mul(0x0102_0408_1020_4080) >> 56) << shift;
+    }
+    words
+}
+
+/// Transpose an 8×8 bit matrix held row-per-byte (bit `8r + c` is row
+/// `r`, column `c`) with three delta swaps.
+#[inline(always)]
+fn transpose8x8(mut x: u64) -> u64 {
+    let t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
+    x ^= t ^ (t << 7);
+    let t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
+    x ^= t ^ (t << 14);
+    let t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
+    x ^ t ^ (t << 28)
+}
 
 /// Channel-packed binary convolution kernel.
 ///
@@ -491,6 +589,70 @@ mod tests {
         let pk = PackedKernel::pack(&w).unwrap();
         // 65 channels -> 2 lanes; 2 filters * 9 positions * 2 lanes * 8 bytes.
         assert_eq!(pk.storage_bytes(), 2 * 9 * 2 * 8);
+    }
+
+    /// The per-bit scatter [`pack_group`] replaces.
+    fn naive_pack_group(seqs: &[u16; LANE_BITS]) -> [u64; 9] {
+        let mut words = [0u64; 9];
+        for (j, &s) in seqs.iter().enumerate() {
+            for (p, word) in words.iter_mut().enumerate() {
+                *word |= u64::from((s >> (8 - p)) & 1) << j;
+            }
+        }
+        words
+    }
+
+    /// Every dispatch level this CPU can run.
+    fn host_levels() -> Vec<SimdLevel> {
+        let f = crate::simd::detect();
+        [
+            (SimdLevel::Portable, true),
+            (SimdLevel::Avx2, f.avx2),
+            (SimdLevel::Avx512, f.avx512),
+        ]
+        .into_iter()
+        .filter_map(|(level, ok)| ok.then_some(level))
+        .collect()
+    }
+
+    #[test]
+    fn pack_group_fixed_patterns() {
+        let mut seqs = [0u16; LANE_BITS];
+        seqs[0] = 0b1_0000_0000; // position (0,0) of channel 0
+        seqs[63] = 0b0_0000_0001; // position (2,2) of channel 63
+        seqs[9] = 0x1FF;
+        for level in host_levels() {
+            let w = pack_group_at(level, &seqs);
+            assert_eq!(w[0], 1 | 1 << 9, "{level}");
+            assert_eq!(w[8], 1 << 63 | 1 << 9, "{level}");
+            for (p, &word) in w.iter().enumerate().take(8).skip(1) {
+                assert_eq!(word, 1 << 9, "{level} position {p}");
+            }
+            assert_eq!(pack_group_at(level, &[0x1FF; LANE_BITS]), [u64::MAX; 9]);
+            assert_eq!(pack_group_at(level, &[0; LANE_BITS]), [0; 9]);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn pack_group_matches_naive_scatter_at_every_level(
+            raw in proptest::collection::vec(0u16..512, LANE_BITS),
+            used in 1usize..=LANE_BITS,
+        ) {
+            // A tail group of `used` sequences leaves the rest zero.
+            let mut seqs = [0u16; LANE_BITS];
+            seqs[..used].copy_from_slice(&raw[..used]);
+            let want = naive_pack_group(&seqs);
+            for level in host_levels() {
+                prop_assert_eq!(pack_group_at(level, &seqs), want, "{} used {}", level, used);
+            }
+            prop_assert_eq!(pack_group(&seqs), want);
+            if used < LANE_BITS {
+                prop_assert!(want.iter().all(|w| w >> used == 0));
+            }
+        }
     }
 
     proptest! {

@@ -11,7 +11,7 @@
 //! [`ModelGraph`] and accounts the whole-model ratio (the paper's 1.2x).
 
 use crate::bitseq::{BitSeq, NUM_SEQUENCES};
-use crate::bitstream::{BitReader, BitWriter};
+use crate::bitstream::BitWriter;
 use crate::cluster::{ClusterConfig, ClusterPlan, Substitution};
 use crate::config::DecoderConfig;
 use crate::error::{KcError, Result};
@@ -20,7 +20,7 @@ use crate::huffman::{SimplifiedTree, TreeConfig};
 use bitnn::graph::ModelGraph;
 use bitnn::model::OpCategory;
 use bitnn::tensor::BitTensor;
-use bitnn::weightgen::{read_sequences, write_sequence};
+use bitnn::weightgen::read_sequences;
 use bytes::Bytes;
 
 /// A compression pipeline: simplified tree + optional clustering.
@@ -211,18 +211,16 @@ impl CompressedKernel {
     ///
     /// Returns [`KcError::CorruptStream`] if the stream is damaged.
     pub fn decompress(&self) -> Result<BitTensor> {
-        let mut kernel = BitTensor::zeros(&[self.filters, self.channels, 3, 3]);
-        let mut reader = BitReader::with_limit(&self.stream, self.stream_bits);
-        for f in 0..self.filters {
-            for ch in 0..self.channels {
-                let seq = self.tree.decode(&mut reader)?;
-                write_sequence(&mut kernel, f, ch, seq.value());
-            }
-        }
-        if reader.remaining() != 0 {
+        let (kernel, left) = crate::stream_decode::decode_tensor(
+            &self.tree,
+            &self.stream,
+            self.stream_bits,
+            self.filters,
+            self.channels,
+        )?;
+        if left != 0 {
             return Err(KcError::CorruptStream(format!(
-                "{} bits left over after decoding",
-                reader.remaining()
+                "{left} bits left over after decoding"
             )));
         }
         Ok(kernel)

@@ -102,21 +102,15 @@ impl Container {
     /// Returns [`KcError::CorruptStream`] if the stream does not decode
     /// to exactly `filters * channels` sequences.
     pub fn decode_kernel(&self) -> Result<bitnn::tensor::BitTensor> {
-        use crate::bitstream::BitReader;
-        use bitnn::weightgen::write_sequence;
-        let mut kernel = bitnn::tensor::BitTensor::zeros(&[self.filters, self.channels, 3, 3]);
-        let mut reader = BitReader::with_limit(&self.stream, self.stream_bits);
-        for f in 0..self.filters {
-            for ch in 0..self.channels {
-                let seq = self.tree.decode(&mut reader)?;
-                write_sequence(&mut kernel, f, ch, seq.value());
-            }
-        }
-        if reader.remaining() != 0 {
-            return Err(KcError::CorruptStream(format!(
-                "{} bits left over",
-                reader.remaining()
-            )));
+        let (kernel, left) = crate::stream_decode::decode_tensor(
+            &self.tree,
+            &self.stream,
+            self.stream_bits,
+            self.filters,
+            self.channels,
+        )?;
+        if left != 0 {
+            return Err(KcError::CorruptStream(format!("{left} bits left over")));
         }
         Ok(kernel)
     }
@@ -282,6 +276,25 @@ pub fn read_container(bytes: &[u8]) -> Result<Container> {
             return Err(KcError::CorruptStream(
                 "nonzero padding bits in the final stream byte".into(),
             ));
+        }
+    }
+    // The stream holds exactly one code per sequence, each as long as a
+    // non-empty node's code: a payload outside that span cannot decode,
+    // and rejecting it here keeps a forged geometry from sizing the
+    // decode buffers.
+    let codes = filters as u64 * channels as u64;
+    let lens = (0..nodes)
+        .filter(|&i| !tree.table(i).is_empty())
+        .map(|i| u64::from(tree.code_len(i)));
+    match lens.clone().min().zip(lens.max()) {
+        Some((short, long)) if (codes * short..=codes * long).contains(&(stream_bits as u64)) => {}
+        span => {
+            let lens = span.map_or("no codes".into(), |(s, l)| {
+                format!("codes of {s}..={l} bits")
+            });
+            return Err(KcError::CorruptStream(format!(
+                "{stream_bits} stream bits cannot hold {codes} sequences as {lens}"
+            )));
         }
     }
     Ok(Container {
@@ -974,6 +987,62 @@ mod tests {
         // Zero filters.
         bytes[6..10].copy_from_slice(&0u32.to_le_bytes());
         assert!(read_container(&bytes).is_err());
+    }
+
+    #[test]
+    fn stream_too_short_for_its_geometry_is_rejected_before_decoding() {
+        // 38 bytes declaring a 1,048,576 × 1,048,576 kernel with one
+        // 1-bit code and an 8-bit stream: decoding it used to request a
+        // 1.2 TB packed buffer and abort the process.
+        let mut rec = Vec::new();
+        rec.extend_from_slice(MAGIC);
+        rec.extend_from_slice(&VERSION.to_le_bytes());
+        rec.extend_from_slice(&(1u32 << 20).to_le_bytes());
+        rec.extend_from_slice(&(1u32 << 20).to_le_bytes());
+        rec.push(2); // nodes
+        rec.extend_from_slice(&[1, 0, 1, 0]); // capacities 1, 1
+        rec.extend_from_slice(&[1, 0, 0, 0, 0, 0]); // tables [[0], []]
+        rec.extend_from_slice(&8u64.to_le_bytes()); // stream_bits
+        rec.extend_from_slice(&1u32.to_le_bytes()); // stream_len
+        rec.push(0);
+        assert_eq!(rec.len(), 38);
+        match read_container(&rec) {
+            Err(KcError::CorruptStream(m)) => assert_eq!(
+                m,
+                "8 stream bits cannot hold 1099511627776 sequences as codes of 1..=1 bits"
+            ),
+            other => panic!("expected a corrupt stream, got {other:?}"),
+        }
+        // The same record at a 2 × 4 geometry holds exactly its eight
+        // 1-bit codes and decodes.
+        rec[6..10].copy_from_slice(&2u32.to_le_bytes());
+        rec[10..14].copy_from_slice(&4u32.to_le_bytes());
+        let c = read_container(&rec).unwrap();
+        let zeros = bitnn::tensor::BitTensor::zeros(&[2, 4, 3, 3]);
+        assert_eq!(c.decode_kernel().unwrap(), zeros);
+        // One sequence too many or too few leaves the span.
+        for (f, ch) in [(3u32, 4u32), (1, 7)] {
+            rec[6..10].copy_from_slice(&f.to_le_bytes());
+            rec[10..14].copy_from_slice(&ch.to_le_bytes());
+            assert!(
+                matches!(read_container(&rec), Err(KcError::CorruptStream(m)) if m.contains("cannot hold")),
+                "{f}x{ch}"
+            );
+        }
+    }
+
+    #[test]
+    fn empty_tree_holds_no_stream() {
+        let ck = compressed();
+        let valid = write_container(&ck);
+        // The same header and stream behind a tree of two empty nodes.
+        let mut rec = valid[..14].to_vec();
+        rec.extend_from_slice(&[2, 1, 0, 1, 0, 0, 0, 0, 0]);
+        rec.extend_from_slice(&valid[valid.len() - ck.stream().len() - 12..]);
+        match read_container(&rec) {
+            Err(KcError::CorruptStream(m)) => assert!(m.ends_with("as no codes"), "{m}"),
+            other => panic!("expected a corrupt stream, got {other:?}"),
+        }
     }
 
     #[test]

@@ -198,13 +198,18 @@ impl SimplifiedTree {
         let (node, idx) = self
             .assignment(seq)
             .ok_or(KcError::Unencodable(seq.value()))?;
-        let node = node as usize;
+        Ok(self.code_at(node as usize, idx))
+    }
+
+    /// The codeword `(bits, length)` addressing entry `idx` of node
+    /// `node`'s table.
+    pub(crate) fn code_at(&self, node: usize, idx: u16) -> (u32, u8) {
         let prefix_len = self.config.prefix_len(node);
         // Prefix: `node` ones followed by a zero.
         let prefix: u32 = ((1u32 << node) - 1) << 1; // e.g. node 2 -> 0b110
         let ibits = self.index_bits[node];
         let code = (prefix << ibits) | idx as u32;
-        Ok((code, prefix_len + ibits))
+        (code, prefix_len + ibits)
     }
 
     /// Append the code for `seq` to a bit stream.
@@ -225,7 +230,10 @@ impl SimplifiedTree {
     /// leading ones to find the node, take the node's index bits from the
     /// same window to address the uncompressed table, then advance by
     /// the node's code length. A code is at most 8 prefix bits plus a
-    /// 16-bit index, so one window always holds it.
+    /// 16-bit index, so one window always holds it. Container decodes
+    /// run the table-driven loop of [`crate::stream_decode`], which hands
+    /// this parser only the codes its lookup cannot settle and the
+    /// stream's tail, so its errors are theirs.
     ///
     /// # Errors
     ///
