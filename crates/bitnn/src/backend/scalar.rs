@@ -1,132 +1,23 @@
-//! The scalar reference backend: naive per-node forwards, fresh
+//! The scalar reference oracle: naive per-node forwards, fresh
 //! allocations, no fusion, no engine. Slow and obvious by design — this
-//! is the bit-exactness oracle every other backend is verified against.
+//! is the bit-exactness oracle the fused executor is verified against.
 
-use std::any::Any;
-
-use super::stages::{add, fuse_channel_stage, fuse_spatial_stage, shortcut_channels};
-use super::{layer, Backend, StepCtx};
+use super::layer;
+use super::stages::{add, shortcut_channels};
 use crate::error::{BitnnError, Result};
-use crate::exec::ExecPolicy;
-use crate::graph::{unfused_steps, CompiledPlan, GraphNode, Step};
+use crate::graph::{GraphNode, NodeOp};
 use crate::layers::{avg_pool_2x2, global_avg_pool, Layer};
 use crate::pack::PackedActivations;
 use crate::tensor::{BitTensor, Tensor};
 
-use crate::graph::NodeOp;
-
-/// The reference backend. Stateless: its scratch is `()`, every step
-/// allocates its own intermediates, and execution is always inline on the
-/// calling thread.
-///
-/// It compiles the *unfused* step list — one step per node, only the
-/// mandatory sign-into-conv folding — so each node's value is observable
-/// and nothing hides behind a fused kernel. It can nevertheless execute
-/// fused steps (another backend's plan) by running the same per-element
-/// operations unfused-equivalently, which the conformance suite relies
-/// on.
+/// Names the scalar oracle (the node walk behind
+/// [`crate::graph::ModelGraph::forward_scalar`]) at the
+/// [`crate::graph::ModelGraph::state_for`] /
+/// [`crate::graph::ModelGraph::forward_on`] entry points. Stateless:
+/// the oracle allocates its own intermediates and always runs inline on
+/// the calling thread.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ScalarBackend;
-
-impl Backend for ScalarBackend {
-    fn name(&self) -> &'static str {
-        "scalar"
-    }
-
-    fn compile(&self, nodes: &[GraphNode]) -> CompiledPlan {
-        CompiledPlan::from_steps(nodes.len(), unfused_steps(nodes))
-    }
-
-    fn new_scratch(&self) -> Box<dyn Any + Send> {
-        Box::new(())
-    }
-
-    fn execute_step(
-        &self,
-        ctx: StepCtx<'_>,
-        _scratch: &mut (dyn Any + Send),
-        dst: &mut Tensor,
-    ) -> Result<()> {
-        let nodes = ctx.nodes;
-        match *ctx.step {
-            Step::Input { .. } => unreachable!("the dispatch loop skips input steps"),
-            Step::Stem { node, .. } => {
-                *dst = layer!(nodes, node, NodeOp::StemConv).forward(ctx.a);
-            }
-            Step::Conv { node, sign, .. } => {
-                let bits = layer!(nodes, sign, NodeOp::Sign).binarize(ctx.a);
-                let packed = PackedActivations::pack(&bits).expect("4-D input");
-                *dst = layer!(nodes, node, NodeOp::BinConv).forward_packed(&packed);
-            }
-            Step::Bn { node, .. } => {
-                *dst = layer!(nodes, node, NodeOp::BatchNorm).forward(ctx.a);
-            }
-            Step::Act { node, .. } => {
-                *dst = layer!(nodes, node, NodeOp::Act).forward(ctx.a);
-            }
-            Step::AvgPool { .. } => {
-                *dst = avg_pool_2x2(ctx.a);
-            }
-            Step::ChannelDup { .. } => {
-                *dst = shortcut_channels(ctx.a, 2 * ctx.a.shape()[1]);
-            }
-            Step::Add { .. } => {
-                *dst = add(ctx.a, ctx.b.expect("add step has two operands"));
-            }
-            Step::GlobalPool { .. } => {
-                *dst = global_avg_pool(ctx.a);
-            }
-            Step::Classifier { node, .. } => {
-                *dst = layer!(nodes, node, NodeOp::Classifier).forward_2d(ctx.a);
-            }
-            Step::FusedSpatial {
-                act,
-                sign,
-                conv,
-                bn,
-                ..
-            } => {
-                let conv_out = conv_chain(nodes, sign, conv, ctx.a);
-                return fuse_spatial_stage(
-                    &conv_out,
-                    ctx.a,
-                    2,
-                    layer!(nodes, bn, NodeOp::BatchNorm),
-                    layer!(nodes, act, NodeOp::Act),
-                    dst,
-                );
-            }
-            Step::FusedChannel {
-                act,
-                sign,
-                conv,
-                bn,
-                ..
-            } => {
-                let conv_out = conv_chain(nodes, sign, conv, ctx.a);
-                fuse_channel_stage(
-                    &conv_out,
-                    ctx.a,
-                    layer!(nodes, bn, NodeOp::BatchNorm),
-                    layer!(nodes, act, NodeOp::Act),
-                    dst,
-                );
-            }
-        }
-        Ok(())
-    }
-
-    fn policy(&self) -> ExecPolicy {
-        ExecPolicy::single_threaded()
-    }
-}
-
-/// The naive `sign → binary conv` prefix of a fused step.
-fn conv_chain(nodes: &[GraphNode], sign: usize, conv: usize, x: &Tensor) -> Tensor {
-    let bits = layer!(nodes, sign, NodeOp::Sign).binarize(x);
-    let packed = PackedActivations::pack(&bits).expect("4-D input");
-    layer!(nodes, conv, NodeOp::BinConv).forward_packed(&packed)
-}
 
 /// The scalar reference walk: per-node naive forwards, fresh allocations,
 /// no fusion, no engine — the oracle behind

@@ -1,7 +1,7 @@
-//! Element-wise stage kernels shared by both execution backends: the
-//! fused `BatchNorm → (+ shortcut) → RPReLU` passes the plan's fused
-//! steps lower onto, and the shortcut add / channel duplication of the
-//! unfused steps.
+//! Element-wise stage kernels: the fused `BatchNorm → (+ shortcut) →
+//! RPReLU` passes the plan's fused steps lower onto, and the shortcut
+//! add / channel duplication that both the CPU steps and the scalar
+//! oracle use.
 
 use crate::error::{BitnnError, Result};
 use crate::layers::prelu::apply_params;

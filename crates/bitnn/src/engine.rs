@@ -126,12 +126,11 @@ pub enum ConvPath {
     Stream,
 }
 
-/// The CPU backend's per-step staging buffers — everything a step of the
+/// The CPU step kernels' staging buffers — everything a step of the
 /// compiled plan needs besides the liveness-assigned activation arena.
 ///
-/// This is the scratch type [`crate::backend::CpuBackend`] owns behind the
-/// `Backend` trait's type-erased scratch handle; the legacy engine-based
-/// forwards reach the same buffers through [`Scratch::cpu`].
+/// The graph executor's dispatch loop hands it to every step; callers
+/// own it inside a [`Scratch`].
 #[derive(Debug, Clone, Default)]
 pub struct CpuScratch {
     /// Engine-internal lowering buffers.
@@ -149,12 +148,12 @@ pub struct CpuScratch {
 /// graph executor's activation arena) has been sized by a warm-up forward,
 /// repeat forwards of the same shape perform zero heap allocation.
 ///
-/// Split in two so the graph dispatcher can hand the backend its own
+/// Split in two so the graph dispatcher can hand the step kernels their
 /// buffers (`cpu`) while itself mutating the arena — disjoint borrows of
 /// one struct.
 #[derive(Debug, Clone, Default)]
 pub struct Scratch {
-    /// CPU-backend staging buffers (lowering, binarization, packing,
+    /// Step-kernel staging buffers (lowering, binarization, packing,
     /// quantized ends).
     pub(crate) cpu: CpuScratch,
     /// The graph executor's activation arena: one reusable tensor per
@@ -744,7 +743,7 @@ mod tests {
 
     // The engine-vs-reference conv and GEMM oracle proptests that lived
     // here moved to `tests/backend_conformance.rs`, where one harness
-    // sweeps every registered backend against the scalar oracle.
+    // sweeps them and the graph executor against the scalar oracle.
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]

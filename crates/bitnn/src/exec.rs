@@ -1,6 +1,6 @@
-//! Execution policy and thread-count grammar — backend-neutral knobs.
+//! Execution policy and thread-count grammar.
 //!
-//! Everything here is shared by *every* execution backend and by the
+//! Everything here is shared by the executor and by the
 //! binaries (`bnnkc`, `perfsuite`): how many workers a dispatch may use,
 //! when an op is too small to parallelize, and how a 3×3 convolution is
 //! lowered onto the compute substrate. None of it depends on the CPU

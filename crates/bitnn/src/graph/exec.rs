@@ -1,26 +1,24 @@
-//! Plan structure and backend dispatch for the graph executor.
+//! Plan structure and the dispatch loop of the graph executor.
 //!
-//! This module owns the *backend-neutral* half of execution: the
-//! [`Step`] vocabulary, the step-list builders ([`fused_steps`] /
-//! [`unfused_steps`]) that backends call from their `compile`, the
-//! liveness pass that assigns every intermediate value an arena slot
-//! ([`CompiledPlan::from_steps`]), and the dispatch loop ([`run_plan`])
-//! that resolves each step's operand tensors and hands the step to a
-//! [`Backend`](crate::backend::Backend). It never touches a kernel: how a
-//! step is actually computed — which engine, which SIMD level, which
-//! scratch buffers — is entirely the backend's business (see
-//! [`crate::backend`]).
+//! This module owns the plan: the [`Step`] vocabulary, the fused
+//! step-list builder ([`fused_steps`]), the liveness pass that assigns
+//! every intermediate value an arena slot ([`CompiledPlan::from_steps`]),
+//! and the one dispatch loop ([`run_plan`]) that resolves each step's
+//! operand tensors and hands the step to the CPU step kernels
+//! (`crate::backend::cpu`). How a step is computed — which engine
+//! kernel, which SIMD level, which scratch buffers — lives there.
 //!
 //! Planning happens once, at [`crate::graph::ModelGraph`] construction:
 //! the node list is walked, sign nodes are folded into their consuming
-//! convolutions, and (in the fused lowering) every
-//! `BinConv → BatchNorm → Add → Act` chain whose intermediates are
-//! single-use is collapsed into one fused step. Every backend is
-//! bit-exact with every other: the convolutions are integer, and the
-//! fused float stages apply the same per-element operations in the same
-//! order.
+//! convolutions, and every `BinConv → BatchNorm → Add → Act` chain whose
+//! intermediates are single-use is collapsed into one fused step. The
+//! fused plan is bit-exact with the scalar oracle's node walk
+//! (`crate::backend::scalar::run_scalar`): the convolutions are integer,
+//! and the fused float stages apply the same per-element operations in
+//! the same order.
 
-use crate::backend::{Backend, StepCtx};
+use crate::backend::cpu;
+use crate::engine::{CpuScratch, Engine};
 use crate::error::Result;
 use crate::tensor::Tensor;
 
@@ -176,14 +174,13 @@ impl Step {
 /// graph input) or are never produced (folded sign nodes).
 pub(crate) const NO_SLOT: usize = usize::MAX;
 
-/// A compiled execution plan: the step list a backend's `compile` chose,
-/// per-value lifetimes, and the liveness-derived arena slot assignment.
+/// A compiled execution plan: the fused step list, per-value lifetimes,
+/// and the liveness-derived arena slot assignment.
 ///
 /// The plan is pure topology — it says *what* runs in *which order*
-/// against *which arena slots*, never *how*. Backends build one via
-/// [`CompiledPlan::from_steps`] from a step list (usually [`fused_steps`]
-/// or [`unfused_steps`]) and [`run_plan`] drives any plan against any
-/// backend.
+/// against *which arena slots*, never *how*. It is built by
+/// [`CompiledPlan::from_steps`] from [`fused_steps`], and `run_plan`
+/// drives it.
 #[derive(Debug, Clone, Default)]
 pub struct CompiledPlan {
     pub(crate) steps: Vec<Step>,
@@ -318,19 +315,6 @@ pub fn fused_steps(nodes: &[GraphNode]) -> Vec<Step> {
     steps
 }
 
-/// Build the unfused step list: one step per node, with only the
-/// mandatory sign-into-conv folding (a sign node's value — packed bits —
-/// is not a [`Tensor`] and cannot live in the arena). This is the step
-/// list the reference backend compiles to: maximum per-step
-/// observability, no fusion to hide behind.
-pub fn unfused_steps(nodes: &[GraphNode]) -> Vec<Step> {
-    nodes
-        .iter()
-        .enumerate()
-        .filter_map(|(i, node)| node_step(nodes, i, node))
-        .collect()
-}
-
 /// The plain (unfused) step for one node; `None` for folded sign nodes.
 fn node_step(nodes: &[GraphNode], i: usize, node: &GraphNode) -> Option<Step> {
     Some(match node.op {
@@ -381,9 +365,8 @@ fn node_step(nodes: &[GraphNode], i: usize, node: &GraphNode) -> Option<Step> {
 impl CompiledPlan {
     /// Compile a step list over a graph of `n_nodes` nodes into a plan:
     /// derive per-value lifetimes and run the liveness pass that assigns
-    /// arena slots. This is the one constructor — every backend's
-    /// `compile` funnels through it, so the aliasing guarantees hold for
-    /// any step list.
+    /// arena slots. This is the one constructor, so the aliasing
+    /// guarantees hold for any step list.
     pub fn from_steps(n_nodes: usize, steps: Vec<Step>) -> CompiledPlan {
         let mut last_read = vec![usize::MAX; n_nodes];
         for (si, step) in steps.iter().enumerate() {
@@ -501,23 +484,22 @@ impl CompiledPlan {
     }
 }
 
-/// Run a compiled plan against a backend into a reusable output tensor.
+/// Run a compiled plan into a reusable output tensor.
 ///
 /// This is the whole dispatch loop: per step, resolve the operand values
 /// (the borrowed graph input or arena slots), detach the liveness-assigned
-/// output slot, and hand the step to [`Backend::execute_step`] with the
-/// backend's own scratch. Every intermediate value lives in `arena` at
-/// the slot the liveness pass assigned; on a warmed arena (same shapes as
-/// the last call) the loop itself performs zero heap allocation — whether
-/// the whole forward does depends on the backend (the CPU backend's does,
-/// the reference backend allocates per step by design).
+/// output slot, and run the step's CPU kernel with `engine` and the
+/// staging buffers in `scratch`. Every intermediate value lives in
+/// `arena` at the slot the liveness pass assigned; on a warmed arena and
+/// scratch (same shapes as the last call) the whole forward performs
+/// zero heap allocation.
 pub(crate) fn run_plan(
     nodes: &[GraphNode],
     plan: &CompiledPlan,
-    backend: &dyn Backend,
+    engine: &Engine,
     input: &Tensor,
     arena: &mut Vec<Tensor>,
-    scratch: &mut (dyn std::any::Any + Send),
+    scratch: &mut CpuScratch,
     out: &mut Tensor,
 ) -> Result<()> {
     if arena.len() < plan.slots {
@@ -543,13 +525,12 @@ pub(crate) fn run_plan(
                 &arena[plan.slot[v]]
             }
         };
-        let result = backend.execute_step(
-            StepCtx {
-                nodes,
-                step,
-                a: resolve(first),
-                b: second.map(resolve),
-            },
+        let result = cpu::run_step(
+            nodes,
+            step,
+            resolve(first),
+            second.map(resolve),
+            engine,
             scratch,
             &mut dst,
         );

@@ -35,10 +35,11 @@ pub mod arch;
 mod exec;
 pub mod spec;
 
-pub use exec::{fused_steps, unfused_steps, CompiledPlan, Step};
+pub use exec::{fused_steps, CompiledPlan, Step};
 pub use spec::{ConvGeometry, GraphSpec, NodeSpec, OpSpec, ShapeInfo};
 
-use crate::backend::{Backend, CpuBackend};
+use crate::backend::scalar::run_scalar;
+use crate::backend::ScalarBackend;
 use crate::engine::{Engine, Scratch};
 use crate::error::{BitnnError, Result};
 use crate::exec::ExecPolicy;
@@ -242,31 +243,12 @@ impl BatchScratch {
     }
 }
 
-/// Reusable forward state for one [`crate::backend::Backend`]: the plan
-/// that backend compiled, the activation arena the dispatch loop
-/// recycles, and the backend's own opaque scratch. Built by
-/// [`ModelGraph::state_for`], consumed by [`ModelGraph::forward_on`].
-pub struct ForwardState {
-    plan: exec::CompiledPlan,
-    arena: Vec<Tensor>,
-    scratch: Box<dyn std::any::Any + Send>,
-}
-
-impl ForwardState {
-    /// The compiled plan this state runs.
-    pub fn plan(&self) -> &CompiledPlan {
-        &self.plan
-    }
-}
-
-impl std::fmt::Debug for ForwardState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ForwardState")
-            .field("plan", &self.plan)
-            .field("arena", &self.arena.len())
-            .finish_non_exhaustive()
-    }
-}
+/// The (empty) forward state of the scalar oracle's
+/// [`ModelGraph::forward_on`] entry point, built by
+/// [`ModelGraph::state_for`]. The oracle allocates per node, so there is
+/// nothing to reuse.
+#[derive(Debug)]
+pub struct ForwardState;
 
 /// A weighted, validated, executable model graph.
 ///
@@ -343,9 +325,7 @@ impl ModelGraph {
                 }
             }
         }
-        // The stored plan is the CPU backend's (fused) compilation — the
-        // one the `forward*` family runs. Other backends compile their
-        // own via [`ModelGraph::state_for`].
+        // The one plan: the fused step list every `forward*` runs.
         let plan = exec::CompiledPlan::from_steps(nodes.len(), exec::fused_steps(&nodes));
         let conv3 = spec.conv3_geometries().iter().map(|g| g.node).collect();
         // Workload model: total multiply-accumulates at the nominal image
@@ -571,25 +551,17 @@ impl ModelGraph {
         out: &mut Tensor,
     ) -> Result<()> {
         self.check_input(input);
-        let backend = CpuBackend::new(engine.clone());
         let Scratch { cpu, arena, .. } = scratch;
-        exec::run_plan(&self.nodes, &self.plan, &backend, input, arena, cpu, out)
+        exec::run_plan(&self.nodes, &self.plan, engine, input, arena, cpu, out)
     }
 
-    /// Compile this graph for an arbitrary [`Backend`] and allocate its
-    /// forward state (plan, activation arena, backend scratch). Reuse the
-    /// state across [`Self::forward_on`] calls to amortize buffers.
-    pub fn state_for(&self, backend: &dyn Backend) -> ForwardState {
-        ForwardState {
-            plan: backend.compile(&self.nodes),
-            arena: Vec::new(),
-            scratch: backend.new_scratch(),
-        }
+    /// Forward state for [`Self::forward_on`] through the scalar oracle.
+    pub fn state_for(&self, _oracle: &ScalarBackend) -> ForwardState {
+        ForwardState
     }
 
-    /// Forward pass through an arbitrary backend with state from
-    /// [`Self::state_for`]. Bit-exact with [`Self::forward_scalar`] for
-    /// every registered backend.
+    /// [`Self::forward_scalar`] into `out`, replacing whatever it held
+    /// (any shape).
     ///
     /// # Errors
     ///
@@ -598,25 +570,16 @@ impl ModelGraph {
     /// # Panics
     ///
     /// Panics if the input is not `[N, C, H, W]` with the graph's input
-    /// channel count, or if `state` was compiled by a different backend
-    /// kind than `backend`.
+    /// channel count.
     pub fn forward_on(
         &self,
-        backend: &dyn Backend,
-        state: &mut ForwardState,
+        _oracle: &ScalarBackend,
+        _state: &mut ForwardState,
         input: &Tensor,
         out: &mut Tensor,
     ) -> Result<()> {
-        self.check_input(input);
-        exec::run_plan(
-            &self.nodes,
-            &state.plan,
-            backend,
-            input,
-            &mut state.arena,
-            state.scratch.as_mut(),
-            out,
-        )
+        *out = self.forward_scalar(input)?;
+        Ok(())
     }
 
     /// Estimated lane-word operations for one forward of `input`.
@@ -806,11 +769,10 @@ impl ModelGraph {
             stacked_in.data_mut()[i * item_len..(i + 1) * item_len].copy_from_slice(input.data());
         }
         self.check_input(stacked_in);
-        let backend = CpuBackend::new(engine.clone());
         exec::run_plan(
             &self.nodes,
             &self.plan,
-            &backend,
+            engine,
             stacked_in,
             arena,
             cpu,
@@ -843,7 +805,7 @@ impl ModelGraph {
     /// Panics if the input shape does not match the graph.
     pub fn forward_scalar(&self, input: &Tensor) -> Result<Tensor> {
         self.check_input(input);
-        crate::backend::scalar::run_scalar(&self.nodes, input, None)
+        run_scalar(&self.nodes, input, None)
     }
 
     /// Scalar forward that also returns the binarized input of every
@@ -860,7 +822,7 @@ impl ModelGraph {
     pub fn forward_traced(&self, input: &Tensor) -> Result<(Tensor, Vec<BitTensor>)> {
         self.check_input(input);
         let mut traces = Vec::with_capacity(self.conv3.len());
-        let out = crate::backend::scalar::run_scalar(&self.nodes, input, Some(&mut traces))?;
+        let out = run_scalar(&self.nodes, input, Some(&mut traces))?;
         Ok((out, traces))
     }
 

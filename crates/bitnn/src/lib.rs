@@ -54,7 +54,6 @@ pub mod simd;
 pub mod tensor;
 pub mod weightgen;
 
-pub use backend::{Backend, BackendKind};
 pub use engine::{Engine, KernelForms, Scratch};
 pub use error::{BitnnError, Result};
 pub use exec::{ConvMode, ExecPolicy};

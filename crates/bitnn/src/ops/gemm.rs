@@ -261,7 +261,7 @@ fn gemm_rows_blocked<const MR: usize, const NR: usize>(
 /// logical bits per row (clean tails required); `bn` is the number of `b`
 /// rows (the output width). Writes ±1-domain dot products for `a` rows
 /// `m_start ..` into `out`, whose length determines how many rows are
-/// computed. This is the worker body the execution backends hand to each
+/// computed. This is the worker body the engine hands to each
 /// thread with a disjoint output band; the register blocking comes from
 /// the [`crate::simd`] selection table (autotuned on first use per shape
 /// class) and the ISA instantiation from the detected dispatch level.

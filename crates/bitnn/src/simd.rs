@@ -1,7 +1,7 @@
 //! Runtime CPU-feature dispatch and kernel-variant selection.
 //!
 //! The crate builds for the portable x86-64 baseline (SSE2, no `popcnt`),
-//! but every band kernel the execution backends hand to their workers is
+//! but every band kernel the executor hands to its workers is
 //! *also* compiled in wider instantiations behind
 //! `#[target_feature(enable = ...)]`: an AVX2+`popcnt` one, where LLVM
 //! vectorizes the `count_ones` inner loops with the `vpshufb` nibble-LUT

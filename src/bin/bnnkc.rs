@@ -8,7 +8,7 @@
 //!                  [--scale S] [--no-cluster]
 //! bnnkc run        --in model.bkcm [--arch A] [--seed 1] [--scale S]
 //!                  [--image 224] [--batch 1] [--threads N|auto] [--offline]
-//!                  [--backend auto|cpu|scalar]
+//!                  [--backend cpu|scalar]
 //! bnnkc diff       base.bkcm new.bkcm -o patch.bkcp
 //! bnnkc patch      base.bkcm patch.bkcp -o new.bkcm
 //! bnnkc simulate   [--arch A] [--scale 1.0] [--image 224]
@@ -44,15 +44,14 @@
 //! `serve` runs the batch-coalescing inference daemon: a model registry
 //! with per-entry batching queues, backpressure, and wire-protocol
 //! hot-swap (see `crates/serve`). `features` reports what this host
-//! offers the execution backends: detected CPU features, the selected
-//! SIMD level, hardware parallelism, the backend `auto` resolves to, and
-//! the GEMM kernel variant the micro-autotuner picks per shape class —
-//! `--json` emits the same facts machine-readably.
+//! offers the executor: detected CPU features, the selected SIMD level,
+//! hardware parallelism, and the GEMM kernel variant the micro-autotuner
+//! picks per shape class — `--json` emits the same facts
+//! machine-readably.
 //!
-//! `run` executes through the selected execution backend (`--backend`):
-//! `cpu` is the fused engine path, `scalar` the naive reference oracle,
-//! and `auto` (the default) honors `BITNN_BACKEND` then falls back to
-//! `cpu`. All backends produce bit-identical logits.
+//! `run --backend` picks what computes the logits: `cpu` (the default)
+//! runs the fused plan on the engine, `scalar` runs the naive reference
+//! oracle item by item. Both produce bit-identical logits.
 //!
 //! `diff` emits a `.bkcp` delta patch between two containers (unchanged
 //! kernels by digest reference, near-identical ones as sparse channel
@@ -235,12 +234,14 @@ fn parse_threads(args: &[String]) -> Result<usize, Box<dyn std::error::Error>> {
     bnnkc::bitnn::exec::parse_thread_count(flag_value(args, "--threads")).map_err(Into::into)
 }
 
-/// Parse `--backend` (default `auto`); the returned kind may still be
-/// `Auto` — resolution to a concrete backend happens where it is used.
-fn parse_backend(args: &[String]) -> Result<BackendKind, Box<dyn std::error::Error>> {
+/// Parse `run --backend`: `cpu` (the default, the fused plan on the
+/// engine) or `scalar` (the reference oracle). Returns whether the
+/// oracle runs.
+fn parse_scalar_backend(args: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
     match flag_value(args, "--backend") {
-        None => Ok(BackendKind::Auto),
-        Some(v) => v.parse::<BackendKind>().map_err(Into::into),
+        None | Some("cpu") => Ok(false),
+        Some("scalar") => Ok(true),
+        Some(other) => Err(format!("unknown backend '{other}' (expected cpu or scalar)").into()),
     }
 }
 
@@ -617,7 +618,7 @@ fn cmd_run(args: &[String]) -> CliResult {
     let image: usize = parse_flag(args, "--image", 224)?;
     let batch: usize = parse_flag(args, "--batch", 1)?;
     let threads = parse_threads(args)?;
-    let backend = parse_backend(args)?.resolve();
+    let scalar = parse_scalar_backend(args)?;
     let offline = args.iter().any(|a| a == "--offline");
     if image == 0 {
         return Err("--image must be at least 1".into());
@@ -661,22 +662,17 @@ fn cmd_run(args: &[String]) -> CliResult {
     };
     let inputs = synthetic_batch(batch, input_channels, image, seed ^ RUN_INPUT_SALT);
     let t1 = Instant::now();
-    let outputs = match backend {
-        // The engine path keeps its batch-level parallel entry point.
-        BackendKind::Auto | BackendKind::Cpu => model.forward_batch(&inputs, &engine)?,
-        // Any other backend runs item-by-item through the generic
-        // backend entry point (bit-exact with the engine path).
-        kind => {
-            let b = kind.create(engine.clone());
-            let mut state = model.state_for(b.as_ref());
-            let mut outs = Vec::with_capacity(inputs.len());
-            for x in &inputs {
-                let mut out = Tensor::default();
-                model.forward_on(b.as_ref(), &mut state, x, &mut out)?;
-                outs.push(out);
-            }
-            outs
-        }
+    // The oracle runs item by item on this thread; the fused plan takes
+    // the batch-parallel entry point. Report the threads actually used.
+    let (backend, used_threads, outputs) = if scalar {
+        let outs = inputs
+            .iter()
+            .map(|x| model.forward_scalar(x))
+            .collect::<Result<Vec<_>, _>>()?;
+        ("scalar", 1, outs)
+    } else {
+        let used = engine.policy().effective_threads(u64::MAX);
+        ("cpu", used, model.forward_batch(&inputs, &engine)?)
     };
     let forward_ms = t1.elapsed().as_secs_f64() * 1e3;
 
@@ -690,7 +686,7 @@ fn cmd_run(args: &[String]) -> CliResult {
         }
     );
     println!(
-        "forward: backend {backend}, batch {batch}, image {image}x{image}, {threads} threads, \
+        "forward: backend {backend}, batch {batch}, image {image}x{image}, {used_threads} threads, \
          {forward_ms:.1} ms"
     );
     for (i, out) in outputs.iter().enumerate() {
@@ -991,21 +987,18 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// `bnnkc features`: what this host offers the execution backends —
-/// detected CPU features, the SIMD level the kernels dispatch at (after
-/// any `BITNN_SIMD` cap), hardware parallelism, which backend `auto`
-/// resolves to, the GEMM microkernel variant the autotuner picks per
-/// kernel shape class, and the per-geometry conv lowering (streaming
-/// direct vs im2col) the conv autotuner picks.
+/// `bnnkc features`: what this host offers the executor — detected CPU
+/// features, the SIMD level the kernels dispatch at (after any
+/// `BITNN_SIMD` cap), hardware parallelism, the GEMM microkernel variant
+/// the autotuner picks per kernel shape class, and the per-geometry conv
+/// lowering (streaming direct vs im2col) the conv autotuner picks.
 fn cmd_features(args: &[String]) -> CliResult {
     check_flags("features", args, &[], &["--json"])?;
     use bnnkc::bitnn::{engine, exec, ops::gemm, simd};
 
     let f = simd::detect();
     let cap = std::env::var("BITNN_SIMD").ok();
-    let backend_env = std::env::var("BITNN_BACKEND").ok();
     let conv_env = std::env::var("BITNN_CONV").ok();
-    let kind = parse_backend(args)?; // always Auto: features takes no value flags
     let choices = gemm::warm_gemm_tables();
     let conv_choices = engine::warm_conv_table();
 
@@ -1034,13 +1027,6 @@ fn cmd_features(args: &[String]) -> CliResult {
         out.push_str(&format!(
             "  \"pool_workers\": {},\n",
             exec::hardware_threads().saturating_sub(1)
-        ));
-        out.push_str(&format!("  \"backend\": \"{}\",\n", kind.resolve()));
-        out.push_str(&format!(
-            "  \"backend_env\": {},\n",
-            backend_env
-                .as_deref()
-                .map_or("null".to_string(), |v| format!("\"{}\"", json_escape(v)))
         ));
         out.push_str("  \"gemm_autotuner\": [\n");
         for (i, choice) in choices.iter().enumerate() {
@@ -1100,14 +1086,6 @@ fn cmd_features(args: &[String]) -> CliResult {
             .map_or("unset".to_string(), |v| format!("= {v}")),
     );
     println!("hardware threads: {}", exec::hardware_threads());
-
-    println!(
-        "backend: {} (auto; BITNN_BACKEND {})",
-        kind.resolve(),
-        backend_env
-            .as_deref()
-            .map_or("unset".to_string(), |v| format!("= {v}")),
-    );
 
     println!("gemm microkernel selection ({}):", simd::level().name());
     println!("  <=2 lanes (<=128 ch): short-row path (fixed)");

@@ -52,7 +52,7 @@ pub use simcpu;
 
 /// Convenient single-import surface for examples and downstream users.
 pub mod prelude {
-    pub use bitnn::backend::{Backend, BackendKind, CpuBackend, ScalarBackend};
+    pub use bitnn::backend::ScalarBackend;
     pub use bitnn::engine::Engine;
     pub use bitnn::exec::ExecPolicy;
     pub use bitnn::graph::arch::{

@@ -1,11 +1,10 @@
-//! Backend conformance: every registered execution backend must be
-//! bit-exact with `ScalarBackend` — the frozen naive-reference oracle —
-//! on random graphs, strides, pads, batch sizes, and thread counts.
-//!
-//! This is the one parameterized harness that replaces the old
-//! engine-specific oracle proptests: a new backend added to
-//! `bitnn::backend::all_backends` is swept here automatically, with no
-//! new test code. The op-level section keeps the kernel substrate honest
+//! Executor conformance: the fused plan must be bit-exact with the scalar
+//! oracle (`ModelGraph::forward_scalar`, the frozen naive-reference node
+//! walk) on random graphs, strides, pads, batch sizes, conv lowerings and
+//! thread counts, through both of its entry points — the per-item
+//! `forward_into` and the batch-parallel `forward_batch_into`, each on
+//! reused scratch. The oracle's own entry points are pinned against each
+//! other as well. The op-level section keeps the kernel substrate honest
 //! underneath the graph sweep: the engine's conv and GEMM (through
 //! whatever SIMD level and microkernel variant the host dispatches to —
 //! portable, AVX2, or AVX-512; see the CI legs that pin
@@ -14,19 +13,18 @@
 use bnnkc::prelude::*;
 use proptest::prelude::*;
 
-use bitnn::backend::all_backends;
 use bitnn::exec::ConvMode;
 use bitnn::layers::{BatchNorm, BinConv2d, QuantConv2d, QuantLinear, RPReLU, RSign};
 use bitnn::ops::conv::Conv2dParams;
 use bitnn::pack::PackedActivations;
 use bitnn::weightgen::{random_floats, random_kernel};
+use bitnn::{BatchScratch, Scratch};
 
 /// Build a random-but-valid graph: a chain of bn/act/conv/pool ops with
 /// occasional skip-connection adds to random earlier same-shape values,
 /// plus stride-2 convolutions. Multi-consumer values, reconvergent adds,
 /// and mixed strides are exactly what stresses fusion detection and the
-/// liveness-driven slot recycling differently per backend (fused vs
-/// unfused step lists).
+/// liveness-driven slot recycling.
 fn random_chain_graph(ops: &[usize], picks: &[usize], seed: u64) -> ModelGraph {
     let c = 8;
     let stem_w = Tensor::from_vec(&[c, 3, 3, 3], random_floats(c * 27, 1.0, seed)).unwrap();
@@ -110,30 +108,40 @@ fn random_chain_graph(ops: &[usize], picks: &[usize], seed: u64) -> ModelGraph {
     b.finish().unwrap()
 }
 
-/// Run every registered backend over `inputs` and assert each output is
-/// bit-exact with the scalar oracle. Two consecutive forwards per input
-/// stream through the same state, so warmed-arena reuse is covered too.
-fn assert_backends_conform(model: &ModelGraph, inputs: &[Tensor], threads: usize) {
+/// Assert the executor is bit-exact with the scalar oracle on `inputs`
+/// under `engine`: `forward_into` for two rounds on one `Scratch` (the
+/// second runs on a warmed arena), then `forward_batch_into` for two
+/// rounds on one reused `BatchScratch`.
+fn assert_matches_oracle(model: &ModelGraph, inputs: &[Tensor], engine: &Engine, what: &str) {
     let expect: Vec<Tensor> = inputs
         .iter()
         .map(|x| model.forward_scalar(x).unwrap())
         .collect();
-    for backend in all_backends(threads) {
-        let mut state = model.state_for(backend.as_ref());
-        for round in 0..2 {
-            for (x, e) in inputs.iter().zip(&expect) {
-                let mut y = Tensor::default();
-                model
-                    .forward_on(backend.as_ref(), &mut state, x, &mut y)
-                    .unwrap();
-                assert_eq!(
-                    y.data(),
-                    e.data(),
-                    "backend {} diverged from scalar oracle \
-                     (threads {threads}, round {round})",
-                    backend.name()
-                );
-            }
+    let mut scratch = Scratch::default();
+    let mut y = Tensor::default();
+    for round in 0..2 {
+        for (x, e) in inputs.iter().zip(&expect) {
+            model.forward_into(x, engine, &mut scratch, &mut y).unwrap();
+            assert_eq!(
+                y.data(),
+                e.data(),
+                "{what}: forward_into diverged from the scalar oracle (round {round})"
+            );
+        }
+    }
+    let mut batch = BatchScratch::default();
+    let mut outs = Vec::new();
+    for round in 0..2 {
+        model
+            .forward_batch_into(inputs, engine, &mut batch, &mut outs)
+            .unwrap();
+        assert_eq!(outs.len(), inputs.len());
+        for (y, e) in outs.iter().zip(&expect) {
+            assert_eq!(
+                y.data(),
+                e.data(),
+                "{what}: forward_batch_into diverged from the scalar oracle (round {round})"
+            );
         }
     }
 }
@@ -141,9 +149,9 @@ fn assert_backends_conform(model: &ModelGraph, inputs: &[Tensor], threads: usize
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Every registered backend is bit-exact with `ScalarBackend` on
-    /// random graphs — skip adds, stride-2 convs, pools, reconvergence —
-    /// across thread counts and repeated (arena-reusing) forwards.
+    /// The executor is bit-exact with the scalar oracle on random graphs
+    /// — skip adds, stride-2 convs, pools, reconvergence — across thread
+    /// counts and repeated (arena-reusing) forwards.
     #[test]
     fn backends_match_scalar_on_random_graphs(
         ops in proptest::collection::vec(0usize..6, 1..20),
@@ -153,14 +161,14 @@ proptest! {
     ) {
         let model = random_chain_graph(&ops, &picks, seed);
         let x = Tensor::from_vec(&[1, 3, 8, 8], random_floats(3 * 64, 1.0, seed ^ 9)).unwrap();
-        assert_backends_conform(&model, &[x], threads);
+        assert_matches_oracle(&model, &[x], &Engine::with_threads(threads), "random graph");
     }
 
-    /// Every backend is bit-exact with the oracle on the built-in
+    /// The executor is bit-exact with the oracle on the built-in
     /// architecture families across image sizes, batch sizes, and thread
     /// counts — strides and shortcut forms vary per family (identity,
     /// stride-2 pool, channel duplication), so this sweeps all fused
-    /// paths. The engine's batch entry point must agree too.
+    /// paths through both entry points.
     #[test]
     fn backends_match_scalar_across_architectures(
         arch_idx in 0usize..3,
@@ -172,16 +180,8 @@ proptest! {
         let arch = Arch::ALL[arch_idx];
         let model = build_model(arch, 0.0625, image, seed).unwrap();
         let inputs = synthetic_batch(batch, 3, image, seed ^ 0x6A17);
-        assert_backends_conform(&model, &inputs, threads);
-        // The CPU backend's batch-parallel entry point (forward_batch)
-        // must match the per-item path as well.
         let engine = Engine::with_threads(threads);
-        let batched = model.forward_batch(&inputs, &engine).unwrap();
-        for (x, via_batch) in inputs.iter().zip(&batched) {
-            let scalar = model.forward_scalar(x).unwrap();
-            prop_assert_eq!(scalar.data(), via_batch.data(),
-                "{} batch path diverged", arch);
-        }
+        assert_matches_oracle(&model, &inputs, &engine, &format!("{arch} threads {threads}"));
     }
 
     /// A `ConvMode::Stream` pin is bit-exact with the float reference
@@ -246,23 +246,9 @@ proptest! {
             conv: ConvMode::Stream,
             ..ExecPolicy::default()
         });
-        let backend = CpuBackend::new(engine.clone());
-        let mut state = model.state_for(&backend);
-        for x in &inputs {
-            let mut y = Tensor::default();
-            model.forward_on(&backend, &mut state, x, &mut y).unwrap();
-            let e = model.forward_scalar(x).unwrap();
-            prop_assert_eq!(y.data(), e.data(),
-                "{} streaming conv diverged from scalar oracle", arch);
-        }
-        // The batch entry point (stacked weight-stationary schedule on
-        // the intra-op split) must take the same path.
-        let batched = model.forward_batch(&inputs, &engine).unwrap();
-        for (x, via_batch) in inputs.iter().zip(&batched) {
-            let scalar = model.forward_scalar(x).unwrap();
-            prop_assert_eq!(scalar.data(), via_batch.data(),
-                "{} streaming batch path diverged", arch);
-        }
+        // The batch entry point takes the stacked weight-stationary
+        // schedule on the intra-op split, the same streaming kernels.
+        assert_matches_oracle(&model, &inputs, &engine, &format!("{arch} stream pin"));
     }
 
     /// Op-level floor under the graph sweep: the engine conv is bit-exact
@@ -341,18 +327,15 @@ proptest! {
 
 /// Whole-model multi-core sweep: every conv mode at every thread count
 /// from 1 to 4, with `min_work: 0` so even these tiny models take the
-/// parallel split, on every built-in architecture. Both the backend entry
-/// point and the batch entry point must be bit-exact with the oracle.
+/// parallel split, on every built-in architecture. Both the per-item
+/// entry point and the batch entry point must be bit-exact with the
+/// oracle.
 #[test]
 fn conv_modes_match_scalar_across_threads_and_architectures() {
     let image = 16;
     for arch in Arch::ALL {
         let model = build_model(arch, 0.0625, image, 0x5EED).unwrap();
         let inputs = synthetic_batch(2, 3, image, 0xD3D0);
-        let expect: Vec<Tensor> = inputs
-            .iter()
-            .map(|x| model.forward_scalar(x).unwrap())
-            .collect();
         for conv in [ConvMode::Auto, ConvMode::Stream, ConvMode::Im2col] {
             for threads in 1..5 {
                 let engine = Engine::new(ExecPolicy {
@@ -361,18 +344,35 @@ fn conv_modes_match_scalar_across_threads_and_architectures() {
                     min_work: 0,
                 });
                 let what = format!("{arch} {conv:?} threads {threads}");
-                let backend = CpuBackend::new(engine.clone());
-                let mut state = model.state_for(&backend);
-                for (x, e) in inputs.iter().zip(&expect) {
-                    let mut y = Tensor::default();
-                    model.forward_on(&backend, &mut state, x, &mut y).unwrap();
-                    assert_eq!(y.data(), e.data(), "{what}: forward_on diverged");
-                }
-                let batched = model.forward_batch(&inputs, &engine).unwrap();
-                for (y, e) in batched.iter().zip(&expect) {
-                    assert_eq!(y.data(), e.data(), "{what}: forward_batch diverged");
-                }
+                assert_matches_oracle(&model, &inputs, &engine, &what);
             }
+        }
+    }
+}
+
+/// The oracle's entry points agree bit for bit on every built-in family:
+/// `forward_on(&ScalarBackend)` (what the benchmark's scalar digest
+/// calls), `forward_scalar` and `forward_traced`. `forward_on` must also
+/// replace a reused output tensor of another shape.
+#[test]
+fn oracle_entry_points_agree() {
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+    let image = 16;
+    for arch in Arch::ALL {
+        let model = build_model(arch, 0.0625, image, 0x0AC1).unwrap();
+        let mut state = model.state_for(&ScalarBackend);
+        let mut out = Tensor::full(&[3, 7, 5, 5], 1.5);
+        for x in &synthetic_batch(2, 3, image, 0x0AC2) {
+            let scalar = model.forward_scalar(x).unwrap();
+            let (traced, _) = model.forward_traced(x).unwrap();
+            model
+                .forward_on(&ScalarBackend, &mut state, x, &mut out)
+                .unwrap();
+            assert_eq!(out.shape(), scalar.shape(), "{arch}: forward_on shape");
+            assert_eq!(bits(&out), bits(&scalar), "{arch}: forward_on bits");
+            assert_eq!(bits(&traced), bits(&scalar), "{arch}: forward_traced bits");
         }
     }
 }

@@ -301,7 +301,11 @@ fn features_reports_host_capabilities() {
         stdout.contains("hardware threads:"),
         "missing parallelism: {stdout}"
     );
-    assert!(stdout.contains("backend:"), "missing backend: {stdout}");
+    // There is one executor: no backend line and no backend env var.
+    assert!(
+        !stdout.to_lowercase().contains("backend"),
+        "stale backend report: {stdout}"
+    );
     assert!(
         stdout.contains("gemm microkernel selection"),
         "missing kernel table: {stdout}"
@@ -333,6 +337,7 @@ fn features_reports_host_capabilities() {
         json.contains("\"lowering\": \"stream\"") || json.contains("\"lowering\": \"im2col\""),
         "missing conv lowering entry: {json}"
     );
+    assert!(!json.contains("backend"), "stale backend field: {json}");
     // features takes no flags.
     assert!(!bnnkc(&["features", "--verbose"]).status.success());
 }
@@ -355,26 +360,45 @@ fn run_backend_selection_is_bit_exact_and_validated() {
         line.rsplit(' ').next().unwrap().to_string()
     };
 
-    // Scalar and CPU backends must agree bit-for-bit on the logits.
-    let cpu = bnnkc(&[&base[..], &["--backend", "cpu"]].concat());
+    // Scalar and CPU backends must agree bit-for-bit on the logits, and
+    // the `forward:` line reports the threads each one actually used:
+    // the oracle runs on one, the engine clamps `--threads 8` to the
+    // hardware parallelism.
+    let cpu = bnnkc(&[&base[..], &["--backend", "cpu", "--threads", "8"]].concat());
     assert!(cpu.status.success(), "run --backend cpu failed: {cpu:?}");
-    assert!(String::from_utf8_lossy(&cpu.stdout).contains("backend cpu"));
-    let scalar = bnnkc(&[&base[..], &["--backend", "scalar"]].concat());
+    let cpu_out = String::from_utf8_lossy(&cpu.stdout);
+    assert!(cpu_out.contains("backend cpu"), "{cpu_out}");
+    let used = std::thread::available_parallelism()
+        .map_or(1, usize::from)
+        .min(8);
+    assert!(
+        cpu_out.contains(&format!(", {used} threads,")),
+        "cpu must report {used} effective threads: {cpu_out}"
+    );
+    let scalar = bnnkc(&[&base[..], &["--backend", "scalar", "--threads", "8"]].concat());
     assert!(
         scalar.status.success(),
         "run --backend scalar failed: {scalar:?}"
     );
-    assert!(String::from_utf8_lossy(&scalar.stdout).contains("backend scalar"));
+    let scalar_out = String::from_utf8_lossy(&scalar.stdout);
+    assert!(scalar_out.contains("backend scalar"), "{scalar_out}");
+    assert!(
+        scalar_out.contains(", 1 threads,"),
+        "scalar must report one thread: {scalar_out}"
+    );
     assert_eq!(digest_of(&cpu), digest_of(&scalar));
 
-    // Unknown backends are rejected with the valid set named.
-    let bad = bnnkc(&[&base[..], &["--backend", "gpu"]].concat());
-    assert!(!bad.status.success(), "--backend gpu must be rejected");
-    let stderr = String::from_utf8_lossy(&bad.stderr);
-    assert!(
-        stderr.contains("scalar"),
-        "error must list valid backends: {stderr}"
-    );
+    // Unknown backends (`auto` included) are rejected with the valid set
+    // named.
+    for bad in ["gpu", "auto"] {
+        let out = bnnkc(&[&base[..], &["--backend", bad]].concat());
+        assert!(!out.status.success(), "--backend {bad} must be rejected");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("cpu") && stderr.contains("scalar"),
+            "error must list valid backends: {stderr}"
+        );
+    }
 }
 
 #[test]

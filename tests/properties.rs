@@ -100,8 +100,7 @@ proptest! {
     }
 
     // The graph-executor-vs-scalar-oracle sweep now lives in
-    // tests/backend_conformance.rs, parameterized over every registered
-    // execution backend.
+    // tests/backend_conformance.rs.
 
     /// For the ReActNet family the batch executor must agree with the
     /// scalar oracle (`ModelGraph::forward_scalar`) across strides,

@@ -1,7 +1,7 @@
 //! Serving-layer integration proofs:
 //!
 //! * served logits are **bit-exact** with the offline decode path
-//!   (the scalar-reference oracle every backend must match);
+//!   (the scalar-reference oracle the executor must match);
 //! * a hot-swap under concurrent load drops **zero** requests, and every
 //!   response is bit-exact for the version it reports being served by;
 //! * backpressure rejects with the typed [`ServeError::QueueFull`]
