@@ -62,10 +62,15 @@
 //! scheduler drift as a phantom thread-scaling difference. On a host with
 //! at least 8 cores every ladder entry is a genuine measurement.
 //! Results are printed as a table and written to
-//! `BENCH_perf.json` (schema `bnnkc-perfsuite/v6`; override the path with
+//! `BENCH_perf.json` (schema `bnnkc-perfsuite/v7`; override the path with
 //! `--out PATH`), then the file is re-read through [`bench::perfjson`] and
 //! structurally validated, so CI's `--smoke` run proves the tracked
 //! artifact stays parseable.
+//!
+//! `bnnkc-perfsuite/v7` drops the top-level `gemm_selection` array: the
+//! binary GEMM has one fixed 4×4 register blocking, so there is no
+//! per-shape-class choice to record. GEMM entries are labeled
+//! `<level>/gemm-4x4`, or `<level>/gemm-short-row` for rows of ≤ 2 lanes.
 //!
 //! `bnnkc-perfsuite/v6` adds the streaming direct-conv lowering to the
 //! conv section (`engine_stream`, pinned via `ConvMode::Stream`), labels
@@ -90,11 +95,11 @@
 //! and kernel variant produced it: each entry carries a `backend` field
 //! (`cpu` for the engine paths; the baselines are the frozen `scalar`
 //! reference) and a `kernel` field naming the dispatched code path —
-//! SIMD level plus the autotuned GEMM register blocking
-//! (`avx512/gemm-4x4`), the streaming conv (`avx2/conv-stream`), or the
-//! fused graph walk (`avx512/fused-graph`). The document also records
-//! the effective SIMD level and the autotuner's per-shape-class GEMM
-//! selections, so a perf delta between two committed runs can be
+//! SIMD level plus the GEMM register blocking (`avx512/gemm-4x4`), the
+//! streaming conv (`avx2/conv-stream`), or the fused graph walk
+//! (`avx512/fused-graph`). The document also records the effective SIMD
+//! level (v3–v6 also recorded an autotuned per-shape-class GEMM
+//! blocking), so a perf delta between two committed runs can be
 //! attributed to a dispatch change instead of guessed at.
 //!
 //! Flags: `--smoke` (tiny shapes, CI-fast), `--out PATH`, `--seed N`,
@@ -110,9 +115,7 @@ use bitnn::graph::arch::{build_spec, sample_conv3_kernels};
 use bitnn::infer::synthetic_batch;
 use bitnn::model::ReActNetConfig;
 use bitnn::ops::conv::{conv2d_binary, Conv2dParams};
-use bitnn::ops::gemm::{
-    gemm_binary, gemm_binary_naive, gemm_kernel_name, warm_gemm_tables, PackedMatrix,
-};
+use bitnn::ops::gemm::{gemm_binary, gemm_binary_naive, gemm_kernel_name, PackedMatrix};
 use bitnn::pack::{PackedActivations, PackedKernel};
 use bitnn::simd;
 use bitnn::tensor::{BitTensor, Tensor};
@@ -177,9 +180,9 @@ struct Entry {
 }
 
 /// Kernel label for a binary GEMM whose rows carry `k_bits` bits:
-/// the effective SIMD level plus the register-blocking variant the
-/// autotuner selected for that shape class (`avx512/gemm-4x4`), or the
-/// dedicated short-row path for rows of ≤ 2 lanes.
+/// the effective SIMD level plus the fixed 4×4 register blocking
+/// (`avx512/gemm-4x4`), or the short-row path for rows of ≤ 2 lanes
+/// (`avx512/gemm-short-row`).
 fn gemm_kernel(k_bits: usize) -> String {
     format!(
         "{}/gemm-{}",
@@ -1241,36 +1244,17 @@ fn criteria(sections: &[Section], smoke: bool) -> Vec<Criterion> {
 fn emit_json(sections: &[Section], crits: &[Criterion], mode: &str, out_path: &str) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str("  \"schema\": \"bnnkc-perfsuite/v6\",\n");
+    s.push_str("  \"schema\": \"bnnkc-perfsuite/v7\",\n");
     s.push_str(&format!("  \"mode\": \"{}\",\n", perfjson::escape(mode)));
     s.push_str(&format!(
         "  \"threads_available\": {},\n",
         std::thread::available_parallelism().map_or(1, usize::from)
     ));
-    // v3: the dispatch configuration every measurement below ran under —
-    // the effective SIMD level and the autotuner's per-shape-class GEMM
-    // register-blocking selections (warmed here so all three classes are
-    // recorded even if a section happened not to touch one).
+    // v3: the SIMD level every measurement below ran under.
     s.push_str(&format!(
         "  \"simd_level\": \"{}\",\n",
         perfjson::escape(simd::level().name())
     ));
-    s.push_str("  \"gemm_selection\": [\n");
-    let choices = warm_gemm_tables();
-    for (i, ch) in choices.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"class\": \"{}\", \"variant\": \"{}\", \"source\": \"{}\"}}{}\n",
-            perfjson::escape(ch.class.name()),
-            perfjson::escape(ch.variant.name()),
-            if ch.source == simd::ChoiceSource::Forced {
-                "forced"
-            } else {
-                "autotuned"
-            },
-            if i + 1 == choices.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ],\n");
     // v6: the conv autotuner's per-geometry lowering decisions made
     // while the sections above ran (the conv section tunes the gated
     // geometry before its ladder, so this is never empty).
@@ -1365,7 +1349,7 @@ fn emit_json(sections: &[Section], crits: &[Criterion], mode: &str, out_path: &s
 
 /// Structural validation of the emitted document (CI's `--smoke` gate).
 fn validate(doc: &perfjson::Value) -> Result<(), String> {
-    if doc.get("schema").and_then(|v| v.as_str()) != Some("bnnkc-perfsuite/v6") {
+    if doc.get("schema").and_then(|v| v.as_str()) != Some("bnnkc-perfsuite/v7") {
         return Err("missing or wrong schema tag".into());
     }
     if doc
@@ -1374,16 +1358,6 @@ fn validate(doc: &perfjson::Value) -> Result<(), String> {
         .is_none_or(str::is_empty)
     {
         return Err("missing simd_level".into());
-    }
-    let selection = doc
-        .get("gemm_selection")
-        .and_then(|v| v.as_arr())
-        .ok_or("gemm_selection must be an array")?;
-    if selection.len() != 3 {
-        return Err(format!(
-            "expected 3 gemm_selection entries (one per shape class), found {}",
-            selection.len()
-        ));
     }
     // v6: the conv autotuner's lowering decisions must be recorded, and
     // the conv section's pinned `engine_stream` run guarantees at least
@@ -1594,7 +1568,7 @@ fn main() {
         eprintln!("FAIL: emitted {out_path} is malformed: {e}");
         std::process::exit(1);
     }
-    println!("wrote {out_path} (validated, schema bnnkc-perfsuite/v6)");
+    println!("wrote {out_path} (validated, schema bnnkc-perfsuite/v7)");
 
     let mut failed = false;
     for c in &crits {

@@ -5,8 +5,8 @@
 //! drives that substrate at speed:
 //!
 //! * **Register-blocked GEMM** — every matrix product goes through the
-//!   `MR×NR` micro-kernel in [`crate::ops::gemm`], which reuses loaded
-//!   lanes across output rows and keeps several popcounts in flight.
+//!   4×4 micro-kernel in [`crate::ops::gemm`], which reuses loaded lanes
+//!   across output rows and keeps several popcounts in flight.
 //! * **Persistent worker pool** — parallel sections run on the process-wide
 //!   pool of condvar-parked workers ([`crate::pool`]). Each operation
 //!   splits a contiguous output range (GEMM rows, conv output rows, batch
@@ -39,6 +39,7 @@
 //! counts.
 
 use crate::error::{BitnnError, Result};
+use crate::exec::{ConvMode, ExecPolicy};
 use crate::ops::conv::{kernel_position_ones, Conv2dParams};
 use crate::ops::gemm::{gemm_rows_into, PackedMatrix};
 use crate::ops::im2col::{im2col_kernel_packed, im2col_rows};
@@ -48,11 +49,6 @@ use crate::pool::WorkerPool;
 use crate::simd::{conv_choice_cached, record_conv_choice, record_forced_conv};
 use crate::simd::{ConvChoice, ConvGeom, ConvLowering};
 use crate::tensor::Tensor;
-
-// The policy/lowering knobs used to live here; they moved to the neutral
-// [`crate::exec`] module so the CLI and bench crates stop importing engine
-// internals. Re-exported for path compatibility.
-pub use crate::exec::{parse_thread_count, ConvMode, ExecPolicy, DEFAULT_MIN_WORK};
 
 /// Set a buffer's length without zero-filling retained elements — for
 /// outputs whose every element is written before being read.

@@ -355,12 +355,36 @@ impl QuantLinear {
     /// Forward over a flattened `[N, in_features]` tensor, producing
     /// `[N, out_features]`.
     ///
+    /// This is the scalar oracle's classifier: a naive loop of its own,
+    /// separate from [`Self::forward_2d_with`], so bit-exact tests of the
+    /// executor can see a fault in the fast path.
+    ///
     /// # Panics
     ///
     /// Panics if the trailing dimension is not `in_features`.
     pub fn forward_2d(&self, input: &Tensor) -> Tensor {
-        let mut out = Tensor::default();
-        self.forward_2d_with(input, &mut QuantScratch::default(), &mut out);
+        let shape = input.shape();
+        assert_eq!(shape.len(), 2, "QuantLinear expects a 2-D tensor");
+        assert_eq!(
+            shape[1], self.in_features,
+            "feature mismatch in QuantLinear"
+        );
+        let n = shape[0];
+        let mut out = Tensor::zeros(&[n, self.out_features]);
+        for img in 0..n {
+            // One activation scale per sample (batch-invariant results).
+            let (input_q, in_scale) =
+                quantize_symmetric(&input.data()[img * self.in_features..][..self.in_features]);
+            let out_scale = in_scale * self.w_scale;
+            for o in 0..self.out_features {
+                let w_row = &self.weights_q[o * self.in_features..][..self.in_features];
+                let mut acc = 0i32;
+                for (&a, &w) in input_q.iter().zip(w_row) {
+                    acc += a as i32 * w as i32;
+                }
+                out.data_mut()[img * self.out_features + o] = dequantize(acc, out_scale);
+            }
+        }
         out
     }
 
@@ -508,6 +532,26 @@ mod tests {
         let ls = lin.forward_2d(&rs);
         assert_eq!(&ls.data()[..2], la.data());
         assert_eq!(&ls.data()[2..], lb.data());
+    }
+
+    #[test]
+    fn linear_oracle_is_bit_exact_with_forward_2d_with() {
+        use crate::weightgen::random_floats;
+        // `forward_2d` is the oracle's own loop; the executor's path must
+        // reproduce it exactly, K ragged against every vector width.
+        let (mut scratch, mut fast) = (QuantScratch::default(), Tensor::default());
+        for k in [1usize, 3, 63, 64, 65, 1024] {
+            for n in [1usize, 3] {
+                let o = 7;
+                let w = random_floats(o * k, 1.0, (k * 10 + n) as u64);
+                let lin = QuantLinear::from_float(&w, o, k);
+                let x = Tensor::from_vec(&[n, k], random_floats(n * k, 3.0, k as u64)).unwrap();
+                let oracle = lin.forward_2d(&x);
+                lin.forward_2d_with(&x, &mut scratch, &mut fast);
+                assert_eq!(oracle.shape(), fast.shape(), "k={k} n={n}");
+                assert_eq!(oracle.data(), fast.data(), "k={k} n={n}");
+            }
+        }
     }
 
     #[test]

@@ -6,16 +6,15 @@
 //!
 //! Two implementations are provided:
 //!
-//! * [`gemm_binary`] — the register-blocked fast path. An `MR×NR`
-//!   micro-kernel keeps one tile of output accumulators live across the
-//!   whole lane loop, so every loaded activation lane is reused `NR`
-//!   times and every weight lane `MR` times, and the independent
+//! * [`gemm_binary`] — the register-blocked fast path. A 4×4
+//!   micro-kernel keeps one tile of 16 output accumulators live across
+//!   the whole lane loop, so every loaded activation lane is reused 4
+//!   times and every weight lane 4 times, and the independent
 //!   accumulators break the popcount addition dependency chain (the daBNN
-//!   register-tiling idea on `u64` lanes). The blocking (4×2, 8×2, or
-//!   4×4) is chosen per shape class by the [`crate::simd`] selection
-//!   table, which micro-autotunes on first use; the ISA instantiation
-//!   (portable / AVX2 / AVX-512 `vpopcntq`) follows the detected dispatch
-//!   level.
+//!   register-tiling idea on `u64` lanes). Rows of at most two lanes take
+//!   a short-row loop instead. The blocking is fixed; only the ISA
+//!   instantiation (portable / AVX2 / AVX-512 `vpopcntq`) follows the
+//!   detected dispatch level.
 //! * [`gemm_binary_naive`] — the seed's scalar row-by-row loop, kept
 //!   bit-identical as the perf-tracking baseline and as a second
 //!   implementation for cross-checking.
@@ -31,7 +30,7 @@
 use crate::bitword::xnor_popcount_slice;
 use crate::error::{BitnnError, Result};
 use crate::ops::dot::dot_channels_seed;
-use crate::simd::{self, GemmVariant, ShapeClass};
+use crate::simd;
 use crate::{lanes_for, LANE_BITS};
 
 /// A binary matrix stored row-major with each row packed into `u64` lanes.
@@ -178,9 +177,12 @@ impl PackedMatrix {
     }
 }
 
+/// Rows of at most this many lanes (K ≤ 128 bits) take the short-row loop
+/// instead of the register-blocked tiles.
+const SHORT_ROW_LANES: usize = 2;
+
 /// The register-blocked inner tile: `MR` rows of `a` against `NR` rows of
-/// `b`, all lanes, `MR*NR` independent accumulators. Monomorphized per
-/// [`GemmVariant`]; the 4×2 instantiation is the historical micro-kernel.
+/// `b`, all lanes, `MR*NR` independent accumulators.
 #[inline(always)]
 fn microkernel<const MR: usize, const NR: usize>(
     a: &[u64],
@@ -261,34 +263,11 @@ fn gemm_rows_blocked<const MR: usize, const NR: usize>(
 /// logical bits per row (clean tails required); `bn` is the number of `b`
 /// rows (the output width). Writes ±1-domain dot products for `a` rows
 /// `m_start ..` into `out`, whose length determines how many rows are
-/// computed. This is the worker body the engine hands to each
-/// thread with a disjoint output band; the register blocking comes from
-/// the [`crate::simd`] selection table (autotuned on first use per shape
-/// class) and the ISA instantiation from the detected dispatch level.
+/// computed. This is the worker body the engine hands to each thread
+/// with a disjoint output band; the ISA instantiation follows the
+/// detected dispatch level.
 #[inline]
 pub(crate) fn gemm_rows_into(
-    a_words: &[u64],
-    b_words: &[u64],
-    lanes: usize,
-    k: usize,
-    bn: usize,
-    m_start: usize,
-    out: &mut [i32],
-) {
-    let variant = match ShapeClass::of_lanes(lanes) {
-        Some(class) => simd::gemm_variant_for(class, autotune_gemm),
-        None => GemmVariant::Mr4Nr2, // short-row path; blocking unused
-    };
-    gemm_rows_with_variant(variant, a_words, b_words, lanes, k, bn, m_start, out);
-}
-
-/// [`gemm_rows_into`] with an explicit register blocking — the ISA
-/// dispatcher, also driven directly by the autotuner so candidate timings
-/// run through exactly the code path later dispatches will take.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn gemm_rows_with_variant(
-    variant: GemmVariant,
     a_words: &[u64],
     b_words: &[u64],
     lanes: usize,
@@ -303,7 +282,6 @@ fn gemm_rows_with_variant(
         /// loops compile to hardware `vpopcntq` over 512-bit lanes.
         #[target_feature(enable = "avx512f,avx512bw,avx512vpopcntdq,popcnt")]
         unsafe fn gemm_rows_avx512(
-            variant: GemmVariant,
             a_words: &[u64],
             b_words: &[u64],
             lanes: usize,
@@ -312,12 +290,11 @@ fn gemm_rows_with_variant(
             m_start: usize,
             out: &mut [i32],
         ) {
-            gemm_rows_portable(variant, a_words, b_words, lanes, k, bn, m_start, out);
+            gemm_rows_portable(a_words, b_words, lanes, k, bn, m_start, out);
         }
         /// AVX2+popcnt instantiation of [`gemm_rows_portable`].
         #[target_feature(enable = "avx2,popcnt")]
         unsafe fn gemm_rows_avx2(
-            variant: GemmVariant,
             a_words: &[u64],
             b_words: &[u64],
             lanes: usize,
@@ -326,30 +303,24 @@ fn gemm_rows_with_variant(
             m_start: usize,
             out: &mut [i32],
         ) {
-            gemm_rows_portable(variant, a_words, b_words, lanes, k, bn, m_start, out);
+            gemm_rows_portable(a_words, b_words, lanes, k, bn, m_start, out);
         }
-        if crate::simd::avx512() {
+        if simd::avx512() {
             // SAFETY: avx512f/bw/vpopcntdq + popcnt were detected at runtime.
-            return unsafe {
-                gemm_rows_avx512(variant, a_words, b_words, lanes, k, bn, m_start, out)
-            };
+            return unsafe { gemm_rows_avx512(a_words, b_words, lanes, k, bn, m_start, out) };
         }
-        if crate::simd::avx2() {
+        if simd::avx2() {
             // SAFETY: avx2 + popcnt were detected at runtime.
-            return unsafe {
-                gemm_rows_avx2(variant, a_words, b_words, lanes, k, bn, m_start, out)
-            };
+            return unsafe { gemm_rows_avx2(a_words, b_words, lanes, k, bn, m_start, out) };
         }
     }
-    gemm_rows_portable(variant, a_words, b_words, lanes, k, bn, m_start, out);
+    gemm_rows_portable(a_words, b_words, lanes, k, bn, m_start, out);
 }
 
 /// Portable body of [`gemm_rows_into`] — the single source every ISA
 /// instantiation compiles from.
-#[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn gemm_rows_portable(
-    variant: GemmVariant,
     a_words: &[u64],
     b_words: &[u64],
     lanes: usize,
@@ -369,7 +340,7 @@ fn gemm_rows_portable(
         out.fill(0); // zero-width rows: every dot is empty
         return;
     }
-    if lanes <= 2 {
+    if lanes <= SHORT_ROW_LANES {
         // Short-row fast path (K ≤ 128 bits, e.g. the narrow layers of
         // small models): the MR×NR tile's per-call bookkeeping would cost
         // more than its two-lane dot, so stream each `a` row against all
@@ -389,76 +360,23 @@ fn gemm_rows_portable(
         }
         return;
     }
-    match variant {
-        GemmVariant::Mr4Nr2 => {
-            gemm_rows_blocked::<4, 2>(a_words, b_words, lanes, corr, bn, m_start, m_count, out)
-        }
-        GemmVariant::Mr8Nr2 => {
-            gemm_rows_blocked::<8, 2>(a_words, b_words, lanes, corr, bn, m_start, m_count, out)
-        }
-        GemmVariant::Mr4Nr4 => {
-            gemm_rows_blocked::<4, 4>(a_words, b_words, lanes, corr, bn, m_start, m_count, out)
-        }
-    }
+    gemm_rows_blocked::<4, 4>(a_words, b_words, lanes, corr, bn, m_start, m_count, out);
 }
 
-/// Micro-autotune one shape class: time every register-blocking variant on
-/// synthetic operands of the class's representative lane count and return
-/// the fastest. Runs once per class per process (cached by the
-/// [`crate::simd`] selection table); total cost is well under a
-/// millisecond. Every variant is bit-exact, so timing noise can cost
-/// speed, never correctness.
-fn autotune_gemm(class: ShapeClass) -> GemmVariant {
-    const M: usize = 48;
-    const BN: usize = 48;
-    const REPS: usize = 4;
-    let lanes = class.representative_lanes();
-    let k = lanes * LANE_BITS; // full lanes: tails trivially clean
-    let mut seed = 0x9E3779B97F4A7C15u64 ^ lanes as u64;
-    let mut word = move || {
-        seed = seed
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        seed
-    };
-    let a: Vec<u64> = (0..M * lanes).map(|_| word()).collect();
-    let b: Vec<u64> = (0..BN * lanes).map(|_| word()).collect();
-    let mut out = vec![0i32; M * BN];
-    let mut best = (GemmVariant::Mr4Nr2, std::time::Duration::MAX);
-    for variant in GemmVariant::ALL {
-        let mut fastest = std::time::Duration::MAX;
-        for _ in 0..REPS {
-            let t0 = std::time::Instant::now();
-            gemm_rows_with_variant(variant, &a, &b, lanes, k, BN, 0, &mut out);
-            std::hint::black_box(&mut out);
-            fastest = fastest.min(t0.elapsed());
-        }
-        if fastest < best.1 {
-            best = (variant, fastest);
-        }
-    }
-    best.0
-}
-
-/// Force-populate the GEMM variant selection table for every shape class
-/// and return the recorded choices — used by `bnnkc features` and the
-/// perfsuite so reports cover all classes, not just the ones a workload
-/// happened to hit.
+/// Kept only for `bnnkc-bench`, which times it as a tuning step; delete
+/// it with the bench's next change. The GEMM blocking is fixed, so there
+/// is nothing to warm and the list is always empty.
 pub fn warm_gemm_tables() -> Vec<simd::GemmChoice> {
-    for class in ShapeClass::ALL {
-        simd::gemm_variant_for(class, autotune_gemm);
-    }
     simd::gemm_choices()
 }
 
-/// The name of the kernel that serves rows of `lanes` lane words:
-/// `"short-row"` for the dedicated ≤2-lane path, otherwise the selected
-/// register blocking (`"4x2"`-style, autotuning on first use). For
-/// measurement labeling — perfsuite entries record this per benchmark.
+/// The name of the kernel that serves rows of `lanes` lane words, for
+/// measurement labels: `"short-row"` or the fixed `"4x4"` blocking.
 pub fn gemm_kernel_name(lanes: usize) -> &'static str {
-    match ShapeClass::of_lanes(lanes) {
-        None => "short-row",
-        Some(class) => simd::gemm_variant_for(class, autotune_gemm).name(),
+    if lanes <= SHORT_ROW_LANES {
+        "short-row"
+    } else {
+        "4x4"
     }
 }
 
@@ -639,10 +557,22 @@ mod tests {
 
     #[test]
     fn tiled_covers_all_tile_edges() {
-        // Row/column counts straddling the MR x NR tile boundaries, with a
-        // ragged K to exercise the tail-correction.
-        for &(m, n) in &[(1, 1), (3, 2), (4, 2), (5, 3), (8, 7), (9, 5)] {
-            for &k in &[1usize, 63, 64, 65, 129, 200] {
+        // Row/column counts straddling the 4×4 tile boundaries, lane
+        // counts either side of the short-row cut, and a ragged K to
+        // exercise the tail-correction.
+        for &(m, n) in &[
+            (1, 1),
+            (3, 2),
+            (4, 2),
+            (4, 4),
+            (5, 3),
+            (7, 8),
+            (8, 7),
+            (9, 5),
+            (12, 5),
+            (13, 13),
+        ] {
+            for &k in &[1usize, 63, 64, 65, 129, 193, 200, 257, 320, 833] {
                 let a_bits = random_bits(m * k, (m * 31 + n * 7 + k) as u64);
                 let b_bits = random_bits(n * k, (m * 17 + n * 3 + k) as u64 ^ 0xABCD);
                 let a = PackedMatrix::from_bools(m, k, &a_bits).unwrap();

@@ -1,4 +1,4 @@
-//! Runtime CPU-feature dispatch and kernel-variant selection.
+//! Runtime CPU-feature dispatch and the conv-lowering selection table.
 //!
 //! The crate builds for the portable x86-64 baseline (SSE2, no `popcnt`),
 //! but every band kernel the executor hands to its workers is
@@ -18,14 +18,12 @@
 //! ISA level that inlines that body under the wider feature set, and a
 //! thin dispatcher gated on [`level()`].
 //!
-//! On top of the ISA dispatch sits a small **kernel-variant selection
-//! table** for the register-blocked GEMM: the hot shapes are bucketed into
-//! [`ShapeClass`]es by their lane count, and the first GEMM of each class
-//! runs a micro-autotune (see `ops::gemm`) that times the available
-//! register-blocking variants and caches the winner for the process
-//! lifetime. Selections are recorded and exposed through
-//! [`gemm_choices()`] so `bnnkc features` and the perfsuite can report
-//! exactly which kernel served each measurement.
+//! The one runtime kernel choice is the 3×3 conv lowering (streaming
+//! direct vs im2col, see `engine`): its per-geometry decisions are cached
+//! and recorded here, and exposed through [`conv_choices()`] so
+//! `bnnkc features` and the perfsuite can report which path served each
+//! measurement. The binary GEMM has one fixed register blocking and
+//! makes no choice.
 //!
 //! # Environment overrides
 //!
@@ -33,8 +31,6 @@
 //!   dispatch level. A cap can only *disable* features the CPU has, never
 //!   enable ones it lacks, so forcing is always safe; `BITNN_SIMD=portable`
 //!   is how CI exercises the fallback kernels on AVX2 hosts.
-//! * `BITNN_GEMM` = `4x2` | `8x2` | `4x4` — pins the GEMM register
-//!   blocking for every shape class, skipping the autotuner.
 
 use std::sync::{Mutex, OnceLock};
 
@@ -146,176 +142,55 @@ pub(crate) fn avx512() -> bool {
     level() >= SimdLevel::Avx512
 }
 
-/// A register-blocking variant of the tiled GEMM micro-kernel: `MRxNR`
-/// output accumulator tiles (see `ops::gemm`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GemmVariant {
-    /// 4 activation rows × 2 weight rows, 8 accumulators.
-    Mr4Nr2,
-    /// 8 activation rows × 2 weight rows, 16 accumulators — more lane
-    /// reuse per weight load, more register pressure.
-    Mr8Nr2,
-    /// 4 activation rows × 4 weight rows, 16 accumulators — more lane
-    /// reuse per activation load.
-    Mr4Nr4,
-}
-
-impl GemmVariant {
-    /// Every selectable variant, in autotune order.
-    pub const ALL: [GemmVariant; 3] = [
-        GemmVariant::Mr4Nr2,
-        GemmVariant::Mr8Nr2,
-        GemmVariant::Mr4Nr4,
-    ];
-
-    /// Stable name (`4x2` form), as accepted by `BITNN_GEMM` and printed
-    /// by `bnnkc features` / the perfsuite schema.
-    pub fn name(self) -> &'static str {
-        match self {
-            GemmVariant::Mr4Nr2 => "4x2",
-            GemmVariant::Mr8Nr2 => "8x2",
-            GemmVariant::Mr4Nr4 => "4x4",
-        }
-    }
-}
-
-impl std::fmt::Display for GemmVariant {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// GEMM shape bucket, by inner-dimension lane count. Each class gets one
-/// autotuned variant choice; the representative lane counts are the hot
-/// shapes of the model zoo (1×1 convs ≈ 1–4 lanes, im2col'd 3×3 convs
-/// ≈ 5–12, the classifier ≥ 13).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShapeClass {
-    /// 3–4 lanes per row (K ≤ 256 bits).
-    Narrow,
-    /// 5–12 lanes per row.
-    Medium,
-    /// 13+ lanes per row.
-    Wide,
-}
-
-impl ShapeClass {
-    /// All tunable classes.
-    pub const ALL: [ShapeClass; 3] = [ShapeClass::Narrow, ShapeClass::Medium, ShapeClass::Wide];
-
-    /// The class of a row with `lanes` lane words, or `None` for rows the
-    /// dedicated short-row path handles (≤ 2 lanes — never tile-blocked).
-    pub fn of_lanes(lanes: usize) -> Option<ShapeClass> {
-        match lanes {
-            0..=2 => None,
-            3..=4 => Some(ShapeClass::Narrow),
-            5..=12 => Some(ShapeClass::Medium),
-            _ => Some(ShapeClass::Wide),
-        }
-    }
-
-    /// A representative lane count for autotuning this class.
-    pub fn representative_lanes(self) -> usize {
-        match self {
-            ShapeClass::Narrow => 4,
-            ShapeClass::Medium => 9, // 3×3 im2col of a 64-channel layer
-            ShapeClass::Wide => 16,  // the 1024-bit classifier
-        }
-    }
-
-    /// Stable name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            ShapeClass::Narrow => "narrow",
-            ShapeClass::Medium => "medium",
-            ShapeClass::Wide => "wide",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            ShapeClass::Narrow => 0,
-            ShapeClass::Medium => 1,
-            ShapeClass::Wide => 2,
-        }
-    }
-}
-
-/// Where a recorded variant selection came from.
+/// Where a recorded conv lowering selection came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChoiceSource {
     /// Picked by the runtime micro-autotuner.
     Autotuned,
-    /// Pinned via `BITNN_GEMM`.
+    /// Pinned via `BITNN_CONV` or an explicit [`crate::exec::ConvMode`].
     Forced,
 }
 
-/// One recorded kernel selection: which GEMM variant serves a shape class,
-/// and why.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GemmChoice {
-    /// The shape bucket.
-    pub class: ShapeClass,
-    /// The selected register blocking.
-    pub variant: GemmVariant,
-    /// Autotuned or forced.
-    pub source: ChoiceSource,
-}
+/// Kept only so the `bnnkc-bench` fingerprint compiles; delete it with
+/// the bench's next change. The GEMM has one register blocking, so no
+/// GEMM choice is ever made and this type has no values.
+#[derive(Debug, Clone, Copy)]
+pub enum ShapeClass {}
 
-/// Per-class selection table. `OnceLock` per slot: the first GEMM of a
-/// class tunes (or reads the override) and every later dispatch is a
-/// plain atomic load.
-static GEMM_TABLE: [OnceLock<GemmChoice>; 3] = [OnceLock::new(), OnceLock::new(), OnceLock::new()];
-
-/// Record of selections in the order they were made, for reporting.
-static GEMM_LOG: Mutex<Vec<GemmChoice>> = Mutex::new(Vec::new());
-
-fn forced_variant() -> Option<GemmVariant> {
-    match std::env::var("BITNN_GEMM").as_deref() {
-        Ok("4x2") => Some(GemmVariant::Mr4Nr2),
-        Ok("8x2") => Some(GemmVariant::Mr8Nr2),
-        Ok("4x4") => Some(GemmVariant::Mr4Nr4),
-        _ => None,
+impl ShapeClass {
+    /// Kept for the bench only (see [`ShapeClass`]).
+    pub fn name(self) -> &'static str {
+        match self {}
     }
 }
 
-/// The GEMM register blocking to use for `class`, tuning on first use.
-///
-/// `tune` runs at most once per class per process (unless `BITNN_GEMM`
-/// pins the variant, in which case it never runs); `ops::gemm` passes its
-/// micro-benchmark. Every variant is bit-exact, so a noisy tuning run can
-/// cost speed but never correctness.
-pub(crate) fn gemm_variant_for(
-    class: ShapeClass,
-    tune: impl FnOnce(ShapeClass) -> GemmVariant,
-) -> GemmVariant {
-    GEMM_TABLE[class.index()]
-        .get_or_init(|| {
-            let choice = match forced_variant() {
-                Some(variant) => GemmChoice {
-                    class,
-                    variant,
-                    source: ChoiceSource::Forced,
-                },
-                None => GemmChoice {
-                    class,
-                    variant: tune(class),
-                    source: ChoiceSource::Autotuned,
-                },
-            };
-            if let Ok(mut log) = GEMM_LOG.lock() {
-                log.push(choice);
-            }
-            choice
-        })
-        .variant
+/// Kept only so the `bnnkc-bench` fingerprint compiles; delete it with
+/// the bench's next change. It has no values (see [`ShapeClass`]).
+#[derive(Debug, Clone, Copy)]
+pub enum GemmVariant {}
+
+impl GemmVariant {
+    /// Kept for the bench only (see [`GemmVariant`]).
+    pub fn name(self) -> &'static str {
+        match self {}
+    }
 }
 
-/// The GEMM variant selections recorded so far, in selection order. Only
-/// classes that have actually been dispatched (or warmed via
-/// `ops::gemm::warm_gemm_tables`) appear.
+/// Kept only so the `bnnkc-bench` fingerprint compiles; delete it with
+/// the bench's next change. No value can exist: both fields are empty
+/// types.
+#[derive(Debug, Clone, Copy)]
+pub struct GemmChoice {
+    /// Kept for the bench only.
+    pub class: ShapeClass,
+    /// Kept for the bench only.
+    pub variant: GemmVariant,
+}
+
+/// Kept only for `bnnkc-bench`, which counts its length; delete it with
+/// the bench's next change. Always empty: the GEMM blocking is fixed.
 pub fn gemm_choices() -> Vec<GemmChoice> {
-    GEMM_LOG.lock().map(|log| log.clone()).unwrap_or_default()
+    Vec::new()
 }
 
 /// The 3×3 lowering a conv geometry resolved to under the streaming
@@ -467,45 +342,10 @@ mod tests {
     }
 
     #[test]
-    fn shape_classes_partition_lane_counts() {
-        assert_eq!(ShapeClass::of_lanes(0), None);
-        assert_eq!(ShapeClass::of_lanes(2), None);
-        assert_eq!(ShapeClass::of_lanes(3), Some(ShapeClass::Narrow));
-        assert_eq!(ShapeClass::of_lanes(4), Some(ShapeClass::Narrow));
-        assert_eq!(ShapeClass::of_lanes(5), Some(ShapeClass::Medium));
-        assert_eq!(ShapeClass::of_lanes(12), Some(ShapeClass::Medium));
-        assert_eq!(ShapeClass::of_lanes(13), Some(ShapeClass::Wide));
-        assert_eq!(ShapeClass::of_lanes(1000), Some(ShapeClass::Wide));
-        for class in ShapeClass::ALL {
-            assert_eq!(
-                ShapeClass::of_lanes(class.representative_lanes()),
-                Some(class)
-            );
-        }
-    }
-
-    #[test]
     fn names_are_stable() {
         assert_eq!(SimdLevel::Portable.name(), "portable");
         assert_eq!(SimdLevel::Avx2.name(), "avx2");
         assert_eq!(SimdLevel::Avx512.name(), "avx512");
-        assert_eq!(GemmVariant::Mr4Nr2.name(), "4x2");
-        assert_eq!(GemmVariant::Mr8Nr2.name(), "8x2");
-        assert_eq!(GemmVariant::Mr4Nr4.name(), "4x4");
-    }
-
-    #[test]
-    fn variant_table_caches_first_selection() {
-        // Whatever is in the table for Narrow after two calls, both calls
-        // agree and at most one tune ran.
-        let first = gemm_variant_for(ShapeClass::Narrow, |_| GemmVariant::Mr4Nr2);
-        let second = gemm_variant_for(ShapeClass::Narrow, |_| {
-            panic!("tune ran twice for one class")
-        });
-        assert_eq!(first, second);
-        assert!(gemm_choices()
-            .iter()
-            .any(|c| c.class == ShapeClass::Narrow && c.variant == first));
     }
 
     #[test]

@@ -45,9 +45,8 @@
 //! with per-entry batching queues, backpressure, and wire-protocol
 //! hot-swap (see `crates/serve`). `features` reports what this host
 //! offers the executor: detected CPU features, the selected SIMD level,
-//! hardware parallelism, and the GEMM kernel variant the micro-autotuner
-//! picks per shape class — `--json` emits the same facts
-//! machine-readably.
+//! hardware parallelism, and the conv lowering the conv autotuner picks
+//! per geometry — `--json` emits the same facts machine-readably.
 //!
 //! `run --backend` picks what computes the logits: `cpu` (the default)
 //! runs the fused plan on the engine, `scalar` runs the naive reference
@@ -989,17 +988,15 @@ fn json_escape(s: &str) -> String {
 
 /// `bnnkc features`: what this host offers the executor — detected CPU
 /// features, the SIMD level the kernels dispatch at (after any
-/// `BITNN_SIMD` cap), hardware parallelism, the GEMM microkernel variant
-/// the autotuner picks per kernel shape class, and the per-geometry conv
+/// `BITNN_SIMD` cap), hardware parallelism, and the per-geometry conv
 /// lowering (streaming direct vs im2col) the conv autotuner picks.
 fn cmd_features(args: &[String]) -> CliResult {
     check_flags("features", args, &[], &["--json"])?;
-    use bnnkc::bitnn::{engine, exec, ops::gemm, simd};
+    use bnnkc::bitnn::{engine, exec, simd};
 
     let f = simd::detect();
     let cap = std::env::var("BITNN_SIMD").ok();
     let conv_env = std::env::var("BITNN_CONV").ok();
-    let choices = gemm::warm_gemm_tables();
     let conv_choices = engine::warm_conv_table();
 
     if args.iter().any(|a| a == "--json") {
@@ -1028,21 +1025,6 @@ fn cmd_features(args: &[String]) -> CliResult {
             "  \"pool_workers\": {},\n",
             exec::hardware_threads().saturating_sub(1)
         ));
-        out.push_str("  \"gemm_autotuner\": [\n");
-        for (i, choice) in choices.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"class\": \"{}\", \"lanes\": {}, \"variant\": \"{}\", \"source\": \"{}\"}}{}\n",
-                json_escape(choice.class.name()),
-                choice.class.representative_lanes(),
-                json_escape(choice.variant.name()),
-                match choice.source {
-                    simd::ChoiceSource::Autotuned => "autotuned",
-                    simd::ChoiceSource::Forced => "forced",
-                },
-                if i + 1 < choices.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ],\n");
         out.push_str(&format!(
             "  \"conv_env\": {},\n",
             conv_env
@@ -1086,22 +1068,6 @@ fn cmd_features(args: &[String]) -> CliResult {
             .map_or("unset".to_string(), |v| format!("= {v}")),
     );
     println!("hardware threads: {}", exec::hardware_threads());
-
-    println!("gemm microkernel selection ({}):", simd::level().name());
-    println!("  <=2 lanes (<=128 ch): short-row path (fixed)");
-    for choice in choices {
-        let lanes = choice.class.representative_lanes();
-        println!(
-            "  {:>6} (~{} lanes): {} ({})",
-            choice.class.name(),
-            lanes,
-            choice.variant.name(),
-            match choice.source {
-                simd::ChoiceSource::Autotuned => "autotuned",
-                simd::ChoiceSource::Forced => "forced via BITNN_GEMM",
-            },
-        );
-    }
 
     println!(
         "conv lowering selection (BITNN_CONV {}):",

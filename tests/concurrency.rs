@@ -6,8 +6,8 @@
 //! caller-owned — so concurrent `forward_batch` calls must neither corrupt
 //! each other nor deadlock the pool, whichever thread's job drains first.
 
-use bitnn::engine::ExecPolicy;
 use bitnn::graph::BatchScratch;
+use bitnn::ExecPolicy;
 use bnnkc::prelude::*;
 use std::thread;
 
