@@ -3,10 +3,29 @@
 //! ReActNet's input convolution and output fully-connected layer are not
 //! binarized; the paper quantizes both to 8 bits (Sec. II-B, Table I rows
 //! "Input Layer" / "Output Layer"). We implement symmetric quantization:
-//! weights are stored as `i8` with one per-tensor `f32` scale fixed at
+//! weights are `i8` with one per-tensor `f32` scale fixed at
 //! construction, inputs are quantized on the fly with one scale *per
 //! sample* (per dim-0 row), accumulation is `i32`, and the result is
 //! rescaled to `f32`.
+//!
+//! Both layers run on the int8 kernel in [`crate::ops::int8`]. Their
+//! weights are stored once, in that kernel's packed layout
+//! ([`Int8Weights`]: 16-column panels of 4-deep K groups, K padded to a
+//! multiple of 4, with each output's weight sum beside them), quantized
+//! at construction by the same SIMD quantizer that quantizes inputs:
+//!
+//! * the classifier ([`QuantLinear::forward_2d_with`]) quantizes each
+//!   row of its `[N, in]` input and runs one GEMM with the rows as `M`
+//!   (weight-stationary over a stacked batch) and the outputs as `N`;
+//! * the stem ([`QuantConv2d::forward_fast_with`]) quantizes each image,
+//!   lowers it by im2col to one row of `C·KH·KW` taps per output pixel,
+//!   and runs the GEMM with the pixels as `M` and the filters as `N`.
+//!
+//! The scalar oracle's paths — [`QuantLinear::forward_2d`] and
+//! [`QuantConv2d`]'s [`Layer::forward`] — stay naive loops of their own
+//! over the scalar [`quantize_symmetric`]; they only read the weights
+//! back through [`Int8Weights::get`], so bit-exact tests of the executor
+//! check the kernel instead of sharing it.
 //!
 //! The per-sample activation scale makes every sample's output depend
 //! only on that sample — batch composition never changes a result. The
@@ -17,45 +36,39 @@
 
 use crate::layers::Layer;
 use crate::ops::conv::Conv2dParams;
+use crate::ops::int8::{self, Int8Weights};
 use crate::tensor::Tensor;
 
 /// Symmetric 8-bit quantizer: returns `(q, scale)` with
+/// `scale = max_abs / 127` (1.0 for an all-zero input) and
 /// `q = round(x / scale)` clamped to `[-127, 127]`.
 ///
-/// `inline(always)` so the ISA-dispatched forward passes get a
-/// vectorizable instantiation (max-reduction and round/clamp both map to
-/// vector ops under AVX).
-#[inline(always)]
+/// The scalar oracle's quantizer; [`crate::ops::int8::quantize_into`] is
+/// the kernels' bit-identical SIMD version.
 pub fn quantize_symmetric(data: &[f32]) -> (Vec<i8>, f32) {
-    let mut q = Vec::new();
-    let scale = quantize_symmetric_into(data, &mut q);
+    let max_abs = data.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+    let scale = if max_abs == 0.0 { 1.0 } else { max_abs / 127.0 };
+    let q = data
+        .iter()
+        .map(|&v| (v / scale).round().clamp(-127.0, 127.0) as i8)
+        .collect();
     (q, scale)
 }
 
-/// [`quantize_symmetric`] into a reusable buffer (the arena-reuse forward
-/// paths), returning the scale. Bit-exact with the allocating variant.
-#[inline(always)]
-pub fn quantize_symmetric_into(data: &[f32], q: &mut Vec<i8>) -> f32 {
-    let max_abs = data.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-    let scale = if max_abs == 0.0 { 1.0 } else { max_abs / 127.0 };
-    q.clear();
-    q.extend(
-        data.iter()
-            .map(|&v| (v / scale).round().clamp(-127.0, 127.0) as i8),
-    );
-    scale
-}
-
-/// Reusable buffers for the quantized layers' forward passes: the
-/// quantized-input staging buffer and the pixel-major accumulator. Owned
-/// by [`crate::engine::Scratch`] so steady-state inference through the
-/// graph executor performs no per-forward allocation in the 8-bit ends.
+/// Reusable buffers for the quantized layers' forward passes. Owned by
+/// [`crate::engine::Scratch`] so steady-state inference through the graph
+/// executor performs no per-forward allocation in the 8-bit ends.
 #[derive(Debug, Clone, Default)]
 pub struct QuantScratch {
-    /// Quantized input values.
+    /// The stem's quantized input image.
     pub(crate) q: Vec<i8>,
-    /// Pixel-major `[OH*OW, KF]` integer accumulator (stem conv only).
+    /// The GEMM's `A` rows: the classifier's quantized input rows, or the
+    /// stem's im2col matrix.
+    pub(crate) a: Vec<i8>,
+    /// The GEMM's `i32` output `C`.
     pub(crate) acc: Vec<i32>,
+    /// The classifier's per-row activation scales.
+    pub(crate) scales: Vec<f32>,
 }
 
 /// Dequantize a single value.
@@ -67,10 +80,8 @@ pub fn dequantize(q: i32, scale: f32) -> f32 {
 /// 8-bit quantized 2-D convolution (the network's input layer).
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantConv2d {
-    weights_q: Vec<i8>,
-    /// Tap-major transposed weights `wt[(ch*kh + ky)*kw + kx][k]`, cached
-    /// at construction for [`Self::forward_fast`]'s filter-inner loop.
-    weights_t: Vec<i32>,
+    /// `[K = C·KH·KW][N = filters]`, packed for the int8 GEMM.
+    weights: Int8Weights,
     w_scale: f32,
     filters: usize,
     channels: usize,
@@ -88,22 +99,10 @@ impl QuantConv2d {
     pub fn from_float(weights: &Tensor, params: Conv2dParams) -> Self {
         let shape = weights.shape();
         assert_eq!(shape.len(), 4, "QuantConv2d weights must be 4-D");
-        let (q, w_scale) = quantize_symmetric(weights.data());
         let (kf, c, kh, kw) = (shape[0], shape[1], shape[2], shape[3]);
-        let mut weights_t = vec![0i32; kf * c * kh * kw];
-        for k in 0..kf {
-            for ch in 0..c {
-                for ky in 0..kh {
-                    for kx in 0..kw {
-                        weights_t[(((ch * kh) + ky) * kw + kx) * kf + k] =
-                            q[((k * c + ch) * kh + ky) * kw + kx] as i32;
-                    }
-                }
-            }
-        }
+        let (weights, w_scale) = Int8Weights::quantize(weights.data(), kf, c * kh * kw);
         QuantConv2d {
-            weights_q: q,
-            weights_t,
+            weights,
             w_scale,
             filters: kf,
             channels: c,
@@ -135,79 +134,63 @@ impl QuantConv2d {
 
     #[inline]
     fn w_at(&self, k: usize, c: usize, y: usize, x: usize) -> i32 {
-        self.weights_q[((k * self.channels + c) * self.kh + y) * self.kw + x] as i32
+        self.weights.get(k, (c * self.kh + y) * self.kw + x) as i32
     }
 
-    /// Forward pass with the accumulation restructured for speed: the
-    /// accumulator is laid out pixel-major with the *filter* index
-    /// innermost, so each kernel tap broadcasts one input sample against
-    /// all filters in a contiguous (vectorizable) run, and the valid
-    /// output range per tap is precomputed so the inner loops carry no
-    /// bounds branch. Integer accumulation is associative, so the result
-    /// is bit-exact with [`Layer::forward`]; the engine's forward path
-    /// uses this variant while the trait method stays the scalar seed
-    /// baseline. Dispatches to an AVX2 instantiation when available.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input is not 4-D with the layer's channel count.
-    pub fn forward_fast(&self, input: &Tensor) -> Tensor {
-        let mut out = Tensor::default();
-        self.forward_fast_with(input, &mut QuantScratch::default(), &mut out);
-        out
-    }
-
-    /// [`Self::forward_fast`] into reusable scratch and output buffers
-    /// (the graph executor's arena path): no per-forward allocation once
-    /// the buffers are warm. Bit-exact with [`Self::forward_fast`].
+    /// The executor's forward pass, into reusable scratch and output
+    /// buffers (no per-forward allocation once they are warm): per image,
+    /// quantize, lower by im2col, and run the int8 GEMM (see the module
+    /// docs). Integer accumulation is exact, so the result is bit-exact
+    /// with the oracle's [`Layer::forward`].
     ///
     /// # Panics
     ///
     /// Panics if the input is not 4-D with the layer's channel count.
     pub fn forward_fast_with(&self, input: &Tensor, scratch: &mut QuantScratch, out: &mut Tensor) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            /// AVX2 instantiation of [`QuantConv2d::forward_fast_impl`].
-            #[target_feature(enable = "avx2,popcnt")]
-            unsafe fn fast_avx2(
-                layer: &QuantConv2d,
-                input: &Tensor,
-                scratch: &mut QuantScratch,
-                out: &mut Tensor,
-            ) {
-                layer.forward_fast_impl(input, scratch, out);
-            }
-            if crate::simd::avx2() {
-                // SAFETY: avx2 + popcnt were detected at runtime.
-                return unsafe { fast_avx2(self, input, scratch, out) };
-            }
-        }
-        self.forward_fast_impl(input, scratch, out)
-    }
-
-    /// Portable body of [`Self::forward_fast_with`].
-    #[inline(always)]
-    fn forward_fast_impl(&self, input: &Tensor, scratch: &mut QuantScratch, out: &mut Tensor) {
         let shape = input.shape();
         assert_eq!(shape.len(), 4, "QuantConv2d expects 4-D input");
         assert_eq!(shape[1], self.channels, "channel mismatch in QuantConv2d");
         let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
-        let (stride, pad) = (self.params.stride, self.params.pad);
         let kf = self.filters;
         let oh = self.params.out_dim(h, self.kh);
         let ow = self.params.out_dim(w, self.kw);
-        let wt = &self.weights_t; // tap-major, cached at construction
-                                  // Every (filter, pixel) accumulator cell is dequantized below, so
-                                  // neither buffer needs a zero-fill beyond the per-image reset.
+        let (pixels, kp, image) = (oh * ow, self.weights.padded_k(), c * h * w);
+        // Every GEMM output cell is dequantized below, so no buffer needs
+        // a fill beyond the im2col matrix's per-image reset.
         out.reset_for_overwrite(&[n, kf, oh, ow]);
-        if scratch.acc.len() != oh * ow * kf {
-            scratch.acc.clear();
-            scratch.acc.resize(oh * ow * kf, 0);
+        let QuantScratch { q, a, acc, .. } = scratch;
+        q.resize(image, 0);
+        a.resize(pixels * kp, 0);
+        acc.resize(pixels * kf, 0);
+        for img in 0..n {
+            // One activation scale per sample (batch-invariant results).
+            let in_scale = int8::quantize_into(&input.data()[img * image..][..image], q);
+            let out_scale = in_scale * self.w_scale;
+            self.im2col(q, h, w, a);
+            int8::gemm(a, pixels, &self.weights, acc);
+            // Dequantize, transposing [pixel][filter] to NCHW.
+            let od = &mut out.data_mut()[img * kf * pixels..][..kf * pixels];
+            for pix in 0..pixels {
+                let arow = &acc[pix * kf..][..kf];
+                for (k, &v) in arow.iter().enumerate() {
+                    od[k * pixels + pix] = dequantize(v, out_scale);
+                }
+            }
         }
-        let QuantScratch { q, acc } = scratch;
-        // Valid output index range for kernel tap offset `t` along an axis
-        // of input extent `extent` and output extent `out_extent`: exactly
-        // the `o` with `0 <= o*stride + t - pad < extent`.
+    }
+
+    /// Lower one quantized `[C, H, W]` image to the stem GEMM's `A`: row
+    /// `oy·OW + ox` holds that output pixel's taps in weight order
+    /// (`(ch·KH + ky)·KW + kx`), zero where the window overhangs the
+    /// padding (8-bit layers use conventional zero padding).
+    fn im2col(&self, q: &[i8], h: usize, w: usize, a: &mut [i8]) {
+        let (stride, pad) = (self.params.stride, self.params.pad);
+        let oh = self.params.out_dim(h, self.kh);
+        let ow = self.params.out_dim(w, self.kw);
+        let kp = self.weights.padded_k();
+        // The output range whose tap `t` lands inside an axis of input
+        // extent `extent`: exactly the `o` with
+        // `0 <= o*stride + t - pad < extent`.
         let valid = |t: usize, extent: usize, out_extent: usize| -> (usize, usize) {
             let lo = if t >= pad {
                 0
@@ -221,39 +204,21 @@ impl QuantConv2d {
             };
             (lo.min(hi), hi)
         };
-        for img in 0..n {
-            // One activation scale per sample (batch-invariant results).
-            let in_scale =
-                quantize_symmetric_into(&input.data()[img * c * h * w..][..c * h * w], q);
-            let out_scale = in_scale * self.w_scale;
-            acc.fill(0);
-            for ch in 0..c {
-                let plane = &q[ch * h * w..][..h * w];
-                for ky in 0..self.kh {
-                    let (oy_lo, oy_hi) = valid(ky, h, oh);
-                    for kx in 0..self.kw {
-                        let wrow = &wt[(((ch * self.kh) + ky) * self.kw + kx) * kf..][..kf];
-                        let (ox_lo, ox_hi) = valid(kx, w, ow);
-                        for oy in oy_lo..oy_hi {
-                            let iy = oy * stride + ky - pad;
-                            let irow = &plane[iy * w..][..w];
-                            for ox in ox_lo..ox_hi {
-                                let v = irow[ox * stride + kx - pad] as i32;
-                                let arow = &mut acc[(oy * ow + ox) * kf..][..kf];
-                                for (a, &wv) in arow.iter_mut().zip(wrow) {
-                                    *a += v * wv;
-                                }
-                            }
+        a.fill(0);
+        for ch in 0..self.channels {
+            let plane = &q[ch * h * w..][..h * w];
+            for ky in 0..self.kh {
+                let (oy_lo, oy_hi) = valid(ky, h, oh);
+                for kx in 0..self.kw {
+                    let tap = (ch * self.kh + ky) * self.kw + kx;
+                    let (ox_lo, ox_hi) = valid(kx, w, ow);
+                    for oy in oy_lo..oy_hi {
+                        let irow = &plane[(oy * stride + ky - pad) * w..][..w];
+                        let arow = &mut a[oy * ow * kp..][..ow * kp];
+                        for ox in ox_lo..ox_hi {
+                            arow[ox * kp + tap] = irow[ox * stride + kx - pad];
                         }
                     }
-                }
-            }
-            // Dequantize, transposing [pixel][filter] to NCHW.
-            let od = &mut out.data_mut()[img * kf * oh * ow..][..kf * oh * ow];
-            for pix in 0..oh * ow {
-                let arow = &acc[pix * kf..][..kf];
-                for (k, &a) in arow.iter().enumerate() {
-                    od[k * oh * ow + pix] = dequantize(a, out_scale);
                 }
             }
         }
@@ -305,7 +270,7 @@ impl Layer for QuantConv2d {
     }
 
     fn param_bits(&self) -> usize {
-        self.weights_q.len() * 8
+        self.weights.n() * self.weights.k() * 8
     }
 
     fn describe(&self) -> String {
@@ -319,7 +284,8 @@ impl Layer for QuantConv2d {
 /// 8-bit quantized fully-connected layer (the network's output layer).
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantLinear {
-    weights_q: Vec<i8>,
+    /// `[K = in_features][N = out_features]`, packed for the int8 GEMM.
+    weights: Int8Weights,
     w_scale: f32,
     in_features: usize,
     out_features: usize,
@@ -333,9 +299,9 @@ impl QuantLinear {
     /// Panics if `weights.len() != out_features * in_features`.
     pub fn from_float(weights: &[f32], out_features: usize, in_features: usize) -> Self {
         assert_eq!(weights.len(), out_features * in_features);
-        let (q, w_scale) = quantize_symmetric(weights);
+        let (weights, w_scale) = Int8Weights::quantize(weights, out_features, in_features);
         QuantLinear {
-            weights_q: q,
+            weights,
             w_scale,
             in_features,
             out_features,
@@ -377,10 +343,9 @@ impl QuantLinear {
                 quantize_symmetric(&input.data()[img * self.in_features..][..self.in_features]);
             let out_scale = in_scale * self.w_scale;
             for o in 0..self.out_features {
-                let w_row = &self.weights_q[o * self.in_features..][..self.in_features];
                 let mut acc = 0i32;
-                for (&a, &w) in input_q.iter().zip(w_row) {
-                    acc += a as i32 * w as i32;
+                for (i, &a) in input_q.iter().enumerate() {
+                    acc += a as i32 * self.weights.get(o, i) as i32;
                 }
                 out.data_mut()[img * self.out_features + o] = dequantize(acc, out_scale);
             }
@@ -388,8 +353,9 @@ impl QuantLinear {
         out
     }
 
-    /// [`Self::forward_2d`] into reusable scratch and output buffers (the
-    /// graph executor's arena path). Bit-exact with [`Self::forward_2d`].
+    /// The executor's classifier, into reusable scratch and output
+    /// buffers: quantize every row, then one int8 GEMM over all of them
+    /// (see the module docs). Bit-exact with [`Self::forward_2d`].
     ///
     /// # Panics
     ///
@@ -401,22 +367,24 @@ impl QuantLinear {
             shape[1], self.in_features,
             "feature mismatch in QuantLinear"
         );
-        let n = shape[0];
-        out.reset_for_overwrite(&[n, self.out_features]);
-        for img in 0..n {
-            // One activation scale per sample (batch-invariant results).
-            let row = &input.data()[img * self.in_features..][..self.in_features];
-            let in_scale = quantize_symmetric_into(row, &mut scratch.q);
-            let input_q = &scratch.q;
-            let out_scale = in_scale * self.w_scale;
-            for o in 0..self.out_features {
-                let w_row = &self.weights_q[o * self.in_features..][..self.in_features];
-                let acc: i32 = input_q
-                    .iter()
-                    .zip(w_row)
-                    .map(|(&a, &w)| a as i32 * w as i32)
-                    .sum();
-                out.data_mut()[img * self.out_features + o] = dequantize(acc, out_scale);
+        let (n, k, o) = (shape[0], self.in_features, self.out_features);
+        let kp = self.weights.padded_k();
+        out.reset_for_overwrite(&[n, o]);
+        let QuantScratch { a, acc, scales, .. } = scratch;
+        a.resize(n * kp, 0);
+        acc.resize(n * o, 0);
+        scales.resize(n, 0.0);
+        for (img, scale) in scales.iter_mut().enumerate() {
+            // One activation scale per sample (batch-invariant results);
+            // the row's pad bytes meet zero weights.
+            *scale = int8::quantize_into(&input.data()[img * k..][..k], &mut a[img * kp..][..k]);
+        }
+        int8::gemm(a, n, &self.weights, acc);
+        for (img, &scale) in scales.iter().enumerate() {
+            let out_scale = scale * self.w_scale;
+            let orow = &mut out.data_mut()[img * o..][..o];
+            for (y, &v) in orow.iter_mut().zip(&acc[img * o..][..o]) {
+                *y = dequantize(v, out_scale);
             }
         }
     }
@@ -428,7 +396,7 @@ impl Layer for QuantLinear {
     }
 
     fn param_bits(&self) -> usize {
-        self.weights_q.len() * 8
+        self.weights.n() * self.weights.k() * 8
     }
 
     fn describe(&self) -> String {
@@ -485,20 +453,26 @@ mod tests {
     #[test]
     fn forward_fast_is_bit_exact_with_forward() {
         use crate::weightgen::random_floats;
-        // Integer accumulation commutes, so the restructured loop must
-        // reproduce the scalar path exactly across strides/pads/kernels.
+        // Integer accumulation commutes, so the im2col + int8 GEMM path
+        // must reproduce the oracle's loop exactly across
+        // strides/pads/kernels, filter counts on both sides of a panel,
+        // and K = C·KH·KW on both sides of a group of 4.
+        let (mut scratch, mut fast) = (QuantScratch::default(), Tensor::default());
         for (kh, kw, stride, pad) in [(3, 3, 1, 1), (3, 3, 2, 1), (1, 1, 1, 0), (2, 2, 2, 0)] {
-            let w = Tensor::from_vec(
-                &[4, 3, kh, kw],
-                random_floats(4 * 3 * kh * kw, 1.0, (kh * 10 + stride) as u64),
-            )
-            .unwrap();
-            let conv = QuantConv2d::from_float(&w, Conv2dParams { stride, pad });
-            let x = Tensor::from_vec(&[2, 3, 8, 7], random_floats(2 * 3 * 8 * 7, 1.0, 5)).unwrap();
-            let a = conv.forward(&x);
-            let b = conv.forward_fast(&x);
-            assert_eq!(a.shape(), b.shape());
-            assert_eq!(a.data(), b.data(), "k{kh}x{kw} s{stride} p{pad}");
+            for kf in [4usize, 17] {
+                let w = Tensor::from_vec(
+                    &[kf, 3, kh, kw],
+                    random_floats(kf * 3 * kh * kw, 1.0, (kh * 10 + stride + kf) as u64),
+                )
+                .unwrap();
+                let conv = QuantConv2d::from_float(&w, Conv2dParams { stride, pad });
+                let x =
+                    Tensor::from_vec(&[2, 3, 8, 7], random_floats(2 * 3 * 8 * 7, 1.0, 5)).unwrap();
+                let a = conv.forward(&x);
+                conv.forward_fast_with(&x, &mut scratch, &mut fast);
+                assert_eq!(a.shape(), fast.shape());
+                assert_eq!(a.data(), fast.data(), "k{kh}x{kw} s{stride} p{pad} f{kf}");
+            }
         }
     }
 
@@ -507,31 +481,44 @@ mod tests {
         use crate::weightgen::random_floats;
         // The per-sample activation scale makes stacking bit-exact: the
         // stacked batch schedule and the serving daemon both rely on it.
+        // Eight samples whose dynamic ranges span six decades.
+        const ROWS: usize = 8;
+        let ranges = [1.0f32, 40.0, 1e-3, 250.0, 0.5, 1e3, 7.0, 1e-2];
+        let samples: Vec<Vec<f32>> = ranges
+            .iter()
+            .enumerate()
+            .map(|(i, &r)| random_floats(75, r, i as u64 + 1))
+            .collect();
+        let stacked_vals: Vec<f32> = samples.concat();
+        let (mut scratch, mut one, mut all) = (
+            QuantScratch::default(),
+            Tensor::default(),
+            Tensor::default(),
+        );
+
         let w = Tensor::from_vec(&[4, 3, 3, 3], random_floats(4 * 3 * 9, 1.0, 21)).unwrap();
         let conv = QuantConv2d::from_float(&w, Conv2dParams { stride: 1, pad: 1 });
-        let a = Tensor::from_vec(&[1, 3, 5, 5], random_floats(75, 1.0, 1)).unwrap();
-        // A second sample with a very different dynamic range.
-        let b = Tensor::from_vec(&[1, 3, 5, 5], random_floats(75, 40.0, 2)).unwrap();
-        let mut stacked_vals = a.data().to_vec();
-        stacked_vals.extend_from_slice(b.data());
-        let stacked = Tensor::from_vec(&[2, 3, 5, 5], stacked_vals).unwrap();
-        let ya = conv.forward_fast(&a);
-        let yb = conv.forward_fast(&b);
-        let ys = conv.forward_fast(&stacked);
-        assert_eq!(&ys.data()[..ya.data().len()], ya.data());
-        assert_eq!(&ys.data()[ya.data().len()..], yb.data());
-        assert_eq!(conv.forward(&stacked).data(), ys.data());
+        let stacked = Tensor::from_vec(&[ROWS, 3, 5, 5], stacked_vals.clone()).unwrap();
+        conv.forward_fast_with(&stacked, &mut scratch, &mut all);
+        let per = all.data().len() / ROWS;
+        for (i, sample) in samples.iter().enumerate() {
+            let x = Tensor::from_vec(&[1, 3, 5, 5], sample.clone()).unwrap();
+            conv.forward_fast_with(&x, &mut scratch, &mut one);
+            assert_eq!(&all.data()[i * per..][..per], one.data(), "conv sample {i}");
+        }
+        assert_eq!(conv.forward(&stacked).data(), all.data());
 
         let lw: Vec<f32> = random_floats(2 * 75, 1.0, 3);
         let lin = QuantLinear::from_float(&lw, 2, 75);
-        let ra = Tensor::from_vec(&[1, 75], a.data().to_vec()).unwrap();
-        let rb = Tensor::from_vec(&[1, 75], b.data().to_vec()).unwrap();
-        let rs = Tensor::from_vec(&[2, 75], stacked.data().to_vec()).unwrap();
-        let la = lin.forward_2d(&ra);
-        let lb = lin.forward_2d(&rb);
-        let ls = lin.forward_2d(&rs);
-        assert_eq!(&ls.data()[..2], la.data());
-        assert_eq!(&ls.data()[2..], lb.data());
+        let rows = Tensor::from_vec(&[ROWS, 75], stacked_vals).unwrap();
+        lin.forward_2d_with(&rows, &mut scratch, &mut all);
+        for (i, sample) in samples.iter().enumerate() {
+            let x = Tensor::from_vec(&[1, 75], sample.clone()).unwrap();
+            lin.forward_2d_with(&x, &mut scratch, &mut one);
+            assert_eq!(&all.data()[i * 2..][..2], one.data(), "linear sample {i}");
+            assert_eq!(lin.forward_2d(&x).data(), one.data(), "linear oracle {i}");
+        }
+        assert_eq!(lin.forward_2d(&rows).data(), all.data());
     }
 
     #[test]

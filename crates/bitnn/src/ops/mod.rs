@@ -1,4 +1,5 @@
-//! Binary compute kernels: dot products, GEMM, and convolutions.
+//! Binary compute kernels: dot products, GEMM, and convolutions, plus the
+//! int8 kernel of the network's two 8-bit ends ([`mod@int8`]).
 //!
 //! Every packed kernel here has a full-precision oracle in [`mod@reference`]
 //! that operates on ±1 floats; the test suites assert bit-exact agreement
@@ -13,6 +14,7 @@ pub mod conv;
 mod dot;
 pub mod gemm;
 pub mod im2col;
+pub mod int8;
 pub mod reference;
 pub mod streamconv;
 

@@ -45,6 +45,10 @@ pub struct CpuFeatures {
     /// AVX-512 F+BW+VPOPCNTDQ: the native 512-bit vector popcount
     /// instantiations.
     pub avx512: bool,
+    /// AVX-512 VNNI on top of `avx512`: the int8 GEMM's `vpdpbusd` body
+    /// ([`crate::ops::int8`]). Not implied by `avx512`; without it an
+    /// AVX-512 host runs the int8 GEMM's AVX2 body.
+    pub avx512_vnni: bool,
 }
 
 /// Detected CPU capabilities. Detection runs once and is cached.
@@ -54,13 +58,15 @@ pub fn detect() -> CpuFeatures {
         #[cfg(target_arch = "x86_64")]
         {
             let popcnt = std::arch::is_x86_feature_detected!("popcnt");
+            let avx512 = popcnt
+                && std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx512bw")
+                && std::arch::is_x86_feature_detected!("avx512vpopcntdq");
             CpuFeatures {
                 popcnt,
                 avx2: popcnt && std::arch::is_x86_feature_detected!("avx2"),
-                avx512: popcnt
-                    && std::arch::is_x86_feature_detected!("avx512f")
-                    && std::arch::is_x86_feature_detected!("avx512bw")
-                    && std::arch::is_x86_feature_detected!("avx512vpopcntdq"),
+                avx512,
+                avx512_vnni: avx512 && std::arch::is_x86_feature_detected!("avx512vnni"),
             }
         }
         #[cfg(not(target_arch = "x86_64"))]
@@ -69,6 +75,7 @@ pub fn detect() -> CpuFeatures {
                 popcnt: false,
                 avx2: false,
                 avx512: false,
+                avx512_vnni: false,
             }
         }
     })

@@ -988,11 +988,12 @@ fn json_escape(s: &str) -> String {
 
 /// `bnnkc features`: what this host offers the executor — detected CPU
 /// features, the SIMD level the kernels dispatch at (after any
-/// `BITNN_SIMD` cap), hardware parallelism, and the per-geometry conv
-/// lowering (streaming direct vs im2col) the conv autotuner picks.
+/// `BITNN_SIMD` cap), the int8 kernel body the 8-bit stem and classifier
+/// run, hardware parallelism, and the per-geometry conv lowering
+/// (streaming direct vs im2col) the conv autotuner picks.
 fn cmd_features(args: &[String]) -> CliResult {
     check_flags("features", args, &[], &["--json"])?;
-    use bnnkc::bitnn::{engine, exec, simd};
+    use bnnkc::bitnn::{engine, exec, ops::int8, simd};
 
     let f = simd::detect();
     let cap = std::env::var("BITNN_SIMD").ok();
@@ -1005,12 +1006,17 @@ fn cmd_features(args: &[String]) -> CliResult {
         // emitter.
         let mut out = String::from("{\n");
         out.push_str(&format!(
-            "  \"cpu_features\": {{\"popcnt\": {}, \"avx2\": {}, \"avx512_vpopcntdq\": {}}},\n",
-            f.popcnt, f.avx2, f.avx512
+            "  \"cpu_features\": {{\"popcnt\": {}, \"avx2\": {}, \"avx512_vpopcntdq\": {}, \
+             \"avx512_vnni\": {}}},\n",
+            f.popcnt, f.avx2, f.avx512, f.avx512_vnni
         ));
         out.push_str(&format!(
             "  \"simd_level\": \"{}\",\n",
             json_escape(simd::level().name())
+        ));
+        out.push_str(&format!(
+            "  \"int8_kernel\": \"{}\",\n",
+            json_escape(int8::kernel().name())
         ));
         out.push_str(&format!(
             "  \"simd_env\": {},\n",
@@ -1061,12 +1067,14 @@ fn cmd_features(args: &[String]) -> CliResult {
     println!("  popcnt:            {}", yn(f.popcnt));
     println!("  avx2:              {}", yn(f.avx2));
     println!("  avx512-vpopcntdq:  {}", yn(f.avx512));
+    println!("  avx512-vnni:       {}", yn(f.avx512_vnni));
     println!(
         "simd level: {} (BITNN_SIMD {})",
         simd::level().name(),
         cap.as_deref()
             .map_or("unset".to_string(), |v| format!("= {v}")),
     );
+    println!("int8 kernel: {}", int8::kernel().name());
     println!("hardware threads: {}", exec::hardware_threads());
 
     println!(

@@ -297,6 +297,25 @@ fn features_reports_host_capabilities() {
         "missing feature lines: {stdout}"
     );
     assert!(stdout.contains("simd level:"), "missing level: {stdout}");
+    // The 8-bit stem and classifier's int8 kernel tier, capped like
+    // every other kernel by BITNN_SIMD.
+    assert!(
+        ["avx512-vnni", "avx2", "portable"]
+            .iter()
+            .any(|k| stdout.contains(&format!("int8 kernel: {k}\n"))),
+        "missing int8 kernel line: {stdout}"
+    );
+    let portable = std::process::Command::new(env!("CARGO_BIN_EXE_bnnkc"))
+        .arg("features")
+        .env("BITNN_SIMD", "portable")
+        .output()
+        .expect("failed to spawn bnnkc");
+    assert!(portable.status.success(), "features failed: {portable:?}");
+    let portable = String::from_utf8_lossy(&portable.stdout);
+    assert!(
+        portable.contains("int8 kernel: portable\n"),
+        "int8 kernel not capped by BITNN_SIMD=portable: {portable}"
+    );
     assert!(
         stdout.contains("hardware threads:"),
         "missing parallelism: {stdout}"
@@ -329,7 +348,12 @@ fn features_reports_host_capabilities() {
     let j = bnnkc(&["features", "--json"]);
     assert!(j.status.success(), "features --json failed: {j:?}");
     let json = String::from_utf8_lossy(&j.stdout);
-    for key in ["\"conv_autotuner\"", "\"conv_env\""] {
+    for key in [
+        "\"conv_autotuner\"",
+        "\"conv_env\"",
+        "\"int8_kernel\"",
+        "\"avx512_vnni\"",
+    ] {
         assert!(json.contains(key), "missing {key}: {json}");
     }
     for stale in ["gemm", "variant", "narrow", "medium", "wide"] {
