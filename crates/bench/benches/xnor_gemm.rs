@@ -2,7 +2,9 @@
 //! compute substrate every experiment runs on.
 
 use bitnn::bitword::{popcount_swar, xnor_popcount_slice};
-use bitnn::ops::gemm::{gemm_binary, gemm_binary_naive, PackedMatrix};
+use bitnn::ops::gemm::{
+    gemm_binary, gemm_binary_naive, gemm_binary_panels_into, BinaryPanels, PackedMatrix,
+};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
@@ -71,5 +73,51 @@ fn bench_gemm(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_xnor_popcount, bench_swar, bench_gemm);
+/// The panel kernel on prebuilt weight panels (as a layer caches them),
+/// at `M pixels × N filters × K bits` shapes from the models: a 1-pixel
+/// 3×3 tail layer, 1×1 and 3×3 layers along the ReActNet widths, and the
+/// one- and two-lane rows of narrow 1×1 convs. Runs at the effective
+/// `BITNN_SIMD` level.
+fn bench_panels(c: &mut Criterion) {
+    let mut g = c.benchmark_group("gemm_panels");
+    let shapes = [
+        (1usize, 1024usize, 9216usize),
+        (4, 512, 512),
+        (4, 512, 4608),
+        (16, 256, 2304),
+        (64, 128, 1152),
+        (256, 64, 576),
+        (1024, 32, 288),
+        (256, 64, 64),
+        (64, 128, 128),
+    ];
+    for &(m, n, k) in &shapes {
+        let bits = |rows: usize, seed: u64| {
+            let words = lanes(rows * k.div_ceil(64), seed);
+            let bools: Vec<bool> = (0..rows * k)
+                .map(|i| words[i / 64] >> (i % 64) & 1 == 1)
+                .collect();
+            PackedMatrix::from_bools(rows, k, &bools).unwrap()
+        };
+        let a = bits(m, 4);
+        let panels = BinaryPanels::from_matrix(&bits(n, 5));
+        let mut out = Vec::new();
+        g.throughput(Throughput::Elements((m * n * k) as u64));
+        g.bench_with_input(BenchmarkId::new(format!("{m}x{n}"), k), &k, |bench, _| {
+            bench.iter(|| {
+                gemm_binary_panels_into(black_box(&a), black_box(&panels), &mut out).unwrap();
+                black_box(&out);
+            })
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_xnor_popcount,
+    bench_swar,
+    bench_gemm,
+    bench_panels
+);
 criterion_main!(benches);

@@ -3,8 +3,8 @@
 //! Times the tiers the execution engine accelerates, each against the
 //! seed's scalar baseline which is kept bit-identical in-tree:
 //!
-//! 1. **GEMM** — `gemm_binary_naive` (seed scalar) vs the register-blocked
-//!    tiled kernel vs the parallel [`Engine`] across the thread ladder.
+//! 1. **GEMM** — `gemm_binary_naive` (seed scalar) vs the 8-filter panel
+//!    kernel vs the parallel [`Engine`] across the thread ladder.
 //! 2. **Conv 3×3** — `conv2d_binary` (seed direct scalar) vs the engine's
 //!    conv modes (im2col / streaming / auto) and thread counts.
 //!    The `engine` ladder rows are labeled with the lowering the conv
@@ -68,9 +68,9 @@
 //! artifact stays parseable.
 //!
 //! `bnnkc-perfsuite/v7` drops the top-level `gemm_selection` array: the
-//! binary GEMM has one fixed 4×4 register blocking, so there is no
-//! per-shape-class choice to record. GEMM entries are labeled
-//! `<level>/gemm-4x4`, or `<level>/gemm-short-row` for rows of ≤ 2 lanes.
+//! binary GEMM has one kernel, so there is no per-shape-class choice to
+//! record. GEMM entries are labeled `<level>/gemm-panel8` (the 8-filter
+//! weight-panel kernel of `bitnn::ops::gemm`).
 //!
 //! `bnnkc-perfsuite/v6` adds the streaming direct-conv lowering to the
 //! conv section (`engine_stream`, pinned via `ConvMode::Stream`), labels
@@ -95,7 +95,7 @@
 //! and kernel variant produced it: each entry carries a `backend` field
 //! (`cpu` for the engine paths; the baselines are the frozen `scalar`
 //! reference) and a `kernel` field naming the dispatched code path —
-//! SIMD level plus the GEMM register blocking (`avx512/gemm-4x4`), the
+//! SIMD level plus the GEMM kernel (`avx512/gemm-panel8`), the
 //! streaming conv (`avx2/conv-stream`), or the fused graph walk
 //! (`avx512/fused-graph`). The document also records the effective SIMD
 //! level (v3–v6 also recorded an autotuned per-shape-class GEMM
@@ -179,18 +179,6 @@ struct Entry {
     kernel: String,
 }
 
-/// Kernel label for a binary GEMM whose rows carry `k_bits` bits:
-/// the effective SIMD level plus the fixed 4×4 register blocking
-/// (`avx512/gemm-4x4`), or the short-row path for rows of ≤ 2 lanes
-/// (`avx512/gemm-short-row`).
-fn gemm_kernel(k_bits: usize) -> String {
-    format!(
-        "{}/gemm-{}",
-        simd::level(),
-        gemm_kernel_name(k_bits.div_ceil(64))
-    )
-}
-
 /// Kernel label for whole-model forwards through the graph executor's
 /// fused plan (mixed conv/GEMM/fusion kernels under one SIMD level).
 fn fused_graph_kernel() -> String {
@@ -218,7 +206,7 @@ fn chosen_conv_kernel(c: usize, hw: usize, kf: usize) -> String {
     });
     match choice.map(|ch| ch.lowering) {
         Some(simd::ConvLowering::Stream) => stream_conv_kernel(),
-        Some(simd::ConvLowering::Im2col) | None => gemm_kernel(c * 9),
+        Some(simd::ConvLowering::Im2col) | None => gemm_kernel_name(),
     }
 }
 
@@ -391,13 +379,13 @@ fn bench_gemm(smoke: bool, seed: u64, ladder: &[usize]) -> Section {
             black_box(gemm_binary(black_box(&a), black_box(&b)).unwrap());
         }),
         backend: "cpu",
-        kernel: gemm_kernel(k),
+        kernel: gemm_kernel_name(),
     }];
     for &t in ladder {
         let eng = engine(t);
         assert_eq!(eng.gemm(&a, &b).unwrap(), expect, "engine GEMM mismatch");
         let mut out = Vec::new();
-        let entry = entry_reusing(&entries, "engine", t, gemm_kernel(k), || {
+        let entry = entry_reusing(&entries, "engine", t, gemm_kernel_name(), || {
             time_ns(iters, || {
                 eng.gemm_into(black_box(&a), black_box(&b), &mut out)
                     .unwrap();
@@ -456,7 +444,7 @@ fn bench_conv(smoke: bool, seed: u64, ladder: &[usize]) -> Section {
         threads: 1,
         ns: measure("engine_im2col", &engine_with(1, ConvMode::Im2col)),
         backend: "cpu",
-        kernel: gemm_kernel(c * 9),
+        kernel: gemm_kernel_name(),
     });
     // v6: the streaming shifted-window lowering, pinned via
     // `ConvMode::Stream` — the enforced `conv_stream_1t_speedup`
@@ -826,7 +814,7 @@ fn bench_parallel_scaling(smoke: bool, seed: u64, ladder: &[usize]) -> Section {
 
         assert_eq!(eng.gemm(&a, &b).unwrap(), gemm_expect, "gemm @ {t}t");
         let mut out = Vec::new();
-        let entry = entry_reusing(&entries, "gemm", t, gemm_kernel(gk), || {
+        let entry = entry_reusing(&entries, "gemm", t, gemm_kernel_name(), || {
             time_ns(giters, || {
                 eng.gemm_into(black_box(&a), black_box(&b), &mut out)
                     .unwrap();

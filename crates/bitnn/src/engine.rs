@@ -4,9 +4,10 @@
 //! the binary GEMM/conv substrate; this module is the piece that actually
 //! drives that substrate at speed:
 //!
-//! * **Register-blocked GEMM** — every matrix product goes through the
-//!   4×4 micro-kernel in [`crate::ops::gemm`], which reuses loaded lanes
-//!   across output rows and keeps several popcounts in flight.
+//! * **Panel GEMM** — every matrix product goes through the 8-filter
+//!   panel kernel in [`crate::ops::gemm`], which broadcasts each
+//!   activation word against a vector of filters and keeps up to 4 pixels
+//!   × 16 filters of popcount sums in registers.
 //! * **Persistent worker pool** — parallel sections run on the process-wide
 //!   pool of condvar-parked workers ([`crate::pool`]). Each operation
 //!   splits a contiguous output range (GEMM rows, conv output rows, batch
@@ -41,8 +42,8 @@
 use crate::error::{BitnnError, Result};
 use crate::exec::{ConvMode, ExecPolicy};
 use crate::ops::conv::{kernel_position_ones, Conv2dParams};
-use crate::ops::gemm::{gemm_rows_into, PackedMatrix};
-use crate::ops::im2col::{im2col_kernel_packed, im2col_rows};
+use crate::ops::gemm::{gemm_panels_into, BinaryPanels, PackedMatrix};
+use crate::ops::im2col::im2col_rows;
 use crate::ops::streamconv::conv2d_stream_items;
 use crate::pack::{PackedActivations, PackedKernel};
 use crate::pool::WorkerPool;
@@ -66,18 +67,18 @@ const CHUNKS_PER_THREAD: usize = 4;
 
 /// Borrowed kernel representations for [`Engine::conv2d`].
 ///
-/// The channel-packed form is always required; the im2col weight matrix
-/// and the per-position ones counts (padding closed form) are optional
-/// cached accelerations that layers precompute once at construction (see
+/// The channel-packed form is always required; the GEMM weight panels and
+/// the per-position ones counts (padding closed form) are optional cached
+/// accelerations that layers build once, on their first forward (see
 /// [`crate::layers::BinConv2d::forms`]). Forms that are absent are built
 /// on the fly by the lowering that needs them.
 #[derive(Debug, Clone, Copy)]
 pub struct KernelForms<'a> {
     /// Channel-packed kernel.
     pub packed: &'a PackedKernel,
-    /// Cached im2col weight matrix (one row per filter, position-major
-    /// columns), used by the GEMM lowerings.
-    pub lowered: Option<&'a PackedMatrix>,
+    /// Cached GEMM weight panels in im2col order
+    /// ([`BinaryPanels::from_kernel`]), used by the GEMM lowerings.
+    pub panels: Option<&'a BinaryPanels>,
     /// Cached per-filter, per-position ones counts, used by the streaming
     /// lowering's `-1`-padding closed form.
     pub pad_ones: Option<&'a [u32]>,
@@ -88,7 +89,7 @@ impl<'a> From<&'a PackedKernel> for KernelForms<'a> {
     fn from(packed: &'a PackedKernel) -> Self {
         KernelForms {
             packed,
-            lowered: None,
+            panels: None,
             pad_ones: None,
         }
     }
@@ -113,9 +114,9 @@ pub struct ConvScratch {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConvPath {
     /// 1×1 stride-1 pad-0 GEMM directly over the packed activations;
-    /// needs only the packed kernel.
+    /// wants the weight `panels`.
     PointwiseGemm,
-    /// im2col lowering + GEMM; wants the `lowered` weight matrix.
+    /// im2col lowering + GEMM; wants the weight `panels`.
     Im2col,
     /// Im2col-free streaming shifted-window convolution
     /// ([`crate::ops::streamconv`]); wants `pad_ones`, allocates nothing.
@@ -237,9 +238,9 @@ impl Engine {
     }
 
     /// Binary GEMM under this policy (see [`crate::ops::gemm::gemm_binary`]
-    /// for operand semantics): rows of `a` are chunked across the worker
-    /// pool, each chunk running the register-blocked micro-kernel on its
-    /// band.
+    /// for operand semantics): `b` is cut into weight panels once per
+    /// call, then rows of `a` are chunked across the worker pool, each
+    /// chunk running the panel kernel on its band.
     ///
     /// # Errors
     ///
@@ -264,11 +265,10 @@ impl Engine {
             });
         }
         resize_unfilled(out, a.rows() * b.rows());
-        let (aw, bw) = (a.words(), b.words());
-        let (lanes, k, bn) = (a.lanes(), a.cols(), b.rows());
-        let work = (a.rows() * bn * lanes) as u64;
-        self.parallel_chunks(&mut out[..], bn, 8, work, |first, band| {
-            gemm_rows_into(aw, bw, lanes, k, bn, first, band);
+        let (aw, panels) = (a.words(), BinaryPanels::from_matrix(b));
+        let work = (a.rows() * b.rows() * a.lanes()) as u64;
+        self.parallel_chunks(&mut out[..], b.rows(), 8, work, |first, band| {
+            gemm_panels_into(aw, &panels, first, band);
         });
         Ok(())
     }
@@ -447,19 +447,12 @@ impl Engine {
         }
 
         let pixels = n * oh * ow;
-        if path == ConvPath::PointwiseGemm {
+        let aw = if path == ConvPath::PointwiseGemm {
             // The packed activations are already the GEMM operand: one
-            // C-bit row per pixel, and the 1×1 kernel is one C-bit row per
-            // filter. No lowering, no copies.
-            resize_unfilled(&mut scratch.flat, pixels * kf);
-            let (aw, bw, lanes) = (acts.words(), packed.words(), acts.lanes());
-            let work = (pixels * kf * lanes) as u64;
-            self.parallel_chunks(&mut scratch.flat[..], kf, 16, work, |first, band| {
-                gemm_rows_into(aw, bw, lanes, c, kf, first, band);
-            });
+            // C-bit row per pixel. No lowering, no copies.
+            acts.words()
         } else {
-            let cols = kh * kw * c;
-            scratch.im2col.reset(pixels, cols);
+            scratch.im2col.reset(pixels, kh * kw * c);
             let lanes = scratch.im2col.lanes();
             // The lowering is a word blit: roughly one lane-word op per
             // output word (bit gathers cost a couple each).
@@ -473,22 +466,22 @@ impl Engine {
                     im2col_rows(acts, kh, kw, params, first, band, lanes);
                 },
             );
-            let built;
-            let lk = match kernel.lowered {
-                Some(m) => m,
-                None => {
-                    built = im2col_kernel_packed(packed);
-                    &built
-                }
-            };
-            debug_assert_eq!(lk.cols(), cols);
-            resize_unfilled(&mut scratch.flat, pixels * kf);
-            let (aw, bw) = (scratch.im2col.words(), lk.words());
-            let work = (pixels * kf * lanes) as u64;
-            self.parallel_chunks(&mut scratch.flat[..], kf, 16, work, |first, band| {
-                gemm_rows_into(aw, bw, lanes, cols, kf, first, band);
-            });
-        }
+            scratch.im2col.words()
+        };
+        let built;
+        let panels = match kernel.panels {
+            Some(p) => p,
+            None => {
+                built = BinaryPanels::from_kernel(packed);
+                &built
+            }
+        };
+        debug_assert_eq!(panels.cols(), kh * kw * c);
+        resize_unfilled(&mut scratch.flat, pixels * kf);
+        let work = (pixels * kf * panels.lanes()) as u64;
+        self.parallel_chunks(&mut scratch.flat[..], kf, 16, work, |first, band| {
+            gemm_panels_into(aw, panels, first, band);
+        });
 
         // Scatter flat [N*OH*OW, KF] to NCHW.
         let ohw = oh * ow;
@@ -677,6 +670,37 @@ mod tests {
             band.fill(1);
         });
         assert!(out.iter().all(|&v| v == 1));
+    }
+
+    #[test]
+    fn panel_gemm_is_bit_identical_across_threads() {
+        // A forced 3-worker pool splits the output rows into bands that
+        // start mid-tile, at every thread count from 1 to 4.
+        let pool = crate::pool::WorkerPool::with_workers(3, 4);
+        for &(m, n, k) in &[
+            (1usize, 9usize, 65usize),
+            (33, 17, 200),
+            (256, 64, 576),
+            (37, 1000, 64),
+        ] {
+            let matrix = |rows: usize, seed: u64| {
+                let t = random_bits(&[rows * k], seed);
+                let bits: Vec<bool> = (0..rows * k).map(|i| t.get(i)).collect();
+                PackedMatrix::from_bools(rows, k, &bits).unwrap()
+            };
+            let (a, b) = (matrix(m, (m * n + k) as u64), matrix(n, (m + n * k) as u64));
+            let want = crate::ops::gemm::gemm_binary_naive(&a, &b).unwrap();
+            let panels = BinaryPanels::from_matrix(&b);
+            for threads in 1..=4 {
+                let mut out = vec![i32::MIN; m * n];
+                dispatch_chunks(&pool, threads, &mut out, n, 1, |first, band| {
+                    gemm_panels_into(a.words(), &panels, first, band);
+                });
+                assert_eq!(out, want, "m={m} n={n} k={k} threads={threads}");
+            }
+            let got = Engine::with_threads(4).gemm(&a, &b).unwrap();
+            assert_eq!(got, want, "engine m={m} n={n} k={k}");
+        }
     }
 
     #[test]

@@ -9,8 +9,7 @@ use crate::engine::{ConvPath, ConvScratch, Engine, KernelForms};
 use crate::layers::sign::RSign;
 use crate::layers::Layer;
 use crate::ops::conv::{conv2d_binary, kernel_position_ones, Conv2dParams};
-use crate::ops::gemm::PackedMatrix;
-use crate::ops::im2col::im2col_kernel_packed;
+use crate::ops::gemm::BinaryPanels;
 use crate::pack::{PackedActivations, PackedKernel};
 use crate::tensor::{BitTensor, Tensor};
 use std::sync::OnceLock;
@@ -22,7 +21,7 @@ use std::sync::OnceLock;
 /// including the engine's cached lowering forms — are derived lazily
 /// through [`OnceLock`]s, so a forward pass materializes only what its
 /// execution path actually reads. A packed-deployed layer running the
-/// streaming path never builds the flat tensor or the im2col weight matrix.
+/// streaming path never builds the flat tensor or the GEMM weight panels.
 #[derive(Debug, Clone)]
 pub struct BinConv2d {
     filters: usize,
@@ -34,8 +33,8 @@ pub struct BinConv2d {
     weights: OnceLock<BitTensor>,
     /// Channel-packed lane words (dense lowerings).
     packed: OnceLock<PackedKernel>,
-    /// im2col-lowered weight matrix (GEMM lowerings).
-    lowered: OnceLock<PackedMatrix>,
+    /// GEMM weight panels in im2col order (GEMM lowerings).
+    panels: OnceLock<BinaryPanels>,
     /// Per-filter, per-position ones counts (streaming lowering's padding
     /// closed form).
     pad_ones: OnceLock<Vec<u32>>,
@@ -69,7 +68,7 @@ impl BinConv2d {
             params,
             weights: OnceLock::from(weights),
             packed: OnceLock::new(),
-            lowered: OnceLock::new(),
+            panels: OnceLock::new(),
             pad_ones: OnceLock::new(),
         }
     }
@@ -92,7 +91,7 @@ impl BinConv2d {
             params,
             weights: OnceLock::new(),
             packed: OnceLock::from(packed),
-            lowered: OnceLock::new(),
+            panels: OnceLock::new(),
             pad_ones: OnceLock::new(),
         }
     }
@@ -116,11 +115,12 @@ impl BinConv2d {
         })
     }
 
-    /// The cached im2col-lowered weight matrix (one row per filter,
-    /// `KH*KW*C` position-major columns).
-    pub fn lowered(&self) -> &PackedMatrix {
-        self.lowered
-            .get_or_init(|| im2col_kernel_packed(self.packed()))
+    /// The cached GEMM weight panels (one `KH*KW*C`-bit position-major
+    /// row per filter), built from the packed kernel on first use — the
+    /// warm-up forward, never at attach.
+    pub fn panels(&self) -> &BinaryPanels {
+        self.panels
+            .get_or_init(|| BinaryPanels::from_kernel(self.packed()))
     }
 
     /// The cached per-filter, per-position ones counts.
@@ -134,15 +134,15 @@ impl BinConv2d {
     pub fn forms(&self) -> KernelForms<'_> {
         KernelForms {
             packed: self.packed(),
-            lowered: Some(self.lowered()),
+            panels: Some(self.panels()),
             pad_ones: Some(self.pad_ones()),
         }
     }
 
     /// The kernel forms the engine's chosen lowering will actually read,
     /// materializing only those — a streaming forward never builds the
-    /// im2col matrix and vice versa. A layer wider than one lane word
-    /// always gets the im2col matrix, under a streaming pin too. When the
+    /// weight panels and vice versa. A layer wider than one lane word
+    /// always gets the panels, under a streaming pin too. When the
     /// path is autotuned at first dispatch (`None`), every form the
     /// candidate paths could read is provided, so the warmed forward never
     /// builds one mid-dispatch.
@@ -150,17 +150,12 @@ impl BinConv2d {
         match engine.conv_path(self.kh, self.kw, self.channels, self.params) {
             Some(ConvPath::Stream) => KernelForms {
                 packed: self.packed(),
-                lowered: None,
+                panels: None,
                 pad_ones: Some(self.pad_ones()),
             },
-            Some(ConvPath::Im2col) => KernelForms {
+            Some(ConvPath::Im2col | ConvPath::PointwiseGemm) => KernelForms {
                 packed: self.packed(),
-                lowered: Some(self.lowered()),
-                pad_ones: None,
-            },
-            Some(ConvPath::PointwiseGemm) => KernelForms {
-                packed: self.packed(),
-                lowered: None,
+                panels: Some(self.panels()),
                 pad_ones: None,
             },
             None => self.forms(),
@@ -402,7 +397,7 @@ mod tests {
     }
 
     #[test]
-    fn stream_pin_caches_the_lowered_matrix_for_wide_layers() {
+    fn stream_pin_caches_the_panels_for_wide_layers() {
         let engine = Engine::new(crate::ExecPolicy {
             conv: crate::exec::ConvMode::Stream,
             ..crate::ExecPolicy::single_threaded()
@@ -411,11 +406,11 @@ mod tests {
         // Wider than one lane word: im2col under every mode.
         let wide = BinConv2d::new(BitTensor::zeros(&[4, 128, 3, 3]), params);
         let forms = wide.forms_for(&engine);
-        assert!(forms.lowered.is_some() && forms.pad_ones.is_none());
+        assert!(forms.panels.is_some() && forms.pad_ones.is_none());
         // One lane word: the pin selects the streaming kernel.
         let narrow = BinConv2d::new(BitTensor::zeros(&[4, 64, 3, 3]), params);
         let forms = narrow.forms_for(&engine);
-        assert!(forms.lowered.is_none() && forms.pad_ones.is_some());
+        assert!(forms.panels.is_none() && forms.pad_ones.is_some());
     }
 
     #[test]

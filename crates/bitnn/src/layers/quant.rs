@@ -18,8 +18,10 @@
 //!   row of its `[N, in]` input and runs one GEMM with the rows as `M`
 //!   (weight-stationary over a stacked batch) and the outputs as `N`;
 //! * the stem ([`QuantConv2d::forward_fast_with`]) quantizes each image,
-//!   lowers it by im2col to one row of `C·KH·KW` taps per output pixel,
-//!   and runs the GEMM with the pixels as `M` and the filters as `N`.
+//!   lays it out pixel-major (`[H][W][C]`), lowers it by im2col to one
+//!   row of `KH·KW·C` taps per output pixel — taps ordered `(ky, kx, c)`,
+//!   so each kernel row is one contiguous `KW·C`-byte copy — and runs the
+//!   GEMM with the pixels as `M` and the filters as `N`.
 //!
 //! The scalar oracle's paths — [`QuantLinear::forward_2d`] and
 //! [`QuantConv2d`]'s [`Layer::forward`] — stay naive loops of their own
@@ -60,8 +62,10 @@ pub fn quantize_symmetric(data: &[f32]) -> (Vec<i8>, f32) {
 /// executor performs no per-forward allocation in the 8-bit ends.
 #[derive(Debug, Clone, Default)]
 pub struct QuantScratch {
-    /// The stem's quantized input image.
+    /// The stem's quantized input image, `[C][H][W]`.
     pub(crate) q: Vec<i8>,
+    /// The same image pixel-major, `[H][W][C]`.
+    pub(crate) hwc: Vec<i8>,
     /// The GEMM's `A` rows: the classifier's quantized input rows, or the
     /// stem's im2col matrix.
     pub(crate) a: Vec<i8>,
@@ -80,7 +84,8 @@ pub fn dequantize(q: i32, scale: f32) -> f32 {
 /// 8-bit quantized 2-D convolution (the network's input layer).
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantConv2d {
-    /// `[K = C·KH·KW][N = filters]`, packed for the int8 GEMM.
+    /// `[K = KH·KW·C][N = filters]`, packed for the int8 GEMM, with the
+    /// taps in `(ky, kx, c)` order.
     weights: Int8Weights,
     w_scale: f32,
     filters: usize,
@@ -100,7 +105,21 @@ impl QuantConv2d {
         let shape = weights.shape();
         assert_eq!(shape.len(), 4, "QuantConv2d weights must be 4-D");
         let (kf, c, kh, kw) = (shape[0], shape[1], shape[2], shape[3]);
-        let (weights, w_scale) = Int8Weights::quantize(weights.data(), kf, c * kh * kw);
+        // Reorder each filter's taps from `(c, ky, kx)` to `(ky, kx, c)`;
+        // the per-tensor scale does not depend on the order.
+        let taps = c * kh * kw;
+        let mut reordered = vec![0.0; kf * taps];
+        for (src, dst) in weights
+            .data()
+            .chunks_exact(taps)
+            .zip(reordered.chunks_exact_mut(taps))
+        {
+            for (i, &v) in src.iter().enumerate() {
+                let (ch, pos) = (i / (kh * kw), i % (kh * kw));
+                dst[pos * c + ch] = v;
+            }
+        }
+        let (weights, w_scale) = Int8Weights::quantize(&reordered, kf, taps);
         QuantConv2d {
             weights,
             w_scale,
@@ -134,7 +153,7 @@ impl QuantConv2d {
 
     #[inline]
     fn w_at(&self, k: usize, c: usize, y: usize, x: usize) -> i32 {
-        self.weights.get(k, (c * self.kh + y) * self.kw + x) as i32
+        self.weights.get(k, (y * self.kw + x) * self.channels + c) as i32
     }
 
     /// The executor's forward pass, into reusable scratch and output
@@ -158,15 +177,21 @@ impl QuantConv2d {
         // Every GEMM output cell is dequantized below, so no buffer needs
         // a fill beyond the im2col matrix's per-image reset.
         out.reset_for_overwrite(&[n, kf, oh, ow]);
-        let QuantScratch { q, a, acc, .. } = scratch;
+        let QuantScratch { q, hwc, a, acc, .. } = scratch;
         q.resize(image, 0);
+        hwc.resize(image, 0);
         a.resize(pixels * kp, 0);
         acc.resize(pixels * kf, 0);
         for img in 0..n {
             // One activation scale per sample (batch-invariant results).
             let in_scale = int8::quantize_into(&input.data()[img * image..][..image], q);
             let out_scale = in_scale * self.w_scale;
-            self.im2col(q, h, w, a);
+            for (ch, plane) in q.chunks_exact(h * w).enumerate() {
+                for (px, &v) in plane.iter().enumerate() {
+                    hwc[px * c + ch] = v;
+                }
+            }
+            self.im2col(hwc, h, w, a);
             int8::gemm(a, pixels, &self.weights, acc);
             // Dequantize, transposing [pixel][filter] to NCHW.
             let od = &mut out.data_mut()[img * kf * pixels..][..kf * pixels];
@@ -179,49 +204,53 @@ impl QuantConv2d {
         }
     }
 
-    /// Lower one quantized `[C, H, W]` image to the stem GEMM's `A`: row
+    /// Lower one quantized `[H, W, C]` image to the stem GEMM's `A`: row
     /// `oy·OW + ox` holds that output pixel's taps in weight order
-    /// (`(ch·KH + ky)·KW + kx`), zero where the window overhangs the
-    /// padding (8-bit layers use conventional zero padding).
-    fn im2col(&self, q: &[i8], h: usize, w: usize, a: &mut [i8]) {
-        let (stride, pad) = (self.params.stride, self.params.pad);
+    /// (`(ky·KW + kx)·C + ch`), so each kernel row's in-bounds taps are one
+    /// contiguous copy. Taps where the window overhangs the padding stay
+    /// zero (8-bit layers use conventional zero padding).
+    fn im2col(&self, hwc: &[i8], h: usize, w: usize, a: &mut [i8]) {
+        let (stride, pad, c) = (self.params.stride, self.params.pad, self.channels);
         let oh = self.params.out_dim(h, self.kh);
         let ow = self.params.out_dim(w, self.kw);
         let kp = self.weights.padded_k();
-        // The output range whose tap `t` lands inside an axis of input
-        // extent `extent`: exactly the `o` with
-        // `0 <= o*stride + t - pad < extent`.
-        let valid = |t: usize, extent: usize, out_extent: usize| -> (usize, usize) {
-            let lo = if t >= pad {
-                0
-            } else {
-                (pad - t).div_ceil(stride)
-            };
-            let hi = if extent + pad > t {
-                ((extent - 1 + pad - t) / stride + 1).min(out_extent)
-            } else {
-                0
-            };
-            (lo.min(hi), hi)
-        };
         a.fill(0);
-        for ch in 0..self.channels {
-            let plane = &q[ch * h * w..][..h * w];
-            for ky in 0..self.kh {
-                let (oy_lo, oy_hi) = valid(ky, h, oh);
-                for kx in 0..self.kw {
-                    let tap = (ch * self.kh + ky) * self.kw + kx;
-                    let (ox_lo, ox_hi) = valid(kx, w, ow);
-                    for oy in oy_lo..oy_hi {
-                        let irow = &plane[(oy * stride + ky - pad) * w..][..w];
-                        let arow = &mut a[oy * ow * kp..][..ow * kp];
-                        for ox in ox_lo..ox_hi {
-                            arow[ox * kp + tap] = irow[ox * stride + kx - pad];
-                        }
-                    }
+        for (ox, x0) in (0..ow).map(|ox| (ox, ox * stride)) {
+            // The kernel columns whose input column `x0 + kx - pad` exists.
+            let kx_lo = pad.saturating_sub(x0).min(self.kw);
+            let kx_hi = (w + pad).saturating_sub(x0).min(self.kw);
+            if kx_hi <= kx_lo {
+                continue;
+            }
+            let len = (kx_hi - kx_lo) * c;
+            for oy in 0..oh {
+                let arow = &mut a[(oy * ow + ox) * kp..][..kp];
+                for ky in 0..self.kh {
+                    let Some(iy) = (oy * stride + ky).checked_sub(pad).filter(|&y| y < h) else {
+                        continue;
+                    };
+                    let src = (iy * w + x0 + kx_lo - pad) * c;
+                    copy_taps(
+                        &mut arow[(ky * self.kw + kx_lo) * c..][..len],
+                        &hwc[src..][..len],
+                    );
                 }
             }
         }
+    }
+}
+
+/// `dst.copy_from_slice(src)` for the stem's short kernel rows: a length
+/// of 8 to 16 bytes (a 3×3 RGB row is 9) takes two overlapping 8-byte
+/// moves instead of a `memcpy` call.
+#[inline(always)]
+fn copy_taps(dst: &mut [i8], src: &[i8]) {
+    let n = src.len();
+    if (8..=16).contains(&n) {
+        dst[..8].copy_from_slice(&src[..8]);
+        dst[n - 8..].copy_from_slice(&src[n - 8..]);
+    } else {
+        dst.copy_from_slice(src);
     }
 }
 
@@ -458,20 +487,56 @@ mod tests {
         // strides/pads/kernels, filter counts on both sides of a panel,
         // and K = C·KH·KW on both sides of a group of 4.
         let (mut scratch, mut fast) = (QuantScratch::default(), Tensor::default());
-        for (kh, kw, stride, pad) in [(3, 3, 1, 1), (3, 3, 2, 1), (1, 1, 1, 0), (2, 2, 2, 0)] {
-            for kf in [4usize, 17] {
+        let shapes = [
+            (3, 3, 1, 1),
+            (3, 3, 2, 1),
+            (1, 1, 1, 0),
+            (2, 2, 2, 0),
+            (3, 3, 1, 4),
+        ];
+        for (kh, kw, stride, pad) in shapes {
+            for (kf, c) in [(4usize, 3usize), (17, 3), (5, 1), (6, 5)] {
                 let w = Tensor::from_vec(
-                    &[kf, 3, kh, kw],
-                    random_floats(kf * 3 * kh * kw, 1.0, (kh * 10 + stride + kf) as u64),
+                    &[kf, c, kh, kw],
+                    random_floats(kf * c * kh * kw, 1.0, (kh * 10 + stride + kf) as u64),
                 )
                 .unwrap();
                 let conv = QuantConv2d::from_float(&w, Conv2dParams { stride, pad });
                 let x =
-                    Tensor::from_vec(&[2, 3, 8, 7], random_floats(2 * 3 * 8 * 7, 1.0, 5)).unwrap();
+                    Tensor::from_vec(&[2, c, 8, 7], random_floats(2 * c * 8 * 7, 1.0, 5)).unwrap();
                 let a = conv.forward(&x);
                 conv.forward_fast_with(&x, &mut scratch, &mut fast);
                 assert_eq!(a.shape(), fast.shape());
-                assert_eq!(a.data(), fast.data(), "k{kh}x{kw} s{stride} p{pad} f{kf}");
+                assert_eq!(
+                    a.data(),
+                    fast.data(),
+                    "k{kh}x{kw} s{stride} p{pad} f{kf} c{c}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn stem_weights_read_back_in_tensor_order() {
+        // The packed taps are `(ky, kx, c)`-ordered; `w_at` must still
+        // read the oracle the quantized `[K, C, KH, KW]` tensor.
+        let (kf, c, kh, kw) = (5, 3, 3, 2);
+        let data = crate::weightgen::random_floats(kf * c * kh * kw, 1.0, 77);
+        let (want, _) = quantize_symmetric(&data);
+        let w = Tensor::from_vec(&[kf, c, kh, kw], data).unwrap();
+        let conv = QuantConv2d::from_float(&w, Conv2dParams::default());
+        for k in 0..kf {
+            for ch in 0..c {
+                for y in 0..kh {
+                    for x in 0..kw {
+                        let i = ((k * c + ch) * kh + y) * kw + x;
+                        assert_eq!(
+                            conv.w_at(k, ch, y, x),
+                            i32::from(want[i]),
+                            "({k},{ch},{y},{x})"
+                        );
+                    }
+                }
             }
         }
     }

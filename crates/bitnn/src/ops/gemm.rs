@@ -6,31 +6,43 @@
 //!
 //! Two implementations are provided:
 //!
-//! * [`gemm_binary`] — the register-blocked fast path. A 4×4
-//!   micro-kernel keeps one tile of 16 output accumulators live across
-//!   the whole lane loop, so every loaded activation lane is reused 4
-//!   times and every weight lane 4 times, and the independent
-//!   accumulators break the popcount addition dependency chain (the daBNN
-//!   register-tiling idea on `u64` lanes). Rows of at most two lanes take
-//!   a short-row loop instead. The blocking is fixed; only the ISA
-//!   instantiation (portable / AVX2 / AVX-512 `vpopcntq`) follows the
-//!   detected dispatch level.
+//! * [`gemm_binary`] — the fast path, one kernel over [`BinaryPanels`].
 //! * [`gemm_binary_naive`] — the seed's scalar row-by-row loop, kept
 //!   bit-identical as the perf-tracking baseline and as a second
 //!   implementation for cross-checking.
 //!
-//! # Clean-tail invariant
+//! # Panel layout
+//!
+//! The weight rows (one per output filter, `lanes` words each) are cut into
+//! panels of 8 filters stored `[panel][lane][filter]`: word `l` of filter
+//! `8p + j` lives at `(p · lanes + l) · 8 + j`, so one lane of one panel is
+//! 64 contiguous bytes — a zmm register, or two ymm. The last panel is
+//! zero-padded to 8 filters. The kernel broadcasts one activation word,
+//! XORs it with a panel lane and adds the popcounts into a vector
+//! accumulator per (pixel, panel) — no horizontal add is ever needed —
+//! and stores each pixel's 8-filter result with a mask that drops the
+//! padding filters, straight into the `[pixel][filter]` `i32` output.
+//! Three bodies follow [`crate::simd::level`]:
+//!
+//! * AVX-512: `vpopcntq`, register tiles of 4 pixels × 2 panels.
+//! * AVX2: `vpshufb` nibble counts summed by `vpsadbw`, tiles of 4
+//!   pixels × 1 panel; rows of one or two lanes take the portable walk.
+//! * Portable: one pixel against one panel at a time, `count_ones` into
+//!   eight independent accumulators.
+//!
+//! # Tail rule
 //!
 //! When `cols` is not a multiple of 64, the unused high bits of each row's
 //! last lane must be **zero** in both operands. All constructors and
-//! [`PackedMatrix::set`] maintain this; the fast path exploits it by
-//! counting the tail zeros as agreements and subtracting the constant
-//! correction afterwards instead of masking inside the inner loop.
+//! [`PackedMatrix::set`] maintain this. Clean tails XOR to zero, so the
+//! kernel computes `dot = K − 2·Σ popcount(a ⊕ w)` with no tail
+//! correction and no masking inside the lane loop.
 
-use crate::bitword::xnor_popcount_slice;
+use crate::bitword::or_bits;
 use crate::error::{BitnnError, Result};
 use crate::ops::dot::dot_channels_seed;
-use crate::simd;
+use crate::pack::PackedKernel;
+use crate::simd::{self, SimdLevel};
 use crate::{lanes_for, LANE_BITS};
 
 /// A binary matrix stored row-major with each row packed into `u64` lanes.
@@ -177,216 +189,442 @@ impl PackedMatrix {
     }
 }
 
-/// Rows of at most this many lanes (K ≤ 128 bits) take the short-row loop
-/// instead of the register-blocked tiles.
-const SHORT_ROW_LANES: usize = 2;
+/// Filters per weight panel: eight `u64` lane words, one 512-bit register.
+const PANEL: usize = 8;
 
-/// The register-blocked inner tile: `MR` rows of `a` against `NR` rows of
-/// `b`, all lanes, `MR*NR` independent accumulators.
-#[inline(always)]
-fn microkernel<const MR: usize, const NR: usize>(
-    a: &[u64],
-    b: &[u64],
+/// Binary weight rows cut into panels of 8 filters — the weight
+/// form every binary GEMM runs on (see the module docs for the layout).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct BinaryPanels {
+    filters: usize,
+    cols: usize,
     lanes: usize,
-) -> [[u32; NR]; MR] {
-    // Real (non-debug) asserts so the bounds checks below are elided.
-    assert_eq!(a.len(), MR * lanes);
-    assert_eq!(b.len(), NR * lanes);
-    let mut acc = [[0u32; NR]; MR];
-    for l in 0..lanes {
-        let mut w = [0u64; NR];
-        for (ni, wl) in w.iter_mut().enumerate() {
-            *wl = b[ni * lanes + l];
-        }
-        for (mi, row) in acc.iter_mut().enumerate() {
-            let x = a[mi * lanes + l];
-            for (ni, cell) in row.iter_mut().enumerate() {
-                *cell += (!(x ^ w[ni])).count_ones();
-            }
-        }
-    }
-    acc
+    data: Vec<u64>,
 }
 
-/// The `MR×NR`-blocked tiling loop over a band of `a` rows, with edge
-/// tiles falling back to plain slice dots. `corr` is the clean-tail
-/// correction already computed by the caller.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn gemm_rows_blocked<const MR: usize, const NR: usize>(
-    a_words: &[u64],
-    b_words: &[u64],
-    lanes: usize,
-    corr: i32,
-    bn: usize,
-    m_start: usize,
-    m_count: usize,
-    out: &mut [i32],
-) {
-    let mut m = 0;
-    while m + MR <= m_count {
-        let a_tile = &a_words[(m_start + m) * lanes..(m_start + m + MR) * lanes];
-        let mut n = 0;
-        while n + NR <= bn {
-            let b_tile = &b_words[n * lanes..(n + NR) * lanes];
-            let acc = microkernel::<MR, NR>(a_tile, b_tile, lanes);
-            for (mi, row) in acc.iter().enumerate() {
-                for (ni, &cell) in row.iter().enumerate() {
-                    out[(m + mi) * bn + n + ni] = 2 * cell as i32 - corr;
+impl BinaryPanels {
+    fn zeroed(filters: usize, cols: usize) -> Self {
+        let lanes = lanes_for(cols);
+        BinaryPanels {
+            filters,
+            cols,
+            lanes,
+            data: vec![0; filters.div_ceil(PANEL) * PANEL * lanes],
+        }
+    }
+
+    /// Scatter filter `f`'s packed row (clean tail) into its panel.
+    fn set_row(&mut self, f: usize, row: &[u64]) {
+        let panel = &mut self.data[f / PANEL * self.lanes * PANEL..][..self.lanes * PANEL];
+        for (lane, &w) in panel.chunks_exact_mut(PANEL).zip(row) {
+            lane[f % PANEL] = w;
+        }
+    }
+
+    /// Panels over the rows of `b`, one filter per row.
+    pub fn from_matrix(b: &PackedMatrix) -> Self {
+        let mut panels = Self::zeroed(b.rows(), b.cols());
+        for f in 0..b.rows() {
+            panels.set_row(f, b.row(f));
+        }
+        panels
+    }
+
+    /// Panels over a conv kernel in im2col order: one row of `KH·KW·C`
+    /// position-major bits per filter, the columns
+    /// [`crate::ops::im2col::im2col_pack`] lowers activations to (a 1×1
+    /// kernel's row is its channel lanes). When `C` is a multiple of 64,
+    /// or the kernel is 1×1, a filter's packed `[position][lane]` words
+    /// already are that row; otherwise each position is blitted into place.
+    pub fn from_kernel(kernel: &PackedKernel) -> Self {
+        let (filters, c) = (kernel.filters(), kernel.channels());
+        let positions = kernel.kh() * kernel.kw();
+        let mut panels = Self::zeroed(filters, positions * c);
+        if positions == 1 || c % LANE_BITS == 0 {
+            let words = positions * kernel.lanes();
+            for f in 0..filters {
+                panels.set_row(f, &kernel.words()[f * words..][..words]);
+            }
+        } else {
+            let mut row = vec![0u64; panels.lanes];
+            for f in 0..filters {
+                row.fill(0);
+                for p in 0..positions {
+                    or_bits(&mut row, p * c, kernel.position_lanes(f, p), c);
                 }
+                panels.set_row(f, &row);
             }
-            n += NR;
         }
-        while n < bn {
-            let rb = &b_words[n * lanes..(n + 1) * lanes];
-            for mi in 0..MR {
-                let ra = &a_tile[mi * lanes..(mi + 1) * lanes];
-                out[(m + mi) * bn + n] = 2 * xnor_popcount_slice(ra, rb) as i32 - corr;
-            }
-            n += 1;
-        }
-        m += MR;
+        panels
     }
-    while m < m_count {
-        let ra = &a_words[(m_start + m) * lanes..(m_start + m + 1) * lanes];
-        for n in 0..bn {
-            let rb = &b_words[n * lanes..(n + 1) * lanes];
-            out[m * bn + n] = 2 * xnor_popcount_slice(ra, rb) as i32 - corr;
-        }
-        m += 1;
+
+    /// Filter (output column) count.
+    pub fn filters(&self) -> usize {
+        self.filters
+    }
+
+    /// Bits per filter row (the GEMM's K).
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Lane words per filter row.
+    pub fn lanes(&self) -> usize {
+        self.lanes
     }
 }
 
-/// Tiled GEMM over raw packed words for a contiguous band of `a` rows.
-///
-/// `a_words`/`b_words` are row-major with `lanes` words per row and `k`
-/// logical bits per row (clean tails required); `bn` is the number of `b`
-/// rows (the output width). Writes ±1-domain dot products for `a` rows
-/// `m_start ..` into `out`, whose length determines how many rows are
-/// computed. This is the worker body the engine hands to each thread
-/// with a disjoint output band; the ISA instantiation follows the
-/// detected dispatch level.
-#[inline]
-pub(crate) fn gemm_rows_into(
+/// Binary GEMM of a band of packed rows against weight panels:
+/// `out[r][f] = K − 2·popcount(a_r ⊕ w_f)` for the `a` rows
+/// `m_start .. m_start + out.len() / panels.filters()`, each
+/// `panels.lanes()` words with a clean tail. This is the body the engine
+/// hands each worker with a disjoint output band; it runs at the detected
+/// dispatch level.
+pub(crate) fn gemm_panels_into(
     a_words: &[u64],
-    b_words: &[u64],
-    lanes: usize,
-    k: usize,
-    bn: usize,
+    panels: &BinaryPanels,
     m_start: usize,
     out: &mut [i32],
 ) {
+    gemm_panels_at(simd::level(), a_words, panels, m_start, out);
+}
+
+/// [`gemm_panels_into`] at an explicit dispatch level, clamped to what the
+/// CPU has.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+pub(crate) fn gemm_panels_at(
+    level: SimdLevel,
+    a_words: &[u64],
+    b: &BinaryPanels,
+    m_start: usize,
+    out: &mut [i32],
+) {
+    if b.filters == 0 {
+        return;
+    }
+    assert_eq!(out.len() % b.filters, 0, "binary GEMM output band");
+    let m = out.len() / b.filters;
+    let a = &a_words[m_start * b.lanes..][..m * b.lanes];
     #[cfg(target_arch = "x86_64")]
     {
-        /// AVX-512 instantiation of [`gemm_rows_portable`]: `count_ones`
-        /// loops compile to hardware `vpopcntq` over 512-bit lanes.
-        #[target_feature(enable = "avx512f,avx512bw,avx512vpopcntdq,popcnt")]
-        unsafe fn gemm_rows_avx512(
-            a_words: &[u64],
-            b_words: &[u64],
-            lanes: usize,
-            k: usize,
-            bn: usize,
-            m_start: usize,
-            out: &mut [i32],
-        ) {
-            gemm_rows_portable(a_words, b_words, lanes, k, bn, m_start, out);
+        let f = simd::detect();
+        if level >= SimdLevel::Avx512 && f.avx512 {
+            // SAFETY: avx512f + avx512vpopcntdq were detected at runtime.
+            return unsafe { x86::gemm_avx512(a, b, out, m) };
         }
-        /// AVX2+popcnt instantiation of [`gemm_rows_portable`].
-        #[target_feature(enable = "avx2,popcnt")]
-        unsafe fn gemm_rows_avx2(
-            a_words: &[u64],
-            b_words: &[u64],
-            lanes: usize,
-            k: usize,
-            bn: usize,
-            m_start: usize,
-            out: &mut [i32],
-        ) {
-            gemm_rows_portable(a_words, b_words, lanes, k, bn, m_start, out);
-        }
-        if simd::avx512() {
-            // SAFETY: avx512f/bw/vpopcntdq + popcnt were detected at runtime.
-            return unsafe { gemm_rows_avx512(a_words, b_words, lanes, k, bn, m_start, out) };
-        }
-        if simd::avx2() {
-            // SAFETY: avx2 + popcnt were detected at runtime.
-            return unsafe { gemm_rows_avx2(a_words, b_words, lanes, k, bn, m_start, out) };
+        if level >= SimdLevel::Avx2 && f.avx2 {
+            // SAFETY: avx2 was detected at runtime.
+            return unsafe { x86::gemm_avx2(a, b, out, m) };
         }
     }
-    gemm_rows_portable(a_words, b_words, lanes, k, bn, m_start, out);
+    gemm_rows(a, b, out);
 }
 
-/// Portable body of [`gemm_rows_into`] — the single source every ISA
-/// instantiation compiles from.
+/// The portable body, and the AVX2 body's for rows of at most
+/// `x86::SHORT_ROW_LANES` (two) lanes: each `a` row against every panel in turn,
+/// `count_ones` into eight independent accumulators, with no register
+/// tiling — software popcounts cost more than a tile's setup saves, and
+/// so do one- or two-lane rows unless hardware `vpopcntq` counts.
 #[inline(always)]
-fn gemm_rows_portable(
-    a_words: &[u64],
-    b_words: &[u64],
-    lanes: usize,
-    k: usize,
-    bn: usize,
-    m_start: usize,
-    out: &mut [i32],
-) {
-    if bn == 0 {
-        return;
-    }
-    debug_assert_eq!(out.len() % bn, 0);
-    let m_count = out.len() / bn;
-    // Tail zeros xnor to agreements; subtract them once per output.
-    let corr = (2 * (lanes * LANE_BITS - k) + k) as i32;
+fn gemm_rows(a: &[u64], b: &BinaryPanels, out: &mut [i32]) {
+    let (lanes, k) = (b.lanes, b.cols as i32);
     if lanes == 0 {
-        out.fill(0); // zero-width rows: every dot is empty
-        return;
+        return out.fill(0); // K = 0: every dot is empty
     }
-    if lanes <= SHORT_ROW_LANES {
-        // Short-row fast path (K ≤ 128 bits, e.g. the narrow layers of
-        // small models): the MR×NR tile's per-call bookkeeping would cost
-        // more than its two-lane dot, so stream each `a` row against all
-        // `b` rows with the row lanes held in registers and contiguous
-        // writes. The compact trip counts vectorize well.
-        for (m, orow) in out.chunks_mut(bn).enumerate() {
-            let base = (m_start + m) * lanes;
-            let a0 = a_words[base];
-            let a1 = if lanes > 1 { a_words[base + 1] } else { 0 };
-            for (n, o) in orow.iter_mut().enumerate() {
-                let mut p = (!(a0 ^ b_words[n * lanes])).count_ones();
-                if lanes > 1 {
-                    p += (!(a1 ^ b_words[n * lanes + 1])).count_ones();
-                }
-                *o = 2 * p as i32 - corr;
+    if lanes == 1 {
+        // One lane per filter: the panels are the filters' words in order.
+        for (&x, orow) in a.iter().zip(out.chunks_exact_mut(b.filters)) {
+            for (o, &w) in orow.iter_mut().zip(&b.data) {
+                *o = k - 2 * (x ^ w).count_ones() as i32;
             }
         }
         return;
     }
-    gemm_rows_blocked::<4, 4>(a_words, b_words, lanes, corr, bn, m_start, m_count, out);
+    for (arow, orow) in a.chunks_exact(lanes).zip(out.chunks_exact_mut(b.filters)) {
+        for (w, dst) in b
+            .data
+            .chunks_exact(lanes * PANEL)
+            .zip(orow.chunks_mut(PANEL))
+        {
+            let mut counts = [0u32; PANEL];
+            for (lane, &x) in w.chunks_exact(PANEL).zip(arow) {
+                for (c, &wv) in counts.iter_mut().zip(lane) {
+                    *c += (x ^ wv).count_ones();
+                }
+            }
+            for (o, &c) in dst.iter_mut().zip(&counts) {
+                *o = k - 2 * c as i32;
+            }
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::{gemm_rows, BinaryPanels, PANEL};
+    use std::arch::x86_64::*;
+
+    /// Weight bytes per cache block (see [`for_each_tile`]).
+    const BLOCK_BYTES: usize = 512 << 10;
+
+    /// Rows of at most this many lanes take [`super::gemm_rows`] in the
+    /// AVX2 body, where it beats the register tiles.
+    const SHORT_ROW_LANES: usize = 2;
+
+    /// Lanes the AVX2 body accumulates in bytes before flushing them to
+    /// `u64` sums: each lane adds at most 8 to a byte, and `31 · 8 = 248`
+    /// fits.
+    const FLUSH_LANES: usize = 31;
+
+    /// Expand one register tile of `rows ≤ 4` pixels × `np ≤ 2` panels into
+    /// the matching const-generic instantiation of `$tile`.
+    macro_rules! tile_by_shape {
+        ($tile:ident($($arg:expr),*), $rows:expr, $np:expr) => {
+            match ($rows, $np) {
+                (4, 2) => $tile::<4, 2>($($arg),*),
+                (4, _) => $tile::<4, 1>($($arg),*),
+                (3, 2) => $tile::<3, 2>($($arg),*),
+                (3, _) => $tile::<3, 1>($($arg),*),
+                (2, 2) => $tile::<2, 2>($($arg),*),
+                (2, _) => $tile::<2, 1>($($arg),*),
+                (_, 2) => $tile::<1, 2>($($arg),*),
+                _ => $tile::<1, 1>($($arg),*),
+            }
+        };
+    }
+
+    /// Walk the `m × panels` output in register tiles of up to `mr` rows ×
+    /// `np` panels. Panels are taken in blocks of about [`BLOCK_BYTES`]
+    /// outermost, so a layer whose weights overflow the cache is fetched
+    /// once per band rather than once per row tile. `tile(row, rows,
+    /// panel, np)` computes one tile.
+    #[inline(always)]
+    fn for_each_tile(
+        m: usize,
+        b: &BinaryPanels,
+        mr: usize,
+        np: usize,
+        mut tile: impl FnMut(usize, usize, usize, usize),
+    ) {
+        let panels = b.filters.div_ceil(PANEL);
+        let block = (BLOCK_BYTES / (b.lanes.max(1) * PANEL * 8))
+            .max(1)
+            .next_multiple_of(np);
+        for first in (0..panels).step_by(block) {
+            let end = (first + block).min(panels);
+            for row in (0..m).step_by(mr) {
+                for panel in (first..end).step_by(np) {
+                    tile(row, (m - row).min(mr), panel, (end - panel).min(np));
+                }
+            }
+        }
+    }
+
+    /// AVX-512 body of [`super::gemm_panels_at`] over `m` rows of `a`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `avx512f` and `avx512vpopcntdq`.
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    pub(super) unsafe fn gemm_avx512(a: &[u64], b: &BinaryPanels, out: &mut [i32], m: usize) {
+        for_each_tile(m, b, 4, 2, |row, rows, panel, np| {
+            // SAFETY: the features are enabled here; `for_each_tile`
+            // keeps every tile inside `m` rows and the panel count.
+            unsafe { tile_by_shape!(tile_avx512(a, b, out, row, panel), rows, np) }
+        });
+    }
+
+    /// AVX2 body of [`super::gemm_panels_at`] over `m` rows of `a`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `avx2`.
+    #[target_feature(enable = "avx2,popcnt")]
+    pub(super) unsafe fn gemm_avx2(a: &[u64], b: &BinaryPanels, out: &mut [i32], m: usize) {
+        if (1..=SHORT_ROW_LANES).contains(&b.lanes) {
+            return gemm_rows(a, b, out);
+        }
+        for_each_tile(m, b, 4, 1, |row, rows, panel, np| {
+            // SAFETY: as in `gemm_avx512`.
+            unsafe { tile_by_shape!(tile_avx2(a, b, out, row, panel), rows, np) }
+        });
+    }
+
+    /// AVX-512 tile: `R` rows × `P` panels, one zmm of eight `u64`
+    /// `vpopcntq` sums per (row, panel).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `avx512f` and `avx512vpopcntdq`; rows
+    /// `row..row + R` of `a` and `out` and panels `panel..panel + P` must
+    /// exist.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    unsafe fn tile_avx512<const R: usize, const P: usize>(
+        a: &[u64],
+        b: &BinaryPanels,
+        out: &mut [i32],
+        row: usize,
+        panel: usize,
+    ) {
+        let lanes = b.lanes;
+        let arows = &a[row * lanes..][..R * lanes];
+        let w = &b.data[panel * lanes * PANEL..][..P * lanes * PANEL];
+        let mut acc = [[_mm512_setzero_si512(); P]; R];
+        for l in 0..lanes {
+            let mut wv = [_mm512_setzero_si512(); P];
+            for (p, wv) in wv.iter_mut().enumerate() {
+                // SAFETY: lane `l` of panel `p` is 8 in-bounds words.
+                *wv = unsafe { _mm512_loadu_si512(w.as_ptr().add((p * lanes + l) * PANEL).cast()) };
+            }
+            for (r, acc) in acc.iter_mut().enumerate() {
+                // SAFETY: row `r`'s lane `l` is in bounds.
+                let x = _mm512_set1_epi64(unsafe { *arows.get_unchecked(r * lanes + l) } as i64);
+                for (acc, &wv) in acc.iter_mut().zip(&wv) {
+                    *acc = _mm512_add_epi64(*acc, _mm512_popcnt_epi64(_mm512_xor_si512(x, wv)));
+                }
+            }
+        }
+        let k = _mm512_set1_epi64(b.cols as i64);
+        for (r, acc) in acc.iter().enumerate() {
+            let orow = &mut out[(row + r) * b.filters..][..b.filters];
+            for (p, &acc) in acc.iter().enumerate() {
+                let col = (panel + p) * PANEL;
+                let valid = (b.filters - col).min(PANEL);
+                let dot = _mm512_sub_epi64(k, _mm512_slli_epi64::<1>(acc));
+                // SAFETY: the mask covers columns `col..col + valid`, all
+                // inside `orow`; `vpmovqd` narrows each exact `i64` dot.
+                unsafe {
+                    _mm512_mask_cvtepi64_storeu_epi32(
+                        orow.as_mut_ptr().add(col).cast(),
+                        (0xffu32 >> (PANEL - valid)) as __mmask8,
+                        dot,
+                    )
+                };
+            }
+        }
+    }
+
+    /// AVX2 tile: `R` rows × `P` panels. Each panel's eight filters take
+    /// two ymm of `vpshufb` nibble-table byte counts, summed per `u64`
+    /// by `vpsadbw` every [`FLUSH_LANES`] lanes, before a byte can
+    /// overflow (Muła, Kurz and Lemire, arXiv:1611.07612).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `avx2`; the bounds are as for
+    /// [`tile_avx512`].
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn tile_avx2<const R: usize, const P: usize>(
+        a: &[u64],
+        b: &BinaryPanels,
+        out: &mut [i32],
+        row: usize,
+        panel: usize,
+    ) {
+        let lanes = b.lanes;
+        let arows = &a[row * lanes..][..R * lanes];
+        let w = &b.data[panel * lanes * PANEL..][..P * lanes * PANEL];
+        let nibble = _mm256_setr_epi8(
+            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2,
+            3, 3, 4,
+        );
+        let low = _mm256_set1_epi8(0x0f);
+        let zero = _mm256_setzero_si256();
+        let mut acc = [[[zero; 2]; P]; R];
+        let mut first = 0;
+        while first < lanes {
+            let mut bytes = [[[zero; 2]; P]; R];
+            let last = (first + FLUSH_LANES).min(lanes);
+            for l in first..last {
+                let mut wv = [[zero; 2]; P];
+                for (p, wv) in wv.iter_mut().enumerate() {
+                    for (h, wv) in wv.iter_mut().enumerate() {
+                        // SAFETY: half `h` of lane `l` of panel `p` is 4
+                        // in-bounds words.
+                        *wv = unsafe {
+                            _mm256_loadu_si256(
+                                w.as_ptr().add((p * lanes + l) * PANEL + 4 * h).cast(),
+                            )
+                        };
+                    }
+                }
+                for (r, bytes) in bytes.iter_mut().enumerate() {
+                    // SAFETY: row `r`'s lane `l` is in bounds.
+                    let x =
+                        _mm256_set1_epi64x(unsafe { *arows.get_unchecked(r * lanes + l) } as i64);
+                    for (bytes, wv) in bytes.iter_mut().zip(&wv) {
+                        for (bytes, &wv) in bytes.iter_mut().zip(wv) {
+                            let v = _mm256_xor_si256(x, wv);
+                            let lo = _mm256_shuffle_epi8(nibble, _mm256_and_si256(v, low));
+                            let hi = _mm256_shuffle_epi8(
+                                nibble,
+                                _mm256_and_si256(_mm256_srli_epi16::<4>(v), low),
+                            );
+                            *bytes = _mm256_add_epi8(*bytes, _mm256_add_epi8(lo, hi));
+                        }
+                    }
+                }
+            }
+            for (acc, bytes) in acc.iter_mut().zip(&bytes) {
+                for (acc, bytes) in acc.iter_mut().zip(bytes) {
+                    for (acc, &bytes) in acc.iter_mut().zip(bytes) {
+                        *acc = _mm256_add_epi64(*acc, _mm256_sad_epu8(bytes, zero));
+                    }
+                }
+            }
+            first = last;
+        }
+        let k = _mm256_set1_epi32(b.cols as i32);
+        let iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        for (r, acc) in acc.iter().enumerate() {
+            let orow = &mut out[(row + r) * b.filters..][..b.filters];
+            for (p, &[lo, hi]) in acc.iter().enumerate() {
+                let col = (panel + p) * PANEL;
+                let valid = (b.filters - col).min(PANEL);
+                // The low dword of each `u64` count, filters 0..8 in order.
+                let pairs = _mm256_shuffle_ps::<0b10_00_10_00>(
+                    _mm256_castsi256_ps(lo),
+                    _mm256_castsi256_ps(hi),
+                );
+                let counts = _mm256_permute4x64_epi64::<0b11_01_10_00>(_mm256_castps_si256(pairs));
+                let dot = _mm256_sub_epi32(k, _mm256_slli_epi32::<1>(counts));
+                let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(valid as i32), iota);
+                // SAFETY: the mask covers columns `col..col + valid`, all
+                // inside `orow`.
+                unsafe { _mm256_maskstore_epi32(orow.as_mut_ptr().add(col), mask, dot) };
+            }
+        }
+    }
 }
 
 /// Kept only for `bnnkc-bench`, which times it as a tuning step; delete
-/// it with the bench's next change. The GEMM blocking is fixed, so there
-/// is nothing to warm and the list is always empty.
+/// it with the bench's next change. The GEMM has nothing to tune, so
+/// there is nothing to warm and the list is always empty.
 pub fn warm_gemm_tables() -> Vec<simd::GemmChoice> {
     simd::gemm_choices()
 }
 
-/// The name of the kernel that serves rows of `lanes` lane words, for
-/// measurement labels: `"short-row"` or the fixed `"4x4"` blocking.
-pub fn gemm_kernel_name(lanes: usize) -> &'static str {
-    if lanes <= SHORT_ROW_LANES {
-        "short-row"
-    } else {
-        "4x4"
-    }
+/// The binary GEMM body this host runs: the effective [`simd::level`],
+/// as printed by `bnnkc features`.
+pub fn kernel() -> SimdLevel {
+    simd::level()
+}
+
+/// The binary GEMM's measurement label, `<level>/gemm-panel8`.
+pub fn gemm_kernel_name() -> String {
+    format!("{}/gemm-panel{PANEL}", kernel())
 }
 
 /// Binary GEMM: `out[m][n] = dot(a.row(m), b.row(n))` in the ±1 domain.
 ///
 /// `b` is interpreted row-wise (i.e. already "transposed"): each row of `b`
 /// is one output column's weight vector, which matches how binary dense
-/// layers store one packed row per output neuron. This is the
-/// register-blocked fast path; see [`gemm_binary_naive`] for the scalar
-/// baseline it is cross-checked against.
+/// layers store one packed row per output neuron. This is the panel
+/// kernel (`b` is cut into [`BinaryPanels`] per call); see
+/// [`gemm_binary_naive`] for the scalar baseline it is cross-checked
+/// against.
 ///
 /// # Errors
 ///
@@ -413,14 +651,36 @@ pub fn gemm_binary_into(a: &PackedMatrix, b: &PackedMatrix, out: &mut Vec<i32>) 
             rhs: vec![b.rows, b.cols],
         });
     }
-    debug_assert!(a.tails_clean() && b.tails_clean());
+    debug_assert!(b.tails_clean());
+    gemm_binary_panels_into(a, &BinaryPanels::from_matrix(b), out)
+}
+
+/// [`gemm_binary_into`] against weights already cut into panels, so
+/// repeated products with the same `b` skip the per-call panel build.
+///
+/// # Errors
+///
+/// Returns [`BitnnError::DimMismatch`] if the inner dimensions differ.
+pub fn gemm_binary_panels_into(
+    a: &PackedMatrix,
+    panels: &BinaryPanels,
+    out: &mut Vec<i32>,
+) -> Result<()> {
+    if a.cols != panels.cols {
+        return Err(BitnnError::DimMismatch {
+            op: "gemm_binary",
+            lhs: vec![a.rows, a.cols],
+            rhs: vec![panels.filters, panels.cols],
+        });
+    }
+    debug_assert!(a.tails_clean());
     // Length-only resize: every element is written by the kernel below.
-    let n = a.rows * b.rows;
+    let n = a.rows * panels.filters;
     if out.len() != n {
         out.clear();
         out.resize(n, 0);
     }
-    gemm_rows_into(&a.data, &b.data, a.lanes, a.cols, b.rows, 0, out);
+    gemm_panels_into(&a.data, panels, 0, out);
     Ok(())
 }
 
@@ -429,7 +689,7 @@ pub fn gemm_binary_into(a: &PackedMatrix, b: &PackedMatrix, out: &mut Vec<i32>) 
 ///
 /// Kept bit-identical to the original implementation (including the seed's
 /// original lane loop) as the perf-tracking baseline that `perfsuite`
-/// reports the tiled kernel's speedup against, and as an independent
+/// reports the panel kernel's speedup against, and as an independent
 /// oracle for the property tests.
 ///
 /// # Errors
@@ -557,9 +817,9 @@ mod tests {
 
     #[test]
     fn tiled_covers_all_tile_edges() {
-        // Row/column counts straddling the 4×4 tile boundaries, lane
-        // counts either side of the short-row cut, and a ragged K to
-        // exercise the tail-correction.
+        // Row counts straddling the 4-row tiles, column counts straddling
+        // the 8-filter panels, and ragged K values whose clean tails must
+        // XOR to zero.
         for &(m, n) in &[
             (1, 1),
             (3, 2),
@@ -582,6 +842,128 @@ mod tests {
                 assert_eq!(tiled, naive, "m={m} n={n} k={k}");
             }
         }
+    }
+
+    /// Every binary GEMM body this CPU can run, widest last. Hosts
+    /// without AVX-512 VPOPCNTDQ (or AVX2) skip that body with a note.
+    fn host_levels() -> Vec<SimdLevel> {
+        let f = simd::detect();
+        let mut levels = vec![SimdLevel::Portable];
+        for (level, ok) in [(SimdLevel::Avx2, f.avx2), (SimdLevel::Avx512, f.avx512)] {
+            if ok {
+                levels.push(level);
+            } else {
+                eprintln!("note: no {level} on this host; its panel body is not tested");
+            }
+        }
+        levels
+    }
+
+    fn random_matrix(rows: usize, cols: usize, seed: u64) -> PackedMatrix {
+        PackedMatrix::from_bools(rows, cols, &random_bits(rows * cols, seed)).unwrap()
+    }
+
+    /// Every host body against the naive GEMM: once as one band, and once
+    /// split into three bands that start at `m_start > 0`, the way the
+    /// engine's parallel chunks call it.
+    fn assert_panels_match_naive(a: &PackedMatrix, b: &PackedMatrix) {
+        let (m, n, k) = (a.rows(), b.rows(), a.cols());
+        let want = gemm_binary_naive(a, b).unwrap();
+        let panels = BinaryPanels::from_matrix(b);
+        for level in host_levels() {
+            let mut out = vec![i32::MIN; m * n];
+            gemm_panels_at(level, a.words(), &panels, 0, &mut out);
+            assert_eq!(out, want, "{level} m={m} n={n} k={k}");
+            let mut banded = vec![i32::MIN; m * n];
+            let cuts = [0, m / 3, m / 3 + m.div_ceil(2), m];
+            for pair in cuts.windows(2) {
+                let band = &mut banded[pair[0] * n..pair[1] * n];
+                gemm_panels_at(level, a.words(), &panels, pair[0], band);
+            }
+            assert_eq!(banded, want, "{level} banded m={m} n={n} k={k}");
+        }
+    }
+
+    #[test]
+    fn panel_bodies_match_naive_at_every_level() {
+        // The largest products are skipped by a bit-op budget so the
+        // unoptimized test build stays fast; M = 256 still meets N = 1000.
+        let ks = [
+            1usize, 2, 31, 63, 64, 65, 127, 128, 129, 200, 511, 576, 1000, 1024,
+        ];
+        let ns = [1usize, 7, 8, 9, 15, 16, 17, 1000];
+        let ms = [1usize, 2, 3, 4, 5, 33, 256];
+        for &k in &ks {
+            for &n in &ns {
+                for &m in &ms {
+                    if m * n * k > 4_000_000 {
+                        continue;
+                    }
+                    let seed = (k * 1_000_000 + n * 1000 + m) as u64;
+                    assert_panels_match_naive(
+                        &random_matrix(m, k, seed),
+                        &random_matrix(n, k, seed ^ 0xABCD),
+                    );
+                }
+            }
+        }
+        assert_panels_match_naive(&random_matrix(256, 65, 7), &random_matrix(1000, 65, 8));
+        assert_panels_match_naive(&random_matrix(5, 0, 1), &random_matrix(9, 0, 2));
+    }
+
+    #[test]
+    fn panel_bodies_reach_plus_and_minus_k() {
+        // Each `a` row equals one filter (all agree, +K) or its
+        // complement (all disagree, −K); clean tails must not count.
+        for &k in &[1usize, 63, 64, 65, 130, 1024] {
+            let n = 17;
+            let b_bits = random_bits(n * k, k as u64);
+            let b = PackedMatrix::from_bools(n, k, &b_bits).unwrap();
+            let mut a_bits = Vec::new();
+            for f in [0, 8, 16] {
+                let row = &b_bits[f * k..][..k];
+                a_bits.extend_from_slice(row);
+                a_bits.extend(row.iter().map(|&x| !x));
+            }
+            let a = PackedMatrix::from_bools(6, k, &a_bits).unwrap();
+            let panels = BinaryPanels::from_matrix(&b);
+            for level in host_levels() {
+                let mut out = vec![0; 6 * n];
+                gemm_panels_at(level, a.words(), &panels, 0, &mut out);
+                for (i, f) in [0, 8, 16].into_iter().enumerate() {
+                    assert_eq!(out[2 * i * n + f], k as i32, "{level} k={k} f={f}");
+                    assert_eq!(out[(2 * i + 1) * n + f], -(k as i32), "{level} k={k} f={f}");
+                }
+            }
+            assert_panels_match_naive(&a, &b);
+        }
+    }
+
+    #[test]
+    fn kernel_panels_equal_the_im2col_rows() {
+        // Both the direct copy (1×1, or C a multiple of 64) and the
+        // per-position blit give the im2col weight rows.
+        for &(c, kh) in &[
+            (1usize, 3usize),
+            (3, 3),
+            (64, 3),
+            (70, 3),
+            (128, 3),
+            (70, 1),
+            (5, 2),
+        ] {
+            let w = crate::weightgen::random_kernel(&[11, c, kh, kh], (c * 10 + kh) as u64);
+            let packed = PackedKernel::pack(&w).unwrap();
+            let want =
+                BinaryPanels::from_matrix(&crate::ops::im2col::im2col_kernel_packed(&packed));
+            assert_eq!(BinaryPanels::from_kernel(&packed), want, "c={c} {kh}x{kh}");
+        }
+    }
+
+    #[test]
+    fn binary_gemm_label_names_the_level() {
+        assert_eq!(gemm_kernel_name(), format!("{}/gemm-panel8", simd::level()));
+        assert_eq!(kernel(), simd::level());
     }
 
     proptest! {

@@ -1,29 +1,27 @@
 //! Runtime CPU-feature dispatch and the conv-lowering selection table.
 //!
 //! The crate builds for the portable x86-64 baseline (SSE2, no `popcnt`),
-//! but every band kernel the executor hands to its workers is
-//! *also* compiled in wider instantiations behind
-//! `#[target_feature(enable = ...)]`: an AVX2+`popcnt` one, where LLVM
-//! vectorizes the `count_ones` inner loops with the `vpshufb` nibble-LUT
-//! popcount, and — when the host has it — an AVX-512 one
-//! (`avx512f,avx512bw,avx512vpopcntdq`), where the same loops compile to
-//! the hardware `vpopcntq` over 512-bit lanes. The portable source stays
-//! the single implementation; the right instantiation is picked per call
+//! but every band kernel the executor hands to its workers also has wider
+//! bodies behind `#[target_feature(enable = ...)]`, picked per call
 //! through the cached detection below (the compile-once /
-//! dispatch-at-runtime scheme daBNN uses for its NEON kernels, without
-//! hand-written intrinsics).
+//! dispatch-at-runtime scheme daBNN uses for its NEON kernels). They come
+//! in two kinds:
 //!
-//! Each kernel follows the same pattern at its definition site: an
-//! `#[inline(always)]` portable body, one `#[target_feature]` wrapper per
-//! ISA level that inlines that body under the wider feature set, and a
-//! thin dispatcher gated on [`level()`].
+//! * Hand-written intrinsics, one body per level: the binary GEMM
+//!   ([`crate::ops::gemm`]: AVX-512 `vpopcntq`, AVX2 `vpshufb` nibble
+//!   counts, portable `count_ones`), the int8 kernel
+//!   ([`crate::ops::int8`]) and the packing transpose.
+//! * One portable `#[inline(always)]` body compiled again inside a
+//!   `#[target_feature]` wrapper per level, where LLVM vectorizes its
+//!   `count_ones` loops (the streaming conv).
+//!
+//! Either way a thin dispatcher gates each body on [`level()`].
 //!
 //! The one runtime kernel choice is the 3×3 conv lowering (streaming
 //! direct vs im2col, see `engine`): its per-geometry decisions are cached
 //! and recorded here, and exposed through [`conv_choices()`] so
 //! `bnnkc features` and the perfsuite can report which path served each
-//! measurement. The binary GEMM has one fixed register blocking and
-//! makes no choice.
+//! measurement. The binary GEMM has one kernel and makes no choice.
 //!
 //! # Environment overrides
 //!

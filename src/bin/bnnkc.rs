@@ -988,12 +988,12 @@ fn json_escape(s: &str) -> String {
 
 /// `bnnkc features`: what this host offers the executor — detected CPU
 /// features, the SIMD level the kernels dispatch at (after any
-/// `BITNN_SIMD` cap), the int8 kernel body the 8-bit stem and classifier
-/// run, hardware parallelism, and the per-geometry conv lowering
+/// `BITNN_SIMD` cap), the binary GEMM body, the int8 kernel body the
+/// 8-bit stem and classifier run, hardware parallelism, and the per-geometry conv lowering
 /// (streaming direct vs im2col) the conv autotuner picks.
 fn cmd_features(args: &[String]) -> CliResult {
     check_flags("features", args, &[], &["--json"])?;
-    use bnnkc::bitnn::{engine, exec, ops::int8, simd};
+    use bnnkc::bitnn::{engine, exec, ops::gemm, ops::int8, simd};
 
     let f = simd::detect();
     let cap = std::env::var("BITNN_SIMD").ok();
@@ -1013,6 +1013,10 @@ fn cmd_features(args: &[String]) -> CliResult {
         out.push_str(&format!(
             "  \"simd_level\": \"{}\",\n",
             json_escape(simd::level().name())
+        ));
+        out.push_str(&format!(
+            "  \"binary_gemm\": \"{}\",\n",
+            json_escape(gemm::kernel().name())
         ));
         out.push_str(&format!(
             "  \"int8_kernel\": \"{}\",\n",
@@ -1074,6 +1078,7 @@ fn cmd_features(args: &[String]) -> CliResult {
         cap.as_deref()
             .map_or("unset".to_string(), |v| format!("= {v}")),
     );
+    println!("binary gemm: {}", gemm::kernel().name());
     println!("int8 kernel: {}", int8::kernel().name());
     println!("hardware threads: {}", exec::hardware_threads());
 

@@ -6,7 +6,7 @@
 //! reused scratch. The oracle's own entry points are pinned against each
 //! other as well. The op-level section keeps the kernel substrate honest
 //! underneath the graph sweep: the engine's conv and GEMM (through
-//! whatever SIMD level and microkernel variant the host dispatches to —
+//! whatever SIMD level and GEMM body the host dispatches to —
 //! portable, AVX2, or AVX-512; see the CI legs that pin
 //! `BITNN_SIMD=portable`) against the float references.
 
@@ -294,9 +294,9 @@ proptest! {
     }
 
     /// The engine GEMM is bit-exact vs the naive loop and the float
-    /// reference for any thread count. `k` spans every microkernel shape
-    /// class (short-row ≤ 2 lanes through wide ≥ 13 lanes), so whichever
-    /// register-blocking variant the autotuner picked is validated here.
+    /// reference for any thread count. `k` spans one-lane rows through
+    /// 19 lanes, with ragged tails, so the panel kernel's row walk and
+    /// register tiles at the dispatched level are both validated here.
     #[test]
     fn engine_gemm_matches_reference(
         m in 1usize..9, kn in 1usize..7, k in 1usize..1200,

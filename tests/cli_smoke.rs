@@ -305,6 +305,13 @@ fn features_reports_host_capabilities() {
             .any(|k| stdout.contains(&format!("int8 kernel: {k}\n"))),
         "missing int8 kernel line: {stdout}"
     );
+    // The binary GEMM's panel body, one per SIMD level.
+    assert!(
+        ["avx512", "avx2", "portable"]
+            .iter()
+            .any(|k| stdout.contains(&format!("binary gemm: {k}\n"))),
+        "missing binary gemm line: {stdout}"
+    );
     let portable = std::process::Command::new(env!("CARGO_BIN_EXE_bnnkc"))
         .arg("features")
         .env("BITNN_SIMD", "portable")
@@ -317,6 +324,10 @@ fn features_reports_host_capabilities() {
         "int8 kernel not capped by BITNN_SIMD=portable: {portable}"
     );
     assert!(
+        portable.contains("binary gemm: portable\n"),
+        "binary gemm not capped by BITNN_SIMD=portable: {portable}"
+    );
+    assert!(
         stdout.contains("hardware threads:"),
         "missing parallelism: {stdout}"
     );
@@ -325,10 +336,15 @@ fn features_reports_host_capabilities() {
         !stdout.to_lowercase().contains("backend"),
         "stale backend report: {stdout}"
     );
-    // The GEMM register blocking is fixed: no GEMM autotuner report.
+    // The GEMM has one kernel: besides its body line, no GEMM autotuner
+    // report.
+    let rest: String = stdout
+        .lines()
+        .filter(|l| !l.starts_with("binary gemm: "))
+        .collect();
     for stale in ["gemm", "variant", "narrow", "medium", "wide"] {
         assert!(
-            !stdout.to_lowercase().contains(stale),
+            !rest.to_lowercase().contains(stale),
             "stale gemm choice report ({stale}): {stdout}"
         );
     }
@@ -352,12 +368,17 @@ fn features_reports_host_capabilities() {
         "\"conv_autotuner\"",
         "\"conv_env\"",
         "\"int8_kernel\"",
+        "\"binary_gemm\"",
         "\"avx512_vnni\"",
     ] {
         assert!(json.contains(key), "missing {key}: {json}");
     }
+    let rest: String = json
+        .lines()
+        .filter(|l| !l.contains("\"binary_gemm\""))
+        .collect();
     for stale in ["gemm", "variant", "narrow", "medium", "wide"] {
-        assert!(!json.contains(stale), "stale gemm field ({stale}): {json}");
+        assert!(!rest.contains(stale), "stale gemm field ({stale}): {json}");
     }
     assert!(
         json.contains("\"lowering\": \"stream\"") || json.contains("\"lowering\": \"im2col\""),
