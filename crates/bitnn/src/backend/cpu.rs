@@ -1,31 +1,38 @@
 //! The CPU step kernels: each step of the fused plan lowered onto the
-//! tiled/parallel [`Engine`] kernels, with binarization and channel
-//! packing staged through reused scratch buffers. On a warmed scratch the
-//! whole forward performs zero heap allocation.
+//! tiled/parallel [`Engine`] kernels, over pixel-major (`[n, h, w, c]`)
+//! `f32` activations. A conv step binarizes its input rows straight into
+//! channel-packed lane words, and the conv's `[pixel][filter]` `i32` rows
+//! become the output activations through one epilogue that runs inside
+//! the conv's parallel chunks. On a warmed scratch the whole forward
+//! performs zero heap allocation.
 
 use super::layer;
-use super::stages::{add_into, fuse_channel_stage, fuse_spatial_stage, shortcut_channels_into};
-use crate::engine::{ConvScratch, CpuScratch, Engine};
-use crate::error::Result;
+use super::stages::{add_into, channel_dup_nhwc_into, epilogue_rows, Epilogue, Residual};
+use crate::engine::{CpuScratch, Engine};
+use crate::error::{BitnnError, Result};
 use crate::graph::{GraphNode, NodeOp, Step};
-use crate::layers::{avg_pool_2x2_into, global_avg_pool_into, BinConv2d, RSign};
-use crate::pack::PackedActivations;
+use crate::layers::{avg_pool_2x2_nhwc_into, global_avg_pool_nhwc_into};
 use crate::tensor::Tensor;
 
 /// Execute one plan step into `dst` (a recycled arena buffer whose
 /// previous contents are unspecified). `a` and `b` are the operand
 /// values the dispatch loop resolved: every non-input step reads `a`,
-/// and only [`Step::Add`] reads `b`.
+/// and only [`Step::Add`] reads `b`. Every 4-D value is pixel-major
+/// `[n, h, w, c]`, except that a stem reading the graph input gets it as
+/// given, `[n, c, h, w]` (`a_is_nchw`).
 ///
 /// # Errors
 ///
-/// Returns [`crate::BitnnError`] for unsupported runtime geometry
-/// (e.g. a fused shortcut stride other than 1 or 2).
+/// Returns [`BitnnError::Unsupported`] for runtime geometry the step
+/// kernels cannot apply (e.g. a shortcut that does not fit its conv's
+/// output) and for an add step without its second operand.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_step(
     nodes: &[GraphNode],
     step: &Step,
     a: &Tensor,
     b: Option<&Tensor>,
+    a_is_nchw: bool,
     engine: &Engine,
     s: &mut CpuScratch,
     dst: &mut Tensor,
@@ -34,30 +41,39 @@ pub(crate) fn run_step(
         Step::Input { .. } => unreachable!("the dispatch loop skips input steps"),
         Step::Stem { node, .. } => {
             let stem = layer!(nodes, node, NodeOp::StemConv);
-            stem.forward_fast_with(a, &mut s.quant, dst);
+            if a_is_nchw {
+                stem.forward_fast_with(a, &mut s.quant, dst);
+            } else {
+                stem.forward_nhwc_with(a, &mut s.quant, dst);
+            }
         }
         Step::Conv { node, sign, .. } => {
-            let sg = layer!(nodes, sign, NodeOp::Sign);
-            let cv = layer!(nodes, node, NodeOp::BinConv);
-            sign_conv_stage(sg, cv, a, engine, &mut s.packed, &mut s.conv, dst);
+            conv_step(nodes, sign, node, a, engine, s, dst, |_| {
+                Ok(Epilogue::Convert)
+            })?;
         }
         Step::Bn { node, .. } => {
-            layer!(nodes, node, NodeOp::BatchNorm).forward_into(a, dst);
+            layer!(nodes, node, NodeOp::BatchNorm).forward_nhwc_into(a, dst);
         }
         Step::Act { node, .. } => {
-            layer!(nodes, node, NodeOp::Act).forward_into(a, dst);
+            layer!(nodes, node, NodeOp::Act).forward_nhwc_into(a, dst);
         }
         Step::AvgPool { .. } => {
-            avg_pool_2x2_into(a, dst);
+            avg_pool_2x2_nhwc_into(a, dst);
         }
         Step::ChannelDup { .. } => {
-            shortcut_channels_into(a, 2 * a.shape()[1], dst);
+            channel_dup_nhwc_into(a, 2 * a.shape()[3], dst)?;
         }
         Step::Add { .. } => {
-            add_into(a, b.expect("add step has two operands"), dst);
+            // `Step::read_pair` gives every add two operands; a step list
+            // built some other way is rejected rather than trusted.
+            let b = b.ok_or_else(|| {
+                BitnnError::Unsupported("add step without its second operand".into())
+            })?;
+            add_into(a, b, dst);
         }
         Step::GlobalPool { .. } => {
-            global_avg_pool_into(a, dst);
+            global_avg_pool_nhwc_into(a, dst);
         }
         Step::Classifier { node, .. } => {
             let fc = layer!(nodes, node, NodeOp::Classifier);
@@ -70,15 +86,19 @@ pub(crate) fn run_step(
             bn,
             ..
         } => {
-            conv_chain_into(nodes, sign, conv, a, engine, s);
-            return fuse_spatial_stage(
-                &s.conv_out,
-                a,
-                2,
+            let (bn, act) = (
                 layer!(nodes, bn, NodeOp::BatchNorm),
                 layer!(nodes, act, NodeOp::Act),
-                dst,
             );
+            let (h, w) = (a.shape()[1], a.shape()[2]);
+            let residual = Residual::Pool {
+                src: a.data(),
+                h,
+                w,
+            };
+            conv_step(nodes, sign, conv, a, engine, s, dst, |geom| {
+                Epilogue::fused(bn, act, residual, geom)
+            })?;
         }
         Step::FusedChannel {
             act,
@@ -87,56 +107,83 @@ pub(crate) fn run_step(
             bn,
             ..
         } => {
-            conv_chain_into(nodes, sign, conv, a, engine, s);
-            fuse_channel_stage(
-                &s.conv_out,
-                a,
+            let (bn, act) = (
                 layer!(nodes, bn, NodeOp::BatchNorm),
                 layer!(nodes, act, NodeOp::Act),
-                dst,
             );
+            let residual = Residual::Channels {
+                src: a.data(),
+                c_in: a.shape()[3],
+            };
+            conv_step(nodes, sign, conv, a, engine, s, dst, |geom| {
+                Epilogue::fused(bn, act, residual, geom)
+            })?;
         }
     }
     Ok(())
 }
 
-/// The staged `sign → binary conv` prefix shared by every conv-bearing
-/// step.
-///
-/// The sign writes channel-packed lane words straight into `packed` and
-/// the conv consumes them — the flat bit tensor is never materialized and
-/// the per-conv re-pack (64 strided single-bit gathers per lane word)
-/// disappears.
-fn sign_conv_stage(
-    sg: &RSign,
-    cv: &BinConv2d,
-    x: &Tensor,
-    engine: &Engine,
-    packed: &mut PackedActivations,
-    conv: &mut ConvScratch,
-    dst: &mut Tensor,
-) {
-    sg.binarize_packed_into(x, packed);
-    cv.forward_packed_with(packed, engine, conv, dst);
-}
-
-/// The staged `sign → binary conv` prefix of a fused step, landing in
-/// `s.conv_out`.
-fn conv_chain_into(
+/// The `sign → binary conv → epilogue` body of every conv-bearing step:
+/// the sign packs `x`'s pixel rows into `s.packed`, the conv computes its
+/// `[pixel][filter]` rows, and the epilogue `epilogue(geom)` builds for
+/// the output geometry `(n, oh, ow, filters)` turns each band of them
+/// into `dst`'s rows inside the conv's parallel chunk.
+#[allow(clippy::too_many_arguments)]
+fn conv_step<'a>(
     nodes: &[GraphNode],
     sign: usize,
     conv: usize,
     x: &Tensor,
     engine: &Engine,
     s: &mut CpuScratch,
-) {
+    dst: &mut Tensor,
+    epilogue: impl FnOnce((usize, usize, usize, usize)) -> Result<Epilogue<'a>>,
+) -> Result<()> {
     let sg = layer!(nodes, sign, NodeOp::Sign);
     let cv = layer!(nodes, conv, NodeOp::BinConv);
-    let CpuScratch {
-        packed,
-        conv: conv_scratch,
-        conv_out,
-        ..
-    } = s;
-    sign_conv_stage(sg, cv, x, engine, packed, conv_scratch, conv_out);
+    sg.binarize_nhwc_packed_with(x, engine, &mut s.packed);
+    let ((kh, kw), params) = (cv.kernel_size(), cv.params());
+    let geom = (
+        s.packed.batch(),
+        params.out_dim(s.packed.height(), kh),
+        params.out_dim(s.packed.width(), kw),
+        cv.filters(),
+    );
+    let ep = epilogue(geom)?;
+    dst.reset_for_overwrite(&[geom.0, geom.1, geom.2, geom.3]);
+    engine.conv2d_rows(
+        &s.packed,
+        cv.forms_for(engine),
+        params,
+        &mut s.conv,
+        dst.data_mut(),
+        |first, acc, out| epilogue_rows(&ep, first, acc, out),
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn add_without_second_operand_is_a_typed_error() {
+        let a = Tensor::full(&[1, 2, 2, 3], 1.0);
+        let step = Step::Add {
+            node: 2,
+            a: 0,
+            b: 1,
+        };
+        let mut dst = Tensor::default();
+        let got = run_step(
+            &[],
+            &step,
+            &a,
+            None,
+            false,
+            &Engine::single_threaded(),
+            &mut CpuScratch::default(),
+            &mut dst,
+        );
+        assert!(matches!(got, Err(BitnnError::Unsupported(_))));
+    }
 }

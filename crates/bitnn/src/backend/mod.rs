@@ -28,6 +28,7 @@ pub(crate) mod scalar;
 mod stages;
 
 pub use scalar::ScalarBackend;
+pub use stages::fused_epilogue_into;
 
 /// Fetch the layer behind a node, panicking on a kind mismatch — the plan
 /// is derived from the same node list, so a mismatch is a planner bug.

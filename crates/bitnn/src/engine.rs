@@ -28,7 +28,15 @@
 //!   convolutions skip lowering entirely: the channel-packed activations
 //!   already *are* the GEMM operand. Every other kernel shape is
 //!   im2col-lowered.
-//! * **Scratch-buffer reuse** — the im2col matrix, the flat GEMM output,
+//! * **Pixel-major output rows** — every lowering writes the same
+//!   `[pixel][filter]` `i32` rows. The graph executor's conv entry
+//!   (`Engine::conv2d_rows`) runs a caller-supplied epilogue on each
+//!   band of rows inside the same parallel chunk that produced it, so
+//!   batch-norm, the residual and the activation land straight in the
+//!   next layer's pixel-major (`[n, h, w, c]`) `f32` activations. Only
+//!   the public NCHW [`Engine::conv2d_into`] scatters the rows into
+//!   `[N, K, OH, OW]`.
+//! * **Scratch-buffer reuse** — the im2col matrix, the `i32` output rows,
 //!   and the packed activations live in a
 //!   [`Scratch`] that the model's forward pass threads through every
 //!   layer, so steady-state inference stops allocating per layer.
@@ -44,7 +52,7 @@ use crate::exec::{ConvMode, ExecPolicy};
 use crate::ops::conv::{kernel_position_ones, Conv2dParams};
 use crate::ops::gemm::{gemm_panels_into, BinaryPanels, PackedMatrix};
 use crate::ops::im2col::im2col_rows;
-use crate::ops::streamconv::conv2d_stream_items;
+use crate::ops::streamconv::conv2d_stream_rows;
 use crate::pack::{PackedActivations, PackedKernel};
 use crate::pool::WorkerPool;
 use crate::simd::{conv_choice_cached, record_conv_choice, record_forced_conv};
@@ -103,7 +111,8 @@ impl<'a> From<&'a PackedKernel> for KernelForms<'a> {
 pub struct ConvScratch {
     /// The im2col-lowered activation matrix.
     pub(crate) im2col: PackedMatrix,
-    /// Flat `[pixels × filters]` GEMM output before the NCHW scatter.
+    /// The conv's `[pixel][filter]` `i32` output rows, which the
+    /// epilogue (or the public NCHW wrapper's scatter) reads.
     pub(crate) flat: Vec<i32>,
 }
 
@@ -134,8 +143,6 @@ pub struct CpuScratch {
     pub(crate) conv: ConvScratch,
     /// Channel-packed binarized activations.
     pub(crate) packed: PackedActivations,
-    /// Raw convolution output of the current stage.
-    pub(crate) conv_out: Tensor,
     /// Quantized-layer staging buffers (stem conv + classifier).
     pub(crate) quant: crate::layers::QuantScratch,
 }
@@ -297,7 +304,8 @@ impl Engine {
         Ok(out)
     }
 
-    /// [`Engine::conv2d`] into a reusable output tensor.
+    /// [`Engine::conv2d`] into a reusable output tensor: the conv's
+    /// `[pixel][filter]` rows, scattered into `[N, K, OH, OW]`.
     ///
     /// # Errors
     ///
@@ -311,6 +319,48 @@ impl Engine {
         scratch: &mut ConvScratch,
         out: &mut Tensor,
     ) -> Result<()> {
+        self.conv2d_rows(acts, kernel, params, scratch, &mut [], |_, _, _| {})?;
+        let (n, kf) = (acts.batch(), kernel.packed.filters());
+        let oh = params.out_dim(acts.height(), kernel.packed.kh());
+        let ow = params.out_dim(acts.width(), kernel.packed.kw());
+        let ohw = oh * ow;
+        // Every element is written by the scatter, so skip the zero-fill.
+        out.reset_for_overwrite(&[n, kf, oh, ow]);
+        let od = out.data_mut();
+        for img in 0..n {
+            for pix in 0..ohw {
+                let src = &scratch.flat[(img * ohw + pix) * kf..][..kf];
+                for (k, &v) in src.iter().enumerate() {
+                    od[(img * kf + k) * ohw + pix] = v as f32;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The graph executor's conv entry: the conv's `[pixel][filter]`
+    /// `i32` rows land in `scratch.flat`, and `epilogue(first_pixel,
+    /// rows, dst_rows)` runs on every band of them inside the parallel
+    /// chunk that computed it. `dst` holds `KF` values per output pixel
+    /// (the band handed to the epilogue is the matching slice) or is
+    /// empty, in which case the epilogue gets empty bands.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BitnnError::DimMismatch`] when the channel counts
+    /// disagree.
+    pub(crate) fn conv2d_rows<E>(
+        &self,
+        acts: &PackedActivations,
+        kernel: KernelForms<'_>,
+        params: Conv2dParams,
+        scratch: &mut ConvScratch,
+        dst: &mut [f32],
+        epilogue: E,
+    ) -> Result<()>
+    where
+        E: Fn(usize, &[i32], &mut [f32]) + Sync,
+    {
         let packed = kernel.packed;
         if acts.channels() != packed.channels() {
             return Err(BitnnError::DimMismatch {
@@ -343,7 +393,7 @@ impl Engine {
                 let lowering = match conv_choice_cached(geom) {
                     Some(l) => l,
                     None => {
-                        let l = self.tune_conv(acts, kernel, params, scratch, out);
+                        let l = self.tune_conv(acts, kernel, params, scratch);
                         record_conv_choice(geom, l);
                         l
                     }
@@ -354,14 +404,14 @@ impl Engine {
                 }
             }
         };
-        self.conv2d_with_path(path, acts, kernel, params, scratch, out);
+        self.conv2d_with_path(path, acts, kernel, params, scratch, dst, &epilogue);
         Ok(())
     }
 
     /// Time the streaming path against im2col on the live operands —
-    /// min-of-reps each, every rep a full valid compute (both paths are
-    /// bit-exact, so `out` holds correct results throughout). Runs once
-    /// per conv geometry per process, on the warm-up forward.
+    /// min-of-reps each, both producing the same `[pixel][filter]` rows
+    /// (no epilogue: it costs the same after either). Runs once per conv
+    /// geometry per process, on the warm-up forward.
     ///
     /// The decision is cached process-wide, so a mis-tune is sticky:
     /// both candidates get an untimed warm-up first (the im2col probe
@@ -377,14 +427,16 @@ impl Engine {
         kernel: KernelForms<'_>,
         params: Conv2dParams,
         scratch: &mut ConvScratch,
-        out: &mut Tensor,
     ) -> ConvLowering {
         const MIN_REPS: usize = 3;
         const MAX_REPS: usize = 32;
         const BUDGET_NS: u128 = 200_000;
         let candidates = [ConvPath::Im2col, ConvPath::Stream];
+        let run = |path, scratch: &mut ConvScratch| {
+            self.conv2d_with_path(path, acts, kernel, params, scratch, &mut [], &|_, _, _| {});
+        };
         for path in candidates {
-            self.conv2d_with_path(path, acts, kernel, params, scratch, out);
+            run(path, scratch);
         }
         let mut best = [u128::MAX; 2];
         let mut spent = [0u128; 2];
@@ -392,7 +444,7 @@ impl Engine {
         while reps < MAX_REPS && (reps < MIN_REPS || spent.iter().any(|&s| s < BUDGET_NS)) {
             for (slot, path) in candidates.into_iter().enumerate() {
                 let t = std::time::Instant::now();
-                self.conv2d_with_path(path, acts, kernel, params, scratch, out);
+                run(path, scratch);
                 let d = t.elapsed().as_nanos();
                 best[slot] = best[slot].min(d);
                 spent[slot] += d;
@@ -407,25 +459,33 @@ impl Engine {
         }
     }
 
-    /// Execute one already-resolved lowering. Never consults or writes the
-    /// autotune cache — the tuner calls this for its probe runs, and a
-    /// probe must not pollute the recorded decisions.
-    fn conv2d_with_path(
+    /// Execute one already-resolved lowering into `scratch.flat`, running
+    /// `epilogue` per band (see [`Engine::conv2d_rows`]). Never consults
+    /// or writes the autotune cache — the tuner calls this for its probe
+    /// runs, and a probe must not pollute the recorded decisions.
+    #[allow(clippy::too_many_arguments)]
+    fn conv2d_with_path<E>(
         &self,
         path: ConvPath,
         acts: &PackedActivations,
         kernel: KernelForms<'_>,
         params: Conv2dParams,
         scratch: &mut ConvScratch,
-        out: &mut Tensor,
-    ) {
+        dst: &mut [f32],
+        epilogue: &E,
+    ) where
+        E: Fn(usize, &[i32], &mut [f32]) + Sync,
+    {
         let packed = kernel.packed;
         let (n, c, h, w) = (acts.batch(), acts.channels(), acts.height(), acts.width());
         let (kf, kh, kw) = (packed.filters(), packed.kh(), packed.kw());
         let oh = params.out_dim(h, kh);
         let ow = params.out_dim(w, kw);
-        // Every lowering writes every output element, so skip the zero-fill.
-        out.reset_for_overwrite(&[n, kf, oh, ow]);
+        let pixels = n * oh * ow;
+        debug_assert!(dst.is_empty() || dst.len() == pixels * kf);
+        let dst_width = if dst.is_empty() { 0 } else { kf };
+        // Every lowering writes every output row, so skip the zero-fill.
+        resize_unfilled(&mut scratch.flat, pixels * kf);
 
         if path == ConvPath::Stream {
             let built;
@@ -436,17 +496,27 @@ impl Engine {
                     &built
                 }
             };
-            let work = (n * kf * oh * ow * kh * kw * acts.lanes()) as u64;
-            // One item = one (img, filter) output plane; the kernel blocks
-            // up to FILTER_BLOCK filters of one image so each resident
+            let work = (pixels * kf * kh * kw * acts.lanes()) as u64;
+            // One item = one (image, output row): the kernel walks its
+            // filter blocks over the band's rows, so each resident
             // activation word is loaded once per block.
-            self.parallel_chunks(out.data_mut(), oh * ow, 1, work, |first, band| {
-                conv2d_stream_items(acts, packed, params, pad_ones, first, band);
-            });
+            let threads = self.policy.effective_threads(work);
+            dispatch_chunks2(
+                WorkerPool::global(),
+                threads,
+                &mut scratch.flat[..],
+                ow * kf,
+                dst,
+                ow * dst_width,
+                1,
+                |first, rows, out| {
+                    conv2d_stream_rows(acts, packed, params, pad_ones, first, rows);
+                    epilogue(first * ow, rows, out);
+                },
+            );
             return;
         }
 
-        let pixels = n * oh * ow;
         let aw = if path == ConvPath::PointwiseGemm {
             // The packed activations are already the GEMM operand: one
             // C-bit row per pixel. No lowering, no copies.
@@ -477,23 +547,21 @@ impl Engine {
             }
         };
         debug_assert_eq!(panels.cols(), kh * kw * c);
-        resize_unfilled(&mut scratch.flat, pixels * kf);
         let work = (pixels * kf * panels.lanes()) as u64;
-        self.parallel_chunks(&mut scratch.flat[..], kf, 16, work, |first, band| {
-            gemm_panels_into(aw, panels, first, band);
-        });
-
-        // Scatter flat [N*OH*OW, KF] to NCHW.
-        let ohw = oh * ow;
-        let od = out.data_mut();
-        for img in 0..n {
-            for pix in 0..ohw {
-                let src = &scratch.flat[(img * ohw + pix) * kf..][..kf];
-                for (k, &v) in src.iter().enumerate() {
-                    od[(img * kf + k) * ohw + pix] = v as f32;
-                }
-            }
-        }
+        let threads = self.policy.effective_threads(work);
+        dispatch_chunks2(
+            WorkerPool::global(),
+            threads,
+            &mut scratch.flat[..],
+            kf,
+            dst,
+            dst_width,
+            16,
+            |first, rows, out| {
+                gemm_panels_into(aw, panels, first, rows);
+                epilogue(first, rows, out);
+            },
+        );
     }
 
     /// The dense lowering [`Engine::conv2d_into`] will run for a
@@ -578,11 +646,43 @@ fn dispatch_chunks<T, F>(
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    if out.is_empty() || width == 0 {
+    dispatch_chunks2(
+        pool,
+        threads,
+        out,
+        width,
+        &mut [],
+        0,
+        grain,
+        |first, band, _: &mut [()]| f(first, band),
+    );
+}
+
+/// Two-output form of [`dispatch_chunks`]: `a` holds `a_width` elements
+/// per item and `b` holds `b_width` (zero for an empty `b`), and every
+/// chunk gets the matching bands of both — e.g. a conv's `i32` rows and
+/// the `f32` rows its epilogue writes from them.
+#[allow(clippy::too_many_arguments)]
+fn dispatch_chunks2<A, B, F>(
+    pool: &WorkerPool,
+    threads: usize,
+    a: &mut [A],
+    a_width: usize,
+    b: &mut [B],
+    b_width: usize,
+    grain: usize,
+    f: F,
+) where
+    A: Send,
+    B: Send,
+    F: Fn(usize, &mut [A], &mut [B]) + Sync,
+{
+    if a.is_empty() || a_width == 0 {
         return;
     }
-    debug_assert_eq!(out.len() % width, 0);
-    let items = out.len() / width;
+    debug_assert_eq!(a.len() % a_width, 0);
+    let items = a.len() / a_width;
+    debug_assert_eq!(b.len(), items * b_width);
     // A few chunks per thread balances steal granularity against the
     // per-chunk claim overhead (one fetch_add each).
     let chunk_items = grain
@@ -590,23 +690,29 @@ fn dispatch_chunks<T, F>(
         .max(items.div_ceil(threads.max(1) * CHUNKS_PER_THREAD));
     let chunks = items.div_ceil(chunk_items);
     if threads <= 1 || chunks <= 1 {
-        f(0, out);
+        f(0, a, b);
         return;
     }
-    let base = out.as_mut_ptr() as usize;
+    let (a_base, b_base) = (a.as_mut_ptr() as usize, b.as_mut_ptr() as usize);
     let runner = |chunk: usize| {
         let start = chunk * chunk_items;
         let end = (start + chunk_items).min(items);
         // SAFETY: chunk indices are claimed exactly once by the pool, and
-        // each maps to a disjoint item range of `out`, which outlives the
-        // dispatch (the pool blocks until every chunk completes).
-        let band = unsafe {
-            std::slice::from_raw_parts_mut(
-                (base as *mut T).add(start * width),
-                (end - start) * width,
+        // each maps to disjoint item ranges of `a` and `b`, which outlive
+        // the dispatch (the pool blocks until every chunk completes).
+        let (band_a, band_b) = unsafe {
+            (
+                std::slice::from_raw_parts_mut(
+                    (a_base as *mut A).add(start * a_width),
+                    (end - start) * a_width,
+                ),
+                std::slice::from_raw_parts_mut(
+                    (b_base as *mut B).add(start * b_width),
+                    (end - start) * b_width,
+                ),
             )
         };
-        f(start, band);
+        f(start, band_a, band_b);
     };
     pool.dispatch(chunks, threads - 1, &runner);
 }
@@ -656,6 +762,29 @@ mod tests {
                 });
                 let expect: Vec<u32> = (0..items).flat_map(|i| [i as u32 + 1; 3]).collect();
                 assert_eq!(out, expect, "threads={threads} items={items}");
+            }
+        }
+    }
+
+    #[test]
+    fn two_output_chunks_get_matching_bands() {
+        // The conv epilogue's contract: each chunk's `b` band holds the
+        // same items as its `a` band, under a forced 3-worker pool.
+        let pool = crate::pool::WorkerPool::with_workers(3, 4);
+        for threads in [1usize, 2, 3, 4] {
+            for items in [1usize, 5, 64, 129] {
+                let mut a = vec![0u32; items * 3];
+                let mut b = vec![0u64; items * 2];
+                dispatch_chunks2(&pool, threads, &mut a, 3, &mut b, 2, 1, |first, ba, bb| {
+                    assert_eq!(ba.len() / 3, bb.len() / 2);
+                    for (i, (ra, rb)) in ba.chunks_mut(3).zip(bb.chunks_mut(2)).enumerate() {
+                        ra.fill((first + i) as u32 + 1);
+                        rb.fill((first + i) as u64 + 1);
+                    }
+                });
+                let want_a: Vec<u32> = (0..items).flat_map(|i| [i as u32 + 1; 3]).collect();
+                let want_b: Vec<u64> = (0..items).flat_map(|i| [i as u64 + 1; 2]).collect();
+                assert_eq!((a, b), (want_a, want_b), "threads={threads} items={items}");
             }
         }
     }

@@ -171,7 +171,8 @@ impl Step {
 }
 
 /// Arena slot marker for values that live outside the arena (the borrowed
-/// graph input) or are never produced (folded sign nodes).
+/// graph input when only stems read it) or are never produced (folded
+/// sign nodes).
 pub(crate) const NO_SLOT: usize = usize::MAX;
 
 /// A compiled execution plan: the fused step list, per-value lifetimes,
@@ -191,8 +192,10 @@ pub struct CompiledPlan {
     pub(crate) output: usize,
     /// The graph's input node (its value is the caller's borrowed tensor).
     input_node: usize,
-    /// Arena slot holding each node's value ([`NO_SLOT`] for the input and
-    /// for nodes that produce no value). Slots are assigned by a liveness
+    /// Arena slot holding each node's value ([`NO_SLOT`] for nodes that
+    /// produce no value, and for the input unless a step other than a
+    /// stem reads it — that step reads the input's pixel-major copy, which
+    /// the input step writes into its slot). Slots are assigned by a liveness
     /// pass: a slot is recycled only for values whose lifetimes are
     /// disjoint, and a step's output slot never aliases any of its input
     /// slots, so every forward runs against a fixed small set of reusable
@@ -390,12 +393,18 @@ impl CompiledPlan {
         // the output keeps a step's output slot disjoint from all of its
         // inputs (no in-place aliasing), and the graph output's slot is
         // never released so it survives to the end of the plan.
+        let input_converted = steps.iter().any(|s| {
+            !matches!(s, Step::Stem { .. }) && {
+                let (a, b) = s.read_pair();
+                a == Some(input_node) || b == Some(input_node)
+            }
+        });
         let mut slot = vec![NO_SLOT; n_nodes];
         let mut free: Vec<usize> = Vec::new();
         let mut slots = 0usize;
         for (si, step) in steps.iter().enumerate() {
             let out_node = step.output();
-            if !matches!(step, Step::Input { .. }) {
+            if !matches!(step, Step::Input { .. }) || input_converted {
                 slot[out_node] = free.pop().unwrap_or_else(|| {
                     slots += 1;
                     slots - 1
@@ -490,9 +499,11 @@ impl CompiledPlan {
 /// (the borrowed graph input or arena slots), detach the liveness-assigned
 /// output slot, and run the step's CPU kernel with `engine` and the
 /// staging buffers in `scratch`. Every intermediate value lives in
-/// `arena` at the slot the liveness pass assigned; on a warmed arena and
-/// scratch (same shapes as the last call) the whole forward performs
-/// zero heap allocation.
+/// `arena` at the slot the liveness pass assigned, pixel-major; the input
+/// step copies the NCHW input into its slot pixel-major when a non-stem
+/// step reads it, and a 4-D output is copied back to NCHW into `out`. On
+/// a warmed arena and scratch (same shapes as the last call) the whole
+/// forward performs zero heap allocation.
 pub(crate) fn run_plan(
     nodes: &[GraphNode],
     plan: &CompiledPlan,
@@ -507,19 +518,26 @@ pub(crate) fn run_plan(
     }
     for step in &plan.steps {
         let (first, second) = step.read_pair();
-        let Some(first) = first else {
-            continue; // the input's value is the caller's borrowed tensor
-        };
         let out_node = step.output();
+        let Some(first) = first else {
+            // The input step: its value is the caller's borrowed tensor,
+            // plus a pixel-major copy when a non-stem step reads it.
+            if plan.slot[out_node] != NO_SLOT {
+                input.nchw_to_nhwc_into(&mut arena[plan.slot[out_node]]);
+            }
+            continue;
+        };
         // Detach the output slot so the arena stays immutably readable;
         // the slot allocator guarantees it aliases none of the inputs.
         let mut dst = std::mem::take(&mut arena[plan.slot[out_node]]);
-        // Read a node's value: the borrowed graph input or its arena
-        // slot. The liveness pass guarantees a live value's slot is not
-        // recycled, so reading through `plan.slot` always yields the
-        // value produced for it.
+        // Read a node's value: its arena slot, or the borrowed NCHW input
+        // (which only a stem reads; see `CompiledPlan::slot`). The
+        // liveness pass guarantees a live value's slot is not recycled,
+        // so reading through `plan.slot` always yields the value
+        // produced for it.
+        let stem = matches!(step, Step::Stem { .. });
         let resolve = |v: usize| -> &Tensor {
-            if v == plan.input_node {
+            if v == plan.input_node && (stem || plan.slot[v] == NO_SLOT) {
                 input
             } else {
                 &arena[plan.slot[v]]
@@ -530,6 +548,7 @@ pub(crate) fn run_plan(
             step,
             resolve(first),
             second.map(resolve),
+            stem && first == plan.input_node,
             engine,
             scratch,
             &mut dst,
@@ -539,6 +558,8 @@ pub(crate) fn run_plan(
     }
     if plan.output == plan.input_node {
         out.clone_from(input);
+    } else if arena[plan.slot[plan.output]].shape().len() == 4 {
+        arena[plan.slot[plan.output]].nhwc_to_nchw_into(out);
     } else {
         // Hand the output slot's buffer to the caller and keep the
         // caller's old buffer as the slot's next scratch (capacity

@@ -79,30 +79,28 @@ impl BatchNorm {
         &self.offset
     }
 
-    /// [`Layer::forward`] into a reusable output tensor (the graph
-    /// executor's arena path): same affine transform, zero allocations
-    /// once `out` has the right capacity. Bit-exact with the trait method
-    /// (same per-element multiply-add in the same order).
+    /// [`Layer::forward`] over a pixel-major (`[n, h, w, c]`) tensor into
+    /// a reusable output tensor (the graph executor's arena path): same
+    /// affine transform, zero allocations once `out` has the right
+    /// capacity. Bit-exact with the trait method (same per-element
+    /// multiply-add in the same order).
     ///
     /// # Panics
     ///
-    /// Panics if `input` is not 4-D with this layer's channel count.
-    pub fn forward_into(&self, input: &Tensor, out: &mut Tensor) {
+    /// Panics if `input` is not 4-D with this layer's channel count last.
+    pub fn forward_nhwc_into(&self, input: &Tensor, out: &mut Tensor) {
         let shape = input.shape();
         assert_eq!(shape.len(), 4, "BatchNorm expects a 4-D tensor");
-        assert_eq!(shape[1], self.gamma.len(), "channel mismatch in BatchNorm");
-        let (n, c, hw) = (shape[0], shape[1], shape[2] * shape[3]);
+        assert_eq!(shape[3], self.gamma.len(), "channel mismatch in BatchNorm");
         out.reset_for_overwrite(shape);
-        let src = input.data();
-        let dst = out.data_mut();
-        for img in 0..n {
-            for ch in 0..c {
-                let (s, o) = (self.scale[ch], self.offset[ch]);
-                let row = &src[(img * c + ch) * hw..][..hw];
-                let orow = &mut dst[(img * c + ch) * hw..][..hw];
-                for (d, &v) in orow.iter_mut().zip(row) {
-                    *d = s * v + o;
-                }
+        let c = self.gamma.len();
+        for (orow, row) in out
+            .data_mut()
+            .chunks_exact_mut(c)
+            .zip(input.data().chunks_exact(c))
+        {
+            for (((d, &v), &s), &o) in orow.iter_mut().zip(row).zip(&self.scale).zip(&self.offset) {
+                *d = s * v + o;
             }
         }
     }

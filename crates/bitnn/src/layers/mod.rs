@@ -22,7 +22,7 @@ pub mod sign;
 
 pub use batchnorm::BatchNorm;
 pub use binconv::BinConv2d;
-pub use pool::{avg_pool_2x2, avg_pool_2x2_into, global_avg_pool, global_avg_pool_into};
+pub use pool::{avg_pool_2x2, avg_pool_2x2_nhwc_into, global_avg_pool, global_avg_pool_nhwc_into};
 pub use prelu::RPReLU;
 pub use quant::{QuantConv2d, QuantLinear, QuantScratch};
 pub use sign::RSign;

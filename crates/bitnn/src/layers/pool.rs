@@ -8,24 +8,12 @@ use crate::tensor::Tensor;
 ///
 /// Panics if the input is not 4-D or has empty spatial dimensions.
 pub fn global_avg_pool(input: &Tensor) -> Tensor {
-    let mut out = Tensor::default();
-    global_avg_pool_into(input, &mut out);
-    out
-}
-
-/// [`global_avg_pool`] into a reusable output tensor (the graph executor's
-/// arena path). Bit-exact: identical accumulation order.
-///
-/// # Panics
-///
-/// Panics if the input is not 4-D or has empty spatial dimensions.
-pub fn global_avg_pool_into(input: &Tensor, out: &mut Tensor) {
     let shape = input.shape();
     assert_eq!(shape.len(), 4, "global_avg_pool expects a 4-D tensor");
     let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
     assert!(h > 0 && w > 0, "empty spatial dimensions");
     let inv = 1.0 / (h * w) as f32;
-    out.reset_for_overwrite(&[n, c]);
+    let mut out = Tensor::zeros(&[n, c]);
     for img in 0..n {
         for ch in 0..c {
             let mut acc = 0.0f32;
@@ -35,6 +23,39 @@ pub fn global_avg_pool_into(input: &Tensor, out: &mut Tensor) {
                 }
             }
             out.data_mut()[img * c + ch] = acc * inv;
+        }
+    }
+    out
+}
+
+/// [`global_avg_pool`] of a pixel-major `[N, H, W, C]` tensor into a
+/// reusable `[N, C]` output (the graph executor's arena path). Bit-exact:
+/// each channel sums its pixels in row-major pixel order from `0.0`, the
+/// NCHW loop's order of additions.
+///
+/// # Panics
+///
+/// Panics if the input is not 4-D or has empty spatial dimensions.
+pub fn global_avg_pool_nhwc_into(input: &Tensor, out: &mut Tensor) {
+    let shape = input.shape();
+    assert_eq!(shape.len(), 4, "global_avg_pool expects a 4-D tensor");
+    let (n, h, w, c) = (shape[0], shape[1], shape[2], shape[3]);
+    assert!(h > 0 && w > 0, "empty spatial dimensions");
+    let inv = 1.0 / (h * w) as f32;
+    out.reset_for_overwrite(&[n, c]);
+    for (img, acc) in input
+        .data()
+        .chunks_exact(h * w * c)
+        .zip(out.data_mut().chunks_exact_mut(c))
+    {
+        acc.fill(0.0);
+        for row in img.chunks_exact(c) {
+            for (a, &v) in acc.iter_mut().zip(row) {
+                *a += v;
+            }
+        }
+        for a in acc.iter_mut() {
+            *a *= inv;
         }
     }
 }
@@ -50,24 +71,12 @@ pub fn global_avg_pool_into(input: &Tensor, out: &mut Tensor) {
 ///
 /// Panics if the input is not 4-D.
 pub fn avg_pool_2x2(x: &Tensor) -> Tensor {
-    let mut out = Tensor::default();
-    avg_pool_2x2_into(x, &mut out);
-    out
-}
-
-/// [`avg_pool_2x2`] into a reusable output tensor (the graph executor's
-/// arena path). Bit-exact: identical window accumulation order.
-///
-/// # Panics
-///
-/// Panics if the input is not 4-D.
-pub fn avg_pool_2x2_into(x: &Tensor, out: &mut Tensor) {
     let shape = x.shape();
     assert_eq!(shape.len(), 4, "avg_pool_2x2 expects a 4-D tensor");
     let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
     let oh = h.div_ceil(2);
     let ow = w.div_ceil(2);
-    out.reset_for_overwrite(&[n, c, oh, ow]);
+    let mut out = Tensor::zeros(&[n, c, oh, ow]);
     for img in 0..n {
         for ch in 0..c {
             for oy in 0..oh {
@@ -87,6 +96,44 @@ pub fn avg_pool_2x2_into(x: &Tensor, out: &mut Tensor) {
                     out.set4(img, ch, oy, ox, acc / cnt as f32);
                 }
             }
+        }
+    }
+    out
+}
+
+/// [`avg_pool_2x2`] of a pixel-major `[N, H, W, C]` tensor into a
+/// reusable `[N, OH, OW, C]` output (the graph executor's arena path).
+/// Bit-exact: each window sums its in-bounds pixels from `0.0` in
+/// [`avg_pool_2x2`]'s order, then divides by their count.
+///
+/// # Panics
+///
+/// Panics if the input is not 4-D.
+pub fn avg_pool_2x2_nhwc_into(x: &Tensor, out: &mut Tensor) {
+    let shape = x.shape();
+    assert_eq!(shape.len(), 4, "avg_pool_2x2 expects a 4-D tensor");
+    let (n, h, w, c) = (shape[0], shape[1], shape[2], shape[3]);
+    let (oh, ow) = (h.div_ceil(2), w.div_ceil(2));
+    out.reset_for_overwrite(&[n, oh, ow, c]);
+    let src = x.data();
+    for (q, row) in out.data_mut().chunks_exact_mut(c).enumerate() {
+        let (img, oy, ox) = (q / (oh * ow), q % (oh * ow) / ow, q % ow);
+        row.fill(0.0);
+        let mut cnt = 0;
+        for dy in 0..2 {
+            for dx in 0..2 {
+                let (y, xx) = (oy * 2 + dy, ox * 2 + dx);
+                if y < h && xx < w {
+                    let tap = &src[((img * h + y) * w + xx) * c..][..c];
+                    for (a, &v) in row.iter_mut().zip(tap) {
+                        *a += v;
+                    }
+                    cnt += 1;
+                }
+            }
+        }
+        for a in row.iter_mut() {
+            *a /= cnt as f32;
         }
     }
 }
@@ -123,6 +170,27 @@ mod tests {
         let y = avg_pool_2x2(&x);
         assert_eq!(y.shape(), &[1, 1, 1, 1]);
         assert_eq!(y.data()[0], 2.5);
+    }
+
+    #[test]
+    fn nhwc_forms_match_the_nchw_pools() {
+        use crate::weightgen::random_floats;
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (n, c, h, w) in [(1, 1, 1, 1), (2, 3, 5, 4), (1, 17, 4, 7), (3, 8, 2, 2)] {
+            let mut vals = random_floats(n * c * h * w, 2.0, (c * h + w) as u64);
+            vals[0] = -0.0;
+            let x = Tensor::from_vec(&[n, c, h, w], vals).unwrap();
+            let nhwc = x.nchw_to_nhwc();
+            let mut out = Tensor::default();
+            avg_pool_2x2_nhwc_into(&nhwc, &mut out);
+            assert_eq!(
+                bits(&out.nhwc_to_nchw()),
+                bits(&avg_pool_2x2(&x)),
+                "pool {c} {h}x{w}"
+            );
+            global_avg_pool_nhwc_into(&nhwc, &mut out);
+            assert_eq!(bits(&out), bits(&global_avg_pool(&x)), "gap {c} {h}x{w}");
+        }
     }
 
     #[test]

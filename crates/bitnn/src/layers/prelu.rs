@@ -70,29 +70,33 @@ impl RPReLU {
         (self.shift_in[c], self.slope[c], self.shift_out[c])
     }
 
-    /// [`Layer::forward`] into a reusable output tensor (the graph
-    /// executor's arena path). Bit-exact with the trait method: the same
-    /// [`apply_params`] arithmetic per element.
+    /// Every channel's `(shift_in, slope, shift_out)`, as three slices
+    /// (the conv epilogue's vector loads).
+    pub(crate) fn params(&self) -> (&[f32], &[f32], &[f32]) {
+        (&self.shift_in, &self.slope, &self.shift_out)
+    }
+
+    /// [`Layer::forward`] over a pixel-major (`[n, h, w, c]`) tensor into
+    /// a reusable output tensor (the graph executor's arena path).
+    /// Bit-exact with the trait method: the same [`apply_params`]
+    /// arithmetic per element.
     ///
     /// # Panics
     ///
-    /// Panics if `input` is not 4-D with this layer's channel count.
-    pub fn forward_into(&self, input: &Tensor, out: &mut Tensor) {
+    /// Panics if `input` is not 4-D with this layer's channel count last.
+    pub fn forward_nhwc_into(&self, input: &Tensor, out: &mut Tensor) {
         let shape = input.shape();
         assert_eq!(shape.len(), 4, "RPReLU expects a 4-D tensor");
-        assert_eq!(shape[1], self.slope.len(), "channel mismatch in RPReLU");
-        let (n, c, hw) = (shape[0], shape[1], shape[2] * shape[3]);
+        assert_eq!(shape[3], self.slope.len(), "channel mismatch in RPReLU");
         out.reset_for_overwrite(shape);
-        let src = input.data();
-        let dst = out.data_mut();
-        for img in 0..n {
-            for ch in 0..c {
-                let (si, sl, so) = self.channel_params(ch);
-                let row = &src[(img * c + ch) * hw..][..hw];
-                let orow = &mut dst[(img * c + ch) * hw..][..hw];
-                for (d, &v) in orow.iter_mut().zip(row) {
-                    *d = apply_params(si, sl, so, v);
-                }
+        let c = self.slope.len();
+        for (orow, row) in out
+            .data_mut()
+            .chunks_exact_mut(c)
+            .zip(input.data().chunks_exact(c))
+        {
+            for (ch, (d, &v)) in orow.iter_mut().zip(row).enumerate() {
+                *d = apply_params(self.shift_in[ch], self.slope[ch], self.shift_out[ch], v);
             }
         }
     }

@@ -18,10 +18,13 @@
 //!   row of its `[N, in]` input and runs one GEMM with the rows as `M`
 //!   (weight-stationary over a stacked batch) and the outputs as `N`;
 //! * the stem ([`QuantConv2d::forward_fast_with`]) quantizes each image,
-//!   lays it out pixel-major (`[H][W][C]`), lowers it by im2col to one
-//!   row of `KH·KW·C` taps per output pixel — taps ordered `(ky, kx, c)`,
-//!   so each kernel row is one contiguous `KW·C`-byte copy — and runs the
-//!   GEMM with the pixels as `M` and the filters as `N`.
+//!   lays it out pixel-major (`[H][W][C]`; already so when the input is
+//!   an activation of the fused plan), lowers it by im2col to one row of
+//!   `KH·KW·C` taps per output pixel — taps ordered `(ky, kx, c)`, so
+//!   each kernel row is one contiguous `KW·C`-byte copy — and runs the
+//!   GEMM with the pixels as `M` and the filters as `N`. Its
+//!   `[pixel][filter]` result dequantizes straight into the plan's
+//!   pixel-major `[N, OH, OW, K]` activations.
 //!
 //! The scalar oracle's paths — [`QuantLinear::forward_2d`] and
 //! [`QuantConv2d`]'s [`Layer::forward`] — stay naive loops of their own
@@ -156,11 +159,12 @@ impl QuantConv2d {
         self.weights.get(k, (y * self.kw + x) * self.channels + c) as i32
     }
 
-    /// The executor's forward pass, into reusable scratch and output
-    /// buffers (no per-forward allocation once they are warm): per image,
-    /// quantize, lower by im2col, and run the int8 GEMM (see the module
-    /// docs). Integer accumulation is exact, so the result is bit-exact
-    /// with the oracle's [`Layer::forward`].
+    /// The executor's forward pass over an NCHW `[N, C, H, W]` input
+    /// (the graph input), into reusable scratch and a pixel-major
+    /// `[N, OH, OW, K]` output (no per-forward allocation once they are
+    /// warm): per image, quantize, lower by im2col, and run the int8 GEMM
+    /// (see the module docs). Integer accumulation is exact, so the result
+    /// is bit-exact with the oracle's [`Layer::forward`], transposed.
     ///
     /// # Panics
     ///
@@ -169,37 +173,75 @@ impl QuantConv2d {
         let shape = input.shape();
         assert_eq!(shape.len(), 4, "QuantConv2d expects 4-D input");
         assert_eq!(shape[1], self.channels, "channel mismatch in QuantConv2d");
-        let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
-        let kf = self.filters;
+        self.forward_rows(input, (shape[0], shape[2], shape[3]), false, scratch, out);
+    }
+
+    /// [`Self::forward_fast_with`] over a pixel-major `[N, H, W, C]`
+    /// input (an activation of the fused plan): the quantized image
+    /// already is the im2col's `[H][W][C]` source.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input is not 4-D with the layer's channel count last.
+    pub(crate) fn forward_nhwc_with(
+        &self,
+        input: &Tensor,
+        scratch: &mut QuantScratch,
+        out: &mut Tensor,
+    ) {
+        let shape = input.shape();
+        assert_eq!(shape.len(), 4, "QuantConv2d expects 4-D input");
+        assert_eq!(shape[3], self.channels, "channel mismatch in QuantConv2d");
+        self.forward_rows(input, (shape[0], shape[1], shape[2]), true, scratch, out);
+    }
+
+    /// The body of both executor forwards: `nhwc` says whether each image
+    /// of `input` is laid out `[H][W][C]` or `[C][H][W]`.
+    fn forward_rows(
+        &self,
+        input: &Tensor,
+        (n, h, w): (usize, usize, usize),
+        nhwc: bool,
+        scratch: &mut QuantScratch,
+        out: &mut Tensor,
+    ) {
+        let (c, kf) = (self.channels, self.filters);
         let oh = self.params.out_dim(h, self.kh);
         let ow = self.params.out_dim(w, self.kw);
         let (pixels, kp, image) = (oh * ow, self.weights.padded_k(), c * h * w);
         // Every GEMM output cell is dequantized below, so no buffer needs
         // a fill beyond the im2col matrix's per-image reset.
-        out.reset_for_overwrite(&[n, kf, oh, ow]);
+        out.reset_for_overwrite(&[n, oh, ow, kf]);
         let QuantScratch { q, hwc, a, acc, .. } = scratch;
         q.resize(image, 0);
         hwc.resize(image, 0);
         a.resize(pixels * kp, 0);
         acc.resize(pixels * kf, 0);
-        for img in 0..n {
-            // One activation scale per sample (batch-invariant results).
-            let in_scale = int8::quantize_into(&input.data()[img * image..][..image], q);
-            let out_scale = in_scale * self.w_scale;
-            for (ch, plane) in q.chunks_exact(h * w).enumerate() {
-                for (px, &v) in plane.iter().enumerate() {
-                    hwc[px * c + ch] = v;
+        for (img, od) in out
+            .data_mut()
+            .chunks_exact_mut((pixels * kf).max(1))
+            .enumerate()
+        {
+            // One activation scale per sample (batch-invariant results);
+            // the maximum and the rounding do not depend on the order.
+            let src = &input.data()[img * image..][..image];
+            let in_scale = if nhwc {
+                int8::quantize_into(src, hwc)
+            } else {
+                let in_scale = int8::quantize_into(src, q);
+                for (ch, plane) in q.chunks_exact(h * w).enumerate() {
+                    for (px, &v) in plane.iter().enumerate() {
+                        hwc[px * c + ch] = v;
+                    }
                 }
-            }
+                in_scale
+            };
+            let out_scale = in_scale * self.w_scale;
             self.im2col(hwc, h, w, a);
             int8::gemm(a, pixels, &self.weights, acc);
-            // Dequantize, transposing [pixel][filter] to NCHW.
-            let od = &mut out.data_mut()[img * kf * pixels..][..kf * pixels];
-            for pix in 0..pixels {
-                let arow = &acc[pix * kf..][..kf];
-                for (k, &v) in arow.iter().enumerate() {
-                    od[k * pixels + pix] = dequantize(v, out_scale);
-                }
+            // `[pixel][filter]` is already the output layout.
+            for (o, &v) in od.iter_mut().zip(acc.iter()) {
+                *o = dequantize(v, out_scale);
             }
         }
     }
@@ -506,12 +548,17 @@ mod tests {
                     Tensor::from_vec(&[2, c, 8, 7], random_floats(2 * c * 8 * 7, 1.0, 5)).unwrap();
                 let a = conv.forward(&x);
                 conv.forward_fast_with(&x, &mut scratch, &mut fast);
+                let fast = fast.nhwc_to_nchw();
                 assert_eq!(a.shape(), fast.shape());
                 assert_eq!(
                     a.data(),
                     fast.data(),
                     "k{kh}x{kw} s{stride} p{pad} f{kf} c{c}"
                 );
+                // A pixel-major input takes the same arithmetic.
+                let mut nhwc = Tensor::default();
+                conv.forward_nhwc_with(&x.nchw_to_nhwc(), &mut scratch, &mut nhwc);
+                assert_eq!(a.data(), nhwc.nhwc_to_nchw().data(), "nhwc input");
             }
         }
     }
@@ -571,7 +618,7 @@ mod tests {
             conv.forward_fast_with(&x, &mut scratch, &mut one);
             assert_eq!(&all.data()[i * per..][..per], one.data(), "conv sample {i}");
         }
-        assert_eq!(conv.forward(&stacked).data(), all.data());
+        assert_eq!(conv.forward(&stacked).data(), all.nhwc_to_nchw().data());
 
         let lw: Vec<f32> = random_floats(2 * 75, 1.0, 3);
         let lin = QuantLinear::from_float(&lw, 2, 75);

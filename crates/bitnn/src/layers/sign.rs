@@ -5,9 +5,12 @@
 //! cited accuracy enablers ("the Prelu activation is biased by shifting and
 //! reshaping its input"); the same idea applies to the sign function.
 
+use crate::engine::Engine;
 use crate::layers::Layer;
 use crate::pack::PackedActivations;
+use crate::simd::{self, SimdLevel};
 use crate::tensor::{BitTensor, Tensor};
+use crate::{lanes_for, LANE_BITS};
 
 /// Per-channel shifted sign activation.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,62 +125,213 @@ impl RSign {
         }
     }
 
-    /// Binarize a `[N, C, H, W]` tensor straight into channel-packed lane
-    /// words — the writer side of the compiled plan's binary-domain
-    /// edges: where the next consumer is a dense-path convolution, the
-    /// sign output never materializes as a flat bit tensor, skipping both
-    /// that store and the per-conv re-pack (64 strided single-bit gathers
-    /// per lane word). Bit-exact with packing [`Self::binarize`]'s output:
-    /// the predicate per bit is the identical `x >= shift_c`.
+    /// Binarize a pixel-major `[N, H, W, C]` tensor (the fused plan's
+    /// activation layout) straight into channel-packed lane words — the
+    /// sign half of every conv step. Each pixel's `C` values are one
+    /// contiguous row, so a lane word is assembled from vector compares
+    /// against the shifts and stored once (see [`pack_rows_at`]); the
+    /// pixels are split into bands across `engine`'s workers.
+    /// Bit-exact with packing [`Self::binarize`]'s output of the same
+    /// values in NCHW order: the predicate per bit is the identical
+    /// `x >= shift_c`, and the bits at and above `C` stay zero.
     ///
     /// # Panics
     ///
-    /// Panics if the channel dimension does not match the shift count.
-    pub fn binarize_packed_into(&self, input: &Tensor, out: &mut PackedActivations) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            /// AVX2 instantiation of [`RSign::binarize_packed_into_impl`].
-            #[target_feature(enable = "avx2")]
-            unsafe fn binarize_packed_avx2(
-                layer: &RSign,
-                input: &Tensor,
-                out: &mut PackedActivations,
-            ) {
-                layer.binarize_packed_into_impl(input, out);
-            }
-            if crate::simd::avx2() {
-                // SAFETY: avx2 was detected at runtime.
-                return unsafe { binarize_packed_avx2(self, input, out) };
-            }
-        }
-        self.binarize_packed_into_impl(input, out);
-    }
-
-    /// Portable body of [`Self::binarize_packed_into`]: channel-major —
-    /// each contiguous source channel row is compared against its shift
-    /// once, and every resulting bit lands at one fixed `(lane, bit)`
-    /// slot across the pixel words (a strided OR into the zeroed output).
-    #[inline(always)]
-    fn binarize_packed_into_impl(&self, input: &Tensor, out: &mut PackedActivations) {
+    /// Panics if the input is not 4-D with the shift count last.
+    pub fn binarize_nhwc_packed_with(
+        &self,
+        input: &Tensor,
+        engine: &Engine,
+        out: &mut PackedActivations,
+    ) {
         let shape = input.shape();
         assert_eq!(shape.len(), 4, "RSign expects a 4-D tensor");
-        assert_eq!(shape[1], self.shifts.len(), "channel mismatch in RSign");
-        let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
-        let hw = h * w;
-        out.reset_zeroed(n, c, h, w);
-        let lanes = out.lanes();
-        let data = input.data();
-        let words = out.words_mut();
-        for img in 0..n {
-            for ch in 0..c {
-                let a = self.shifts[ch];
-                let (lane, bit) = (ch / 64, ch % 64);
-                let row = &data[(img * c + ch) * hw..][..hw];
-                let base = img * hw * lanes + lane;
-                for (pix, &v) in row.iter().enumerate() {
-                    words[base + pix * lanes] |= u64::from(v >= a) << bit;
-                }
+        assert_eq!(shape[3], self.shifts.len(), "channel mismatch in RSign");
+        out.reset_for_overwrite(shape[0], shape[3], shape[1], shape[2]);
+        let (c, lanes, level) = (self.shifts.len(), out.lanes(), simd::level());
+        let src = input.data();
+        // About half a lane-word operation per compared value.
+        let work = (src.len() / 2) as u64;
+        engine.parallel_chunks(out.words_mut(), lanes, 64, work, |first, band| {
+            let rows = &src[first * c..][..band.len() / lanes * c];
+            pack_rows_at(level, &self.shifts, rows, band);
+        });
+    }
+}
+
+/// Pack rows of `shifts.len()` values into lane words: bit `ch` of
+/// pixel `p` is `src[p·C + ch] >= shifts[ch]`, each pixel's `⌈C/64⌉`
+/// words stored whole into `words` with zero tail bits. Runs at `level`,
+/// clamped to what the CPU has: one AVX-512 `vcmpps` to a mask, or two
+/// AVX2 compares and `movemask`s, per 16 channels.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+pub(crate) fn pack_rows_at(level: SimdLevel, shifts: &[f32], src: &[f32], words: &mut [u64]) {
+    let c = shifts.len();
+    if c == 0 {
+        return;
+    }
+    assert_eq!(src.len() / c * lanes_for(c), words.len(), "sign+pack rows");
+    #[cfg(target_arch = "x86_64")]
+    {
+        let f = simd::detect();
+        if level >= SimdLevel::Avx512 && f.avx512 {
+            // SAFETY: avx512f was detected at runtime.
+            return unsafe { x86::pack_avx512(shifts, src, words) };
+        }
+        if level >= SimdLevel::Avx2 && f.avx2 {
+            // SAFETY: avx2 was detected at runtime.
+            return unsafe { x86::pack_avx2(shifts, src, words) };
+        }
+    }
+    // SAFETY: the portable body needs no CPU feature.
+    unsafe { pack_rows::<Portable>(shifts, src, words) }
+}
+
+/// One dispatch level's 16-channel compare.
+trait Compare16 {
+    /// Bit `i` is `v[i] >= a[i]`, for the `v.len() == a.len() <= 16`
+    /// values; the bits above are zero.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support the level's features, and `v.len() ==
+    /// a.len() <= 16` (the wide bodies load both under one mask).
+    unsafe fn ge(v: &[f32], a: &[f32]) -> u16;
+}
+
+/// The pack walk shared by every level. A channel count dividing 16
+/// compares several pixels per step against shifts replicated to 16
+/// lanes; any other count walks each pixel row 16 channels at a time.
+///
+/// # Safety
+///
+/// The CPU must support `L`'s features. The walk itself keeps every
+/// compare's two runs equal and at most 16 long.
+#[inline(always)]
+unsafe fn pack_rows<L: Compare16>(shifts: &[f32], src: &[f32], words: &mut [u64]) {
+    let c = shifts.len();
+    if 16 % c == 0 {
+        let mut rep = [0.0f32; 16];
+        for (j, v) in rep.iter_mut().enumerate() {
+            *v = shifts[j % c];
+        }
+        let per = 16 / c;
+        for (vals, out) in src.chunks(16).zip(words.chunks_mut(per)) {
+            // SAFETY: the caller enabled `L`'s features.
+            let bits = unsafe { L::ge(vals, &rep[..vals.len()]) };
+            for (i, word) in out.iter_mut().enumerate() {
+                *word = u64::from(bits >> (i * c)) & crate::bitword::mask(c);
             }
+        }
+        return;
+    }
+    for (row, out) in src
+        .chunks_exact(c)
+        .zip(words.chunks_exact_mut(lanes_for(c)))
+    {
+        for (word, (vals, a)) in out
+            .iter_mut()
+            .zip(row.chunks(LANE_BITS).zip(shifts.chunks(LANE_BITS)))
+        {
+            let mut wd = 0u64;
+            for (q, (v, a)) in vals.chunks(16).zip(a.chunks(16)).enumerate() {
+                // SAFETY: as above.
+                wd |= u64::from(unsafe { L::ge(v, a) }) << (16 * q);
+            }
+            *word = wd;
+        }
+    }
+}
+
+/// The portable compare: one `v >= a` per bit.
+struct Portable;
+
+impl Compare16 for Portable {
+    unsafe fn ge(v: &[f32], a: &[f32]) -> u16 {
+        let mut bits = 0u16;
+        for (i, (&v, &a)) in v.iter().zip(a).enumerate() {
+            bits |= u16::from(v >= a) << i;
+        }
+        bits
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::{pack_rows, Compare16};
+    use crate::simd::lane_mask16;
+    use std::arch::x86_64::*;
+
+    /// AVX-512 body of [`super::pack_rows_at`].
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `avx512f`.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn pack_avx512(shifts: &[f32], src: &[f32], words: &mut [u64]) {
+        // SAFETY: the features `Avx512`'s compare needs are enabled here.
+        unsafe { pack_rows::<Avx512>(shifts, src, words) }
+    }
+
+    /// AVX2 body of [`super::pack_rows_at`].
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `avx2`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn pack_avx2(shifts: &[f32], src: &[f32], words: &mut [u64]) {
+        // SAFETY: as above, for `Avx2`.
+        unsafe { pack_rows::<Avx2>(shifts, src, words) }
+    }
+
+    /// One masked `vcmpps` (ordered `>=`: NaN compares false, −0.0 equals
+    /// 0.0) to a mask register.
+    struct Avx512;
+
+    impl Compare16 for Avx512 {
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        unsafe fn ge(v: &[f32], a: &[f32]) -> u16 {
+            let m = lane_mask16(v.len());
+            // SAFETY: `m` covers only the `v.len() == a.len()` values.
+            unsafe {
+                let (v, a) = (
+                    _mm512_maskz_loadu_ps(m, v.as_ptr()),
+                    _mm512_maskz_loadu_ps(m, a.as_ptr()),
+                );
+                _mm512_mask_cmp_ps_mask::<_CMP_GE_OQ>(m, v, a)
+            }
+        }
+    }
+
+    /// Two 8-lane ordered `>=` compares and `movemask`s.
+    struct Avx2;
+
+    impl Compare16 for Avx2 {
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        unsafe fn ge(v: &[f32], a: &[f32]) -> u16 {
+            const ONES: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+            let mut bits = 0u16;
+            for (half, lo) in [0usize, 8].into_iter().enumerate() {
+                let n = v.len().saturating_sub(lo).min(8);
+                if n == 0 {
+                    break;
+                }
+                // SAFETY: `8 - n` leaves 8 values of `ONES`, and the mask
+                // selects only the `n` in-bounds values.
+                let k = unsafe {
+                    let m = _mm256_loadu_si256(ONES.as_ptr().add(8 - n).cast());
+                    let (v, a) = (
+                        _mm256_maskload_ps(v.as_ptr().add(lo), m),
+                        _mm256_maskload_ps(a.as_ptr().add(lo), m),
+                    );
+                    _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GE_OQ>(v, a)) as u16
+                };
+                // Masked-off lanes load 0.0 on both sides, which is `>=`.
+                bits |= (k & ((1u16 << n) - 1)) << (8 * half);
+            }
+            bits
         }
     }
 }
@@ -248,8 +402,52 @@ mod tests {
             let rs = RSign::new(shifts);
             let expect = PackedActivations::pack(&rs.binarize(&t)).unwrap();
             let mut got = PackedActivations::default();
-            rs.binarize_packed_into(&t, &mut got);
+            rs.binarize_nhwc_packed_with(&t.nchw_to_nhwc(), &Engine::with_threads(2), &mut got);
             assert_eq!(got, expect, "n={n} c={c} h={h} w={w}");
+        }
+    }
+
+    #[test]
+    fn pack_bodies_match_scalar_at_every_level() {
+        use crate::weightgen::random_floats;
+        let f = simd::detect();
+        let mut levels = vec![SimdLevel::Portable];
+        for (level, ok) in [(SimdLevel::Avx2, f.avx2), (SimdLevel::Avx512, f.avx512)] {
+            if ok {
+                levels.push(level);
+            } else {
+                println!("note: this CPU cannot run the {level} pack body; skipped");
+            }
+        }
+        let specials = [0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        for c in [1usize, 7, 8, 15, 16, 17, 63, 64, 65, 200, 1024] {
+            let mut shifts = random_floats(c, 0.5, c as u64);
+            shifts[c / 2] = -0.0;
+            if c > 2 {
+                shifts[1] = f32::NAN;
+            }
+            for pixels in [1usize, 3, 33] {
+                let mut src = random_floats(pixels * c, 1.0, (pixels * c) as u64);
+                for (i, v) in src.iter_mut().enumerate() {
+                    match i % 7 {
+                        // Exactly the channel's shift: `>=` holds.
+                        0 => *v = shifts[i % c],
+                        3 => *v = specials[(i / 7) % specials.len()],
+                        _ => {}
+                    }
+                }
+                let lanes = lanes_for(c);
+                let mut want = vec![0u64; pixels * lanes];
+                for (i, &v) in src.iter().enumerate() {
+                    let (p, ch) = (i / c, i % c);
+                    want[p * lanes + ch / 64] |= u64::from(v >= shifts[ch]) << (ch % 64);
+                }
+                for &level in &levels {
+                    let mut got = vec![u64::MAX; pixels * lanes];
+                    pack_rows_at(level, &shifts, &src, &mut got);
+                    assert_eq!(got, want, "c={c} pixels={pixels} at {level}");
+                }
+            }
         }
     }
 }

@@ -420,6 +420,7 @@ fn tile_scalar(a: &[i8], b: &Int8Weights, c: &mut [i32], row: usize, panel: usiz
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{Int8Weights, GROUP, PANEL, ROUND_BIAS};
+    use crate::simd::lane_mask16 as lane_mask;
     use std::arch::x86_64::*;
 
     /// AVX-512F body of the quantizer's maximum.
@@ -470,16 +471,6 @@ mod x86 {
             unsafe {
                 _mm512_mask_cvtepi32_storeu_epi8(out.as_mut_ptr().add(start).cast(), mask, q)
             };
-        }
-    }
-
-    /// The load mask of a 16-lane step with `remaining` elements left.
-    #[inline(always)]
-    fn lane_mask(remaining: usize) -> __mmask16 {
-        if remaining >= 16 {
-            u16::MAX
-        } else {
-            (1u16 << remaining) - 1
         }
     }
 

@@ -8,12 +8,14 @@
 //! every 3x3 window on the fly from three resident rows: nine lane-word
 //! loads, no staging buffer, no blit.
 //!
-//! Scheduling is *weight-stationary over a filter block*: one work item is
-//! an `(img, filter)` output plane, and up to [`FILTER_BLOCK`] consecutive
-//! filters of the same image are computed together so each activation word
-//! is loaded once and xnor-popcounted against every filter in the block.
-//! This is the CPU analogue of the paper's compute units streaming one
-//! activation window past a stationary weight set.
+//! Scheduling is *weight-stationary over a filter block*: one work item
+//! is an `(img, output row)` pair, and a band of rows is walked once per
+//! block of up to [`FILTER_BLOCK`] consecutive filters, so each
+//! activation word is loaded once per block and xnor-popcounted against
+//! every filter in it. This is the CPU analogue of the paper's compute
+//! units streaming one activation window past a stationary weight set.
+//! The output is the same `[pixel][filter]` `i32` rows the im2col GEMM
+//! writes, so either lowering feeds the same conv epilogue.
 //!
 //! The kernel covers exactly one geometry class: 3x3 kernels over at most
 //! 64 channels (one lane word per pixel — every ReActNet/VGG-small conv up
@@ -28,32 +30,33 @@
 use crate::ops::conv::Conv2dParams;
 use crate::pack::{PackedActivations, PackedKernel};
 
-/// Filters computed together per image: the weight-stationary block width.
-/// Four blocks of nine `u64` weight words fit comfortably in registers on
-/// x86-64 while quadrupling the reuse of every loaded activation word.
+/// Filters computed together per row walk: the weight-stationary block
+/// width. Four blocks of nine `u64` weight words fit comfortably in
+/// registers on x86-64 while quadrupling the reuse of every loaded
+/// activation word.
 pub(crate) const FILTER_BLOCK: usize = 4;
 
-/// Streaming convolution of a contiguous band of output planes.
+/// Streaming convolution of a contiguous band of output rows.
 ///
-/// One "item" is an `(img, filter)` pair — a full `OH*OW` output plane —
-/// and the band covers items `item_start ..` for `out.len() / (OH*OW)`
-/// items, ordered filter-minor (`item = img * KF + filter`), matching the
-/// `[N, KF, OH, OW]` output layout. Computing the whole tensor with
-/// `item_start = 0` reproduces [`crate::ops::conv::conv2d_binary`] exactly.
-/// This is the worker body [`crate::engine::Engine`] hands to each thread
-/// with a disjoint slice of the output tensor. Dispatches to AVX-512 or
-/// AVX2+popcnt instantiations when the CPU has them.
+/// One "item" is an `(img, oy)` pair — one output row of `OW` pixels ×
+/// `KF` filters, `item = img * OH + oy` — and the band covers items
+/// `row_start ..` for `out.len() / (OW·KF)` items, stored `[pixel][filter]`
+/// like the GEMM lowerings. Computing every row with `row_start = 0`
+/// reproduces [`crate::ops::conv::conv2d_binary`] exactly (transposed to
+/// pixel-major). This is the worker body [`crate::engine::Engine`] hands
+/// to each thread with a disjoint slice of the output rows. Dispatches to
+/// AVX-512 or AVX2+popcnt instantiations when the CPU has them.
 ///
 /// Contract: a 3x3 kernel over single-lane activations
 /// (`acts.lanes() == 1`, i.e. at most 64 channels).
 #[inline]
-pub(crate) fn conv2d_stream_items(
+pub(crate) fn conv2d_stream_rows(
     acts: &PackedActivations,
     kernel: &PackedKernel,
     params: Conv2dParams,
     pad_ones: &[u32],
-    item_start: usize,
-    out: &mut [f32],
+    row_start: usize,
+    out: &mut [i32],
 ) {
     debug_assert!(
         kernel.kh() == 3 && kernel.kw() == 3 && acts.lanes() == 1,
@@ -61,81 +64,72 @@ pub(crate) fn conv2d_stream_items(
     );
     #[cfg(target_arch = "x86_64")]
     {
-        /// AVX-512 instantiation of [`conv2d_stream_items_portable`]: the
+        /// AVX-512 instantiation of [`conv2d_stream_rows_portable`]: the
         /// xnor-popcount loops compile to hardware `vpopcntq`.
         #[target_feature(enable = "avx512f,avx512bw,avx512vpopcntdq,popcnt")]
-        unsafe fn conv2d_stream_items_avx512(
+        unsafe fn conv2d_stream_rows_avx512(
             acts: &PackedActivations,
             kernel: &PackedKernel,
             params: Conv2dParams,
             pad_ones: &[u32],
-            item_start: usize,
-            out: &mut [f32],
+            row_start: usize,
+            out: &mut [i32],
         ) {
-            conv2d_stream_items_portable(acts, kernel, params, pad_ones, item_start, out);
+            conv2d_stream_rows_portable(acts, kernel, params, pad_ones, row_start, out);
         }
-        /// AVX2+popcnt instantiation of [`conv2d_stream_items_portable`].
+        /// AVX2+popcnt instantiation of [`conv2d_stream_rows_portable`].
         #[target_feature(enable = "avx2,popcnt")]
-        unsafe fn conv2d_stream_items_avx2(
+        unsafe fn conv2d_stream_rows_avx2(
             acts: &PackedActivations,
             kernel: &PackedKernel,
             params: Conv2dParams,
             pad_ones: &[u32],
-            item_start: usize,
-            out: &mut [f32],
+            row_start: usize,
+            out: &mut [i32],
         ) {
-            conv2d_stream_items_portable(acts, kernel, params, pad_ones, item_start, out);
+            conv2d_stream_rows_portable(acts, kernel, params, pad_ones, row_start, out);
         }
         if crate::simd::avx512() {
             // SAFETY: avx512f/bw/vpopcntdq + popcnt were detected at runtime.
             return unsafe {
-                conv2d_stream_items_avx512(acts, kernel, params, pad_ones, item_start, out)
+                conv2d_stream_rows_avx512(acts, kernel, params, pad_ones, row_start, out)
             };
         }
         if crate::simd::avx2() {
             // SAFETY: avx2 + popcnt were detected at runtime.
             return unsafe {
-                conv2d_stream_items_avx2(acts, kernel, params, pad_ones, item_start, out)
+                conv2d_stream_rows_avx2(acts, kernel, params, pad_ones, row_start, out)
             };
         }
     }
-    conv2d_stream_items_portable(acts, kernel, params, pad_ones, item_start, out);
+    conv2d_stream_rows_portable(acts, kernel, params, pad_ones, row_start, out);
 }
 
-/// Portable body of [`conv2d_stream_items`]: walk the band in filter
-/// blocks of at most [`FILTER_BLOCK`] filters.
+/// Portable body of [`conv2d_stream_rows`]: walk the band once per
+/// filter block of at most [`FILTER_BLOCK`] filters.
 #[inline(always)]
-fn conv2d_stream_items_portable(
+fn conv2d_stream_rows_portable(
     acts: &PackedActivations,
     kernel: &PackedKernel,
     params: Conv2dParams,
     pad_ones: &[u32],
-    item_start: usize,
-    out: &mut [f32],
+    row_start: usize,
+    out: &mut [i32],
 ) {
     let kf = kernel.filters();
-    let ohw = params.out_dim(acts.height(), 3) * params.out_dim(acts.width(), 3);
-    let items = out.len() / ohw;
-    let mut done = 0usize;
-    while done < items {
-        let global = item_start + done;
-        let k0 = global % kf;
-        let img = global / kf;
-        // A block never crosses an image boundary: consecutive filters of
-        // one image share its resident rows.
-        let nb = (kf - k0).min(items - done).min(FILTER_BLOCK);
-        let band = &mut out[done * ohw..(done + nb) * ohw];
-        match nb {
-            1 => stream3_block::<1>(acts, kernel, params, pad_ones, img, k0, band),
-            2 => stream3_block::<2>(acts, kernel, params, pad_ones, img, k0, band),
-            3 => stream3_block::<3>(acts, kernel, params, pad_ones, img, k0, band),
-            _ => stream3_block::<4>(acts, kernel, params, pad_ones, img, k0, band),
+    for k0 in (0..kf).step_by(FILTER_BLOCK) {
+        let args = (acts, kernel, params, pad_ones, row_start, k0);
+        match (kf - k0).min(FILTER_BLOCK) {
+            1 => stream3_block::<1>(args, out),
+            2 => stream3_block::<2>(args, out),
+            3 => stream3_block::<3>(args, out),
+            _ => stream3_block::<4>(args, out),
         }
-        done += nb;
     }
 }
 
-/// The streaming kernel over a block of `NB` filters.
+/// The streaming kernel over a block of `NB` filters starting at `k0`,
+/// for every row of the band.
 ///
 /// The nine weight words per filter are hoisted into locals; per output
 /// row the three input-row bounds are resolved once (with the closed-form
@@ -146,18 +140,20 @@ fn conv2d_stream_items_portable(
 /// the unused high bits, `3 * rows_in_bounds * tail_bits` of them).
 #[inline(always)]
 fn stream3_block<const NB: usize>(
-    acts: &PackedActivations,
-    kernel: &PackedKernel,
-    params: Conv2dParams,
-    pad_ones: &[u32],
-    img: usize,
-    k0: usize,
-    band: &mut [f32],
+    (acts, kernel, params, pad_ones, row_start, k0): (
+        &PackedActivations,
+        &PackedKernel,
+        Conv2dParams,
+        &[u32],
+        usize,
+        usize,
+    ),
+    out: &mut [i32],
 ) {
     let (c, h, w) = (acts.channels(), acts.height(), acts.width());
+    let kf = kernel.filters();
     let oh = params.out_dim(h, 3);
     let ow = params.out_dim(w, 3);
-    let ohw = oh * ow;
     let total_bits = (9 * c) as i32;
     let tail = ((64 - (c % 64)) % 64) as u32;
     let cmask = if c % 64 == 0 {
@@ -187,7 +183,7 @@ fn stream3_block<const NB: usize>(
     // Bounds-checked single pixel, used for the edge columns where part
     // of the window hangs over the left/right border. Masked popcounts,
     // so no tail correction applies here.
-    let edge_pixel = |oy: usize, ox: usize| -> [u32; NB] {
+    let edge_pixel = |img: usize, oy: usize, ox: usize| -> [u32; NB] {
         let mut agree = [0u32; NB];
         for ky in 0..3 {
             let iy = (oy * stride + ky) as isize - pad as isize;
@@ -209,7 +205,12 @@ fn stream3_block<const NB: usize>(
         agree
     };
 
-    for oy in 0..oh {
+    for (local, orow) in out.chunks_exact_mut(ow * kf).enumerate() {
+        let (img, oy) = ((row_start + local) / oh, (row_start + local) % oh);
+        // The block's `NB` filters of output pixel `ox`.
+        let store = |orow: &mut [i32], ox: usize, vals: [i32; NB]| {
+            orow[ox * kf + k0..][..NB].copy_from_slice(&vals);
+        };
         // Resolve the three input rows once per output row.
         let mut inb = [false; 3];
         let mut iy = [0usize; 3];
@@ -231,11 +232,9 @@ fn stream3_block<const NB: usize>(
         }
         let corr = 3 * rows_in * tail;
 
-        for ox in 0..x_lo {
-            let agree = edge_pixel(oy, ox);
-            for (j, &acc) in agree.iter().enumerate() {
-                band[j * ohw + oy * ow + ox] = (2 * acc as i32 - total_bits) as f32;
-            }
+        for ox in (0..x_lo).chain(x_hi..ow) {
+            let agree = edge_pixel(img, oy, ox);
+            store(orow, ox, agree.map(|acc| 2 * acc as i32 - total_bits));
         }
         for ox in x_lo..x_hi {
             let ix0 = ox * stride - pad;
@@ -252,15 +251,11 @@ fn stream3_block<const NB: usize>(
                         + (!(a2 ^ wq[j][ky * 3 + 2])).count_ones();
                 }
             }
-            for (j, &acc) in agree.iter().enumerate() {
-                band[j * ohw + oy * ow + ox] = (2 * (acc - corr) as i32 - total_bits) as f32;
-            }
-        }
-        for ox in x_hi..ow {
-            let agree = edge_pixel(oy, ox);
-            for (j, &acc) in agree.iter().enumerate() {
-                band[j * ohw + oy * ow + ox] = (2 * acc as i32 - total_bits) as f32;
-            }
+            store(
+                orow,
+                ox,
+                agree.map(|acc| 2 * (acc - corr) as i32 - total_bits),
+            );
         }
     }
 }
@@ -286,16 +281,26 @@ mod tests {
         t
     }
 
+    /// The whole streaming conv, scattered from its `[pixel][filter]`
+    /// rows to `[N, K, OH, OW]` for comparison with the oracle.
     fn stream_full(
         acts: &PackedActivations,
         kernel: &PackedKernel,
         params: Conv2dParams,
     ) -> crate::tensor::Tensor {
+        let (n, kf) = (acts.batch(), kernel.filters());
         let oh = params.out_dim(acts.height(), 3);
         let ow = params.out_dim(acts.width(), 3);
         let pad_ones = kernel_position_ones(kernel);
-        let mut out = crate::tensor::Tensor::zeros(&[acts.batch(), kernel.filters(), oh, ow]);
-        conv2d_stream_items(acts, kernel, params, &pad_ones, 0, out.data_mut());
+        let mut rows = vec![i32::MIN; n * oh * ow * kf];
+        conv2d_stream_rows(acts, kernel, params, &pad_ones, 0, &mut rows);
+        let mut out = crate::tensor::Tensor::zeros(&[n, kf, oh, ow]);
+        for (pix, row) in rows.chunks_exact(kf).enumerate() {
+            let (img, p) = (pix / (oh * ow), pix % (oh * ow));
+            for (k, &v) in row.iter().enumerate() {
+                out.data_mut()[(img * kf + k) * oh * ow + p] = v as f32;
+            }
+        }
         out
     }
 
@@ -344,21 +349,21 @@ mod tests {
 
     #[test]
     fn band_start_mid_tensor_matches_full_run() {
-        // The band contract: starting mid-tensor writes the same values
-        // the full run puts there (filter block seams land anywhere).
+        // The band contract: starting mid-tensor writes the same rows the
+        // full run puts there (image seams and filter blocks land anywhere).
         let a = random_bits(&[3, 40, 6, 7], 77);
         let k = random_bits(&[6, 40, 3, 3], 78);
         let pa = PackedActivations::pack(&a).unwrap();
         let pk = PackedKernel::pack(&k).unwrap();
         let params = Conv2dParams { stride: 1, pad: 1 };
-        let full = stream_full(&pa, &pk, params);
-        let ohw = 6 * 7;
         let pad_ones = kernel_position_ones(&pk);
+        let row = 7 * 6; // OW pixels × KF filters
+        let mut full = vec![0i32; 3 * 6 * row];
+        conv2d_stream_rows(&pa, &pk, params, &pad_ones, 0, &mut full);
         for start in [1usize, 5, 7, 11, 17] {
-            let items = 3 * 6 - start;
-            let mut band = vec![0f32; items * ohw];
-            conv2d_stream_items(&pa, &pk, params, &pad_ones, start, &mut band);
-            assert_eq!(&band[..], &full.data()[start * ohw..], "start={start}");
+            let mut band = vec![i32::MIN; (3 * 6 - start) * row];
+            conv2d_stream_rows(&pa, &pk, params, &pad_ones, start, &mut band);
+            assert_eq!(&band[..], &full[start * row..], "start={start}");
         }
     }
 

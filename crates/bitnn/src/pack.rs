@@ -424,16 +424,16 @@ impl PackedActivations {
         &self.data
     }
 
-    /// Re-shape this container for `[n, c, h, w]` and zero every word,
-    /// reusing the allocation — the direct-write seat for
-    /// [`crate::layers::RSign::binarize_packed_into`], which assembles
-    /// lane words with single-bit ORs and needs a zeroed start (this also
-    /// preserves the clean-tail invariant: bits at and above `c` in the
-    /// last lane stay zero).
-    pub(crate) fn reset_zeroed(&mut self, n: usize, c: usize, h: usize, w: usize) {
+    /// Re-shape this container for `[n, c, h, w]` reusing the
+    /// allocation, leaving the words unspecified — the seat for
+    /// [`crate::layers::RSign::binarize_nhwc_packed_with`], which stores
+    /// every word whole (tail bits at and above `c` zero).
+    pub(crate) fn reset_for_overwrite(&mut self, n: usize, c: usize, h: usize, w: usize) {
         let lanes = lanes_for(c);
-        self.data.clear();
-        self.data.resize(n * h * w * lanes, 0);
+        if self.data.len() != n * h * w * lanes {
+            self.data.clear();
+            self.data.resize(n * h * w * lanes, 0);
+        }
         self.n = n;
         self.channels = c;
         self.h = h;

@@ -147,6 +147,17 @@ pub(crate) fn avx512() -> bool {
     level() >= SimdLevel::Avx512
 }
 
+/// The `__mmask16` of a 16-lane AVX-512 step with `remaining` values
+/// left: every lane when at least 16 remain, else the low `remaining`.
+#[inline(always)]
+pub(crate) fn lane_mask16(remaining: usize) -> u16 {
+    if remaining >= 16 {
+        u16::MAX
+    } else {
+        (1u16 << remaining) - 1
+    }
+}
+
 /// Where a recorded conv lowering selection came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChoiceSource {

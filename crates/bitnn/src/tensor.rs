@@ -110,6 +110,64 @@ impl Tensor {
         }
     }
 
+    /// Copy this `[n, c, h, w]` tensor into `out` as pixel-major
+    /// `[n, h, w, c]` (the fused plan's activation layout).
+    pub(crate) fn nchw_to_nhwc_into(&self, out: &mut Tensor) {
+        let &[n, c, h, w] = self.shape.as_slice() else {
+            panic!("NCHW → NHWC needs a 4-D tensor, got {:?}", self.shape);
+        };
+        out.reset_for_overwrite(&[n, h, w, c]);
+        let hw = h * w;
+        for (src, dst) in self
+            .data
+            .chunks_exact(c * hw)
+            .zip(out.data.chunks_exact_mut(c * hw))
+        {
+            for (ch, plane) in src.chunks_exact(hw).enumerate() {
+                for (pix, &v) in plane.iter().enumerate() {
+                    dst[pix * c + ch] = v;
+                }
+            }
+        }
+    }
+
+    /// Copy this pixel-major `[n, h, w, c]` tensor into `out` as
+    /// `[n, c, h, w]`.
+    pub(crate) fn nhwc_to_nchw_into(&self, out: &mut Tensor) {
+        let &[n, h, w, c] = self.shape.as_slice() else {
+            panic!("NHWC → NCHW needs a 4-D tensor, got {:?}", self.shape);
+        };
+        out.reset_for_overwrite(&[n, c, h, w]);
+        let hw = h * w;
+        for (src, dst) in self
+            .data
+            .chunks_exact(c * hw)
+            .zip(out.data.chunks_exact_mut(c * hw))
+        {
+            for (pix, row) in src.chunks_exact(c).enumerate() {
+                for (ch, &v) in row.iter().enumerate() {
+                    dst[ch * hw + pix] = v;
+                }
+            }
+        }
+    }
+
+    /// [`Self::nhwc_to_nchw_into`] into a new tensor.
+    #[cfg(test)]
+    pub(crate) fn nhwc_to_nchw(&self) -> Tensor {
+        let mut out = Tensor::default();
+        self.nhwc_to_nchw_into(&mut out);
+        out
+    }
+
+    /// [`Self::nchw_to_nhwc_into`] into a new tensor.
+    #[cfg(test)]
+    pub(crate) fn nchw_to_nhwc(&self) -> Tensor {
+        let mut out = Tensor::default();
+        self.nchw_to_nhwc_into(&mut out);
+        out
+    }
+
     /// Flat index for a 4-D coordinate `(n, c, h, w)`.
     ///
     /// # Panics

@@ -417,3 +417,191 @@ fn streaming_conv_degenerate_geometries_match_oracle() {
         );
     }
 }
+
+/// The fused plan carries pixel-major activations and fuses its conv
+/// epilogues into the conv's parallel chunks, so every chunking must give
+/// the oracle's logits: all three families, threads 1–4 with
+/// `min_work: 0` (every dispatch splits), batches of 1, 2 and 33 (33
+/// crosses the stacked schedule's block of 8 and leaves a ragged tail),
+/// and both pinned conv lowerings.
+#[test]
+fn fused_plan_matches_oracle_across_batches_threads_and_lowerings() {
+    let image = 12;
+    for arch in Arch::ALL {
+        let model = build_model(arch, 0.0625, image, 0xB47C).unwrap();
+        for batch in [1usize, 2, 33] {
+            let inputs = synthetic_batch(batch, 3, image, 0xE91 ^ batch as u64);
+            let expect: Vec<Tensor> = inputs
+                .iter()
+                .map(|x| model.forward_scalar(x).unwrap())
+                .collect();
+            for conv in [ConvMode::Stream, ConvMode::Im2col] {
+                for threads in 1..5 {
+                    let engine = Engine::new(ExecPolicy {
+                        threads,
+                        conv,
+                        min_work: 0,
+                    });
+                    let what = format!("{arch} batch {batch} {conv:?} threads {threads}");
+                    let mut outs = Vec::new();
+                    model
+                        .forward_batch_into(
+                            &inputs,
+                            &engine,
+                            &mut BatchScratch::default(),
+                            &mut outs,
+                        )
+                        .unwrap();
+                    for (i, (y, e)) in outs.iter().zip(&expect).enumerate() {
+                        assert_eq!(y.data(), e.data(), "{what}: item {i} (batch)");
+                    }
+                    let mut y = Tensor::default();
+                    let mut scratch = Scratch::default();
+                    for (i, (x, e)) in inputs.iter().zip(&expect).enumerate().take(2) {
+                        model
+                            .forward_into(x, &engine, &mut scratch, &mut y)
+                            .unwrap();
+                        assert_eq!(y.data(), e.data(), "{what}: item {i} (per item)");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Run a hand-built graph through the fused plan at several thread
+/// counts and batch sizes and compare it with the oracle, shape and bits.
+fn assert_graph_matches_oracle(model: &ModelGraph, channels: usize, image: usize, what: &str) {
+    for batch in [1usize, 3] {
+        let x = Tensor::from_vec(
+            &[batch, channels, image, image],
+            random_floats(batch * channels * image * image, 1.0, batch as u64 ^ 0x0E),
+        )
+        .unwrap();
+        let expect = model.forward_scalar(&x).unwrap();
+        for threads in 1..5 {
+            let engine = Engine::new(ExecPolicy {
+                threads,
+                min_work: 0,
+                ..ExecPolicy::default()
+            });
+            let (mut scratch, mut y) = (Scratch::default(), Tensor::default());
+            for round in 0..2 {
+                model
+                    .forward_into(&x, &engine, &mut scratch, &mut y)
+                    .unwrap();
+                assert_eq!(y.shape(), expect.shape(), "{what}: shape");
+                assert_eq!(
+                    y.data(),
+                    expect.data(),
+                    "{what}: batch {batch} threads {threads} round {round}"
+                );
+            }
+        }
+    }
+}
+
+/// A graph whose output is a 4-D activation: the plan's pixel-major
+/// value must come back as `[N, C, H, W]`, bit for bit. It ends in a
+/// fused stride-2 block (pooled shortcut) behind a fused channel block.
+#[test]
+fn four_d_graph_output_comes_back_nchw() {
+    let c = 8;
+    let stem_w = Tensor::from_vec(&[c, 3, 3, 3], random_floats(c * 27, 1.0, 1)).unwrap();
+    let mut b = GraphBuilder::new("map-out", 3, 9);
+    let stem = b.push(
+        "stem",
+        NodeOp::StemConv(QuantConv2d::from_float(
+            &stem_w,
+            Conv2dParams { stride: 1, pad: 1 },
+        )),
+        &[0],
+    );
+    let block = |b: &mut GraphBuilder, x: usize, stride: usize, tag: &str| {
+        let sign = b.push(
+            format!("sign{tag}"),
+            NodeOp::Sign(RSign::new(random_floats(c, 0.3, 2))),
+            &[x],
+        );
+        let conv = b.push(
+            format!("conv{tag}"),
+            NodeOp::BinConv(BinConv2d::new(
+                random_kernel(&[c, c, 3, 3], 3 + stride as u64),
+                Conv2dParams { stride, pad: 1 },
+            )),
+            &[sign],
+        );
+        let bn = b.push(
+            format!("bn{tag}"),
+            NodeOp::BatchNorm(BatchNorm::new(
+                random_floats(c, 1.0, 4),
+                random_floats(c, 0.5, 5),
+                random_floats(c, 0.5, 6),
+                vec![1.0; c],
+                1e-5,
+            )),
+            &[conv],
+        );
+        let short = if stride == 2 {
+            b.push(format!("pool{tag}"), NodeOp::AvgPool2x2, &[x])
+        } else {
+            x
+        };
+        let add = b.push(format!("add{tag}"), NodeOp::Add, &[bn, short]);
+        let act = RPReLU::new(
+            random_floats(c, 0.2, 7),
+            random_floats(c, 0.5, 8),
+            random_floats(c, 0.2, 9),
+        );
+        b.push(format!("act{tag}"), NodeOp::Act(act), &[add])
+    };
+    let x = block(&mut b, stem, 1, "a");
+    block(&mut b, x, 2, "b");
+    let model = b.finish().unwrap();
+    assert_graph_matches_oracle(&model, 3, 9, "4-D output");
+}
+
+/// A graph whose input feeds a sign directly (and an add), so the plan
+/// converts the NCHW input to its pixel-major layout once, while the stem
+/// beside it still reads the NCHW input itself.
+#[test]
+fn graph_input_feeding_a_sign_is_converted_once() {
+    let c = 5;
+    let mut b = GraphBuilder::new("input-sign", c, 7);
+    let stem_w = Tensor::from_vec(&[c, c, 3, 3], random_floats(c * c * 9, 1.0, 11)).unwrap();
+    let stem = b.push(
+        "stem",
+        NodeOp::StemConv(QuantConv2d::from_float(
+            &stem_w,
+            Conv2dParams { stride: 1, pad: 1 },
+        )),
+        &[0],
+    );
+    let mixed = b.push("mix", NodeOp::Add, &[stem, 0]);
+    let sign = b.push(
+        "sign",
+        NodeOp::Sign(RSign::new(random_floats(c, 0.3, 12))),
+        &[0],
+    );
+    let conv = b.push(
+        "conv",
+        NodeOp::BinConv(BinConv2d::new(
+            random_kernel(&[c, c, 3, 3], 13),
+            Conv2dParams { stride: 1, pad: 1 },
+        )),
+        &[sign],
+    );
+    let sum = b.push("sum", NodeOp::Add, &[conv, mixed]);
+    let gap = b.push("gap", NodeOp::GlobalAvgPool, &[sum]);
+    b.push(
+        "fc",
+        NodeOp::Classifier(QuantLinear::from_float(
+            &random_floats(4 * c, 0.5, 14),
+            4,
+            c,
+        )),
+        &[gap],
+    );
+    let model = b.finish().unwrap();
+    assert_graph_matches_oracle(&model, c, 7, "input feeds a sign");
+}
