@@ -5,6 +5,11 @@
 //! thread, identity shortcut, at the `edge` widths (batch 1, 16×16×64 →
 //! 1×1×1024) and the `batch` widths (batch 32, 16×16×8, 8×8×32,
 //! 2×2×128). Runs at the effective `BITNN_SIMD` level.
+//!
+//! `sign` times the sign+pack alone, per value, at every channel count
+//! the models use (batch 32, at the map size each width has in the
+//! `batch` model, 1×1 for C = 1024), unframed (`b0`) and with the
+//! one-pixel zero frame a padded 3×3 conv reads (`b1`).
 
 use bitnn::backend::fused_epilogue_into;
 use bitnn::layers::{BatchNorm, RPReLU, RSign};
@@ -58,7 +63,7 @@ fn bench_epilogue(c: &mut Criterion) {
             |b, _| {
                 b.iter(|| {
                     fused_epilogue_into(black_box(&rows), &bn, &act, &shortcut, &mut out).unwrap();
-                    sign.binarize_nhwc_packed_with(&out, &engine, &mut packed);
+                    sign.binarize_nhwc_packed_with(&out, 0, &engine, &mut packed);
                     black_box(&packed);
                 })
             },
@@ -67,5 +72,38 @@ fn bench_epilogue(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_epilogue);
+fn bench_sign(c: &mut Criterion) {
+    let mut g = c.benchmark_group("sign");
+    let engine = Engine::single_threaded();
+    for (side, ch) in [
+        (16usize, 8usize),
+        (16, 16),
+        (8, 32),
+        (8, 64),
+        (4, 128),
+        (2, 256),
+        (1, 1024),
+    ] {
+        let len = 32 * side * side * ch;
+        let x = Tensor::from_vec(&[32, side, side, ch], random_floats(len, 1.0, 11)).unwrap();
+        let sign = RSign::new(random_floats(ch, 0.3, 12));
+        let mut packed = PackedActivations::default();
+        g.throughput(Throughput::Elements(len as u64));
+        for border in [0usize, 1] {
+            g.bench_with_input(
+                BenchmarkId::new(format!("b{border}"), format!("{side}x{side}x{ch}")),
+                &len,
+                |b, _| {
+                    b.iter(|| {
+                        sign.binarize_nhwc_packed_with(black_box(&x), border, &engine, &mut packed);
+                        black_box(&packed);
+                    })
+                },
+            );
+        }
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_epilogue, bench_sign);
 criterion_main!(benches);

@@ -6,11 +6,9 @@
 //! 1. **GEMM** — `gemm_binary_naive` (seed scalar) vs the 8-filter panel
 //!    kernel vs the parallel [`Engine`] across the thread ladder.
 //! 2. **Conv 3×3** — `conv2d_binary` (seed direct scalar) vs the engine's
-//!    conv modes (im2col / streaming / auto) and thread counts.
-//!    The `engine` ladder rows are labeled with the lowering the conv
-//!    autotuner actually chose for the geometry, and the pinned
-//!    `engine_stream` row feeds the enforced `conv_stream_1t_speedup`
-//!    criterion.
+//!    one conv kernel (the tap-addressed panel GEMM) across the thread
+//!    ladder; its 1-thread row feeds the enforced
+//!    `conv_engine_1t_speedup` criterion.
 //! 3. **End-to-end** — the tiny ReActNet forward over a batch: the graph's
 //!    `forward_scalar` per image vs `forward_batch` across the ladder.
 //! 4. **Compressed e2e** — deploy a wide graph-IR ReActNet container
@@ -62,12 +60,19 @@
 //! scheduler drift as a phantom thread-scaling difference. On a host with
 //! at least 8 cores every ladder entry is a genuine measurement.
 //! Results are printed as a table and written to
-//! `BENCH_perf.json` (schema `bnnkc-perfsuite/v7`; override the path with
+//! `BENCH_perf.json` (schema `bnnkc-perfsuite/v8`; override the path with
 //! `--out PATH`), then the file is re-read through [`bench::perfjson`] and
 //! structurally validated, so CI's `--smoke` run proves the tracked
 //! artifact stays parseable.
 //!
-//! `bnnkc-perfsuite/v7` drops the top-level `gemm_selection` array: the
+//! `bnnkc-perfsuite/v8` drops the top-level `conv_selection` array and
+//! the conv section's `engine_im2col` and `engine_stream` rows: every
+//! conv runs one kernel (`<level>/tap-panel8`), so there is no lowering
+//! to choose or record. `conv_stream_1t_speedup` is replaced by the
+//! enforced `conv_engine_1t_speedup` (the one kernel against the seed's
+//! direct conv on the same 28×28/c64/k64 geometry).
+//!
+//! `bnnkc-perfsuite/v8` drops the top-level `gemm_selection` array: the
 //! binary GEMM has one kernel, so there is no per-shape-class choice to
 //! record. GEMM entries are labeled `<level>/gemm-panel8` (the 8-filter
 //! weight-panel kernel of `bitnn::ops::gemm`).
@@ -109,13 +114,15 @@
 
 use bench::{arg_flag, arg_u64, perfjson, TablePrinter};
 use bitnn::engine::Engine;
-use bitnn::exec::{ConvMode, ExecPolicy};
+use bitnn::exec::ExecPolicy;
 use bitnn::graph::arch::{attach_weights, build_model, Arch};
 use bitnn::graph::arch::{build_spec, sample_conv3_kernels};
 use bitnn::infer::synthetic_batch;
 use bitnn::model::ReActNetConfig;
 use bitnn::ops::conv::{conv2d_binary, Conv2dParams};
-use bitnn::ops::gemm::{gemm_binary, gemm_binary_naive, gemm_kernel_name, PackedMatrix};
+use bitnn::ops::gemm::{
+    conv_kernel_name, gemm_binary, gemm_binary_naive, gemm_kernel_name, PackedMatrix,
+};
 use bitnn::pack::{PackedActivations, PackedKernel};
 use bitnn::simd;
 use bitnn::tensor::{BitTensor, Tensor};
@@ -153,6 +160,13 @@ const INTEGRITY_FLOOR: f64 = 1.0 / 1.10;
 /// drift between full runs.
 const E2E_1T_FLOOR: f64 = 5.9;
 
+/// Floor for the enforced 1-thread conv criterion: the seed's direct
+/// conv over the one conv kernel on the 28×28/c64/k64 geometry. It is
+/// the speedup the im2col lowering (blit, then the panel GEMM) reached
+/// over the same baseline before the tap-addressed kernel replaced it:
+/// the median of three full runs on a 2-vCPU AVX-512 host.
+const CONV_1T_FLOOR: f64 = 32.1;
+
 /// Ceiling for the enforced serving tail criterion: at the top client
 /// concurrency, coalescing may stretch p99 latency to at most this
 /// multiple of p50. Closed-loop queueing on a saturated host already
@@ -183,31 +197,6 @@ struct Entry {
 /// fused plan (mixed conv/GEMM/fusion kernels under one SIMD level).
 fn fused_graph_kernel() -> String {
     format!("{}/fused-graph", simd::level())
-}
-
-/// Kernel label for the streaming shifted-window direct lowering.
-fn stream_conv_kernel() -> String {
-    format!("{}/conv-stream", simd::level())
-}
-
-/// Kernel label for the lowering the conv autotuner *actually chose* for
-/// a benched stride-1 pad-1 3×3 geometry (v6: the `engine` rows name the
-/// path that ran, not a static guess). Falls back to the im2col label
-/// when no decision has been recorded yet.
-fn chosen_conv_kernel(c: usize, hw: usize, kf: usize) -> String {
-    let choice = simd::conv_choices().into_iter().find(|ch| {
-        ch.source == simd::ChoiceSource::Autotuned
-            && ch.geom.channels == c
-            && ch.geom.filters == kf
-            && ch.geom.h == hw
-            && ch.geom.w == hw
-            && ch.geom.stride == 1
-            && ch.geom.pad == 1
-    });
-    match choice.map(|ch| ch.lowering) {
-        Some(simd::ConvLowering::Stream) => stream_conv_kernel(),
-        Some(simd::ConvLowering::Im2col) | None => gemm_kernel_name(),
-    }
 }
 
 /// Sequence-skew statistics of a deployed container (schema v4): the
@@ -342,19 +331,9 @@ fn random_bools(n: usize, seed: u64) -> Vec<bool> {
         .collect()
 }
 
-/// An engine with `threads` workers under a pinned conv mode.
-fn engine_with(threads: usize, conv: ConvMode) -> Engine {
-    Engine::new(ExecPolicy {
-        threads,
-        conv,
-        ..Default::default()
-    })
-}
-
-/// An autotuning engine, pinned so the tracked entries name the path
-/// they ran under regardless of any ambient BITNN_CONV override.
+/// An engine with `threads` workers.
 fn engine(threads: usize) -> Engine {
-    engine_with(threads, ConvMode::Auto)
+    Engine::with_threads(threads)
 }
 
 fn bench_gemm(smoke: bool, seed: u64, ladder: &[usize]) -> Section {
@@ -439,35 +418,8 @@ fn bench_conv(smoke: bool, seed: u64, ladder: &[usize]) -> Section {
             );
         })
     };
-    entries.push(Entry {
-        name: "engine_im2col",
-        threads: 1,
-        ns: measure("engine_im2col", &engine_with(1, ConvMode::Im2col)),
-        backend: "cpu",
-        kernel: gemm_kernel_name(),
-    });
-    // v6: the streaming shifted-window lowering, pinned via
-    // `ConvMode::Stream` — the enforced `conv_stream_1t_speedup`
-    // criterion compares this row against `engine_im2col`.
-    entries.push(Entry {
-        name: "engine_stream",
-        threads: 1,
-        ns: measure("engine_stream", &engine_with(1, ConvMode::Stream)),
-        backend: "cpu",
-        kernel: stream_conv_kernel(),
-    });
-    // Tune the auto decision before the ladder is timed so every
-    // `engine` row is labeled with the lowering that actually ran.
-    {
-        let eng = engine(1);
-        let mut scratch = bitnn::engine::ConvScratch::default();
-        let _ = eng
-            .conv2d(&acts, (&kernel).into(), params, &mut scratch)
-            .unwrap();
-    }
-    let auto_kernel = chosen_conv_kernel(c, hw, kf);
     for &t in ladder {
-        let entry = entry_reusing(&entries, "engine", t, auto_kernel.clone(), || {
+        let entry = entry_reusing(&entries, "engine", t, conv_kernel_name(), || {
             measure("engine", &engine(t))
         });
         entries.push(entry);
@@ -828,27 +780,19 @@ fn bench_parallel_scaling(smoke: bool, seed: u64, ladder: &[usize]) -> Section {
             .conv2d(&acts, (&kernel).into(), params, &mut scratch)
             .unwrap();
         assert_eq!(got.data(), conv_expect.data(), "conv @ {t}t");
-        let entry = entry_reusing(
-            &entries,
-            "conv3x3",
-            t,
-            // The oracle dispatch above already tuned this geometry, so
-            // the label names the lowering the timed runs actually use.
-            chosen_conv_kernel(cc, chw, ckf),
-            || {
-                time_ns(citers, || {
-                    black_box(
-                        eng.conv2d(
-                            black_box(&acts),
-                            black_box(&kernel).into(),
-                            params,
-                            &mut scratch,
-                        )
-                        .unwrap(),
-                    );
-                })
-            },
-        );
+        let entry = entry_reusing(&entries, "conv3x3", t, conv_kernel_name(), || {
+            time_ns(citers, || {
+                black_box(
+                    eng.conv2d(
+                        black_box(&acts),
+                        black_box(&kernel).into(),
+                        params,
+                        &mut scratch,
+                    )
+                    .unwrap(),
+                );
+            })
+        });
         entries.push(entry);
 
         let got = model.forward_batch(&inputs, &eng).expect("batch forward");
@@ -989,12 +933,7 @@ fn bench_serving(smoke: bool, seed: u64) -> Section {
     // Both configurations must serve bit-exact logits before timing.
     let mk_server = |max_batch: usize| {
         let server = Server::new(ServeConfig {
-            // Conv lowering pinned to the autotuner so an ambient
-            // `BITNN_CONV` can't skew the tracked serving numbers.
-            policy: ExecPolicy {
-                conv: ConvMode::Auto,
-                ..Default::default()
-            },
+            policy: ExecPolicy::default(),
             max_batch,
             seed,
             image,
@@ -1119,14 +1058,13 @@ fn criteria(sections: &[Section], smoke: bool) -> Vec<Criterion> {
             measured: gemm.baseline_ns / gemm.entry_ns("engine", 1),
             enforced: !smoke,
         },
-        // Enforced: the streaming shifted-window lowering must at least
-        // match im2col on the gated 28×28/c64→k64 geometry — the shape
-        // the conv autotuner's default decision is anchored on. Smoke
-        // conv shapes are too small for the window reuse to show.
+        // Enforced: the one conv kernel against the seed's direct conv
+        // on the gated 28×28/c64→k64 geometry, full runs only (smoke
+        // shapes are dispatch-bound).
         Criterion {
-            name: "conv_stream_1t_speedup",
-            target: 1.0,
-            measured: conv.entry_ns("engine_im2col", 1) / conv.entry_ns("engine_stream", 1),
+            name: "conv_engine_1t_speedup",
+            target: CONV_1T_FLOOR,
+            measured: conv.baseline_ns / conv.entry_ns("engine", 1),
             enforced: !smoke,
         },
         // Best-ladder engine batch forward vs the scalar walk.
@@ -1232,7 +1170,7 @@ fn criteria(sections: &[Section], smoke: bool) -> Vec<Criterion> {
 fn emit_json(sections: &[Section], crits: &[Criterion], mode: &str, out_path: &str) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str("  \"schema\": \"bnnkc-perfsuite/v7\",\n");
+    s.push_str("  \"schema\": \"bnnkc-perfsuite/v8\",\n");
     s.push_str(&format!("  \"mode\": \"{}\",\n", perfjson::escape(mode)));
     s.push_str(&format!(
         "  \"threads_available\": {},\n",
@@ -1243,30 +1181,6 @@ fn emit_json(sections: &[Section], crits: &[Criterion], mode: &str, out_path: &s
         "  \"simd_level\": \"{}\",\n",
         perfjson::escape(simd::level().name())
     ));
-    // v6: the conv autotuner's per-geometry lowering decisions made
-    // while the sections above ran (the conv section tunes the gated
-    // geometry before its ladder, so this is never empty).
-    s.push_str("  \"conv_selection\": [\n");
-    let conv_choices = simd::conv_choices();
-    for (i, ch) in conv_choices.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"channels\": {}, \"filters\": {}, \"h\": {}, \"w\": {}, \"stride\": {}, \"pad\": {}, \"lowering\": \"{}\", \"source\": \"{}\"}}{}\n",
-            ch.geom.channels,
-            ch.geom.filters,
-            ch.geom.h,
-            ch.geom.w,
-            ch.geom.stride,
-            ch.geom.pad,
-            perfjson::escape(ch.lowering.name()),
-            if ch.source == simd::ChoiceSource::Forced {
-                "forced"
-            } else {
-                "autotuned"
-            },
-            if i + 1 == conv_choices.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ],\n");
     s.push_str("  \"sections\": [\n");
     for (i, sec) in sections.iter().enumerate() {
         s.push_str("    {\n");
@@ -1337,7 +1251,7 @@ fn emit_json(sections: &[Section], crits: &[Criterion], mode: &str, out_path: &s
 
 /// Structural validation of the emitted document (CI's `--smoke` gate).
 fn validate(doc: &perfjson::Value) -> Result<(), String> {
-    if doc.get("schema").and_then(|v| v.as_str()) != Some("bnnkc-perfsuite/v7") {
+    if doc.get("schema").and_then(|v| v.as_str()) != Some("bnnkc-perfsuite/v8") {
         return Err("missing or wrong schema tag".into());
     }
     if doc
@@ -1347,21 +1261,9 @@ fn validate(doc: &perfjson::Value) -> Result<(), String> {
     {
         return Err("missing simd_level".into());
     }
-    // v6: the conv autotuner's lowering decisions must be recorded, and
-    // the conv section's pinned `engine_stream` run guarantees at least
-    // the gated geometry appears.
-    let conv_selection = doc
-        .get("conv_selection")
-        .and_then(|v| v.as_arr())
-        .ok_or("conv_selection must be an array (v6)")?;
-    if conv_selection.is_empty() {
-        return Err("conv_selection must record at least one geometry".into());
-    }
-    for ch in conv_selection {
-        let lowering = ch.get("lowering").and_then(|v| v.as_str()).unwrap_or("");
-        if !matches!(lowering, "stream" | "im2col") {
-            return Err(format!("conv_selection: bad lowering {lowering:?}"));
-        }
+    // v8: no conv lowering is chosen, so none is recorded.
+    if doc.get("conv_selection").is_some() {
+        return Err("conv_selection was dropped in v8".into());
     }
     let sections = doc
         .get("sections")
@@ -1556,7 +1458,7 @@ fn main() {
         eprintln!("FAIL: emitted {out_path} is malformed: {e}");
         std::process::exit(1);
     }
-    println!("wrote {out_path} (validated, schema bnnkc-perfsuite/v7)");
+    println!("wrote {out_path} (validated, schema bnnkc-perfsuite/v8)");
 
     let mut failed = false;
     for c in &crits {

@@ -8,7 +8,7 @@
 
 use super::layer;
 use super::stages::{add_into, channel_dup_nhwc_into, epilogue_rows, Epilogue, Residual};
-use crate::engine::{CpuScratch, Engine};
+use crate::engine::{conv_border, CpuScratch, Engine};
 use crate::error::{BitnnError, Result};
 use crate::graph::{GraphNode, NodeOp, Step};
 use crate::layers::{avg_pool_2x2_nhwc_into, global_avg_pool_nhwc_into};
@@ -124,7 +124,8 @@ pub(crate) fn run_step(
 }
 
 /// The `sign → binary conv → epilogue` body of every conv-bearing step:
-/// the sign packs `x`'s pixel rows into `s.packed`, the conv computes its
+/// the sign packs `x`'s pixel rows into `s.packed` (zero-bordered as far
+/// as the conv's live taps reach), the conv computes its
 /// `[pixel][filter]` rows, and the epilogue `epilogue(geom)` builds for
 /// the output geometry `(n, oh, ow, filters)` turns each band of them
 /// into `dst`'s rows inside the conv's parallel chunk.
@@ -141,8 +142,11 @@ fn conv_step<'a>(
 ) -> Result<()> {
     let sg = layer!(nodes, sign, NodeOp::Sign);
     let cv = layer!(nodes, conv, NodeOp::BinConv);
-    sg.binarize_nhwc_packed_with(x, engine, &mut s.packed);
     let ((kh, kw), params) = (cv.kernel_size(), cv.params());
+    // The packed rows carry the zero border the conv's live taps reach
+    // into, so it reads every window in place.
+    let border = conv_border(x.shape()[1], x.shape()[2], kh, kw, params);
+    sg.binarize_nhwc_packed_with(x, border, engine, &mut s.packed);
     let geom = (
         s.packed.batch(),
         params.out_dim(s.packed.height(), kh),
@@ -153,7 +157,7 @@ fn conv_step<'a>(
     dst.reset_for_overwrite(&[geom.0, geom.1, geom.2, geom.3]);
     engine.conv2d_rows(
         &s.packed,
-        cv.forms_for(engine),
+        cv.forms(),
         params,
         &mut s.conv,
         dst.data_mut(),

@@ -21,7 +21,7 @@
 //! integer, and the float stages apply the same per-element operations
 //! in the same order. The conformance suite
 //! (`tests/backend_conformance.rs`) enforces this across random graphs,
-//! shapes, conv lowerings and thread counts.
+//! shapes, conv geometries and thread counts.
 
 pub(crate) mod cpu;
 pub(crate) mod scalar;

@@ -108,8 +108,8 @@ pub fn xnor_popcount_slice(a: &[u64], b: &[u64]) -> u32 {
 /// OR the low `nbits` bits of `src` into `dst`, starting at bit offset
 /// `off` of `dst`.
 ///
-/// This is the word-at-a-time bit blit used by the im2col lowering and the
-/// kernel flattener: an unaligned copy of a packed bit run without touching
+/// This is the word-at-a-time bit blit used by the reference im2col
+/// lowering and kernel flattener: an unaligned copy of a packed bit run without touching
 /// individual bits. Bits of `src` beyond `nbits` must be zero (the packed
 /// containers guarantee clean tails), and the destination range must
 /// already be zero or the result is the OR of both.

@@ -19,16 +19,18 @@
 //!   count is additionally clamped to the hardware parallelism, so asking
 //!   for 8 threads on a 1-core host degrades to the inline path instead of
 //!   oversubscribing.
-//! * **Shape-dependent lowering** — a 3×3 layer over at most 64 channels
-//!   (one lane word per pixel) runs either the im2col-free streaming
-//!   convolution or the im2col-lowered GEMM, picked per geometry by
-//!   [`ExecPolicy::conv`] (autotuned on first dispatch unless
-//!   `BITNN_CONV` pins one). Wider 3×3 layers always run im2col: the
-//!   streaming kernel only exists for one lane word. 1×1 stride-1 pad-0
-//!   convolutions skip lowering entirely: the channel-packed activations
-//!   already *are* the GEMM operand. Every other kernel shape is
-//!   im2col-lowered.
-//! * **Pixel-major output rows** — every lowering writes the same
+//! * **One conv kernel** — every convolution, whatever its kernel size,
+//!   stride and padding, is the panel GEMM reading its `A` rows straight
+//!   out of the packed activations through a tap-offset table (see
+//!   [`crate::ops::gemm`]). The activations carry a zero border as wide
+//!   as the padding (the conv step's sign+pack writes it), so a window
+//!   over the padding reads `−1` words with no branch and nothing is
+//!   copied first. A tap that every output pixel reads from the border
+//!   is dead: it is left out of the weight panels, and its ones fold
+//!   into a per-filter constant — a 3×3 conv over a 1×1 map reads its
+//!   centre tap only. A 1×1 stride-1 conv is the one-tap case, the GEMM
+//!   over contiguous pixel rows.
+//! * **Pixel-major output rows** — the conv kernel writes
 //!   `[pixel][filter]` `i32` rows. The graph executor's conv entry
 //!   (`Engine::conv2d_rows`) runs a caller-supplied epilogue on each
 //!   band of rows inside the same parallel chunk that produced it, so
@@ -36,7 +38,7 @@
 //!   next layer's pixel-major (`[n, h, w, c]`) `f32` activations. Only
 //!   the public NCHW [`Engine::conv2d_into`] scatters the rows into
 //!   `[N, K, OH, OW]`.
-//! * **Scratch-buffer reuse** — the im2col matrix, the `i32` output rows,
+//! * **Scratch-buffer reuse** — the tap tables, the `i32` output rows,
 //!   and the packed activations live in a
 //!   [`Scratch`] that the model's forward pass threads through every
 //!   layer, so steady-state inference stops allocating per layer.
@@ -48,16 +50,15 @@
 //! counts.
 
 use crate::error::{BitnnError, Result};
-use crate::exec::{ConvMode, ExecPolicy};
-use crate::ops::conv::{kernel_position_ones, Conv2dParams};
-use crate::ops::gemm::{gemm_panels_into, BinaryPanels, PackedMatrix};
-use crate::ops::im2col::im2col_rows;
-use crate::ops::streamconv::conv2d_stream_rows;
+use crate::exec::ExecPolicy;
+use crate::ops::conv::Conv2dParams;
+use crate::ops::gemm::{gemm_panels_at, gemm_panels_into};
+use crate::ops::gemm::{BinaryPanels, PackedMatrix, TapRows};
 use crate::pack::{PackedActivations, PackedKernel};
 use crate::pool::WorkerPool;
-use crate::simd::{conv_choice_cached, record_conv_choice, record_forced_conv};
-use crate::simd::{ConvChoice, ConvGeom, ConvLowering};
+use crate::simd::{self, SimdLevel};
 use crate::tensor::Tensor;
+use std::sync::OnceLock;
 
 /// Set a buffer's length without zero-filling retained elements — for
 /// outputs whose every element is written before being read.
@@ -75,61 +76,48 @@ const CHUNKS_PER_THREAD: usize = 4;
 
 /// Borrowed kernel representations for [`Engine::conv2d`].
 ///
-/// The channel-packed form is always required; the GEMM weight panels and
-/// the per-position ones counts (padding closed form) are optional cached
-/// accelerations that layers build once, on their first forward (see
-/// [`crate::layers::BinConv2d::forms`]). Forms that are absent are built
-/// on the fly by the lowering that needs them.
+/// The channel-packed form is always required. `panels` is an optional
+/// cache for the GEMM weight panels: the first conv through it fills it
+/// with panels for that conv's live taps, and later convs with the same
+/// live taps reuse them — a layer of a graph always sees the same input
+/// geometry (see [`crate::layers::BinConv2d::forms`]). Without a cache,
+/// or when the live taps differ from the cached ones, the panels are
+/// built on the fly.
 #[derive(Debug, Clone, Copy)]
 pub struct KernelForms<'a> {
     /// Channel-packed kernel.
     pub packed: &'a PackedKernel,
-    /// Cached GEMM weight panels in im2col order
-    /// ([`BinaryPanels::from_kernel`]), used by the GEMM lowerings.
-    pub panels: Option<&'a BinaryPanels>,
-    /// Cached per-filter, per-position ones counts, used by the streaming
-    /// lowering's `-1`-padding closed form.
-    pub pad_ones: Option<&'a [u32]>,
+    /// Lazily filled GEMM weight panels over the live taps
+    /// ([`BinaryPanels::from_kernel_taps`]).
+    pub panels: Option<&'a OnceLock<BinaryPanels>>,
 }
 
 impl<'a> From<&'a PackedKernel> for KernelForms<'a> {
-    /// A bare packed kernel with no cached forms.
+    /// A bare packed kernel with no panel cache.
     fn from(packed: &'a PackedKernel) -> Self {
         KernelForms {
             packed,
             panels: None,
-            pad_ones: None,
         }
     }
 }
 
-/// Reusable buffers for the engine's own lowering steps.
+/// Reusable buffers for the engine's conv kernel.
 ///
 /// Owned by [`Scratch`]; split out so a caller can hold `&PackedActivations`
 /// from one scratch field while the engine mutates these.
 #[derive(Debug, Clone, Default)]
 pub struct ConvScratch {
-    /// The im2col-lowered activation matrix.
-    pub(crate) im2col: PackedMatrix,
+    /// The live kernel taps of the current conv.
+    taps: Vec<u32>,
+    /// Their word offsets from a window's top-left word.
+    toff: Vec<u32>,
+    /// A bordered copy of activations whose own border is narrower than
+    /// the conv's padding (the public [`Engine::conv2d_into`] path).
+    bordered: PackedActivations,
     /// The conv's `[pixel][filter]` `i32` output rows, which the
     /// epilogue (or the public NCHW wrapper's scatter) reads.
     pub(crate) flat: Vec<i32>,
-}
-
-/// The concrete execution path [`Engine::conv2d_into`] picks for a dense
-/// convolution under a given policy and geometry. Exposed so layers can
-/// pre-materialize exactly the cached [`KernelForms`] the path will read
-/// (and nothing else) — see [`crate::layers::BinConv2d`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConvPath {
-    /// 1×1 stride-1 pad-0 GEMM directly over the packed activations;
-    /// wants the weight `panels`.
-    PointwiseGemm,
-    /// im2col lowering + GEMM; wants the weight `panels`.
-    Im2col,
-    /// Im2col-free streaming shifted-window convolution
-    /// ([`crate::ops::streamconv`]); wants `pad_ones`, allocates nothing.
-    Stream,
 }
 
 /// The CPU step kernels' staging buffers — everything a step of the
@@ -139,7 +127,7 @@ pub enum ConvPath {
 /// own it inside a [`Scratch`].
 #[derive(Debug, Clone, Default)]
 pub struct CpuScratch {
-    /// Engine-internal lowering buffers.
+    /// The conv kernel's buffers.
     pub(crate) conv: ConvScratch,
     /// Channel-packed binarized activations.
     pub(crate) packed: PackedActivations,
@@ -157,7 +145,7 @@ pub struct CpuScratch {
 /// one struct.
 #[derive(Debug, Clone, Default)]
 pub struct Scratch {
-    /// Step-kernel staging buffers (lowering, binarization, packing,
+    /// Step-kernel staging buffers (tap tables, binarization, packing,
     /// quantized ends).
     pub(crate) cpu: CpuScratch,
     /// The graph executor's activation arena: one reusable tensor per
@@ -196,7 +184,7 @@ impl Engine {
         Engine::new(ExecPolicy::single_threaded())
     }
 
-    /// Engine with `threads` workers and automatic lowering.
+    /// Engine with `threads` workers.
     ///
     /// # Panics
     ///
@@ -272,10 +260,11 @@ impl Engine {
             });
         }
         resize_unfilled(out, a.rows() * b.rows());
-        let (aw, panels) = (a.words(), BinaryPanels::from_matrix(b));
+        let panels = BinaryPanels::from_matrix(b);
+        let rows = TapRows::contiguous(a.words(), a.lanes());
         let work = (a.rows() * b.rows() * a.lanes()) as u64;
         self.parallel_chunks(&mut out[..], b.rows(), 8, work, |first, band| {
-            gemm_panels_into(aw, &panels, first, band);
+            gemm_panels_into(&rows, &panels, first, band);
         });
         Ok(())
     }
@@ -284,9 +273,10 @@ impl Engine {
     /// `[N, K, OH, OW]` tensor as [`crate::ops::conv::conv2d_binary`]
     /// bit-for-bit.
     ///
-    /// `kernel` carries the packed kernel plus whatever cached forms the
-    /// caller has (`KernelForms::from(&packed)` for none); missing forms
-    /// are built on the fly by the lowering that needs them.
+    /// `kernel` carries the packed kernel plus the caller's panel cache,
+    /// if any (`KernelForms::from(&packed)` for none). Activations with a
+    /// border narrower than the padding are first copied into a bordered
+    /// buffer of `scratch`.
     ///
     /// # Errors
     ///
@@ -343,7 +333,9 @@ impl Engine {
     /// rows, dst_rows)` runs on every band of them inside the parallel
     /// chunk that computed it. `dst` holds `KF` values per output pixel
     /// (the band handed to the epilogue is the matching slice) or is
-    /// empty, in which case the epilogue gets empty bands.
+    /// empty, in which case the epilogue gets empty bands. The conv
+    /// step's activations already carry a border as wide as the padding;
+    /// narrower ones are copied into a bordered buffer first.
     ///
     /// # Errors
     ///
@@ -361,6 +353,67 @@ impl Engine {
     where
         E: Fn(usize, &[i32], &mut [f32]) + Sync,
     {
+        let run = TapRun {
+            pool: WorkerPool::global(),
+            threads: &|work| self.policy.effective_threads(work),
+            level: simd::level(),
+        };
+        run.conv(acts, kernel, params, scratch, dst, &epilogue)
+    }
+}
+
+/// The one conv kernel's `[pixel][filter]` `i32` rows at an explicit
+/// dispatch `level` (clamped to what the CPU has), split across
+/// `threads` threads of a private 3-worker pool with no inline
+/// threshold — the conformance sweep's hook into each SIMD body and a
+/// multi-worker chunking on any host.
+///
+/// # Errors
+///
+/// Returns [`BitnnError::DimMismatch`] when the channel counts disagree.
+pub fn conv2d_rows_at(
+    level: SimdLevel,
+    threads: usize,
+    acts: &PackedActivations,
+    kernel: KernelForms<'_>,
+    params: Conv2dParams,
+) -> Result<Vec<i32>> {
+    static POOL: OnceLock<WorkerPool> = OnceLock::new();
+    let run = TapRun {
+        pool: POOL.get_or_init(|| WorkerPool::with_workers(3, 4)),
+        threads: &|_| threads.clamp(1, 4),
+        level,
+    };
+    let mut scratch = ConvScratch::default();
+    run.conv(acts, kernel, params, &mut scratch, &mut [], &|_, _, _| {})?;
+    Ok(scratch.flat)
+}
+
+/// Where and how the conv kernel runs: the pool its chunks go to, the
+/// thread count for a dispatch of a given work estimate, and the SIMD
+/// level of its GEMM body.
+struct TapRun<'a> {
+    pool: &'a WorkerPool,
+    threads: &'a (dyn Fn(u64) -> usize + Sync),
+    level: SimdLevel,
+}
+
+impl TapRun<'_> {
+    /// Check the channels, border the activations if their border is
+    /// narrower than the conv reads ([`conv_border`]), and run
+    /// [`TapRun::taps`].
+    fn conv<E>(
+        &self,
+        acts: &PackedActivations,
+        kernel: KernelForms<'_>,
+        params: Conv2dParams,
+        scratch: &mut ConvScratch,
+        dst: &mut [f32],
+        epilogue: &E,
+    ) -> Result<()>
+    where
+        E: Fn(usize, &[i32], &mut [f32]) + Sync,
+    {
         let packed = kernel.packed;
         if acts.channels() != packed.channels() {
             return Err(BitnnError::DimMismatch {
@@ -369,104 +422,27 @@ impl Engine {
                 rhs: vec![packed.channels()],
             });
         }
-        let (kh, kw) = (packed.kh(), packed.kw());
-        let path = match self.conv_path(kh, kw, acts.channels(), params) {
-            Some(p) => {
-                // A streamable geometry only gets a fixed path from a
-                // pinned `ConvMode`; that decision is recorded (reporting
-                // only) so `bnnkc features` and the perfsuite can label
-                // what actually ran.
-                if streamable(kh, kw, acts.channels()) {
-                    let lowering = match p {
-                        ConvPath::Stream => ConvLowering::Stream,
-                        _ => ConvLowering::Im2col,
-                    };
-                    record_forced_conv(conv_geom(acts, packed, params), lowering);
-                }
-                p
-            }
-            // `None` means "autotune this streamable geometry": consult the
-            // process-wide decision cache, measuring stream-vs-im2col on
-            // the live operands the first time the geometry is seen.
-            None => {
-                let geom = conv_geom(acts, packed, params);
-                let lowering = match conv_choice_cached(geom) {
-                    Some(l) => l,
-                    None => {
-                        let l = self.tune_conv(acts, kernel, params, scratch);
-                        record_conv_choice(geom, l);
-                        l
-                    }
-                };
-                match lowering {
-                    ConvLowering::Stream => ConvPath::Stream,
-                    ConvLowering::Im2col => ConvPath::Im2col,
-                }
-            }
-        };
-        self.conv2d_with_path(path, acts, kernel, params, scratch, dst, &epilogue);
+        let (h, w) = (acts.height(), acts.width());
+        let need = conv_border(h, w, packed.kh(), packed.kw(), params);
+        if acts.border() >= need {
+            self.taps(acts, kernel, params, scratch, dst, epilogue);
+        } else {
+            // Taken out and put back so the copy and the other buffers
+            // are borrowed apart; moving a `Vec` allocates nothing.
+            let mut bordered = std::mem::take(&mut scratch.bordered);
+            bordered.copy_bordered(acts, need);
+            self.taps(&bordered, kernel, params, scratch, dst, epilogue);
+            scratch.bordered = bordered;
+        }
         Ok(())
     }
 
-    /// Time the streaming path against im2col on the live operands —
-    /// min-of-reps each, both producing the same `[pixel][filter]` rows
-    /// (no epilogue: it costs the same after either). Runs once per conv
-    /// geometry per process, on the warm-up forward.
-    ///
-    /// The decision is cached process-wide, so a mis-tune is sticky:
-    /// both candidates get an untimed warm-up first (the im2col probe
-    /// must not be charged for sizing its staging buffer), the timed
-    /// reps alternate between the candidates so frequency drift hits
-    /// both equally, and small geometries — where one rep is a handful
-    /// of microseconds and a single timer blip flips the outcome — keep
-    /// racing until each candidate has accumulated a minimum timed
-    /// budget.
-    fn tune_conv(
+    /// The one conv kernel over activations whose border covers every
+    /// live tap's reach: resolve the live taps and their panels, then run
+    /// the tap-addressed panel GEMM over bands of output pixels, each
+    /// band's epilogue inside its chunk.
+    fn taps<E>(
         &self,
-        acts: &PackedActivations,
-        kernel: KernelForms<'_>,
-        params: Conv2dParams,
-        scratch: &mut ConvScratch,
-    ) -> ConvLowering {
-        const MIN_REPS: usize = 3;
-        const MAX_REPS: usize = 32;
-        const BUDGET_NS: u128 = 200_000;
-        let candidates = [ConvPath::Im2col, ConvPath::Stream];
-        let run = |path, scratch: &mut ConvScratch| {
-            self.conv2d_with_path(path, acts, kernel, params, scratch, &mut [], &|_, _, _| {});
-        };
-        for path in candidates {
-            run(path, scratch);
-        }
-        let mut best = [u128::MAX; 2];
-        let mut spent = [0u128; 2];
-        let mut reps = 0;
-        while reps < MAX_REPS && (reps < MIN_REPS || spent.iter().any(|&s| s < BUDGET_NS)) {
-            for (slot, path) in candidates.into_iter().enumerate() {
-                let t = std::time::Instant::now();
-                run(path, scratch);
-                let d = t.elapsed().as_nanos();
-                best[slot] = best[slot].min(d);
-                spent[slot] += d;
-            }
-            reps += 1;
-        }
-        // Ties go to streaming: same speed with no im2col staging buffer.
-        if best[1] <= best[0] {
-            ConvLowering::Stream
-        } else {
-            ConvLowering::Im2col
-        }
-    }
-
-    /// Execute one already-resolved lowering into `scratch.flat`, running
-    /// `epilogue` per band (see [`Engine::conv2d_rows`]). Never consults
-    /// or writes the autotune cache — the tuner calls this for its probe
-    /// runs, and a probe must not pollute the recorded decisions.
-    #[allow(clippy::too_many_arguments)]
-    fn conv2d_with_path<E>(
-        &self,
-        path: ConvPath,
         acts: &PackedActivations,
         kernel: KernelForms<'_>,
         params: Conv2dParams,
@@ -477,158 +453,94 @@ impl Engine {
         E: Fn(usize, &[i32], &mut [f32]) + Sync,
     {
         let packed = kernel.packed;
-        let (n, c, h, w) = (acts.batch(), acts.channels(), acts.height(), acts.width());
+        let (n, h, w, lanes) = (acts.batch(), acts.height(), acts.width(), acts.lanes());
         let (kf, kh, kw) = (packed.filters(), packed.kh(), packed.kw());
-        let oh = params.out_dim(h, kh);
-        let ow = params.out_dim(w, kw);
+        let (oh, ow, s) = (params.out_dim(h, kh), params.out_dim(w, kw), params.stride);
         let pixels = n * oh * ow;
         debug_assert!(dst.is_empty() || dst.len() == pixels * kf);
         let dst_width = if dst.is_empty() { 0 } else { kf };
-        // Every lowering writes every output row, so skip the zero-fill.
-        resize_unfilled(&mut scratch.flat, pixels * kf);
+        let ConvScratch {
+            taps, toff, flat, ..
+        } = scratch;
+        // Every output row is written, so skip the zero-fill.
+        resize_unfilled(flat, pixels * kf);
 
-        if path == ConvPath::Stream {
-            let built;
-            let pad_ones = match kernel.pad_ones {
-                Some(p) => p,
-                None => {
-                    built = kernel_position_ones(packed);
-                    &built
-                }
-            };
-            let work = (pixels * kf * kh * kw * acts.lanes()) as u64;
-            // One item = one (image, output row): the kernel walks its
-            // filter blocks over the band's rows, so each resident
-            // activation word is loaded once per block.
-            let threads = self.policy.effective_threads(work);
-            dispatch_chunks2(
-                WorkerPool::global(),
-                threads,
-                &mut scratch.flat[..],
-                ow * kf,
-                dst,
-                ow * dst_width,
-                1,
-                |first, rows, out| {
-                    conv2d_stream_rows(acts, packed, params, pad_ones, first, rows);
-                    epilogue(first * ow, rows, out);
-                },
-            );
-            return;
+        // A window's top-left input pixel `(-pad, -pad)` is word
+        // `b - pad` of its frame row and column: each live tap's offset is
+        // counted from the frame corner, which the border keeps in reach.
+        let (b, wp) = (acts.border(), w + 2 * acts.border());
+        taps.clear();
+        toff.clear();
+        for ky in (0..kh).filter(|&ky| live(ky, h, oh, params)) {
+            for kx in (0..kw).filter(|&kx| live(kx, w, ow, params)) {
+                taps.push((ky * kw + kx) as u32);
+                toff.push((((ky + b - params.pad) * wp + kx + b - params.pad) * lanes) as u32);
+            }
         }
-
-        let aw = if path == ConvPath::PointwiseGemm {
-            // The packed activations are already the GEMM operand: one
-            // C-bit row per pixel. No lowering, no copies.
-            acts.words()
-        } else {
-            scratch.im2col.reset(pixels, kh * kw * c);
-            let lanes = scratch.im2col.lanes();
-            // The lowering is a word blit: roughly one lane-word op per
-            // output word (bit gathers cost a couple each).
-            let blit_work = (pixels * lanes * 2) as u64;
-            self.parallel_chunks(
-                scratch.im2col.words_mut(),
-                lanes,
-                16,
-                blit_work,
-                |first, band| {
-                    im2col_rows(acts, kh, kw, params, first, band, lanes);
-                },
-            );
-            scratch.im2col.words()
-        };
         let built;
-        let panels = match kernel.panels {
-            Some(p) => p,
-            None => {
-                built = BinaryPanels::from_kernel(packed);
+        let panels = match kernel
+            .panels
+            .map(|cache| cache.get_or_init(|| BinaryPanels::from_kernel_taps(packed, taps)))
+        {
+            Some(p) if p.taps() == &taps[..] => p,
+            _ => {
+                built = BinaryPanels::from_kernel_taps(packed, taps);
                 &built
             }
         };
-        debug_assert_eq!(panels.cols(), kh * kw * c);
+        let rows = TapRows::windows(
+            acts.words(),
+            (toff, lanes),
+            (oh, ow),
+            (s * lanes, s * wp * lanes, (h + 2 * b) * wp * lanes),
+        );
         let work = (pixels * kf * panels.lanes()) as u64;
-        let threads = self.policy.effective_threads(work);
         dispatch_chunks2(
-            WorkerPool::global(),
-            threads,
-            &mut scratch.flat[..],
+            self.pool,
+            (self.threads)(work),
+            &mut flat[..],
             kf,
             dst,
             dst_width,
             16,
-            |first, rows, out| {
-                gemm_panels_into(aw, panels, first, rows);
-                epilogue(first, rows, out);
+            |first, rows_out, out| {
+                gemm_panels_at(self.level, &rows, panels, first, rows_out);
+                epilogue(first, rows_out, out);
             },
         );
     }
-
-    /// The dense lowering [`Engine::conv2d_into`] will run for a
-    /// `kh×kw` kernel over `channels` input channels under the current
-    /// policy, or `None` when the choice is autotuned at first dispatch
-    /// ([`ConvMode::Auto`] on a streamable layer — the streaming-vs-im2col
-    /// decision needs live operands). Only a 3×3 kernel over at most 64
-    /// channels is streamable; every other 3×3 conv runs im2col under
-    /// every mode.
-    pub fn conv_path(
-        &self,
-        kh: usize,
-        kw: usize,
-        channels: usize,
-        params: Conv2dParams,
-    ) -> Option<ConvPath> {
-        if kh == 1 && kw == 1 && params.stride == 1 && params.pad == 0 {
-            return Some(ConvPath::PointwiseGemm);
-        }
-        if streamable(kh, kw, channels) {
-            return match self.policy.conv {
-                ConvMode::Auto => None,
-                ConvMode::Stream => Some(ConvPath::Stream),
-                ConvMode::Im2col => Some(ConvPath::Im2col),
-            };
-        }
-        Some(ConvPath::Im2col)
-    }
 }
 
-/// Whether the streaming kernel covers this geometry: a 3×3 kernel over
-/// exactly one lane word of channels (1 to 64).
-fn streamable(kh: usize, kw: usize, channels: usize) -> bool {
-    kh == 3 && kw == 3 && (1..=crate::LANE_BITS).contains(&channels)
+/// Whether kernel tap `k` of one axis is live: some of the `n_out`
+/// output positions reads it from inside the `n_in` inputs. The first
+/// output whose input is not before the map must not be past it either.
+fn live(k: usize, n_in: usize, n_out: usize, params: Conv2dParams) -> bool {
+    let o = params.pad.saturating_sub(k).div_ceil(params.stride);
+    o < n_out && o * params.stride + k - params.pad < n_in
 }
 
-/// The streaming autotuner's cache key for a live dispatch.
-fn conv_geom(acts: &PackedActivations, kernel: &PackedKernel, params: Conv2dParams) -> ConvGeom {
-    ConvGeom {
-        channels: acts.channels(),
-        filters: kernel.filters(),
-        h: acts.height(),
-        w: acts.width(),
-        stride: params.stride,
-        pad: params.pad,
-    }
+/// The zero border a conv's live taps read from its `h × w` input: how
+/// far, at most, any output reads past an edge of the map through a
+/// live tap. At most the padding; zero when only taps that stay inside
+/// the map are live (a 3×3 conv over a 1×1 map reads its centre tap).
+pub(crate) fn conv_border(h: usize, w: usize, kh: usize, kw: usize, params: Conv2dParams) -> usize {
+    let reach = |k: usize, n_in: usize| {
+        let n_out = params.out_dim(n_in, k);
+        let mut taps = (0..k).filter(|&t| live(t, n_in, n_out, params));
+        let Some(first) = taps.next() else {
+            return 0;
+        };
+        let last = taps.next_back().unwrap_or(first);
+        let after = ((n_out - 1) * params.stride + last).saturating_sub(params.pad + n_in - 1);
+        params.pad.saturating_sub(first).max(after)
+    };
+    reach(kh, h).max(reach(kw, w))
 }
 
-/// Warm the streaming-vs-im2col conv decision on the model zoo's hot
-/// geometry (28×28, 64 channels, 64 filters, 3×3 stride-1 pad-1 — the
-/// perfsuite's gated shape) and return every conv selection recorded so
-/// far. `bnnkc features` calls this so the table has something to show
-/// before any real forward has run; under a pinned `BITNN_CONV` the
-/// recorded entry is the forced one.
-pub fn warm_conv_table() -> Vec<ConvChoice> {
-    let engine = Engine::new(ExecPolicy {
-        threads: 1,
-        ..ExecPolicy::default()
-    });
-    let bits = crate::weightgen::random_kernel(&[1, 64, 28, 28], 0xC0DE);
-    let kernel = crate::weightgen::random_kernel(&[64, 64, 3, 3], 0xFACE);
-    if let (Ok(acts), Ok(packed)) = (PackedActivations::pack(&bits), PackedKernel::pack(&kernel)) {
-        let mut scratch = ConvScratch::default();
-        let mut out = Tensor::default();
-        let params = Conv2dParams { stride: 1, pad: 1 };
-        let _ = engine.conv2d_into(&acts, (&packed).into(), params, &mut scratch, &mut out);
-    }
+/// Kept only for `bnnkc-bench`, which times it as a tuning step; delete
+/// it with the bench's next change. Every conv runs one kernel, so
+/// nothing is warmed and the list is always empty.
+pub fn warm_conv_table() -> Vec<crate::simd::ConvChoice> {
     crate::simd::conv_choices()
 }
 
@@ -820,10 +732,11 @@ mod tests {
             let (a, b) = (matrix(m, (m * n + k) as u64), matrix(n, (m + n * k) as u64));
             let want = crate::ops::gemm::gemm_binary_naive(&a, &b).unwrap();
             let panels = BinaryPanels::from_matrix(&b);
+            let rows = TapRows::contiguous(a.words(), a.lanes());
             for threads in 1..=4 {
                 let mut out = vec![i32::MIN; m * n];
                 dispatch_chunks(&pool, threads, &mut out, n, 1, |first, band| {
-                    gemm_panels_into(a.words(), &panels, first, band);
+                    gemm_panels_into(&rows, &panels, first, band);
                 });
                 assert_eq!(out, want, "m={m} n={n} k={k} threads={threads}");
             }
@@ -865,29 +778,109 @@ mod tests {
     }
 
     #[test]
-    fn wide_3x3_runs_im2col_without_racing() {
-        // Two lane words of channels: no streaming kernel exists, so every
-        // mode lowers to im2col and the autotuner never records the shape.
-        let a = random_bits(&[1, 128, 6, 7], 17);
+    fn wide_3x3_runs_the_tap_kernel() {
+        // Two lane words of channels, unbordered activations under pad 1:
+        // the public entry borders a copy, and a panel cache is filled
+        // with all nine taps, at every thread count.
+        let a = random_bits(&[2, 128, 6, 7], 17);
         let wk = random_bits(&[5, 128, 3, 3], 19);
         let pa = PackedActivations::pack(&a).unwrap();
         let pk = PackedKernel::pack(&wk).unwrap();
         let params = Conv2dParams { stride: 1, pad: 1 };
         let direct = conv2d_binary(&pa, &pk, params).unwrap();
-        for conv in [ConvMode::Auto, ConvMode::Stream, ConvMode::Im2col] {
+        let cache = OnceLock::new();
+        for threads in 1..=4 {
             let engine = Engine::new(ExecPolicy {
-                threads: 2,
-                conv,
-                ..ExecPolicy::default()
+                threads,
+                min_work: 0,
             });
-            assert_eq!(engine.conv_path(3, 3, 128, params), Some(ConvPath::Im2col));
+            let forms = KernelForms {
+                packed: &pk,
+                panels: Some(&cache),
+            };
             let mut s = ConvScratch::default();
-            let got = engine.conv2d(&pa, (&pk).into(), params, &mut s).unwrap();
-            assert_eq!(got.data(), direct.data(), "{conv:?}");
+            let got = engine.conv2d(&pa, forms, params, &mut s).unwrap();
+            assert_eq!(got.data(), direct.data(), "threads {threads}");
         }
-        assert!(crate::simd::conv_choices()
-            .iter()
-            .all(|c| c.geom.channels <= crate::LANE_BITS));
+        let cached = cache.get().unwrap();
+        assert_eq!((cached.taps().len(), cached.lanes()), (9, 18));
+    }
+
+    #[test]
+    fn border_reaches_only_as_far_as_live_taps() {
+        let p = |stride, pad| Conv2dParams { stride, pad };
+        // (h = w, k, params, border)
+        for (side, k, params, want) in [
+            (28, 3, p(1, 1), 1),
+            (2, 3, p(1, 1), 1),
+            (1, 3, p(1, 1), 0), // the centre tap only
+            (2, 3, p(2, 1), 0), // taps 1..=2 of each axis stay inside
+            (3, 3, p(2, 1), 1),
+            (1, 5, p(1, 2), 0),
+            (4, 5, p(1, 2), 2),
+            (1, 1, p(2, 1), 0), // every tap dead
+            (7, 1, p(2, 0), 0),
+        ] {
+            assert_eq!(
+                conv_border(side, side, k, k, params),
+                want,
+                "{side} {k} {params:?}"
+            );
+        }
+        assert_eq!(
+            conv_border(1, 9, 3, 3, p(1, 1)),
+            1,
+            "a one-row map reads its columns' border"
+        );
+    }
+
+    #[test]
+    fn dead_taps_are_cropped_bit_exactly() {
+        // The c1024 3×3 conv over a 1×1 map reads its centre tap only, and
+        // the 2×2 → 1×1 stride-2 conv 4 of 9. Cropped panels must give the
+        // uncropped panels' results over the same bordered windows.
+        for (c, side, stride, live) in [(1024usize, 1usize, 1usize, 1usize), (512, 2, 2, 4)] {
+            let a = random_bits(&[2, c, side, side], c as u64);
+            let wk = random_bits(&[16, c, 3, 3], !(c as u64));
+            let pk = PackedKernel::pack(&wk).unwrap();
+            let params = Conv2dParams { stride, pad: 1 };
+            let mut acts = PackedActivations::default();
+            acts.copy_bordered(&PackedActivations::pack(&a).unwrap(), 1);
+            let cache = OnceLock::new();
+            let forms = KernelForms {
+                packed: &pk,
+                panels: Some(&cache),
+            };
+            let mut s = ConvScratch::default();
+            let cropped = Engine::single_threaded()
+                .conv2d(&acts, forms, params, &mut s)
+                .unwrap();
+            let full = BinaryPanels::from_kernel(&pk);
+            let panels = cache.get().unwrap();
+            assert_eq!(panels.taps().len(), live);
+            assert_eq!(
+                panels.lanes() * 9,
+                full.lanes() * live,
+                "c{c}: 1/9 of the lanes per tap"
+            );
+            // Uncropped: all nine taps' words over the same windows.
+            let (lanes, wp) = (acts.lanes(), side + 2);
+            let toff: Vec<u32> = (0..9)
+                .map(|t| (((t / 3) * wp + t % 3) * lanes) as u32)
+                .collect();
+            let oh = params.out_dim(side, 3);
+            let rows = TapRows::windows(
+                acts.words(),
+                (&toff, lanes),
+                (oh, oh),
+                (stride * lanes, stride * wp * lanes, wp * wp * lanes),
+            );
+            let mut flat = vec![0; 2 * oh * oh * 16];
+            gemm_panels_into(&rows, &full, 0, &mut flat);
+            assert_eq!(&s.flat, &flat, "c{c}: cropped vs uncropped rows");
+            let direct = conv2d_binary(&acts, &pk, params).unwrap();
+            assert_eq!(cropped.data(), direct.data(), "c{c}");
+        }
     }
 
     // The engine-vs-reference conv and GEMM oracle proptests that lived

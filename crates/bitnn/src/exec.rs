@@ -1,58 +1,20 @@
 //! Execution policy and thread-count grammar.
 //!
 //! Everything here is shared by the executor and by the
-//! binaries (`bnnkc`, `perfsuite`): how many workers a dispatch may use,
-//! when an op is too small to parallelize, and how a 3×3 convolution is
-//! lowered onto the compute substrate. None of it depends on the CPU
+//! binaries (`bnnkc`, `perfsuite`): how many workers a dispatch may use
+//! and when an op is too small to parallelize. None of it depends on the CPU
 //! engine's internals, so the CLI and bench crates import this module
 //! instead of [`crate::engine`].
 
 use crate::pool::WorkerPool;
 use std::thread;
 
-/// How a 3×3 convolution over at most 64 channels (one lane word) is
-/// lowered onto the binary compute substrate — the one conv knob
-/// (`BITNN_CONV`). The rest of the choice is fixed by shape: a 1×1
-/// stride-1 pad-0 layer runs as a GEMM over the packed activations, and
-/// a wider 3×3 layer or any other kernel is im2col-lowered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConvMode {
-    /// Autotune per conv geometry: on the first dispatch of each
-    /// single-lane 3×3 shape, time the streaming path (see
-    /// [`crate::ops::streamconv`]) against im2col on the real operands
-    /// and cache the winner (see [`crate::simd::conv_choices`]).
-    #[default]
-    Auto,
-    /// Use the streaming shifted-window path for every 3×3 layer of at
-    /// most 64 channels; wider 3×3 layers still run im2col.
-    Stream,
-    /// Always lower 3×3 layers to im2col + GEMM.
-    Im2col,
-}
-
-impl ConvMode {
-    /// Resolve the `BITNN_CONV` environment knob (`stream` / `im2col` /
-    /// `auto`, case-insensitive); unset or unrecognized values mean
-    /// [`ConvMode::Auto`].
-    pub fn from_env() -> Self {
-        match std::env::var("BITNN_CONV") {
-            Ok(v) => match v.to_ascii_lowercase().as_str() {
-                "stream" => ConvMode::Stream,
-                "im2col" => ConvMode::Im2col,
-                _ => ConvMode::Auto,
-            },
-            Err(_) => ConvMode::Auto,
-        }
-    }
-}
-
 /// Default [`ExecPolicy::min_work`]: roughly 15 µs of lane-word operations
 /// on a current core. Below this, waking even one parked worker costs a
 /// measurable fraction of the op itself, so the dispatch runs inline.
 pub const DEFAULT_MIN_WORK: u64 = 32 * 1024;
 
-/// Execution policy: worker count, per-dispatch inline threshold, and
-/// 3×3 conv lowering.
+/// Execution policy: worker count and per-dispatch inline threshold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecPolicy {
     /// Number of threads parallel sections may use (≥ 1), counting the
@@ -66,18 +28,14 @@ pub struct ExecPolicy {
     /// tiny ops (short GEMMs, 1×1 convs on small maps) from losing to
     /// their own parallel overhead.
     pub min_work: u64,
-    /// Single-lane 3×3 conv lowering: autotuned, streaming, or im2col.
-    pub conv: ConvMode,
 }
 
 impl Default for ExecPolicy {
-    /// All available hardware parallelism, default inline threshold,
-    /// `BITNN_CONV`-resolved conv mode.
+    /// All available hardware parallelism, default inline threshold.
     fn default() -> Self {
         ExecPolicy {
             threads: thread::available_parallelism().map_or(1, usize::from),
             min_work: DEFAULT_MIN_WORK,
-            conv: ConvMode::from_env(),
         }
     }
 }

@@ -51,7 +51,7 @@ use crate::tensor::{BitTensor, Tensor};
 
 /// A weighted graph operator: the layer object behind one [`OpSpec`].
 // `BinConv2d` carries its lazily-derived weight forms (flat / packed /
-// im2col-lowered), which dwarfs the other variants; graphs hold tens of nodes, so
+// panels), which dwarfs the other variants; graphs hold tens of nodes, so
 // the per-node slack is irrelevant and boxing would only add indirection
 // on the hot dispatch path.
 #[allow(clippy::large_enum_variant)]
@@ -730,8 +730,8 @@ impl ModelGraph {
     /// tensors. Every op in the graph is batch-independent (convolutions
     /// and pools act per image, elementwise stages per element, the
     /// classifier per row), so this is bit-exact with per-item forwards
-    /// while amortizing each layer's row packing, im2col window state,
-    /// and kernel dispatch overhead across the batch. On warmed scratch
+    /// while amortizing each layer's row packing, tap tables and kernel
+    /// dispatch overhead across the batch. On warmed scratch
     /// the whole path performs zero heap allocation.
     fn forward_batch_stacked(
         &self,

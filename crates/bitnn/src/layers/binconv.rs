@@ -5,10 +5,10 @@
 //! with — flat bits or channel-packed lane words — and derives every other
 //! form lazily on first use.
 
-use crate::engine::{ConvPath, ConvScratch, Engine, KernelForms};
+use crate::engine::{ConvScratch, Engine, KernelForms};
 use crate::layers::sign::RSign;
 use crate::layers::Layer;
-use crate::ops::conv::{conv2d_binary, kernel_position_ones, Conv2dParams};
+use crate::ops::conv::{conv2d_binary, Conv2dParams};
 use crate::ops::gemm::BinaryPanels;
 use crate::pack::{PackedActivations, PackedKernel};
 use crate::tensor::{BitTensor, Tensor};
@@ -18,10 +18,10 @@ use std::sync::OnceLock;
 ///
 /// Exactly one representation is populated at construction (flat weights
 /// via [`Self::new`], lane words via [`Self::from_packed`]); the rest —
-/// including the engine's cached lowering forms — are derived lazily
-/// through [`OnceLock`]s, so a forward pass materializes only what its
-/// execution path actually reads. A packed-deployed layer running the
-/// streaming path never builds the flat tensor or the GEMM weight panels.
+/// including the engine's weight panels — are derived lazily through
+/// [`OnceLock`]s, so a forward pass materializes only what it reads. A
+/// packed-deployed layer never builds the flat tensor, and builds its
+/// panels on its first forward, for that forward's live taps.
 #[derive(Debug, Clone)]
 pub struct BinConv2d {
     filters: usize,
@@ -31,13 +31,10 @@ pub struct BinConv2d {
     params: Conv2dParams,
     /// Flat `[K, C, KH, KW]` bits (cold paths: harvest, serialization).
     weights: OnceLock<BitTensor>,
-    /// Channel-packed lane words (dense lowerings).
+    /// Channel-packed lane words.
     packed: OnceLock<PackedKernel>,
-    /// GEMM weight panels in im2col order (GEMM lowerings).
+    /// GEMM weight panels over the live taps of the first forward.
     panels: OnceLock<BinaryPanels>,
-    /// Per-filter, per-position ones counts (streaming lowering's padding
-    /// closed form).
-    pad_ones: OnceLock<Vec<u32>>,
 }
 
 impl PartialEq for BinConv2d {
@@ -69,7 +66,6 @@ impl BinConv2d {
             weights: OnceLock::from(weights),
             packed: OnceLock::new(),
             panels: OnceLock::new(),
-            pad_ones: OnceLock::new(),
         }
     }
 
@@ -92,7 +88,6 @@ impl BinConv2d {
             weights: OnceLock::new(),
             packed: OnceLock::from(packed),
             panels: OnceLock::new(),
-            pad_ones: OnceLock::new(),
         }
     }
 
@@ -115,50 +110,19 @@ impl BinConv2d {
         })
     }
 
-    /// The cached GEMM weight panels (one `KH*KW*C`-bit position-major
-    /// row per filter), built from the packed kernel on first use — the
-    /// warm-up forward, never at attach.
-    pub fn panels(&self) -> &BinaryPanels {
-        self.panels
-            .get_or_init(|| BinaryPanels::from_kernel(self.packed()))
+    /// The GEMM weight panels, once a forward has built them: the
+    /// packed words of the taps that forward's output pixels read from
+    /// inside the map (see [`KernelForms`]). Never built at attach.
+    pub fn panels(&self) -> Option<&BinaryPanels> {
+        self.panels.get()
     }
 
-    /// The cached per-filter, per-position ones counts.
-    pub fn pad_ones(&self) -> &[u32] {
-        self.pad_ones
-            .get_or_init(|| kernel_position_ones(self.packed()))
-    }
-
-    /// All cached kernel forms, for [`Engine::conv2d`] callers that do
-    /// not know their lowering in advance (materializes every form).
+    /// The kernel forms [`Engine::conv2d`] reads: the packed kernel and
+    /// the layer's panel cache.
     pub fn forms(&self) -> KernelForms<'_> {
         KernelForms {
             packed: self.packed(),
-            panels: Some(self.panels()),
-            pad_ones: Some(self.pad_ones()),
-        }
-    }
-
-    /// The kernel forms the engine's chosen lowering will actually read,
-    /// materializing only those — a streaming forward never builds the
-    /// weight panels and vice versa. A layer wider than one lane word
-    /// always gets the panels, under a streaming pin too. When the
-    /// path is autotuned at first dispatch (`None`), every form the
-    /// candidate paths could read is provided, so the warmed forward never
-    /// builds one mid-dispatch.
-    pub fn forms_for(&self, engine: &Engine) -> KernelForms<'_> {
-        match engine.conv_path(self.kh, self.kw, self.channels, self.params) {
-            Some(ConvPath::Stream) => KernelForms {
-                packed: self.packed(),
-                panels: None,
-                pad_ones: Some(self.pad_ones()),
-            },
-            Some(ConvPath::Im2col | ConvPath::PointwiseGemm) => KernelForms {
-                packed: self.packed(),
-                panels: Some(self.panels()),
-                pad_ones: None,
-            },
-            None => self.forms(),
+            panels: Some(&self.panels),
         }
     }
 
@@ -245,7 +209,7 @@ impl BinConv2d {
         out: &mut Tensor,
     ) {
         engine
-            .conv2d_into(acts, self.forms_for(engine), self.params, scratch, out)
+            .conv2d_into(acts, self.forms(), self.params, scratch, out)
             .expect("channel counts validated at build");
     }
 
@@ -397,20 +361,28 @@ mod tests {
     }
 
     #[test]
-    fn stream_pin_caches_the_panels_for_wide_layers() {
-        let engine = Engine::new(crate::ExecPolicy {
-            conv: crate::exec::ConvMode::Stream,
-            ..crate::ExecPolicy::single_threaded()
-        });
+    fn panels_are_cached_for_the_live_taps() {
+        let engine = Engine::single_threaded();
         let params = Conv2dParams { stride: 1, pad: 1 };
-        // Wider than one lane word: im2col under every mode.
-        let wide = BinConv2d::new(BitTensor::zeros(&[4, 128, 3, 3]), params);
-        let forms = wide.forms_for(&engine);
-        assert!(forms.panels.is_some() && forms.pad_ones.is_none());
-        // One lane word: the pin selects the streaming kernel.
-        let narrow = BinConv2d::new(BitTensor::zeros(&[4, 64, 3, 3]), params);
-        let forms = narrow.forms_for(&engine);
-        assert!(forms.panels.is_none() && forms.pad_ones.is_some());
+        let conv = BinConv2d::new(random_bits(&[4, 70, 3, 3], 6), params);
+        assert!(
+            conv.panels().is_none(),
+            "panels are never built before a forward"
+        );
+        let mut scratch = ConvScratch::default();
+        let mut out = Tensor::default();
+        // A 1×1 map under pad 1: only the centre tap reads the map.
+        let small = PackedActivations::pack(&random_bits(&[1, 70, 1, 1], 7)).unwrap();
+        conv.forward_packed_with(&small, &engine, &mut scratch, &mut out);
+        assert_eq!(out.data(), conv.forward_packed(&small).data());
+        let cached = conv.panels().expect("built by the forward");
+        assert_eq!((cached.taps(), cached.lanes()), (&[4u32][..], 2));
+        // Another geometry reads all nine taps: built on the fly, right,
+        // and the cache keeps the first forward's panels.
+        let big = PackedActivations::pack(&random_bits(&[1, 70, 4, 5], 8)).unwrap();
+        conv.forward_packed_with(&big, &engine, &mut scratch, &mut out);
+        assert_eq!(out.data(), conv.forward_packed(&big).data());
+        assert_eq!(conv.panels().unwrap().taps(), &[4u32][..]);
     }
 
     #[test]

@@ -65,9 +65,7 @@ pub fn quantize_symmetric(data: &[f32]) -> (Vec<i8>, f32) {
 /// executor performs no per-forward allocation in the 8-bit ends.
 #[derive(Debug, Clone, Default)]
 pub struct QuantScratch {
-    /// The stem's quantized input image, `[C][H][W]`.
-    pub(crate) q: Vec<i8>,
-    /// The same image pixel-major, `[H][W][C]`.
+    /// The stem's quantized input image, pixel-major `[H][W][C]`.
     pub(crate) hwc: Vec<i8>,
     /// The GEMM's `A` rows: the classifier's quantized input rows, or the
     /// stem's im2col matrix.
@@ -212,8 +210,7 @@ impl QuantConv2d {
         // Every GEMM output cell is dequantized below, so no buffer needs
         // a fill beyond the im2col matrix's per-image reset.
         out.reset_for_overwrite(&[n, oh, ow, kf]);
-        let QuantScratch { q, hwc, a, acc, .. } = scratch;
-        q.resize(image, 0);
+        let QuantScratch { hwc, a, acc, .. } = scratch;
         hwc.resize(image, 0);
         a.resize(pixels * kp, 0);
         acc.resize(pixels * kf, 0);
@@ -225,16 +222,12 @@ impl QuantConv2d {
             // One activation scale per sample (batch-invariant results);
             // the maximum and the rounding do not depend on the order.
             let src = &input.data()[img * image..][..image];
+            // Either way the quantized image lands pixel-major, the
+            // im2col's source.
             let in_scale = if nhwc {
                 int8::quantize_into(src, hwc)
             } else {
-                let in_scale = int8::quantize_into(src, q);
-                for (ch, plane) in q.chunks_exact(h * w).enumerate() {
-                    for (px, &v) in plane.iter().enumerate() {
-                        hwc[px * c + ch] = v;
-                    }
-                }
-                in_scale
+                int8::quantize_planes_into(src, c, hwc)
             };
             let out_scale = in_scale * self.w_scale;
             self.im2col(hwc, h, w, a);

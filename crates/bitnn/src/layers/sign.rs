@@ -126,14 +126,17 @@ impl RSign {
     }
 
     /// Binarize a pixel-major `[N, H, W, C]` tensor (the fused plan's
-    /// activation layout) straight into channel-packed lane words — the
-    /// sign half of every conv step. Each pixel's `C` values are one
-    /// contiguous row, so a lane word is assembled from vector compares
-    /// against the shifts and stored once (see [`pack_rows_at`]); the
-    /// pixels are split into bands across `engine`'s workers.
-    /// Bit-exact with packing [`Self::binarize`]'s output of the same
-    /// values in NCHW order: the predicate per bit is the identical
-    /// `x >= shift_c`, and the bits at and above `C` stay zero.
+    /// activation layout) straight into channel-packed lane words with a
+    /// zero frame `border` pixels wide around each image (see
+    /// [`PackedActivations`]) — the sign half of every conv step, which
+    /// sizes the frame to its conv's padding. Each pixel's `C` values are
+    /// one contiguous row, so a lane word is assembled from vector
+    /// compares against the shifts and stored once (see
+    /// [`pack_rows_at`]); the bordered image rows are split into bands
+    /// across `engine`'s workers, and every word is written, the frame's
+    /// as zeros. Bit-exact with packing [`Self::binarize`]'s output of
+    /// the same values in NCHW order: the predicate per bit is the
+    /// identical `x >= shift_c`, and the bits at and above `C` stay zero.
     ///
     /// # Panics
     ///
@@ -141,20 +144,35 @@ impl RSign {
     pub fn binarize_nhwc_packed_with(
         &self,
         input: &Tensor,
+        border: usize,
         engine: &Engine,
         out: &mut PackedActivations,
     ) {
         let shape = input.shape();
         assert_eq!(shape.len(), 4, "RSign expects a 4-D tensor");
         assert_eq!(shape[3], self.shifts.len(), "channel mismatch in RSign");
-        out.reset_for_overwrite(shape[0], shape[3], shape[1], shape[2]);
-        let (c, lanes, level) = (self.shifts.len(), out.lanes(), simd::level());
+        let (h, w, c) = (shape[1], shape[2], shape[3]);
+        out.reset_for_overwrite(shape[0], c, h, w, border);
+        let (lanes, level) = (out.lanes(), simd::level());
+        let wp = w + 2 * border;
         let src = input.data();
-        // About half a lane-word operation per compared value.
+        // About half a lane-word operation per compared value; bands of
+        // at least 64 pixels.
         let work = (src.len() / 2) as u64;
-        engine.parallel_chunks(out.words_mut(), lanes, 64, work, |first, band| {
-            let rows = &src[first * c..][..band.len() / lanes * c];
-            pack_rows_at(level, &self.shifts, rows, band);
+        let grain = 64usize.div_ceil(wp.max(1));
+        engine.parallel_chunks(out.words_mut(), wp * lanes, grain, work, |first, band| {
+            if border == 0 {
+                // Unframed rows are contiguous: pack the band as one row.
+                let rows = &src[first * w * c..][..band.len() / lanes * c];
+                return pack_rows_at(level, &self.shifts, rows, band);
+            }
+            let frame = Frame {
+                h,
+                w,
+                border,
+                first,
+            };
+            pack_frame_at(level, &self.shifts, src, band, frame);
         });
     }
 }
@@ -164,27 +182,93 @@ impl RSign {
 /// words stored whole into `words` with zero tail bits. Runs at `level`,
 /// clamped to what the CPU has: one AVX-512 `vcmpps` to a mask, or two
 /// AVX2 compares and `movemask`s, per 16 channels.
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 pub(crate) fn pack_rows_at(level: SimdLevel, shifts: &[f32], src: &[f32], words: &mut [u64]) {
-    let c = shifts.len();
-    if c == 0 {
+    let w = src.len() / shifts.len().max(1);
+    let frame = Frame {
+        h: 1,
+        w,
+        border: 0,
+        first: 0,
+    };
+    pack_frame_at(level, shifts, src, words, frame);
+}
+
+/// Where a band of bordered rows sits: images of `h × w` pixels inside a
+/// zero frame `border` pixels wide, the band starting at bordered row
+/// `first` (of `h + 2·border` per image).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Frame {
+    h: usize,
+    w: usize,
+    border: usize,
+    first: usize,
+}
+
+/// [`pack_rows_at`] into a band of bordered rows: `src` holds every
+/// image's `[h][w][C]` values, and `words` the band's whole rows, frame
+/// words included (written as zeros).
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn pack_frame_at(level: SimdLevel, shifts: &[f32], src: &[f32], words: &mut [u64], frame: Frame) {
+    let (c, wp) = (shifts.len(), frame.w + 2 * frame.border);
+    if c == 0 || wp == 0 {
         return;
     }
-    assert_eq!(src.len() / c * lanes_for(c), words.len(), "sign+pack rows");
+    assert_eq!(words.len() % (wp * lanes_for(c)), 0, "sign+pack rows");
     #[cfg(target_arch = "x86_64")]
     {
         let f = simd::detect();
         if level >= SimdLevel::Avx512 && f.avx512 {
             // SAFETY: avx512f was detected at runtime.
-            return unsafe { x86::pack_avx512(shifts, src, words) };
+            return unsafe { x86::pack_avx512(shifts, src, words, frame) };
         }
         if level >= SimdLevel::Avx2 && f.avx2 {
             // SAFETY: avx2 was detected at runtime.
-            return unsafe { x86::pack_avx2(shifts, src, words) };
+            return unsafe { x86::pack_avx2(shifts, src, words, frame) };
         }
     }
     // SAFETY: the portable body needs no CPU feature.
-    unsafe { pack_rows::<Portable>(shifts, src, words) }
+    unsafe { pack_frame::<Portable>(shifts, src, words, frame) }
+}
+
+/// The frame walk shared by every level: zero the band, then pack each
+/// image row inside the frame.
+///
+/// # Safety
+///
+/// The CPU must support `L`'s features.
+#[inline(always)]
+unsafe fn pack_frame<L: Compare16>(shifts: &[f32], src: &[f32], words: &mut [u64], frame: Frame) {
+    let Frame {
+        h,
+        w,
+        border,
+        first,
+    } = frame;
+    let (c, lanes) = (shifts.len(), lanes_for(shifts.len()));
+    let mut rep = [0.0f32; LANE_BITS];
+    if c < LANE_BITS && LANE_BITS.is_multiple_of(c) {
+        for run in rep.chunks_exact_mut(c) {
+            run.copy_from_slice(shifts);
+        }
+    }
+    if border > 0 {
+        // One fill for the whole frame beats a short one per row edge.
+        words.fill(0);
+    }
+    let hp = h + 2 * border;
+    let (mut img, mut y) = (first / hp, first % hp);
+    for row in words.chunks_exact_mut((w + 2 * border) * lanes) {
+        if (border..h + border).contains(&y) {
+            let mid = &mut row[border * lanes..][..w * lanes];
+            let vals = &src[(img * h + y - border) * w * c..][..w * c];
+            // SAFETY: the caller enabled `L`'s features.
+            unsafe { pack_rows::<L>(shifts, &rep, vals, mid) };
+        }
+        y += 1;
+        if y == hp {
+            (img, y) = (img + 1, 0);
+        }
+    }
 }
 
 /// One dispatch level's 16-channel compare.
@@ -199,30 +283,40 @@ trait Compare16 {
     unsafe fn ge(v: &[f32], a: &[f32]) -> u16;
 }
 
-/// The pack walk shared by every level. A channel count dividing 16
-/// compares several pixels per step against shifts replicated to 16
-/// lanes; any other count walks each pixel row 16 channels at a time.
+/// The pack walk of one row of pixels. A channel count dividing 64
+/// packs whole pixels from each 64-value group — four compares against
+/// `rep`, the shifts replicated to 64 lanes, give the group's bits, one
+/// word per pixel; any other count walks each pixel 16 channels at a
+/// time.
 ///
 /// # Safety
 ///
 /// The CPU must support `L`'s features. The walk itself keeps every
 /// compare's two runs equal and at most 16 long.
 #[inline(always)]
-unsafe fn pack_rows<L: Compare16>(shifts: &[f32], src: &[f32], words: &mut [u64]) {
+unsafe fn pack_rows<L: Compare16>(
+    shifts: &[f32],
+    rep: &[f32; LANE_BITS],
+    src: &[f32],
+    words: &mut [u64],
+) {
     let c = shifts.len();
-    if 16 % c == 0 {
-        let mut rep = [0.0f32; 16];
-        for (j, v) in rep.iter_mut().enumerate() {
-            *v = shifts[j % c];
-        }
-        let per = 16 / c;
-        for (vals, out) in src.chunks(16).zip(words.chunks_mut(per)) {
-            // SAFETY: the caller enabled `L`'s features.
-            let bits = unsafe { L::ge(vals, &rep[..vals.len()]) };
+    if c < LANE_BITS && LANE_BITS.is_multiple_of(c) {
+        let (per, m) = (LANE_BITS / c, crate::bitword::mask(c));
+        let split = |bits: u64, out: &mut [u64]| {
             for (i, word) in out.iter_mut().enumerate() {
-                *word = u64::from(bits >> (i * c)) & crate::bitword::mask(c);
+                *word = (bits >> (i * c)) & m;
             }
+        };
+        let groups = src.chunks_exact(LANE_BITS);
+        let tail = groups.remainder();
+        let (whole, rest) = words.split_at_mut(words.len() - tail.len() / c);
+        for (vals, out) in groups.zip(whole.chunks_exact_mut(per)) {
+            // SAFETY: the caller enabled `L`'s features.
+            split(unsafe { ge64::<L>(vals, rep) }, out);
         }
+        // SAFETY: as above.
+        split(unsafe { ge64::<L>(tail, &rep[..tail.len()]) }, rest);
         return;
     }
     for (row, out) in src
@@ -233,14 +327,26 @@ unsafe fn pack_rows<L: Compare16>(shifts: &[f32], src: &[f32], words: &mut [u64]
             .iter_mut()
             .zip(row.chunks(LANE_BITS).zip(shifts.chunks(LANE_BITS)))
         {
-            let mut wd = 0u64;
-            for (q, (v, a)) in vals.chunks(16).zip(a.chunks(16)).enumerate() {
-                // SAFETY: as above.
-                wd |= u64::from(unsafe { L::ge(v, a) }) << (16 * q);
-            }
-            *word = wd;
+            // SAFETY: as above.
+            *word = unsafe { ge64::<L>(vals, a) };
         }
     }
+}
+
+/// Bit `i` is `v[i] >= a[i]`, for the `v.len() == a.len() <= 64` values,
+/// in 16-value compares.
+///
+/// # Safety
+///
+/// The CPU must support `L`'s features.
+#[inline(always)]
+unsafe fn ge64<L: Compare16>(v: &[f32], a: &[f32]) -> u64 {
+    let mut bits = 0u64;
+    for (q, (v, a)) in v.chunks(16).zip(a.chunks(16)).enumerate() {
+        // SAFETY: the caller enabled `L`'s features.
+        bits |= u64::from(unsafe { L::ge(v, a) }) << (16 * q);
+    }
+    bits
 }
 
 /// The portable compare: one `v >= a` per bit.
@@ -258,30 +364,30 @@ impl Compare16 for Portable {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{pack_rows, Compare16};
+    use super::{pack_frame, Compare16, Frame};
     use crate::simd::lane_mask16;
     use std::arch::x86_64::*;
 
-    /// AVX-512 body of [`super::pack_rows_at`].
+    /// AVX-512 body of [`super::pack_frame_at`].
     ///
     /// # Safety
     ///
     /// The CPU must support `avx512f`.
     #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn pack_avx512(shifts: &[f32], src: &[f32], words: &mut [u64]) {
+    pub(super) unsafe fn pack_avx512(shifts: &[f32], src: &[f32], words: &mut [u64], frame: Frame) {
         // SAFETY: the features `Avx512`'s compare needs are enabled here.
-        unsafe { pack_rows::<Avx512>(shifts, src, words) }
+        unsafe { pack_frame::<Avx512>(shifts, src, words, frame) }
     }
 
-    /// AVX2 body of [`super::pack_rows_at`].
+    /// AVX2 body of [`super::pack_frame_at`].
     ///
     /// # Safety
     ///
     /// The CPU must support `avx2`.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn pack_avx2(shifts: &[f32], src: &[f32], words: &mut [u64]) {
+    pub(super) unsafe fn pack_avx2(shifts: &[f32], src: &[f32], words: &mut [u64], frame: Frame) {
         // SAFETY: as above, for `Avx2`.
-        unsafe { pack_rows::<Avx2>(shifts, src, words) }
+        unsafe { pack_frame::<Avx2>(shifts, src, words, frame) }
     }
 
     /// One masked `vcmpps` (ordered `>=`: NaN compares false, −0.0 equals
@@ -402,8 +508,21 @@ mod tests {
             let rs = RSign::new(shifts);
             let expect = PackedActivations::pack(&rs.binarize(&t)).unwrap();
             let mut got = PackedActivations::default();
-            rs.binarize_nhwc_packed_with(&t.nchw_to_nhwc(), &Engine::with_threads(2), &mut got);
+            rs.binarize_nhwc_packed_with(&t.nchw_to_nhwc(), 0, &Engine::with_threads(2), &mut got);
             assert_eq!(got, expect, "n={n} c={c} h={h} w={w}");
+            // Framed: the same pixels inside a zero border, which is the
+            // bordered copy of the unframed words.
+            for border in [1, 2] {
+                let engine = Engine::new(crate::ExecPolicy {
+                    threads: 3,
+                    min_work: 0,
+                });
+                rs.binarize_nhwc_packed_with(&t.nchw_to_nhwc(), border, &engine, &mut got);
+                let mut want = PackedActivations::default();
+                want.copy_bordered(&expect, border);
+                assert_eq!(got, want, "n={n} c={c} h={h} w={w} border={border}");
+                assert_eq!(got.unpack(), expect.unpack());
+            }
         }
     }
 

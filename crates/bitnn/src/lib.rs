@@ -56,7 +56,7 @@ pub mod weightgen;
 
 pub use engine::{Engine, KernelForms, Scratch};
 pub use error::{BitnnError, Result};
-pub use exec::{ConvMode, ExecPolicy};
+pub use exec::ExecPolicy;
 pub use graph::arch::Arch;
 pub use graph::{BatchScratch, GraphBuilder, GraphSpec, ModelGraph};
 pub use pack::{PackedActivations, PackedKernel};

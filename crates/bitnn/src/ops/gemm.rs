@@ -1,8 +1,8 @@
-//! Binary GEMM over packed row matrices.
+//! Binary GEMM over packed rows: every binary conv and matrix product.
 //!
-//! Dense layers and 1×1 convolutions reduce to a binary matrix multiply:
+//! Dense layers and convolutions reduce to a binary matrix multiply:
 //! `out[m][n] = <A_row_m, B_row_n>` in the ±1 domain, computed as
-//! `2 * popcount(xnor) - K` (paper Eq. 2).
+//! `K − 2 · popcount(a ⊕ w)` (paper Eq. 2).
 //!
 //! Two implementations are provided:
 //!
@@ -11,16 +11,30 @@
 //!   bit-identical as the perf-tracking baseline and as a second
 //!   implementation for cross-checking.
 //!
+//! # Tap-addressed rows
+//!
+//! The kernel never needs its `A` rows copied into place: row `r` is the
+//! concatenation, over taps `t`, of the `lanes` words at
+//! `base(r) + toff[t]` (a `TapRows`). A conv over bordered packed
+//! activations reads each output pixel's window straight out of them —
+//! `base(r)` is the window's top-left pixel and `toff` holds each live
+//! kernel tap's offset, its `lanes(C)` words following — the indirect
+//! convolution of Dukhan
+//! (arXiv:1907.02129) over packed bits. A packed matrix is the one-tap
+//! case. Padding is the activations' zero border, so it reads as `−1`
+//! values with no branch.
+//!
 //! # Panel layout
 //!
-//! The weight rows (one per output filter, `lanes` words each) are cut into
-//! panels of 8 filters stored `[panel][lane][filter]`: word `l` of filter
-//! `8p + j` lives at `(p · lanes + l) · 8 + j`, so one lane of one panel is
-//! 64 contiguous bytes — a zmm register, or two ymm. The last panel is
-//! zero-padded to 8 filters. The kernel broadcasts one activation word,
-//! XORs it with a panel lane and adds the popcounts into a vector
-//! accumulator per (pixel, panel) — no horizontal add is ever needed —
-//! and stores each pixel's 8-filter result with a mask that drops the
+//! The weight rows (one per output filter, `lanes` words each, in the
+//! same tap order) are cut into panels of 8 filters stored
+//! `[panel][lane][filter]`: word `l` of filter `8p + j` lives at
+//! `(p · lanes + l) · 8 + j`, so one lane of one panel is 64 contiguous
+//! bytes — a zmm register, or two ymm. The last panel is zero-padded to
+//! 8 filters. The kernel broadcasts one activation word, XORs it with a
+//! panel lane and adds the popcounts into a vector accumulator per
+//! (pixel, panel) — no horizontal add is ever needed — and stores each
+//! pixel's 8-filter result `kdot − 2·acc` with a mask that drops the
 //! padding filters, straight into the `[pixel][filter]` `i32` output.
 //! Three bodies follow [`crate::simd::level`]:
 //!
@@ -32,13 +46,12 @@
 //!
 //! # Tail rule
 //!
-//! When `cols` is not a multiple of 64, the unused high bits of each row's
-//! last lane must be **zero** in both operands. All constructors and
-//! [`PackedMatrix::set`] maintain this. Clean tails XOR to zero, so the
-//! kernel computes `dot = K − 2·Σ popcount(a ⊕ w)` with no tail
+//! When a tap's `C` (or a matrix's `cols`) is not a multiple of 64, the
+//! unused high bits of its last lane must be **zero** in both operands.
+//! All constructors, [`PackedMatrix::set`] and the sign+pack writers
+//! maintain this. Clean tails XOR to zero, so the kernel needs no tail
 //! correction and no masking inside the lane loop.
 
-use crate::bitword::or_bits;
 use crate::error::{BitnnError, Result};
 use crate::ops::dot::dot_channels_seed;
 use crate::pack::PackedKernel;
@@ -69,8 +82,8 @@ impl PackedMatrix {
     /// Re-shape this matrix to `rows × cols` and clear every bit, reusing
     /// the existing allocation when it is large enough.
     ///
-    /// This is the scratch-buffer entry point: the im2col lowering calls it
-    /// once per layer instead of allocating a fresh matrix.
+    /// This is the scratch-buffer entry point: a caller refilling one
+    /// matrix per layer calls it instead of allocating a fresh one.
     pub fn reset(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
@@ -194,22 +207,35 @@ const PANEL: usize = 8;
 
 /// Binary weight rows cut into panels of 8 filters — the weight
 /// form every binary GEMM runs on (see the module docs for the layout).
+///
+/// A filter's row is the concatenation, over the panels' taps, of each
+/// tap's lane words: a matrix has one tap (its whole row), a conv kernel
+/// one per live kernel position. A dead tap — one that every output pixel
+/// reads from the padding — is left out, and the filter's ones there fold
+/// into its `kdot` (see [`BinaryPanels::from_kernel_taps`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BinaryPanels {
     filters: usize,
     cols: usize,
     lanes: usize,
+    /// The kernel positions (`ky·KW + kx`, ascending) the rows hold.
+    taps: Vec<u32>,
+    /// Per filter, zero-padded to whole panels: the dot product is
+    /// `kdot[f] − 2·Σ popcount(a ⊕ w)` over the row's words.
+    kdot: Vec<i32>,
     data: Vec<u64>,
 }
 
 impl BinaryPanels {
-    fn zeroed(filters: usize, cols: usize) -> Self {
-        let lanes = lanes_for(cols);
+    fn zeroed(filters: usize, cols: usize, lanes: usize, taps: Vec<u32>) -> Self {
+        let padded = filters.div_ceil(PANEL) * PANEL;
         BinaryPanels {
             filters,
             cols,
             lanes,
-            data: vec![0; filters.div_ceil(PANEL) * PANEL * lanes],
+            taps,
+            kdot: vec![cols as i32; padded],
+            data: vec![0; padded * lanes],
         }
     }
 
@@ -223,37 +249,50 @@ impl BinaryPanels {
 
     /// Panels over the rows of `b`, one filter per row.
     pub fn from_matrix(b: &PackedMatrix) -> Self {
-        let mut panels = Self::zeroed(b.rows(), b.cols());
+        let mut panels = Self::zeroed(b.rows(), b.cols(), b.lanes(), vec![0]);
         for f in 0..b.rows() {
             panels.set_row(f, b.row(f));
         }
         panels
     }
 
-    /// Panels over a conv kernel in im2col order: one row of `KH·KW·C`
-    /// position-major bits per filter, the columns
-    /// [`crate::ops::im2col::im2col_pack`] lowers activations to (a 1×1
-    /// kernel's row is its channel lanes). When `C` is a multiple of 64,
-    /// or the kernel is 1×1, a filter's packed `[position][lane]` words
-    /// already are that row; otherwise each position is blitted into place.
+    /// Panels over every tap of a conv kernel: filter `f`'s row is its
+    /// packed `[position][lane]` words.
     pub fn from_kernel(kernel: &PackedKernel) -> Self {
-        let (filters, c) = (kernel.filters(), kernel.channels());
+        let taps: Vec<u32> = (0..(kernel.kh() * kernel.kw()) as u32).collect();
+        Self::from_kernel_taps(kernel, &taps)
+    }
+
+    /// Panels over the live `taps` of a conv kernel (positions
+    /// `ky·KW + kx`, strictly ascending): filter `f`'s row is the lane
+    /// words of those positions, copied from
+    /// [`PackedKernel::position_lanes`]. Every other position is dead —
+    /// its activations are all padding, zero bits — so it adds
+    /// `popcount(w)` to every `popcount(a ⊕ w)`: `kdot[f]` is the full
+    /// `KH·KW·C` less twice the filter's ones at the dead taps, and the
+    /// dot products stay exact integers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `taps` is not strictly ascending inside the kernel.
+    pub fn from_kernel_taps(kernel: &PackedKernel, taps: &[u32]) -> Self {
+        let (filters, lanes) = (kernel.filters(), kernel.lanes());
         let positions = kernel.kh() * kernel.kw();
-        let mut panels = Self::zeroed(filters, positions * c);
-        if positions == 1 || c % LANE_BITS == 0 {
-            let words = positions * kernel.lanes();
-            for f in 0..filters {
-                panels.set_row(f, &kernel.words()[f * words..][..words]);
+        assert!(
+            taps.windows(2).all(|t| t[0] < t[1]) && taps.iter().all(|&t| (t as usize) < positions),
+            "live taps must be ascending kernel positions"
+        );
+        let cols = positions * kernel.channels();
+        let mut panels = Self::zeroed(filters, cols, taps.len() * lanes, taps.to_vec());
+        let mut row = vec![0u64; panels.lanes];
+        let ones = |w: &[u64]| w.iter().map(|w| w.count_ones() as i32).sum::<i32>();
+        for f in 0..filters {
+            for (dst, &t) in row.chunks_exact_mut(lanes.max(1)).zip(taps) {
+                dst.copy_from_slice(kernel.position_lanes(f, t as usize));
             }
-        } else {
-            let mut row = vec![0u64; panels.lanes];
-            for f in 0..filters {
-                row.fill(0);
-                for p in 0..positions {
-                    or_bits(&mut row, p * c, kernel.position_lanes(f, p), c);
-                }
-                panels.set_row(f, &row);
-            }
+            let all = ones(&kernel.words()[f * positions * lanes..][..positions * lanes]);
+            panels.kdot[f] = cols as i32 - 2 * (all - ones(&row));
+            panels.set_row(f, &row);
         }
         panels
     }
@@ -263,38 +302,168 @@ impl BinaryPanels {
         self.filters
     }
 
-    /// Bits per filter row (the GEMM's K).
+    /// Bits of a full filter row, dead taps included (the GEMM's K).
     pub fn cols(&self) -> usize {
         self.cols
     }
 
-    /// Lane words per filter row.
+    /// Lane words per filter row: the live taps' words.
     pub fn lanes(&self) -> usize {
         self.lanes
     }
+
+    /// The kernel positions the rows hold (`[0]` for a matrix).
+    pub fn taps(&self) -> &[u32] {
+        &self.taps
+    }
 }
 
-/// Binary GEMM of a band of packed rows against weight panels:
-/// `out[r][f] = K − 2·popcount(a_r ⊕ w_f)` for the `a` rows
-/// `m_start .. m_start + out.len() / panels.filters()`, each
-/// `panels.lanes()` words with a clean tail. This is the body the engine
-/// hands each worker with a disjoint output band; it runs at the detected
-/// dispatch level.
+/// Where a binary GEMM reads its `A` rows: row `r` is the concatenation,
+/// over the taps `t`, of the `lanes` words at `base(r) + toff[t]` of
+/// `words`. Row `r` is output pixel `(img, oy, ox)` of an `[img][OH][OW]`
+/// walk, and `base` steps `col` words per output column, `row` per output
+/// row and `img` per image from word 0 — so a conv reads each pixel's
+/// window straight out of its bordered packed activations, and a matrix
+/// is the one-tap case (`OW` unbounded, `toff = [0]`). `base` grows with
+/// `r`, which is what bounds every read.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TapRows<'a> {
+    words: &'a [u64],
+    toff: &'a [u32],
+    lanes: usize,
+    ow: usize,
+    oh: usize,
+    col: usize,
+    row: usize,
+    img: usize,
+}
+
+impl<'a> TapRows<'a> {
+    /// Contiguous rows of `lanes` words.
+    pub(crate) fn contiguous(words: &'a [u64], lanes: usize) -> Self {
+        TapRows {
+            words,
+            toff: &[0],
+            lanes,
+            ow: usize::MAX,
+            oh: 1,
+            col: lanes,
+            row: 0,
+            img: 0,
+        }
+    }
+
+    /// A conv's windows over `words`: the live taps' word offsets from
+    /// the first window's corner word (word 0), `lanes` words each;
+    /// `(oh, ow)` output pixels per image and the `(col, row, img)` word
+    /// strides.
+    pub(crate) fn windows(
+        words: &'a [u64],
+        (toff, lanes): (&'a [u32], usize),
+        (oh, ow): (usize, usize),
+        (col, row, img): (usize, usize, usize),
+    ) -> Self {
+        TapRows {
+            words,
+            toff,
+            lanes,
+            ow,
+            oh,
+            col,
+            row,
+            img,
+        }
+    }
+
+    fn base(&self, r: usize) -> usize {
+        let (q, ox) = (r / self.ow, r % self.ow);
+        q / self.oh * self.img + q % self.oh * self.row + ox * self.col
+    }
+
+    /// A walk over the bases of rows `r, r + 1, …`.
+    fn walk(&self, r: usize) -> Walk<'_> {
+        let (q, ox) = (r / self.ow, r % self.ow);
+        Walk {
+            rows: self,
+            base: self.base(r),
+            ox,
+            oy: q % self.oh,
+            img: q / self.oh * self.img,
+        }
+    }
+}
+
+/// The state of [`TapRows::walk`]: the next row's base and pixel.
+struct Walk<'r> {
+    rows: &'r TapRows<'r>,
+    base: usize,
+    ox: usize,
+    oy: usize,
+    img: usize,
+}
+
+impl Walk<'_> {
+    /// The next row's base.
+    #[inline(always)]
+    fn next(&mut self) -> usize {
+        let (r, b) = (self.rows, self.base);
+        self.ox += 1;
+        if self.ox == r.ow {
+            (self.ox, self.oy) = (0, self.oy + 1);
+            if self.oy == r.oh {
+                (self.oy, self.img) = (0, self.img + r.img);
+            }
+            self.base = self.img + self.oy * r.row;
+        } else {
+            self.base += r.col;
+        }
+        b
+    }
+
+    /// The bases of the next `n ≤ 4` rows (the rest of the array is
+    /// unspecified): one stride apart unless an output row ends among
+    /// them.
+    #[inline(always)]
+    fn next4(&mut self, n: usize) -> [usize; 4] {
+        let col = self.rows.col;
+        if self.ox + n < self.rows.ow {
+            let b = self.base;
+            (self.ox, self.base) = (self.ox + n, b + n * col);
+            return [b, b + col, b + 2 * col, b + 3 * col];
+        }
+        let mut bases = [0; 4];
+        for base in &mut bases[..n] {
+            *base = self.next();
+        }
+        bases
+    }
+}
+
+/// Binary GEMM of a band of `A` rows against weight panels:
+/// `out[r][f] = kdot[f] − 2·popcount(a_r ⊕ w_f)` for the rows
+/// `m_start .. m_start + out.len() / panels.filters()`, each read through
+/// `a`'s tap offsets. This is the body the engine hands each worker with
+/// a disjoint output band; it runs at the detected dispatch level.
 pub(crate) fn gemm_panels_into(
-    a_words: &[u64],
+    a: &TapRows<'_>,
     panels: &BinaryPanels,
     m_start: usize,
     out: &mut [i32],
 ) {
-    gemm_panels_at(simd::level(), a_words, panels, m_start, out);
+    gemm_panels_at(simd::level(), a, panels, m_start, out);
 }
 
 /// [`gemm_panels_into`] at an explicit dispatch level, clamped to what the
 /// CPU has.
+///
+/// # Panics
+///
+/// Panics if `a`'s rows are not `b.lanes()` words or reach past its
+/// words.
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 pub(crate) fn gemm_panels_at(
     level: SimdLevel,
-    a_words: &[u64],
+    a: &TapRows<'_>,
     b: &BinaryPanels,
     m_start: usize,
     out: &mut [i32],
@@ -303,21 +472,29 @@ pub(crate) fn gemm_panels_at(
         return;
     }
     assert_eq!(out.len() % b.filters, 0, "binary GEMM output band");
+    assert_eq!(a.toff.len() * a.lanes, b.lanes, "binary GEMM row length");
     let m = out.len() / b.filters;
-    let a = &a_words[m_start * b.lanes..][..m * b.lanes];
+    if let (Some(&last), true) = (a.toff.iter().max(), m > 0 && b.lanes > 0) {
+        // `base` grows with the row, so this bounds every word read.
+        assert!(
+            a.base(m_start + m - 1) + last as usize + a.lanes <= a.words.len(),
+            "binary GEMM rows reach past A"
+        );
+    }
     #[cfg(target_arch = "x86_64")]
-    {
+    if b.lanes > 0 {
         let f = simd::detect();
         if level >= SimdLevel::Avx512 && f.avx512 {
-            // SAFETY: avx512f + avx512vpopcntdq were detected at runtime.
-            return unsafe { x86::gemm_avx512(a, b, out, m) };
+            // SAFETY: avx512f + avx512vpopcntdq were detected at runtime;
+            // the rows were bounds-checked above.
+            return unsafe { x86::gemm_avx512(a, m_start, b, out, m) };
         }
         if level >= SimdLevel::Avx2 && f.avx2 {
-            // SAFETY: avx2 was detected at runtime.
-            return unsafe { x86::gemm_avx2(a, b, out, m) };
+            // SAFETY: avx2 was detected at runtime; as above.
+            return unsafe { x86::gemm_avx2(a, m_start, b, out, m) };
         }
     }
-    gemm_rows(a, b, out);
+    gemm_rows(a, m_start, b, out);
 }
 
 /// The portable body, and the AVX2 body's for rows of at most
@@ -326,33 +503,46 @@ pub(crate) fn gemm_panels_at(
 /// tiling — software popcounts cost more than a tile's setup saves, and
 /// so do one- or two-lane rows unless hardware `vpopcntq` counts.
 #[inline(always)]
-fn gemm_rows(a: &[u64], b: &BinaryPanels, out: &mut [i32]) {
-    let (lanes, k) = (b.lanes, b.cols as i32);
+fn gemm_rows(a: &TapRows<'_>, m_start: usize, b: &BinaryPanels, out: &mut [i32]) {
+    let (lanes, kdot) = (b.lanes, &b.kdot[..b.filters]);
+    let mut walk = a.walk(m_start);
+    let mut next = || walk.next();
     if lanes == 0 {
-        return out.fill(0); // K = 0: every dot is empty
+        // Every tap is dead: each dot is its filter's constant.
+        return out
+            .chunks_exact_mut(b.filters)
+            .for_each(|o| o.copy_from_slice(kdot));
     }
     if lanes == 1 {
         // One lane per filter: the panels are the filters' words in order.
-        for (&x, orow) in a.iter().zip(out.chunks_exact_mut(b.filters)) {
-            for (o, &w) in orow.iter_mut().zip(&b.data) {
+        let ko = a.toff[0] as usize;
+        for orow in out.chunks_exact_mut(b.filters) {
+            let x = a.words[next() + ko];
+            for ((o, &w), &k) in orow.iter_mut().zip(&b.data).zip(kdot) {
                 *o = k - 2 * (x ^ w).count_ones() as i32;
             }
         }
         return;
     }
-    for (arow, orow) in a.chunks_exact(lanes).zip(out.chunks_exact_mut(b.filters)) {
-        for (w, dst) in b
+    for orow in out.chunks_exact_mut(b.filters) {
+        let base = next();
+        for ((w, dst), k) in b
             .data
             .chunks_exact(lanes * PANEL)
             .zip(orow.chunks_mut(PANEL))
+            .zip(kdot.chunks(PANEL))
         {
             let mut counts = [0u32; PANEL];
-            for (lane, &x) in w.chunks_exact(PANEL).zip(arow) {
-                for (c, &wv) in counts.iter_mut().zip(lane) {
-                    *c += (x ^ wv).count_ones();
+            let mut wl = w.chunks_exact(PANEL);
+            for &off in a.toff {
+                let x = &a.words[base + off as usize..][..a.lanes];
+                for (&x, lane) in x.iter().zip(&mut wl) {
+                    for (c, &wv) in counts.iter_mut().zip(lane) {
+                        *c += (x ^ wv).count_ones();
+                    }
                 }
             }
-            for (o, &c) in dst.iter_mut().zip(&counts) {
+            for ((o, &c), &k) in dst.iter_mut().zip(&counts).zip(k) {
                 *o = k - 2 * c as i32;
             }
         }
@@ -361,7 +551,7 @@ fn gemm_rows(a: &[u64], b: &BinaryPanels, out: &mut [i32]) {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{gemm_rows, BinaryPanels, PANEL};
+    use super::{gemm_rows, BinaryPanels, TapRows, PANEL};
     use std::arch::x86_64::*;
 
     /// Weight bytes per cache block (see [`for_each_tile`]).
@@ -375,6 +565,25 @@ mod x86 {
     /// `u64` sums: each lane adds at most 8 to a byte, and `31 · 8 = 248`
     /// fits.
     const FLUSH_LANES: usize = 31;
+
+    /// Add the AVX2 tile's byte counts into its `u64` sums (`vpsadbw`)
+    /// and clear them.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn flush<const R: usize, const P: usize>(
+        acc: &mut [[[__m256i; 2]; P]; R],
+        bytes: &mut [[[__m256i; 2]; P]; R],
+    ) {
+        let zero = _mm256_setzero_si256();
+        for (acc, bytes) in acc.iter_mut().zip(bytes) {
+            for (acc, bytes) in acc.iter_mut().zip(bytes) {
+                for (acc, bytes) in acc.iter_mut().zip(bytes) {
+                    *acc = _mm256_add_epi64(*acc, _mm256_sad_epu8(*bytes, zero));
+                    *bytes = zero;
+                }
+            }
+        }
+    }
 
     /// Expand one register tile of `rows ≤ 4` pixels × `np ≤ 2` panels into
     /// the matching const-generic instantiation of `$tile`.
@@ -393,18 +602,20 @@ mod x86 {
         };
     }
 
-    /// Walk the `m × panels` output in register tiles of up to `mr` rows ×
+    /// Walk the `m × panels` output in register tiles of up to 4 rows ×
     /// `np` panels. Panels are taken in blocks of about [`BLOCK_BYTES`]
     /// outermost, so a layer whose weights overflow the cache is fetched
-    /// once per band rather than once per row tile. `tile(row, rows,
-    /// panel, np)` computes one tile.
+    /// once per band rather than once per row tile. `tile(bases, row,
+    /// rows, panel, np)` computes one tile whose `A` rows start at
+    /// `bases`.
     #[inline(always)]
     fn for_each_tile(
+        a: &TapRows<'_>,
+        m_start: usize,
         m: usize,
         b: &BinaryPanels,
-        mr: usize,
         np: usize,
-        mut tile: impl FnMut(usize, usize, usize, usize),
+        mut tile: impl FnMut([usize; 4], usize, usize, usize, usize),
     ) {
         let panels = b.filters.div_ceil(PANEL);
         let block = (BLOCK_BYTES / (b.lanes.max(1) * PANEL * 8))
@@ -412,9 +623,12 @@ mod x86 {
             .next_multiple_of(np);
         for first in (0..panels).step_by(block) {
             let end = (first + block).min(panels);
-            for row in (0..m).step_by(mr) {
+            let mut walk = a.walk(m_start);
+            for row in (0..m).step_by(4) {
+                let rows = (m - row).min(4);
+                let bases = walk.next4(rows);
                 for panel in (first..end).step_by(np) {
-                    tile(row, (m - row).min(mr), panel, (end - panel).min(np));
+                    tile(bases, row, rows, panel, (end - panel).min(np));
                 }
             }
         }
@@ -424,13 +638,20 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// The CPU must support `avx512f` and `avx512vpopcntdq`.
+    /// The CPU must support `avx512f` and `avx512vpopcntdq`, and every
+    /// row's words must lie inside `a`.
     #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    pub(super) unsafe fn gemm_avx512(a: &[u64], b: &BinaryPanels, out: &mut [i32], m: usize) {
-        for_each_tile(m, b, 4, 2, |row, rows, panel, np| {
+    pub(super) unsafe fn gemm_avx512(
+        a: &TapRows<'_>,
+        m_start: usize,
+        b: &BinaryPanels,
+        out: &mut [i32],
+        m: usize,
+    ) {
+        for_each_tile(a, m_start, m, b, 2, |bases, row, rows, panel, np| {
             // SAFETY: the features are enabled here; `for_each_tile`
             // keeps every tile inside `m` rows and the panel count.
-            unsafe { tile_by_shape!(tile_avx512(a, b, out, row, panel), rows, np) }
+            unsafe { tile_by_shape!(tile_avx512(a, bases, b, out, row, panel), rows, np) }
         });
     }
 
@@ -438,15 +659,22 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// The CPU must support `avx2`.
+    /// The CPU must support `avx2`, and every row's words must lie
+    /// inside `a`.
     #[target_feature(enable = "avx2,popcnt")]
-    pub(super) unsafe fn gemm_avx2(a: &[u64], b: &BinaryPanels, out: &mut [i32], m: usize) {
-        if (1..=SHORT_ROW_LANES).contains(&b.lanes) {
-            return gemm_rows(a, b, out);
+    pub(super) unsafe fn gemm_avx2(
+        a: &TapRows<'_>,
+        m_start: usize,
+        b: &BinaryPanels,
+        out: &mut [i32],
+        m: usize,
+    ) {
+        if b.lanes <= SHORT_ROW_LANES {
+            return gemm_rows(a, m_start, b, out);
         }
-        for_each_tile(m, b, 4, 1, |row, rows, panel, np| {
+        for_each_tile(a, m_start, m, b, 1, |bases, row, rows, panel, np| {
             // SAFETY: as in `gemm_avx512`.
-            unsafe { tile_by_shape!(tile_avx2(a, b, out, row, panel), rows, np) }
+            unsafe { tile_by_shape!(tile_avx2(a, bases, b, out, row, panel), rows, np) }
         });
     }
 
@@ -455,40 +683,56 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// The CPU must support `avx512f` and `avx512vpopcntdq`; rows
-    /// `row..row + R` of `a` and `out` and panels `panel..panel + P` must
-    /// exist.
+    /// The CPU must support `avx512f` and `avx512vpopcntdq`; the `R` rows
+    /// at `bases` must lie inside `a`, and rows `row..row + R` of `out`
+    /// and panels `panel..panel + P` must exist.
     #[inline]
     #[target_feature(enable = "avx512f,avx512vpopcntdq")]
     unsafe fn tile_avx512<const R: usize, const P: usize>(
-        a: &[u64],
+        a: &TapRows<'_>,
+        bases: [usize; 4],
         b: &BinaryPanels,
         out: &mut [i32],
         row: usize,
         panel: usize,
     ) {
         let lanes = b.lanes;
-        let arows = &a[row * lanes..][..R * lanes];
         let w = &b.data[panel * lanes * PANEL..][..P * lanes * PANEL];
         let mut acc = [[_mm512_setzero_si512(); P]; R];
-        for l in 0..lanes {
-            let mut wv = [_mm512_setzero_si512(); P];
-            for (p, wv) in wv.iter_mut().enumerate() {
-                // SAFETY: lane `l` of panel `p` is 8 in-bounds words.
-                *wv = unsafe { _mm512_loadu_si512(w.as_ptr().add((p * lanes + l) * PANEL).cast()) };
-            }
-            for (r, acc) in acc.iter_mut().enumerate() {
-                // SAFETY: row `r`'s lane `l` is in bounds.
-                let x = _mm512_set1_epi64(unsafe { *arows.get_unchecked(r * lanes + l) } as i64);
-                for (acc, &wv) in acc.iter_mut().zip(&wv) {
-                    *acc = _mm512_add_epi64(*acc, _mm512_popcnt_epi64(_mm512_xor_si512(x, wv)));
+        for (t, &off) in a.toff.iter().enumerate() {
+            for j in 0..a.lanes {
+                let l = t * a.lanes + j;
+                let mut wv = [_mm512_setzero_si512(); P];
+                for (p, wv) in wv.iter_mut().enumerate() {
+                    // SAFETY: lane `l` of panel `p` is 8 in-bounds words.
+                    *wv = unsafe {
+                        _mm512_loadu_si512(w.as_ptr().add((p * lanes + l) * PANEL).cast())
+                    };
+                }
+                for (acc, &base) in acc.iter_mut().zip(&bases) {
+                    // SAFETY: the caller keeps the row's words inside `a`.
+                    let x = unsafe { *a.words.get_unchecked(base + off as usize + j) };
+                    let x = _mm512_set1_epi64(x as i64);
+                    for (acc, &wv) in acc.iter_mut().zip(&wv) {
+                        *acc = _mm512_add_epi64(*acc, _mm512_popcnt_epi64(_mm512_xor_si512(x, wv)));
+                    }
                 }
             }
         }
-        let k = _mm512_set1_epi64(b.cols as i64);
+        // Loaded once: the stores below may alias `kdot` as far as the
+        // compiler can tell.
+        let mut kdot = [_mm512_setzero_si512(); P];
+        for (p, k) in kdot.iter_mut().enumerate() {
+            // SAFETY: `kdot` holds whole panels.
+            *k = unsafe {
+                _mm512_cvtepi32_epi64(_mm256_loadu_si256(
+                    b.kdot.as_ptr().add((panel + p) * PANEL).cast(),
+                ))
+            };
+        }
         for (r, acc) in acc.iter().enumerate() {
             let orow = &mut out[(row + r) * b.filters..][..b.filters];
-            for (p, &acc) in acc.iter().enumerate() {
+            for (p, (&acc, &k)) in acc.iter().zip(&kdot).enumerate() {
                 let col = (panel + p) * PANEL;
                 let valid = (b.filters - col).min(PANEL);
                 let dot = _mm512_sub_epi64(k, _mm512_slli_epi64::<1>(acc));
@@ -517,14 +761,14 @@ mod x86 {
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn tile_avx2<const R: usize, const P: usize>(
-        a: &[u64],
+        a: &TapRows<'_>,
+        bases: [usize; 4],
         b: &BinaryPanels,
         out: &mut [i32],
         row: usize,
         panel: usize,
     ) {
         let lanes = b.lanes;
-        let arows = &a[row * lanes..][..R * lanes];
         let w = &b.data[panel * lanes * PANEL..][..P * lanes * PANEL];
         let nibble = _mm256_setr_epi8(
             0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2,
@@ -533,54 +777,61 @@ mod x86 {
         let low = _mm256_set1_epi8(0x0f);
         let zero = _mm256_setzero_si256();
         let mut acc = [[[zero; 2]; P]; R];
-        let mut first = 0;
-        while first < lanes {
-            let mut bytes = [[[zero; 2]; P]; R];
-            let last = (first + FLUSH_LANES).min(lanes);
-            for l in first..last {
-                let mut wv = [[zero; 2]; P];
-                for (p, wv) in wv.iter_mut().enumerate() {
-                    for (h, wv) in wv.iter_mut().enumerate() {
-                        // SAFETY: half `h` of lane `l` of panel `p` is 4
-                        // in-bounds words.
-                        *wv = unsafe {
-                            _mm256_loadu_si256(
-                                w.as_ptr().add((p * lanes + l) * PANEL + 4 * h).cast(),
-                            )
-                        };
-                    }
-                }
-                for (r, bytes) in bytes.iter_mut().enumerate() {
-                    // SAFETY: row `r`'s lane `l` is in bounds.
-                    let x =
-                        _mm256_set1_epi64x(unsafe { *arows.get_unchecked(r * lanes + l) } as i64);
-                    for (bytes, wv) in bytes.iter_mut().zip(&wv) {
-                        for (bytes, &wv) in bytes.iter_mut().zip(wv) {
-                            let v = _mm256_xor_si256(x, wv);
-                            let lo = _mm256_shuffle_epi8(nibble, _mm256_and_si256(v, low));
-                            let hi = _mm256_shuffle_epi8(
-                                nibble,
-                                _mm256_and_si256(_mm256_srli_epi16::<4>(v), low),
-                            );
-                            *bytes = _mm256_add_epi8(*bytes, _mm256_add_epi8(lo, hi));
+        let mut bytes = [[[zero; 2]; P]; R];
+        let (mut l, mut pending) = (0, 0);
+        for &off in a.toff {
+            let mut j = 0;
+            while j < a.lanes {
+                let run = (a.lanes - j).min(FLUSH_LANES - pending);
+                for j in j..j + run {
+                    let mut wv = [[zero; 2]; P];
+                    for (p, wv) in wv.iter_mut().enumerate() {
+                        for (h, wv) in wv.iter_mut().enumerate() {
+                            // SAFETY: half `h` of lane `l` of panel `p` is
+                            // 4 in-bounds words.
+                            *wv = unsafe {
+                                _mm256_loadu_si256(
+                                    w.as_ptr().add((p * lanes + l) * PANEL + 4 * h).cast(),
+                                )
+                            };
                         }
                     }
-                }
-            }
-            for (acc, bytes) in acc.iter_mut().zip(&bytes) {
-                for (acc, bytes) in acc.iter_mut().zip(bytes) {
-                    for (acc, &bytes) in acc.iter_mut().zip(bytes) {
-                        *acc = _mm256_add_epi64(*acc, _mm256_sad_epu8(bytes, zero));
+                    for (bytes, &base) in bytes.iter_mut().zip(&bases) {
+                        // SAFETY: the caller keeps the row's words inside `a`.
+                        let x = unsafe { *a.words.get_unchecked(base + off as usize + j) };
+                        let x = _mm256_set1_epi64x(x as i64);
+                        for (bytes, wv) in bytes.iter_mut().zip(&wv) {
+                            for (bytes, &wv) in bytes.iter_mut().zip(wv) {
+                                let v = _mm256_xor_si256(x, wv);
+                                let lo = _mm256_shuffle_epi8(nibble, _mm256_and_si256(v, low));
+                                let hi = _mm256_shuffle_epi8(
+                                    nibble,
+                                    _mm256_and_si256(_mm256_srli_epi16::<4>(v), low),
+                                );
+                                *bytes = _mm256_add_epi8(*bytes, _mm256_add_epi8(lo, hi));
+                            }
+                        }
                     }
+                    l += 1;
+                }
+                (j, pending) = (j + run, pending + run);
+                if pending == FLUSH_LANES {
+                    flush(&mut acc, &mut bytes);
+                    pending = 0;
                 }
             }
-            first = last;
         }
-        let k = _mm256_set1_epi32(b.cols as i32);
+        flush(&mut acc, &mut bytes);
         let iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        // Loaded once, as in `tile_avx512`.
+        let mut kdot = [zero; P];
+        for (p, k) in kdot.iter_mut().enumerate() {
+            // SAFETY: `kdot` holds whole panels.
+            *k = unsafe { _mm256_loadu_si256(b.kdot.as_ptr().add((panel + p) * PANEL).cast()) };
+        }
         for (r, acc) in acc.iter().enumerate() {
             let orow = &mut out[(row + r) * b.filters..][..b.filters];
-            for (p, &[lo, hi]) in acc.iter().enumerate() {
+            for (p, (&[lo, hi], &k)) in acc.iter().zip(&kdot).enumerate() {
                 let col = (panel + p) * PANEL;
                 let valid = (b.filters - col).min(PANEL);
                 // The low dword of each `u64` count, filters 0..8 in order.
@@ -615,6 +866,13 @@ pub fn kernel() -> SimdLevel {
 /// The binary GEMM's measurement label, `<level>/gemm-panel8`.
 pub fn gemm_kernel_name() -> String {
     format!("{}/gemm-panel{PANEL}", kernel())
+}
+
+/// The binary conv kernel's label, `<level>/tap-panel8`: the panel GEMM
+/// reading its rows through the tap table, as printed by `bnnkc
+/// features` and recorded by the perfsuite.
+pub fn conv_kernel_name() -> String {
+    format!("{}/tap-panel{PANEL}", kernel())
 }
 
 /// Binary GEMM: `out[m][n] = dot(a.row(m), b.row(n))` in the ±1 domain.
@@ -666,7 +924,7 @@ pub fn gemm_binary_panels_into(
     panels: &BinaryPanels,
     out: &mut Vec<i32>,
 ) -> Result<()> {
-    if a.cols != panels.cols {
+    if a.cols != panels.cols || a.lanes != panels.lanes {
         return Err(BitnnError::DimMismatch {
             op: "gemm_binary",
             lhs: vec![a.rows, a.cols],
@@ -680,7 +938,7 @@ pub fn gemm_binary_panels_into(
         out.clear();
         out.resize(n, 0);
     }
-    gemm_panels_into(&a.data, panels, 0, out);
+    gemm_panels_into(&TapRows::contiguous(&a.data, a.lanes), panels, 0, out);
     Ok(())
 }
 
@@ -870,15 +1128,16 @@ mod tests {
         let (m, n, k) = (a.rows(), b.rows(), a.cols());
         let want = gemm_binary_naive(a, b).unwrap();
         let panels = BinaryPanels::from_matrix(b);
+        let rows = TapRows::contiguous(a.words(), a.lanes());
         for level in host_levels() {
             let mut out = vec![i32::MIN; m * n];
-            gemm_panels_at(level, a.words(), &panels, 0, &mut out);
+            gemm_panels_at(level, &rows, &panels, 0, &mut out);
             assert_eq!(out, want, "{level} m={m} n={n} k={k}");
             let mut banded = vec![i32::MIN; m * n];
             let cuts = [0, m / 3, m / 3 + m.div_ceil(2), m];
             for pair in cuts.windows(2) {
                 let band = &mut banded[pair[0] * n..pair[1] * n];
-                gemm_panels_at(level, a.words(), &panels, pair[0], band);
+                gemm_panels_at(level, &rows, &panels, pair[0], band);
             }
             assert_eq!(banded, want, "{level} banded m={m} n={n} k={k}");
         }
@@ -915,7 +1174,8 @@ mod tests {
     fn panel_bodies_reach_plus_and_minus_k() {
         // Each `a` row equals one filter (all agree, +K) or its
         // complement (all disagree, −K); clean tails must not count.
-        for &k in &[1usize, 63, 64, 65, 130, 1024] {
+        // 2100 bits are 33 lanes: the AVX2 byte counts flush mid-row.
+        for &k in &[1usize, 63, 64, 65, 130, 1024, 2100] {
             let n = 17;
             let b_bits = random_bits(n * k, k as u64);
             let b = PackedMatrix::from_bools(n, k, &b_bits).unwrap();
@@ -929,7 +1189,8 @@ mod tests {
             let panels = BinaryPanels::from_matrix(&b);
             for level in host_levels() {
                 let mut out = vec![0; 6 * n];
-                gemm_panels_at(level, a.words(), &panels, 0, &mut out);
+                let rows = TapRows::contiguous(a.words(), a.lanes());
+                gemm_panels_at(level, &rows, &panels, 0, &mut out);
                 for (i, f) in [0, 8, 16].into_iter().enumerate() {
                     assert_eq!(out[2 * i * n + f], k as i32, "{level} k={k} f={f}");
                     assert_eq!(out[(2 * i + 1) * n + f], -(k as i32), "{level} k={k} f={f}");
@@ -941,28 +1202,90 @@ mod tests {
 
     #[test]
     fn kernel_panels_equal_the_im2col_rows() {
-        // Both the direct copy (1×1, or C a multiple of 64) and the
-        // per-position blit give the im2col weight rows.
-        for &(c, kh) in &[
-            (1usize, 3usize),
-            (3, 3),
-            (64, 3),
-            (70, 3),
-            (128, 3),
-            (70, 1),
-            (5, 2),
-        ] {
+        // When C is a multiple of 64, or the kernel is 1×1, a filter's
+        // tap-aligned words are exactly its im2col weight row.
+        for &(c, kh) in &[(64usize, 3usize), (128, 3), (70, 1), (5, 1), (64, 2)] {
             let w = crate::weightgen::random_kernel(&[11, c, kh, kh], (c * 10 + kh) as u64);
             let packed = PackedKernel::pack(&w).unwrap();
-            let want =
-                BinaryPanels::from_matrix(&crate::ops::im2col::im2col_kernel_packed(&packed));
-            assert_eq!(BinaryPanels::from_kernel(&packed), want, "c={c} {kh}x{kh}");
+            let im2col = crate::ops::im2col::im2col_kernel_packed(&packed);
+            let want = BinaryPanels::from_matrix(&im2col);
+            assert_eq!(
+                BinaryPanels::from_kernel(&packed).data,
+                want.data,
+                "c={c} {kh}x{kh}"
+            );
+        }
+    }
+
+    #[test]
+    fn kernel_panels_are_tap_aligned() {
+        // A filter's row is its `[position][lane]` words, each tap's last
+        // lane zero-padded past C, and `kdot` the full `KH·KW·C`.
+        for &(c, kh) in &[(1usize, 3usize), (3, 3), (64, 3), (70, 3), (70, 1), (5, 2)] {
+            let w = crate::weightgen::random_kernel(&[11, c, kh, kh], (c * 10 + kh) as u64);
+            let packed = PackedKernel::pack(&w).unwrap();
+            let panels = BinaryPanels::from_kernel(&packed);
+            let words = kh * kh * packed.lanes();
+            let rows = PackedMatrix {
+                rows: 11,
+                cols: words * LANE_BITS,
+                lanes: words,
+                data: packed.words().to_vec(),
+            };
+            assert_eq!(
+                panels.data,
+                BinaryPanels::from_matrix(&rows).data,
+                "c={c} {kh}x{kh}"
+            );
+            assert_eq!(panels.cols(), kh * kh * c);
+            assert!(panels.kdot[..11].iter().all(|&k| k == (kh * kh * c) as i32));
+        }
+    }
+
+    #[test]
+    fn dead_taps_fold_into_the_filter_constant() {
+        // Only the centre tap of a 3×3 kernel kept: each filter's ones at
+        // the other eight positions leave `kdot`, twice.
+        let (kf, c) = (9usize, 70usize);
+        let w = crate::weightgen::random_kernel(&[kf, c, 3, 3], 0xDEAD);
+        let packed = PackedKernel::pack(&w).unwrap();
+        let panels = BinaryPanels::from_kernel_taps(&packed, &[4]);
+        assert_eq!(
+            (panels.lanes(), panels.cols(), panels.taps()),
+            (2, 9 * c, &[4u32][..])
+        );
+        for f in 0..kf {
+            let dead: i32 = (0..9)
+                .filter(|&p| p != 4)
+                .flat_map(|p| packed.position_lanes(f, p))
+                .map(|w| w.count_ones() as i32)
+                .sum();
+            assert_eq!(panels.kdot[f], (9 * c) as i32 - 2 * dead, "filter {f}");
+        }
+        let none = BinaryPanels::from_kernel_taps(&packed, &[]);
+        assert_eq!(none.lanes(), 0);
+        // An all-padding window: every activation bit is zero.
+        let mut out = vec![0; 2 * kf];
+        let rows = TapRows::contiguous(&[], 0);
+        for level in host_levels() {
+            gemm_panels_at(level, &rows, &none, 0, &mut out);
+            let zeros = PackedMatrix::zeros(2, 9 * c);
+            let full = PackedMatrix {
+                rows: kf,
+                cols: 9 * c,
+                lanes: lanes_for(9 * c),
+                data: crate::ops::im2col::im2col_kernel_packed(&packed)
+                    .words()
+                    .to_vec(),
+            };
+            assert_eq!(out, gemm_binary_naive(&zeros, &full).unwrap(), "{level}");
         }
     }
 
     #[test]
     fn binary_gemm_label_names_the_level() {
         assert_eq!(gemm_kernel_name(), format!("{}/gemm-panel8", simd::level()));
+        assert_eq!(conv_kernel_name(), format!("{}/tap-panel8", simd::level()));
         assert_eq!(kernel(), simd::level());
     }
 

@@ -2,9 +2,11 @@
 //!
 //! Each output pixel's receptive field is flattened into one packed row of
 //! `KH*KW*C` bits; the kernel is flattened the same way; the convolution is
-//! then a [`gemm_binary`] call. This is the alternative lowering daBNN uses
-//! for some shapes and serves as a second, independent implementation that
-//! the direct convolution is cross-checked against.
+//! then a [`gemm_binary`] call. This is the lowering daBNN uses for some
+//! shapes. The engine does not run it — its conv kernel reads the windows
+//! in place (see [`crate::ops::gemm`]) — so it serves as a second,
+//! independent implementation that the direct convolution is
+//! cross-checked against.
 //!
 //! Padding pixels contribute `-1` for every channel, i.e. zero bits, which
 //! is what freshly-zeroed rows already contain — but the *bit count* must
@@ -66,9 +68,8 @@ pub fn im2col_pack_into(
 ///
 /// Each in-bounds kernel position is copied with one word-level bit blit
 /// ([`or_bits`]) of all `C` channel bits instead of per-bit sets; padding
-/// positions stay zero (`-1` values). Rows are independent, which is what
-/// lets the execution engine chunk them across worker threads.
-pub(crate) fn im2col_rows(
+/// positions stay zero (`-1` values).
+fn im2col_rows(
     acts: &PackedActivations,
     kh: usize,
     kw: usize,

@@ -15,7 +15,9 @@
 //! from zero as `trunc(t + copysign(0.49999997, t))`, which is exact for
 //! every `|t| < 2^23`. NaN quantizes to 0. The AVX-512F and AVX2 bodies
 //! avoid the `roundf` call the portable `f32::round` compiles to on
-//! baseline x86-64.
+//! baseline x86-64. [`quantize_planes_into`] quantizes an NCHW image the
+//! same way straight into pixel-major `[H·W][C]` order, the stem's
+//! im2col source.
 //!
 //! # Packed weights
 //!
@@ -119,6 +121,61 @@ pub fn quantize_into(data: &[f32], out: &mut [i8]) -> f32 {
 pub(crate) fn quantize_at(level: SimdLevel, data: &[f32], out: &mut [i8]) -> f32 {
     let scale = scale_at(level, data);
     quantize_scaled_at(level, data, scale, out);
+    scale
+}
+
+/// [`quantize_into`] of an image stored as `planes` equal planes
+/// (`[C][H·W]`, one NCHW sample) with the output interleaved pixel-major:
+/// `out[px · C + ch]` is value `data[ch · H·W + px]` quantized with the
+/// one scale of the whole image. Bit-identical to quantizing, then
+/// transposing. At AVX-512 an image of up to 4 channels takes 16 pixels
+/// per step: each plane's 16 values quantized to `i16` lanes, interleaved
+/// by two `vpermt2w` and stored narrowed to bytes; every other case
+/// quantizes blocks of each plane and interleaves them through a small
+/// stack buffer.
+///
+/// # Panics
+///
+/// Panics if `planes` is zero or does not divide `data.len()`, or if
+/// `out` and `data` differ in length.
+pub fn quantize_planes_into(data: &[f32], planes: usize, out: &mut [i8]) -> f32 {
+    quantize_planes_at(simd::level(), data, planes, out)
+}
+
+/// [`quantize_planes_into`] at an explicit dispatch level, clamped to
+/// what the CPU has.
+pub(crate) fn quantize_planes_at(
+    level: SimdLevel,
+    data: &[f32],
+    planes: usize,
+    out: &mut [i8],
+) -> f32 {
+    assert!(
+        planes > 0 && data.len().is_multiple_of(planes),
+        "image planes"
+    );
+    assert_eq!(out.len(), data.len(), "quantizer output length");
+    let scale = scale_at(level, data);
+    #[cfg(target_arch = "x86_64")]
+    if level >= SimdLevel::Avx512 && simd::detect().avx512 && planes <= 4 {
+        // SAFETY: avx512f/bw were detected at runtime; the shapes were
+        // checked above.
+        unsafe { x86::quantize_planes_avx512(data, planes, scale, out) };
+        return scale;
+    }
+    const BLOCK: usize = 16;
+    let hw = data.len() / planes;
+    let mut block = [0i8; BLOCK];
+    for px in (0..hw).step_by(BLOCK) {
+        let n = (hw - px).min(BLOCK);
+        let dst = &mut out[px * planes..][..n * planes];
+        for ch in 0..planes {
+            quantize_scaled_at(level, &data[ch * hw + px..][..n], scale, &mut block[..n]);
+            for (d, &q) in dst[ch..].iter_mut().step_by(planes).zip(&block[..n]) {
+                *d = q;
+            }
+        }
+    }
     scale
 }
 
@@ -452,25 +509,88 @@ mod x86 {
     #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn quantize_avx512(data: &[f32], scale: f32, out: &mut [i8]) {
         let vscale = _mm512_set1_ps(scale);
-        let (lo, hi) = (_mm512_set1_ps(-127.0), _mm512_set1_ps(127.0));
-        let bias = _mm512_castps_si512(_mm512_set1_ps(ROUND_BIAS));
-        let sign = _mm512_set1_epi32(i32::MIN);
         for start in (0..data.len()).step_by(16) {
             let mask = lane_mask(data.len() - start);
             // SAFETY: `mask` covers only the in-bounds elements.
             let v = unsafe { _mm512_maskz_loadu_ps(mask, data.as_ptr().add(start)) };
-            let t = _mm512_div_ps(v, vscale);
-            let ordered = _mm512_cmp_ps_mask::<_CMP_ORD_Q>(t, t);
-            let t = _mm512_min_ps(hi, _mm512_max_ps(lo, t));
-            let signed_bias = _mm512_or_si512(_mm512_and_si512(_mm512_castps_si512(t), sign), bias);
-            let r = _mm512_add_ps(t, _mm512_castsi512_ps(signed_bias));
-            // NaN lanes convert to 0.
-            let q = _mm512_maskz_cvttps_epi32(ordered, r);
+            let q = quantize16(v, vscale);
             // SAFETY: `mask` covers only the in-bounds bytes of `out`,
             // which is as long as `data`.
             unsafe {
                 _mm512_mask_cvtepi32_storeu_epi8(out.as_mut_ptr().add(start).cast(), mask, q)
             };
+        }
+    }
+
+    /// Sixteen values of the quantizer, as `i32` lanes in `[-127, 127]`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn quantize16(v: __m512, vscale: __m512) -> __m512i {
+        let (lo, hi) = (_mm512_set1_ps(-127.0), _mm512_set1_ps(127.0));
+        let bias = _mm512_castps_si512(_mm512_set1_ps(ROUND_BIAS));
+        let sign = _mm512_set1_epi32(i32::MIN);
+        let t = _mm512_div_ps(v, vscale);
+        let ordered = _mm512_cmp_ps_mask::<_CMP_ORD_Q>(t, t);
+        let t = _mm512_min_ps(hi, _mm512_max_ps(lo, t));
+        let signed_bias = _mm512_or_si512(_mm512_and_si512(_mm512_castps_si512(t), sign), bias);
+        let r = _mm512_add_ps(t, _mm512_castsi512_ps(signed_bias));
+        // NaN lanes convert to 0.
+        _mm512_maskz_cvttps_epi32(ordered, r)
+    }
+
+    /// AVX-512 body of [`super::quantize_planes_at`] for 1 to 4 planes.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `avx512f` and `avx512bw`; `planes` is 1 to 4
+    /// and divides `data.len()`, and `out` is as long as `data`.
+    #[target_feature(enable = "avx512f,avx512bw")]
+    pub(super) unsafe fn quantize_planes_avx512(
+        data: &[f32],
+        planes: usize,
+        scale: f32,
+        out: &mut [i8],
+    ) {
+        let hw = data.len() / planes;
+        // Output word `j` of a 16-pixel step is plane `j % planes` of
+        // pixel `j / planes`: word `(j % planes) · 16 + j / planes` of
+        // the planes stacked `[plane][16]` across the two sources.
+        let mut idx = [0u16; 64];
+        for (j, i) in idx.iter_mut().enumerate().take(16 * planes) {
+            *i = ((j % planes) * 16 + j / planes) as u16;
+        }
+        // SAFETY: each load reads 32 of the 64 indices.
+        let (idx_lo, idx_hi) = unsafe {
+            (
+                _mm512_loadu_si512(idx.as_ptr().cast()),
+                _mm512_loadu_si512(idx.as_ptr().add(32).cast()),
+            )
+        };
+        let vscale = _mm512_set1_ps(scale);
+        for px in (0..hw).step_by(16) {
+            let n = hw - px;
+            let mask = lane_mask(n);
+            let mut words = [_mm256_setzero_si256(); 4];
+            for (p, words) in words.iter_mut().enumerate().take(planes) {
+                // SAFETY: `mask` covers only this plane's in-bounds values.
+                let v = unsafe { _mm512_maskz_loadu_ps(mask, data.as_ptr().add(p * hw + px)) };
+                *words = _mm512_cvtepi32_epi16(quantize16(v, vscale));
+            }
+            let a = _mm512_inserti64x4::<1>(_mm512_castsi256_si512(words[0]), words[1]);
+            let b = _mm512_inserti64x4::<1>(_mm512_castsi256_si512(words[2]), words[3]);
+            let bytes = n.min(16) * planes;
+            let dst = out.as_mut_ptr().wrapping_add(px * planes);
+            for (half, idx) in [idx_lo, idx_hi].into_iter().enumerate() {
+                let len = bytes.saturating_sub(32 * half).min(32);
+                if len == 0 {
+                    break;
+                }
+                let m = (u64::MAX >> (64 - len)) as __mmask32;
+                let v = _mm512_permutex2var_epi16(a, idx, b);
+                // SAFETY: the mask covers the step's `bytes` output bytes,
+                // all inside `out`.
+                unsafe { _mm512_mask_cvtepi16_storeu_epi8(dst.add(32 * half).cast(), m, v) };
+            }
         }
     }
 
@@ -933,6 +1053,33 @@ mod tests {
             tile_scalar(&padded, &b, &mut c, row, panel)
         });
         assert_eq!(c, want, "scalar m={m} n={n} k={k}");
+    }
+
+    #[test]
+    fn planes_quantize_straight_to_pixel_major() {
+        // Planes 1–4 take the AVX-512 interleave, 5 and 6 the blocked
+        // fallback; pixel counts cover every 16-pixel step tail.
+        for planes in 1usize..=6 {
+            for hw in [1usize, 7, 15, 16, 17, 33, 1024] {
+                let mut data = random_floats(planes * hw, 4.0, (planes * 1000 + hw) as u64);
+                data[hw / 2] = f32::NAN;
+                let (q, scale) = quantize_symmetric(&data);
+                let mut want = vec![0i8; q.len()];
+                for (i, &v) in q.iter().enumerate() {
+                    want[i % hw * planes + i / hw] = v;
+                }
+                for level in host_levels() {
+                    let mut got = vec![i8::MIN; q.len()];
+                    let s = quantize_planes_at(level, &data, planes, &mut got);
+                    assert_eq!(
+                        s.to_bits(),
+                        scale.to_bits(),
+                        "{level} planes {planes} hw {hw}"
+                    );
+                    assert_eq!(got, want, "{level} planes {planes} hw {hw}");
+                }
+            }
+        }
     }
 
     #[test]

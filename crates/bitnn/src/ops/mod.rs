@@ -16,7 +16,6 @@ pub mod gemm;
 pub mod im2col;
 pub mod int8;
 pub mod reference;
-pub mod streamconv;
 
 pub use conv::{conv2d_binary, Conv2dParams};
 pub use gemm::{gemm_binary, gemm_binary_into, gemm_binary_naive, BinaryPanels, PackedMatrix};

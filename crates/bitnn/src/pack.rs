@@ -305,12 +305,17 @@ impl PackedKernel {
 
 /// Channel-packed binary activations.
 ///
-/// Layout: `data[(((n * h) + y) * w + x) * lanes + l]` holds channels
-/// `l*64 .. l*64+64` of pixel `(y, x)` in image `n`.
+/// Layout: each image is a `(h + 2b) × (w + 2b)` grid of pixels with a
+/// zero border `b = border()` pixels wide around the `h × w` map, and
+/// `data[(((n * (h + 2b)) + y + b) * (w + 2b) + x + b) * lanes + l]`
+/// holds channels `l*64 .. l*64+64` of pixel `(y, x)` in image `n`.
+/// The border words are zero — channel value `−1`, the padding value —
+/// so a conv of padding up to `b` reads every window straight out of
+/// [`Self::words`] (see [`crate::ops::gemm`]).
 ///
-/// Because pixels are row-major with `lanes` words each, the container
-/// doubles as a packed matrix with one `channels()`-bit row per pixel —
-/// the execution engine exploits this to run 1×1 convolutions as a GEMM
+/// Without a border the pixels are row-major with `lanes` words each,
+/// so the container doubles as a packed matrix with one `channels()`-bit
+/// row per pixel — the execution engine runs 1×1 convolutions as a GEMM
 /// directly over [`Self::words`] with no re-packing.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PackedActivations {
@@ -318,6 +323,7 @@ pub struct PackedActivations {
     channels: usize,
     h: usize,
     w: usize,
+    border: usize,
     lanes: usize,
     data: Vec<u64>,
 }
@@ -383,6 +389,7 @@ impl PackedActivations {
         self.channels = c;
         self.h = h;
         self.w = w;
+        self.border = 0;
         self.lanes = lanes;
         Ok(())
     }
@@ -412,33 +419,70 @@ impl PackedActivations {
         self.lanes
     }
 
+    /// Width of the zero border around each image's map, in pixels.
+    pub fn border(&self) -> usize {
+        self.border
+    }
+
     /// The lane words of pixel `(y, x)` in image `n`.
     #[inline]
     pub fn pixel_lanes(&self, n: usize, y: usize, x: usize) -> &[u64] {
-        let base = (((n * self.h) + y) * self.w + x) * self.lanes;
+        let b = self.border;
+        let base = (((n * (self.h + 2 * b)) + y + b) * (self.w + 2 * b) + x + b) * self.lanes;
         &self.data[base..base + self.lanes]
     }
 
-    /// Raw packed words.
+    /// Raw packed words, border included.
     pub fn words(&self) -> &[u64] {
         &self.data
     }
 
-    /// Re-shape this container for `[n, c, h, w]` reusing the
-    /// allocation, leaving the words unspecified — the seat for
-    /// [`crate::layers::RSign::binarize_nhwc_packed_with`], which stores
-    /// every word whole (tail bits at and above `c` zero).
-    pub(crate) fn reset_for_overwrite(&mut self, n: usize, c: usize, h: usize, w: usize) {
+    /// Re-shape this container for `[n, c, h, w]` with a `border`-pixel
+    /// frame, reusing the allocation and leaving the words unspecified —
+    /// the seat for [`crate::layers::RSign::binarize_nhwc_packed_with`],
+    /// which stores every word whole (tail bits at and above `c` zero,
+    /// border words zero).
+    pub(crate) fn reset_for_overwrite(
+        &mut self,
+        n: usize,
+        c: usize,
+        h: usize,
+        w: usize,
+        border: usize,
+    ) {
         let lanes = lanes_for(c);
-        if self.data.len() != n * h * w * lanes {
+        let len = n * (h + 2 * border) * (w + 2 * border) * lanes;
+        if self.data.len() != len {
             self.data.clear();
-            self.data.resize(n * h * w * lanes, 0);
+            self.data.resize(len, 0);
         }
         self.n = n;
         self.channels = c;
         self.h = h;
         self.w = w;
+        self.border = border;
         self.lanes = lanes;
+    }
+
+    /// Copy `src` into this container with a `border`-pixel zero frame,
+    /// reusing the allocation.
+    pub(crate) fn copy_bordered(&mut self, src: &PackedActivations, border: usize) {
+        let (n, h, w) = (src.n, src.h, src.w);
+        self.reset_for_overwrite(n, src.channels, h, w, border);
+        self.data.fill(0);
+        let row = w * self.lanes;
+        for img in 0..n {
+            for y in 0..h {
+                let (from, to) = (src.pixel_index(img, y), self.pixel_index(img, y));
+                self.data[to..][..row].copy_from_slice(&src.data[from..][..row]);
+            }
+        }
+    }
+
+    /// The first word of interior row `y` of image `img`.
+    fn pixel_index(&self, img: usize, y: usize) -> usize {
+        let b = self.border;
+        ((img * (self.h + 2 * b) + y + b) * (self.w + 2 * b) + b) * self.lanes
     }
 
     /// Mutable raw packed words, for the fused sign→pack writer.
@@ -500,6 +544,24 @@ mod tests {
         let pa = PackedActivations::pack(&a).unwrap();
         assert_eq!(pa.lanes(), 3);
         assert_eq!(pa.unpack(), a);
+    }
+
+    #[test]
+    fn bordered_copy_frames_each_image_in_zero_words() {
+        let a = random_bits(&[2, 70, 3, 4], 9);
+        let pa = PackedActivations::pack(&a).unwrap();
+        let mut framed = PackedActivations::default();
+        framed.copy_bordered(&pa, 2);
+        assert_eq!((framed.border(), framed.lanes()), (2, 2));
+        assert_eq!(framed.words().len(), 2 * 7 * 8 * 2);
+        assert_eq!(framed.unpack(), a);
+        // Only the 24 interior pixels' words can be nonzero.
+        let ones: u32 = framed.words().iter().map(|w| w.count_ones()).sum();
+        let inner: u32 = pa.words().iter().map(|w| w.count_ones()).sum();
+        assert_eq!(ones, inner);
+        for (y, x) in [(0, 0), (2, 3), (1, 2)] {
+            assert_eq!(framed.pixel_lanes(1, y, x), pa.pixel_lanes(1, y, x));
+        }
     }
 
     #[test]

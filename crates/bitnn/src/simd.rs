@@ -1,4 +1,4 @@
-//! Runtime CPU-feature dispatch and the conv-lowering selection table.
+//! Runtime CPU-feature dispatch.
 //!
 //! The crate builds for the portable x86-64 baseline (SSE2, no `popcnt`),
 //! but every band kernel the executor hands to its workers also has wider
@@ -13,15 +13,11 @@
 //!   ([`crate::ops::int8`]) and the packing transpose.
 //! * One portable `#[inline(always)]` body compiled again inside a
 //!   `#[target_feature]` wrapper per level, where LLVM vectorizes its
-//!   `count_ones` loops (the streaming conv).
+//!   loops (the NCHW binarize).
 //!
-//! Either way a thin dispatcher gates each body on [`level()`].
-//!
-//! The one runtime kernel choice is the 3×3 conv lowering (streaming
-//! direct vs im2col, see `engine`): its per-geometry decisions are cached
-//! and recorded here, and exposed through [`conv_choices()`] so
-//! `bnnkc features` and the perfsuite can report which path served each
-//! measurement. The binary GEMM has one kernel and makes no choice.
+//! Either way a thin dispatcher gates each body on [`level()`]. No kernel
+//! choice is made at run time: every binary conv and GEMM runs the one
+//! panel kernel.
 //!
 //! # Environment overrides
 //!
@@ -30,7 +26,7 @@
 //!   enable ones it lacks, so forcing is always safe; `BITNN_SIMD=portable`
 //!   is how CI exercises the fallback kernels on AVX2 hosts.
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// Raw CPU capability bits relevant to the binary kernels, as detected —
 /// before any [`BITNN_SIMD` cap](self#environment-overrides) is applied.
@@ -141,12 +137,6 @@ pub(crate) fn avx2() -> bool {
     level() >= SimdLevel::Avx2
 }
 
-/// Whether dispatches may use the AVX-512 instantiations.
-#[inline]
-pub(crate) fn avx512() -> bool {
-    level() >= SimdLevel::Avx512
-}
-
 /// The `__mmask16` of a 16-lane AVX-512 step with `remaining` values
 /// left: every lane when at least 16 remain, else the low `remaining`.
 #[inline(always)]
@@ -156,15 +146,6 @@ pub(crate) fn lane_mask16(remaining: usize) -> u16 {
     } else {
         (1u16 << remaining) - 1
     }
-}
-
-/// Where a recorded conv lowering selection came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChoiceSource {
-    /// Picked by the runtime micro-autotuner.
-    Autotuned,
-    /// Pinned via `BITNN_CONV` or an explicit [`crate::exec::ConvMode`].
-    Forced,
 }
 
 /// Kept only so the `bnnkc-bench` fingerprint compiles; delete it with
@@ -209,135 +190,52 @@ pub fn gemm_choices() -> Vec<GemmChoice> {
     Vec::new()
 }
 
-/// The 3×3 lowering a conv geometry resolved to under the streaming
-/// autotuner: the im2col-free shifted-window path or the im2col+GEMM
-/// lowering (see `ops::streamconv` / `ops::im2col`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConvLowering {
-    /// Streaming shifted-window direct path.
-    Stream,
-    /// Materialized im2col + tiled GEMM.
-    Im2col,
-}
+/// Kept only so the `bnnkc-bench` fingerprint compiles; delete it with
+/// the bench's next change. Every conv runs one kernel, so no conv
+/// lowering is ever chosen and this type has no values.
+#[derive(Debug, Clone, Copy)]
+pub enum ConvLowering {}
 
 impl ConvLowering {
-    /// Stable name, as printed by `bnnkc features` / the perfsuite schema.
+    /// Kept for the bench only (see [`ConvLowering`]).
     pub fn name(self) -> &'static str {
-        match self {
-            ConvLowering::Stream => "stream",
-            ConvLowering::Im2col => "im2col",
-        }
+        match self {}
     }
 }
 
-impl std::fmt::Display for ConvLowering {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// The geometry key a 3×3 conv lowering decision is cached under. The
-/// batch size is deliberately absent: both candidate paths scale linearly
-/// in it, so the per-image winner is the per-batch winner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Kept only so the `bnnkc-bench` fingerprint compiles; delete it with
+/// the bench's next change.
+#[derive(Debug, Clone, Copy)]
 pub struct ConvGeom {
-    /// Input channels.
+    /// Kept for the bench only.
     pub channels: usize,
-    /// Output filters.
+    /// Kept for the bench only.
     pub filters: usize,
-    /// Input height.
+    /// Kept for the bench only.
     pub h: usize,
-    /// Input width.
+    /// Kept for the bench only.
     pub w: usize,
-    /// Spatial stride.
+    /// Kept for the bench only.
     pub stride: usize,
-    /// Spatial padding.
+    /// Kept for the bench only.
     pub pad: usize,
 }
 
-/// One recorded conv lowering selection: which path serves a geometry,
-/// and why.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Kept only so the `bnnkc-bench` fingerprint compiles; delete it with
+/// the bench's next change. No value can exist: [`ConvLowering`] is
+/// empty.
+#[derive(Debug, Clone, Copy)]
 pub struct ConvChoice {
-    /// The conv geometry.
+    /// Kept for the bench only.
     pub geom: ConvGeom,
-    /// The selected lowering.
+    /// Kept for the bench only.
     pub lowering: ConvLowering,
-    /// Autotuned or forced (`BITNN_CONV` / a pinned policy).
-    pub source: ChoiceSource,
 }
 
-/// Decision caches stop growing past this many distinct geometries — a
-/// graph with more unique conv shapes than this has the excess tuned
-/// again on every dispatch, which costs speed but never correctness.
-const CONV_CACHE_CAP: usize = 256;
-
-/// Per-geometry decision cache. Holds *autotuned* entries only: a pinned
-/// `BITNN_CONV=stream|im2col` engine must not poison the tuned choice an
-/// `auto` engine in the same process would make for the same geometry.
-static CONV_TABLE: Mutex<Vec<(ConvGeom, ConvLowering)>> = Mutex::new(Vec::new());
-
-/// Record of every selection (tuned and forced) in decision order, for
-/// `bnnkc features` and the perfsuite. Deduplicated by geometry+source.
-static CONV_LOG: Mutex<Vec<ConvChoice>> = Mutex::new(Vec::new());
-
-/// The cached autotuned lowering for `geom`, if one has been recorded.
-/// A linear scan under the lock — the table is small and the warmed
-/// forward path performs no allocation here.
-pub(crate) fn conv_choice_cached(geom: ConvGeom) -> Option<ConvLowering> {
-    let table = CONV_TABLE.lock().ok()?;
-    table.iter().find(|(g, _)| *g == geom).map(|&(_, l)| l)
-}
-
-/// Record an autotuned decision for `geom`. First writer wins (a benign
-/// double-tune race picks whichever insert lands first); past
-/// [`CONV_CACHE_CAP`] the decision is dropped rather than grown.
-pub(crate) fn record_conv_choice(geom: ConvGeom, lowering: ConvLowering) {
-    if let Ok(mut table) = CONV_TABLE.lock() {
-        if table.iter().any(|(g, _)| *g == geom) {
-            return;
-        }
-        if table.len() < CONV_CACHE_CAP {
-            table.push((geom, lowering));
-        }
-    }
-    log_conv_choice(ConvChoice {
-        geom,
-        lowering,
-        source: ChoiceSource::Autotuned,
-    });
-}
-
-/// Record that a pinned policy (`BITNN_CONV` or an explicit
-/// [`crate::exec::ConvMode`]) decided a live 3×3 dispatch. Reporting only —
-/// never touches the decision cache.
-pub(crate) fn record_forced_conv(geom: ConvGeom, lowering: ConvLowering) {
-    log_conv_choice(ConvChoice {
-        geom,
-        lowering,
-        source: ChoiceSource::Forced,
-    });
-}
-
-fn log_conv_choice(choice: ConvChoice) {
-    if let Ok(mut log) = CONV_LOG.lock() {
-        if log
-            .iter()
-            .any(|c| c.geom == choice.geom && c.source == choice.source)
-        {
-            return;
-        }
-        if log.len() < CONV_CACHE_CAP {
-            log.push(choice);
-        }
-    }
-}
-
-/// The conv lowering selections recorded so far, in decision order. Only
-/// geometries that have actually been dispatched (or warmed via
-/// `engine::warm_conv_table`) appear.
+/// Kept only for `bnnkc-bench`, which counts its length; delete it with
+/// the bench's next change. Always empty: no conv lowering is chosen.
 pub fn conv_choices() -> Vec<ConvChoice> {
-    CONV_LOG.lock().map(|log| log.clone()).unwrap_or_default()
+    Vec::new()
 }
 
 #[cfg(test)]
@@ -362,35 +260,5 @@ mod tests {
         assert_eq!(SimdLevel::Portable.name(), "portable");
         assert_eq!(SimdLevel::Avx2.name(), "avx2");
         assert_eq!(SimdLevel::Avx512.name(), "avx512");
-    }
-
-    #[test]
-    fn conv_table_caches_and_separates_forced_entries() {
-        // A geometry no real dispatch in this test binary will hit.
-        let geom = ConvGeom {
-            channels: 3,
-            filters: 5,
-            h: 101,
-            w: 7,
-            stride: 1,
-            pad: 1,
-        };
-        assert_eq!(conv_choice_cached(geom), None);
-        // Forced entries are reporting-only: the decision cache must stay
-        // clean for a later auto engine.
-        record_forced_conv(geom, ConvLowering::Stream);
-        assert_eq!(conv_choice_cached(geom), None);
-        record_conv_choice(geom, ConvLowering::Im2col);
-        assert_eq!(conv_choice_cached(geom), Some(ConvLowering::Im2col));
-        // First insert wins; a benign double-tune cannot flip it.
-        record_conv_choice(geom, ConvLowering::Stream);
-        assert_eq!(conv_choice_cached(geom), Some(ConvLowering::Im2col));
-        let log = conv_choices();
-        assert!(log
-            .iter()
-            .any(|c| c.geom == geom && c.source == ChoiceSource::Forced));
-        assert!(log.iter().any(|c| c.geom == geom
-            && c.source == ChoiceSource::Autotuned
-            && c.lowering == ConvLowering::Im2col));
     }
 }

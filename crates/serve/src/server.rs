@@ -45,8 +45,7 @@ pub const MAX_BATCH: usize = 64;
 /// Server construction parameters.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Execution policy for the shared engine (threads, `min_work`,
-    /// lowering, conv mode).
+    /// Execution policy for the shared engine (threads, `min_work`).
     pub policy: ExecPolicy,
     /// Backpressure threshold: submits beyond this many *queued*
     /// requests are rejected with [`ServeError::QueueFull`].

@@ -45,8 +45,8 @@
 //! with per-entry batching queues, backpressure, and wire-protocol
 //! hot-swap (see `crates/serve`). `features` reports what this host
 //! offers the executor: detected CPU features, the selected SIMD level,
-//! hardware parallelism, and the conv lowering the conv autotuner picks
-//! per geometry — `--json` emits the same facts machine-readably.
+//! the binary GEMM and conv kernels, the int8 kernel and hardware
+//! parallelism — `--json` emits the same facts machine-readably.
 //!
 //! `run --backend` picks what computes the logits: `cpu` (the default)
 //! runs the fused plan on the engine, `scalar` runs the naive reference
@@ -988,17 +988,15 @@ fn json_escape(s: &str) -> String {
 
 /// `bnnkc features`: what this host offers the executor — detected CPU
 /// features, the SIMD level the kernels dispatch at (after any
-/// `BITNN_SIMD` cap), the binary GEMM body, the int8 kernel body the
-/// 8-bit stem and classifier run, hardware parallelism, and the per-geometry conv lowering
-/// (streaming direct vs im2col) the conv autotuner picks.
+/// `BITNN_SIMD` cap), the binary GEMM body and the binary conv kernel
+/// built on it, the int8 kernel body the 8-bit stem and classifier run,
+/// and hardware parallelism.
 fn cmd_features(args: &[String]) -> CliResult {
     check_flags("features", args, &[], &["--json"])?;
-    use bnnkc::bitnn::{engine, exec, ops::gemm, ops::int8, simd};
+    use bnnkc::bitnn::{exec, ops::gemm, ops::int8, simd};
 
     let f = simd::detect();
     let cap = std::env::var("BITNN_SIMD").ok();
-    let conv_env = std::env::var("BITNN_CONV").ok();
-    let conv_choices = engine::warm_conv_table();
 
     if args.iter().any(|a| a == "--json") {
         // Hand-written JSON (this workspace builds offline, without a
@@ -1019,6 +1017,10 @@ fn cmd_features(args: &[String]) -> CliResult {
             json_escape(gemm::kernel().name())
         ));
         out.push_str(&format!(
+            "  \"binary_conv\": \"{}\",\n",
+            json_escape(&gemm::conv_kernel_name())
+        ));
+        out.push_str(&format!(
             "  \"int8_kernel\": \"{}\",\n",
             json_escape(int8::kernel().name())
         ));
@@ -1032,36 +1034,9 @@ fn cmd_features(args: &[String]) -> CliResult {
             exec::hardware_threads()
         ));
         out.push_str(&format!(
-            "  \"pool_workers\": {},\n",
+            "  \"pool_workers\": {}\n}}",
             exec::hardware_threads().saturating_sub(1)
         ));
-        out.push_str(&format!(
-            "  \"conv_env\": {},\n",
-            conv_env
-                .as_deref()
-                .map_or("null".to_string(), |v| format!("\"{}\"", json_escape(v)))
-        ));
-        out.push_str("  \"conv_autotuner\": [\n");
-        for (i, choice) in conv_choices.iter().enumerate() {
-            let g = choice.geom;
-            out.push_str(&format!(
-                "    {{\"channels\": {}, \"filters\": {}, \"h\": {}, \"w\": {}, \
-                 \"stride\": {}, \"pad\": {}, \"lowering\": \"{}\", \"source\": \"{}\"}}{}\n",
-                g.channels,
-                g.filters,
-                g.h,
-                g.w,
-                g.stride,
-                g.pad,
-                json_escape(choice.lowering.name()),
-                match choice.source {
-                    simd::ChoiceSource::Autotuned => "autotuned",
-                    simd::ChoiceSource::Forced => "forced",
-                },
-                if i + 1 < conv_choices.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]\n}");
         println!("{out}");
         return Ok(());
     }
@@ -1079,32 +1054,9 @@ fn cmd_features(args: &[String]) -> CliResult {
             .map_or("unset".to_string(), |v| format!("= {v}")),
     );
     println!("binary gemm: {}", gemm::kernel().name());
+    println!("binary conv: {}", gemm::conv_kernel_name());
     println!("int8 kernel: {}", int8::kernel().name());
     println!("hardware threads: {}", exec::hardware_threads());
-
-    println!(
-        "conv lowering selection (BITNN_CONV {}):",
-        conv_env
-            .as_deref()
-            .map_or("unset".to_string(), |v| format!("= {v}")),
-    );
-    for choice in conv_choices {
-        let g = choice.geom;
-        println!(
-            "  {}x{} c{} -> k{} s{} p{}: {} ({})",
-            g.h,
-            g.w,
-            g.channels,
-            g.filters,
-            g.stride,
-            g.pad,
-            choice.lowering.name(),
-            match choice.source {
-                simd::ChoiceSource::Autotuned => "autotuned",
-                simd::ChoiceSource::Forced => "forced via BITNN_CONV",
-            },
-        );
-    }
     Ok(())
 }
 

@@ -155,42 +155,37 @@ fn steady_state_forward_batch_performs_zero_allocations() {
         );
     }
 
-    // Streaming-lowering gate (same allocator, same test): with
-    // `ConvMode::Stream` pinned on the perfsuite-gated 28×28/c64/k64
-    // geometry, a warmed streaming forward adds zero heap allocations —
-    // the shifted-window walker derives every window from the resident
-    // packed rows, with no im2col buffer to size or grow.
+    // Public-conv gate (same allocator, same test): on the
+    // perfsuite-gated 28×28/c64/k64 geometry, unbordered activations
+    // under pad 1 are copied into the scratch's bordered buffer before the
+    // tap kernel reads them; once warm, that copy, the tap tables and the
+    // layer's cached panels add zero heap allocations.
     {
-        use bitnn::exec::ConvMode;
-        let stream_kernel = PackedKernel::pack(&random_kernel(&[64, 64, 3, 3], 0x57E3A)).unwrap();
-        let stream_acts = PackedActivations::pack(&random_kernel(&[1, 64, 28, 28], 0xAC7)).unwrap();
-        let conv = BinConv2d::from_packed(stream_kernel, params);
-        let stream_engine = Engine::new(ExecPolicy {
-            conv: ConvMode::Stream,
-            ..ExecPolicy::single_threaded()
-        });
+        use bitnn::ops::conv::conv2d_binary;
+        let gated = PackedKernel::pack(&random_kernel(&[64, 64, 3, 3], 0x57E3A)).unwrap();
+        let acts = PackedActivations::pack(&random_kernel(&[1, 64, 28, 28], 0xAC7)).unwrap();
+        let direct = conv2d_binary(&acts, &gated, params).unwrap();
+        let conv = BinConv2d::from_packed(gated, params);
+        let engine = Engine::single_threaded();
         let mut conv_scratch = ConvScratch::default();
         let mut y = Tensor::default();
         for _ in 0..2 {
-            conv.forward_packed_with(&stream_acts, &stream_engine, &mut conv_scratch, &mut y);
+            conv.forward_packed_with(&acts, &engine, &mut conv_scratch, &mut y);
         }
         let before = ALLOCS.load(Ordering::SeqCst);
         for _ in 0..3 {
-            conv.forward_packed_with(&stream_acts, &stream_engine, &mut conv_scratch, &mut y);
+            conv.forward_packed_with(&acts, &engine, &mut conv_scratch, &mut y);
         }
         let allocated = ALLOCS.load(Ordering::SeqCst) - before;
         assert_eq!(
             allocated, 0,
-            "warmed streaming forward allocated {allocated} times"
+            "warmed public conv allocated {allocated} times"
         );
-        // And it agrees with the im2col lowering on the same operands.
-        let im2col_engine = Engine::new(ExecPolicy {
-            conv: ConvMode::Im2col,
-            ..ExecPolicy::single_threaded()
-        });
-        let mut e = Tensor::default();
-        conv.forward_packed_with(&stream_acts, &im2col_engine, &mut conv_scratch, &mut e);
-        assert_eq!(y.data(), e.data(), "stream vs im2col diverged");
+        assert_eq!(
+            y.data(),
+            direct.data(),
+            "tap kernel vs direct conv diverged"
+        );
     }
 
     // Serving-path gate (same allocator, same test): a warmed

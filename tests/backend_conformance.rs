@@ -1,24 +1,91 @@
 //! Executor conformance: the fused plan must be bit-exact with the scalar
 //! oracle (`ModelGraph::forward_scalar`, the frozen naive-reference node
-//! walk) on random graphs, strides, pads, batch sizes, conv lowerings and
-//! thread counts, through both of its entry points — the per-item
-//! `forward_into` and the batch-parallel `forward_batch_into`, each on
-//! reused scratch. The oracle's own entry points are pinned against each
-//! other as well. The op-level section keeps the kernel substrate honest
-//! underneath the graph sweep: the engine's conv and GEMM (through
-//! whatever SIMD level and GEMM body the host dispatches to —
-//! portable, AVX2, or AVX-512; see the CI legs that pin
-//! `BITNN_SIMD=portable`) against the float references.
+//! walk) on random graphs, strides, pads, batch sizes and thread counts,
+//! through both of its entry points — the per-item `forward_into` and
+//! the batch-parallel `forward_batch_into`, each on reused scratch. The
+//! oracle's own entry points are pinned against each other as well. The
+//! op-level section keeps the kernel substrate honest underneath the
+//! graph sweep: the one conv kernel (every SIMD body, through
+//! `engine::conv2d_rows_at`, on a forced 3-worker pool) and the engine's
+//! conv and GEMM against the float references and `conv2d_binary`.
 
 use bnnkc::prelude::*;
 use proptest::prelude::*;
 
-use bitnn::exec::ConvMode;
+use bitnn::engine::{conv2d_rows_at, ConvScratch};
 use bitnn::layers::{BatchNorm, BinConv2d, QuantConv2d, QuantLinear, RPReLU, RSign};
-use bitnn::ops::conv::Conv2dParams;
+use bitnn::ops::conv::{conv2d_binary, Conv2dParams};
+use bitnn::ops::reference::conv2d_reference;
 use bitnn::pack::PackedActivations;
+use bitnn::simd::SimdLevel;
 use bitnn::weightgen::{random_floats, random_kernel};
 use bitnn::{BatchScratch, Scratch};
+
+/// Every binary GEMM body this CPU can run.
+fn host_levels() -> Vec<SimdLevel> {
+    let f = bitnn::simd::detect();
+    [
+        (SimdLevel::Portable, true),
+        (SimdLevel::Avx2, f.avx2),
+        (SimdLevel::Avx512, f.avx512),
+    ]
+    .into_iter()
+    .filter_map(|(level, ok)| ok.then_some(level))
+    .collect()
+}
+
+/// Run one conv through the one kernel and check it against the scalar
+/// oracle and `conv2d_binary`: the kernel's `[pixel][filter]` rows at
+/// every host SIMD level, on 1 and 3 threads of the forced pool (and
+/// `threads` more), then the public `Engine::conv2d` at `threads`.
+/// `float_oracle` adds the float reference conv, which is slow in debug
+/// builds on the largest shapes.
+fn assert_conv_matches_oracles(
+    a: &BitTensor,
+    wk: &BitTensor,
+    params: Conv2dParams,
+    threads: usize,
+    float_oracle: bool,
+    what: &str,
+) {
+    let pa = PackedActivations::pack(a).unwrap();
+    let pk = PackedKernel::pack(wk).unwrap();
+    let direct = conv2d_binary(&pa, &pk, params).unwrap();
+    if float_oracle {
+        let reference = conv2d_reference(&a.to_tensor(), &wk.to_tensor(), params);
+        assert_eq!(
+            direct.data(),
+            reference.data(),
+            "{what}: conv2d_binary vs reference"
+        );
+    }
+    let (n, kf, oh, ow) = {
+        let s = direct.shape();
+        (s[0], s[1], s[2], s[3])
+    };
+    // `conv2d_binary` transposed to the kernel's `[pixel][filter]` rows.
+    let mut want = vec![0i32; n * oh * ow * kf];
+    for (i, &v) in direct.data().iter().enumerate() {
+        let (img, k, pix) = (i / (kf * oh * ow), i / (oh * ow) % kf, i % (oh * ow));
+        want[(img * oh * ow + pix) * kf + k] = v as i32;
+    }
+    for level in host_levels() {
+        for t in [1, 3, threads] {
+            let got = conv2d_rows_at(level, t, &pa, (&pk).into(), params).unwrap();
+            assert_eq!(got, want, "{what}: {level} threads {t}");
+        }
+    }
+    let engine = Engine::new(ExecPolicy {
+        threads,
+        // Exercise the parallel band split even on tiny shapes.
+        min_work: 0,
+    });
+    let got = engine
+        .conv2d(&pa, (&pk).into(), params, &mut ConvScratch::default())
+        .unwrap();
+    assert_eq!(got.shape(), direct.shape(), "{what}: shape");
+    assert_eq!(got.data(), direct.data(), "{what}: Engine::conv2d");
+}
 
 /// Build a random-but-valid graph: a chain of bn/act/conv/pool ops with
 /// occasional skip-connection adds to random earlier same-shape values,
@@ -184,76 +251,36 @@ proptest! {
         assert_matches_oracle(&model, &inputs, &engine, &format!("{arch} threads {threads}"));
     }
 
-    /// A `ConvMode::Stream` pin is bit-exact with the float reference
-    /// across random 3×3 geometries: strides 1–2, pads 0–1, degenerate
-    /// one-row and one-column planes, batches, and filter counts spanning
-    /// the filter-block remainders. Channel counts span one and two lane
-    /// words, so the pin covers both the streaming kernel (C ≤ 64) and
-    /// the im2col fallback every wider 3×3 conv takes.
+    /// The one conv kernel is bit-exact with the scalar oracle and
+    /// `conv2d_binary` at every SIMD body: 1×1 and 3×3 kernels, strides
+    /// 1–2, pads 0–1, channels 1–200 (one to four lane words, ragged
+    /// tails), one-row and one-column maps up to 12×12, batches, filter
+    /// counts across the 8-filter panels, and thread counts on the forced
+    /// pool. The larger maps are in the deterministic sweep below.
     #[test]
-    fn streaming_conv_matches_scalar_oracle(
-        c in 1usize..70,
-        h in 1usize..8,
-        w in 1usize..8,
+    fn tap_conv_matches_scalar_oracle(
+        c in 1usize..200,
+        h in 1usize..12,
+        w in 1usize..12,
         n in 1usize..4,
-        kf in 1usize..7,
+        kf in 1usize..20,
+        three in any::<bool>(),
         stride in 1usize..3,
         pad in 0usize..2,
         threads in 1usize..5,
         seed in any::<u64>()
     ) {
-        use bitnn::engine::ConvScratch;
-        use bitnn::ops::reference::conv2d_reference;
-
-        prop_assume!(h + 2 * pad >= 3 && w + 2 * pad >= 3);
+        let k = if three { 3 } else { 1 };
+        prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
         let a = random_kernel(&[n, c, h, w], seed);
-        let wk = random_kernel(&[kf, c, 3, 3], !seed);
-        let pa = PackedActivations::pack(&a).unwrap();
-        let pk = PackedKernel::pack(&wk).unwrap();
-        let params = Conv2dParams { stride, pad };
-        let engine = Engine::new(ExecPolicy {
-            threads,
-            conv: ConvMode::Stream,
-            // Exercise the parallel band split even on tiny shapes.
-            min_work: 0,
-        });
-        let mut scratch = ConvScratch::default();
-        let got = engine.conv2d(&pa, (&pk).into(), params, &mut scratch).unwrap();
-        let expect = conv2d_reference(&a.to_tensor(), &wk.to_tensor(), params);
-        prop_assert_eq!(got.shape(), expect.shape());
-        for (g, e) in got.data().iter().zip(expect.data()) {
-            prop_assert_eq!(*g, *e);
-        }
-    }
-
-    /// Whole-model conformance with the streaming lowering pinned: the
-    /// packed binary-domain edges, the stacked weight-stationary batch
-    /// schedule, and the streaming conv kernels compose to results
-    /// bit-exact with the scalar oracle across architecture families.
-    #[test]
-    fn streaming_conv_matches_scalar_across_architectures(
-        arch_idx in 0usize..3,
-        image in 12usize..20,
-        batch in 2usize..4,
-        threads in 1usize..5,
-        seed in any::<u64>()
-    ) {
-        let arch = Arch::ALL[arch_idx];
-        let model = build_model(arch, 0.0625, image, seed).unwrap();
-        let inputs = synthetic_batch(batch, 3, image, seed ^ 0x57E4);
-        let engine = Engine::new(ExecPolicy {
-            threads,
-            conv: ConvMode::Stream,
-            ..ExecPolicy::default()
-        });
-        // The batch entry point takes the stacked weight-stationary
-        // schedule on the intra-op split, the same streaming kernels.
-        assert_matches_oracle(&model, &inputs, &engine, &format!("{arch} stream pin"));
+        let wk = random_kernel(&[kf, c, k, k], !seed);
+        let what = format!("n{n} c{c} {h}x{w} kf{kf} k{k} s{stride} p{pad}");
+        assert_conv_matches_oracles(&a, &wk, Conv2dParams { stride, pad }, threads, true, &what);
     }
 
     /// Op-level floor under the graph sweep: the engine conv is bit-exact
-    /// vs `ops::reference` across random shapes, strides, pads, thread
-    /// counts, and every conv mode — through whatever SIMD path the host
+    /// vs `ops::reference` across random shapes, kernel sizes, strides,
+    /// pads and thread counts — through whatever SIMD path the host
     /// dispatches (portable, AVX2, AVX-512).
     #[test]
     fn engine_conv_matches_reference(
@@ -266,13 +293,8 @@ proptest! {
         stride in 1usize..3,
         pad in 0usize..2,
         threads in 1usize..5,
-        conv_pick in 0usize..3,
         seed in any::<u64>()
     ) {
-        use bitnn::engine::ConvScratch;
-        use bitnn::ops::reference::conv2d_reference;
-
-        let conv = [ConvMode::Auto, ConvMode::Stream, ConvMode::Im2col][conv_pick];
         let a = random_kernel(&[n, c, h, w], seed);
         let wk = random_kernel(&[kf, c, ks, ks], !seed);
         let pa = PackedActivations::pack(&a).unwrap();
@@ -280,7 +302,6 @@ proptest! {
         let params = Conv2dParams { stride, pad };
         let engine = Engine::new(ExecPolicy {
             threads,
-            conv,
             // Exercise the parallel path even on tiny shapes.
             min_work: 0,
         });
@@ -325,31 +346,6 @@ proptest! {
     }
 }
 
-/// Whole-model multi-core sweep: every conv mode at every thread count
-/// from 1 to 4, with `min_work: 0` so even these tiny models take the
-/// parallel split, on every built-in architecture. Both the per-item
-/// entry point and the batch entry point must be bit-exact with the
-/// oracle.
-#[test]
-fn conv_modes_match_scalar_across_threads_and_architectures() {
-    let image = 16;
-    for arch in Arch::ALL {
-        let model = build_model(arch, 0.0625, image, 0x5EED).unwrap();
-        let inputs = synthetic_batch(2, 3, image, 0xD3D0);
-        for conv in [ConvMode::Auto, ConvMode::Stream, ConvMode::Im2col] {
-            for threads in 1..5 {
-                let engine = Engine::new(ExecPolicy {
-                    threads,
-                    conv,
-                    min_work: 0,
-                });
-                let what = format!("{arch} {conv:?} threads {threads}");
-                assert_matches_oracle(&model, &inputs, &engine, &what);
-            }
-        }
-    }
-}
-
 /// The oracle's entry points agree bit for bit on every built-in family:
 /// `forward_on(&ScalarBackend)` (what the benchmark's scalar digest
 /// calls), `forward_scalar` and `forward_traced`. `forward_on` must also
@@ -377,43 +373,42 @@ fn oracle_entry_points_agree() {
     }
 }
 
-/// Deterministic streaming-conv edge geometries, always exercised even
-/// when the property sweep's generator skirts them: one-row and
-/// one-column planes (every window row out of bounds on one side), a 1×1
-/// plane under pad 1 (pad-only windows), stride 2 without padding, and
-/// the perfsuite-gated 28×28/c64/k64 shape batched.
+/// Deterministic edge geometries of the one conv kernel, always exercised
+/// even when the property sweep's generator skirts them: one-row and
+/// one-column planes (every window row out of bounds on one side), 1×1
+/// planes under pad 1 (pad-only windows; at 1024 channels the ×1.0
+/// model's cropped c1024 conv, one live tap of nine), the 2×2 → 1×1
+/// stride-2 conv (four live taps), stride 2 without padding, a 1×1
+/// stride-2 kernel over odd maps (at pad 1 on a 1×1 map every tap is
+/// dead), the perfsuite-gated 28×28/c64/k64 shape batched, and 56×56
+/// maps.
 #[test]
-fn streaming_conv_degenerate_geometries_match_oracle() {
-    use bitnn::engine::ConvScratch;
-    use bitnn::ops::reference::conv2d_reference;
-
-    let engine = Engine::new(ExecPolicy {
-        threads: 1,
-        conv: ConvMode::Stream,
-        ..ExecPolicy::default()
-    });
-    let mut scratch = ConvScratch::default();
-    for (shape, kf, stride, pad) in [
-        ([2, 5, 1, 9], 4, 1, 1),     // single row
-        ([2, 5, 9, 1], 4, 1, 1),     // single column
-        ([1, 64, 1, 1], 3, 1, 1),    // pad-only windows
-        ([3, 70, 6, 7], 5, 2, 0),    // stride 2, no padding, 2 lanes
-        ([2, 64, 28, 28], 64, 1, 1), // the perfsuite-gated geometry
+fn tap_conv_degenerate_geometries_match_oracle() {
+    for (shape, kf, k, stride, pad) in [
+        ([2, 5, 1, 9], 4, 3, 1, 1),     // single row
+        ([2, 5, 9, 1], 4, 3, 1, 1),     // single column
+        ([1, 64, 1, 1], 3, 3, 1, 1),    // pad-only windows
+        ([1, 1024, 1, 1], 9, 3, 1, 1),  // the cropped c1024 conv
+        ([2, 200, 2, 2], 17, 3, 2, 1),  // 2×2 → 1×1, four live taps
+        ([1, 256, 3, 3], 9, 3, 1, 1),   // 36 words a row: AVX2 flushes mid-tap
+        ([3, 70, 6, 7], 5, 3, 2, 0),    // stride 2, no padding, 2 lanes
+        ([2, 33, 7, 5], 6, 1, 2, 0),    // 1×1 stride 2 over odd maps
+        ([1, 9, 1, 1], 4, 1, 2, 1),     // 1×1 stride 2: every tap dead
+        ([2, 64, 28, 28], 64, 3, 1, 1), // the perfsuite-gated geometry
+        ([1, 32, 56, 56], 8, 3, 1, 1),  // a 56×56 map
+        ([1, 3, 56, 56], 9, 3, 2, 1),   // 56×56, stride 2, ragged C
     ] {
         let a = random_kernel(&shape, 0xDE6E ^ (shape[1] * shape[3]) as u64);
-        let wk = random_kernel(&[kf, shape[1], 3, 3], 0xF117 ^ kf as u64);
-        let pa = PackedActivations::pack(&a).unwrap();
-        let pk = PackedKernel::pack(&wk).unwrap();
-        let params = Conv2dParams { stride, pad };
-        let got = engine
-            .conv2d(&pa, (&pk).into(), params, &mut scratch)
-            .unwrap();
-        let expect = conv2d_reference(&a.to_tensor(), &wk.to_tensor(), params);
-        assert_eq!(got.shape(), expect.shape());
-        assert_eq!(
-            got.data(),
-            expect.data(),
-            "stream diverged at {shape:?} kf={kf} s={stride} p={pad}"
+        let wk = random_kernel(&[kf, shape[1], k, k], 0xF117 ^ kf as u64);
+        let what = format!("{shape:?} kf={kf} k={k} s={stride} p={pad}");
+        let float_oracle = shape[1] * shape[2] * shape[3] <= 4096;
+        assert_conv_matches_oracles(
+            &a,
+            &wk,
+            Conv2dParams { stride, pad },
+            2,
+            float_oracle,
+            &what,
         );
     }
 }
@@ -423,7 +418,7 @@ fn streaming_conv_degenerate_geometries_match_oracle() {
 /// the oracle's logits: all three families, threads 1–4 with
 /// `min_work: 0` (every dispatch splits), batches of 1, 2 and 33 (33
 /// crosses the stacked schedule's block of 8 and leaves a ragged tail),
-/// and both pinned conv lowerings.
+/// with the 1×1 (one-tap) and 3×3 (bordered, tap-table) conv forms.
 #[test]
 fn fused_plan_matches_oracle_across_batches_threads_and_lowerings() {
     let image = 12;
@@ -435,34 +430,26 @@ fn fused_plan_matches_oracle_across_batches_threads_and_lowerings() {
                 .iter()
                 .map(|x| model.forward_scalar(x).unwrap())
                 .collect();
-            for conv in [ConvMode::Stream, ConvMode::Im2col] {
-                for threads in 1..5 {
-                    let engine = Engine::new(ExecPolicy {
-                        threads,
-                        conv,
-                        min_work: 0,
-                    });
-                    let what = format!("{arch} batch {batch} {conv:?} threads {threads}");
-                    let mut outs = Vec::new();
+            for threads in 1..5 {
+                let engine = Engine::new(ExecPolicy {
+                    threads,
+                    min_work: 0,
+                });
+                let what = format!("{arch} batch {batch} threads {threads}");
+                let mut outs = Vec::new();
+                model
+                    .forward_batch_into(&inputs, &engine, &mut BatchScratch::default(), &mut outs)
+                    .unwrap();
+                for (i, (y, e)) in outs.iter().zip(&expect).enumerate() {
+                    assert_eq!(y.data(), e.data(), "{what}: item {i} (batch)");
+                }
+                let mut y = Tensor::default();
+                let mut scratch = Scratch::default();
+                for (i, (x, e)) in inputs.iter().zip(&expect).enumerate().take(2) {
                     model
-                        .forward_batch_into(
-                            &inputs,
-                            &engine,
-                            &mut BatchScratch::default(),
-                            &mut outs,
-                        )
+                        .forward_into(x, &engine, &mut scratch, &mut y)
                         .unwrap();
-                    for (i, (y, e)) in outs.iter().zip(&expect).enumerate() {
-                        assert_eq!(y.data(), e.data(), "{what}: item {i} (batch)");
-                    }
-                    let mut y = Tensor::default();
-                    let mut scratch = Scratch::default();
-                    for (i, (x, e)) in inputs.iter().zip(&expect).enumerate().take(2) {
-                        model
-                            .forward_into(x, &engine, &mut scratch, &mut y)
-                            .unwrap();
-                        assert_eq!(y.data(), e.data(), "{what}: item {i} (per item)");
-                    }
+                    assert_eq!(y.data(), e.data(), "{what}: item {i} (per item)");
                 }
             }
         }
@@ -483,7 +470,6 @@ fn assert_graph_matches_oracle(model: &ModelGraph, channels: usize, image: usize
             let engine = Engine::new(ExecPolicy {
                 threads,
                 min_work: 0,
-                ..ExecPolicy::default()
             });
             let (mut scratch, mut y) = (Scratch::default(), Tensor::default());
             for round in 0..2 {

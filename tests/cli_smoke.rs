@@ -312,6 +312,13 @@ fn features_reports_host_capabilities() {
             .any(|k| stdout.contains(&format!("binary gemm: {k}\n"))),
         "missing binary gemm line: {stdout}"
     );
+    // The one binary conv kernel, built on that panel body.
+    assert!(
+        ["avx512", "avx2", "portable"]
+            .iter()
+            .any(|k| stdout.contains(&format!("binary conv: {k}/tap-panel8\n"))),
+        "missing binary conv line: {stdout}"
+    );
     let portable = std::process::Command::new(env!("CARGO_BIN_EXE_bnnkc"))
         .arg("features")
         .env("BITNN_SIMD", "portable")
@@ -326,6 +333,10 @@ fn features_reports_host_capabilities() {
     assert!(
         portable.contains("binary gemm: portable\n"),
         "binary gemm not capped by BITNN_SIMD=portable: {portable}"
+    );
+    assert!(
+        portable.contains("binary conv: portable/tap-panel8\n"),
+        "binary conv not capped by BITNN_SIMD=portable: {portable}"
     );
     assert!(
         stdout.contains("hardware threads:"),
@@ -348,25 +359,25 @@ fn features_reports_host_capabilities() {
             "stale gemm choice report ({stale}): {stdout}"
         );
     }
-    // The conv autotuner's per-geometry lowering table, with the warmed
-    // hot geometry resolved to one of the two candidate lowerings.
-    assert!(
-        stdout.contains("conv lowering selection"),
-        "missing conv table: {stdout}"
-    );
-    assert!(
-        stdout.contains("28x28 c64 -> k64 s1 p1: stream")
-            || stdout.contains("28x28 c64 -> k64 s1 p1: im2col"),
-        "missing warmed conv geometry row: {stdout}"
-    );
-
-    // The JSON form carries the same table.
+    // Every conv runs one kernel: no lowering table and no conv knob.
+    for stale in [
+        "conv lowering",
+        "BITNN_CONV",
+        "stream",
+        "im2col",
+        "autotuned",
+    ] {
+        assert!(
+            !stdout.contains(stale),
+            "stale conv report ({stale}): {stdout}"
+        );
+    }
+    // The JSON form carries the same facts.
     let j = bnnkc(&["features", "--json"]);
     assert!(j.status.success(), "features --json failed: {j:?}");
     let json = String::from_utf8_lossy(&j.stdout);
     for key in [
-        "\"conv_autotuner\"",
-        "\"conv_env\"",
+        "\"binary_conv\"",
         "\"int8_kernel\"",
         "\"binary_gemm\"",
         "\"avx512_vnni\"",
@@ -380,10 +391,9 @@ fn features_reports_host_capabilities() {
     for stale in ["gemm", "variant", "narrow", "medium", "wide"] {
         assert!(!rest.contains(stale), "stale gemm field ({stale}): {json}");
     }
-    assert!(
-        json.contains("\"lowering\": \"stream\"") || json.contains("\"lowering\": \"im2col\""),
-        "missing conv lowering entry: {json}"
-    );
+    for stale in ["conv_autotuner", "conv_env", "lowering"] {
+        assert!(!json.contains(stale), "stale conv field ({stale}): {json}");
+    }
     assert!(!json.contains("backend"), "stale backend field: {json}");
     // features takes no flags.
     assert!(!bnnkc(&["features", "--verbose"]).status.success());

@@ -17,7 +17,6 @@ fn engine(threads: usize) -> Engine {
         // Force the parallel path even on the tiny test workloads so the
         // pool sees concurrent jobs wherever the hardware allows.
         min_work: 0,
-        ..ExecPolicy::default()
     })
 }
 
