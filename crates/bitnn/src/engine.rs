@@ -152,10 +152,10 @@ pub struct Scratch {
     /// liveness-assigned slot of the compiled plan (see
     /// [`crate::graph`]'s executor).
     pub(crate) arena: Vec<Tensor>,
-    /// Batch weight-stationary staging: uniform-shape batch items stacked
-    /// into one `[B*N, C, H, W]` tensor so the whole plan runs once per
-    /// batch — every layer's row packing and window state builds once per
-    /// image set instead of once per image (see
+    /// Batch weight-stationary staging: a block of same-shape batch items
+    /// stacked into one `[B*N, C, H, W]` tensor so the plan runs once per
+    /// block — every layer's weights and tap tables are read once per
+    /// block instead of once per image (see
     /// [`crate::graph::ModelGraph::forward_batch_into`]).
     pub(crate) stacked_in: Tensor,
     /// The stacked plan output before it is split back into per-item
@@ -199,7 +199,7 @@ impl Engine {
     }
 
     /// A copy of this engine pinned to one thread — used inside already
-    /// parallel sections (e.g. per batch item) to avoid oversubscription.
+    /// parallel sections (e.g. per batch chunk) to avoid oversubscription.
     pub fn inner(&self) -> Engine {
         Engine::new(ExecPolicy {
             threads: 1,
@@ -230,6 +230,37 @@ impl Engine {
     {
         let threads = self.policy.effective_threads(work);
         dispatch_chunks(WorkerPool::global(), threads, out, width, grain, f);
+    }
+
+    /// Two-output form of [`Engine::parallel_chunks`]: `a` holds `a_width`
+    /// elements per item and `b` holds `b_width`, and every chunk gets the
+    /// matching bands of both.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn parallel_chunks2<A, B, F>(
+        &self,
+        a: &mut [A],
+        a_width: usize,
+        b: &mut [B],
+        b_width: usize,
+        grain: usize,
+        work: u64,
+        f: F,
+    ) where
+        A: Send,
+        B: Send,
+        F: Fn(usize, &mut [A], &mut [B]) + Sync,
+    {
+        let threads = self.policy.effective_threads(work);
+        dispatch_chunks2(
+            WorkerPool::global(),
+            threads,
+            a,
+            a_width,
+            b,
+            b_width,
+            grain,
+            f,
+        );
     }
 
     /// Binary GEMM under this policy (see [`crate::ops::gemm::gemm_binary`]

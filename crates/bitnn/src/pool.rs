@@ -19,57 +19,73 @@
 //!   any number of concurrent callers. Jobs from concurrent dispatchers
 //!   queue up and drain in submission order; a dispatcher only blocks on
 //!   *its own* job's completion.
+//! * **No allocation per dispatch** — a job lives in its dispatcher's
+//!   stack frame, and the queue holds only its address, so a warmed
+//!   forward performs no heap allocation at any thread count.
 //!
 //! The pool intentionally has no unpark/shutdown API: workers are idle
 //! (parked) whenever no job is queued, and the process exit tears them
 //! down. Dispatch from inside a worker is not supported (the engine never
-//! nests parallel sections — per-item batch workers run single-threaded
-//! engines), and would merely run inline if attempted, because workers are
-//! not counted as dispatchers.
+//! nests parallel sections — the chunks of a split batch run
+//! single-threaded engines), and would merely run inline if attempted,
+//! because workers are not counted as dispatchers.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
 
 /// Stack size for pool workers: the band kernels are flat loops with a few
 /// KB of locals, so 512 KiB leaves two orders of magnitude of headroom.
 const WORKER_STACK_BYTES: usize = 512 * 1024;
 
+/// Lock a pool mutex, ignoring poisoning. Chunk panics are caught before
+/// they can reach a pool lock, and every update under one (a queue push
+/// or retain, a counter increment, a first panic payload stored) leaves
+/// the data valid; ignoring poisoning keeps the dispatcher from ever
+/// unwinding while its job is still queued.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// One submitted parallel job: `chunks` indices handed out by `fetch_add`
 /// on `next`, run through the type-erased `run` pointer.
+///
+/// The job lives in its dispatcher's stack frame, so a dispatch allocates
+/// nothing. The queue and the workers reach it through a raw pointer,
+/// which the completion protocol keeps valid: a worker can only join
+/// while the job is queued, the dispatcher retires the job before it
+/// waits, and it returns only once every joined worker has left.
 struct Job {
-    /// Type-erased pointer to the dispatcher's chunk closure. Only valid
-    /// while the dispatcher is blocked in [`WorkerPool::dispatch`]; the
-    /// completion protocol below guarantees no dereference outlives it.
+    /// Type-erased pointer to the dispatcher's chunk closure.
     run: *const (dyn Fn(usize) + Sync),
     /// Total number of chunks.
     chunks: usize,
     /// Next chunk index to claim.
     next: AtomicUsize,
-    /// Chunks fully executed.
-    completed: AtomicUsize,
-    /// Workers that have joined this job (capped at `max_workers`).
+    /// Workers that have joined this job (capped at `max_workers`). Only
+    /// changed under the queue lock, so it is final once the job is
+    /// retired from the queue.
     joined: AtomicUsize,
     /// Maximum number of *pool workers* that may join (the dispatcher is
     /// always an extra participant on top).
     max_workers: usize,
     /// First panic payload caught in a chunk closure. A panicking chunk
-    /// still counts as completed (so the dispatcher never deadlocks and
-    /// the worker thread survives); the dispatcher rethrows the payload
-    /// after the job fully drains and is retired from the queue.
+    /// still counts as run (so the dispatcher never deadlocks and the
+    /// worker thread survives); the dispatcher rethrows the payload once
+    /// no worker references the job any more.
     panic: Mutex<Option<Box<dyn Any + Send + 'static>>>,
-    /// Completion latch for the dispatcher.
-    done: Mutex<bool>,
-    done_cv: Condvar,
+    /// Joined workers that are done with the job: every chunk they
+    /// claimed has run, and they never touch the job again.
+    left: Mutex<usize>,
+    left_cv: Condvar,
 }
 
-// SAFETY: `run` is only dereferenced for successfully claimed chunk
-// indices, and every claimed chunk completes (incrementing `completed`)
-// before `dispatch` returns — so the pointee outlives every dereference.
-// All other fields are plain atomics/sync primitives.
-unsafe impl Send for Job {}
+// SAFETY: `run` points at a `Sync` closure and is only called through
+// `drain` for claimed chunks, while the dispatcher waits in `dispatch`
+// (see `Job`); every other field is an atomic, a plain value set before
+// the job is queued, or a `Mutex`/`Condvar`.
 unsafe impl Sync for Job {}
 
 impl Job {
@@ -95,50 +111,52 @@ impl Job {
         false
     }
 
-    /// Claim and run chunks until none are left. Returns whether this call
-    /// completed the final chunk.
+    /// Claim and run chunks until none are left to claim.
     ///
     /// # Safety
     ///
-    /// Must only be called while the dispatcher is blocked in
-    /// [`WorkerPool::dispatch`] for this job (enforced by the completion
-    /// protocol: `dispatch` waits for `completed == chunks`).
-    unsafe fn drain(&self) -> bool {
-        let mut finished_last = false;
+    /// The dispatcher must still be inside [`WorkerPool::dispatch`] for
+    /// this job: it is the caller itself, or the caller joined the job
+    /// while it was queued and has not yet [left](Self::leave).
+    unsafe fn drain(&self) {
         loop {
             let chunk = self.next.fetch_add(1, Ordering::Relaxed);
             if chunk >= self.chunks {
-                return finished_last;
+                return;
             }
             // SAFETY: `chunk` was claimed exactly once and the dispatcher
             // is still parked in `dispatch`, so the closure is alive.
             // A panic is contained here — never unwound through the pool —
             // so a panicking chunk can neither kill a worker nor let the
-            // dispatcher unwind out of `dispatch` while the queue still
+            // dispatcher unwind out of `dispatch` while a worker still
             // references its stack frame.
             if let Err(payload) = catch_unwind(AssertUnwindSafe(|| unsafe { (*self.run)(chunk) })) {
-                self.panic
-                    .lock()
-                    .expect("pool mutex poisoned")
-                    .get_or_insert(payload);
+                lock(&self.panic).get_or_insert(payload);
             }
-            let done = self.completed.fetch_add(1, Ordering::AcqRel) + 1;
-            finished_last = done == self.chunks;
         }
     }
 
-    /// Signal the dispatcher that the final chunk completed.
-    fn signal_done(&self) {
-        let mut done = self.done.lock().expect("pool mutex poisoned");
-        *done = true;
-        self.done_cv.notify_all();
+    /// A joined worker's last touch of the job, after its [`Self::drain`].
+    fn leave(&self) {
+        let mut left = lock(&self.left);
+        *left += 1;
+        self.left_cv.notify_one();
     }
 }
+
+/// A queued job's address.
+#[derive(Clone, Copy)]
+struct JobRef(*const Job);
+
+// SAFETY: the one field is the address of a `Sync` job, and a `JobRef`
+// is only dereferenced while that job is queued (under the queue lock)
+// or joined (see `Job`).
+unsafe impl Send for JobRef {}
 
 /// Queue state shared between dispatchers and workers.
 #[derive(Default)]
 struct Queue {
-    jobs: Vec<Arc<Job>>,
+    jobs: Vec<JobRef>,
 }
 
 /// The shared pool: job queue plus the condvar workers park on.
@@ -170,8 +188,13 @@ impl WorkerPool {
     /// A pool with an explicit worker count (tests force real workers even
     /// on single-core machines; production code uses [`Self::global`]).
     pub(crate) fn with_workers(workers: usize, hw_threads: usize) -> WorkerPool {
+        // Room for a few concurrent dispatchers up front; the queue keeps
+        // whatever capacity it grows to, so queueing never allocates once
+        // the process has seen its peak concurrency.
         let shared = Arc::new(Shared {
-            queue: Mutex::new(Queue::default()),
+            queue: Mutex::new(Queue {
+                jobs: Vec::with_capacity(8),
+            }),
             work_cv: Condvar::new(),
         });
         for i in 0..workers {
@@ -198,6 +221,7 @@ impl WorkerPool {
     /// using up to `max_workers` pool workers alongside the calling thread.
     /// Blocks until every chunk has completed. With no workers to enlist
     /// (or a single chunk) everything runs inline on the calling thread.
+    /// Performs no heap allocation.
     pub(crate) fn dispatch(&self, chunks: usize, max_workers: usize, run: &(dyn Fn(usize) + Sync)) {
         let max_workers = max_workers.min(self.workers);
         if chunks <= 1 || max_workers == 0 {
@@ -206,26 +230,23 @@ impl WorkerPool {
             }
             return;
         }
-        let job = Arc::new(Job {
-            // Erase the borrow's lifetime so parked workers can hold the
-            // job; see `Job::drain` — every dereference happens before
-            // this function returns. SAFETY: only the lifetime changes.
+        let job = Job {
+            // Erase the borrow's lifetime so parked workers can reach the
+            // closure; see `Job` — every dereference happens before this
+            // function returns. SAFETY: only the lifetime changes.
             run: unsafe {
                 std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(run)
             },
             chunks,
             next: AtomicUsize::new(0),
-            completed: AtomicUsize::new(0),
             joined: AtomicUsize::new(0),
             max_workers,
             panic: Mutex::new(None),
-            done: Mutex::new(false),
-            done_cv: Condvar::new(),
-        });
-        {
-            let mut queue = self.shared.queue.lock().expect("pool mutex poisoned");
-            queue.jobs.push(Arc::clone(&job));
-        }
+            left: Mutex::new(0),
+            left_cv: Condvar::new(),
+        };
+        let this = JobRef(&job);
+        lock(&self.shared.queue).jobs.push(this);
         if max_workers == 1 {
             self.shared.work_cv.notify_one();
         } else {
@@ -233,24 +254,28 @@ impl WorkerPool {
         }
         // The dispatcher always participates; with tail-stealing it
         // typically claims the lion's share and never parks at all.
-        // SAFETY: we are the dispatcher and block below until completion.
-        if unsafe { job.drain() } {
-            job.signal_done();
+        // SAFETY: we are the dispatcher.
+        unsafe { job.drain() };
+        // Every chunk is claimed. Retire the job so no further worker can
+        // join; `joined` is final from here on.
+        let joined = {
+            let mut queue = lock(&self.shared.queue);
+            queue.jobs.retain(|j| !std::ptr::eq(j.0, this.0));
+            job.joined.load(Ordering::Relaxed)
+        };
+        // Each joined worker leaves only after the chunks it claimed have
+        // run, so once all have left every chunk is complete and nothing
+        // references this stack frame — then rethrow the first chunk
+        // panic on the dispatcher.
+        let mut left = lock(&job.left);
+        while *left < joined {
+            left = job
+                .left_cv
+                .wait(left)
+                .unwrap_or_else(PoisonError::into_inner);
         }
-        {
-            let mut done = job.done.lock().expect("pool mutex poisoned");
-            while !*done {
-                done = job.done_cv.wait(done).expect("pool mutex poisoned");
-            }
-        }
-        // Retire the job so parked workers stop scanning it, then — and
-        // only then, with the queue no longer referencing this stack
-        // frame — rethrow the first chunk panic on the dispatcher.
-        {
-            let mut queue = self.shared.queue.lock().expect("pool mutex poisoned");
-            queue.jobs.retain(|j| !Arc::ptr_eq(j, &job));
-        }
-        let payload = job.panic.lock().expect("pool mutex poisoned").take();
+        drop(left);
+        let payload = lock(&job.panic).take();
         if let Some(payload) = payload {
             resume_unwind(payload);
         }
@@ -262,24 +287,28 @@ impl WorkerPool {
 fn worker_loop(shared: &Shared) {
     loop {
         let job = {
-            let mut queue = shared.queue.lock().expect("pool mutex poisoned");
+            let mut queue = lock(&shared.queue);
             loop {
+                // SAFETY: a queued job's dispatcher has not retired it, so
+                // it is alive; joining happens under the same lock.
                 if let Some(job) = queue
                     .jobs
                     .iter()
-                    .find(|j| !j.drained() && j.try_join())
-                    .map(Arc::clone)
+                    .find(|j| unsafe { !(*j.0).drained() && (*j.0).try_join() })
                 {
-                    break job;
+                    break *job;
                 }
-                queue = shared.work_cv.wait(queue).expect("pool mutex poisoned");
+                queue = shared
+                    .work_cv
+                    .wait(queue)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         };
-        // SAFETY: the job was found in the queue, so its dispatcher is
-        // still blocked in `dispatch` waiting for completion.
-        if unsafe { job.drain() } {
-            job.signal_done();
-        }
+        // SAFETY: this worker joined the job while it was queued, and its
+        // dispatcher waits for it to leave before returning.
+        let job = unsafe { &*job.0 };
+        unsafe { job.drain() };
+        job.leave();
     }
 }
 
@@ -336,6 +365,48 @@ mod tests {
                 });
             }
         });
+    }
+
+    #[test]
+    fn back_to_back_jobs_in_one_stack_slot_stay_separate() {
+        // Every dispatch from this loop builds its job at the same stack
+        // address. A dispatcher returning before its workers are done
+        // would miss their chunks, and a worker still touching the
+        // previous job would claim chunks of the next one, so some chunk
+        // would run twice or never. The worker's chunk and the
+        // dispatcher's wait for each other to start, and the worker's
+        // then runs on a while, so the dispatcher runs out of chunks first.
+        use std::sync::atomic::AtomicBool;
+        use std::time::{Duration, Instant};
+        let wait_for = |flag: &AtomicBool| {
+            let t = Instant::now();
+            while !flag.load(Ordering::Acquire) && t.elapsed() < Duration::from_millis(5) {}
+        };
+        let pool = WorkerPool::with_workers(1, 2);
+        let mut on_worker = 0;
+        for round in 0..300usize {
+            let chunks = 2 + round % 5;
+            let counts: [AtomicUsize; 6] = Default::default();
+            let (worker_ran, dispatcher_ran) = (AtomicBool::new(false), AtomicBool::new(false));
+            pool.dispatch(chunks, 1, &|c| {
+                if thread::current().name() == Some("bitnn-pool-0") {
+                    worker_ran.store(true, Ordering::Release);
+                    wait_for(&dispatcher_ran);
+                    let t = Instant::now();
+                    while t.elapsed() < Duration::from_micros(100) {}
+                } else {
+                    wait_for(&worker_ran);
+                    dispatcher_ran.store(true, Ordering::Release);
+                }
+                counts[c].fetch_add(1, Ordering::Relaxed);
+            });
+            for (c, n) in counts.iter().enumerate() {
+                let want = usize::from(c < chunks);
+                assert_eq!(n.load(Ordering::Relaxed), want, "round {round} chunk {c}");
+            }
+            on_worker += usize::from(worker_ran.into_inner());
+        }
+        assert!(on_worker > 0, "the pool worker never joined");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   queued is rejected immediately with the typed
 //!   [`ServeError::QueueFull`]; the queue never grows without bound.
 //! * **Zero-allocation warm path** — request cells, queue storage, the
-//!   worker's batch buffers, and the pooled [`BatchScratch`] are all
+//!   worker's batch buffers, and the [`BatchScratch`] slots are all
 //!   reused, so a warmed request (submit → coalesce → forward →
 //!   respond) performs no heap allocation end to end. The counting-
 //!   allocator gate in `tests/alloc_steady_state.rs` enforces this.

@@ -79,6 +79,42 @@ fn steady_state_forward_batch_performs_zero_allocations() {
         assert_eq!(o.data(), e.data());
     }
 
+    // The same gate at two threads, on both parallel paths (same
+    // allocator, same test). Batch 16 is split across the worker pool in
+    // eight chunks of two stacked images; batch 1 stays on the calling
+    // thread and splits its convs and sign+pack passes across the pool.
+    // `min_work: 0` keeps the tiny model from falling back to inline
+    // dispatch. On a 1-core host both runs fall back to inline execution
+    // anyway, and the gate checks only the single-threaded paths.
+    let engine = Engine::new(ExecPolicy {
+        threads: 2,
+        min_work: 0,
+    });
+    for batch in [16usize, 1] {
+        let inputs = synthetic_batch(batch, 3, 32, 17);
+        let mut scratch = BatchScratch::default();
+        let mut outs = Vec::new();
+        for _ in 0..2 {
+            model
+                .forward_batch_into(&inputs, &engine, &mut scratch, &mut outs)
+                .unwrap();
+        }
+        let before = ALLOCS.load(Ordering::SeqCst);
+        for _ in 0..5 {
+            model
+                .forward_batch_into(&inputs, &engine, &mut scratch, &mut outs)
+                .unwrap();
+        }
+        let allocated = ALLOCS.load(Ordering::SeqCst) - before;
+        assert_eq!(
+            allocated, 0,
+            "warmed 2-thread forward_batch_into of {batch} allocated {allocated} times"
+        );
+        for (o, x) in outs.iter().zip(&inputs) {
+            assert_eq!(o.data(), model.forward_scalar(x).unwrap().data());
+        }
+    }
+
     // The single-input path shares the property: repeat forwards
     // through one Scratch allocate nothing either.
     let mut s = bitnn::Scratch::default();

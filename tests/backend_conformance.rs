@@ -424,7 +424,9 @@ fn fused_plan_matches_oracle_across_batches_threads_and_lowerings() {
     let image = 12;
     for arch in Arch::ALL {
         let model = build_model(arch, 0.0625, image, 0xB47C).unwrap();
-        for batch in [1usize, 2, 33] {
+        // Batch-split chunks of one item (3), of two to four items with
+        // a ragged tail (9, 17), and of several stacked items (33).
+        for batch in [1usize, 2, 3, 9, 17, 33] {
             let inputs = synthetic_batch(batch, 3, image, 0xE91 ^ batch as u64);
             let expect: Vec<Tensor> = inputs
                 .iter()
@@ -450,6 +452,52 @@ fn fused_plan_matches_oracle_across_batches_threads_and_lowerings() {
                         .forward_into(x, &engine, &mut scratch, &mut y)
                         .unwrap();
                     assert_eq!(y.data(), e.data(), "{what}: item {i} (per item)");
+                }
+            }
+        }
+    }
+}
+
+/// A batch that mixes `[1, C, H, W]` and `[2, C, H, W]` items: each run
+/// of equal shapes is stacked, a lone item runs by itself, and every
+/// item's logits equal the oracle's on that item, at 1, 2 and 4 threads
+/// and on a reused scratch.
+#[test]
+fn mixed_shape_batch_matches_oracle() {
+    let image = 12;
+    let len = |n: usize| n * 3 * image * image;
+    let inputs: Vec<Tensor> = [1usize, 2, 1, 2, 2, 1, 1, 1, 2, 1, 2, 2, 2, 1]
+        .iter()
+        .enumerate()
+        .map(|(i, &n)| {
+            Tensor::from_vec(
+                &[n, 3, image, image],
+                random_floats(len(n), 1.0, i as u64 ^ 0x3A),
+            )
+            .unwrap()
+        })
+        .collect();
+    for arch in Arch::ALL {
+        let model = build_model(arch, 0.0625, image, 0x313D).unwrap();
+        let expect: Vec<Tensor> = inputs
+            .iter()
+            .map(|x| model.forward_scalar(x).unwrap())
+            .collect();
+        for threads in [1usize, 2, 4] {
+            let engine = Engine::new(ExecPolicy {
+                threads,
+                min_work: 0,
+            });
+            let (mut scratch, mut outs) = (BatchScratch::default(), Vec::new());
+            for round in 0..2 {
+                model
+                    .forward_batch_into(&inputs, &engine, &mut scratch, &mut outs)
+                    .unwrap();
+                assert_eq!(outs.len(), inputs.len());
+                for (i, (y, e)) in outs.iter().zip(&expect).enumerate() {
+                    let what = format!("{arch} threads {threads} round {round}: item {i}");
+                    assert_eq!(y.shape(), e.shape(), "{what} shape");
+                    assert_eq!(y.data(), e.data(), "{what}");
                 }
             }
         }
