@@ -15,11 +15,16 @@ use crate::layers::{avg_pool_2x2_nhwc_into, global_avg_pool_nhwc_into};
 use crate::tensor::Tensor;
 
 /// Execute one plan step into `dst` (a recycled arena buffer whose
-/// previous contents are unspecified). `a` and `b` are the operand
-/// values the dispatch loop resolved: every non-input step reads `a`,
-/// and only [`Step::Add`] reads `b`. Every 4-D value is pixel-major
+/// previous contents are unspecified) by the kernel of the step node's
+/// op. `a` and `b` are the step's `src` and `rhs` values, as the
+/// dispatch loop resolved them. Every 4-D value is pixel-major
 /// `[n, h, w, c]`, except that a stem reading the graph input gets it as
 /// given, `[n, c, h, w]` (`a_is_nchw`).
+///
+/// A fused step is its act's arm: it reaches the conv through the
+/// batch-norm's input, and adds `a` as the 2×2-pooled shortcut of a
+/// stride-2 conv or the identity (or duplicated) shortcut otherwise —
+/// the forms [`crate::graph`]'s planner fuses.
 ///
 /// # Errors
 ///
@@ -37,102 +42,65 @@ pub(crate) fn run_step(
     s: &mut CpuScratch,
     dst: &mut Tensor,
 ) -> Result<()> {
-    match *step {
-        Step::Input { .. } => unreachable!("the dispatch loop skips input steps"),
-        Step::Stem { node, .. } => {
-            let stem = layer!(nodes, node, NodeOp::StemConv);
-            if a_is_nchw {
-                stem.forward_fast_with(a, &mut s.quant, dst);
-            } else {
-                stem.forward_nhwc_with(a, &mut s.quant, dst);
-            }
+    match nodes[step.node].op {
+        NodeOp::Input { .. } | NodeOp::Sign(_) => {
+            unreachable!("the dispatch loop skips input steps, and signs are folded")
         }
-        Step::Conv { node, sign, .. } => {
-            conv_step(nodes, sign, node, a, engine, s, dst, |_| {
+        NodeOp::StemConv(ref stem) if a_is_nchw => stem.forward_fast_with(a, &mut s.quant, dst),
+        NodeOp::StemConv(ref stem) => stem.forward_nhwc_with(a, &mut s.quant, dst),
+        NodeOp::BinConv(_) => {
+            conv_step(nodes, step.node, a, engine, s, dst, |_| {
                 Ok(Epilogue::Convert)
             })?;
         }
-        Step::Bn { node, .. } => {
-            layer!(nodes, node, NodeOp::BatchNorm).forward_nhwc_into(a, dst);
-        }
-        Step::Act { node, .. } => {
-            layer!(nodes, node, NodeOp::Act).forward_nhwc_into(a, dst);
-        }
-        Step::AvgPool { .. } => {
-            avg_pool_2x2_nhwc_into(a, dst);
-        }
-        Step::ChannelDup { .. } => {
-            channel_dup_nhwc_into(a, 2 * a.shape()[3], dst)?;
-        }
-        Step::Add { .. } => {
-            // `Step::read_pair` gives every add two operands; a step list
+        NodeOp::BatchNorm(ref bn) => bn.forward_nhwc_into(a, dst),
+        NodeOp::Act(ref act) => match step.fused {
+            None => act.forward_nhwc_into(a, dst),
+            Some(bn) => {
+                let conv = nodes[bn].inputs[0];
+                let residual = if layer!(nodes, conv, NodeOp::BinConv).params().stride == 2 {
+                    let (h, w) = (a.shape()[1], a.shape()[2]);
+                    Residual::Pool {
+                        src: a.data(),
+                        h,
+                        w,
+                    }
+                } else {
+                    Residual::Channels {
+                        src: a.data(),
+                        c_in: a.shape()[3],
+                    }
+                };
+                let bn = layer!(nodes, bn, NodeOp::BatchNorm);
+                conv_step(nodes, conv, a, engine, s, dst, |geom| {
+                    Epilogue::fused(bn, act, residual, geom)
+                })?;
+            }
+        },
+        NodeOp::AvgPool2x2 => avg_pool_2x2_nhwc_into(a, dst),
+        NodeOp::ChannelDup => channel_dup_nhwc_into(a, 2 * a.shape()[3], dst)?,
+        NodeOp::Add => {
+            // The planner gives every add two operands; a step list
             // built some other way is rejected rather than trusted.
             let b = b.ok_or_else(|| {
                 BitnnError::Unsupported("add step without its second operand".into())
             })?;
             add_into(a, b, dst);
         }
-        Step::GlobalPool { .. } => {
-            global_avg_pool_nhwc_into(a, dst);
-        }
-        Step::Classifier { node, .. } => {
-            let fc = layer!(nodes, node, NodeOp::Classifier);
-            fc.forward_2d_with(a, &mut s.quant, dst);
-        }
-        Step::FusedSpatial {
-            act,
-            sign,
-            conv,
-            bn,
-            ..
-        } => {
-            let (bn, act) = (
-                layer!(nodes, bn, NodeOp::BatchNorm),
-                layer!(nodes, act, NodeOp::Act),
-            );
-            let (h, w) = (a.shape()[1], a.shape()[2]);
-            let residual = Residual::Pool {
-                src: a.data(),
-                h,
-                w,
-            };
-            conv_step(nodes, sign, conv, a, engine, s, dst, |geom| {
-                Epilogue::fused(bn, act, residual, geom)
-            })?;
-        }
-        Step::FusedChannel {
-            act,
-            sign,
-            conv,
-            bn,
-            ..
-        } => {
-            let (bn, act) = (
-                layer!(nodes, bn, NodeOp::BatchNorm),
-                layer!(nodes, act, NodeOp::Act),
-            );
-            let residual = Residual::Channels {
-                src: a.data(),
-                c_in: a.shape()[3],
-            };
-            conv_step(nodes, sign, conv, a, engine, s, dst, |geom| {
-                Epilogue::fused(bn, act, residual, geom)
-            })?;
-        }
+        NodeOp::GlobalAvgPool => global_avg_pool_nhwc_into(a, dst),
+        NodeOp::Classifier(ref fc) => fc.forward_2d_with(a, &mut s.quant, dst),
     }
     Ok(())
 }
 
 /// The `sign → binary conv → epilogue` body of every conv-bearing step:
-/// the sign packs `x`'s pixel rows into `s.packed` (zero-bordered as far
-/// as the conv's live taps reach), the conv computes its
-/// `[pixel][filter]` rows, and the epilogue `epilogue(geom)` builds for
-/// the output geometry `(n, oh, ow, filters)` turns each band of them
-/// into `dst`'s rows inside the conv's parallel chunk.
-#[allow(clippy::too_many_arguments)]
+/// the conv's folded sign packs `x`'s pixel rows into `s.packed`
+/// (zero-bordered as far as the conv's live taps reach), the conv
+/// computes its `[pixel][filter]` rows, and the epilogue `epilogue(geom)`
+/// builds for the output geometry `(n, oh, ow, filters)` turns each band
+/// of them into `dst`'s rows inside the conv's parallel chunk.
 fn conv_step<'a>(
     nodes: &[GraphNode],
-    sign: usize,
     conv: usize,
     x: &Tensor,
     engine: &Engine,
@@ -140,7 +108,7 @@ fn conv_step<'a>(
     dst: &mut Tensor,
     epilogue: impl FnOnce((usize, usize, usize, usize)) -> Result<Epilogue<'a>>,
 ) -> Result<()> {
-    let sg = layer!(nodes, sign, NodeOp::Sign);
+    let sg = layer!(nodes, nodes[conv].inputs[0], NodeOp::Sign);
     let cv = layer!(nodes, conv, NodeOp::BinConv);
     let ((kh, kw), params) = (cv.kernel_size(), cv.params());
     // The packed rows carry the zero border the conv's live taps reach
@@ -172,14 +140,20 @@ mod tests {
     #[test]
     fn add_without_second_operand_is_a_typed_error() {
         let a = Tensor::full(&[1, 2, 2, 3], 1.0);
-        let step = Step::Add {
-            node: 2,
-            a: 0,
-            b: 1,
+        let nodes = [GraphNode {
+            name: "add".into(),
+            op: NodeOp::Add,
+            inputs: vec![0, 0],
+        }];
+        let step = Step {
+            node: 0,
+            src: Some(0),
+            rhs: Some(0),
+            fused: None,
         };
         let mut dst = Tensor::default();
         let got = run_step(
-            &[],
+            &nodes,
             &step,
             &a,
             None,

@@ -1,11 +1,14 @@
 //! How plan steps are computed: the CPU step kernels the executor runs,
 //! and the scalar oracle every forward is checked against.
 //!
-//! The graph side ([`crate::graph`]) owns *what* runs — the step
-//! vocabulary, the fused step list, the liveness pass that assigns arena
-//! slots, and the dispatch loop (`run_plan`). This module owns *how*:
+//! The graph side ([`crate::graph`]) owns *what* runs — the step record
+//! (the node a step produces, the values it reads, and a fused chain's
+//! batch-norm), the fused step list, the liveness pass that assigns
+//! arena slots, and the dispatch loop (`run_plan`). This module owns
+//! *how*:
 //!
-//! * `cpu` — one function per step of the fused plan, lowered onto the
+//! * `cpu` — `run_step`, one `match` on the step node's op (a fused
+//!   step is its act's arm), lowered onto the
 //!   tiled/parallel [`Engine`](crate::engine::Engine) kernels with SIMD
 //!   dispatch (see [`crate::simd`]), channel-packed activations staged
 //!   in a reused [`CpuScratch`](crate::engine::CpuScratch), zero

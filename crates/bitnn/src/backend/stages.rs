@@ -51,7 +51,7 @@ pub(crate) enum Residual<'a> {
 /// What a conv step's epilogue computes from its `i32` rows.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Epilogue<'a> {
-    /// `acc as f32` (the unfused `Conv` step).
+    /// `acc as f32` (an unfused conv step).
     Convert,
     /// `act(bn(acc) + residual)`.
     Fused {

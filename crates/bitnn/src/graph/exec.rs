@@ -1,21 +1,27 @@
 //! Plan structure and the dispatch loop of the graph executor.
 //!
-//! This module owns the plan: the [`Step`] vocabulary, the fused
-//! step-list builder ([`fused_steps`]), the liveness pass that assigns
-//! every intermediate value an arena slot ([`CompiledPlan::from_steps`]),
-//! and the one dispatch loop ([`run_plan`]) that resolves each step's
-//! operand tensors and hands the step to the CPU step kernels
+//! This module owns the plan: the [`Step`] record, the fused step-list
+//! builder ([`fused_steps`]), the liveness pass that assigns every
+//! intermediate value an arena slot ([`CompiledPlan::from_steps`]), and
+//! the one dispatch loop ([`run_plan`]) that resolves each step's operand
+//! tensors and hands the step to the CPU step kernels
 //! (`crate::backend::cpu`). How a step is computed — which engine
 //! kernel, which SIMD level, which scratch buffers — lives there.
 //!
+//! A step is one flat record: the node whose value it produces, the
+//! values it reads, and, for a fused chain, the chain's batch-norm. What
+//! it computes is the op of its node, so a step's kind is
+//! `nodes[step.node].op.tag()` plus whether it is fused.
+//!
 //! Planning happens once, at [`crate::graph::ModelGraph`] construction:
 //! the node list is walked, sign nodes are folded into their consuming
-//! convolutions, and every `BinConv → BatchNorm → Add → Act` chain whose
-//! intermediates are single-use is collapsed into one fused step. The
-//! fused plan is bit-exact with the scalar oracle's node walk
-//! (`crate::backend::scalar::run_scalar`): the convolutions are integer,
-//! and the fused float stages apply the same per-element operations in
-//! the same order.
+//! convolutions, and every `sign → BinConv → BatchNorm → Add → Act` chain
+//! whose intermediates are single-use is collapsed into one fused step.
+//! A chain without a shortcut add (`vggsmall`'s) runs as three steps:
+//! conv, batch-norm, act. The fused plan is bit-exact with the scalar
+//! oracle's node walk (`crate::backend::scalar::run_scalar`): the
+//! convolutions are integer, and the fused float stages apply the same
+//! per-element operations in the same order.
 
 use crate::backend::cpu;
 use crate::engine::{CpuScratch, Engine};
@@ -24,150 +30,22 @@ use crate::tensor::Tensor;
 
 use super::{GraphNode, NodeOp};
 
-/// One planned execution step. Node indices refer to the graph's node
-/// list; each step produces the value of its [`Step::output`] node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Step {
-    /// The graph input.
-    Input {
-        /// The input node.
-        node: usize,
-    },
-    /// 8-bit stem convolution.
-    Stem {
-        /// Producing node.
-        node: usize,
-        /// Value read.
-        src: usize,
-    },
-    /// Sign + binary convolution (the sign node is folded in).
-    Conv {
-        /// The convolution node.
-        node: usize,
-        /// The folded sign node.
-        sign: usize,
-        /// Value read (the sign node's input).
-        src: usize,
-    },
-    /// Stand-alone batch-norm.
-    Bn {
-        /// Producing node.
-        node: usize,
-        /// Value read.
-        src: usize,
-    },
-    /// Stand-alone RPReLU.
-    Act {
-        /// Producing node.
-        node: usize,
-        /// Value read.
-        src: usize,
-    },
-    /// 2×2 average pool.
-    AvgPool {
-        /// Producing node.
-        node: usize,
-        /// Value read.
-        src: usize,
-    },
-    /// Channel duplication.
-    ChannelDup {
-        /// Producing node.
-        node: usize,
-        /// Value read.
-        src: usize,
-    },
-    /// Element-wise add.
-    Add {
-        /// Producing node.
-        node: usize,
-        /// Left operand value.
-        a: usize,
-        /// Right operand value.
-        b: usize,
-    },
-    /// Global average pool.
-    GlobalPool {
-        /// Producing node.
-        node: usize,
-        /// Value read.
-        src: usize,
-    },
-    /// 8-bit classifier.
-    Classifier {
-        /// Producing node.
-        node: usize,
-        /// Value read.
-        src: usize,
-    },
-    /// `sign(src) → conv(stride 2) → bn → (+ avg_pool(src)) → act`,
-    /// with the pool computed on the fly inside the fused kernel.
-    /// Produces the value of `act`.
-    FusedSpatial {
-        /// The activation node whose value this step produces.
-        act: usize,
-        /// The folded sign node.
-        sign: usize,
-        /// The convolution node.
-        conv: usize,
-        /// The batch-norm node.
-        bn: usize,
-        /// Value read.
-        src: usize,
-    },
-    /// `sign(src) → conv(stride 1) → bn → (+ src or channel_dup(src)) →
-    /// act`. Produces the value of `act`.
-    FusedChannel {
-        /// The activation node whose value this step produces.
-        act: usize,
-        /// The folded sign node.
-        sign: usize,
-        /// The convolution node.
-        conv: usize,
-        /// The batch-norm node.
-        bn: usize,
-        /// Value read.
-        src: usize,
-    },
-}
-
-impl Step {
+/// One planned execution step: it produces the value of node `node` from
+/// the values it reads, and runs the kernel of `node`'s own op. Node
+/// indices refer to the graph's node list.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Step {
     /// The node whose value this step produces.
-    pub fn output(&self) -> usize {
-        match *self {
-            Step::Input { node }
-            | Step::Stem { node, .. }
-            | Step::Conv { node, .. }
-            | Step::Bn { node, .. }
-            | Step::Act { node, .. }
-            | Step::AvgPool { node, .. }
-            | Step::ChannelDup { node, .. }
-            | Step::Add { node, .. }
-            | Step::GlobalPool { node, .. }
-            | Step::Classifier { node, .. } => node,
-            Step::FusedSpatial { act, .. } | Step::FusedChannel { act, .. } => act,
-        }
-    }
-
-    /// Node values this step reads, as an allocation-free pair: the first
-    /// operand (absent only for [`Step::Input`]) and the second (present
-    /// only for [`Step::Add`]).
-    pub fn read_pair(&self) -> (Option<usize>, Option<usize>) {
-        match *self {
-            Step::Input { .. } => (None, None),
-            Step::Stem { src, .. }
-            | Step::Conv { src, .. }
-            | Step::Bn { src, .. }
-            | Step::Act { src, .. }
-            | Step::AvgPool { src, .. }
-            | Step::ChannelDup { src, .. }
-            | Step::GlobalPool { src, .. }
-            | Step::Classifier { src, .. }
-            | Step::FusedSpatial { src, .. }
-            | Step::FusedChannel { src, .. } => (Some(src), None),
-            Step::Add { a, b, .. } => (Some(a), Some(b)),
-        }
-    }
+    pub(crate) node: usize,
+    /// The value the step reads; `None` only for the graph input. A
+    /// binary conv reads its folded sign's input, and so does a fused
+    /// chain.
+    pub(crate) src: Option<usize>,
+    /// The second value an add reads.
+    pub(crate) rhs: Option<usize>,
+    /// The batch-norm of a fused `sign → conv → bn → + shortcut → act`
+    /// chain; `node` is then the chain's act.
+    pub(crate) fused: Option<usize>,
 }
 
 /// Arena slot marker for values that live outside the arena (the borrowed
@@ -183,7 +61,7 @@ pub(crate) const NO_SLOT: usize = usize::MAX;
 /// [`CompiledPlan::from_steps`] from [`fused_steps`], and `run_plan`
 /// drives it.
 #[derive(Debug, Clone, Default)]
-pub struct CompiledPlan {
+pub(crate) struct CompiledPlan {
     pub(crate) steps: Vec<Step>,
     /// `last_read[v]` = index of the last step that reads node `v`'s
     /// value (`usize::MAX` when never read).
@@ -206,31 +84,28 @@ pub struct CompiledPlan {
 }
 
 /// Build the fused step list: sign nodes folded into their consuming
-/// convolutions, and every `BinConv → BatchNorm → Add → Act` chain whose
-/// intermediates are single-use collapsed into a fused step. The shortcut
-/// operand must be the conv chain's source (identity), its 2×2 average
-/// pool (stride-2 convs), or its channel duplication — each single-use.
+/// convolutions, and every `sign → BinConv → BatchNorm → Add → Act` chain
+/// whose intermediates are single-use collapsed into one fused step. The
+/// shortcut operand must be the chain's source (identity, stride 1), its
+/// channel duplication (stride 1) or its 2×2 average pool (stride 2),
+/// each single-use. A chain without a shortcut is not fused.
 ///
 /// The graph must already be validated (see
 /// [`crate::graph::spec::GraphSpec::validate`]).
-pub fn fused_steps(nodes: &[GraphNode]) -> Vec<Step> {
-    let n = nodes.len();
-    let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, node) in nodes.iter().enumerate() {
+pub(crate) fn fused_steps(nodes: &[GraphNode]) -> Vec<Step> {
+    let mut consumers = vec![0usize; nodes.len()];
+    for node in nodes {
         for &src in &node.inputs {
-            consumers[src].push(i);
+            consumers[src] += 1;
         }
     }
-    // Detect fusion roots: an Act node fed by a single-use Add of a
-    // single-use BatchNorm of a single-use BinConv of a Sign, where the
-    // other Add operand is the conv chain's source (identity), its 2x2
-    // average pool, or its channel duplication (each single-use).
-    let mut fused_at: Vec<Option<Step>> = vec![None; n];
-    let mut covered = vec![false; n];
+    let single = |v: usize| consumers[v] == 1;
+    let mut fused_at: Vec<Option<Step>> = vec![None; nodes.len()];
+    let mut covered = vec![false; nodes.len()];
     for (i, node) in nodes.iter().enumerate() {
         let NodeOp::Act(_) = node.op else { continue };
         let ad = node.inputs[0];
-        if !matches!(nodes[ad].op, NodeOp::Add) || consumers[ad].len() != 1 {
+        if !matches!(nodes[ad].op, NodeOp::Add) || !single(ad) {
             continue;
         }
         let (p, q) = (nodes[ad].inputs[0], nodes[ad].inputs[1]);
@@ -242,150 +117,79 @@ pub fn fused_steps(nodes: &[GraphNode]) -> Vec<Step> {
         } else {
             continue;
         };
-        if consumers[bn].len() != 1 {
-            continue;
-        }
         let conv = nodes[bn].inputs[0];
         let NodeOp::BinConv(ref c) = nodes[conv].op else {
             continue;
         };
-        if consumers[conv].len() != 1 {
+        if !single(bn) || !single(conv) {
             continue;
         }
-        let sign = nodes[conv].inputs[0];
-        let src = nodes[sign].inputs[0];
-        let stride = c.params().stride;
-        let step = if sc == src && stride == 1 {
-            // Identity shortcut; the fused channel kernel's `ch % C`
-            // indexing degenerates to the identity when C_out == C_in.
-            Some(Step::FusedChannel {
-                act: i,
-                sign,
-                conv,
-                bn,
-                src,
-            })
-        } else if matches!(nodes[sc].op, NodeOp::ChannelDup)
-            && nodes[sc].inputs[0] == src
-            && consumers[sc].len() == 1
-            && stride == 1
-        {
-            covered[sc] = true;
-            Some(Step::FusedChannel {
-                act: i,
-                sign,
-                conv,
-                bn,
-                src,
-            })
-        } else if matches!(nodes[sc].op, NodeOp::AvgPool2x2)
-            && nodes[sc].inputs[0] == src
-            && consumers[sc].len() == 1
-            && stride == 2
-        {
-            covered[sc] = true;
-            Some(Step::FusedSpatial {
-                act: i,
-                sign,
-                conv,
-                bn,
-                src,
-            })
+        let src = nodes[nodes[conv].inputs[0]].inputs[0];
+        // The conv stride each shortcut form fits; the fused kernel adds
+        // the pool on the fly and indexes a duplication as `ch % C`.
+        let shortcut_stride = if sc == src {
+            Some(1)
+        } else if nodes[sc].inputs.first() == Some(&src) && single(sc) {
+            match nodes[sc].op {
+                NodeOp::ChannelDup => Some(1),
+                NodeOp::AvgPool2x2 => Some(2),
+                _ => None,
+            }
         } else {
             None
         };
-        if let Some(step) = step {
-            covered[conv] = true;
-            covered[bn] = true;
-            covered[ad] = true;
-            fused_at[i] = Some(step);
+        if shortcut_stride != Some(c.params().stride) {
+            continue;
         }
+        for v in [conv, bn, ad] {
+            covered[v] = true;
+        }
+        covered[sc] |= sc != src;
+        fused_at[i] = Some(Step {
+            node: i,
+            src: Some(src),
+            rhs: None,
+            fused: Some(bn),
+        });
     }
 
-    let mut steps = Vec::with_capacity(n);
-    for (i, node) in nodes.iter().enumerate() {
-        if covered[i] {
-            continue;
-        }
-        if let Some(step) = fused_at[i].take() {
-            steps.push(step);
-            continue;
-        }
-        if let Some(step) = node_step(nodes, i, node) {
-            steps.push(step);
-        }
-    }
-    steps
+    (0..nodes.len())
+        .filter(|&i| !covered[i])
+        .filter_map(|i| fused_at[i].or_else(|| node_step(nodes, i)))
+        .collect()
 }
 
-/// The plain (unfused) step for one node; `None` for folded sign nodes.
-fn node_step(nodes: &[GraphNode], i: usize, node: &GraphNode) -> Option<Step> {
-    Some(match node.op {
-        NodeOp::Input { .. } => Step::Input { node: i },
-        NodeOp::StemConv(_) => Step::Stem {
-            node: i,
-            src: node.inputs[0],
-        },
-        // Sign nodes are folded into their consuming convolutions.
+/// The plain (unfused) step for node `i`; `None` for a folded sign node.
+fn node_step(nodes: &[GraphNode], i: usize) -> Option<Step> {
+    let inputs = &nodes[i].inputs;
+    let src = match nodes[i].op {
         NodeOp::Sign(_) => return None,
-        NodeOp::BinConv(_) => Step::Conv {
-            node: i,
-            sign: node.inputs[0],
-            src: nodes[node.inputs[0]].inputs[0],
-        },
-        NodeOp::BatchNorm(_) => Step::Bn {
-            node: i,
-            src: node.inputs[0],
-        },
-        NodeOp::Act(_) => Step::Act {
-            node: i,
-            src: node.inputs[0],
-        },
-        NodeOp::AvgPool2x2 => Step::AvgPool {
-            node: i,
-            src: node.inputs[0],
-        },
-        NodeOp::ChannelDup => Step::ChannelDup {
-            node: i,
-            src: node.inputs[0],
-        },
-        NodeOp::Add => Step::Add {
-            node: i,
-            a: node.inputs[0],
-            b: node.inputs[1],
-        },
-        NodeOp::GlobalAvgPool => Step::GlobalPool {
-            node: i,
-            src: node.inputs[0],
-        },
-        NodeOp::Classifier(_) => Step::Classifier {
-            node: i,
-            src: node.inputs[0],
-        },
+        NodeOp::BinConv(_) => Some(nodes[inputs[0]].inputs[0]),
+        _ => inputs.first().copied(),
+    };
+    Some(Step {
+        node: i,
+        src,
+        rhs: inputs.get(1).copied(),
+        fused: None,
     })
 }
 
 impl CompiledPlan {
-    /// Compile a step list over a graph of `n_nodes` nodes into a plan:
-    /// derive per-value lifetimes and run the liveness pass that assigns
-    /// arena slots. This is the one constructor, so the aliasing
-    /// guarantees hold for any step list.
-    pub fn from_steps(n_nodes: usize, steps: Vec<Step>) -> CompiledPlan {
+    /// Compile a step list over the graph `nodes` into a plan: derive
+    /// per-value lifetimes and run the liveness pass that assigns arena
+    /// slots. This is the one constructor, so the aliasing guarantees
+    /// hold for any step list.
+    pub(crate) fn from_steps(nodes: &[GraphNode], steps: Vec<Step>) -> CompiledPlan {
+        let n_nodes = nodes.len();
         let mut last_read = vec![usize::MAX; n_nodes];
         for (si, step) in steps.iter().enumerate() {
-            let (a, b) = step.read_pair();
-            for v in [a, b].into_iter().flatten() {
+            for v in [step.src, step.rhs].into_iter().flatten() {
                 last_read[v] = si;
             }
         }
         let output = n_nodes - 1;
-        let input_node = steps
-            .iter()
-            .find_map(|s| match *s {
-                Step::Input { node } => Some(node),
-                _ => None,
-            })
-            .unwrap_or(0);
+        let input_node = steps.iter().find(|s| s.src.is_none()).map_or(0, |s| s.node);
 
         // Liveness-driven arena allocation: walk the steps assigning each
         // produced value the lowest free slot, then release the slots of
@@ -394,27 +198,23 @@ impl CompiledPlan {
         // inputs (no in-place aliasing), and the graph output's slot is
         // never released so it survives to the end of the plan.
         let input_converted = steps.iter().any(|s| {
-            !matches!(s, Step::Stem { .. }) && {
-                let (a, b) = s.read_pair();
-                a == Some(input_node) || b == Some(input_node)
-            }
+            !matches!(nodes[s.node].op, NodeOp::StemConv(_))
+                && (s.src == Some(input_node) || s.rhs == Some(input_node))
         });
         let mut slot = vec![NO_SLOT; n_nodes];
         let mut free: Vec<usize> = Vec::new();
         let mut slots = 0usize;
         for (si, step) in steps.iter().enumerate() {
-            let out_node = step.output();
-            if !matches!(step, Step::Input { .. }) || input_converted {
-                slot[out_node] = free.pop().unwrap_or_else(|| {
+            if step.src.is_some() || input_converted {
+                slot[step.node] = free.pop().unwrap_or_else(|| {
                     slots += 1;
                     slots - 1
                 });
             }
-            let (a, b) = step.read_pair();
             // Deduplicate (a step may read one value twice, e.g.
             // add(x, x)) so a slot is never pushed onto the free list
             // twice.
-            let reads = [a, if b == a { None } else { b }];
+            let reads = [step.src, step.rhs.filter(|&b| Some(b) != step.src)];
             for v in reads.into_iter().flatten() {
                 if last_read[v] == si && v != output && slot[v] != NO_SLOT {
                     free.push(slot[v]);
@@ -438,16 +238,6 @@ impl CompiledPlan {
         plan
     }
 
-    /// The planned steps, in execution order.
-    pub fn steps(&self) -> &[Step] {
-        &self.steps
-    }
-
-    /// Number of arena slots this plan needs.
-    pub fn slots(&self) -> usize {
-        self.slots
-    }
-
     /// Verify the arena slot assignment: values sharing a slot must have
     /// strictly disjoint lifetimes (one's producing step comes after the
     /// other's last reader), which also implies a step's output slot never
@@ -459,7 +249,7 @@ impl CompiledPlan {
         // (the graph output stays live to the end of the plan).
         let mut produced = vec![usize::MAX; self.slot.len()];
         for (si, step) in self.steps.iter().enumerate() {
-            produced[step.output()] = si;
+            produced[step.node] = si;
         }
         let life = |v: usize| -> (usize, usize) {
             let end = if v == self.output || self.last_read[v] == usize::MAX {
@@ -517,25 +307,23 @@ pub(crate) fn run_plan(
         arena.resize_with(plan.slots, Tensor::default);
     }
     for step in &plan.steps {
-        let (first, second) = step.read_pair();
-        let out_node = step.output();
-        let Some(first) = first else {
+        let Some(src) = step.src else {
             // The input step: its value is the caller's borrowed tensor,
             // plus a pixel-major copy when a non-stem step reads it.
-            if plan.slot[out_node] != NO_SLOT {
-                input.nchw_to_nhwc_into(&mut arena[plan.slot[out_node]]);
+            if plan.slot[step.node] != NO_SLOT {
+                input.nchw_to_nhwc_into(&mut arena[plan.slot[step.node]]);
             }
             continue;
         };
         // Detach the output slot so the arena stays immutably readable;
         // the slot allocator guarantees it aliases none of the inputs.
-        let mut dst = std::mem::take(&mut arena[plan.slot[out_node]]);
+        let mut dst = std::mem::take(&mut arena[plan.slot[step.node]]);
         // Read a node's value: its arena slot, or the borrowed NCHW input
         // (which only a stem reads; see `CompiledPlan::slot`). The
         // liveness pass guarantees a live value's slot is not recycled,
         // so reading through `plan.slot` always yields the value
         // produced for it.
-        let stem = matches!(step, Step::Stem { .. });
+        let stem = matches!(nodes[step.node].op, NodeOp::StemConv(_));
         let resolve = |v: usize| -> &Tensor {
             if v == plan.input_node && (stem || plan.slot[v] == NO_SLOT) {
                 input
@@ -546,14 +334,14 @@ pub(crate) fn run_plan(
         let result = cpu::run_step(
             nodes,
             step,
-            resolve(first),
-            second.map(resolve),
-            stem && first == plan.input_node,
+            resolve(src),
+            step.rhs.map(resolve),
+            stem && src == plan.input_node,
             engine,
             scratch,
             &mut dst,
         );
-        arena[plan.slot[out_node]] = dst;
+        arena[plan.slot[step.node]] = dst;
         result?;
     }
     if plan.output == plan.input_node {

@@ -7,10 +7,14 @@
 //! equally agnostic: a [`ModelGraph`] is a DAG of typed nodes (stem conv,
 //! sign, binary conv, batch-norm, RPReLU, pools, shortcut add, channel
 //! duplication, classifier) that the executor lowers onto the
-//! [`crate::engine`] machinery, fusing every
-//! `conv → bn → (+shortcut) → act` chain onto one fused element-wise
-//! kernel. New BNN topologies become data,
-//! not code: see [`arch`] for the built-in families
+//! [`crate::engine`] machinery. The executor runs a plan of flat step
+//! records, each computing its node's own op; a
+//! `sign → conv → bn → + shortcut → act` chain whose shortcut is the
+//! chain's input, its channel duplication or its 2×2 average pool
+//! becomes one step whose conv epilogue applies bn, shortcut and act. A
+//! chain without a shortcut (`vggsmall`'s) runs conv, bn and act as
+//! three steps. New BNN topologies become data, not code: see [`arch`]
+//! for the built-in families
 //! (`reactnet`/`vggsmall`/`resnetlite`) and [`GraphBuilder`] for
 //! assembling custom ones.
 //!
@@ -35,7 +39,7 @@ pub mod arch;
 mod exec;
 pub mod spec;
 
-pub use exec::{fused_steps, CompiledPlan, Step};
+pub(crate) use exec::Step;
 pub use spec::{ConvGeometry, GraphSpec, NodeSpec, OpSpec, ShapeInfo};
 
 use crate::backend::scalar::run_scalar;
@@ -312,7 +316,7 @@ impl ModelGraph {
             }
         }
         // The one plan: the fused step list every `forward*` runs.
-        let plan = exec::CompiledPlan::from_steps(nodes.len(), exec::fused_steps(&nodes));
+        let plan = exec::CompiledPlan::from_steps(&nodes, exec::fused_steps(&nodes));
         let conv3 = spec.conv3_geometries().iter().map(|g| g.node).collect();
         // Workload model: total multiply-accumulates at the nominal image
         // size, weighted by precision (1-bit ops pack 64 to a lane word),
@@ -976,17 +980,7 @@ mod tests {
         // All three shortcut forms must compile to fused steps, not
         // node-by-node evaluation.
         let g = residual_graph(13);
-        let fused = g
-            .plan
-            .steps
-            .iter()
-            .filter(|s| {
-                matches!(
-                    s,
-                    super::exec::Step::FusedSpatial { .. } | super::exec::Step::FusedChannel { .. }
-                )
-            })
-            .count();
+        let fused = g.plan.steps.iter().filter(|s| s.fused.is_some()).count();
         assert_eq!(fused, 3, "expected every block fused: {:?}", g.plan.steps);
     }
 
@@ -1174,6 +1168,57 @@ mod tests {
                 proptest::prop_assert_eq!(y.data(), scalar.data());
             }
         }
+    }
+
+    /// A built-in arch's plan, one word per step (`fused` for a fused
+    /// conv chain, else the op tag of the node the step produces), and
+    /// the arch's binary conv count.
+    fn plan_words(arch: arch::Arch) -> (Vec<&'static str>, usize) {
+        let g = arch::build_model(arch, 0.0625, 16, 7).unwrap();
+        let words = g
+            .plan
+            .steps
+            .iter()
+            .map(|s| match s.fused {
+                Some(_) => "fused",
+                None => g.nodes[s.node].op.tag(),
+            })
+            .collect();
+        let convs = g.nodes.iter().filter(|n| n.op.tag() == "bin_conv").count();
+        (words, convs)
+    }
+
+    #[test]
+    fn builtin_arch_plans_are_pinned() {
+        // A planner that stops fusing stays bit-exact and only gets
+        // slower, so each built-in arch's fused plan is pinned here.
+        let count = |plan: &[&str], word: &str| plan.iter().filter(|w| **w == word).count();
+        let unfused = ["batch_norm", "act", "add", "avg_pool_2x2", "channel_dup"];
+
+        // ReActNet: every block's 3×3 and 1×1 stage is one fused step.
+        let (rn, convs) = plan_words(arch::Arch::ReActNet);
+        assert_eq!(count(&rn, "fused"), convs, "{rn:?}");
+        for word in unfused.iter().chain(&["bin_conv"]) {
+            assert_eq!(count(&rn, word), 0, "stand-alone {word}: {rn:?}");
+        }
+        assert_eq!(rn.len(), convs + 4, "{rn:?}");
+
+        // ResNet-lite: eight fused blocks, nothing left unfused.
+        let (rl, convs) = plan_words(arch::Arch::ResNetLite);
+        assert_eq!((count(&rl, "fused"), convs), (8, 8), "{rl:?}");
+        for word in unfused.iter().chain(&["bin_conv"]) {
+            assert_eq!(count(&rl, word), 0, "stand-alone {word}: {rl:?}");
+        }
+
+        // VGG-small has no shortcut, so nothing fuses: five plain
+        // conv → bn → act runs.
+        let (vgg, convs) = plan_words(arch::Arch::VggSmall);
+        assert_eq!(count(&vgg, "fused"), 0, "{vgg:?}");
+        let runs = vgg
+            .windows(3)
+            .filter(|w| *w == ["bin_conv", "batch_norm", "act"])
+            .count();
+        assert_eq!((runs, count(&vgg, "bin_conv"), convs), (5, 5, 5), "{vgg:?}");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! with — flat bits or channel-packed lane words — and derives every other
 //! form lazily on first use.
 
-use crate::engine::{ConvScratch, Engine, KernelForms};
+use crate::engine::KernelForms;
 use crate::layers::sign::RSign;
 use crate::layers::Layer;
 use crate::ops::conv::{conv2d_binary, Conv2dParams};
@@ -117,7 +117,7 @@ impl BinConv2d {
         self.panels.get()
     }
 
-    /// The kernel forms [`Engine::conv2d`] reads: the packed kernel and
+    /// The kernel forms [`crate::engine::Engine::conv2d`] reads: the packed kernel and
     /// the layer's panel cache.
     pub fn forms(&self) -> KernelForms<'_> {
         KernelForms {
@@ -198,36 +198,6 @@ impl BinConv2d {
     pub fn forward_packed(&self, acts: &PackedActivations) -> Tensor {
         conv2d_binary(acts, self.packed(), self.params).expect("channel counts validated at build")
     }
-
-    /// Forward over packed input through the execution engine, writing into
-    /// a reusable output tensor. Bit-exact with [`Self::forward_packed`].
-    pub fn forward_packed_with(
-        &self,
-        acts: &PackedActivations,
-        engine: &Engine,
-        scratch: &mut ConvScratch,
-        out: &mut Tensor,
-    ) {
-        engine
-            .conv2d_into(acts, self.forms(), self.params, scratch, out)
-            .expect("channel counts validated at build");
-    }
-
-    /// Forward over binarized (but not yet packed) input: repack the bits
-    /// into `packed_acts`, then run [`Self::forward_packed_with`].
-    pub fn forward_binarized_with(
-        &self,
-        bits: &BitTensor,
-        packed_acts: &mut PackedActivations,
-        engine: &Engine,
-        scratch: &mut ConvScratch,
-        out: &mut Tensor,
-    ) {
-        packed_acts
-            .repack(bits)
-            .expect("4-D input validated by binarize");
-        self.forward_packed_with(packed_acts, engine, scratch, out);
-    }
 }
 
 impl Layer for BinConv2d {
@@ -253,6 +223,7 @@ impl Layer for BinConv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{ConvScratch, Engine};
 
     fn random_bits(shape: &[usize], seed: u64) -> BitTensor {
         let mut t = BitTensor::zeros(shape);
@@ -327,12 +298,17 @@ mod tests {
         )
         .unwrap();
         let want = conv.forward(&input);
-        let bits = RSign::zero(12).binarize(&input);
-        let mut packed_acts = PackedActivations::default();
-        let mut scratch = ConvScratch::default();
+        let acts = PackedActivations::pack(&RSign::zero(12).binarize(&input)).unwrap();
         let mut out = Tensor::default();
-        let engine = Engine::new(crate::ExecPolicy::single_threaded());
-        conv.forward_binarized_with(&bits, &mut packed_acts, &engine, &mut scratch, &mut out);
+        Engine::single_threaded()
+            .conv2d_into(
+                &acts,
+                conv.forms(),
+                params,
+                &mut ConvScratch::default(),
+                &mut out,
+            )
+            .unwrap();
         assert_eq!(want.data(), out.data());
     }
 
@@ -373,14 +349,18 @@ mod tests {
         let mut out = Tensor::default();
         // A 1×1 map under pad 1: only the centre tap reads the map.
         let small = PackedActivations::pack(&random_bits(&[1, 70, 1, 1], 7)).unwrap();
-        conv.forward_packed_with(&small, &engine, &mut scratch, &mut out);
+        engine
+            .conv2d_into(&small, conv.forms(), params, &mut scratch, &mut out)
+            .unwrap();
         assert_eq!(out.data(), conv.forward_packed(&small).data());
         let cached = conv.panels().expect("built by the forward");
         assert_eq!((cached.taps(), cached.lanes()), (&[4u32][..], 2));
         // Another geometry reads all nine taps: built on the fly, right,
         // and the cache keeps the first forward's panels.
         let big = PackedActivations::pack(&random_bits(&[1, 70, 4, 5], 8)).unwrap();
-        conv.forward_packed_with(&big, &engine, &mut scratch, &mut out);
+        engine
+            .conv2d_into(&big, conv.forms(), params, &mut scratch, &mut out)
+            .unwrap();
         assert_eq!(out.data(), conv.forward_packed(&big).data());
         assert_eq!(conv.panels().unwrap().taps(), &[4u32][..]);
     }

@@ -335,21 +335,6 @@ impl PackedActivations {
     ///
     /// Returns [`BitnnError::ShapeMismatch`] if `acts` is not 4-D.
     pub fn pack(acts: &BitTensor) -> Result<Self> {
-        let mut out = PackedActivations::default();
-        out.repack(acts)?;
-        Ok(out)
-    }
-
-    /// Re-pack `acts` into this container, reusing its allocation.
-    ///
-    /// This is the scratch-buffer entry point used by the execution
-    /// engine's forward pass so each layer stops allocating a fresh packed
-    /// buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BitnnError::ShapeMismatch`] if `acts` is not 4-D.
-    pub fn repack(&mut self, acts: &BitTensor) -> Result<()> {
         let shape = acts.shape();
         if shape.len() != 4 {
             return Err(BitnnError::ShapeMismatch {
@@ -361,8 +346,7 @@ impl PackedActivations {
         let lanes = lanes_for(c);
         let hw = h * w;
         let src = acts.words();
-        self.data.clear();
-        self.data.resize(n * hw * lanes, 0);
+        let mut data = vec![0u64; n * hw * lanes];
         // Word-at-a-time packing: bit (img, ch, y, x) sits at flat index
         // img*C*HW + ch*HW + (y*W + x), i.e. stride HW per channel for a
         // fixed pixel; each destination lane is gathered in a register and
@@ -370,7 +354,7 @@ impl PackedActivations {
         for img in 0..n {
             for pix in 0..hw {
                 let base = img * c * hw + pix;
-                for (l, word) in self.data[(img * hw + pix) * lanes..][..lanes]
+                for (l, word) in data[(img * hw + pix) * lanes..][..lanes]
                     .iter_mut()
                     .enumerate()
                 {
@@ -385,13 +369,15 @@ impl PackedActivations {
                 }
             }
         }
-        self.n = n;
-        self.channels = c;
-        self.h = h;
-        self.w = w;
-        self.border = 0;
-        self.lanes = lanes;
-        Ok(())
+        Ok(PackedActivations {
+            n,
+            channels: c,
+            h,
+            w,
+            border: 0,
+            lanes,
+            data,
+        })
     }
 
     /// Batch size.

@@ -304,11 +304,6 @@ impl<'a> GroupDecoder<'a> {
         self.filters * self.lanes
     }
 
-    /// Groups decoded so far.
-    pub fn groups_decoded(&self) -> usize {
-        self.next
-    }
-
     /// Decode the next group, or `Ok(None)` once the kernel is complete.
     ///
     /// On completion the decoder verifies the stream was consumed exactly

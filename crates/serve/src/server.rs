@@ -291,15 +291,6 @@ impl Server {
             .ok_or_else(|| ServeError::UnknownModel(model.to_string()))
     }
 
-    /// The serving geometry of a registered model.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::UnknownModel`].
-    pub fn model_shape(&self, model: &str) -> Result<ModelShape> {
-        Ok(self.slot(model)?.shape)
-    }
-
     /// Requests queued (not yet batched) for `model` right now.
     ///
     /// # Errors

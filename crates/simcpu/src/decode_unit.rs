@@ -125,11 +125,6 @@ impl DecodeUnit {
         });
     }
 
-    /// Whether a stream is armed.
-    pub fn is_armed(&self) -> bool {
-        self.state.is_some()
-    }
-
     /// `ldps`: pop the next packed word. Returns the cycle the destination
     /// register is ready.
     ///

@@ -157,27 +157,19 @@ fn steady_state_forward_batch_performs_zero_allocations() {
     {
         let conv = BinConv2d::from_packed(PackedKernel::pack(&kernel).unwrap(), params);
         let engine = Engine::single_threaded();
-        let mut packed_acts = PackedActivations::default();
+        let acts = PackedActivations::pack(&bits).unwrap();
         let mut conv_scratch = ConvScratch::default();
         let mut y = Tensor::default();
         for _ in 0..2 {
-            conv.forward_binarized_with(
-                &bits,
-                &mut packed_acts,
-                &engine,
-                &mut conv_scratch,
-                &mut y,
-            );
+            engine
+                .conv2d_into(&acts, conv.forms(), params, &mut conv_scratch, &mut y)
+                .unwrap();
         }
         let before = ALLOCS.load(Ordering::SeqCst);
         for _ in 0..3 {
-            conv.forward_binarized_with(
-                &bits,
-                &mut packed_acts,
-                &engine,
-                &mut conv_scratch,
-                &mut y,
-            );
+            engine
+                .conv2d_into(&acts, conv.forms(), params, &mut conv_scratch, &mut y)
+                .unwrap();
         }
         let allocated = ALLOCS.load(Ordering::SeqCst) - before;
         assert_eq!(
@@ -206,11 +198,15 @@ fn steady_state_forward_batch_performs_zero_allocations() {
         let mut conv_scratch = ConvScratch::default();
         let mut y = Tensor::default();
         for _ in 0..2 {
-            conv.forward_packed_with(&acts, &engine, &mut conv_scratch, &mut y);
+            engine
+                .conv2d_into(&acts, conv.forms(), params, &mut conv_scratch, &mut y)
+                .unwrap();
         }
         let before = ALLOCS.load(Ordering::SeqCst);
         for _ in 0..3 {
-            conv.forward_packed_with(&acts, &engine, &mut conv_scratch, &mut y);
+            engine
+                .conv2d_into(&acts, conv.forms(), params, &mut conv_scratch, &mut y)
+                .unwrap();
         }
         let allocated = ALLOCS.load(Ordering::SeqCst) - before;
         assert_eq!(
