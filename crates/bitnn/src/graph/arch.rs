@@ -23,7 +23,7 @@ use crate::layers::{BatchNorm, BinConv2d, QuantConv2d, QuantLinear, RPReLU, RSig
 use crate::model::ReActNetConfig;
 use crate::ops::conv::Conv2dParams;
 use crate::tensor::{BitTensor, Tensor};
-use crate::weightgen::{random_floats, random_kernel, SeqDistribution};
+use crate::weightgen::{random_floats, random_packed_kernel, SeqDistribution};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -129,7 +129,8 @@ pub fn build_model(arch: Arch, scale: f64, image: usize, seed: u64) -> Result<Mo
 /// producing an executable [`ModelGraph`]. Binary 3×3 kernels are sampled
 /// from the calibrated per-block bit-sequence distributions (paper
 /// Table II, cycled every 13 convolutions, see [`Conv3Slot::sample`]);
-/// 1×1 kernels are uniform; the 8-bit stem/classifier get uniform float
+/// the other binary kernels are uniform, drawn straight into lane words
+/// ([`random_packed_kernel`]); the 8-bit stem/classifier get uniform float
 /// weights; batch-norms carry a mild fan-in-scaled variation around
 /// identity.
 ///
@@ -245,8 +246,8 @@ where
                 kw,
                 stride,
                 pad,
-            } => NodeOp::BinConv(BinConv2d::new(
-                random_kernel(&[out_ch, in_ch, kh, kw], salt),
+            } => NodeOp::BinConv(BinConv2d::from_packed(
+                random_packed_kernel([out_ch, in_ch, kh, kw], salt),
                 Conv2dParams { stride, pad },
             )),
             OpSpec::BatchNorm => NodeOp::BatchNorm(varied_bn(in_ch, salt)),

@@ -3,7 +3,11 @@
 //!
 //! The layer owns the kernel in whichever representation it was deployed
 //! with — flat bits or channel-packed lane words — and derives every other
-//! form lazily on first use.
+//! form lazily on first use. The synthetic 1×1 layers of a built-in graph
+//! are born packed: their kernels are drawn straight into lane words
+//! ([`crate::weightgen::random_packed_kernel`]), like the 3×3 layers a
+//! container deploy decodes. Only seed-sampled 3×3 layers start flat and
+//! pack on first use.
 
 use crate::engine::KernelForms;
 use crate::layers::sign::RSign;

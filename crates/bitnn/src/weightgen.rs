@@ -22,10 +22,22 @@
 //! A 3×3 channel maps to the integer whose **most significant bit is
 //! position (0,0)** and least significant bit is position (2,2). The
 //! all-`-1` channel is sequence 0; the all-`+1` channel is sequence 511.
+//!
+//! # Draw order
+//!
+//! [`SeqDistribution::sample_kernel`] draws one sequence per channel in
+//! `(filter, channel)` order and writes it as a 9-bit field in place
+//! ([`write_sequence`]). The uniform kernels of every other size
+//! ([`random_kernel`], [`random_packed_kernel`]) draw one `next_u64` per
+//! bit in flat `[K, C, KH, KW]` order and keep its top bit, whichever
+//! layout they write it into, so the flat and the lane-word forms of a
+//! seed are the same weights.
 
+use crate::pack::PackedKernel;
 use crate::tensor::BitTensor;
+use crate::{lanes_for, LANE_BITS};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 /// Number of distinct 9-bit sequences.
 pub const NUM_SEQUENCES: usize = 512;
@@ -53,18 +65,30 @@ pub const TABLE2_TARGETS: [(f64, f64); 13] = [
 /// Write a 9-bit sequence into channel `ch` of filter `f` of a 3×3 kernel,
 /// using the natural mapping (bit 8 = position (0,0), bit 0 = (2,2)).
 ///
+/// The channel is the 9-bit field at flat bit `9 * (f * C + ch)`, written
+/// in place as the sequence with its bits reversed — the inverse of
+/// [`read_sequences`].
+///
 /// # Panics
 ///
-/// Panics if the kernel is not `[K, C, 3, 3]` or `seq >= 512`.
+/// Panics if the kernel is not `[K, C, 3, 3]`, `(f, ch)` is out of range,
+/// or `seq >= 512`.
 pub fn write_sequence(kernel: &mut BitTensor, f: usize, ch: usize, seq: u16) {
     assert!(seq < 512, "sequence out of range");
-    let shape = kernel.shape().to_vec();
+    let shape = kernel.shape();
     assert_eq!(shape.len(), 4);
     assert_eq!((shape[2], shape[3]), (3, 3), "3x3 kernels only");
-    for p in 0..SEQ_BITS {
-        let bit = (seq >> (SEQ_BITS - 1 - p)) & 1 == 1;
-        let i = kernel.idx4(f, ch, p / 3, p % 3);
-        kernel.set(i, bit);
+    assert!(f < shape[0] && ch < shape[1], "channel out of range");
+    let bit = (f * shape[1] + ch) * SEQ_BITS;
+    let (w, shift) = (bit / 64, bit % 64);
+    let field = u64::from(REVERSE9[seq as usize]);
+    let mask = (NUM_SEQUENCES - 1) as u64;
+    let words = kernel.words_mut();
+    words[w] = (words[w] & !(mask << shift)) | field << shift;
+    // The field straddles into the next word.
+    if shift > 64 - SEQ_BITS {
+        let spill = 64 - shift;
+        words[w + 1] = (words[w + 1] & !(mask >> spill)) | field >> spill;
     }
 }
 
@@ -115,17 +139,23 @@ pub fn read_sequences(kernel: &BitTensor) -> Vec<u16> {
     assert_eq!((shape[2], shape[3]), (3, 3), "3x3 kernels only");
     let words = kernel.words();
     (0..shape[0] * shape[1])
-        .map(|i| {
-            let bit = i * SEQ_BITS;
-            let (w, shift) = (bit / 64, bit % 64);
-            let mut field = words[w] >> shift;
-            // The field straddles into the next word.
-            if shift > 64 - SEQ_BITS {
-                field |= words[w + 1] << (64 - shift);
-            }
-            REVERSE9[field as usize & (NUM_SEQUENCES - 1)]
-        })
+        .map(|i| sequence_at(words, i))
         .collect()
+}
+
+/// The natural-mapping sequence of channel `i` (`f * C + ch`) of a flat
+/// `[K, C, 3, 3]` kernel's words: the 9-bit field at flat bit `9 * i`,
+/// reversed (see [`read_sequences`]).
+#[inline]
+pub(crate) fn sequence_at(words: &[u64], i: usize) -> u16 {
+    let bit = i * SEQ_BITS;
+    let (w, shift) = (bit / 64, bit % 64);
+    let mut field = words[w] >> shift;
+    // The field straddles into the next word.
+    if shift > 64 - SEQ_BITS {
+        field |= words[w + 1] << (64 - shift);
+    }
+    REVERSE9[field as usize & (NUM_SEQUENCES - 1)]
 }
 
 /// Count sequence occurrences across all channels of a `[K, C, 3, 3]`
@@ -484,17 +514,70 @@ pub fn naturalness_ranking(seed: u64) -> Vec<u16> {
     seqs
 }
 
-/// Sample uniformly random binary weights of any 4-D shape (used for the
+/// Sample uniformly random binary weights of any shape (used for the
 /// 1×1 kernels, which the paper does not compress).
+///
+/// Draw order: bit `i` of the flat row-major tensor is the top bit of the
+/// `i`-th `next_u64` of `StdRng::seed_from_u64(seed)` — one draw per bit,
+/// the stream `rng.random::<bool>()` reads. [`random_packed_kernel`] draws
+/// the same stream straight into lane words.
 pub fn random_kernel(shape: &[usize], seed: u64) -> BitTensor {
-    let mut rng = StdRng::seed_from_u64(seed);
     let mut t = BitTensor::zeros(shape);
-    for i in 0..t.len() {
-        if rng.random::<bool>() {
-            t.set(i, true);
+    let len = t.len();
+    draw_bits(seed, [1, 1, len], [0, 0, 1], t.words_mut());
+    t
+}
+
+/// [`random_kernel`] of shape `[filters, channels, kh, kw]`, drawn
+/// straight into channel-packed lane words: it equals
+/// `PackedKernel::pack(&random_kernel(&shape, seed))` without building
+/// the flat tensor or gathering it. Draw `(f, c, p)` — flat order, `p`
+/// the kernel position — lands at bit `c % 64` of word
+/// `(f * kh * kw + p) * lanes + c / 64`.
+///
+/// # Panics
+///
+/// Panics if any dimension is zero.
+pub fn random_packed_kernel(shape: [usize; 4], seed: u64) -> PackedKernel {
+    let [filters, channels, kh, kw] = shape;
+    let positions = kh * kw;
+    let lanes = lanes_for(channels);
+    let mut words = vec![0u64; filters * positions * lanes];
+    let position_bits = lanes * LANE_BITS;
+    draw_bits(
+        seed,
+        [filters, channels, positions],
+        [positions * position_bits, 1, position_bits],
+        &mut words,
+    );
+    PackedKernel::from_lane_words(filters, channels, kh, kw, words)
+        .expect("non-zero kernel dimensions")
+}
+
+/// The one draw loop of the uniform generators: walk a `[K, C, P]` index
+/// space in row-major order, draw one `next_u64` per index, and set its
+/// top bit at bit `f * fs + c * cs + p * ps` of `words` (which start
+/// zero). Bits bound for the same word gather in a register, so a run of
+/// consecutive destinations costs one store per word.
+fn draw_bits(seed: u64, [k, c, p]: [usize; 3], [fs, cs, ps]: [usize; 3], words: &mut [u64]) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (mut word, mut acc) = (0usize, 0u64);
+    for f in 0..k {
+        for ch in 0..c {
+            let base = f * fs + ch * cs;
+            for q in 0..p {
+                let at = base + q * ps;
+                if at / 64 != word {
+                    words[word] |= acc;
+                    (word, acc) = (at / 64, 0);
+                }
+                acc |= (rng.next_u64() >> 63) << (at % 64);
+            }
         }
     }
-    t
+    if let Some(w) = words.get_mut(word) {
+        *w |= acc;
+    }
 }
 
 /// Sample float weights uniform in `[-bound, bound]` (for the 8-bit layers).
@@ -660,6 +743,61 @@ mod tests {
     #[should_panic(expected = "coverage targets")]
     fn bad_targets_panic() {
         SeqDistribution::calibrated(90.0, 50.0, 0);
+    }
+
+    /// The per-bit generator [`random_kernel`] replaced.
+    fn random_kernel_reference(shape: &[usize], seed: u64) -> BitTensor {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut t = BitTensor::zeros(shape);
+        for i in 0..t.len() {
+            if rng.random::<bool>() {
+                t.set(i, true);
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn uniform_kernels_draw_one_stream_in_either_layout() {
+        // K = 3 keeps K·C off a multiple of 64 for every C below.
+        for (kh, kw) in [(1, 1), (1, 3), (3, 3)] {
+            for c in [1usize, 8, 63, 64, 65, 200] {
+                for seed in [0u64, 11, 0x9E37_79B9_7F4A_7C15] {
+                    let shape = [3, c, kh, kw];
+                    let flat = random_kernel(&shape, seed);
+                    let what = format!("{shape:?} seed {seed}");
+                    assert_eq!(flat, random_kernel_reference(&shape, seed), "{what}");
+                    assert!(flat.tail_is_clean(), "{what}");
+                    assert_eq!(
+                        random_packed_kernel(shape, seed),
+                        PackedKernel::pack(&flat).unwrap(),
+                        "{what}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn write_sequence_matches_per_bit_writes() {
+        // Odd C puts fields across word boundaries; the noisy start
+        // checks that a write clears the bits it replaces.
+        let (k, c) = (5, 13);
+        let mut kernel = random_kernel(&[k, c, 3, 3], 3);
+        let mut want = kernel.clone();
+        let mut rng = StdRng::seed_from_u64(4);
+        for f in 0..k {
+            for ch in 0..c {
+                let seq = rng.random_range(0u16..512);
+                write_sequence(&mut kernel, f, ch, seq);
+                for p in 0..SEQ_BITS {
+                    let i = want.idx4(f, ch, p / 3, p % 3);
+                    want.set(i, (seq >> (SEQ_BITS - 1 - p)) & 1 == 1);
+                }
+            }
+        }
+        assert_eq!(kernel, want);
+        assert!(kernel.tail_is_clean());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Deployment allocation gate: one `registry::deploy_bytes` of ReActNet
 //! ×0.25 allocates each compressible 3×3 kernel's bits once — as the
 //! lane words decoded from its record — and never a sampled kernel that
-//! the decoded one would replace.
+//! the decoded one would replace. The synthetic 1×1 kernels are
+//! allocated once too, as the lane words they are drawn into.
 //!
 //! Asserted with a byte-counting global allocator, so this file holds
 //! exactly one test: a sibling test running concurrently would pollute
@@ -47,10 +48,13 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 ///
 /// * 8,076,167 bytes when every 3×3 slot was first sampled from its
 ///   calibrated distribution and then overwritten by the decoded kernel;
-/// * 2,062,301 bytes building each slot straight from its record.
+/// * 2,029,570 bytes building each slot straight from its record, with
+///   the synthetic 1×1 kernels as flat tensors (24,528 bytes of bits);
+/// * 2,029,842 bytes with the 1×1 kernels drawn straight into lane words
+///   (25,216 bytes: lane padding, but no per-kernel shape vector).
 ///
 /// The 13 kernels' lane words total 199,872 bytes, so a bound under
-/// 2,062,301 + 199,872 also fails if any kernel's bits get a second copy.
+/// 2,029,842 + 199,872 also fails if any kernel's bits get a second copy.
 const BOUND: usize = 2_200_000;
 
 #[test]

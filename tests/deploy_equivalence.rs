@@ -4,10 +4,10 @@
 //! (`attach_weights`, then `decode_kernel`, then `set_conv3_weights`) and
 //! with the model `bnnkc run` builds from its flags (`build_model`, then
 //! the decoded kernels) for every built-in family and container version —
-//! and must never materialize a flat 3×3 weight tensor doing it.
+//! and must never materialize a flat weight tensor doing it, for the
+//! decoded 3×3 slots and the synthetic 1×1 layers alike.
 
 use bitnn::graph::NodeOp;
-use bitnn::layers::BinConv2d;
 use bnnkc::prelude::*;
 use bnnkc::serve::registry::{deploy, deploy_bytes};
 use kc_core::KcError;
@@ -75,10 +75,18 @@ fn logits(graph: &ModelGraph, engine: &Engine, inputs: &[Tensor]) -> Vec<Vec<u32
         .collect()
 }
 
-fn conv3(graph: &ModelGraph, i: usize) -> &BinConv2d {
-    match &graph.nodes()[graph.conv3_node(i)].op {
-        NodeOp::BinConv(c) => c,
-        _ => unreachable!("conv3 ids index BinConv nodes"),
+/// No binary conv holds a flat `[K, C, KH, KW]` tensor: the 3×3 slots
+/// come straight from their records and the synthetic ones are drawn
+/// into lane words.
+fn assert_no_flat_weights(graph: &ModelGraph, what: &str) {
+    for (i, node) in graph.nodes().iter().enumerate() {
+        if let NodeOp::BinConv(conv) = &node.op {
+            assert!(
+                !conv.has_dense_weights(),
+                "{what}: node {i} ({:?}) holds flat weights",
+                conv.kernel_size()
+            );
+        }
     }
 }
 
@@ -101,12 +109,12 @@ fn registry_deploy_is_bit_exact_with_offline_deploy() {
             let engine = Engine::with_threads(2);
             let entry = deploy_bytes(&bytes, &engine, WEIGHT_SEED, IMAGE, 1).unwrap();
             let graph = &entry.graph;
-            for i in 0..graph.num_conv3() {
-                assert!(
-                    !conv3(graph, i).has_dense_weights(),
-                    "{what}: conv {i} was sampled"
-                );
-            }
+            assert_no_flat_weights(graph, &format!("{what} after deploy"));
+            let (mut scratch, mut out) = (bitnn::Scratch::default(), Tensor::default());
+            graph
+                .forward_into(&inputs[0], &engine, &mut scratch, &mut out)
+                .unwrap();
+            assert_no_flat_weights(graph, &format!("{what} after a forward"));
             assert_eq!(logits(graph, &engine, &inputs), expected, "{what}");
         }
     }
