@@ -21,7 +21,6 @@
 use crate::error::{BitnnError, Result};
 use crate::simd::SimdLevel;
 use crate::tensor::BitTensor;
-use crate::weightgen::sequence_at;
 use crate::{lanes_for, LANE_BITS};
 
 /// Channel-pack one group of 64 decoded 3×3 sequences into its nine lane
@@ -137,9 +136,6 @@ pub struct PackedKernel {
 impl PackedKernel {
     /// Pack a binary weight tensor of shape `[K, C, KH, KW]`.
     ///
-    /// A 3×3 kernel is read as 9-bit sequences, 64 channels at a time,
-    /// and transposed by [`pack_group`]; other sizes gather their bits.
-    ///
     /// # Errors
     ///
     /// Returns [`BitnnError::ShapeMismatch`] if `weights` is not 4-D.
@@ -156,46 +152,25 @@ impl PackedKernel {
         let positions = kh * kw;
         let src = weights.words();
         let mut data = vec![0u64; k * positions * lanes];
-        if (kh, kw) == (3, 3) {
-            // A 3×3 channel is one 9-bit field of the flat bits: read 64
-            // channels' sequences per (filter, lane) and transpose them
-            // with the decoder's packing unit.
-            let mut seqs = [0u16; LANE_BITS];
-            for f in 0..k {
-                for l in 0..lanes {
+        // Word-at-a-time packing: each destination lane (64 channels of one
+        // filter position) is assembled in a register from the channel-major
+        // source — bit (f, ch, p) sits at flat index (f*C + ch)*positions + p,
+        // i.e. stride `positions` per channel — and stored with one write.
+        for f in 0..k {
+            for p in 0..positions {
+                let base = f * c * positions + p;
+                for (l, word) in data[(f * positions + p) * lanes..][..lanes]
+                    .iter_mut()
+                    .enumerate()
+                {
                     let c0 = l * LANE_BITS;
                     let nb = (c - c0).min(LANE_BITS);
-                    for (j, seq) in seqs[..nb].iter_mut().enumerate() {
-                        *seq = sequence_at(src, f * c + c0 + j);
+                    let mut w = 0u64;
+                    for j in 0..nb {
+                        let bit = base + (c0 + j) * positions;
+                        w |= ((src[bit / 64] >> (bit % 64)) & 1) << j;
                     }
-                    seqs[nb..].fill(0);
-                    for (p, word) in pack_group(&seqs).into_iter().enumerate() {
-                        data[(f * positions + p) * lanes + l] = word;
-                    }
-                }
-            }
-        } else {
-            // Word-at-a-time gather: each destination lane (64 channels of
-            // one filter position) is assembled in a register from the
-            // channel-major source — bit (f, ch, p) sits at flat index
-            // (f*C + ch)*positions + p, i.e. stride `positions` per
-            // channel — and stored with one write.
-            for f in 0..k {
-                for p in 0..positions {
-                    let base = f * c * positions + p;
-                    for (l, word) in data[(f * positions + p) * lanes..][..lanes]
-                        .iter_mut()
-                        .enumerate()
-                    {
-                        let c0 = l * LANE_BITS;
-                        let nb = (c - c0).min(LANE_BITS);
-                        let mut w = 0u64;
-                        for j in 0..nb {
-                            let bit = base + (c0 + j) * positions;
-                            w |= ((src[bit / 64] >> (bit % 64)) & 1) << j;
-                        }
-                        *word = w;
-                    }
+                    *word = w;
                 }
             }
         }

@@ -139,23 +139,17 @@ pub fn read_sequences(kernel: &BitTensor) -> Vec<u16> {
     assert_eq!((shape[2], shape[3]), (3, 3), "3x3 kernels only");
     let words = kernel.words();
     (0..shape[0] * shape[1])
-        .map(|i| sequence_at(words, i))
+        .map(|i| {
+            let bit = i * SEQ_BITS;
+            let (w, shift) = (bit / 64, bit % 64);
+            let mut field = words[w] >> shift;
+            // The field straddles into the next word.
+            if shift > 64 - SEQ_BITS {
+                field |= words[w + 1] << (64 - shift);
+            }
+            REVERSE9[field as usize & (NUM_SEQUENCES - 1)]
+        })
         .collect()
-}
-
-/// The natural-mapping sequence of channel `i` (`f * C + ch`) of a flat
-/// `[K, C, 3, 3]` kernel's words: the 9-bit field at flat bit `9 * i`,
-/// reversed (see [`read_sequences`]).
-#[inline]
-pub(crate) fn sequence_at(words: &[u64], i: usize) -> u16 {
-    let bit = i * SEQ_BITS;
-    let (w, shift) = (bit / 64, bit % 64);
-    let mut field = words[w] >> shift;
-    // The field straddles into the next word.
-    if shift > 64 - SEQ_BITS {
-        field |= words[w + 1] << (64 - shift);
-    }
-    REVERSE9[field as usize & (NUM_SEQUENCES - 1)]
 }
 
 /// Count sequence occurrences across all channels of a `[K, C, 3, 3]`
