@@ -2,9 +2,8 @@
 //! compute substrate every experiment runs on.
 
 use bitnn::bitword::{popcount_swar, xnor_popcount_slice};
-use bitnn::ops::gemm::{
-    gemm_binary, gemm_binary_naive, gemm_binary_panels_into, BinaryPanels, PackedMatrix,
-};
+use bitnn::ops::gemm::{gemm_binary, gemm_binary_naive, gemm_binary_panels_into, PackedMatrix};
+use bitnn::pack::PackedKernel;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
@@ -100,7 +99,7 @@ fn bench_panels(c: &mut Criterion) {
             PackedMatrix::from_bools(rows, k, &bools).unwrap()
         };
         let a = bits(m, 4);
-        let panels = BinaryPanels::from_matrix(&bits(n, 5));
+        let panels = PackedKernel::from_matrix(&bits(n, 5));
         let mut out = Vec::new();
         g.throughput(Throughput::Elements((m * n * k) as u64));
         g.bench_with_input(BenchmarkId::new(format!("{m}x{n}"), k), &k, |bench, _| {

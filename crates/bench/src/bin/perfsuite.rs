@@ -402,19 +402,12 @@ fn bench_conv(smoke: bool, seed: u64, ladder: &[usize]) -> Section {
     let mut entries: Vec<Entry> = Vec::new();
     let measure = |name: &'static str, eng: &Engine| {
         let mut scratch = bitnn::engine::ConvScratch::default();
-        let got = eng
-            .conv2d(&acts, (&kernel).into(), params, &mut scratch)
-            .unwrap();
+        let got = eng.conv2d(&acts, &kernel, params, &mut scratch).unwrap();
         assert_eq!(got.data(), expect.data(), "engine conv mismatch ({name})");
         time_ns(iters, || {
             black_box(
-                eng.conv2d(
-                    black_box(&acts),
-                    black_box(&kernel).into(),
-                    params,
-                    &mut scratch,
-                )
-                .unwrap(),
+                eng.conv2d(black_box(&acts), black_box(&kernel), params, &mut scratch)
+                    .unwrap(),
             );
         })
     };
@@ -776,20 +769,13 @@ fn bench_parallel_scaling(smoke: bool, seed: u64, ladder: &[usize]) -> Section {
         entries.push(entry);
 
         let mut scratch = bitnn::engine::ConvScratch::default();
-        let got = eng
-            .conv2d(&acts, (&kernel).into(), params, &mut scratch)
-            .unwrap();
+        let got = eng.conv2d(&acts, &kernel, params, &mut scratch).unwrap();
         assert_eq!(got.data(), conv_expect.data(), "conv @ {t}t");
         let entry = entry_reusing(&entries, "conv3x3", t, conv_kernel_name(), || {
             time_ns(citers, || {
                 black_box(
-                    eng.conv2d(
-                        black_box(&acts),
-                        black_box(&kernel).into(),
-                        params,
-                        &mut scratch,
-                    )
-                    .unwrap(),
+                    eng.conv2d(black_box(&acts), black_box(&kernel), params, &mut scratch)
+                        .unwrap(),
                 );
             })
         });

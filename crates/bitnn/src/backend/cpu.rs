@@ -125,7 +125,7 @@ fn conv_step<'a>(
     dst.reset_for_overwrite(&[geom.0, geom.1, geom.2, geom.3]);
     engine.conv2d_rows(
         &s.packed,
-        cv.forms(),
+        cv.packed(),
         params,
         &mut s.conv,
         dst.data_mut(),

@@ -37,7 +37,8 @@ pub fn xnor_popcount(a: u64, b: u64) -> u32 {
 ///
 /// Panics in debug builds if `n > 64`.
 #[inline(always)]
-pub fn xnor_popcount_masked(a: u64, b: u64, n: usize) -> u32 {
+#[cfg(test)]
+fn xnor_popcount_masked(a: u64, b: u64, n: usize) -> u32 {
     debug_assert!(n <= 64);
     (xnor(a, b) & mask(n)).count_ones()
 }
@@ -56,7 +57,8 @@ pub fn mask(n: usize) -> u64 {
 ///
 /// If `p` bits agreed out of `n`, the dot product is `p - (n - p) = 2p - n`.
 #[inline(always)]
-pub fn popcount_to_dot(p: u32, n: usize) -> i32 {
+#[cfg(test)]
+fn popcount_to_dot(p: u32, n: usize) -> i32 {
     2 * p as i32 - n as i32
 }
 

@@ -25,11 +25,13 @@
 //!   [`crate::ops::gemm`]). The activations carry a zero border as wide
 //!   as the padding (the conv step's sign+pack writes it), so a window
 //!   over the padding reads `−1` words with no branch and nothing is
-//!   copied first. A tap that every output pixel reads from the border
-//!   is dead: it is left out of the weight panels, and its ones fold
-//!   into a per-filter constant — a 3×3 conv over a 1×1 map reads its
-//!   centre tap only. A 1×1 stride-1 conv is the one-tap case, the GEMM
-//!   over contiguous pixel rows.
+//!   copied first. The kernel is already in the GEMM's panel layout
+//!   ([`PackedKernel`]), for every tap, so nothing is built per call or
+//!   per shape. A tap that every output pixel reads from the border is
+//!   dead: the GEMM skips its weights, and its ones (the kernel's ones
+//!   table) fold into a per-filter constant in the scratch — a 3×3 conv
+//!   over a 1×1 map reads its centre tap only. A 1×1 stride-1 conv is the
+//!   one-tap case, the GEMM over contiguous pixel rows.
 //! * **Pixel-major output rows** — the conv kernel writes
 //!   `[pixel][filter]` `i32` rows. The graph executor's conv entry
 //!   (`Engine::conv2d_rows`) runs a caller-supplied epilogue on each
@@ -38,8 +40,8 @@
 //!   next layer's pixel-major (`[n, h, w, c]`) `f32` activations. Only
 //!   the public NCHW [`Engine::conv2d_into`] scatters the rows into
 //!   `[N, K, OH, OW]`.
-//! * **Scratch-buffer reuse** — the tap tables, the `i32` output rows,
-//!   and the packed activations live in a
+//! * **Scratch-buffer reuse** — the tap tables, the filters' constants,
+//!   the `i32` output rows, and the packed activations live in a
 //!   [`Scratch`] that the model's forward pass threads through every
 //!   layer, so steady-state inference stops allocating per layer.
 //!
@@ -52,8 +54,8 @@
 use crate::error::{BitnnError, Result};
 use crate::exec::ExecPolicy;
 use crate::ops::conv::Conv2dParams;
-use crate::ops::gemm::{gemm_panels_at, gemm_panels_into};
-use crate::ops::gemm::{BinaryPanels, PackedMatrix, TapRows};
+use crate::ops::gemm::{fold_dead_taps, gemm_panels_at, gemm_panels_into};
+use crate::ops::gemm::{PackedMatrix, Panels, TapRows};
 use crate::pack::{PackedActivations, PackedKernel};
 use crate::pool::WorkerPool;
 use crate::simd::{self, SimdLevel};
@@ -74,34 +76,6 @@ fn resize_unfilled(v: &mut Vec<i32>, n: usize) {
 /// `fetch_add` stays invisible.
 const CHUNKS_PER_THREAD: usize = 4;
 
-/// Borrowed kernel representations for [`Engine::conv2d`].
-///
-/// The channel-packed form is always required. `panels` is an optional
-/// cache for the GEMM weight panels: the first conv through it fills it
-/// with panels for that conv's live taps, and later convs with the same
-/// live taps reuse them — a layer of a graph always sees the same input
-/// geometry (see [`crate::layers::BinConv2d::forms`]). Without a cache,
-/// or when the live taps differ from the cached ones, the panels are
-/// built on the fly.
-#[derive(Debug, Clone, Copy)]
-pub struct KernelForms<'a> {
-    /// Channel-packed kernel.
-    pub packed: &'a PackedKernel,
-    /// Lazily filled GEMM weight panels over the live taps
-    /// ([`BinaryPanels::from_kernel_taps`]).
-    pub panels: Option<&'a OnceLock<BinaryPanels>>,
-}
-
-impl<'a> From<&'a PackedKernel> for KernelForms<'a> {
-    /// A bare packed kernel with no panel cache.
-    fn from(packed: &'a PackedKernel) -> Self {
-        KernelForms {
-            packed,
-            panels: None,
-        }
-    }
-}
-
 /// Reusable buffers for the engine's conv kernel.
 ///
 /// Owned by [`Scratch`]; split out so a caller can hold `&PackedActivations`
@@ -112,6 +86,9 @@ pub struct ConvScratch {
     taps: Vec<u32>,
     /// Their word offsets from a window's top-left word.
     toff: Vec<u32>,
+    /// Each filter's dot-product constant, the dead taps' ones folded in
+    /// ([`fold_dead_taps`]).
+    kdot: Vec<i32>,
     /// A bordered copy of activations whose own border is narrower than
     /// the conv's padding (the public [`Engine::conv2d_into`] path).
     bordered: PackedActivations,
@@ -264,9 +241,10 @@ impl Engine {
     }
 
     /// Binary GEMM under this policy (see [`crate::ops::gemm::gemm_binary`]
-    /// for operand semantics): `b` is cut into weight panels once per
-    /// call, then rows of `a` are chunked across the worker pool, each
-    /// chunk running the panel kernel on its band.
+    /// for operand semantics): `b` is cut into weight panels
+    /// ([`PackedKernel::from_matrix`]) once per call, then rows of `a` are
+    /// chunked across the worker pool, each chunk running the panel
+    /// kernel on its band.
     ///
     /// # Errors
     ///
@@ -291,7 +269,10 @@ impl Engine {
             });
         }
         resize_unfilled(out, a.rows() * b.rows());
-        let panels = BinaryPanels::from_matrix(b);
+        let kernel = PackedKernel::from_matrix(b);
+        let mut kdot = Vec::new();
+        fold_dead_taps(&kernel, &[0], &mut kdot);
+        let panels = Panels::new(&kernel, &kdot);
         let rows = TapRows::contiguous(a.words(), a.lanes());
         let work = (a.rows() * b.rows() * a.lanes()) as u64;
         self.parallel_chunks(&mut out[..], b.rows(), 8, work, |first, band| {
@@ -304,10 +285,9 @@ impl Engine {
     /// `[N, K, OH, OW]` tensor as [`crate::ops::conv::conv2d_binary`]
     /// bit-for-bit.
     ///
-    /// `kernel` carries the packed kernel plus the caller's panel cache,
-    /// if any (`KernelForms::from(&packed)` for none). Activations with a
-    /// border narrower than the padding are first copied into a bordered
-    /// buffer of `scratch`.
+    /// `kernel` is already in the GEMM's panel layout, so nothing is cut
+    /// per call. Activations with a border narrower than the padding are
+    /// first copied into a bordered buffer of `scratch`.
     ///
     /// # Errors
     ///
@@ -316,7 +296,7 @@ impl Engine {
     pub fn conv2d(
         &self,
         acts: &PackedActivations,
-        kernel: KernelForms<'_>,
+        kernel: &PackedKernel,
         params: Conv2dParams,
         scratch: &mut ConvScratch,
     ) -> Result<Tensor> {
@@ -335,15 +315,15 @@ impl Engine {
     pub fn conv2d_into(
         &self,
         acts: &PackedActivations,
-        kernel: KernelForms<'_>,
+        kernel: &PackedKernel,
         params: Conv2dParams,
         scratch: &mut ConvScratch,
         out: &mut Tensor,
     ) -> Result<()> {
         self.conv2d_rows(acts, kernel, params, scratch, &mut [], |_, _, _| {})?;
-        let (n, kf) = (acts.batch(), kernel.packed.filters());
-        let oh = params.out_dim(acts.height(), kernel.packed.kh());
-        let ow = params.out_dim(acts.width(), kernel.packed.kw());
+        let (n, kf) = (acts.batch(), kernel.filters());
+        let oh = params.out_dim(acts.height(), kernel.kh());
+        let ow = params.out_dim(acts.width(), kernel.kw());
         let ohw = oh * ow;
         // Every element is written by the scatter, so skip the zero-fill.
         out.reset_for_overwrite(&[n, kf, oh, ow]);
@@ -375,7 +355,7 @@ impl Engine {
     pub(crate) fn conv2d_rows<E>(
         &self,
         acts: &PackedActivations,
-        kernel: KernelForms<'_>,
+        kernel: &PackedKernel,
         params: Conv2dParams,
         scratch: &mut ConvScratch,
         dst: &mut [f32],
@@ -406,7 +386,7 @@ pub fn conv2d_rows_at(
     level: SimdLevel,
     threads: usize,
     acts: &PackedActivations,
-    kernel: KernelForms<'_>,
+    kernel: &PackedKernel,
     params: Conv2dParams,
 ) -> Result<Vec<i32>> {
     static POOL: OnceLock<WorkerPool> = OnceLock::new();
@@ -436,7 +416,7 @@ impl TapRun<'_> {
     fn conv<E>(
         &self,
         acts: &PackedActivations,
-        kernel: KernelForms<'_>,
+        kernel: &PackedKernel,
         params: Conv2dParams,
         scratch: &mut ConvScratch,
         dst: &mut [f32],
@@ -445,16 +425,15 @@ impl TapRun<'_> {
     where
         E: Fn(usize, &[i32], &mut [f32]) + Sync,
     {
-        let packed = kernel.packed;
-        if acts.channels() != packed.channels() {
+        if acts.channels() != kernel.channels() {
             return Err(BitnnError::DimMismatch {
                 op: "conv2d_binary",
                 lhs: vec![acts.channels()],
-                rhs: vec![packed.channels()],
+                rhs: vec![kernel.channels()],
             });
         }
         let (h, w) = (acts.height(), acts.width());
-        let need = conv_border(h, w, packed.kh(), packed.kw(), params);
+        let need = conv_border(h, w, kernel.kh(), kernel.kw(), params);
         if acts.border() >= need {
             self.taps(acts, kernel, params, scratch, dst, epilogue);
         } else {
@@ -469,13 +448,14 @@ impl TapRun<'_> {
     }
 
     /// The one conv kernel over activations whose border covers every
-    /// live tap's reach: resolve the live taps and their panels, then run
-    /// the tap-addressed panel GEMM over bands of output pixels, each
-    /// band's epilogue inside its chunk.
+    /// live tap's reach: resolve the live taps and fold the dead ones
+    /// into the filters' constants, then run the tap-addressed panel GEMM
+    /// over bands of output pixels, each band's epilogue inside its
+    /// chunk.
     fn taps<E>(
         &self,
         acts: &PackedActivations,
-        kernel: KernelForms<'_>,
+        kernel: &PackedKernel,
         params: Conv2dParams,
         scratch: &mut ConvScratch,
         dst: &mut [f32],
@@ -483,15 +463,18 @@ impl TapRun<'_> {
     ) where
         E: Fn(usize, &[i32], &mut [f32]) + Sync,
     {
-        let packed = kernel.packed;
         let (n, h, w, lanes) = (acts.batch(), acts.height(), acts.width(), acts.lanes());
-        let (kf, kh, kw) = (packed.filters(), packed.kh(), packed.kw());
+        let (kf, kh, kw) = (kernel.filters(), kernel.kh(), kernel.kw());
         let (oh, ow, s) = (params.out_dim(h, kh), params.out_dim(w, kw), params.stride);
         let pixels = n * oh * ow;
         debug_assert!(dst.is_empty() || dst.len() == pixels * kf);
         let dst_width = if dst.is_empty() { 0 } else { kf };
         let ConvScratch {
-            taps, toff, flat, ..
+            taps,
+            toff,
+            kdot,
+            flat,
+            ..
         } = scratch;
         // Every output row is written, so skip the zero-fill.
         resize_unfilled(flat, pixels * kf);
@@ -508,24 +491,15 @@ impl TapRun<'_> {
                 toff.push((((ky + b - params.pad) * wp + kx + b - params.pad) * lanes) as u32);
             }
         }
-        let built;
-        let panels = match kernel
-            .panels
-            .map(|cache| cache.get_or_init(|| BinaryPanels::from_kernel_taps(packed, taps)))
-        {
-            Some(p) if p.taps() == &taps[..] => p,
-            _ => {
-                built = BinaryPanels::from_kernel_taps(packed, taps);
-                &built
-            }
-        };
+        fold_dead_taps(kernel, taps, kdot);
+        let panels = Panels::new(kernel, kdot);
         let rows = TapRows::windows(
             acts.words(),
-            (toff, lanes),
+            (toff, taps, lanes),
             (oh, ow),
             (s * lanes, s * wp * lanes, (h + 2 * b) * wp * lanes),
         );
-        let work = (pixels * kf * panels.lanes()) as u64;
+        let work = (pixels * kf * taps.len() * lanes) as u64;
         dispatch_chunks2(
             self.pool,
             (self.threads)(work),
@@ -535,7 +509,7 @@ impl TapRun<'_> {
             dst_width,
             16,
             |first, rows_out, out| {
-                gemm_panels_at(self.level, &rows, panels, first, rows_out);
+                gemm_panels_at(self.level, &rows, &panels, first, rows_out);
                 epilogue(first, rows_out, out);
             },
         );
@@ -762,7 +736,10 @@ mod tests {
             };
             let (a, b) = (matrix(m, (m * n + k) as u64), matrix(n, (m + n * k) as u64));
             let want = crate::ops::gemm::gemm_binary_naive(&a, &b).unwrap();
-            let panels = BinaryPanels::from_matrix(&b);
+            let kernel = PackedKernel::from_matrix(&b);
+            let mut kdot = Vec::new();
+            fold_dead_taps(&kernel, &[0], &mut kdot);
+            let panels = Panels::new(&kernel, &kdot);
             let rows = TapRows::contiguous(a.words(), a.lanes());
             for threads in 1..=4 {
                 let mut out = vec![i32::MIN; m * n];
@@ -789,7 +766,7 @@ mod tests {
         let k = PackedKernel::pack(&BitTensor::zeros(&[1, 16, 3, 3])).unwrap();
         let mut s = ConvScratch::default();
         assert!(Engine::single_threaded()
-            .conv2d(&a, (&k).into(), Conv2dParams::default(), &mut s)
+            .conv2d(&a, &k, Conv2dParams::default(), &mut s)
             .is_err());
     }
 
@@ -801,7 +778,7 @@ mod tests {
         let pk = PackedKernel::pack(&wk).unwrap();
         let mut s = ConvScratch::default();
         let fast = Engine::with_threads(4)
-            .conv2d(&pa, (&pk).into(), Conv2dParams::default(), &mut s)
+            .conv2d(&pa, &pk, Conv2dParams::default(), &mut s)
             .unwrap();
         let direct = conv2d_binary(&pa, &pk, Conv2dParams::default()).unwrap();
         assert_eq!(fast.shape(), direct.shape());
@@ -811,30 +788,24 @@ mod tests {
     #[test]
     fn wide_3x3_runs_the_tap_kernel() {
         // Two lane words of channels, unbordered activations under pad 1:
-        // the public entry borders a copy, and a panel cache is filled
-        // with all nine taps, at every thread count.
+        // the public entry borders a copy and reads all nine taps, at
+        // every thread count.
         let a = random_bits(&[2, 128, 6, 7], 17);
         let wk = random_bits(&[5, 128, 3, 3], 19);
         let pa = PackedActivations::pack(&a).unwrap();
         let pk = PackedKernel::pack(&wk).unwrap();
         let params = Conv2dParams { stride: 1, pad: 1 };
         let direct = conv2d_binary(&pa, &pk, params).unwrap();
-        let cache = OnceLock::new();
         for threads in 1..=4 {
             let engine = Engine::new(ExecPolicy {
                 threads,
                 min_work: 0,
             });
-            let forms = KernelForms {
-                packed: &pk,
-                panels: Some(&cache),
-            };
             let mut s = ConvScratch::default();
-            let got = engine.conv2d(&pa, forms, params, &mut s).unwrap();
+            let got = engine.conv2d(&pa, &pk, params, &mut s).unwrap();
             assert_eq!(got.data(), direct.data(), "threads {threads}");
+            assert_eq!((s.taps.len(), s.bordered.border()), (9, 1));
         }
-        let cached = cache.get().unwrap();
-        assert_eq!((cached.taps().len(), cached.lanes()), (9, 18));
     }
 
     #[test]
@@ -868,8 +839,8 @@ mod tests {
     #[test]
     fn dead_taps_are_cropped_bit_exactly() {
         // The c1024 3×3 conv over a 1×1 map reads its centre tap only, and
-        // the 2×2 → 1×1 stride-2 conv 4 of 9. Cropped panels must give the
-        // uncropped panels' results over the same bordered windows.
+        // the 2×2 → 1×1 stride-2 conv 4 of 9. Skipping the dead taps must
+        // give all nine taps' results over the same bordered windows.
         for (c, side, stride, live) in [(1024usize, 1usize, 1usize, 1usize), (512, 2, 2, 4)] {
             let a = random_bits(&[2, c, side, side], c as u64);
             let wk = random_bits(&[16, c, 3, 3], !(c as u64));
@@ -877,37 +848,29 @@ mod tests {
             let params = Conv2dParams { stride, pad: 1 };
             let mut acts = PackedActivations::default();
             acts.copy_bordered(&PackedActivations::pack(&a).unwrap(), 1);
-            let cache = OnceLock::new();
-            let forms = KernelForms {
-                packed: &pk,
-                panels: Some(&cache),
-            };
             let mut s = ConvScratch::default();
             let cropped = Engine::single_threaded()
-                .conv2d(&acts, forms, params, &mut s)
+                .conv2d(&acts, &pk, params, &mut s)
                 .unwrap();
-            let full = BinaryPanels::from_kernel(&pk);
-            let panels = cache.get().unwrap();
-            assert_eq!(panels.taps().len(), live);
-            assert_eq!(
-                panels.lanes() * 9,
-                full.lanes() * live,
-                "c{c}: 1/9 of the lanes per tap"
-            );
+            assert_eq!(s.taps.len(), live);
             // Uncropped: all nine taps' words over the same windows.
             let (lanes, wp) = (acts.lanes(), side + 2);
+            let taps: Vec<u32> = (0..9).collect();
             let toff: Vec<u32> = (0..9)
                 .map(|t| (((t / 3) * wp + t % 3) * lanes) as u32)
                 .collect();
             let oh = params.out_dim(side, 3);
             let rows = TapRows::windows(
                 acts.words(),
-                (&toff, lanes),
+                (&toff, &taps, lanes),
                 (oh, oh),
                 (stride * lanes, stride * wp * lanes, wp * wp * lanes),
             );
+            let mut kdot = Vec::new();
+            fold_dead_taps(&pk, &taps, &mut kdot);
+            assert!(kdot.iter().all(|&k| k == (9 * c) as i32));
             let mut flat = vec![0; 2 * oh * oh * 16];
-            gemm_panels_into(&rows, &full, 0, &mut flat);
+            gemm_panels_into(&rows, &Panels::new(&pk, &kdot), 0, &mut flat);
             assert_eq!(&s.flat, &flat, "c{c}: cropped vs uncropped rows");
             let direct = conv2d_binary(&acts, &pk, params).unwrap();
             assert_eq!(cropped.data(), direct.data(), "c{c}");
@@ -935,7 +898,7 @@ mod tests {
                 let pa = PackedActivations::pack(&a).unwrap();
                 let pk = PackedKernel::pack(&wk).unwrap();
                 let params = Conv2dParams { stride: 1, pad: 1 };
-                let got = engine.conv2d(&pa, (&pk).into(), params, &mut scratch).unwrap();
+                let got = engine.conv2d(&pa, &pk, params, &mut scratch).unwrap();
                 let expect = conv2d_binary(&pa, &pk, params).unwrap();
                 prop_assert_eq!(got.data(), expect.data());
             }

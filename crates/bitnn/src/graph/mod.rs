@@ -365,15 +365,6 @@ impl ModelGraph {
         self.conv3.len()
     }
 
-    /// Node id of compressible conv `i` (topological order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn conv3_node(&self, i: usize) -> usize {
-        self.conv3[i]
-    }
-
     /// The binary 3×3 kernel of compressible conv `i` (the object of
     /// compression).
     ///

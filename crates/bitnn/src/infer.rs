@@ -76,7 +76,7 @@ pub fn compare_models(a: &ModelGraph, b: &ModelGraph, inputs: &[Tensor]) -> Agre
 ///
 /// Panics if `inputs` is empty, a model cannot run the inputs, or the
 /// models produce different logit shapes.
-pub fn compare_models_with(
+fn compare_models_with(
     a: &ModelGraph,
     b: &ModelGraph,
     inputs: &[Tensor],

@@ -1,51 +1,41 @@
 //! Binary convolution layer (the paper's "1-bit 3×3 Conv" / "1-bit 1×1
 //! Conv" stages).
 //!
-//! The layer owns the kernel in whichever representation it was deployed
-//! with — flat bits or channel-packed lane words — and derives every other
-//! form lazily on first use. The synthetic 1×1 layers of a built-in graph
-//! are born packed: their kernels are drawn straight into lane words
-//! ([`crate::weightgen::random_packed_kernel`]), like the 3×3 layers a
-//! container deploy decodes. Only seed-sampled 3×3 layers start flat and
-//! pack on first use.
+//! The layer holds its kernel in the one form the executor runs,
+//! channel-packed lane words already in the binary GEMM's panel layout
+//! ([`PackedKernel`]), from construction on. Container deploys decode
+//! straight into it and the synthetic 1×1 layers of a built-in graph are
+//! drawn straight into it ([`crate::weightgen::random_packed_kernel`]);
+//! seed-sampled layers pack their flat weights once, at construction.
+//! Only the flat view is lazy: it is cold, and only compression reads it.
 
-use crate::engine::KernelForms;
 use crate::layers::sign::RSign;
 use crate::layers::Layer;
 use crate::ops::conv::{conv2d_binary, Conv2dParams};
-use crate::ops::gemm::BinaryPanels;
 use crate::pack::{PackedActivations, PackedKernel};
 use crate::tensor::{BitTensor, Tensor};
 use std::sync::OnceLock;
 
 /// A 1-bit convolution: binarize input (plain sign), run xnor-popcount conv.
 ///
-/// Exactly one representation is populated at construction (flat weights
-/// via [`Self::new`], lane words via [`Self::from_packed`]); the rest —
-/// including the engine's weight panels — are derived lazily through
-/// [`OnceLock`]s, so a forward pass materializes only what it reads. A
-/// packed-deployed layer never builds the flat tensor, and builds its
-/// panels on its first forward, for that forward's live taps.
+/// The packed kernel is built at construction; the flat `[K, C, KH, KW]`
+/// tensor is kept when the layer was built from it ([`Self::new`]) and
+/// otherwise unpacked on first use, so a packed-deployed layer never
+/// builds it.
 #[derive(Debug, Clone)]
 pub struct BinConv2d {
-    filters: usize,
-    channels: usize,
-    kh: usize,
-    kw: usize,
     params: Conv2dParams,
     /// Flat `[K, C, KH, KW]` bits (cold paths: harvest, serialization).
     weights: OnceLock<BitTensor>,
-    /// Channel-packed lane words.
-    packed: OnceLock<PackedKernel>,
-    /// GEMM weight panels over the live taps of the first forward.
-    panels: OnceLock<BinaryPanels>,
+    /// Channel-packed lane words in the GEMM's panel layout.
+    packed: PackedKernel,
 }
 
 impl PartialEq for BinConv2d {
     fn eq(&self, other: &Self) -> bool {
-        // The packed form determines the weights bijectively; the other
-        // representations and derived caches carry no extra information.
-        self.params == other.params && self.packed() == other.packed()
+        // The packed form determines the weights bijectively; the flat
+        // view carries no extra information.
+        self.params == other.params && self.packed == other.packed
     }
 }
 
@@ -58,18 +48,11 @@ impl BinConv2d {
     ///
     /// Panics if `weights` is not 4-D.
     pub fn new(weights: BitTensor, params: Conv2dParams) -> Self {
-        let shape = weights.shape();
-        assert_eq!(shape.len(), 4, "weights must be 4-D");
-        let (filters, channels, kh, kw) = (shape[0], shape[1], shape[2], shape[3]);
+        assert_eq!(weights.shape().len(), 4, "weights must be 4-D");
         BinConv2d {
-            filters,
-            channels,
-            kh,
-            kw,
             params,
+            packed: PackedKernel::pack(&weights).expect("4-D weights"),
             weights: OnceLock::from(weights),
-            packed: OnceLock::new(),
-            panels: OnceLock::new(),
         }
     }
 
@@ -77,57 +60,22 @@ impl BinConv2d {
     /// compressed-container deployment path: the stream decoder emits
     /// packed lane words and no flat `[K, C, KH, KW]` tensor ever exists.
     pub fn from_packed(packed: PackedKernel, params: Conv2dParams) -> Self {
-        let (filters, channels, kh, kw) = (
-            packed.filters(),
-            packed.channels(),
-            packed.kh(),
-            packed.kw(),
-        );
         BinConv2d {
-            filters,
-            channels,
-            kh,
-            kw,
             params,
             weights: OnceLock::new(),
-            packed: OnceLock::from(packed),
-            panels: OnceLock::new(),
+            packed,
         }
     }
 
     /// The flat binary weights (unpacked from the packed form on first
     /// use when the layer was deployed without them).
     pub fn weights(&self) -> &BitTensor {
-        self.weights.get_or_init(|| self.packed().unpack())
+        self.weights.get_or_init(|| self.packed.unpack())
     }
 
-    /// The channel-packed kernel, deriving it from the flat weights on
-    /// first use.
+    /// The channel-packed kernel [`crate::engine::Engine::conv2d`] reads.
     pub fn packed(&self) -> &PackedKernel {
-        self.packed.get_or_init(|| {
-            PackedKernel::pack(
-                self.weights
-                    .get()
-                    .expect("some representation is populated"),
-            )
-            .expect("weights validated 4-D at construction")
-        })
-    }
-
-    /// The GEMM weight panels, once a forward has built them: the
-    /// packed words of the taps that forward's output pixels read from
-    /// inside the map (see [`KernelForms`]). Never built at attach.
-    pub fn panels(&self) -> Option<&BinaryPanels> {
-        self.panels.get()
-    }
-
-    /// The kernel forms [`crate::engine::Engine::conv2d`] reads: the packed kernel and
-    /// the layer's panel cache.
-    pub fn forms(&self) -> KernelForms<'_> {
-        KernelForms {
-            packed: self.packed(),
-            panels: Some(&self.panels),
-        }
+        &self.packed
     }
 
     /// Whether the flat `[K, C, KH, KW]` tensor has been materialized.
@@ -143,25 +91,23 @@ impl BinConv2d {
 
     /// Output filter count.
     pub fn filters(&self) -> usize {
-        self.filters
+        self.packed.filters()
     }
 
     /// Input channel count.
     pub fn in_channels(&self) -> usize {
-        self.channels
+        self.packed.channels()
     }
 
     /// Kernel spatial size `(kh, kw)`.
     pub fn kernel_size(&self) -> (usize, usize) {
-        (self.kh, self.kw)
+        (self.packed.kh(), self.packed.kw())
     }
 
-    fn assert_geometry(&self, filters: usize, channels: usize, kh: usize, kw: usize, what: &str) {
-        assert_eq!(
-            (filters, channels, kh, kw),
-            (self.filters, self.channels, self.kh, self.kw),
-            "replacement {what} must keep the geometry"
-        );
+    /// `[K, C, KH, KW]`.
+    fn shape(&self) -> [usize; 4] {
+        let (kh, kw) = self.kernel_size();
+        [self.filters(), self.in_channels(), kh, kw]
     }
 
     /// Replace the weights (used by the compression pipeline after
@@ -171,10 +117,9 @@ impl BinConv2d {
     ///
     /// Panics if the new weights' shape differs from the old.
     pub fn set_weights(&mut self, weights: BitTensor) {
-        let shape = weights.shape();
         assert_eq!(
-            shape,
-            [self.filters, self.channels, self.kh, self.kw],
+            weights.shape(),
+            self.shape(),
             "replacement weights must keep the shape"
         );
         *self = Self::new(weights, self.params);
@@ -187,12 +132,15 @@ impl BinConv2d {
     ///
     /// Panics if the packed kernel's geometry differs from the old.
     pub fn set_packed(&mut self, packed: PackedKernel) {
-        self.assert_geometry(
-            packed.filters(),
-            packed.channels(),
-            packed.kh(),
-            packed.kw(),
-            "packed kernel",
+        assert_eq!(
+            [
+                packed.filters(),
+                packed.channels(),
+                packed.kh(),
+                packed.kw()
+            ],
+            self.shape(),
+            "replacement packed kernel must keep the geometry"
         );
         *self = Self::from_packed(packed, self.params);
     }
@@ -200,7 +148,7 @@ impl BinConv2d {
     /// Forward over an already-binarized, already-packed input (the seed's
     /// scalar path, kept as the perf-tracking baseline).
     pub fn forward_packed(&self, acts: &PackedActivations) -> Tensor {
-        conv2d_binary(acts, self.packed(), self.params).expect("channel counts validated at build")
+        conv2d_binary(acts, &self.packed, self.params).expect("channel counts validated at build")
     }
 }
 
@@ -213,13 +161,14 @@ impl Layer for BinConv2d {
 
     fn param_bits(&self) -> usize {
         // One bit per weight (the point of a BNN).
-        self.filters * self.channels * self.kh * self.kw
+        self.shape().iter().product()
     }
 
     fn describe(&self) -> String {
+        let [filters, channels, kh, kw] = self.shape();
         format!(
-            "BinConv2d({}x{}, {}->{} ch, stride {}, pad {})",
-            self.kh, self.kw, self.channels, self.filters, self.params.stride, self.params.pad
+            "BinConv2d({kh}x{kw}, {channels}->{filters} ch, stride {}, pad {})",
+            self.params.stride, self.params.pad
         )
     }
 }
@@ -307,7 +256,7 @@ mod tests {
         Engine::single_threaded()
             .conv2d_into(
                 &acts,
-                conv.forms(),
+                conv.packed(),
                 params,
                 &mut ConvScratch::default(),
                 &mut out,
@@ -341,32 +290,23 @@ mod tests {
     }
 
     #[test]
-    fn panels_are_cached_for_the_live_taps() {
+    fn one_layer_runs_every_live_tap_set() {
+        // One layer, three maps under pad 1: a 1×1 map reads the centre
+        // tap only, 2×2 and 5×4 maps all nine. Each forward through the
+        // engine matches the direct conv, whichever shape ran before it.
         let engine = Engine::single_threaded();
         let params = Conv2dParams { stride: 1, pad: 1 };
         let conv = BinConv2d::new(random_bits(&[4, 70, 3, 3], 6), params);
-        assert!(
-            conv.panels().is_none(),
-            "panels are never built before a forward"
-        );
         let mut scratch = ConvScratch::default();
         let mut out = Tensor::default();
-        // A 1×1 map under pad 1: only the centre tap reads the map.
-        let small = PackedActivations::pack(&random_bits(&[1, 70, 1, 1], 7)).unwrap();
-        engine
-            .conv2d_into(&small, conv.forms(), params, &mut scratch, &mut out)
-            .unwrap();
-        assert_eq!(out.data(), conv.forward_packed(&small).data());
-        let cached = conv.panels().expect("built by the forward");
-        assert_eq!((cached.taps(), cached.lanes()), (&[4u32][..], 2));
-        // Another geometry reads all nine taps: built on the fly, right,
-        // and the cache keeps the first forward's panels.
-        let big = PackedActivations::pack(&random_bits(&[1, 70, 4, 5], 8)).unwrap();
-        engine
-            .conv2d_into(&big, conv.forms(), params, &mut scratch, &mut out)
-            .unwrap();
-        assert_eq!(out.data(), conv.forward_packed(&big).data());
-        assert_eq!(conv.panels().unwrap().taps(), &[4u32][..]);
+        for (h, w) in [(1, 1), (2, 2), (5, 4), (1, 1)] {
+            let acts =
+                PackedActivations::pack(&random_bits(&[1, 70, h, w], (h * w) as u64)).unwrap();
+            engine
+                .conv2d_into(&acts, conv.packed(), params, &mut scratch, &mut out)
+                .unwrap();
+            assert_eq!(out.data(), conv.forward_packed(&acts).data(), "{h}x{w}");
+        }
     }
 
     #[test]

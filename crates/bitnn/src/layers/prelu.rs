@@ -66,7 +66,7 @@ impl RPReLU {
     ///
     /// Panics if `c` is out of range.
     #[inline]
-    pub fn channel_params(&self, c: usize) -> (f32, f32, f32) {
+    fn channel_params(&self, c: usize) -> (f32, f32, f32) {
         (self.shift_in[c], self.slope[c], self.shift_out[c])
     }
 

@@ -78,7 +78,7 @@ pub struct QuantScratch {
 
 /// Dequantize a single value.
 #[inline]
-pub fn dequantize(q: i32, scale: f32) -> f32 {
+fn dequantize(q: i32, scale: f32) -> f32 {
     q as f32 * scale
 }
 

@@ -64,7 +64,7 @@ impl RSign {
     /// # Panics
     ///
     /// Panics if the channel dimension does not match the shift count.
-    pub fn binarize_into(&self, input: &Tensor, out: &mut BitTensor) {
+    fn binarize_into(&self, input: &Tensor, out: &mut BitTensor) {
         #[cfg(target_arch = "x86_64")]
         {
             /// AVX2 instantiation of [`RSign::binarize_into_impl`].

@@ -54,7 +54,7 @@ pub mod simd;
 pub mod tensor;
 pub mod weightgen;
 
-pub use engine::{Engine, KernelForms, Scratch};
+pub use engine::{Engine, Scratch};
 pub use error::{BitnnError, Result};
 pub use exec::ExecPolicy;
 pub use graph::arch::Arch;

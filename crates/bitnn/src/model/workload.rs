@@ -49,12 +49,14 @@ impl LayerWorkload {
     }
 
     /// Weight storage in bits.
-    pub fn weight_bits(&self) -> u64 {
+    #[cfg(test)]
+    fn weight_bits(&self) -> u64 {
         (self.out_ch * self.in_ch * self.kh * self.kw * self.precision_bits) as u64
     }
 
     /// Number of 64-bit weight lanes per kernel position (binary layers).
-    pub fn weight_lanes(&self) -> usize {
+    #[cfg(test)]
+    fn weight_lanes(&self) -> usize {
         self.in_ch.div_ceil(64)
     }
 

@@ -41,18 +41,14 @@ impl Conv2dParams {
     }
 }
 
-/// Per-filter, per-position popcounts of the kernel weights, used for the
-/// padding closed form. `ones[k * positions + p]` = number of `1` bits among
-/// the `C` channels of filter `k` at position `p`.
-pub(crate) fn kernel_position_ones(kernel: &PackedKernel) -> Vec<u32> {
-    let positions = kernel.kh() * kernel.kw();
-    let c = kernel.channels();
-    let full = c / 64;
-    let rem = c % 64;
-    let mut ones = vec![0u32; kernel.filters() * positions];
-    for k in 0..kernel.filters() {
-        for p in 0..positions {
-            let lanes = kernel.position_lanes(k, p);
+/// Per-filter, per-position popcounts of a kernel's de-interleaved words
+/// ([`PackedKernel::filter_rows`], `lanes` words per position), used for
+/// the padding closed form. `ones[k * positions + p]` = number of `1`
+/// bits among the `C` channels of filter `k` at position `p`.
+fn kernel_position_ones(rows: &[u64], lanes: usize, c: usize) -> Vec<u32> {
+    let (full, rem) = (c / 64, c % 64);
+    rows.chunks_exact(lanes)
+        .map(|lanes| {
             let mut acc = 0u32;
             for &lane in &lanes[..full] {
                 acc += lane.count_ones();
@@ -60,10 +56,9 @@ pub(crate) fn kernel_position_ones(kernel: &PackedKernel) -> Vec<u32> {
             if rem > 0 {
                 acc += (lanes[full] & crate::bitword::mask(rem)).count_ones();
             }
-            ones[k * positions + p] = acc;
-        }
-    }
-    ones
+            acc
+        })
+        .collect()
 }
 
 /// Binary 2-D convolution producing integer dot products as `f32`.
@@ -95,9 +90,13 @@ pub fn conv2d_binary(
     let (kf, kh, kw) = (kernel.filters(), kernel.kh(), kernel.kw());
     let oh = params.out_dim(h, kh);
     let ow = params.out_dim(w, kw);
-    let positions = kh * kw;
+    let (positions, lanes) = (kh * kw, kernel.lanes());
     let total_bits = (positions * c) as i32;
-    let pad_ones = kernel_position_ones(kernel);
+    // The oracle reads its own position-major copy of the words, and
+    // counts its own ones.
+    let rows = kernel.filter_rows();
+    let position_lanes = |k: usize, p: usize| &rows[(k * positions + p) * lanes..][..lanes];
+    let pad_ones = kernel_position_ones(&rows, lanes, c);
 
     let mut out = Tensor::zeros(&[n, kf, oh, ow]);
     for img in 0..n {
@@ -113,7 +112,7 @@ pub fn conv2d_binary(
                             if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
                                 agree += dot_channels_seed(
                                     acts.pixel_lanes(img, iy as usize, ix as usize),
-                                    kernel.position_lanes(k, p),
+                                    position_lanes(k, p),
                                     c,
                                 );
                             } else {

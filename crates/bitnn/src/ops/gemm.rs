@@ -6,7 +6,8 @@
 //!
 //! Two implementations are provided:
 //!
-//! * [`gemm_binary`] — the fast path, one kernel over [`BinaryPanels`].
+//! * [`gemm_binary`] — the fast path, one kernel over 8-filter weight
+//!   panels.
 //! * [`gemm_binary_naive`] — the seed's scalar row-by-row loop, kept
 //!   bit-identical as the perf-tracking baseline and as a second
 //!   implementation for cross-checking.
@@ -14,7 +15,7 @@
 //! # Tap-addressed rows
 //!
 //! The kernel never needs its `A` rows copied into place: row `r` is the
-//! concatenation, over taps `t`, of the `lanes` words at
+//! concatenation, over the live taps `t`, of the `lanes` words at
 //! `base(r) + toff[t]` (a `TapRows`). A conv over bordered packed
 //! activations reads each output pixel's window straight out of them —
 //! `base(r)` is the window's top-left pixel and `toff` holds each live
@@ -26,21 +27,27 @@
 //!
 //! # Panel layout
 //!
-//! The weight rows (one per output filter, `lanes` words each, in the
-//! same tap order) are cut into panels of 8 filters stored
-//! `[panel][lane][filter]`: word `l` of filter `8p + j` lives at
-//! `(p · lanes + l) · 8 + j`, so one lane of one panel is 64 contiguous
-//! bytes — a zmm register, or two ymm. The last panel is zero-padded to
-//! 8 filters. The kernel broadcasts one activation word, XORs it with a
-//! panel lane and adds the popcounts into a vector accumulator per
-//! (pixel, panel) — no horizontal add is ever needed — and stores each
-//! pixel's 8-filter result `kdot − 2·acc` with a mask that drops the
-//! padding filters, straight into the `[pixel][filter]` `i32` output.
-//! Three bodies follow [`crate::simd::level`]:
+//! The weights are a [`PackedKernel`], which is stored in this kernel's
+//! operand layout ([`crate::pack::LaneLayout`]): filters in panels of 8,
+//! `[f / 8][p · lanes + l][f % 8]`, so one lane of one panel is 64
+//! contiguous bytes — a zmm register, or two ymm — and the last panel is
+//! zero-padded to 8 filters. A matrix's rows are a 1×1 kernel
+//! ([`PackedKernel::from_matrix`]). Each live tap `t` addresses its
+//! weights by kernel position, at lane `taps[t] · lanes` of every panel;
+//! a dead tap — one every output pixel reads from the padding — is
+//! skipped, and its ones fold into the filter's constant `kdot`. The
+//! kernel broadcasts one activation word, XORs it with a panel lane and
+//! adds the popcounts into a vector accumulator per (pixel, panel) — no
+//! horizontal add is ever needed — and stores each pixel's 8-filter
+//! result `kdot − 2·acc` with a mask that drops the padding filters,
+//! straight into the `[pixel][filter]` `i32` output. Three bodies follow
+//! [`crate::simd::level`], each choosing its path by the live row length
+//! (the live taps' lanes):
 //!
 //! * AVX-512: `vpopcntq`, register tiles of 4 pixels × 2 panels.
 //! * AVX2: `vpshufb` nibble counts summed by `vpsadbw`, tiles of 4
-//!   pixels × 1 panel; rows of one or two lanes take the portable walk.
+//!   pixels × 1 panel; rows of one or two live lanes take the portable
+//!   walk.
 //! * Portable: one pixel against one panel at a time, `count_ones` into
 //!   eight independent accumulators.
 //!
@@ -54,7 +61,7 @@
 
 use crate::error::{BitnnError, Result};
 use crate::ops::dot::dot_channels_seed;
-use crate::pack::PackedKernel;
+use crate::pack::{PackedKernel, PANEL};
 use crate::simd::{self, SimdLevel};
 use crate::{lanes_for, LANE_BITS};
 
@@ -192,7 +199,7 @@ impl PackedMatrix {
     }
 
     /// Check the clean-tail invariant (used by tests and debug assertions).
-    pub fn tails_clean(&self) -> bool {
+    fn tails_clean(&self) -> bool {
         let rem = self.cols % LANE_BITS;
         if rem == 0 || self.lanes == 0 {
             return true;
@@ -202,125 +209,72 @@ impl PackedMatrix {
     }
 }
 
-/// Filters per weight panel: eight `u64` lane words, one 512-bit register.
-const PANEL: usize = 8;
-
-/// Binary weight rows cut into panels of 8 filters — the weight
-/// form every binary GEMM runs on (see the module docs for the layout).
-///
-/// A filter's row is the concatenation, over the panels' taps, of each
-/// tap's lane words: a matrix has one tap (its whole row), a conv kernel
-/// one per live kernel position. A dead tap — one that every output pixel
-/// reads from the padding — is left out, and the filter's ones there fold
-/// into its `kdot` (see [`BinaryPanels::from_kernel_taps`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BinaryPanels {
+/// The weight side of a binary GEMM: a kernel's panels
+/// ([`crate::pack::LaneLayout`]) and the constant each filter's dot
+/// product starts from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Panels<'a> {
+    data: &'a [u64],
     filters: usize,
-    cols: usize,
     lanes: usize,
-    /// The kernel positions (`ky·KW + kx`, ascending) the rows hold.
-    taps: Vec<u32>,
-    /// Per filter, zero-padded to whole panels: the dot product is
-    /// `kdot[f] − 2·Σ popcount(a ⊕ w)` over the row's words.
-    kdot: Vec<i32>,
-    data: Vec<u64>,
+    /// Words per filter row: every kernel position's lanes.
+    row: usize,
+    /// Per filter, padded to whole panels: the dot product is
+    /// `kdot[f] − 2·Σ popcount(a ⊕ w)` over the live taps' words.
+    kdot: &'a [i32],
 }
 
-impl BinaryPanels {
-    fn zeroed(filters: usize, cols: usize, lanes: usize, taps: Vec<u32>) -> Self {
-        let padded = filters.div_ceil(PANEL) * PANEL;
-        BinaryPanels {
-            filters,
-            cols,
-            lanes,
-            taps,
-            kdot: vec![cols as i32; padded],
-            data: vec![0; padded * lanes],
-        }
-    }
-
-    /// Scatter filter `f`'s packed row (clean tail) into its panel.
-    fn set_row(&mut self, f: usize, row: &[u64]) {
-        let panel = &mut self.data[f / PANEL * self.lanes * PANEL..][..self.lanes * PANEL];
-        for (lane, &w) in panel.chunks_exact_mut(PANEL).zip(row) {
-            lane[f % PANEL] = w;
-        }
-    }
-
-    /// Panels over the rows of `b`, one filter per row.
-    pub fn from_matrix(b: &PackedMatrix) -> Self {
-        let mut panels = Self::zeroed(b.rows(), b.cols(), b.lanes(), vec![0]);
-        for f in 0..b.rows() {
-            panels.set_row(f, b.row(f));
-        }
-        panels
-    }
-
-    /// Panels over every tap of a conv kernel: filter `f`'s row is its
-    /// packed `[position][lane]` words.
-    pub fn from_kernel(kernel: &PackedKernel) -> Self {
-        let taps: Vec<u32> = (0..(kernel.kh() * kernel.kw()) as u32).collect();
-        Self::from_kernel_taps(kernel, &taps)
-    }
-
-    /// Panels over the live `taps` of a conv kernel (positions
-    /// `ky·KW + kx`, strictly ascending): filter `f`'s row is the lane
-    /// words of those positions, copied from
-    /// [`PackedKernel::position_lanes`]. Every other position is dead —
-    /// its activations are all padding, zero bits — so it adds
-    /// `popcount(w)` to every `popcount(a ⊕ w)`: `kdot[f]` is the full
-    /// `KH·KW·C` less twice the filter's ones at the dead taps, and the
-    /// dot products stay exact integers.
+impl<'a> Panels<'a> {
+    /// `kernel`'s panels against the per-filter constants `kdot`
+    /// ([`fold_dead_taps`]).
     ///
     /// # Panics
     ///
-    /// Panics if `taps` is not strictly ascending inside the kernel.
-    pub fn from_kernel_taps(kernel: &PackedKernel, taps: &[u32]) -> Self {
-        let (filters, lanes) = (kernel.filters(), kernel.lanes());
-        let positions = kernel.kh() * kernel.kw();
+    /// Panics if `kdot` does not cover the kernel's padded filters.
+    pub(crate) fn new(kernel: &'a PackedKernel, kdot: &'a [i32]) -> Self {
+        let filters = kernel.filters();
         assert!(
-            taps.windows(2).all(|t| t[0] < t[1]) && taps.iter().all(|&t| (t as usize) < positions),
-            "live taps must be ascending kernel positions"
+            kdot.len() >= filters.div_ceil(PANEL) * PANEL,
+            "binary GEMM constants cover every panel"
         );
-        let cols = positions * kernel.channels();
-        let mut panels = Self::zeroed(filters, cols, taps.len() * lanes, taps.to_vec());
-        let mut row = vec![0u64; panels.lanes];
-        let ones = |w: &[u64]| w.iter().map(|w| w.count_ones() as i32).sum::<i32>();
-        for f in 0..filters {
-            for (dst, &t) in row.chunks_exact_mut(lanes.max(1)).zip(taps) {
-                dst.copy_from_slice(kernel.position_lanes(f, t as usize));
-            }
-            let all = ones(&kernel.words()[f * positions * lanes..][..positions * lanes]);
-            panels.kdot[f] = cols as i32 - 2 * (all - ones(&row));
-            panels.set_row(f, &row);
+        Panels {
+            data: kernel.words(),
+            filters,
+            lanes: kernel.lanes(),
+            row: kernel.kh() * kernel.kw() * kernel.lanes(),
+            kdot,
         }
-        panels
     }
+}
 
-    /// Filter (output column) count.
-    pub fn filters(&self) -> usize {
-        self.filters
-    }
-
-    /// Bits of a full filter row, dead taps included (the GEMM's K).
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Lane words per filter row: the live taps' words.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// The kernel positions the rows hold (`[0]` for a matrix).
-    pub fn taps(&self) -> &[u32] {
-        &self.taps
+/// The per-filter constants of a GEMM over `kernel`'s live `taps`
+/// (positions `ky·KW + kx`, strictly ascending), resized to whole panels
+/// in `kdot`. Every other position is dead — its activations are all
+/// padding, zero bits — so it adds `popcount(w)` to every
+/// `popcount(a ⊕ w)`: `kdot[f]` is the full `KH·KW·C` less twice the
+/// filter's ones at the dead taps, and the dot products stay exact
+/// integers.
+pub(crate) fn fold_dead_taps(kernel: &PackedKernel, taps: &[u32], kdot: &mut Vec<i32>) {
+    let positions = kernel.kh() * kernel.kw();
+    kdot.clear();
+    kdot.resize(
+        kernel.filters().div_ceil(PANEL) * PANEL,
+        (positions * kernel.channels()) as i32,
+    );
+    let mut live = taps.iter().peekable();
+    for p in 0..positions {
+        if live.next_if_eq(&&(p as u32)).is_none() {
+            for (k, &ones) in kdot.iter_mut().zip(kernel.position_ones(p)) {
+                *k -= 2 * ones as i32;
+            }
+        }
     }
 }
 
 /// Where a binary GEMM reads its `A` rows: row `r` is the concatenation,
-/// over the taps `t`, of the `lanes` words at `base(r) + toff[t]` of
-/// `words`. Row `r` is output pixel `(img, oy, ox)` of an `[img][OH][OW]`
+/// over the live taps `t`, of the `lanes` words at `base(r) + toff[t]` of
+/// `words`, matched against the weights' words at kernel position
+/// `taps[t]`. Row `r` is output pixel `(img, oy, ox)` of an `[img][OH][OW]`
 /// walk, and `base` steps `col` words per output column, `row` per output
 /// row and `img` per image from word 0 — so a conv reads each pixel's
 /// window straight out of its bordered packed activations, and a matrix
@@ -330,6 +284,7 @@ impl BinaryPanels {
 pub(crate) struct TapRows<'a> {
     words: &'a [u64],
     toff: &'a [u32],
+    taps: &'a [u32],
     lanes: usize,
     ow: usize,
     oh: usize,
@@ -344,6 +299,7 @@ impl<'a> TapRows<'a> {
         TapRows {
             words,
             toff: &[0],
+            taps: &[0],
             lanes,
             ow: usize::MAX,
             oh: 1,
@@ -354,18 +310,19 @@ impl<'a> TapRows<'a> {
     }
 
     /// A conv's windows over `words`: the live taps' word offsets from
-    /// the first window's corner word (word 0), `lanes` words each;
-    /// `(oh, ow)` output pixels per image and the `(col, row, img)` word
-    /// strides.
+    /// the first window's corner word (word 0) and their kernel
+    /// positions, `lanes` words each; `(oh, ow)` output pixels per image
+    /// and the `(col, row, img)` word strides.
     pub(crate) fn windows(
         words: &'a [u64],
-        (toff, lanes): (&'a [u32], usize),
+        (toff, taps, lanes): (&'a [u32], &'a [u32], usize),
         (oh, ow): (usize, usize),
         (col, row, img): (usize, usize, usize),
     ) -> Self {
         TapRows {
             words,
             toff,
+            taps,
             lanes,
             ow,
             oh,
@@ -373,6 +330,11 @@ impl<'a> TapRows<'a> {
             row,
             img,
         }
+    }
+
+    /// Words of a row that the GEMM reads: the live taps' lanes.
+    fn live(&self) -> usize {
+        self.toff.len() * self.lanes
     }
 
     fn base(&self, r: usize) -> usize {
@@ -441,12 +403,12 @@ impl Walk<'_> {
 
 /// Binary GEMM of a band of `A` rows against weight panels:
 /// `out[r][f] = kdot[f] − 2·popcount(a_r ⊕ w_f)` for the rows
-/// `m_start .. m_start + out.len() / panels.filters()`, each read through
+/// `m_start .. m_start + out.len() / panels.filters`, each read through
 /// `a`'s tap offsets. This is the body the engine hands each worker with
 /// a disjoint output band; it runs at the detected dispatch level.
 pub(crate) fn gemm_panels_into(
     a: &TapRows<'_>,
-    panels: &BinaryPanels,
+    panels: &Panels<'_>,
     m_start: usize,
     out: &mut [i32],
 ) {
@@ -458,13 +420,13 @@ pub(crate) fn gemm_panels_into(
 ///
 /// # Panics
 ///
-/// Panics if `a`'s rows are not `b.lanes()` words or reach past its
-/// words.
+/// Panics if `a`'s taps do not address whole lanes of `b`'s rows, or its
+/// rows reach past its words.
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 pub(crate) fn gemm_panels_at(
     level: SimdLevel,
     a: &TapRows<'_>,
-    b: &BinaryPanels,
+    b: &Panels<'_>,
     m_start: usize,
     out: &mut [i32],
 ) {
@@ -472,7 +434,12 @@ pub(crate) fn gemm_panels_at(
         return;
     }
     assert_eq!(out.len() % b.filters, 0, "binary GEMM output band");
-    assert_eq!(a.toff.len() * a.lanes, b.lanes, "binary GEMM row length");
+    assert!(
+        a.lanes == b.lanes
+            && a.toff.len() == a.taps.len()
+            && a.taps.iter().all(|&t| (t as usize + 1) * b.lanes <= b.row),
+        "binary GEMM taps address the weight rows"
+    );
     let m = out.len() / b.filters;
     if let (Some(&last), true) = (a.toff.iter().max(), m > 0 && b.lanes > 0) {
         // `base` grows with the row, so this bounds every word read.
@@ -482,11 +449,11 @@ pub(crate) fn gemm_panels_at(
         );
     }
     #[cfg(target_arch = "x86_64")]
-    if b.lanes > 0 {
+    if a.live() > 0 {
         let f = simd::detect();
         if level >= SimdLevel::Avx512 && f.avx512 {
             // SAFETY: avx512f + avx512vpopcntdq were detected at runtime;
-            // the rows were bounds-checked above.
+            // the rows and taps were bounds-checked above.
             return unsafe { x86::gemm_avx512(a, m_start, b, out, m) };
         }
         if level >= SimdLevel::Avx2 && f.avx2 {
@@ -498,45 +465,52 @@ pub(crate) fn gemm_panels_at(
 }
 
 /// The portable body, and the AVX2 body's for rows of at most
-/// `x86::SHORT_ROW_LANES` (two) lanes: each `a` row against every panel in turn,
-/// `count_ones` into eight independent accumulators, with no register
-/// tiling — software popcounts cost more than a tile's setup saves, and
-/// so do one- or two-lane rows unless hardware `vpopcntq` counts.
+/// `x86::SHORT_ROW_LANES` (two) live lanes: each `a` row against every
+/// panel in turn, `count_ones` into eight independent accumulators, with
+/// no register tiling — software popcounts cost more than a tile's setup
+/// saves, and so do one- or two-lane rows unless hardware `vpopcntq`
+/// counts.
 #[inline(always)]
-fn gemm_rows(a: &TapRows<'_>, m_start: usize, b: &BinaryPanels, out: &mut [i32]) {
-    let (lanes, kdot) = (b.lanes, &b.kdot[..b.filters]);
+fn gemm_rows(a: &TapRows<'_>, m_start: usize, b: &Panels<'_>, out: &mut [i32]) {
+    let kdot = &b.kdot[..b.filters];
     let mut walk = a.walk(m_start);
     let mut next = || walk.next();
-    if lanes == 0 {
+    if a.live() == 0 {
         // Every tap is dead: each dot is its filter's constant.
         return out
             .chunks_exact_mut(b.filters)
             .for_each(|o| o.copy_from_slice(kdot));
     }
-    if lanes == 1 {
-        // One lane per filter: the panels are the filters' words in order.
-        let ko = a.toff[0] as usize;
+    let panels = b.data.chunks_exact(b.row * PANEL);
+    if a.live() == 1 {
+        // One live word per filter: lane `taps[0]` of each panel.
+        let (ko, wo) = (a.toff[0] as usize, a.taps[0] as usize * PANEL);
         for orow in out.chunks_exact_mut(b.filters) {
             let x = a.words[next() + ko];
-            for ((o, &w), &k) in orow.iter_mut().zip(&b.data).zip(kdot) {
-                *o = k - 2 * (x ^ w).count_ones() as i32;
+            for ((dst, w), k) in orow
+                .chunks_mut(PANEL)
+                .zip(panels.clone())
+                .zip(kdot.chunks(PANEL))
+            {
+                for ((o, &w), &k) in dst.iter_mut().zip(&w[wo..][..PANEL]).zip(k) {
+                    *o = k - 2 * (x ^ w).count_ones() as i32;
+                }
             }
         }
         return;
     }
     for orow in out.chunks_exact_mut(b.filters) {
         let base = next();
-        for ((w, dst), k) in b
-            .data
-            .chunks_exact(lanes * PANEL)
+        for ((w, dst), k) in panels
+            .clone()
             .zip(orow.chunks_mut(PANEL))
             .zip(kdot.chunks(PANEL))
         {
             let mut counts = [0u32; PANEL];
-            let mut wl = w.chunks_exact(PANEL);
-            for &off in a.toff {
+            for (&off, &t) in a.toff.iter().zip(a.taps) {
                 let x = &a.words[base + off as usize..][..a.lanes];
-                for (&x, lane) in x.iter().zip(&mut wl) {
+                let wt = &w[t as usize * a.lanes * PANEL..][..a.lanes * PANEL];
+                for (&x, lane) in x.iter().zip(wt.chunks_exact(PANEL)) {
                     for (c, &wv) in counts.iter_mut().zip(lane) {
                         *c += (x ^ wv).count_ones();
                     }
@@ -551,14 +525,14 @@ fn gemm_rows(a: &TapRows<'_>, m_start: usize, b: &BinaryPanels, out: &mut [i32])
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{gemm_rows, BinaryPanels, TapRows, PANEL};
+    use super::{gemm_rows, Panels, TapRows, PANEL};
     use std::arch::x86_64::*;
 
     /// Weight bytes per cache block (see [`for_each_tile`]).
     const BLOCK_BYTES: usize = 512 << 10;
 
-    /// Rows of at most this many lanes take [`super::gemm_rows`] in the
-    /// AVX2 body, where it beats the register tiles.
+    /// Rows of at most this many live lanes take [`super::gemm_rows`] in
+    /// the AVX2 body, where it beats the register tiles.
     const SHORT_ROW_LANES: usize = 2;
 
     /// Lanes the AVX2 body accumulates in bytes before flushing them to
@@ -605,7 +579,8 @@ mod x86 {
     /// Walk the `m × panels` output in register tiles of up to 4 rows ×
     /// `np` panels. Panels are taken in blocks of about [`BLOCK_BYTES`]
     /// outermost, so a layer whose weights overflow the cache is fetched
-    /// once per band rather than once per row tile. `tile(bases, row,
+    /// once per band rather than once per row tile; a block counts the
+    /// live taps' words only, the ones the tiles read. `tile(bases, row,
     /// rows, panel, np)` computes one tile whose `A` rows start at
     /// `bases`.
     #[inline(always)]
@@ -613,12 +588,12 @@ mod x86 {
         a: &TapRows<'_>,
         m_start: usize,
         m: usize,
-        b: &BinaryPanels,
+        b: &Panels<'_>,
         np: usize,
         mut tile: impl FnMut([usize; 4], usize, usize, usize, usize),
     ) {
         let panels = b.filters.div_ceil(PANEL);
-        let block = (BLOCK_BYTES / (b.lanes.max(1) * PANEL * 8))
+        let block = (BLOCK_BYTES / (a.live().max(1) * PANEL * 8))
             .max(1)
             .next_multiple_of(np);
         for first in (0..panels).step_by(block) {
@@ -644,7 +619,7 @@ mod x86 {
     pub(super) unsafe fn gemm_avx512(
         a: &TapRows<'_>,
         m_start: usize,
-        b: &BinaryPanels,
+        b: &Panels<'_>,
         out: &mut [i32],
         m: usize,
     ) {
@@ -665,11 +640,11 @@ mod x86 {
     pub(super) unsafe fn gemm_avx2(
         a: &TapRows<'_>,
         m_start: usize,
-        b: &BinaryPanels,
+        b: &Panels<'_>,
         out: &mut [i32],
         m: usize,
     ) {
-        if b.lanes <= SHORT_ROW_LANES {
+        if a.live() <= SHORT_ROW_LANES {
             return gemm_rows(a, m_start, b, out);
         }
         for_each_tile(a, m_start, m, b, 1, |bases, row, rows, panel, np| {
@@ -691,22 +666,22 @@ mod x86 {
     unsafe fn tile_avx512<const R: usize, const P: usize>(
         a: &TapRows<'_>,
         bases: [usize; 4],
-        b: &BinaryPanels,
+        b: &Panels<'_>,
         out: &mut [i32],
         row: usize,
         panel: usize,
     ) {
-        let lanes = b.lanes;
-        let w = &b.data[panel * lanes * PANEL..][..P * lanes * PANEL];
+        let stride = b.row;
+        let w = &b.data[panel * stride * PANEL..][..P * stride * PANEL];
         let mut acc = [[_mm512_setzero_si512(); P]; R];
-        for (t, &off) in a.toff.iter().enumerate() {
+        for (&off, &t) in a.toff.iter().zip(a.taps) {
             for j in 0..a.lanes {
-                let l = t * a.lanes + j;
+                let l = t as usize * a.lanes + j;
                 let mut wv = [_mm512_setzero_si512(); P];
                 for (p, wv) in wv.iter_mut().enumerate() {
                     // SAFETY: lane `l` of panel `p` is 8 in-bounds words.
                     *wv = unsafe {
-                        _mm512_loadu_si512(w.as_ptr().add((p * lanes + l) * PANEL).cast())
+                        _mm512_loadu_si512(w.as_ptr().add((p * stride + l) * PANEL).cast())
                     };
                 }
                 for (acc, &base) in acc.iter_mut().zip(&bases) {
@@ -763,13 +738,13 @@ mod x86 {
     unsafe fn tile_avx2<const R: usize, const P: usize>(
         a: &TapRows<'_>,
         bases: [usize; 4],
-        b: &BinaryPanels,
+        b: &Panels<'_>,
         out: &mut [i32],
         row: usize,
         panel: usize,
     ) {
-        let lanes = b.lanes;
-        let w = &b.data[panel * lanes * PANEL..][..P * lanes * PANEL];
+        let stride = b.row;
+        let w = &b.data[panel * stride * PANEL..][..P * stride * PANEL];
         let nibble = _mm256_setr_epi8(
             0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2,
             3, 3, 4,
@@ -778,12 +753,13 @@ mod x86 {
         let zero = _mm256_setzero_si256();
         let mut acc = [[[zero; 2]; P]; R];
         let mut bytes = [[[zero; 2]; P]; R];
-        let (mut l, mut pending) = (0, 0);
-        for &off in a.toff {
+        let mut pending = 0;
+        for (&off, &t) in a.toff.iter().zip(a.taps) {
             let mut j = 0;
             while j < a.lanes {
                 let run = (a.lanes - j).min(FLUSH_LANES - pending);
                 for j in j..j + run {
+                    let l = t as usize * a.lanes + j;
                     let mut wv = [[zero; 2]; P];
                     for (p, wv) in wv.iter_mut().enumerate() {
                         for (h, wv) in wv.iter_mut().enumerate() {
@@ -791,7 +767,7 @@ mod x86 {
                             // 4 in-bounds words.
                             *wv = unsafe {
                                 _mm256_loadu_si256(
-                                    w.as_ptr().add((p * lanes + l) * PANEL + 4 * h).cast(),
+                                    w.as_ptr().add((p * stride + l) * PANEL + 4 * h).cast(),
                                 )
                             };
                         }
@@ -812,7 +788,6 @@ mod x86 {
                             }
                         }
                     }
-                    l += 1;
                 }
                 (j, pending) = (j + run, pending + run);
                 if pending == FLUSH_LANES {
@@ -880,9 +855,9 @@ pub fn conv_kernel_name() -> String {
 /// `b` is interpreted row-wise (i.e. already "transposed"): each row of `b`
 /// is one output column's weight vector, which matches how binary dense
 /// layers store one packed row per output neuron. This is the panel
-/// kernel (`b` is cut into [`BinaryPanels`] per call); see
-/// [`gemm_binary_naive`] for the scalar baseline it is cross-checked
-/// against.
+/// kernel (`b` is cut into panels, [`PackedKernel::from_matrix`], per
+/// call); see [`gemm_binary_naive`] for the scalar baseline it is
+/// cross-checked against.
 ///
 /// # Errors
 ///
@@ -902,43 +877,41 @@ pub fn gemm_binary(a: &PackedMatrix, b: &PackedMatrix) -> Result<Vec<i32>> {
 ///
 /// Returns [`BitnnError::DimMismatch`] if the inner dimensions differ.
 pub fn gemm_binary_into(a: &PackedMatrix, b: &PackedMatrix, out: &mut Vec<i32>) -> Result<()> {
-    if a.cols != b.cols {
-        return Err(BitnnError::DimMismatch {
-            op: "gemm_binary",
-            lhs: vec![a.rows, a.cols],
-            rhs: vec![b.rows, b.cols],
-        });
-    }
     debug_assert!(b.tails_clean());
-    gemm_binary_panels_into(a, &BinaryPanels::from_matrix(b), out)
+    gemm_binary_panels_into(a, &PackedKernel::from_matrix(b), out)
 }
 
-/// [`gemm_binary_into`] against weights already cut into panels, so
-/// repeated products with the same `b` skip the per-call panel build.
+/// [`gemm_binary_into`] against weights already cut into panels — the
+/// rows of `b` as a `[rows, cols, 1, 1]` kernel — so repeated products
+/// with the same `b` skip the per-call panel build.
 ///
 /// # Errors
 ///
-/// Returns [`BitnnError::DimMismatch`] if the inner dimensions differ.
+/// Returns [`BitnnError::DimMismatch`] if the inner dimensions differ or
+/// `b` is not a 1×1 kernel.
 pub fn gemm_binary_panels_into(
     a: &PackedMatrix,
-    panels: &BinaryPanels,
+    b: &PackedKernel,
     out: &mut Vec<i32>,
 ) -> Result<()> {
-    if a.cols != panels.cols || a.lanes != panels.lanes {
+    if a.cols != b.channels() || b.kh() * b.kw() != 1 {
         return Err(BitnnError::DimMismatch {
             op: "gemm_binary",
             lhs: vec![a.rows, a.cols],
-            rhs: vec![panels.filters, panels.cols],
+            rhs: vec![b.filters(), b.channels(), b.kh(), b.kw()],
         });
     }
     debug_assert!(a.tails_clean());
     // Length-only resize: every element is written by the kernel below.
-    let n = a.rows * panels.filters;
+    let n = a.rows * b.filters();
     if out.len() != n {
         out.clear();
         out.resize(n, 0);
     }
-    gemm_panels_into(&TapRows::contiguous(&a.data, a.lanes), panels, 0, out);
+    let mut kdot = Vec::new();
+    fold_dead_taps(b, &[0], &mut kdot);
+    let panels = Panels::new(b, &kdot);
+    gemm_panels_into(&TapRows::contiguous(&a.data, a.lanes), &panels, 0, out);
     Ok(())
 }
 
@@ -1121,13 +1094,22 @@ mod tests {
         PackedMatrix::from_bools(rows, cols, &random_bits(rows * cols, seed)).unwrap()
     }
 
+    /// `b`'s rows as a 1×1 kernel and its all-live constants.
+    fn matrix_panels(b: &PackedMatrix) -> (PackedKernel, Vec<i32>) {
+        let kernel = PackedKernel::from_matrix(b);
+        let mut kdot = Vec::new();
+        fold_dead_taps(&kernel, &[0], &mut kdot);
+        (kernel, kdot)
+    }
+
     /// Every host body against the naive GEMM: once as one band, and once
     /// split into three bands that start at `m_start > 0`, the way the
     /// engine's parallel chunks call it.
     fn assert_panels_match_naive(a: &PackedMatrix, b: &PackedMatrix) {
         let (m, n, k) = (a.rows(), b.rows(), a.cols());
         let want = gemm_binary_naive(a, b).unwrap();
-        let panels = BinaryPanels::from_matrix(b);
+        let (kernel, kdot) = matrix_panels(b);
+        let panels = Panels::new(&kernel, &kdot);
         let rows = TapRows::contiguous(a.words(), a.lanes());
         for level in host_levels() {
             let mut out = vec![i32::MIN; m * n];
@@ -1186,7 +1168,8 @@ mod tests {
                 a_bits.extend(row.iter().map(|&x| !x));
             }
             let a = PackedMatrix::from_bools(6, k, &a_bits).unwrap();
-            let panels = BinaryPanels::from_matrix(&b);
+            let (kernel, kdot) = matrix_panels(&b);
+            let panels = Panels::new(&kernel, &kdot);
             for level in host_levels() {
                 let mut out = vec![0; 6 * n];
                 let rows = TapRows::contiguous(a.words(), a.lanes());
@@ -1208,10 +1191,9 @@ mod tests {
             let w = crate::weightgen::random_kernel(&[11, c, kh, kh], (c * 10 + kh) as u64);
             let packed = PackedKernel::pack(&w).unwrap();
             let im2col = crate::ops::im2col::im2col_kernel_packed(&packed);
-            let want = BinaryPanels::from_matrix(&im2col);
             assert_eq!(
-                BinaryPanels::from_kernel(&packed).data,
-                want.data,
+                packed.words(),
+                PackedKernel::from_matrix(&im2col).words(),
                 "c={c} {kh}x{kh}"
             );
         }
@@ -1220,25 +1202,27 @@ mod tests {
     #[test]
     fn kernel_panels_are_tap_aligned() {
         // A filter's row is its `[position][lane]` words, each tap's last
-        // lane zero-padded past C, and `kdot` the full `KH·KW·C`.
+        // lane zero-padded past C, and with every tap live `kdot` is the
+        // full `KH·KW·C`.
         for &(c, kh) in &[(1usize, 3usize), (3, 3), (64, 3), (70, 3), (70, 1), (5, 2)] {
             let w = crate::weightgen::random_kernel(&[11, c, kh, kh], (c * 10 + kh) as u64);
             let packed = PackedKernel::pack(&w).unwrap();
-            let panels = BinaryPanels::from_kernel(&packed);
             let words = kh * kh * packed.lanes();
             let rows = PackedMatrix {
                 rows: 11,
                 cols: words * LANE_BITS,
                 lanes: words,
-                data: packed.words().to_vec(),
+                data: packed.filter_rows(),
             };
             assert_eq!(
-                panels.data,
-                BinaryPanels::from_matrix(&rows).data,
+                packed.words(),
+                PackedKernel::from_matrix(&rows).words(),
                 "c={c} {kh}x{kh}"
             );
-            assert_eq!(panels.cols(), kh * kh * c);
-            assert!(panels.kdot[..11].iter().all(|&k| k == (kh * kh * c) as i32));
+            let taps: Vec<u32> = (0..(kh * kh) as u32).collect();
+            let mut kdot = Vec::new();
+            fold_dead_taps(&packed, &taps, &mut kdot);
+            assert_eq!(kdot, vec![(kh * kh * c) as i32; 16]);
         }
     }
 
@@ -1249,26 +1233,25 @@ mod tests {
         let (kf, c) = (9usize, 70usize);
         let w = crate::weightgen::random_kernel(&[kf, c, 3, 3], 0xDEAD);
         let packed = PackedKernel::pack(&w).unwrap();
-        let panels = BinaryPanels::from_kernel_taps(&packed, &[4]);
-        assert_eq!(
-            (panels.lanes(), panels.cols(), panels.taps()),
-            (2, 9 * c, &[4u32][..])
-        );
+        let rows = packed.filter_rows();
+        let mut kdot = Vec::new();
+        fold_dead_taps(&packed, &[4], &mut kdot);
+        assert_eq!(kdot.len(), 16);
         for f in 0..kf {
             let dead: i32 = (0..9)
                 .filter(|&p| p != 4)
-                .flat_map(|p| packed.position_lanes(f, p))
+                .flat_map(|p| &rows[(f * 9 + p) * 2..][..2])
                 .map(|w| w.count_ones() as i32)
                 .sum();
-            assert_eq!(panels.kdot[f], (9 * c) as i32 - 2 * dead, "filter {f}");
+            assert_eq!(kdot[f], (9 * c) as i32 - 2 * dead, "filter {f}");
         }
-        let none = BinaryPanels::from_kernel_taps(&packed, &[]);
-        assert_eq!(none.lanes(), 0);
-        // An all-padding window: every activation bit is zero.
+        fold_dead_taps(&packed, &[], &mut kdot);
+        // An all-padding window: every activation bit is zero, and no tap
+        // is read.
         let mut out = vec![0; 2 * kf];
-        let rows = TapRows::contiguous(&[], 0);
+        let rows = TapRows::windows(&[], (&[], &[], packed.lanes()), (1, 2), (0, 0, 0));
         for level in host_levels() {
-            gemm_panels_at(level, &rows, &none, 0, &mut out);
+            gemm_panels_at(level, &rows, &Panels::new(&packed, &kdot), 0, &mut out);
             let zeros = PackedMatrix::zeros(2, 9 * c);
             let full = PackedMatrix {
                 rows: kf,

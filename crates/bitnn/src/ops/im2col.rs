@@ -39,7 +39,7 @@ pub fn im2col_pack(
 ///
 /// The matrix is re-shaped and cleared; its allocation is reused across
 /// layers by the execution engine.
-pub fn im2col_pack_into(
+fn im2col_pack_into(
     acts: &PackedActivations,
     kh: usize,
     kw: usize,
@@ -113,15 +113,18 @@ pub fn im2col_kernel(weights: &BitTensor) -> PackedMatrix {
 }
 
 /// [`im2col_kernel`] starting from an already channel-packed kernel: each
-/// position's channel lanes are blitted into the row with [`or_bits`].
+/// position's channel lanes, read from the kernel's de-interleaved copy
+/// ([`PackedKernel::filter_rows`]), are blitted into the row with
+/// [`or_bits`].
 pub fn im2col_kernel_packed(kernel: &PackedKernel) -> PackedMatrix {
-    let (k, c) = (kernel.filters(), kernel.channels());
+    let (k, c, lanes) = (kernel.filters(), kernel.channels(), kernel.lanes());
     let positions = kernel.kh() * kernel.kw();
+    let rows = kernel.filter_rows();
     let mut m = PackedMatrix::zeros(k, positions * c);
-    for f in 0..k {
+    for (f, src) in rows.chunks_exact(positions * lanes).enumerate() {
         let row = m.row_mut(f);
-        for p in 0..positions {
-            or_bits(row, p * c, kernel.position_lanes(f, p), c);
+        for (p, lanes) in src.chunks_exact(lanes).enumerate() {
+            or_bits(row, p * c, lanes, c);
         }
     }
     m

@@ -18,5 +18,5 @@ pub mod int8;
 pub mod reference;
 
 pub use conv::{conv2d_binary, Conv2dParams};
-pub use gemm::{gemm_binary, gemm_binary_into, gemm_binary_naive, BinaryPanels, PackedMatrix};
+pub use gemm::{gemm_binary, gemm_binary_into, gemm_binary_naive, PackedMatrix};
 pub use im2col::{conv2d_im2col, im2col_kernel, im2col_kernel_packed, im2col_pack};

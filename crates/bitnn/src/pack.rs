@@ -8,17 +8,24 @@
 //!
 //! Two packed containers are provided:
 //!
-//! * [`PackedKernel`] — weights `[K, C, KH, KW]` packed as
-//!   `kernel[k][position][lane]`,
+//! * [`PackedKernel`] — weights `[K, C, KH, KW]`, lane `l` of filter `k`
+//!   at position `p`, stored in the binary GEMM's panel layout
+//!   `[k / 8][p · lanes + l][k % 8]` ([`LaneLayout`]), with each filter's
+//!   ones per position;
 //! * [`PackedActivations`] — activations `[N, C, H, W]` packed as
 //!   `act[n][y][x][lane]`.
 //!
 //! Both store channels along the lane dimension so that a kernel position
 //! word and an activation pixel word line up channel-for-channel.
-//! [`pack_group`] is the streaming decoder's packing step: 64 decoded 3×3
-//! sequences in, one lane word per kernel position out.
+//! [`LaneLayout::index`] is the one place that knows where a kernel word
+//! lives: [`PackedKernel::pack`] (the bit-gather reference), the stream
+//! decoder's packing step and the packed weight generator all write
+//! through it, so a kernel is in its executor form from the moment it
+//! exists. [`pack_group`] is the streaming decoder's packing step: 64
+//! decoded 3×3 sequences in, one lane word per kernel position out.
 
 use crate::error::{BitnnError, Result};
+use crate::ops::gemm::PackedMatrix;
 use crate::simd::SimdLevel;
 use crate::tensor::BitTensor;
 use crate::{lanes_for, LANE_BITS};
@@ -118,19 +125,69 @@ fn transpose8x8(mut x: u64) -> u64 {
     x ^ t ^ (t << 28)
 }
 
-/// Channel-packed binary convolution kernel.
+/// Filters per weight panel: eight `u64` lane words, one 512-bit
+/// register of the binary GEMM (see [`crate::ops::gemm`]).
+pub(crate) const PANEL: usize = 8;
+
+/// Where a `[K, C, KH, KW]` kernel's lane words live in a
+/// [`PackedKernel`]: the one index function every producer of packed
+/// kernels writes through.
 ///
-/// Layout: `data[((k * positions) + p) * lanes + l]` holds the bits of
-/// channels `l*64 .. l*64+64` at spatial position `p = r * kw + c` of output
-/// filter `k`.
+/// The filters are cut into panels of [`PANEL`], zero-padded at the end,
+/// and stored `[f / 8][p · lanes + l][f % 8]`: lane `l` of filter `f` at
+/// kernel position `p = ky·KW + kx` sits beside the same lane of the
+/// panel's other seven filters, so one lane of one panel is 64
+/// contiguous bytes — the binary GEMM's operand layout.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LaneLayout {
+    filters: usize,
+    lanes: usize,
+    /// Words per filter row: every position's lanes.
+    row: usize,
+}
+
+impl LaneLayout {
+    /// The layout of a `[filters, channels, kh, kw]` kernel.
+    pub fn new(filters: usize, channels: usize, kh: usize, kw: usize) -> Self {
+        let lanes = lanes_for(channels);
+        LaneLayout {
+            filters,
+            lanes,
+            row: kh * kw * lanes,
+        }
+    }
+
+    /// Words the kernel stores, padding filters included.
+    pub fn words(&self) -> usize {
+        self.filters.div_ceil(PANEL) * PANEL * self.row
+    }
+
+    /// The index of lane `l` of filter `f` at kernel position `p`.
+    #[inline(always)]
+    pub fn index(&self, f: usize, p: usize, l: usize) -> usize {
+        (f / PANEL * self.row + p * self.lanes + l) * PANEL + f % PANEL
+    }
+}
+
+/// Channel-packed binary convolution kernel, stored in the binary GEMM's
+/// panel layout ([`LaneLayout`]) for every kernel position.
+///
+/// Lane `l` of filter `k` at spatial position `p = r * kw + c` holds the
+/// bits of channels `l*64 .. l*64+64`; bits past `C` and the padding
+/// filters' words are zero. Beside the words the kernel carries each
+/// filter's count of ones at each position, which is what a conv whose
+/// window never reaches a position folds into its constant.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedKernel {
     filters: usize,
     channels: usize,
     kh: usize,
     kw: usize,
-    lanes: usize,
+    layout: LaneLayout,
     data: Vec<u64>,
+    /// `ones[p * filters + k]`: the set bits among filter `k`'s `C`
+    /// channels at position `p`.
+    ones: Vec<u32>,
 }
 
 impl PackedKernel {
@@ -148,10 +205,10 @@ impl PackedKernel {
             });
         }
         let (k, c, kh, kw) = (shape[0], shape[1], shape[2], shape[3]);
-        let lanes = lanes_for(c);
+        let layout = LaneLayout::new(k, c, kh, kw);
         let positions = kh * kw;
         let src = weights.words();
-        let mut data = vec![0u64; k * positions * lanes];
+        let mut data = vec![0u64; layout.words()];
         // Word-at-a-time packing: each destination lane (64 channels of one
         // filter position) is assembled in a register from the channel-major
         // source — bit (f, ch, p) sits at flat index (f*C + ch)*positions + p,
@@ -159,10 +216,7 @@ impl PackedKernel {
         for f in 0..k {
             for p in 0..positions {
                 let base = f * c * positions + p;
-                for (l, word) in data[(f * positions + p) * lanes..][..lanes]
-                    .iter_mut()
-                    .enumerate()
-                {
+                for l in 0..layout.lanes {
                     let c0 = l * LANE_BITS;
                     let nb = (c - c0).min(LANE_BITS);
                     let mut w = 0u64;
@@ -170,42 +224,33 @@ impl PackedKernel {
                         let bit = base + (c0 + j) * positions;
                         w |= ((src[bit / 64] >> (bit % 64)) & 1) << j;
                     }
-                    *word = w;
+                    data[layout.index(f, p, l)] = w;
                 }
             }
         }
-        Ok(PackedKernel {
-            filters: k,
-            channels: c,
-            kh,
-            kw,
-            lanes,
-            data,
-        })
+        Ok(Self::seal(k, c, kh, kw, data))
     }
 
-    /// Build directly from channel-packed lane words — the layout a
-    /// streaming decoder's packing unit emits (paper Fig. 6): for each
-    /// filter and spatial position, `lanes_for(channels)` 64-bit words
-    /// whose bit `j` of lane `l` is channel `l*64 + j`. This is the
-    /// constructor the compressed-container inference path uses so a
-    /// kernel goes stream → lane words → engine without ever
-    /// materializing a flat `[K, C, KH, KW]` tensor.
+    /// Build from lane words already in [`LaneLayout`] order — the
+    /// constructor a streaming decoder's packing unit (paper Fig. 6) and
+    /// the packed weight generator fill, so a kernel goes stream → lane
+    /// words → engine without ever materializing a flat `[K, C, KH, KW]`
+    /// tensor.
     ///
-    /// Bits beyond `channels` in the final lane are masked off, so the
-    /// xnor-popcount kernels (which assume zero lane padding) stay exact
-    /// even for a sloppy producer.
+    /// Bits beyond `channels` in each final lane and the padding filters'
+    /// words are cleared, so the xnor-popcount kernels (which assume zero
+    /// lane padding) stay exact even for a sloppy producer.
     ///
     /// # Errors
     ///
     /// Returns [`BitnnError::ShapeMismatch`] if any dimension is zero or
-    /// `data.len() != filters * kh * kw * lanes_for(channels)`.
+    /// `data.len()` is not the layout's [`LaneLayout::words`].
     pub fn from_lane_words(
         filters: usize,
         channels: usize,
         kh: usize,
         kw: usize,
-        mut data: Vec<u64>,
+        data: Vec<u64>,
     ) -> Result<Self> {
         if filters == 0 || channels == 0 || kh == 0 || kw == 0 {
             return Err(BitnnError::ShapeMismatch {
@@ -213,31 +258,62 @@ impl PackedKernel {
                 got: format!("[{filters}, {channels}, {kh}, {kw}]"),
             });
         }
-        let lanes = lanes_for(channels);
-        let want = filters * kh * kw * lanes;
+        let want = LaneLayout::new(filters, channels, kh, kw).words();
         if data.len() != want {
             return Err(BitnnError::ShapeMismatch {
                 expected: format!("{want} lane words"),
                 got: format!("{}", data.len()),
             });
         }
-        let tail_bits = channels % LANE_BITS;
-        if tail_bits != 0 {
-            let mask = (1u64 << tail_bits) - 1;
-            for (i, w) in data.iter_mut().enumerate() {
-                if i % lanes == lanes - 1 {
-                    *w &= mask;
+        Ok(Self::seal(filters, channels, kh, kw, data))
+    }
+
+    /// The rows of a packed matrix as a `[rows, cols, 1, 1]` kernel: the
+    /// weight side of a binary matrix product.
+    pub fn from_matrix(m: &PackedMatrix) -> Self {
+        let layout = LaneLayout::new(m.rows(), m.cols(), 1, 1);
+        let mut data = vec![0u64; layout.words()];
+        for f in 0..m.rows() {
+            for (l, &w) in m.row(f).iter().enumerate() {
+                data[layout.index(f, 0, l)] = w;
+            }
+        }
+        Self::seal(m.rows(), m.cols(), 1, 1, data)
+    }
+
+    /// Clear the tail bits and padding filters of `data` (in
+    /// [`LaneLayout`] order) and count the ones table.
+    fn seal(filters: usize, channels: usize, kh: usize, kw: usize, mut data: Vec<u64>) -> Self {
+        let layout = LaneLayout::new(filters, channels, kh, kw);
+        let (positions, lanes) = (kh * kw, layout.lanes);
+        let tail = crate::bitword::mask(channels - (lanes.max(1) - 1) * LANE_BITS);
+        let mut ones = vec![0u32; positions * filters];
+        if layout.row > 0 {
+            for (panel, words) in data.chunks_exact_mut(layout.row * PANEL).enumerate() {
+                // The panel's real filters; the rest are padding.
+                let real = (filters - panel * PANEL).min(PANEL);
+                for (p, words) in words.chunks_exact_mut(lanes * PANEL).enumerate() {
+                    let mut counts = [0u32; PANEL];
+                    for (l, lane) in words.chunks_exact_mut(PANEL).enumerate() {
+                        let mask = if l + 1 == lanes { tail } else { u64::MAX };
+                        for (j, (w, c)) in lane.iter_mut().zip(&mut counts).enumerate() {
+                            *w &= if j < real { mask } else { 0 };
+                            *c += w.count_ones();
+                        }
+                    }
+                    ones[p * filters + panel * PANEL..][..real].copy_from_slice(&counts[..real]);
                 }
             }
         }
-        Ok(PackedKernel {
+        PackedKernel {
             filters,
             channels,
             kh,
             kw,
-            lanes,
+            layout,
             data,
-        })
+            ones,
+        }
     }
 
     /// Number of output filters `K`.
@@ -262,24 +338,35 @@ impl PackedKernel {
 
     /// Number of 64-bit lanes per position.
     pub fn lanes(&self) -> usize {
-        self.lanes
+        self.layout.lanes
     }
 
-    /// The lane words for filter `k` at position `p` (length = `lanes()`).
+    /// Lane `l` of filter `k` at position `p`.
     #[inline]
-    pub fn position_lanes(&self, k: usize, p: usize) -> &[u64] {
-        let base = (k * self.kh * self.kw + p) * self.lanes;
-        &self.data[base..base + self.lanes]
+    pub fn lane_word(&self, k: usize, p: usize, l: usize) -> u64 {
+        self.data[self.layout.index(k, p, l)]
     }
 
-    /// Raw packed words.
+    /// Raw packed words, in [`LaneLayout`] order.
     pub fn words(&self) -> &[u64] {
         &self.data
     }
 
-    /// Total packed storage in bytes.
-    pub fn storage_bytes(&self) -> usize {
-        self.data.len() * 8
+    /// Each filter's count of ones at position `p` (`filters()` entries).
+    pub fn position_ones(&self, p: usize) -> &[u32] {
+        &self.ones[p * self.filters..][..self.filters]
+    }
+
+    /// A de-interleaved copy of the words: filter `k`'s `KH·KW·lanes`
+    /// words, position-major, at `k * KH·KW·lanes`.
+    pub fn filter_rows(&self) -> Vec<u64> {
+        let mut rows = Vec::with_capacity(self.filters * self.layout.row);
+        for k in 0..self.filters {
+            for p in 0..self.kh * self.kw {
+                rows.extend((0..self.lanes()).map(|l| self.lane_word(k, p, l)));
+            }
+        }
+        rows
     }
 
     /// Unpack back to a flat [`BitTensor`] of shape `[K, C, KH, KW]`.
@@ -289,9 +376,8 @@ impl PackedKernel {
             for r in 0..self.kh {
                 for col in 0..self.kw {
                     let p = r * self.kw + col;
-                    let lanes = self.position_lanes(f, p);
                     for ch in 0..self.channels {
-                        if (lanes[ch / LANE_BITS] >> (ch % LANE_BITS)) & 1 == 1 {
+                        if (self.lane_word(f, p, ch / LANE_BITS) >> (ch % LANE_BITS)) & 1 == 1 {
                             let i = t.idx4(f, ch, r, col);
                             t.set(i, true);
                         }
@@ -518,10 +604,31 @@ mod tests {
 
     #[test]
     fn kernel_pack_unpack_roundtrip() {
-        let w = random_bits(&[4, 70, 3, 3], 42);
-        let pk = PackedKernel::pack(&w).unwrap();
-        assert_eq!(pk.lanes(), 2); // 70 channels -> 2 lanes
-        assert_eq!(pk.unpack(), w);
+        // Filter counts on and off the 8-filter panels, channel counts on
+        // and off the 64-bit lanes.
+        for k in [1usize, 7, 9, 200] {
+            for c in [1usize, 63, 64, 65, 200] {
+                let w = random_bits(&[k, c, 3, 3], (k * 1000 + c) as u64);
+                let pk = PackedKernel::pack(&w).unwrap();
+                assert_eq!(pk.lanes(), c.div_ceil(64), "{k}x{c}");
+                assert_eq!(pk.unpack(), w, "{k}x{c}");
+                // Only real filters' words carry bits: padding filters and
+                // lane tails stay zero.
+                let ones: u32 = pk.words().iter().map(|w| w.count_ones()).sum();
+                assert_eq!(ones as usize, w.count_ones(), "{k}x{c}");
+                // The ones table is a popcount of each filter's lanes.
+                for p in 0..9 {
+                    let recount: Vec<u32> = (0..k)
+                        .map(|f| {
+                            (0..pk.lanes())
+                                .map(|l| pk.lane_word(f, p, l).count_ones())
+                                .sum()
+                        })
+                        .collect();
+                    assert_eq!(pk.position_ones(p), &recount[..], "{k}x{c} position {p}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -571,10 +678,10 @@ mod tests {
         w.set(i, true);
         let pk = PackedKernel::pack(&w).unwrap();
         assert_eq!(pk.lanes(), 1);
-        assert_eq!(pk.position_lanes(0, 0)[0], 0b11); // both channels at (0,0)
-        assert_eq!(pk.position_lanes(0, 8)[0], 0b10); // only channel 1 at (2,2)
+        assert_eq!(pk.lane_word(0, 0, 0), 0b11); // both channels at (0,0)
+        assert_eq!(pk.lane_word(0, 8, 0), 0b10); // only channel 1 at (2,2)
         for p in 1..8 {
-            assert_eq!(pk.position_lanes(0, p)[0], 0);
+            assert_eq!(pk.lane_word(0, p, 0), 0);
         }
     }
 
@@ -592,7 +699,8 @@ mod tests {
         a.set(i, true);
         let pk = PackedKernel::pack(&w).unwrap();
         let pa = PackedActivations::pack(&a).unwrap();
-        assert_eq!(pk.position_lanes(0, 0), pa.pixel_lanes(0, 0, 0));
+        let kernel_lanes = [pk.lane_word(0, 0, 0), pk.lane_word(0, 0, 1)];
+        assert_eq!(&kernel_lanes[..], pa.pixel_lanes(0, 0, 0));
     }
 
     #[test]
@@ -610,14 +718,18 @@ mod tests {
 
     #[test]
     fn from_lane_words_masks_tail_lane_padding() {
-        // 70 channels -> lane 1 holds 6 real bits; garbage above them must
-        // be cleared so popcounts stay exact.
-        let lanes = crate::lanes_for(70);
-        let words = vec![u64::MAX; 9 * lanes];
-        let pk = PackedKernel::from_lane_words(1, 70, 3, 3, words).unwrap();
+        // 70 channels -> lane 1 holds 6 real bits; garbage above them, and
+        // in the seven padding filters of the panel, must be cleared so
+        // popcounts stay exact.
+        let layout = LaneLayout::new(1, 70, 3, 3);
+        assert_eq!(layout.words(), 8 * 9 * 2);
+        let pk =
+            PackedKernel::from_lane_words(1, 70, 3, 3, vec![u64::MAX; layout.words()]).unwrap();
         for p in 0..9 {
-            assert_eq!(pk.position_lanes(0, p)[1], (1u64 << 6) - 1);
+            assert_eq!(pk.lane_word(0, p, 1), (1u64 << 6) - 1);
+            assert_eq!(pk.position_ones(p), &[70]);
         }
+        assert_eq!(pk.words().iter().filter(|&&w| w != 0).count(), 9 * 2);
         let t = pk.unpack();
         assert!((0..t.len()).all(|i| t.get(i)));
     }
@@ -626,17 +738,29 @@ mod tests {
     fn from_lane_words_rejects_bad_shapes() {
         assert!(PackedKernel::from_lane_words(0, 4, 3, 3, vec![]).is_err());
         assert!(PackedKernel::from_lane_words(1, 0, 3, 3, vec![]).is_err());
-        assert!(PackedKernel::from_lane_words(1, 4, 3, 3, vec![0; 8]).is_err());
-        assert!(PackedKernel::from_lane_words(1, 4, 3, 3, vec![0; 10]).is_err());
-        assert!(PackedKernel::from_lane_words(1, 4, 3, 3, vec![0; 9]).is_ok());
+        // One filter is one whole panel of 8: 72 words.
+        assert!(PackedKernel::from_lane_words(1, 4, 3, 3, vec![0; 9]).is_err());
+        assert!(PackedKernel::from_lane_words(1, 4, 3, 3, vec![0; 71]).is_err());
+        assert!(PackedKernel::from_lane_words(1, 4, 3, 3, vec![0; 73]).is_err());
+        assert!(PackedKernel::from_lane_words(1, 4, 3, 3, vec![0; 72]).is_ok());
     }
 
     #[test]
     fn storage_bytes_counts_lane_padding() {
         let w = BitTensor::zeros(&[2, 65, 3, 3]);
         let pk = PackedKernel::pack(&w).unwrap();
-        // 65 channels -> 2 lanes; 2 filters * 9 positions * 2 lanes * 8 bytes.
-        assert_eq!(pk.storage_bytes(), 2 * 9 * 2 * 8);
+        // 65 channels -> 2 lanes; 2 filters padded to one 8-filter panel:
+        // 8 filters * 9 positions * 2 lanes * 8 bytes.
+        assert_eq!(pk.words().len() * 8, 8 * 9 * 2 * 8);
+        // `[f / 8][p · lanes + l][f % 8]`: one lane of one panel is eight
+        // consecutive words, and a panel holds every position's lanes.
+        let layout = LaneLayout::new(9, 70, 3, 3);
+        assert_eq!(layout.index(0, 0, 0), 0);
+        assert_eq!(layout.index(7, 0, 0), 7);
+        assert_eq!(layout.index(0, 0, 1), 8);
+        assert_eq!(layout.index(3, 2, 1), (2 * 2 + 1) * 8 + 3);
+        assert_eq!(layout.index(8, 0, 0), 9 * 2 * 8);
+        assert_eq!(layout.words(), 2 * 9 * 2 * 8);
     }
 
     /// The per-bit scatter [`pack_group`] replaces.

@@ -91,11 +91,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consume the tensor and return its data.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Re-shape to `shape` reusing the allocation, leaving the element
     /// values unspecified (stale or zero). Only for callers that overwrite
     /// every element before the tensor is read — skips [`Self::reset`]'s
@@ -201,7 +196,8 @@ impl Tensor {
     /// # Errors
     ///
     /// Returns [`BitnnError::ShapeMismatch`] if the element count differs.
-    pub fn reshape(&mut self, shape: &[usize]) -> Result<()> {
+    #[cfg(test)]
+    fn reshape(&mut self, shape: &[usize]) -> Result<()> {
         let n: usize = shape.iter().product();
         if n != self.data.len() {
             return Err(BitnnError::ShapeMismatch {

@@ -33,9 +33,9 @@
 //! layout they write it into, so the flat and the lane-word forms of a
 //! seed are the same weights.
 
-use crate::pack::PackedKernel;
+use crate::pack::{LaneLayout, PackedKernel};
 use crate::tensor::BitTensor;
-use crate::{lanes_for, LANE_BITS};
+use crate::LANE_BITS;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -169,8 +169,6 @@ pub fn count_sequences(kernel: &BitTensor) -> Vec<u64> {
 /// A probability distribution over the 512 bit sequences, with sampling.
 #[derive(Debug, Clone)]
 pub struct SeqDistribution {
-    /// `probs[s]` = probability of sequence `s`.
-    probs: Vec<f64>,
     /// Sequences ordered by descending probability.
     order: Vec<u16>,
     /// Cumulative probabilities aligned with `order`, for sampling.
@@ -183,7 +181,7 @@ impl SeqDistribution {
     /// # Panics
     ///
     /// Panics if `probs.len() != 512`, any entry is negative, or all are 0.
-    pub fn from_probs(probs: &[f64]) -> Self {
+    fn from_probs(probs: &[f64]) -> Self {
         assert_eq!(probs.len(), NUM_SEQUENCES);
         assert!(probs.iter().all(|&p| p >= 0.0), "negative probability");
         let total: f64 = probs.iter().sum();
@@ -204,11 +202,7 @@ impl SeqDistribution {
         }
         // Guard against rounding: force the last entry to 1.
         *cumulative.last_mut().unwrap() = 1.0;
-        SeqDistribution {
-            probs,
-            order,
-            cumulative,
-        }
+        SeqDistribution { order, cumulative }
     }
 
     /// Uniform distribution (the "no skew" baseline for ablations).
@@ -238,7 +232,7 @@ impl SeqDistribution {
     /// tails.
     ///
     /// All 512 sequences receive nonzero probability; see
-    /// [`SeqDistribution::calibrated_with_support`] for the trained-kernel
+    /// `SeqDistribution::calibrated_with_support` for the trained-kernel
     /// variant with a truncated support.
     ///
     /// # Panics
@@ -267,12 +261,7 @@ impl SeqDistribution {
     /// Panics unless `256 < support <= 512` (Table II's top-256 coverage
     /// being below 100% requires more than 256 present sequences) and the
     /// targets satisfy the same conditions as [`SeqDistribution::calibrated`].
-    pub fn calibrated_with_support(
-        top64_pct: f64,
-        top256_pct: f64,
-        support: usize,
-        seed: u64,
-    ) -> Self {
+    fn calibrated_with_support(top64_pct: f64, top256_pct: f64, support: usize, seed: u64) -> Self {
         assert!(
             0.0 < top64_pct && top64_pct < top256_pct && top256_pct <= 100.0,
             "coverage targets must satisfy 0 < top64 < top256 <= 100"
@@ -345,14 +334,11 @@ impl SeqDistribution {
         )
     }
 
-    /// Probability of sequence `s`.
-    pub fn prob(&self, s: u16) -> f64 {
-        self.probs[s as usize]
-    }
-
-    /// All probabilities, indexed by sequence value.
-    pub fn probs(&self) -> &[f64] {
-        &self.probs
+    /// Probability of sequence `s`: its step of the cumulative table.
+    #[cfg(test)]
+    fn prob(&self, s: u16) -> f64 {
+        let rank = self.order.iter().position(|&o| o == s).unwrap();
+        self.cumulative[rank] - rank.checked_sub(1).map_or(0.0, |r| self.cumulative[r])
     }
 
     /// Sequences in descending probability order.
@@ -398,7 +384,7 @@ impl SeqDistribution {
 }
 
 /// Default number of distinct sequences a trained block's kernels
-/// exercise. See [`SeqDistribution::calibrated_with_support`] for how this
+/// exercise. See `SeqDistribution::calibrated_with_support` for how this
 /// is pinned by the paper's Sec. VI node-usage statistics.
 pub const DEFAULT_SUPPORT: usize = 352;
 
@@ -485,7 +471,7 @@ pub const ANCHOR_SEQUENCES: [u16; 10] = [
 /// weights the way trained kernels do, so rare sequences usually *have* a
 /// Hamming-1 neighbour among the common ones — the property the paper's
 /// Sec. III-C algorithm relies on.
-pub fn naturalness_ranking(seed: u64) -> Vec<u16> {
+fn naturalness_ranking(seed: u64) -> Vec<u16> {
     let mut seqs: Vec<u16> = (0..NUM_SEQUENCES as u16).collect();
     let key = |s: u16| -> (u32, u64) {
         let dist = if s == 0 || s == 511 {
@@ -518,7 +504,7 @@ pub fn naturalness_ranking(seed: u64) -> Vec<u16> {
 pub fn random_kernel(shape: &[usize], seed: u64) -> BitTensor {
     let mut t = BitTensor::zeros(shape);
     let len = t.len();
-    draw_bits(seed, [1, 1, len], [0, 0, 1], t.words_mut());
+    draw_bits(seed, [1, 1, len], (|_| 0, |_| 0), 1, t.words_mut());
     t
 }
 
@@ -526,22 +512,26 @@ pub fn random_kernel(shape: &[usize], seed: u64) -> BitTensor {
 /// straight into channel-packed lane words: it equals
 /// `PackedKernel::pack(&random_kernel(&shape, seed))` without building
 /// the flat tensor or gathering it. Draw `(f, c, p)` — flat order, `p`
-/// the kernel position — lands at bit `c % 64` of word
-/// `(f * kh * kw + p) * lanes + c / 64`.
+/// the kernel position — lands at bit `c % 64` of lane `c / 64` of filter
+/// `f` at position `p`, wherever [`LaneLayout::index`] puts that word.
+/// The layout is separable: the word's index is filter `f`'s first word
+/// plus lane `c / 64`'s offset plus `p` position strides.
 ///
 /// # Panics
 ///
 /// Panics if any dimension is zero.
 pub fn random_packed_kernel(shape: [usize; 4], seed: u64) -> PackedKernel {
     let [filters, channels, kh, kw] = shape;
-    let positions = kh * kw;
-    let lanes = lanes_for(channels);
-    let mut words = vec![0u64; filters * positions * lanes];
-    let position_bits = lanes * LANE_BITS;
+    let layout = LaneLayout::new(filters, channels, kh, kw);
+    let mut words = vec![0u64; layout.words()];
     draw_bits(
         seed,
-        [filters, channels, positions],
-        [positions * position_bits, 1, position_bits],
+        [filters, channels, kh * kw],
+        (
+            |f| layout.index(f, 0, 0) * LANE_BITS,
+            |ch| layout.index(0, 0, ch / LANE_BITS) * LANE_BITS + ch % LANE_BITS,
+        ),
+        layout.index(0, 1, 0) * LANE_BITS,
         &mut words,
     );
     PackedKernel::from_lane_words(filters, channels, kh, kw, words)
@@ -550,15 +540,22 @@ pub fn random_packed_kernel(shape: [usize; 4], seed: u64) -> PackedKernel {
 
 /// The one draw loop of the uniform generators: walk a `[K, C, P]` index
 /// space in row-major order, draw one `next_u64` per index, and set its
-/// top bit at bit `f * fs + c * cs + p * ps` of `words` (which start
-/// zero). Bits bound for the same word gather in a register, so a run of
+/// top bit at bit `fo(f) + co(c) + p * ps` of `words` (which start zero).
+/// Bits bound for the same word gather in a register, so a run of
 /// consecutive destinations costs one store per word.
-fn draw_bits(seed: u64, [k, c, p]: [usize; 3], [fs, cs, ps]: [usize; 3], words: &mut [u64]) {
+fn draw_bits(
+    seed: u64,
+    [k, c, p]: [usize; 3],
+    (fo, co): (impl Fn(usize) -> usize, impl Fn(usize) -> usize),
+    ps: usize,
+    words: &mut [u64],
+) {
     let mut rng = StdRng::seed_from_u64(seed);
     let (mut word, mut acc) = (0usize, 0u64);
     for f in 0..k {
+        let first = fo(f);
         for ch in 0..c {
-            let base = f * fs + ch * cs;
+            let base = first + co(ch);
             for q in 0..p {
                 let at = base + q * ps;
                 if at / 64 != word {
@@ -753,11 +750,16 @@ mod tests {
 
     #[test]
     fn uniform_kernels_draw_one_stream_in_either_layout() {
-        // K = 3 keeps K·C off a multiple of 64 for every C below.
+        // K = 3 keeps K·C off a multiple of 64 for every C below; the
+        // other filter counts sit on and off the 8-filter panels.
+        let filters = [1usize, 3, 7, 9, 200];
         for (kh, kw) in [(1, 1), (1, 3), (3, 3)] {
-            for c in [1usize, 8, 63, 64, 65, 200] {
+            for (k, c) in filters
+                .iter()
+                .flat_map(|&k| [1usize, 8, 63, 64, 65, 200].map(|c| (k, c)))
+            {
                 for seed in [0u64, 11, 0x9E37_79B9_7F4A_7C15] {
-                    let shape = [3, c, kh, kw];
+                    let shape = [k, c, kh, kw];
                     let flat = random_kernel(&shape, seed);
                     let what = format!("{shape:?} seed {seed}");
                     assert_eq!(flat, random_kernel_reference(&shape, seed), "{what}");

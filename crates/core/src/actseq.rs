@@ -70,7 +70,8 @@ pub struct ActSeqReport {
 /// # Errors
 ///
 /// Propagates [`activation_freq`] errors.
-pub fn activation_report(acts: &BitTensor) -> Result<ActSeqReport> {
+#[cfg(test)]
+fn activation_report(acts: &BitTensor) -> Result<ActSeqReport> {
     let freq = activation_freq(acts)?;
     Ok(ActSeqReport {
         windows: freq.total(),

@@ -59,7 +59,8 @@ impl BitSeq {
     /// # Panics
     ///
     /// Panics if `row` or `col` exceed 2.
-    pub fn sign_at(self, row: usize, col: usize) -> i32 {
+    #[cfg(test)]
+    fn sign_at(self, row: usize, col: usize) -> i32 {
         assert!(row < 3 && col < 3, "position out of 3x3 range");
         let p = row * 3 + col;
         if (self.0 >> (8 - p)) & 1 == 1 {
@@ -90,7 +91,8 @@ impl BitSeq {
 
     /// All sequences within Hamming distance `radius` (excluding self),
     /// used by the Hamming-radius ablation.
-    pub fn ball(self, radius: u32) -> Vec<BitSeq> {
+    #[cfg(test)]
+    fn ball(self, radius: u32) -> Vec<BitSeq> {
         (0..NUM_SEQUENCES as u16)
             .map(BitSeq)
             .filter(|&s| s != self && self.hamming(s) <= radius)

@@ -156,7 +156,8 @@ impl ClusterPlan {
     }
 
     /// Fraction (percent) of total occurrences that get rewritten.
-    pub fn moved_mass_pct(&self, freq: &FreqTable) -> f64 {
+    #[cfg(test)]
+    fn moved_mass_pct(&self, freq: &FreqTable) -> f64 {
         if freq.total() == 0 {
             return 0.0;
         }

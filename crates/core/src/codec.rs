@@ -196,7 +196,8 @@ impl CompressedKernel {
     /// Compression ratio including the decoder side tables (each table
     /// entry is a 2-byte word in the hardware's uncompressed table, plus
     /// one length byte per node).
-    pub fn ratio_with_tables(&self) -> f64 {
+    #[cfg(test)]
+    fn ratio_with_tables(&self) -> f64 {
         let table_bits = self.tree.assigned() * 16 + self.tree.config().nodes() * 8;
         self.original_bits() as f64 / (self.stream_bits + table_bits) as f64
     }

@@ -60,7 +60,8 @@ impl DecoderConfig {
     /// Size of this structure in memory (what `lddu`'s pointer load
     /// fetches): three 8-byte words plus two bytes-ish vectors; modeled as
     /// packed fields.
-    pub fn struct_bytes(&self) -> usize {
+    #[cfg(test)]
+    fn struct_bytes(&self) -> usize {
         8 + 8 + 8 + self.node_code_lengths.len() + 2 * self.node_table_sizes.len()
     }
 }

@@ -340,7 +340,7 @@ pub struct ModelContainer {
 
 impl ModelContainer {
     /// Per-kernel `(filters, channels)` dimensions.
-    pub fn kernel_dims(&self) -> Vec<(usize, usize)> {
+    fn kernel_dims(&self) -> Vec<(usize, usize)> {
         self.kernels
             .iter()
             .map(|c| (c.filters, c.channels))

@@ -69,12 +69,12 @@ impl TreeConfig {
     }
 
     /// Prefix length of node `i` (the chain shape: `i` ones + one zero).
-    pub fn prefix_len(&self, i: usize) -> u8 {
+    fn prefix_len(&self, i: usize) -> u8 {
         (i + 1) as u8
     }
 
     /// Index width of node `i` at its configured capacity.
-    pub fn index_bits(&self, i: usize) -> u8 {
+    fn index_bits(&self, i: usize) -> u8 {
         self.capacities[i].trailing_zeros() as u8
     }
 
@@ -84,7 +84,8 @@ impl TreeConfig {
     }
 
     /// Total configured capacity.
-    pub fn total_capacity(&self) -> usize {
+    #[cfg(test)]
+    fn total_capacity(&self) -> usize {
         self.capacities.iter().sum()
     }
 }

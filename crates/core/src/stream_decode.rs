@@ -45,7 +45,7 @@ use crate::container::Container;
 use crate::error::{KcError, Result};
 use crate::freq::SeqHistogram;
 use crate::huffman::SimplifiedTree;
-use bitnn::pack::{pack_group, PackedKernel};
+use bitnn::pack::{pack_group, LaneLayout, PackedKernel};
 use bitnn::tensor::BitTensor;
 use bitnn::weightgen::write_sequence;
 use bitnn::{lanes_for, LANE_BITS};
@@ -283,7 +283,7 @@ impl<'a> GroupDecoder<'a> {
     /// # Panics
     ///
     /// Panics if `stream_bits` exceeds the stream's length in bits.
-    pub fn from_parts(
+    fn from_parts(
         tree: &'a SimplifiedTree,
         stream: &'a [u8],
         stream_bits: usize,
@@ -315,7 +315,7 @@ impl<'a> GroupDecoder<'a> {
     /// Returns [`KcError::CorruptStream`] on a truncated stream, an
     /// invalid prefix, an index beyond a node table, or leftover bits
     /// after the final group.
-    pub fn decode_next(&mut self) -> Result<Option<PackedGroup>> {
+    fn decode_next(&mut self) -> Result<Option<PackedGroup>> {
         if self.next == self.num_groups() {
             self.check_consumed()?;
             return Ok(None);
@@ -335,9 +335,9 @@ impl<'a> GroupDecoder<'a> {
     }
 
     /// Drain the remaining groups into a channel-packed kernel. The words
-    /// of each group are scattered to `PackedKernel`'s
-    /// `[(filter * 9 + position) * lanes + lane]` layout — no intermediate
-    /// flat tensor exists at any point.
+    /// of each group are scattered straight to their places in the
+    /// kernel's panel layout ([`LaneLayout::index`]) — no intermediate
+    /// flat tensor or second copy of the words exists at any point.
     ///
     /// # Errors
     ///
@@ -349,11 +349,11 @@ impl<'a> GroupDecoder<'a> {
                 "collect_packed needs a fresh decoder".into(),
             ));
         }
-        let lanes = self.lanes;
-        let mut data = vec![0u64; self.filters * WORDS_PER_GROUP * lanes];
+        let layout = LaneLayout::new(self.filters, self.channels, 3, 3);
+        let mut data = vec![0u64; layout.words()];
         while let Some(g) = self.decode_next()? {
             for (p, &w) in g.words.iter().enumerate() {
-                data[(g.filter * WORDS_PER_GROUP + p) * lanes + g.lane] = w;
+                data[layout.index(g.filter, p, g.lane)] = w;
             }
         }
         PackedKernel::from_lane_words(self.filters, self.channels, 3, 3, data)
@@ -432,8 +432,8 @@ mod tests {
             let mut seen = 0;
             while let Some(g) = dec.decode_next().unwrap() {
                 for (p, &w) in g.words.iter().enumerate() {
-                    let lanes = offline.position_lanes(g.filter, p);
-                    assert_eq!(w, lanes[g.lane], "({f},{c}) group {seen} pos {p}");
+                    let want = offline.lane_word(g.filter, p, g.lane);
+                    assert_eq!(w, want, "({f},{c}) group {seen} pos {p}");
                 }
                 seen += 1;
             }
@@ -443,7 +443,12 @@ mod tests {
 
     #[test]
     fn collect_packed_equals_pack_of_decompress() {
-        for (f, c) in [(4usize, 16usize), (2, 70)] {
+        // Filter counts on and off the 8-filter panels, channel counts on
+        // and off the 64-bit lanes.
+        let shapes = [1usize, 7, 9, 200]
+            .into_iter()
+            .flat_map(|f| [1usize, 63, 64, 65, 200].map(|c| (f, c)));
+        for (f, c) in shapes.chain([(4, 16), (2, 70)]) {
             let ck = compressed(f, c);
             let streamed = decoder_for(&ck).collect_packed().unwrap();
             let offline = bitnn::pack::PackedKernel::pack(&ck.decompress().unwrap()).unwrap();
@@ -642,13 +647,13 @@ mod tests {
         fn reference_packed(c: &Container) -> Result<PackedKernel> {
             let (seqs, left) = reference_seqs(c)?;
             leftover(left, " after the final group")?;
-            let lanes = lanes_for(c.channels);
-            let mut words = vec![0u64; c.filters * 9 * lanes];
+            let layout = LaneLayout::new(c.filters, c.channels, 3, 3);
+            let mut words = vec![0u64; layout.words()];
             for (i, &s) in seqs.iter().enumerate() {
                 let (f, ch) = (i / c.channels, i % c.channels);
                 for p in 0..9 {
                     let bit = u64::from((s >> (8 - p)) & 1);
-                    words[(f * 9 + p) * lanes + ch / 64] |= bit << (ch % 64);
+                    words[layout.index(f, p, ch / 64)] |= bit << (ch % 64);
                 }
             }
             Ok(PackedKernel::from_lane_words(c.filters, c.channels, 3, 3, words).unwrap())

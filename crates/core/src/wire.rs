@@ -483,7 +483,7 @@ impl<'a> Rd<'a> {
 /// short buffers, bad magic/version, oversized lengths, checksum
 /// mismatches, and trailing bytes — in that order, so the length field
 /// is sanity-checked before anything is sized from it.
-pub fn decode_frame(bytes: &[u8]) -> Result<(u8, &[u8]), WireError> {
+fn decode_frame(bytes: &[u8]) -> Result<(u8, &[u8]), WireError> {
     if bytes.len() < HEADER_LEN {
         return Err(WireError::Truncated {
             needed: HEADER_LEN,

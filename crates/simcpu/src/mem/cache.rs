@@ -88,7 +88,8 @@ impl Cache {
     }
 
     /// Reset statistics (contents are kept).
-    pub fn reset_stats(&mut self) {
+    #[cfg(test)]
+    fn reset_stats(&mut self) {
         self.hits = 0;
         self.misses = 0;
     }

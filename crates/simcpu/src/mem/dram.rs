@@ -42,17 +42,20 @@ impl Dram {
     }
 
     /// Cycle at which the channel is next free.
-    pub fn next_free(&self) -> u64 {
+    #[cfg(test)]
+    fn next_free(&self) -> u64 {
         self.next_free
     }
 
     /// Total bytes moved.
-    pub fn bytes_transferred(&self) -> u64 {
+    #[cfg(test)]
+    fn bytes_transferred(&self) -> u64 {
         self.bytes_transferred
     }
 
     /// Total transfers.
-    pub fn accesses(&self) -> u64 {
+    #[cfg(test)]
+    fn accesses(&self) -> u64 {
         self.accesses
     }
 

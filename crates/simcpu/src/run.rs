@@ -42,7 +42,7 @@ pub fn run_workload(
 
 /// Simulate a single layer on an existing machine (keeps caches warm
 /// across layers when called in sequence).
-pub fn run_workload_on(
+fn run_workload_on(
     machine: &mut Machine,
     wl: &LayerWorkload,
     mode: Mode,
@@ -53,7 +53,7 @@ pub fn run_workload_on(
 
 /// [`run_workload_on`] with an explicit address salt so consecutive
 /// layers occupy distinct memory regions.
-pub fn run_workload_salted(
+fn run_workload_salted(
     machine: &mut Machine,
     wl: &LayerWorkload,
     mode: Mode,
@@ -67,7 +67,7 @@ pub fn run_workload_salted(
 /// [`run_workload_salted`] against an explicit compressed stream (real
 /// byte length and sequence count from a `.bkcm` record) instead of an
 /// analytic compression ratio. Non-3×3 workloads ignore the stream.
-pub fn run_workload_stream_salted(
+fn run_workload_stream_salted(
     machine: &mut Machine,
     wl: &LayerWorkload,
     mode: Mode,

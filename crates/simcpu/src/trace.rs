@@ -143,7 +143,8 @@ impl KernelStream {
 /// # Panics
 ///
 /// Panics if the workload is not a 3×3 layer.
-pub fn conv3x3_ops(
+#[cfg(test)]
+fn conv3x3_ops(
     wl: &LayerWorkload,
     mode: ConvMode,
     compression_ratio: f64,

@@ -137,6 +137,43 @@ fn steady_state_forward_batch_performs_zero_allocations() {
     );
     assert_eq!(out.data(), expect[0].data());
 
+    // Shape-switch gate (same allocator, same test): the model warmed at
+    // image 32, where every 3×3 conv reads all nine taps, then run at
+    // image 8, where its last stride-2 conv (2×2 → 1×1) reads four. Once
+    // the arena has settled at the second shape, repeat forwards there
+    // allocate nothing — the layer's one kernel form serves every live-tap
+    // set — and both shapes stay bit-exact against the oracle.
+    {
+        let engine = Engine::single_threaded();
+        let first = synthetic_batch(1, 3, 32, 19).remove(0);
+        let second = synthetic_batch(1, 3, 8, 23).remove(0);
+        let mut s = bitnn::Scratch::default();
+        let mut out = Tensor::default();
+        for _ in 0..2 {
+            model
+                .forward_into(&first, &engine, &mut s, &mut out)
+                .unwrap();
+        }
+        assert_eq!(out.data(), model.forward_scalar(&first).unwrap().data());
+        for _ in 0..2 {
+            model
+                .forward_into(&second, &engine, &mut s, &mut out)
+                .unwrap();
+        }
+        let before = ALLOCS.load(Ordering::SeqCst);
+        for _ in 0..3 {
+            model
+                .forward_into(&second, &engine, &mut s, &mut out)
+                .unwrap();
+        }
+        let allocated = ALLOCS.load(Ordering::SeqCst) - before;
+        assert_eq!(
+            allocated, 0,
+            "forward_into at a second image size allocated {allocated} times"
+        );
+        assert_eq!(out.data(), model.forward_scalar(&second).unwrap().data());
+    }
+
     // Deployment-path representation gate (same allocator, same test —
     // a sibling test would pollute the count): a packed-only layer must
     // never derive the flat [K, C, 3, 3] tensor, and its warmed forward
@@ -162,13 +199,13 @@ fn steady_state_forward_batch_performs_zero_allocations() {
         let mut y = Tensor::default();
         for _ in 0..2 {
             engine
-                .conv2d_into(&acts, conv.forms(), params, &mut conv_scratch, &mut y)
+                .conv2d_into(&acts, conv.packed(), params, &mut conv_scratch, &mut y)
                 .unwrap();
         }
         let before = ALLOCS.load(Ordering::SeqCst);
         for _ in 0..3 {
             engine
-                .conv2d_into(&acts, conv.forms(), params, &mut conv_scratch, &mut y)
+                .conv2d_into(&acts, conv.packed(), params, &mut conv_scratch, &mut y)
                 .unwrap();
         }
         let allocated = ALLOCS.load(Ordering::SeqCst) - before;
@@ -199,13 +236,13 @@ fn steady_state_forward_batch_performs_zero_allocations() {
         let mut y = Tensor::default();
         for _ in 0..2 {
             engine
-                .conv2d_into(&acts, conv.forms(), params, &mut conv_scratch, &mut y)
+                .conv2d_into(&acts, conv.packed(), params, &mut conv_scratch, &mut y)
                 .unwrap();
         }
         let before = ALLOCS.load(Ordering::SeqCst);
         for _ in 0..3 {
             engine
-                .conv2d_into(&acts, conv.forms(), params, &mut conv_scratch, &mut y)
+                .conv2d_into(&acts, conv.packed(), params, &mut conv_scratch, &mut y)
                 .unwrap();
         }
         let allocated = ALLOCS.load(Ordering::SeqCst) - before;

@@ -71,7 +71,7 @@ fn assert_conv_matches_oracles(
     }
     for level in host_levels() {
         for t in [1, 3, threads] {
-            let got = conv2d_rows_at(level, t, &pa, (&pk).into(), params).unwrap();
+            let got = conv2d_rows_at(level, t, &pa, &pk, params).unwrap();
             assert_eq!(got, want, "{what}: {level} threads {t}");
         }
     }
@@ -81,7 +81,7 @@ fn assert_conv_matches_oracles(
         min_work: 0,
     });
     let got = engine
-        .conv2d(&pa, (&pk).into(), params, &mut ConvScratch::default())
+        .conv2d(&pa, &pk, params, &mut ConvScratch::default())
         .unwrap();
     assert_eq!(got.shape(), direct.shape(), "{what}: shape");
     assert_eq!(got.data(), direct.data(), "{what}: Engine::conv2d");
@@ -306,7 +306,7 @@ proptest! {
             min_work: 0,
         });
         let mut scratch = ConvScratch::default();
-        let got = engine.conv2d(&pa, (&pk).into(), params, &mut scratch).unwrap();
+        let got = engine.conv2d(&pa, &pk, params, &mut scratch).unwrap();
         let expect = conv2d_reference(&a.to_tensor(), &wk.to_tensor(), params);
         prop_assert_eq!(got.shape(), expect.shape());
         for (g, e) in got.data().iter().zip(expect.data()) {

@@ -51,7 +51,10 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// * 2,029,570 bytes building each slot straight from its record, with
 ///   the synthetic 1×1 kernels as flat tensors (24,528 bytes of bits);
 /// * 2,029,842 bytes with the 1×1 kernels drawn straight into lane words
-///   (25,216 bytes: lane padding, but no per-kernel shape vector).
+///   (25,216 bytes: lane padding, but no per-kernel shape vector);
+/// * 2,064,418 bytes with every kernel in the GEMM's panel layout: the
+///   filters padded to whole 8-filter panels, plus each kernel's
+///   per-position ones table.
 ///
 /// The 13 kernels' lane words total 199,872 bytes, so a bound under
 /// 2,029,842 + 199,872 also fails if any kernel's bits get a second copy.
