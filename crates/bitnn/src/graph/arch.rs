@@ -18,14 +18,17 @@
 
 use super::spec::{ConvGeometry, GraphSpec, NodeSpec, OpSpec};
 use super::{GraphNode, ModelGraph, NodeOp};
+use crate::engine::Engine;
 use crate::error::{BitnnError, Result};
 use crate::layers::{BatchNorm, BinConv2d, QuantConv2d, QuantLinear, RPReLU, RSign};
 use crate::model::ReActNetConfig;
 use crate::ops::conv::Conv2dParams;
+use crate::pool::WorkerPool;
 use crate::tensor::{BitTensor, Tensor};
 use crate::weightgen::{random_floats, random_packed_kernel, SeqDistribution};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::{Mutex, PoisonError};
 
 /// A built-in architecture family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -132,13 +135,14 @@ pub fn build_model(arch: Arch, scale: f64, image: usize, seed: u64) -> Result<Mo
 /// the other binary kernels are uniform, drawn straight into lane words
 /// ([`random_packed_kernel`]); the 8-bit stem/classifier get uniform float
 /// weights; batch-norms carry a mild fan-in-scaled variation around
-/// identity.
+/// identity. The nodes are built on every core ([`Engine::default`]);
+/// the weights are the same at any thread count.
 ///
 /// # Errors
 ///
 /// Returns [`BitnnError::InvalidConfig`] if the spec does not validate.
 pub fn attach_weights(spec: &GraphSpec, seed: u64) -> Result<ModelGraph> {
-    attach_weights_with(spec, seed, |slot| Ok(slot.sample()))
+    attach_weights_with(spec, seed, &Engine::default(), |slot| Ok(slot.sample()))
 }
 
 /// One compressible 3×3 convolution of a spec, as handed to the kernel
@@ -177,33 +181,134 @@ impl Conv3Slot {
 /// synthetic weights, and each 3×3 slot gets whatever layer the provider
 /// builds for it — e.g. one decoded straight from a container record.
 ///
+/// Each node's weights are one job: every synthetic node draws from its
+/// own seed salt and every slot's provider call stands alone, so under a
+/// multi-threaded `engine` the jobs run on the worker pool, largest
+/// estimated cost first, and the nodes are assembled in spec order
+/// afterwards. The weights do not depend on the thread count. A
+/// single-threaded engine (or a spec too small to split, see
+/// [`ExecPolicy::min_work`](crate::exec::ExecPolicy::min_work)) builds
+/// every node inline on the caller, in spec order; [`attach_threads`]
+/// says which.
+///
 /// # Errors
 ///
 /// Returns [`BitnnError::InvalidConfig`] if the spec does not validate or
 /// a provided layer does not fit its slot, and passes on the provider's
-/// own errors.
+/// own errors. When several nodes fail, the error is the first failing
+/// node's in spec order, at any thread count.
+///
+/// # Panics
+///
+/// A panic in the provider is re-raised on the caller.
 pub fn attach_weights_with<E, F>(
     spec: &GraphSpec,
     seed: u64,
-    mut conv3: F,
+    engine: &Engine,
+    conv3: F,
 ) -> std::result::Result<ModelGraph, E>
 where
-    E: From<BitnnError>,
-    F: FnMut(&Conv3Slot) -> std::result::Result<BinConv2d, E>,
+    E: From<BitnnError> + Send,
+    F: Fn(&Conv3Slot) -> std::result::Result<BinConv2d, E> + Sync,
 {
+    let jobs = node_jobs(spec, seed)?;
+    let threads = engine.policy().effective_threads(total_cost(&jobs));
+    attach_on(WorkerPool::global(), threads, spec, &jobs, &conv3)
+}
+
+/// The threads [`attach_weights_with`] builds `spec`'s nodes on under
+/// `engine`: the engine's thread count clamped to the hardware, or 1
+/// when the spec is too small to split.
+///
+/// # Errors
+///
+/// Returns [`BitnnError::InvalidConfig`] if the spec does not validate.
+pub fn attach_threads(spec: &GraphSpec, engine: &Engine) -> Result<usize> {
+    let jobs = node_jobs(spec, 0)?;
+    Ok(engine.policy().effective_threads(total_cost(&jobs)))
+}
+
+/// One node's weight-building job: its op and what its build reads of
+/// the rest of the spec.
+#[derive(Debug, Clone, Copy)]
+struct NodeJob {
+    op: OpSpec,
+    /// Channels (or features) of the node's first input, 0 for none.
+    in_ch: usize,
+    /// Seed salt of the node's synthetic weights.
+    salt: u64,
+    /// Position among the spec's compressible 3×3 convolutions.
+    conv3: Option<usize>,
+}
+
+/// Every node's job, in spec order.
+fn node_jobs(spec: &GraphSpec, seed: u64) -> Result<Vec<NodeJob>> {
     use super::spec::ShapeInfo;
     let shapes = spec.shapes()?;
-    let mut nodes = Vec::with_capacity(spec.nodes.len());
     let mut conv3_seen = 0usize;
-    for (i, node) in spec.nodes.iter().enumerate() {
-        let salt = seed ^ ((i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let in_dims = node.inputs.first().map(|&s| shapes[s]);
-        let in_ch = match in_dims {
-            Some(ShapeInfo::Map { ch, .. }) => ch,
-            Some(ShapeInfo::Flat { features }) => features,
-            None => 0,
-        };
-        let op = match node.op {
+    Ok(spec
+        .nodes
+        .iter()
+        .enumerate()
+        .map(|(i, node)| {
+            let in_ch = match node.inputs.first().map(|&s| shapes[s]) {
+                Some(ShapeInfo::Map { ch, .. }) => ch,
+                Some(ShapeInfo::Flat { features }) => features,
+                None => 0,
+            };
+            let conv3 = matches!(node.op, OpSpec::BinConv { kh: 3, kw: 3, .. }).then(|| {
+                conv3_seen += 1;
+                conv3_seen - 1
+            });
+            NodeJob {
+                op: node.op,
+                in_ch,
+                salt: seed ^ ((i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+                conv3,
+            }
+        })
+        .collect())
+}
+
+/// The whole spec's estimated build cost.
+fn total_cost(jobs: &[NodeJob]) -> u64 {
+    jobs.iter().map(NodeJob::cost).sum()
+}
+
+impl NodeJob {
+    /// Estimated build time, in the ~0.5 ns lane-word operations
+    /// [`ExecPolicy::min_work`](crate::exec::ExecPolicy::min_work)
+    /// counts: a 3×3 record decodes at about 0.5 ns per bit, a synthetic
+    /// binary kernel draws one `u64` per bit (about 2 ns), and each
+    /// synthetic float costs a few ns (the 8-bit layers quantize theirs
+    /// too). The job order and the thread count depend on it, never the
+    /// weights.
+    fn cost(&self) -> u64 {
+        let n = |x: usize| x as u64;
+        match self.op {
+            OpSpec::BinConv { out_ch, kh, kw, .. } => {
+                let bits = n(out_ch * self.in_ch * kh * kw);
+                if self.conv3.is_some() {
+                    bits
+                } else {
+                    4 * bits
+                }
+            }
+            OpSpec::StemConv { out_ch, .. } => 8 * n(out_ch * self.in_ch * 9),
+            OpSpec::Classifier { classes } => 8 * n(classes * self.in_ch),
+            OpSpec::Sign | OpSpec::BatchNorm | OpSpec::Act => 16 * n(self.in_ch),
+            _ => 0,
+        }
+    }
+
+    /// Build the node's weighted op.
+    fn build<E, F>(&self, conv3: &F) -> std::result::Result<NodeOp, E>
+    where
+        E: From<BitnnError>,
+        F: Fn(&Conv3Slot) -> std::result::Result<BinConv2d, E>,
+    {
+        let (in_ch, salt) = (self.in_ch, self.salt);
+        Ok(match self.op {
             OpSpec::Input { channels, image } => NodeOp::Input { channels, image },
             OpSpec::StemConv { out_ch, stride } => {
                 let w = Tensor::from_vec(
@@ -216,40 +321,35 @@ where
             OpSpec::Sign => NodeOp::Sign(RSign::new(small_params(in_ch, salt, 0.05))),
             OpSpec::BinConv {
                 out_ch,
-                kh: 3,
-                kw: 3,
+                kh,
+                kw,
                 stride,
                 pad,
             } => {
+                let params = Conv2dParams { stride, pad };
+                let Some(index) = self.conv3 else {
+                    return Ok(NodeOp::BinConv(BinConv2d::from_packed(
+                        random_packed_kernel([out_ch, in_ch, kh, kw], salt),
+                        params,
+                    )));
+                };
                 let slot = Conv3Slot {
-                    index: conv3_seen,
+                    index,
                     filters: out_ch,
                     channels: in_ch,
-                    params: Conv2dParams { stride, pad },
+                    params,
                     salt,
                 };
-                conv3_seen += 1;
                 let conv = conv3(&slot)?;
                 let got = (conv.filters(), conv.in_channels(), conv.kernel_size());
-                if got != (out_ch, in_ch, (3, 3)) || conv.params() != slot.params {
+                if got != (out_ch, in_ch, (3, 3)) || conv.params() != params {
                     return Err(BitnnError::InvalidConfig(format!(
-                        "conv {}: provided {got:?} layer does not fit the {out_ch}x{in_ch} 3x3 slot",
-                        slot.index
+                        "conv {index}: provided {got:?} layer does not fit the {out_ch}x{in_ch} 3x3 slot"
                     ))
                     .into());
                 }
                 NodeOp::BinConv(conv)
             }
-            OpSpec::BinConv {
-                out_ch,
-                kh,
-                kw,
-                stride,
-                pad,
-            } => NodeOp::BinConv(BinConv2d::from_packed(
-                random_packed_kernel([out_ch, in_ch, kh, kw], salt),
-                Conv2dParams { stride, pad },
-            )),
             OpSpec::BatchNorm => NodeOp::BatchNorm(varied_bn(in_ch, salt)),
             OpSpec::Act => NodeOp::Act(RPReLU::new(
                 small_params(in_ch, salt ^ 1, 0.05),
@@ -265,13 +365,61 @@ where
                 classes,
                 in_ch,
             )),
-        };
-        nodes.push(GraphNode {
+        })
+    }
+}
+
+/// Build every job's op, on `pool` when `threads > 1` (up to
+/// `threads - 1` workers beside the caller, largest job first) and
+/// inline in spec order otherwise, then assemble the graph.
+fn attach_on<E, F>(
+    pool: &WorkerPool,
+    threads: usize,
+    spec: &GraphSpec,
+    jobs: &[NodeJob],
+    conv3: &F,
+) -> std::result::Result<ModelGraph, E>
+where
+    E: From<BitnnError> + Send,
+    F: Fn(&Conv3Slot) -> std::result::Result<BinConv2d, E> + Sync,
+{
+    let ops: Vec<NodeOp> = if threads <= 1 {
+        jobs.iter()
+            .map(|job| job.build(conv3))
+            .collect::<std::result::Result<_, E>>()?
+    } else {
+        // A stable sort: equal costs keep spec order.
+        let mut order: Vec<usize> = (0..jobs.len()).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(jobs[i].cost()));
+        let built: Vec<Mutex<Option<std::result::Result<NodeOp, E>>>> =
+            jobs.iter().map(|_| Mutex::new(None)).collect();
+        pool.dispatch(order.len(), threads - 1, &|c| {
+            let i = order[c];
+            let op = jobs[i].build(conv3);
+            *built[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(op);
+        });
+        // Every job ran (a panic would have been re-raised above); the
+        // first error in spec order wins, as it does inline.
+        built
+            .into_iter()
+            .map(|slot| {
+                slot.into_inner()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .expect("every node job ran")
+            })
+            .collect::<std::result::Result<_, E>>()?
+    };
+    let nodes = spec
+        .nodes
+        .iter()
+        .zip(ops)
+        .enumerate()
+        .map(|(i, (node, op))| GraphNode {
             name: format!("n{i}.{}", node.op.tag()),
             op,
             inputs: node.inputs.clone(),
-        });
-    }
+        })
+        .collect();
     Ok(ModelGraph::new(spec.arch.clone(), nodes)?)
 }
 
@@ -588,8 +736,8 @@ pub fn conv3_geometries(arch: Arch, scale: f64, image: usize) -> Result<Vec<Conv
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Engine;
     use crate::engine::Scratch;
+    use crate::pack::PackedKernel;
 
     #[test]
     fn arch_parses_and_prints() {
@@ -671,6 +819,116 @@ mod tests {
         let mut bad = dims.clone();
         bad[0] = (8, 16);
         assert!(reactnet_config_from_kernels(&bad, 32).is_err());
+    }
+
+    /// [`attach_on`] with up to four threads on `pool`.
+    fn attach_pooled<E, F>(
+        pool: &WorkerPool,
+        spec: &GraphSpec,
+        seed: u64,
+        conv3: F,
+    ) -> std::result::Result<ModelGraph, E>
+    where
+        E: From<BitnnError> + Send,
+        F: Fn(&Conv3Slot) -> std::result::Result<BinConv2d, E> + Sync,
+    {
+        attach_on(pool, 4, spec, &node_jobs(spec, seed)?, &conv3)
+    }
+
+    #[test]
+    fn pooled_attach_builds_the_inline_weights() {
+        // A forced 3-worker pool, so the jobs really spread over threads
+        // even on a 1-core host.
+        let pool = WorkerPool::with_workers(3, 3);
+        let inline = Engine::single_threaded();
+        for arch in Arch::ALL {
+            let spec = build_spec(arch, 0.125, 32).unwrap();
+            // The sampling provider, and one that builds each slot from
+            // ready lane words the way a container deploy does.
+            let packed: Vec<PackedKernel> = sample_conv3_kernels(&spec, 3)
+                .unwrap()
+                .iter()
+                .map(|k| PackedKernel::pack(k).unwrap())
+                .collect();
+            let sampled = |slot: &Conv3Slot| Ok::<_, BitnnError>(slot.sample());
+            let decoded = |slot: &Conv3Slot| {
+                Ok::<_, BitnnError>(BinConv2d::from_packed(
+                    packed[slot.index].clone(),
+                    slot.params,
+                ))
+            };
+            let pairs = [
+                (
+                    attach_pooled(&pool, &spec, 7, sampled).unwrap(),
+                    attach_weights_with(&spec, 7, &inline, sampled).unwrap(),
+                ),
+                (
+                    attach_pooled(&pool, &spec, 7, decoded).unwrap(),
+                    attach_weights_with(&spec, 7, &inline, decoded).unwrap(),
+                ),
+            ];
+            for (pooled, inline) in pairs {
+                assert_eq!(pooled.spec(), inline.spec(), "{arch}");
+                for (p, i) in pooled.nodes().iter().zip(inline.nodes()) {
+                    assert_eq!(p.name, i.name, "{arch}");
+                    assert!(p.op == i.op, "{arch}: node {} differs", p.name);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_first_failing_slot_in_spec_order_is_reported() {
+        // Slot 7 is wider than slot 2, so its job is claimed first; the
+        // error is still slot 2's, pooled and inline alike.
+        let pool = WorkerPool::with_workers(3, 3);
+        let spec = build_spec(Arch::ReActNet, 0.125, 32).unwrap();
+        let failing = |slot: &Conv3Slot| match slot.index {
+            2 | 7 => Err(BitnnError::InvalidConfig(format!("slot {}", slot.index))),
+            _ => Ok(slot.sample()),
+        };
+        let pooled = attach_pooled(&pool, &spec, 1, failing).unwrap_err();
+        let inline = attach_weights_with(&spec, 1, &Engine::single_threaded(), failing);
+        for err in [pooled, inline.unwrap_err()] {
+            assert_eq!(err.to_string(), "invalid configuration: slot 2");
+        }
+    }
+
+    #[test]
+    fn a_provider_panic_reaches_the_caller_and_the_pool_survives() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let pool = WorkerPool::with_workers(3, 3);
+        let spec = build_spec(Arch::VggSmall, 0.125, 32).unwrap();
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            attach_pooled(&pool, &spec, 1, |slot: &Conv3Slot| {
+                assert_ne!(slot.index, 3, "record 3 is corrupt");
+                Ok::<_, BitnnError>(slot.sample())
+            })
+        }));
+        let payload = caught.expect_err("the provider panic must be re-raised");
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(msg.contains("record 3 is corrupt"), "wrong payload: {msg}");
+        let again = attach_pooled(&pool, &spec, 1, |s: &Conv3Slot| {
+            Ok::<_, BitnnError>(s.sample())
+        });
+        assert_eq!(again.unwrap().num_conv3(), 5);
+    }
+
+    #[test]
+    fn a_single_threaded_attach_stays_on_the_caller() {
+        let spec = build_spec(Arch::ResNetLite, 0.125, 32).unwrap();
+        let caller = std::thread::current().id();
+        let engine = Engine::single_threaded();
+        assert_eq!(attach_threads(&spec, &engine).unwrap(), 1);
+        let model = attach_weights_with(&spec, 1, &engine, |slot| {
+            assert_eq!(std::thread::current().id(), caller, "slot {}", slot.index);
+            Ok::<_, BitnnError>(slot.sample())
+        })
+        .unwrap();
+        assert_eq!(model.num_conv3(), 8);
     }
 
     #[test]

@@ -59,7 +59,7 @@ use crate::tensor::{BitTensor, Tensor};
 // the per-node slack is irrelevant and boxing would only add indirection
 // on the hot dispatch path.
 #[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum NodeOp {
     /// The network input placeholder.
     Input {

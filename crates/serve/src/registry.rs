@@ -79,11 +79,16 @@ pub(crate) fn shape_of(graph: &ModelGraph) -> Result<ModelShape> {
 /// (fallback `image` is only used for spec-less v1 containers), with each
 /// compressible 3×3 slot built straight from its decoded record.
 ///
+/// Every node is built as its own job, on as many threads as `engine`
+/// allows ([`attach_weights_with`]): each record decodes on its own, and
+/// the weights are the same at any thread count.
+///
 /// The record geometry is checked against the spec before anything is
 /// decoded, so a mismatched container costs no decode work and returns
 /// [`KcError::IncompatibleModel`].
 pub fn deploy(
     container: &ModelContainer,
+    engine: &Engine,
     seed: u64,
     image: usize,
     version: u32,
@@ -106,7 +111,7 @@ pub fn deploy(
             )));
         }
     }
-    let graph = attach_weights_with(&spec, seed, |slot| {
+    let graph = attach_weights_with(&spec, seed, engine, |slot| {
         let packed = container.kernels[slot.index].decode_packed()?;
         Ok::<_, ServeError>(BinConv2d::from_packed(packed, slot.params))
     })?;
@@ -117,18 +122,17 @@ fn incompatible(msg: String) -> ServeError {
     ServeError::Container(KcError::IncompatibleModel(msg))
 }
 
-/// Parse + deploy container bytes (integrity-verified for v3). The
-/// deployed weight form does not depend on the engine's policy; the
-/// `_engine` argument only keeps existing call sites compiling.
+/// Parse + deploy container bytes (integrity-verified for v3): [`deploy`]
+/// on `engine`'s threads.
 pub fn deploy_bytes(
     bytes: &[u8],
-    _engine: &Engine,
+    engine: &Engine,
     seed: u64,
     image: usize,
     version: u32,
 ) -> Result<ModelEntry> {
     let container = read_model_container(bytes)?;
-    deploy(&container, seed, image, version)
+    deploy(&container, engine, seed, image, version)
 }
 
 /// Validate that `candidate` can hot-swap `current`: identical topology

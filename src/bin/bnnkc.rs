@@ -74,8 +74,41 @@ use simcpu::energy::EnergyModel;
 use simcpu::exec::ExecStats;
 use simcpu::mem::MemStats;
 use simcpu::trace::STREAM_BASE;
+use std::io::Write;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
+
+/// `println!` that hands a failed write back to the caller as an error
+/// instead of panicking, so `main` can end quietly when stdout is a
+/// closed pipe (`bnnkc run … | head -1`).
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        writeln!(std::io::stdout(), $($arg)*).map_err(stdout_error)?
+    };
+}
+
+/// The reader of stdout went away: there is no one left to report to.
+#[derive(Debug)]
+struct StdoutClosed;
+
+impl std::fmt::Display for StdoutClosed {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("stdout closed")
+    }
+}
+
+impl std::error::Error for StdoutClosed {}
+
+/// A failed stdout write as a command error: [`StdoutClosed`] for a
+/// broken pipe, the I/O error itself otherwise.
+fn stdout_error(e: std::io::Error) -> Box<dyn std::error::Error> {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        Box::new(StdoutClosed)
+    } else {
+        e.into()
+    }
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -102,6 +135,7 @@ fn main() -> ExitCode {
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.is::<StdoutClosed>() => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
@@ -322,7 +356,7 @@ fn cmd_compress(args: &[String]) -> CliResult {
         let ck = codec.compress(k)?;
         orig_bits += ck.original_bits();
         stream_bits += ck.stream_bits();
-        println!(
+        outln!(
             "conv {:>2}: {:>7} -> {:>7} bits ({:.3}x)",
             i + 1,
             ck.original_bits(),
@@ -338,7 +372,7 @@ fn cmd_compress(args: &[String]) -> CliResult {
         write_model_container_v2(&spec, &compressed)?
     };
     write_atomic(std::path::Path::new(out), &bytes)?;
-    println!(
+    outln!(
         "\nwrote {out}: arch {arch}, v{} container, {} bytes, aggregate kernel ratio {:.3}x",
         if v3 { 3 } else { 2 },
         bytes.len(),
@@ -360,13 +394,13 @@ fn cmd_inspect(args: &[String]) -> CliResult {
         Some(spec) => format!("arch {} ({} graph nodes)", spec.arch, spec.nodes.len()),
         None => "no topology; ReActNet assumed".to_string(),
     };
-    println!(
+    outln!(
         "{input}: v{} container, {} compressed kernels, {} bytes total, {arch}",
         container.version,
         container.kernels.len(),
         bytes.len()
     );
-    println!(
+    outln!(
         "file digest {} ({})\n",
         Digest::of(&bytes),
         if container.version == MODEL_VERSION_V3 {
@@ -381,7 +415,7 @@ fn cmd_inspect(args: &[String]) -> CliResult {
     for (i, c) in container.kernels.iter().enumerate() {
         let seqs = c.filters * c.channels;
         let record = c.to_bytes();
-        println!(
+        outln!(
             "kernel {:>2}: {}x{}x3x3, record {:>6} B, stream {:>7} bits ({:.3}x), \
              code lengths {:?}, tables {:?}, digest {}",
             i + 1,
@@ -412,7 +446,7 @@ fn cmd_inspect(args: &[String]) -> CliResult {
                         )
                     })
                     .collect();
-                println!(
+                outln!(
                     "           {} unique of {} seqs (dedup {:.2}x), \
                      {} H1-cluster roots, top-5 [{}]",
                     hist.freq().distinct(),
@@ -444,7 +478,7 @@ fn cmd_inspect(args: &[String]) -> CliResult {
 /// prints the base/target digests and the per-entry encoding.
 fn inspect_patch_file(input: &str, bytes: &[u8]) -> CliResult {
     let info = inspect_patch(bytes)?;
-    println!(
+    outln!(
         "{input}: bkcp patch, {} bytes, {} entries ({} same, {} edits, {} full)",
         bytes.len(),
         info.entries.len(),
@@ -452,10 +486,10 @@ fn inspect_patch_file(input: &str, bytes: &[u8]) -> CliResult {
         info.stats.edits,
         info.stats.full
     );
-    println!("base container digest:   {}", info.base_digest);
-    println!("target container digest: {}\n", info.target_digest);
+    outln!("base container digest:   {}", info.base_digest);
+    outln!("target container digest: {}\n", info.target_digest);
     for (node, kind, payload) in &info.entries {
-        println!("node {node:>3}: {kind:<5} ({payload} payload bytes)");
+        outln!("node {node:>3}: {kind:<5} ({payload} payload bytes)");
     }
     Ok(())
 }
@@ -514,9 +548,9 @@ fn cmd_verify(args: &[String]) -> CliResult {
         } else if &decoded != original {
             return Err(format!("kernel {} did not round-trip bit-exactly", i + 1).into());
         }
-        println!("kernel {:>2}: OK", i + 1);
+        outln!("kernel {:>2}: OK", i + 1);
     }
-    println!("\nall kernels verified ({arch})");
+    outln!("\nall kernels verified ({arch})");
     Ok(())
 }
 
@@ -528,17 +562,17 @@ fn cmd_verify(args: &[String]) -> CliResult {
 fn verify_integrity(input: &str, bytes: &[u8]) -> CliResult {
     let container = read_model_container(bytes)?;
     for (i, d) in container.record_digests().iter().enumerate() {
-        println!("kernel {:>2}: digest {d}", i + 1);
+        outln!("kernel {:>2}: digest {d}", i + 1);
     }
-    println!("file digest: {}", Digest::of(bytes));
+    outln!("file digest: {}", Digest::of(bytes));
     if container.version == MODEL_VERSION_V3 {
-        println!(
+        outln!(
             "\n{input}: v3 integrity verified ({} record digests, graph digest, \
              container digest all match)",
             container.kernels.len()
         );
     } else {
-        println!(
+        outln!(
             "\n{input}: v{} container carries no stored digests; computed digests \
              printed above (re-compress with --v3 for mandatory integrity)",
             container.version
@@ -559,7 +593,7 @@ fn cmd_diff(args: &[String]) -> CliResult {
     let new = std::fs::read(new_path)?;
     let (patch, stats) = diff_containers(&base, &new)?;
     write_atomic(std::path::Path::new(out), &patch)?;
-    println!(
+    outln!(
         "wrote {out}: {} bytes ({:.1}% of {new_path}); {} kernels unchanged, \
          {} as sparse edits, {} full",
         patch.len(),
@@ -583,7 +617,7 @@ fn cmd_patch(args: &[String]) -> CliResult {
     let patch = std::fs::read(patch_path)?;
     let target = apply_patch(&base, &patch)?;
     write_atomic(std::path::Path::new(out), &target)?;
-    println!(
+    outln!(
         "wrote {out}: v3 container, {} bytes, digest {} (verified against the patch)",
         target.len(),
         Digest::of(&target)
@@ -644,11 +678,13 @@ fn cmd_run(args: &[String]) -> CliResult {
     // weight forms, no intermediate [K, C, 3, 3] tensor. Offline path:
     // decompress to a flat tensor, then pack — the bit-exact reference.
     let engine = Engine::with_threads(threads);
-    // The deploy total covers the seed's synthetic layers too; the 3×3
-    // decode share is timed inside the provider.
+    // Every node is built as its own job on the engine's threads, so the
+    // 3×3 decode time is summed over the records (across threads) and is
+    // not a share of the deploy's wall time.
+    let deploy_threads = attach_threads(&spec, &engine)?;
     let t0 = Instant::now();
-    let mut decode = std::time::Duration::ZERO;
-    let model = attach_weights_with(&spec, seed, |slot| {
+    let decode_ns = AtomicU64::new(0);
+    let model = attach_weights_with(&spec, seed, &engine, |slot| {
         let t = Instant::now();
         let c = &container.kernels[slot.index];
         let conv = if offline {
@@ -656,11 +692,12 @@ fn cmd_run(args: &[String]) -> CliResult {
         } else {
             BinConv2d::from_packed(c.decode_packed()?, slot.params)
         };
-        decode += t.elapsed();
-        Ok::<_, Box<dyn std::error::Error>>(conv)
-    })?;
+        decode_ns.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        Ok::<_, Box<dyn std::error::Error + Send + Sync>>(conv)
+    })
+    .map_err(|e| e as Box<dyn std::error::Error>)?;
     let deploy_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let decode_ms = decode.as_secs_f64() * 1e3;
+    let decode_ms = decode_ns.into_inner() as f64 / 1e6;
 
     let input_channels = match spec.nodes.first().map(|n| n.op) {
         Some(OpSpec::Input { channels, .. }) => channels,
@@ -682,17 +719,17 @@ fn cmd_run(args: &[String]) -> CliResult {
     };
     let forward_ms = t1.elapsed().as_secs_f64() * 1e3;
 
-    println!(
-        "{input}: arch {arch}, {} kernels deployed via {}: deploy {deploy_ms:.1} ms, \
-         of which 3x3 decode {decode_ms:.1} ms",
-        container.kernels.len(),
+    let n = container.kernels.len();
+    outln!(
+        "{input}: arch {arch}, {n} kernels deployed via {}: deploy {deploy_ms:.1} ms on \
+         {deploy_threads} threads, 3x3 decode {decode_ms:.1} ms summed over {n} records",
         if offline {
             "offline decompress+pack"
         } else {
             "streaming decode (stream -> lane words -> engine)"
         }
     );
-    println!(
+    outln!(
         "forward: backend {backend}, batch {batch}, image {image}x{image}, {used_threads} threads, \
          {forward_ms:.1} ms"
     );
@@ -709,7 +746,7 @@ fn cmd_run(args: &[String]) -> CliResult {
             .take(4)
             .map(|v| format!("{:08x}", v.to_bits()))
             .collect();
-        println!(
+        outln!(
             "item {i}: argmax {argmax}, logits[0..{}] = [{}], digest {:016x}",
             head.len(),
             head.join(" "),
@@ -751,8 +788,8 @@ fn cmd_simulate(args: &[String]) -> CliResult {
     let base = run_model(&cpu, &wls, Mode::Baseline, &[1.0]);
     let sw = run_model(&cpu, &wls, Mode::SoftwareDecode, &[ratio]);
     let hw = run_model(&cpu, &wls, Mode::HardwareDecode, &[ratio]);
-    println!("arch {arch}, image {image}x{image}, compression ratio {ratio}:");
-    print_mode_cycles(&base, &sw, &hw);
+    outln!("arch {arch}, image {image}x{image}, compression ratio {ratio}:");
+    print_mode_cycles(&base, &sw, &hw)?;
     Ok(())
 }
 
@@ -811,13 +848,13 @@ fn simulate_container(args: &[String], input: &str, image: usize) -> CliResult {
         })
         .collect();
 
-    println!("{input}: arch {arch}, per-kernel decoder configurations (Table III):");
+    outln!("{input}: arch {arch}, per-kernel decoder configurations (Table III):");
     let (mut orig_bits, mut comp_bits) = (0u64, 0u64);
     for (i, c) in container.kernels.iter().enumerate() {
         let dc = c.decoder_config(STREAM_BASE);
         orig_bits += dc.num_sequences * 9;
         comp_bits += c.stream_bits as u64;
-        println!(
+        outln!(
             "kernel {:>2}: {:>4}x{:<4} {:>6} seqs ({:>3} unique, dedup {:.2}x), \
              stream {:>7} B, ratio {:.3}x, code lengths {:?}",
             i + 1,
@@ -831,7 +868,7 @@ fn simulate_container(args: &[String], input: &str, image: usize) -> CliResult {
             dc.node_code_lengths,
         );
     }
-    println!(
+    outln!(
         "aggregate kernel ratio {:.3}x\n",
         orig_bits as f64 / comp_bits as f64
     );
@@ -841,9 +878,9 @@ fn simulate_container(args: &[String], input: &str, image: usize) -> CliResult {
     let sw = run_spec_streams(&cpu, &spec, Mode::SoftwareDecode, &streams)?;
     let hw = run_spec_streams(&cpu, &spec, Mode::HardwareDecode, &streams)?;
     let hw_dedup = run_spec_streams(&cpu, &spec, Mode::HardwareDecode, &dedup_streams)?;
-    println!("image {image}x{image}, streams from {input}:");
-    print_mode_cycles(&base, &sw, &hw);
-    println!(
+    outln!("image {image}x{image}, streams from {input}:");
+    print_mode_cycles(&base, &sw, &hw)?;
+    outln!(
         "  hw+dedup: {:>12} cycles ({:.3}x faster; {} table hits, \
          consumer stalls {} -> {})",
         hw_dedup.total_cycles,
@@ -879,10 +916,10 @@ fn simulate_container(args: &[String], input: &str, image: usize) -> CliResult {
         em.estimate(&exec, &mem, seqs, line).total_uj()
     };
     let (e_base, e_sw, e_hw) = (energy(&base, 0), energy(&sw, 0), energy(&hw, decoded_seqs));
-    println!("energy (first-order):");
-    println!("  baseline: {e_base:>10.1} uJ");
-    println!("  software: {e_sw:>10.1} uJ ({:.3}x)", e_sw / e_base);
-    println!("  hardware: {e_hw:>10.1} uJ ({:.3}x)", e_hw / e_base);
+    outln!("energy (first-order):");
+    outln!("  baseline: {e_base:>10.1} uJ");
+    outln!("  software: {e_sw:>10.1} uJ ({:.3}x)", e_sw / e_base);
+    outln!("  hardware: {e_hw:>10.1} uJ ({:.3}x)", e_hw / e_base);
     Ok(())
 }
 
@@ -951,10 +988,10 @@ fn cmd_serve(args: &[String]) -> CliResult {
     let server = Server::new(cfg);
     let listener = std::net::TcpListener::bind(addr)?;
     // First line, machine-parseable: the resolved address.
-    println!("bnnkc serve: listening on {}", listener.local_addr()?);
+    outln!("bnnkc serve: listening on {}", listener.local_addr()?);
     for (name, path) in &models {
         let shape = server.register_path(name, std::path::Path::new(path))?;
-        println!(
+        outln!(
             "registered `{name}` from {path}: input {}x{}x{}, {} classes, \
              max batch {}, queue depth {queue_depth}",
             shape.channels,
@@ -969,12 +1006,15 @@ fn cmd_serve(args: &[String]) -> CliResult {
                 .map_or(0, |m| m.max_batch),
         );
     }
-    println!("serving with {threads} threads (shutdown via the wire protocol)");
+    outln!("serving with {threads} threads (shutdown via the wire protocol)");
     serve_listener(&server, &listener)?;
     let s = server.stats_report();
-    println!(
+    outln!(
         "drained: {} served in {} batches, {} rejected, {} swaps",
-        s.served, s.batches, s.rejected, s.swaps
+        s.served,
+        s.batches,
+        s.rejected,
+        s.swaps
     );
     Ok(())
 }
@@ -1045,26 +1085,26 @@ fn cmd_features(args: &[String]) -> CliResult {
             "  \"pool_workers\": {}\n}}",
             exec::hardware_threads().saturating_sub(1)
         ));
-        println!("{out}");
+        outln!("{out}");
         return Ok(());
     }
 
     let yn = |b: bool| if b { "yes" } else { "no" };
-    println!("cpu features:");
-    println!("  popcnt:            {}", yn(f.popcnt));
-    println!("  avx2:              {}", yn(f.avx2));
-    println!("  avx512-vpopcntdq:  {}", yn(f.avx512));
-    println!("  avx512-vnni:       {}", yn(f.avx512_vnni));
-    println!(
+    outln!("cpu features:");
+    outln!("  popcnt:            {}", yn(f.popcnt));
+    outln!("  avx2:              {}", yn(f.avx2));
+    outln!("  avx512-vpopcntdq:  {}", yn(f.avx512));
+    outln!("  avx512-vnni:       {}", yn(f.avx512_vnni));
+    outln!(
         "simd level: {} (BITNN_SIMD {})",
         simd::level().name(),
         cap.as_deref()
             .map_or("unset".to_string(), |v| format!("= {v}")),
     );
-    println!("binary gemm: {}", gemm::kernel().name());
-    println!("binary conv: {}", gemm::conv_kernel_name());
-    println!("int8 kernel: {}", int8::kernel().name());
-    println!("hardware threads: {}", exec::hardware_threads());
+    outln!("binary gemm: {}", gemm::kernel().name());
+    outln!("binary conv: {}", gemm::conv_kernel_name());
+    outln!("int8 kernel: {}", int8::kernel().name());
+    outln!("hardware threads: {}", exec::hardware_threads());
     Ok(())
 }
 
@@ -1072,16 +1112,17 @@ fn print_mode_cycles(
     base: &simcpu::run::ModelRun,
     sw: &simcpu::run::ModelRun,
     hw: &simcpu::run::ModelRun,
-) {
-    println!("  baseline: {:>12} cycles", base.total_cycles);
-    println!(
+) -> CliResult {
+    outln!("  baseline: {:>12} cycles", base.total_cycles);
+    outln!(
         "  software: {:>12} cycles ({:.3}x slower)",
         sw.total_cycles,
         sw.total_cycles as f64 / base.total_cycles as f64
     );
-    println!(
+    outln!(
         "  hardware: {:>12} cycles ({:.3}x faster)",
         hw.total_cycles,
         base.total_cycles as f64 / hw.total_cycles as f64
     );
+    Ok(())
 }

@@ -485,6 +485,54 @@ fn run_threads_auto_resolves_and_zero_is_rejected() {
     assert!(!bad.status.success(), "--threads lots must be rejected");
 }
 
+/// `bnnkc run … | head -1`: the reader closes the pipe after one line,
+/// and `run` ends quietly — exit 0, no panic text on stderr. The batch's
+/// item lines (~200 KB) outgrow any pipe buffer, so some write always
+/// lands after the close.
+#[test]
+fn run_ends_quietly_when_stdout_closes() {
+    use std::io::{BufRead, BufReader};
+    use std::process::{Command, Stdio};
+    let out = TempFile(tmp_file("pipe.bkcm"));
+    let path = out.0.to_str().unwrap();
+    let c = bnnkc(&["compress", "--out", path, "--scale", "0.125"]);
+    assert!(c.status.success(), "compress failed: {c:?}");
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_bnnkc"))
+        .args([
+            "run",
+            "--in",
+            path,
+            "--image",
+            "8",
+            "--batch",
+            "2000",
+            "--threads",
+            "1",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("failed to spawn bnnkc");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    // The single-threaded deploy names its thread count and sums the 3×3
+    // decodes over the records.
+    assert!(
+        first.contains("ms on 1 threads") && first.contains("summed over 13 records"),
+        "bad deploy line: {first}"
+    );
+    let done = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&done.stderr);
+    assert!(
+        done.status.success(),
+        "run failed on a closed pipe: {stderr}"
+    );
+    assert!(stderr.is_empty(), "run must end quietly: {stderr}");
+}
+
 /// The integrity lifecycle end-to-end: `compress --v3` → `verify
 /// --integrity`, tamper detection with a nonzero exit, `diff` → `patch`
 /// byte-identity, patched output runs, and `inspect` understands both

@@ -126,7 +126,7 @@ fn mismatched_records_are_rejected_before_decoding() {
     let parsed = read_model_container(&bytes).unwrap();
     let incompatible = |c: &ModelContainer| {
         matches!(
-            deploy(c, WEIGHT_SEED, IMAGE, 1),
+            deploy(c, &Engine::single_threaded(), WEIGHT_SEED, IMAGE, 1),
             Err(ServeError::Container(KcError::IncompatibleModel(_)))
         )
     };

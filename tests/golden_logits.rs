@@ -6,8 +6,9 @@
 //! so a generator that moved a single bit would pass them all. This test
 //! pins the `logits_digest` of each built-in family at ×0.125, image 32,
 //! batch 2, both seed-built (`attach_weights`) and deployed from a v3
-//! container (`registry::deploy_bytes`). A deliberate change of the
-//! synthetic weights updates these values in the same commit.
+//! container (`registry::deploy_bytes`, inline and on two threads). A
+//! deliberate change of the synthetic weights updates these values in
+//! the same commit.
 
 use bnnkc::prelude::*;
 use bnnkc::serve::registry::deploy_bytes;
@@ -57,7 +58,16 @@ fn synthetic_weights_are_frozen() {
             .map(|k| codec.compress(k).unwrap())
             .collect();
         let bytes = write_model_container_v3(&spec, &kernels).unwrap();
-        let entry = deploy_bytes(&bytes, &Engine::single_threaded(), SEED, IMAGE, 1).unwrap();
-        assert_eq!(digests(&entry.graph), deployed, "{arch}: deployed model");
+        // The inline deploy and the one whose nodes are built as jobs
+        // on the worker pool.
+        for engine in [Engine::single_threaded(), Engine::with_threads(2)] {
+            let entry = deploy_bytes(&bytes, &engine, SEED, IMAGE, 1).unwrap();
+            let threads = engine.policy().threads;
+            assert_eq!(
+                digests(&entry.graph),
+                deployed,
+                "{arch}: deployed model, {threads} threads"
+            );
+        }
     }
 }
