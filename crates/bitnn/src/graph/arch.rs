@@ -187,9 +187,8 @@ impl Conv3Slot {
 /// estimated cost first, and the nodes are assembled in spec order
 /// afterwards. The weights do not depend on the thread count. A
 /// single-threaded engine (or a spec too small to split, see
-/// [`ExecPolicy::min_work`](crate::exec::ExecPolicy::min_work)) builds
-/// every node inline on the caller, in spec order; [`attach_threads`]
-/// says which.
+/// [`ExecPolicy::min_work`](crate::exec::ExecPolicy::min_work)) runs
+/// every job on the caller and enlists no pool worker.
 ///
 /// # Errors
 ///
@@ -214,18 +213,6 @@ where
     let jobs = node_jobs(spec, seed)?;
     let threads = engine.policy().effective_threads(total_cost(&jobs));
     attach_on(WorkerPool::global(), threads, spec, &jobs, &conv3)
-}
-
-/// The threads [`attach_weights_with`] builds `spec`'s nodes on under
-/// `engine`: the engine's thread count clamped to the hardware, or 1
-/// when the spec is too small to split.
-///
-/// # Errors
-///
-/// Returns [`BitnnError::InvalidConfig`] if the spec does not validate.
-pub fn attach_threads(spec: &GraphSpec, engine: &Engine) -> Result<usize> {
-    let jobs = node_jobs(spec, 0)?;
-    Ok(engine.policy().effective_threads(total_cost(&jobs)))
 }
 
 /// One node's weight-building job: its op and what its build reads of
@@ -369,9 +356,9 @@ impl NodeJob {
     }
 }
 
-/// Build every job's op, on `pool` when `threads > 1` (up to
-/// `threads - 1` workers beside the caller, largest job first) and
-/// inline in spec order otherwise, then assemble the graph.
+/// Build every job's op on the caller and up to `threads - 1` workers
+/// of `pool` (all on the caller when `threads <= 1`), largest estimated
+/// job first, then assemble the graph in spec order.
 fn attach_on<E, F>(
     pool: &WorkerPool,
     threads: usize,
@@ -383,32 +370,27 @@ where
     E: From<BitnnError> + Send,
     F: Fn(&Conv3Slot) -> std::result::Result<BinConv2d, E> + Sync,
 {
-    let ops: Vec<NodeOp> = if threads <= 1 {
-        jobs.iter()
-            .map(|job| job.build(conv3))
-            .collect::<std::result::Result<_, E>>()?
-    } else {
-        // A stable sort: equal costs keep spec order.
-        let mut order: Vec<usize> = (0..jobs.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(jobs[i].cost()));
-        let built: Vec<Mutex<Option<std::result::Result<NodeOp, E>>>> =
-            jobs.iter().map(|_| Mutex::new(None)).collect();
-        pool.dispatch(order.len(), threads - 1, &|c| {
-            let i = order[c];
-            let op = jobs[i].build(conv3);
-            *built[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(op);
-        });
-        // Every job ran (a panic would have been re-raised above); the
-        // first error in spec order wins, as it does inline.
-        built
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .expect("every node job ran")
-            })
-            .collect::<std::result::Result<_, E>>()?
-    };
+    // A stable sort: equal costs keep spec order.
+    let mut order: Vec<usize> = (0..jobs.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(jobs[i].cost()));
+    let built: Vec<Mutex<Option<std::result::Result<NodeOp, E>>>> =
+        jobs.iter().map(|_| Mutex::new(None)).collect();
+    pool.dispatch(order.len(), threads.saturating_sub(1), &|c| {
+        let i = order[c];
+        let op = jobs[i].build(conv3);
+        *built[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(op);
+    });
+    // Every job ran (a panic would have been re-raised above), so the
+    // error is the first failing node's in spec order at any thread
+    // count.
+    let ops: Vec<NodeOp> = built
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .expect("every node job ran")
+        })
+        .collect::<std::result::Result<_, E>>()?;
     let nodes = spec
         .nodes
         .iter()
@@ -922,7 +904,6 @@ mod tests {
         let spec = build_spec(Arch::ResNetLite, 0.125, 32).unwrap();
         let caller = std::thread::current().id();
         let engine = Engine::single_threaded();
-        assert_eq!(attach_threads(&spec, &engine).unwrap(), 1);
         let model = attach_weights_with(&spec, 1, &engine, |slot| {
             assert_eq!(std::thread::current().id(), caller, "slot {}", slot.index);
             Ok::<_, BitnnError>(slot.sample())

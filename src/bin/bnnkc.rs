@@ -77,6 +77,7 @@ use simcpu::trace::STREAM_BASE;
 use std::io::Write;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// `println!` that hands a failed write back to the caller as an error
@@ -85,6 +86,15 @@ use std::time::Instant;
 macro_rules! outln {
     ($($arg:tt)*) => {
         writeln!(std::io::stdout(), $($arg)*).map_err(stdout_error)?
+    };
+}
+
+/// `println!` for the long-running `serve`: a failed stdout write is
+/// dropped, so a reader that takes the address line and goes away
+/// (`bnnkc serve … | head -1`) leaves the server serving.
+macro_rules! noteln {
+    ($($arg:tt)*) => {
+        let _ = writeln!(std::io::stdout(), $($arg)*);
     };
 }
 
@@ -680,12 +690,20 @@ fn cmd_run(args: &[String]) -> CliResult {
     let engine = Engine::with_threads(threads);
     // Every node is built as its own job on the engine's threads, so the
     // 3×3 decode time is summed over the records (across threads) and is
-    // not a share of the deploy's wall time.
-    let deploy_threads = attach_threads(&spec, &engine)?;
+    // not a share of the deploy's wall time; the threads counted are the
+    // ones that decoded a record.
     let t0 = Instant::now();
     let decode_ns = AtomicU64::new(0);
+    let decoders = Mutex::new(Vec::new());
     let model = attach_weights_with(&spec, seed, &engine, |slot| {
         let t = Instant::now();
+        let me = std::thread::current().id();
+        {
+            let mut seen = decoders.lock().unwrap_or_else(PoisonError::into_inner);
+            if !seen.contains(&me) {
+                seen.push(me);
+            }
+        }
         let c = &container.kernels[slot.index];
         let conv = if offline {
             BinConv2d::new(c.decode_kernel()?, slot.params)
@@ -698,6 +716,10 @@ fn cmd_run(args: &[String]) -> CliResult {
     .map_err(|e| e as Box<dyn std::error::Error>)?;
     let deploy_ms = t0.elapsed().as_secs_f64() * 1e3;
     let decode_ms = decode_ns.into_inner() as f64 / 1e6;
+    let decode_threads = decoders
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+        .len();
 
     let input_channels = match spec.nodes.first().map(|n| n.op) {
         Some(OpSpec::Input { channels, .. }) => channels,
@@ -721,8 +743,8 @@ fn cmd_run(args: &[String]) -> CliResult {
 
     let n = container.kernels.len();
     outln!(
-        "{input}: arch {arch}, {n} kernels deployed via {}: deploy {deploy_ms:.1} ms on \
-         {deploy_threads} threads, 3x3 decode {decode_ms:.1} ms summed over {n} records",
+        "{input}: arch {arch}, {n} kernels deployed via {}: deploy {deploy_ms:.1} ms, \
+         3x3 decode {decode_ms:.1} ms summed over {n} records on {decode_threads} threads",
         if offline {
             "offline decompress+pack"
         } else {
@@ -988,10 +1010,10 @@ fn cmd_serve(args: &[String]) -> CliResult {
     let server = Server::new(cfg);
     let listener = std::net::TcpListener::bind(addr)?;
     // First line, machine-parseable: the resolved address.
-    outln!("bnnkc serve: listening on {}", listener.local_addr()?);
+    noteln!("bnnkc serve: listening on {}", listener.local_addr()?);
     for (name, path) in &models {
         let shape = server.register_path(name, std::path::Path::new(path))?;
-        outln!(
+        noteln!(
             "registered `{name}` from {path}: input {}x{}x{}, {} classes, \
              max batch {}, queue depth {queue_depth}",
             shape.channels,
@@ -1006,10 +1028,10 @@ fn cmd_serve(args: &[String]) -> CliResult {
                 .map_or(0, |m| m.max_batch),
         );
     }
-    outln!("serving with {threads} threads (shutdown via the wire protocol)");
+    noteln!("serving with {threads} threads (shutdown via the wire protocol)");
     serve_listener(&server, &listener)?;
     let s = server.stats_report();
-    outln!(
+    noteln!(
         "drained: {} served in {} batches, {} rejected, {} swaps",
         s.served,
         s.batches,

@@ -56,8 +56,8 @@ pub mod prelude {
     pub use bitnn::engine::Engine;
     pub use bitnn::exec::ExecPolicy;
     pub use bitnn::graph::arch::{
-        attach_threads, attach_weights, attach_weights_with, build_model, build_spec,
-        reactnet_spec, sample_conv3_kernels, Arch, Conv3Slot,
+        attach_weights, attach_weights_with, build_model, build_spec, reactnet_spec,
+        sample_conv3_kernels, Arch, Conv3Slot,
     };
     pub use bitnn::graph::{
         ConvGeometry, GraphBuilder, GraphNode, GraphSpec, ModelGraph, NodeOp, NodeSpec, OpSpec,

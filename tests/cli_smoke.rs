@@ -518,10 +518,10 @@ fn run_ends_quietly_when_stdout_closes() {
     BufReader::new(child.stdout.take().unwrap())
         .read_line(&mut first)
         .unwrap();
-    // The single-threaded deploy names its thread count and sums the 3×3
-    // decodes over the records.
+    // The single-threaded deploy sums the 3×3 decodes over the records
+    // and names the one thread that decoded them.
     assert!(
-        first.contains("ms on 1 threads") && first.contains("summed over 13 records"),
+        first.contains("summed over 13 records on 1 threads"),
         "bad deploy line: {first}"
     );
     let done = child.wait_with_output().unwrap();
@@ -531,6 +531,71 @@ fn run_ends_quietly_when_stdout_closes() {
         "run failed on a closed pipe: {stderr}"
     );
     assert!(stderr.is_empty(), "run must end quietly: {stderr}");
+}
+
+/// `bnnkc serve … | head -1`: the reader takes the address line and
+/// closes the pipe. The server keeps serving (its later stdout lines are
+/// dropped), answers on the wire, and exits 0 with nothing on stderr
+/// after a shutdown request.
+#[test]
+fn serve_keeps_serving_when_stdout_closes() {
+    use bnnkc::prelude::{Client, Request, Response};
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::{Command, Stdio};
+    let out = TempFile(tmp_file("serve-pipe.bkcm"));
+    let path = out.0.to_str().unwrap();
+    let c = bnnkc(&["compress", "--out", path, "--scale", "0.125"]);
+    assert!(c.status.success(), "compress failed: {c:?}");
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_bnnkc"))
+        .args([
+            "serve",
+            "--in",
+            path,
+            "--addr",
+            "127.0.0.1:0",
+            "--image",
+            "8",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("failed to spawn bnnkc");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    // The reader is gone from here on.
+    let addr = first
+        .trim()
+        .strip_prefix("bnnkc serve: listening on ")
+        .unwrap_or_else(|| panic!("bad first line: {first}"))
+        .to_string();
+    let talk = || -> Result<(), String> {
+        let mut client = Client::connect(&addr).map_err(|e| e.to_string())?;
+        for req in [Request::Ping, Request::Shutdown] {
+            match (&req, client.call(&req).map_err(|e| e.to_string())?) {
+                (Request::Ping, Response::Pong) | (Request::Shutdown, Response::Closing) => {}
+                (_, other) => return Err(format!("{req:?} got {other:?}")),
+            }
+        }
+        Ok(())
+    };
+    let talked = talk();
+    if talked.is_err() {
+        let _ = child.kill();
+    }
+    let status = child.wait().unwrap();
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut stderr)
+        .unwrap();
+    talked.unwrap_or_else(|e| panic!("server stopped serving: {e}; stderr: {stderr}"));
+    assert!(status.success(), "serve failed on a closed pipe: {stderr}");
+    assert!(stderr.is_empty(), "serve must stay quiet: {stderr}");
 }
 
 /// The integrity lifecycle end-to-end: `compress --v3` → `verify
